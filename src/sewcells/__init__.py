@@ -17,12 +17,11 @@ from .charts import (
     Constraint,
     ContactStructure,
     PointSample,
+    Residual,
     TensorField,
     ValidationReport,
-    fundamental_form,
     sample_points,
     sample_points_grouped,
-    validate_cell,
     validate_structure,
 )
 from .expressions import (
@@ -34,7 +33,6 @@ from .expressions import (
     evaluate,
     evaluate_jet2,
     parse_expression,
-    substitute,
     to_source,
 )
 from .geometry import (

@@ -10,7 +10,7 @@ pure, so fields are safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -40,10 +40,6 @@ class ChartError(ValueError):
 
 class SamplingError(RuntimeError):
     """Rejection sampling failed to hit the declared domain."""
-
-
-class SlotKindError(ValueError):
-    """Index operation applied to a slot of the wrong variance."""
 
 
 class SampleEvaluationError(RuntimeError):
@@ -420,7 +416,7 @@ def sample_points_grouped(
 
 
 # ---------------------------------------------------------------------------
-# Axiom validation
+# Checks and reports
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -437,8 +433,46 @@ class CheckResult:
         return f"{status}  {self.name:<36} residual {self.residual:11.3e}  tol {self.tolerance:8.1e}{note}"
 
 
+class Residual:
+    """The largest magnitude of one residual over a sweep, and its verdict.
+
+    This is the only place that holds the pass rule: a check passes when every
+    value added was finite and the largest of them is within the tolerance.
+    A NaN sticks once added, because under IEEE 754 every comparison with NaN
+    is false and a plain running ``max`` would silently drop it.
+    """
+
+    __slots__ = ("name", "tolerance", "note", "value")
+
+    def __init__(self, name: str, tolerance: float, note: str = ""):
+        self.name = name
+        self.tolerance = tolerance
+        self.note = note
+        self.value = 0.0
+
+    def add(self, value) -> "Residual":
+        """Fold in a scalar or an array (its largest absolute entry)."""
+        if isinstance(value, np.ndarray):
+            if not value.size:
+                return self
+            value = np.abs(value).max()
+        value = abs(float(value))
+        if not math.isnan(self.value) and (value > self.value or math.isnan(value)):
+            self.value = value
+        return self
+
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.value) and self.value <= self.tolerance
+
+    def result(self) -> CheckResult:
+        return CheckResult(self.name, self.value, self.tolerance, self.passed, self.note)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """Named checks over a sample sweep; richer reports add payload fields."""
+
     subject: str
     sample_count: int
     checks: tuple[CheckResult, ...]
@@ -453,14 +487,20 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
-    def format_table(self) -> str:
-        header = f"{self.subject}  ({self.sample_count} samples)"
-        return "\n".join([header] + [c.line() for c in self.checks])
+    def format_table(self, header: str | None = None) -> str:
+        """The header line (subject and sample count by default), then one indented line per check."""
+        if header is None:
+            header = f"{self.subject}  ({self.sample_count} samples)"
+        return "\n".join([header] + ["  " + c.line() for c in self.checks])
+
+    def check_dicts(self) -> list[dict]:
+        """The checks as JSON-ready dictionaries."""
+        return [asdict(c) for c in self.checks]
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
+# ---------------------------------------------------------------------------
+# Axiom validation
+# ---------------------------------------------------------------------------
 
 def validate_structure(struct: ContactStructure, samples: Sequence[PointSample], tol: float) -> ValidationReport:
     """Check the structure axioms at every sample.
@@ -474,11 +514,18 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
     if not samples:
         raise ValueError("samples must be non-empty")
     n = struct.dim
-    r_phi2 = r_eta_xi = r_compat = r_deta = r_adapted = 0.0
+    phi2 = Residual("phi_square_identity", tol)
+    eta_xi = Residual("eta_of_xi", tol)
+    compat = Residual("metric_compatibility", tol)
+    deta = Residual("eta_closed", tol)
     min_eig = math.inf
     cholesky_ok = True
     scale = struct.eta_scale
     t_axis = struct.chart.adapted_index
+    if t_axis is not None:
+        adapted = Residual("eta_adapted_component", tol, note=f"eta = {scale:g} * d{struct.chart.coords[t_axis]}")
+        expected = np.zeros(n)
+        expected[t_axis] = scale
     for sample in samples:
         point = sample.array()
         try:
@@ -488,93 +535,29 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
             eta_vals, eta_grads = struct.eta.evaluate_with_grads(point)
         except EvaluationDomainError as exc:
             raise SampleEvaluationError(sample, exc) from exc
-        r_phi2 = max(r_phi2, _max_abs(p @ p + np.eye(n) - np.outer(xi, eta_vals)))
-        r_eta_xi = max(r_eta_xi, abs(float(eta_vals @ xi) - 1.0))
-        r_compat = max(r_compat, _max_abs(p.T @ g @ p - g + np.outer(eta_vals, eta_vals)))
-        d_eta = eta_grads.T - eta_grads  # (d eta)_{ij} = d_i eta_j - d_j eta_i
-        r_deta = max(r_deta, _max_abs(d_eta))
+        phi2.add(p @ p + np.eye(n) - np.outer(xi, eta_vals))
+        eta_xi.add(float(eta_vals @ xi) - 1.0)
+        compat.add(p.T @ g @ p - g + np.outer(eta_vals, eta_vals))
+        deta.add(eta_grads.T - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
         eigs = np.linalg.eigvalsh(g)
         min_eig = min(min_eig, float(eigs[0]))
         try:
-            np.linalg.cholesky(g)
+            # LAPACK returns NaN factors for a NaN metric instead of failing
+            cholesky_ok = cholesky_ok and bool(np.isfinite(np.linalg.cholesky(g)).all())
         except np.linalg.LinAlgError:
             cholesky_ok = False
         if t_axis is not None:
-            expected = np.zeros(n)
-            expected[t_axis] = scale
-            r_adapted = max(r_adapted, _max_abs(eta_vals - expected))
+            adapted.add(eta_vals - expected)
 
     spd_ok = cholesky_ok and min_eig >= SPD_EIGENVALUE_FLOOR
     checks = [
         CheckResult("metric_positive_definite", max(0.0, SPD_EIGENVALUE_FLOOR - min_eig), 0.0, spd_ok,
                     note=f"min eigenvalue {min_eig:.3e}"),
-        CheckResult("phi_square_identity", r_phi2, tol, r_phi2 <= tol),
-        CheckResult("eta_of_xi", r_eta_xi, tol, r_eta_xi <= tol),
-        CheckResult("metric_compatibility", r_compat, tol, r_compat <= tol),
-        CheckResult("eta_closed", r_deta, tol, r_deta <= tol),
+        phi2.result(),
+        eta_xi.result(),
+        compat.result(),
+        deta.result(),
     ]
     if t_axis is not None:
-        checks.append(
-            CheckResult("eta_adapted_component", r_adapted, tol, r_adapted <= tol,
-                        note=f"eta = {scale:g} * d{struct.chart.coords[t_axis]}")
-        )
+        checks.append(adapted.result())
     return ValidationReport(struct.name, len(samples), tuple(checks))
-
-
-validate_cell = validate_structure
-
-
-def fundamental_form(struct: ContactStructure, point) -> np.ndarray:
-    """The 2-form ``Phi_ij = g_ik phi^k_j`` at a point (antisymmetric)."""
-    g = struct.metric.evaluate(point)
-    p = struct.phi.evaluate(point)
-    return g @ p
-
-
-# ---------------------------------------------------------------------------
-# Pointwise index gymnastics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class PointTensor:
-    """Numeric tensor values at one point with per-slot variance kinds."""
-
-    values: np.ndarray
-    kinds: tuple[str, ...]  # 'u' (contravariant) or 'l' (covariant) per axis
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != len(self.kinds):
-            raise SlotKindError("kinds must match the array rank")
-        for kind in self.kinds:
-            if kind not in ("u", "l"):
-                raise SlotKindError(f"unknown slot kind {kind!r}")
-
-
-def tensor_product(a: PointTensor, b: PointTensor) -> PointTensor:
-    return PointTensor(np.multiply.outer(a.values, b.values), a.kinds + b.kinds)
-
-
-def lower_index(t: PointTensor, slot: int, metric_values: np.ndarray) -> PointTensor:
-    if t.kinds[slot] != "u":
-        raise SlotKindError(f"slot {slot} is not contravariant")
-    values = np.moveaxis(np.tensordot(metric_values, t.values, axes=(1, slot)), 0, slot)
-    kinds = t.kinds[:slot] + ("l",) + t.kinds[slot + 1:]
-    return PointTensor(values, kinds)
-
-
-def raise_index(t: PointTensor, slot: int, metric_inverse: np.ndarray) -> PointTensor:
-    if t.kinds[slot] != "l":
-        raise SlotKindError(f"slot {slot} is not covariant")
-    values = np.moveaxis(np.tensordot(metric_inverse, t.values, axes=(1, slot)), 0, slot)
-    kinds = t.kinds[:slot] + ("u",) + t.kinds[slot + 1:]
-    return PointTensor(values, kinds)
-
-
-def contract(t: PointTensor, upper_slot: int, lower_slot: int) -> PointTensor:
-    if t.kinds[upper_slot] != "u":
-        raise SlotKindError(f"slot {upper_slot} is not contravariant")
-    if t.kinds[lower_slot] != "l":
-        raise SlotKindError(f"slot {lower_slot} is not covariant")
-    values = np.trace(t.values, axis1=upper_slot, axis2=lower_slot)
-    kinds = tuple(kind for i, kind in enumerate(t.kinds) if i not in (upper_slot, lower_slot))
-    return PointTensor(values, kinds)

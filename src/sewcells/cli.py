@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,10 @@ import numpy as np
 from . import __version__
 from .catalog import CATALOG
 from .charts import (
-    CheckResult,
     ContactStructure,
+    Residual,
     SampleEvaluationError,
+    ValidationReport,
     sample_points,
     sample_points_grouped,
     validate_structure,
@@ -48,23 +50,7 @@ DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
 
-
-def _check_dicts(checks) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "residual": c.residual,
-            "tolerance": c.tolerance,
-            "passed": c.passed,
-            "note": c.note,
-        }
-        for c in checks
-    ]
-
-
-def _print_checks(checks) -> None:
-    for c in checks:
-        print("  " + c.line())
+INDUCED = "induced structure axioms"
 
 
 def _classification_dict(classification) -> dict:
@@ -77,40 +63,41 @@ def _classification_dict(classification) -> dict:
     }
 
 
-def _structure_checks(struct: ContactStructure, samples, tol: float) -> list[CheckResult]:
+def _structure_checks(struct: ContactStructure, samples, tol: float) -> ValidationReport:
     """Axiom validation plus the Reeb-parallelism facts that hold on any cell."""
     report = validate_structure(struct, samples, tol)
-    checks = list(report.checks)
-    r_xi = r_phi = 0.0
+    xi_geodesic = Residual("xi_geodesic", tol)
+    phi_parallel = Residual("phi_parallel_along_xi", tol)
     for s in samples:
         deriv = covariant_derivative_affinor(struct, s.array())
-        r_xi = max(r_xi, deriv.nabla_xi_xi_norm)
-        r_phi = max(r_phi, deriv.nabla_xi_phi_norm)
-    checks.append(CheckResult("xi_geodesic", r_xi, tol, r_xi <= tol))
-    checks.append(CheckResult("phi_parallel_along_xi", r_phi, tol, r_phi <= tol))
-    return checks
+        xi_geodesic.add(deriv.nabla_xi_xi_norm)
+        phi_parallel.add(deriv.nabla_xi_phi_norm)
+    return _with_checks(report, xi_geodesic, phi_parallel)
+
+
+def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationReport:
+    return replace(report, checks=report.checks + tuple(r.result() for r in residuals))
 
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    checks = _structure_checks(struct, samples, args.tol)
+    report = _structure_checks(struct, samples, args.tol)
     classification = classify(struct, samples, args.tol)
     if struct.dim == 3:
-        res = classification.fit_residual_max
-        checks.append(CheckResult("weight_fit_residual", res, args.tol, res <= args.tol))
-    normality_max = max(
-        float(np.max(np.abs(normality_tensor(struct, s.array())))) for s in samples
-    )
+        weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
+        report = _with_checks(report, weight_fit)
+    # np.max, unlike the builtin, keeps a NaN wherever it comes
+    normality_max = float(np.max([np.max(np.abs(normality_tensor(struct, s.array()))) for s in samples]))
     subject = {
         "name": struct.name,
         "dimension": struct.dim,
-        "checks": _check_dicts(checks),
+        "checks": report.check_dicts(),
         "classification": _classification_dict(classification),
         "normality_max": normality_max,
-        "passed": all(c.passed for c in checks),
+        "passed": report.passed,
     }
-    print(f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)")
-    _print_checks(checks)
+    header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
+    print(report.format_table(header))
     print(f"  classification: {classification.describe()}")
     print(f"  normality tensor max |N|: {normality_max:.3e}")
     return subject
@@ -146,9 +133,7 @@ def cmd_nullity(args) -> int:
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
-        report["passed"] = False
-        _finish(report, args)
-        return EXIT_FAIL
+        return _fail_on_axioms(report, args, struct, {"checks": validation.check_dicts()})
 
     convention = RAW
     classification = classify(struct, samples, args.tol)
@@ -178,9 +163,9 @@ def cmd_nullity(args) -> int:
     else:
         pairs = [(s, fit_nullity(struct, s.array(), convention)) for s in samples]
         verdicts = {}
-    residual_max = 0.0
+    fit_residual = Residual("fit_residual", args.tol)
     for sample, fit in pairs:
-        residual_max = max(residual_max, fit.residual)
+        fit_residual.add(fit.residual)
         label = sample.coords[t_axis] if t_axis is not None else float(sample.draw)
         flag = "" if fit.determinate_mu else "  [mu undetermined: h = 0]"
         print(
@@ -200,8 +185,8 @@ def cmd_nullity(args) -> int:
         )
     for key, value in verdicts.items():
         print(f"  {key}: {value}")
-    passed = residual_max <= args.tol
-    print(f"  max fit residual {residual_max:.3e} (tol {args.tol:.1e}): {'PASS' if passed else 'FAIL'}")
+    passed = fit_residual.passed
+    print(f"  max fit residual {fit_residual.value:.3e} (tol {args.tol:.1e}): {'PASS' if passed else 'FAIL'}")
     report["subjects"] = [
         {
             "name": struct.name,
@@ -209,7 +194,7 @@ def cmd_nullity(args) -> int:
             "classification": _classification_dict(classification),
             "nullity_table": rows,
             "verdicts": verdicts,
-            "residual_max": residual_max,
+            "residual_max": fit_residual.value,
             "passed": passed,
         }
     ]
@@ -232,31 +217,33 @@ def cmd_sew(args) -> int:
     print(f"wrote sewn definition to {args.out}")
     report["output"] = {"path": str(args.out), "sha256": file_digest(args.out)}
 
-    product = build_product(cells)
     sewn_samples = sample_points(sewn.chart, args.points, args.seed)
+    induced = _structure_checks(sewn, sewn_samples, max(args.tol, 1e-9))
+    if not induced.passed:
+        print(induced.format_table(INDUCED))
+        print("induced structure axioms fail; sewing verification skipped")
+        return _fail_on_axioms(report, args, sewn, {"sections": {INDUCED: induced.check_dicts()}})
+
+    product = build_product(cells)
     product_samples = sample_points(product.chart, args.points, args.seed)
-
-    sections: list[tuple[str, list[CheckResult]]] = []
-    checks = _structure_checks(sewn, sewn_samples, max(args.tol, 1e-9))
-    sections.append(("induced structure axioms", checks))
-    f_report = verify_f_structure(product, product_samples, args.tol)
-    sections.append(("product f-structure", list(f_report.checks)))
-    lift = verify_lift_laws(product, product_samples, max(args.tol, 1e-9))
-    sections.append(("lift laws", list(lift.checks)))
-    extrinsic = extrinsic_report(cells, count=args.points, seed=args.seed, tol=args.tol)
-    sections.append(("extrinsic geometry", list(extrinsic.checks)))
-    theorems = verify_sewing_theorems(
-        cells, tol=args.tol, count=args.points, seed=args.seed
-    )
-    sections.append(("classification and nullity transfer", list(theorems.checks)))
-
-    subject = {"name": sewn.name, "dimension": sewn.dim, "sections": {}}
-    all_passed = True
-    for title, section_checks in sections:
-        print(title)
-        _print_checks(section_checks)
-        subject["sections"][title] = _check_dicts(section_checks)
-        all_passed = all_passed and all(c.passed for c in section_checks)
+    sections = {
+        INDUCED: induced,
+        "product f-structure": verify_f_structure(product, product_samples, args.tol),
+        "lift laws": verify_lift_laws(product, product_samples, max(args.tol, 1e-9)),
+        "extrinsic geometry": extrinsic_report(cells, count=args.points, seed=args.seed, tol=args.tol),
+        "classification and nullity transfer": verify_sewing_theorems(
+            cells, tol=args.tol, count=args.points, seed=args.seed
+        ),
+    }
+    theorems = sections["classification and nullity transfer"]
+    for title, section in sections.items():
+        print(section.format_table(title))
+    all_passed = all(section.passed for section in sections.values())
+    subject = {
+        "name": sewn.name,
+        "dimension": sewn.dim,
+        "sections": {title: section.check_dicts() for title, section in sections.items()},
+    }
     print(f"cell classification: {theorems.cell_classification.describe()}")
     print(f"sewn classification: {theorems.sewn_classification.describe()}")
     subject["cell_classification"] = _classification_dict(theorems.cell_classification)
@@ -281,6 +268,14 @@ def cmd_sew(args) -> int:
     report["passed"] = all_passed
     _finish(report, args)
     return EXIT_PASS if all_passed else EXIT_FAIL
+
+
+def _fail_on_axioms(report: dict, args, struct: ContactStructure, checks: dict) -> int:
+    """Write the report of a structure whose axioms fail, and stop with exit 1."""
+    report["subjects"] = [{"name": struct.name, "dimension": struct.dim, **checks, "passed": False}]
+    report["passed"] = False
+    _finish(report, args)
+    return EXIT_FAIL
 
 
 def cmd_catalog(args) -> int:

@@ -312,22 +312,6 @@ def free_variables(node: ExpressionNode) -> set[str]:
     return free_variables(node.left) | free_variables(node.right)
 
 
-def substitute(node: ExpressionNode, var: str, replacement: ExpressionNode) -> ExpressionNode:
-    """Replace every reference to ``var`` by ``replacement``.
-
-    Substituting a variable that does not occur is the identity.
-    """
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        return replacement if node.name == var else node
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, var, replacement))
-    if isinstance(node, Call):
-        return Call(node.func, substitute(node.arg, var, replacement))
-    return BinOp(node.op, substitute(node.left, var, replacement), substitute(node.right, var, replacement))
-
-
 def rename_variables(node: ExpressionNode, mapping: Mapping[str, str]) -> ExpressionNode:
     """Rename variables wholesale; names absent from ``mapping`` pass through."""
     if isinstance(node, Num):

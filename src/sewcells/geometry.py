@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ContactStructure, TensorField
+from .charts import ContactStructure, Residual, TensorField
 
 _RANK_TOL = 1e-8
 
@@ -293,29 +293,28 @@ def classify(
 
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
     exactly at each point; in higher dimension a residual above ``tol`` means
-    no such weight exists and the result is unclassified.
+    no such weight exists and the result is unclassified, as it is in any
+    dimension when the residual is not finite.
     """
     weights: list[float] = []
-    residual_max = 0.0
-    nabla_norm = 0.0
+    fit = Residual("weight_fit_residual", tol)
+    nabla = Residual("nabla_phi", tol)
     for sample in samples:
         point = sample.array()
         lam, res = weight_fit(struct, point)
         weights.append(lam)
-        residual_max = max(residual_max, res)
-        deriv = covariant_derivative_affinor(struct, point)
-        nabla_norm = max(nabla_norm, float(np.max(np.abs(deriv.nablaphi))))
-    is_cosymplectic = nabla_norm <= tol
+        fit.add(res)
+        nabla.add(covariant_derivative_affinor(struct, point).nablaphi)
     arr = np.asarray(weights)
-    if residual_max > tol and struct.dim > 3:
+    if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
-    elif np.max(np.abs(arr)) <= tol:
+    elif Residual("weight", tol).add(arr).passed:
         kind, alpha = ALMOST_COSYMPLECTIC, None
-    elif float(arr.max() - arr.min()) <= spread_tol:
+    elif Residual("weight_spread", spread_tol).add(np.ptp(arr)).passed:
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    return Classification(kind, alpha, tuple(weights), residual_max, is_cosymplectic, nabla_norm)
+    return Classification(kind, alpha, tuple(weights), fit.value, nabla.passed, nabla.value)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,11 @@ def structure_from_dict(doc: dict) -> ContactStructure:
         if adapted not in coords:
             raise ManifoldFileError(f"adapted coordinate {adapted!r} is not declared")
         adapted_index = coords.index(adapted)
+    domain = doc.get("domain", [])
+    if not isinstance(domain, list) or not all(isinstance(src, str) for src in domain):
+        raise ManifoldFileError("domain must be a list of constraint strings")
     constraints = []
-    for src in doc.get("domain", []):
+    for src in domain:
         try:
             constraints.append(Constraint.from_source(src, coords))
         except ExpressionError as exc:
@@ -132,16 +135,33 @@ def structure_from_dict(doc: dict) -> ContactStructure:
         xi=TensorField(chart, 1, 0, xi_list),
         eta=TensorField(chart, 0, 1, eta_list),
     )
-    sewn_info = (doc.get("provenance") or {}).get("sewn")
+    sewn_info = _sewn_provenance(doc, n)
     if sewn_info:
-        return SewnManifold(
-            **kwargs,
-            cell_count=int(sewn_info["cell_count"]),
-            sources=tuple(sewn_info.get("sources", ())),
-        )
+        return SewnManifold(**kwargs, **sewn_info)
     if n == 3:
         return CellDefinition(**kwargs)
     return ContactStructure(**kwargs)
+
+
+def _sewn_provenance(doc: dict, n: int) -> dict | None:
+    """The ``provenance.sewn`` block as SewnManifold fields, checked against the dimension."""
+    provenance = doc.get("provenance") or {}
+    if not isinstance(provenance, dict):
+        raise ManifoldFileError("provenance must be an object")
+    sewn_info = provenance.get("sewn")
+    if not sewn_info:
+        return None
+    if not isinstance(sewn_info, dict):
+        raise ManifoldFileError("provenance.sewn must be an object")
+    k = sewn_info.get("cell_count")
+    if type(k) is not int or 2 * k + 1 != n:
+        raise ManifoldFileError(
+            f"provenance.sewn.cell_count must be the integer k with dimension 2k+1 = {n}, got {k!r}"
+        )
+    sources = sewn_info.get("sources", [])
+    if not isinstance(sources, list) or not all(isinstance(name, str) for name in sources):
+        raise ManifoldFileError("provenance.sewn.sources must be a list of names")
+    return {"cell_count": k, "sources": tuple(sources)}
 
 
 def _load_metric(doc: dict, coords: tuple[str, ...], n: int):

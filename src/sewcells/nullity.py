@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import ChartError, ContactStructure, PointSample
+from .charts import ChartError, ContactStructure, PointSample, Residual
 from .geometry import h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
@@ -127,14 +127,6 @@ class GeneralizedNullityReport:
     kappa_spread: float
     group_spread_max: float
 
-    def kappa_by_group(self) -> dict[float, list[float]]:
-        out: dict[float, list[float]] = {}
-        cursor = 0
-        for value, size in zip(self.group_values, self.group_sizes):
-            out[value] = [self.fits[cursor + k].kappa for k in range(size)]
-            cursor += size
-        return out
-
 
 def check_generalized(
     struct: ContactStructure,
@@ -165,7 +157,7 @@ def check_generalized(
     fits: list[NullityFit] = []
     group_values: list[float] = []
     group_sizes: list[int] = []
-    group_spread = 0.0
+    group_spread = Residual("eta_aligned", tol)
     for t_value in sorted(groups):
         members = groups[t_value]
         group_values.append(t_value)
@@ -179,24 +171,26 @@ def check_generalized(
                 [f.mu for f in member_fits if f.determinate_mu],
                 [f.muprime for f in member_fits if f.determinate_mu],
             ):
-                if pick:
-                    group_spread = max(group_spread, max(pick) - min(pick))
+                group_spread.add(_spread(pick))
 
-    def spread(values: list[float]) -> float:
-        return max(values) - min(values) if values else 0.0
-
-    kappa_spread = spread([f.kappa for f in fits])
-    mu_spread = spread([f.mu for f in fits])
-    muprime_spread = spread([f.muprime for f in fits])
+    kappa_spread, mu_spread, muprime_spread = (
+        Residual(name, tol).add(_spread([getattr(f, name) for f in fits]))
+        for name in ("kappa", "mu", "muprime")
+    )
     return GeneralizedNullityReport(
         samples=tuple(ordered_samples),
         fits=tuple(fits),
         group_values=tuple(group_values),
         group_sizes=tuple(group_sizes),
-        constant_kappa=kappa_spread <= tol,
-        constant_mu=mu_spread <= tol,
-        constant_muprime=muprime_spread <= tol,
-        eta_aligned=group_spread <= tol,
-        kappa_spread=kappa_spread,
-        group_spread_max=group_spread,
+        constant_kappa=kappa_spread.passed,
+        constant_mu=mu_spread.passed,
+        constant_muprime=muprime_spread.passed,
+        eta_aligned=group_spread.passed,
+        kappa_spread=kappa_spread.value,
+        group_spread_max=group_spread.value,
     )
+
+
+def _spread(values: list[float]) -> float:
+    """``max - min``, NaN when any value is NaN (the builtins would skip it)."""
+    return float(np.ptp(values)) if values else 0.0

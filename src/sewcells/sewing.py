@@ -39,6 +39,7 @@ from .charts import (
     Constraint,
     ContactStructure,
     PointSample,
+    Residual,
     TensorField,
     ValidationReport,
     column_field,
@@ -53,6 +54,7 @@ from .geometry import (
     christoffel,
     classify,
     exterior_derivative,
+    h_tensor,
     lie_bracket,
     numeric_rank,
     riemann,
@@ -121,7 +123,7 @@ def _probe_adapted_unit(cell: ContactStructure) -> None:
     expected[t_axis] = 1.0
     for point in _probe_points(cell.chart):
         eta = cell.eta.evaluate(point)
-        if float(np.max(np.abs(eta - expected))) > _ADAPTED_PROBE_TOL:
+        if not Residual("eta", _ADAPTED_PROBE_TOL).add(eta - expected).passed:
             raise SewingError(
                 f"cell {cell.name!r} is not adapted: eta != d{cell.chart.coords[t_axis]}"
             )
@@ -259,40 +261,44 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
     """Axioms of the product affinor: f^3 + f = 0, skewness, kernel = framing."""
     k = product.cell_count
     median = product.median()
-    r_cubed = r_skew = r_kernel_span = r_framing = r_median = r_dual = r_closed = 0.0
+    cubed = Residual("f_cubed_plus_f", tol)
+    skew = Residual("f_metric_skew", tol)
+    kernel_span = Residual("f_kills_framing", tol)
+    framing = Residual("framing_orthonormal", tol)
+    dual = Residual("coframing_duality", tol)
+    closed = Residual("coframing_closed", tol)
+    unit_median = Residual("median_unit_length", tol)
     rank_ok = True
     worst_rank = 2 * k
     for sample in samples:
         point = sample.array()
         g = product.metric.evaluate(point)
         f = product.f.evaluate(point)
-        r_cubed = max(r_cubed, float(np.max(np.abs(f @ f @ f + f))))
-        r_skew = max(r_skew, float(np.max(np.abs(f.T @ g + g @ f))))
+        cubed.add(f @ f @ f + f)
+        skew.add(f.T @ g + g @ f)
         xi_vals = [tf.evaluate(point) for tf in product.framing]
         eta_vals = [tf.evaluate(point) for tf in product.coframing]
         for xi in xi_vals:
-            r_kernel_span = max(r_kernel_span, float(np.max(np.abs(f @ xi))))
-        gram = np.array([[xi_a @ g @ xi_b for xi_b in xi_vals] for xi_a in xi_vals])
-        r_framing = max(r_framing, float(np.max(np.abs(gram - np.eye(k)))))
-        duality = np.array([[eta_a @ xi_b for xi_b in xi_vals] for eta_a in eta_vals])
-        r_dual = max(r_dual, float(np.max(np.abs(duality - np.eye(k)))))
+            kernel_span.add(f @ xi)
+        framing.add(np.array([[xi_a @ g @ xi_b for xi_b in xi_vals] for xi_a in xi_vals]) - np.eye(k))
+        dual.add(np.array([[eta_a @ xi_b for xi_b in xi_vals] for eta_a in eta_vals]) - np.eye(k))
         med = median.evaluate(point)
-        r_median = max(r_median, abs(float(med @ g @ med) - 1.0))
+        unit_median.add(float(med @ g @ med) - 1.0)
         for coframe in product.coframing:
-            r_closed = max(r_closed, float(np.max(np.abs(exterior_derivative(coframe, point)))))
+            closed.add(exterior_derivative(coframe, point))
         rank = numeric_rank(f)
         worst_rank = rank if rank != 2 * k else worst_rank
         rank_ok = rank_ok and rank == 2 * k
     checks = (
-        CheckResult("f_cubed_plus_f", r_cubed, tol, r_cubed <= tol),
-        CheckResult("f_metric_skew", r_skew, tol, r_skew <= tol),
-        CheckResult("f_kills_framing", r_kernel_span, tol, r_kernel_span <= tol),
+        cubed.result(),
+        skew.result(),
+        kernel_span.result(),
         CheckResult("kernel_rank", float(abs(worst_rank - 2 * k)), 0.0, rank_ok,
                     note=f"rank {worst_rank}, expected {2 * k} (kernel dimension {k})"),
-        CheckResult("framing_orthonormal", r_framing, tol, r_framing <= tol),
-        CheckResult("coframing_duality", r_dual, tol, r_dual <= tol),
-        CheckResult("coframing_closed", r_closed, tol, r_closed <= tol),
-        CheckResult("median_unit_length", r_median, tol, r_median <= tol),
+        framing.result(),
+        dual.result(),
+        closed.result(),
+        unit_median.result(),
     )
     return ValidationReport(f"f-structure of {len(product.cells)}-cell product", len(samples), checks)
 
@@ -316,7 +322,10 @@ def verify_lift_laws(
     median = product.median()
     normals = product.normal_frame()
     columns = [column_field(product.f, j) for j in range(dim)]
-    r_lift = r_cross_conn = r_cross_curv = r_invol = 0.0
+    lift = Residual("lifted_covariant_derivative", tol)
+    cross_conn = Residual("cross_block_connection", cross_tol)
+    cross_curv = Residual("cross_block_curvature", cross_tol)
+    invol = Residual("image_median_involutive", tol)
     for sample in samples:
         point = sample.array()
         gamma_bar = christoffel(product.metric, point).gamma
@@ -326,34 +335,25 @@ def verify_lift_laws(
             cell_gamma = christoffel(cell.metric, product.project_point(point, i)).gamma
             expected = np.zeros((dim, 3, 3))
             expected[block] = cell_gamma
-            actual = gamma_bar[:, block, :][:, :, block]
-            r_lift = max(r_lift, float(np.max(np.abs(actual - expected))))
+            lift.add(gamma_bar[:, block, :][:, :, block] - expected)
             for j in range(len(product.cells)):
                 if j == i:
                     continue
                 other = list(product.blocks[j])
-                r_cross_conn = max(
-                    r_cross_conn, float(np.max(np.abs(gamma_bar[:, block, :][:, :, other])))
-                )
-                r_cross_curv = max(
-                    r_cross_curv, float(np.max(np.abs(riem_bar[:, block, :, :][:, :, other, :])))
-                )
+                cross_conn.add(gamma_bar[:, block, :][:, :, other])
+                cross_curv.add(riem_bar[:, block, :, :][:, :, other, :])
         g = product.metric.evaluate(point)
         normal_vals = [tf.evaluate(point) for tf in normals]
 
-        def distribution_residual(bracket: np.ndarray) -> float:
-            return max((abs(float(bracket @ g @ u)) for u in normal_vals), default=0.0)
+        def add_normal_part(bracket: np.ndarray) -> None:
+            for u in normal_vals:
+                invol.add(float(bracket @ g @ u))
 
         for a in range(dim):
             for b in range(a + 1, dim):
-                r_invol = max(r_invol, distribution_residual(lie_bracket(columns[a], columns[b], point)))
-            r_invol = max(r_invol, distribution_residual(lie_bracket(columns[a], median, point)))
-    checks = (
-        CheckResult("lifted_covariant_derivative", r_lift, tol, r_lift <= tol),
-        CheckResult("cross_block_connection", r_cross_conn, cross_tol, r_cross_conn <= cross_tol),
-        CheckResult("cross_block_curvature", r_cross_curv, cross_tol, r_cross_curv <= cross_tol),
-        CheckResult("image_median_involutive", r_invol, tol, r_invol <= tol),
-    )
+                add_normal_part(lie_bracket(columns[a], columns[b], point))
+            add_normal_part(lie_bracket(columns[a], median, point))
+    checks = (lift.result(), cross_conn.result(), cross_curv.result(), invol.result())
     return ValidationReport(f"lift laws of {len(product.cells)}-cell product", len(samples), checks)
 
 
@@ -451,12 +451,12 @@ def _probe_diagonal_consistency(cells: Sequence[ContactStructure]) -> None:
         t = cell.chart.adapted_index
         for point in _probe_points(cell.chart):
             xi = cell.xi.evaluate(point)
-            if abs(float(xi[t]) - 1.0) > _TANGENCY_TOL:
+            if not Residual("xi", _TANGENCY_TOL).add(float(xi[t]) - 1.0).passed:
                 raise SewingError(
                     f"cell {cell.name!r}: median tangency fails (xi^t = {xi[t]!r})"
                 )
             phi = cell.phi.evaluate(point)
-            if float(np.max(np.abs(phi[t]))) > _TANGENCY_TOL:
+            if not Residual("phi", _TANGENCY_TOL).add(phi[t]).passed:
                 raise SewingError(
                     f"cell {cell.name!r}: affinor maps into the distinguished direction"
                 )
@@ -484,28 +484,11 @@ def embed_point(product: ProductDefinition, sewn: SewnManifold, point) -> np.nda
 class ExtrinsicSample:
     point: PointSample
     second_fundamental: np.ndarray      # [a, b, alpha]: normal components of nabla_a e_b
-    weingarten: np.ndarray              # [alpha, a, b]: S_alpha in diagonal-chart coordinates
-    normal_connection_residual: float
-    s_alpha_xi_norm: float
-    curvature_tangency_residual: float
-    curvature_match_residual: float
 
 
 @dataclass(frozen=True)
-class ExtrinsicReport:
-    subject: str
+class ExtrinsicReport(ValidationReport):
     samples: tuple[ExtrinsicSample, ...]
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def extrinsic_report(
@@ -527,7 +510,12 @@ def extrinsic_report(
     normals = product.normal_frame()
 
     out_samples: list[ExtrinsicSample] = []
-    r_frame = r_perp = r_dperp = r_weinxi = r_tangency = r_match = 0.0
+    frame = Residual("normal_frame_orthonormal", tol)
+    perp = Residual("normal_frame_perpendicular", tol)
+    dperp = Residual("normal_connection_flat", tol)
+    weinxi = Residual("weingarten_kills_xi", tol)
+    tangency = Residual("curvature_xi_tangent", tol)
+    match = Residual("curvature_restriction_match", tol)
     for sample in samples:
         p = sample.array()
         q = e_mat @ p
@@ -539,10 +527,9 @@ def extrinsic_report(
         normal_vals = [vals for vals, _ in normal_data]
 
         for a, (u_a, _) in enumerate(normal_data):
-            r_perp = max(r_perp, float(np.max(np.abs(e_mat.T @ (g @ u_a)))))
+            perp.add(e_mat.T @ (g @ u_a))
             for b, (u_b, _) in enumerate(normal_data):
-                gram = float(u_a @ g @ u_b)
-                r_frame = max(r_frame, abs(gram - (1.0 if a == b else 0.0)))
+                frame.add(float(u_a @ g @ u_b) - (1.0 if a == b else 0.0))
 
         def nabla_along(v: np.ndarray, w_vals: np.ndarray, w_grads: np.ndarray) -> np.ndarray:
             return np.einsum("a,ja->j", v, w_grads) + np.einsum("a,jam,m->j", v, gamma_bar, w_vals)
@@ -552,24 +539,18 @@ def extrinsic_report(
             normal = sum((c * u for c, u in zip(coeffs, normal_vals)), np.zeros_like(v))
             return v - normal, normal
 
-        g_n = e_mat.T @ g @ e_mat
-        g_n_inv = np.linalg.inv(g_n)
         second = np.zeros((dim_n, dim_n, k - 1))
         for a in range(dim_n):
             for b in range(dim_n):
                 deriv = np.einsum("i,m,jim->j", e_mat[:, a], e_mat[:, b], gamma_bar)
                 second[a, b] = [float(deriv @ g @ u) for u in normal_vals]
-        weingarten = np.zeros((k - 1, dim_n, dim_n))
-        for alpha, (u_vals, u_grads) in enumerate(normal_data):
+        for u_vals, u_grads in normal_data:
             for b in range(dim_n):
                 deriv = nabla_along(e_mat[:, b], u_vals, u_grads)
-                for beta, u_other in enumerate(normal_vals):
-                    r_dperp = max(r_dperp, abs(float(deriv @ g @ u_other)))
-                tangential, _ = split(deriv)
-                weingarten[alpha, :, b] = -(g_n_inv @ (e_mat.T @ (g @ tangential)))
-            xi_deriv = nabla_along(xi_bar, u_vals, u_grads)
-            tangential, _ = split(xi_deriv)
-            r_weinxi = max(r_weinxi, float(np.max(np.abs(tangential))))
+                for u_other in normal_vals:
+                    dperp.add(float(deriv @ g @ u_other))
+            tangential, _ = split(nabla_along(xi_bar, u_vals, u_grads))
+            weinxi.add(tangential)
 
         riem_n = riemann(sewn.metric, p).riem
         xi_n = sewn.xi.evaluate(p)
@@ -578,31 +559,13 @@ def extrinsic_report(
             for b in range(a + 1, dim_n):
                 ambient = np.einsum("lijm,i,j,m->l", riem_bar, e_mat[:, a], e_mat[:, b], xi_bar)
                 tangential, normal = split(ambient)
-                r_tangency = max(r_tangency, float(np.max(np.abs(normal))))
-                pushed = e_mat @ intrinsic[:, a, b]
-                r_match = max(r_match, float(np.max(np.abs(tangential - pushed))))
+                tangency.add(normal)
+                match.add(tangential - e_mat @ intrinsic[:, a, b])
 
-        out_samples.append(
-            ExtrinsicSample(
-                point=sample,
-                second_fundamental=second,
-                weingarten=weingarten,
-                normal_connection_residual=r_dperp,
-                s_alpha_xi_norm=r_weinxi,
-                curvature_tangency_residual=r_tangency,
-                curvature_match_residual=r_match,
-            )
-        )
+        out_samples.append(ExtrinsicSample(point=sample, second_fundamental=second))
 
-    checks = (
-        CheckResult("normal_frame_orthonormal", r_frame, tol, r_frame <= tol),
-        CheckResult("normal_frame_perpendicular", r_perp, tol, r_perp <= tol),
-        CheckResult("normal_connection_flat", r_dperp, tol, r_dperp <= tol),
-        CheckResult("weingarten_kills_xi", r_weinxi, tol, r_weinxi <= tol),
-        CheckResult("curvature_xi_tangent", r_tangency, tol, r_tangency <= tol),
-        CheckResult("curvature_restriction_match", r_match, tol, r_match <= tol),
-    )
-    return ExtrinsicReport(sewn.name, tuple(out_samples), checks)
+    checks = tuple(r.result() for r in (frame, perp, dperp, weinxi, tangency, match))
+    return ExtrinsicReport(sewn.name, len(samples), checks, samples=tuple(out_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +601,13 @@ class ConventionComparison:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
-    subject: str
+class TheoremReport(ValidationReport):
     cells_are_copies: bool
     cell_classification: Classification
     sewn_classification: Classification
-    checks: tuple[CheckResult, ...]
     nullity_rows: tuple[NullityTransferRow, ...]
     generalized: GeneralizedNullityReport | None
     convention_comparison: ConventionComparison | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _mean_fit(struct: ContactStructure, points, convention: Convention) -> tuple[float, float, float]:
@@ -715,36 +672,38 @@ def verify_sewing_theorems(
         checks.append(CheckResult("classification_transfer", 0.0 if ok else 1.0, 0.0, ok,
                                   note=sewn_class.describe()))
     elif cell_class.kind == ALMOST_ALPHA_KENMOTSU:
+        # sewn_class.alpha is None unless the sewn structure is almost alpha-Kenmotsu
         expected = cell_class.alpha / math.sqrt(k)
-        defect = abs((sewn_class.alpha or math.inf) - expected)
-        ok = sewn_class.kind == ALMOST_ALPHA_KENMOTSU and defect <= tol
-        checks.append(CheckResult("classification_transfer", defect, tol, ok,
-                                  note=f"expected alpha {expected!r}, {sewn_class.describe()}"))
+        checks.append(Residual("classification_transfer", tol,
+                               note=f"expected alpha {expected!r}, {sewn_class.describe()}")
+                      .add((sewn_class.alpha or math.inf) - expected).result())
     else:
-        checks.append(CheckResult("classification_transfer", sewn_class.fit_residual_max, tol,
-                                  sewn_class.fit_residual_max <= tol,
-                                  note=f"weight-function cells; {sewn_class.describe()}"))
-    checks.append(CheckResult("sewn_weight_fit_residual", sewn_class.fit_residual_max, tol,
-                              sewn_class.fit_residual_max <= tol))
+        checks.append(Residual("classification_transfer", tol,
+                               note=f"weight-function cells; {sewn_class.describe()}")
+                      .add(sewn_class.fit_residual_max).result())
+    checks.append(Residual("sewn_weight_fit_residual", tol).add(sewn_class.fit_residual_max).result())
 
     nullity_rows: list[NullityTransferRow] = []
     generalized: GeneralizedNullityReport | None = None
     comparison: ConventionComparison | None = None
     if copies:
-        r_kappa = r_mu = r_muprime = r_res = 0.0
         sqrt_k = math.sqrt(k)
-        commut = _CommutationResiduals()
+        fit_residuals = Residual("nullity_fit_residuals", tol)
+        kappa = Residual("kappa_transfer", tol, note=f"kappa -> kappa/{k}")
+        mu = Residual("mu_transfer", tol, note=f"mu -> mu/sqrt({k}), raw convention")
+        muprime = Residual("muprime_transfer", tol, note=f"mu' -> mu'/sqrt({k}), raw convention")
+        laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS)
         for j, s in enumerate(samples):
             p = s.array()
             sewn_fit = fit_nullity(sewn, p, RAW)
-            r_res = max(r_res, sewn_fit.residual)
+            fit_residuals.add(sewn_fit.residual)
             cell_fits = [fit_nullity(cells[i], cell_points[i][j], RAW) for i in range(k)]
             for cf in cell_fits:
-                r_res = max(r_res, cf.residual)
-                r_kappa = max(r_kappa, abs(sewn_fit.kappa - cf.kappa / k))
+                fit_residuals.add(cf.residual)
+                kappa.add(sewn_fit.kappa - cf.kappa / k)
                 if cf.determinate_mu and sewn_fit.determinate_mu:
-                    r_mu = max(r_mu, abs(sewn_fit.mu - cf.mu / sqrt_k))
-                    r_muprime = max(r_muprime, abs(sewn_fit.muprime - cf.muprime / sqrt_k))
+                    mu.add(sewn_fit.mu - cf.mu / sqrt_k)
+                    muprime.add(sewn_fit.muprime - cf.muprime / sqrt_k)
             first = cell_fits[0]
             nullity_rows.append(NullityTransferRow(
                 point=s,
@@ -756,18 +715,11 @@ def verify_sewing_theorems(
                 mu_defect=abs(sewn_fit.mu - first.mu / sqrt_k) if first.determinate_mu else 0.0,
                 muprime_defect=abs(sewn_fit.muprime - first.muprime / sqrt_k) if first.determinate_mu else 0.0,
             ))
-            commut.accumulate(sewn, p, sewn_fit)
-        checks.append(CheckResult("nullity_fit_residuals", r_res, tol, r_res <= tol))
-        checks.append(CheckResult("kappa_transfer", r_kappa, tol, r_kappa <= tol,
-                                  note=f"kappa -> kappa/{k}"))
-        checks.append(CheckResult("mu_transfer", r_mu, tol, r_mu <= tol,
-                                  note=f"mu -> mu/sqrt({k}), raw convention"))
-        checks.append(CheckResult("muprime_transfer", r_muprime, tol, r_muprime <= tol,
-                                  note=f"mu' -> mu'/sqrt({k}), raw convention"))
+            _add_operator_laws(laws, sewn, p, sewn_fit)
         generalized = check_generalized(sewn, samples, tol, RAW)
-        checks.append(CheckResult("eta_aligned", generalized.group_spread_max, tol,
-                                  generalized.eta_aligned))
-        checks.extend(commut.checks(tol))
+        checks.extend(r.result() for r in (fit_residuals, kappa, mu, muprime))
+        checks.append(Residual("eta_aligned", tol).add(generalized.group_spread_max).result())
+        checks.extend(r.result() for r in laws)
         if cell_class.kind == ALMOST_ALPHA_KENMOTSU and sewn_class.kind == ALMOST_ALPHA_KENMOTSU:
             comparison = _compare_conventions(
                 cells[0], sewn, cell_points[0], [s.array() for s in samples],
@@ -775,50 +727,43 @@ def verify_sewing_theorems(
             )
     return TheoremReport(
         subject=sewn.name,
+        sample_count=len(samples),
+        checks=tuple(checks),
         cells_are_copies=copies,
         cell_classification=cell_class,
         sewn_classification=sewn_class,
-        checks=tuple(checks),
         nullity_rows=tuple(nullity_rows),
         generalized=generalized,
         convention_comparison=comparison,
     )
 
 
-class _CommutationResiduals:
-    """Max residuals of the fitted-operator commutation relations."""
+_OPERATOR_LAWS = (
+    "operators_g_symmetric",
+    "P_commutes_with_phi",
+    "H_anticommutes_with_phi",
+    "P_commutes_with_H",
+    "operators_kill_xi",
+)
 
-    def __init__(self) -> None:
-        self.symmetry = 0.0
-        self.p_phi = 0.0
-        self.h_phi = 0.0
-        self.p_h = 0.0
-        self.kills_xi = 0.0
 
-    def accumulate(self, struct: ContactStructure, point, fit: NullityFit) -> None:
-        from .geometry import h_tensor
+def _add_operator_laws(laws, struct: ContactStructure, point, fit: NullityFit) -> None:
+    """Fold one sample into the residuals named by ``_OPERATOR_LAWS``.
 
-        g, phi, xi, _ = struct.values_at(point)
-        tensors = h_tensor(struct, point)
-        p_op = -fit.kappa * (phi @ phi)
-        h1 = fit.mu * tensors.h
-        h2 = fit.muprime * tensors.hprime
-        for op in (p_op, h1, h2):
-            self.symmetry = max(self.symmetry, float(np.max(np.abs(g @ op - (g @ op).T))))
-            self.kills_xi = max(self.kills_xi, float(np.max(np.abs(op @ xi))))
-        self.p_phi = max(self.p_phi, float(np.max(np.abs(p_op @ phi - phi @ p_op))))
-        for h_op in (h1, h2):
-            self.h_phi = max(self.h_phi, float(np.max(np.abs(h_op @ phi + phi @ h_op))))
-            self.p_h = max(self.p_h, float(np.max(np.abs(p_op @ h_op - h_op @ p_op))))
-
-    def checks(self, tol: float) -> list[CheckResult]:
-        return [
-            CheckResult("operators_g_symmetric", self.symmetry, tol, self.symmetry <= tol),
-            CheckResult("P_commutes_with_phi", self.p_phi, tol, self.p_phi <= tol),
-            CheckResult("H_anticommutes_with_phi", self.h_phi, tol, self.h_phi <= tol),
-            CheckResult("P_commutes_with_H", self.p_h, tol, self.p_h <= tol),
-            CheckResult("operators_kill_xi", self.kills_xi, tol, self.kills_xi <= tol),
-        ]
+    The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
+    """
+    symmetric, p_phi, h_phi, p_h, kills_xi = laws
+    g, phi, xi, _ = struct.values_at(point)
+    tensors = h_tensor(struct, point)
+    p_op = -fit.kappa * (phi @ phi)
+    h_ops = (fit.mu * tensors.h, fit.muprime * tensors.hprime)
+    for op in (p_op,) + h_ops:
+        symmetric.add(g @ op - (g @ op).T)
+        kills_xi.add(op @ xi)
+    p_phi.add(p_op @ phi - phi @ p_op)
+    for h_op in h_ops:
+        h_phi.add(h_op @ phi + phi @ h_op)
+        p_h.add(p_op @ h_op - h_op @ p_op)
 
 
 def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:
@@ -844,9 +789,9 @@ def _compare_conventions(cell, sewn, cell_points, sewn_points, alpha_cell, alpha
         ratio_raw = sewn_raw[2] / cell_raw[2]
         ratio_norm = sewn_norm[2] / cell_norm[2]
         target = 1.0 / k
-        if abs(ratio_norm - target) <= max(tol, 1e-6):
+        if Residual("normalized", max(tol, 1e-6)).add(ratio_norm - target).passed:
             verdict = "kenmotsu"
-        elif abs(ratio_raw - target) <= max(tol, 1e-6):
+        elif Residual("raw", max(tol, 1e-6)).add(ratio_raw - target).passed:
             verdict = "raw"
         else:
             verdict = "neither"

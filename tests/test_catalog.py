@@ -9,7 +9,7 @@ from sewcells.catalog import (
     model_cosymplectic_cell,
     standard_cells,
 )
-from sewcells.charts import sample_points, validate_cell
+from sewcells.charts import sample_points, validate_structure
 from sewcells.geometry import classify
 from sewcells.nullity import fit_nullity, kenmotsu_convention
 
@@ -17,7 +17,7 @@ from sewcells.nullity import fit_nullity, kenmotsu_convention
 class TestConstructors:
     def test_every_catalog_cell_validates(self, catalog_cells):
         for cell in catalog_cells:
-            report = validate_cell(cell, sample_points(cell.chart, 50, 7), 1e-9)
+            report = validate_structure(cell, sample_points(cell.chart, 50, 7), 1e-9)
             assert report.passed, report.format_table()
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -55,7 +55,7 @@ class TestKenmotsuWarped:
 
     def test_nonunit_warping_constants_still_validate(self):
         cell = kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0, c=0.7, cprime=1.9)
-        report = validate_cell(cell, sample_points(cell.chart, 25, 7), 1e-9)
+        report = validate_structure(cell, sample_points(cell.chart, 25, 7), 1e-9)
         assert report.passed, report.format_table()
 
     def test_parameter_validation(self):
@@ -81,7 +81,7 @@ class TestHalfspaceCell:
             assert np.allclose(halfspace_cell.metric.evaluate(point), oracle, atol=1e-12)
 
     def test_validates_tightly(self, halfspace_cell):
-        report = validate_cell(halfspace_cell, sample_points(halfspace_cell.chart, 50, 7), 1e-10)
+        report = validate_structure(halfspace_cell, sample_points(halfspace_cell.chart, 50, 7), 1e-10)
         assert report.passed, report.format_table()
 
     def test_frame_is_orthonormal(self, halfspace_cell):

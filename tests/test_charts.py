@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,22 +9,15 @@ from sewcells.charts import (
     ChartError,
     Constraint,
     PointSample,
-    PointTensor,
+    Residual,
     SamplingError,
-    SlotKindError,
     TensorField,
     column_field,
-    contract,
-    fundamental_form,
-    lower_index,
-    raise_index,
     sample_points,
     sample_points_grouped,
-    tensor_product,
-    validate_cell,
     validate_structure,
 )
-from sewcells.geometry import h_tensor
+from sewcells.geometry import fundamental_form_with_derivative, h_tensor
 
 
 class TestChart:
@@ -85,16 +80,16 @@ class TestValidation:
     def test_catalog_cells_pass(self, catalog_cells):
         for cell in catalog_cells:
             samples = sample_points(cell.chart, 50, 13)
-            report = validate_cell(cell, samples, 1e-9)
+            report = validate_structure(cell, samples, 1e-9)
             assert report.passed, report.format_table()
 
     def test_flat_cell_residuals_are_round_off(self, flat_cell):
-        report = validate_cell(flat_cell, sample_points(flat_cell.chart, 10, 1), 1e-9)
+        report = validate_structure(flat_cell, sample_points(flat_cell.chart, 10, 1), 1e-9)
         for check in report.checks:
             assert check.residual <= 1e-15
 
     def test_model_cell_passes_at_tight_tolerance(self, model_cell):
-        report = validate_cell(model_cell, sample_points(model_cell.chart, 25, 1), 1e-12)
+        report = validate_structure(model_cell, sample_points(model_cell.chart, 25, 1), 1e-12)
         assert report.passed, report.format_table()
 
     def test_sign_flipped_phi_fails_validation(self, model_cell):
@@ -125,7 +120,7 @@ class TestValidation:
 
 class TestFundamentalForm:
     def test_flat_cell_components(self, flat_cell):
-        phi_form = fundamental_form(flat_cell, np.zeros(3))
+        phi_form, _ = fundamental_form_with_derivative(flat_cell, np.zeros(3))
         # with Phi_ij = g_ik phi^k_j and phi(e_x) = e_y this gives Phi_yx = +1
         expected = np.zeros((3, 3))
         expected[2, 1] = 1.0
@@ -133,7 +128,7 @@ class TestFundamentalForm:
         assert np.array_equal(phi_form, expected)
 
     def test_model_cell_at_interior_point(self, model_cell):
-        phi_form = fundamental_form(model_cell, np.array([0.3, 0.1, -0.2]))
+        phi_form, _ = fundamental_form_with_derivative(model_cell, np.array([0.3, 0.1, -0.2]))
         assert phi_form[0, 1] == phi_form[0, 2] == 0.0  # no dt components
         assert phi_form[2, 1] == pytest.approx(1.0, abs=1e-15)
         assert phi_form[1, 2] == pytest.approx(-1.0, abs=1e-15)
@@ -142,44 +137,45 @@ class TestFundamentalForm:
         for cell in catalog_cells:
             for sample in sample_points(cell.chart, 20, 5):
                 point = sample.array()
-                phi_form = fundamental_form(cell, point)
+                phi_form, _ = fundamental_form_with_derivative(cell, point)
                 assert float(np.max(np.abs(phi_form + phi_form.T))) <= 1e-12
                 xi = cell.xi.evaluate(point)
                 assert float(np.max(np.abs(xi @ phi_form))) <= 1e-12
 
 
 class TestIndexOperations:
-    def test_lower_raise_round_trip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4))
-            g = a @ a.T + 4.0 * np.eye(4)
-            vec = PointTensor(rng.normal(size=4), ("u",))
-            back = raise_index(lower_index(vec, 0, g), 0, np.linalg.inv(g))
-            assert float(np.max(np.abs(back.values - vec.values))) <= 1e-12
-
-    def test_contract_phi_phi_gives_phi_squared(self, flat_cell):
-        point = np.zeros(3)
-        phi = PointTensor(flat_cell.phi.evaluate(point), ("u", "l"))
-        # phi^i_m phi^m_j: contract the upper slot of the second factor
-        product = tensor_product(phi, phi)
-        squared = contract(product, 2, 1)
-        xi = flat_cell.xi.evaluate(point)
-        eta = flat_cell.eta.evaluate(point)
-        expected = -np.eye(3) + np.outer(xi, eta)
-        assert np.array_equal(squared.values, expected)
-
-    def test_slot_kind_mismatch(self):
-        vec = PointTensor(np.ones(3), ("u",))
-        with pytest.raises(SlotKindError):
-            raise_index(vec, 0, np.eye(3))
-        with pytest.raises(SlotKindError):
-            contract(tensor_product(vec, vec), 0, 1)
-
     def test_h_is_trace_free_on_model_cell(self, model_cell):
         for sample in sample_points(model_cell.chart, 10, 6):
             h = h_tensor(model_cell, sample.array()).h
             assert abs(float(np.trace(h))) <= 1e-12
+
+
+class TestResidual:
+    def test_no_values_passes_with_zero(self):
+        result = Residual("empty", 1e-8).add(np.zeros(0)).result()
+        assert (result.residual, result.tolerance, result.passed) == (0.0, 1e-8, True)
+
+    def test_keeps_the_largest_magnitude(self):
+        r = Residual("r", 1.0).add(0.25).add(np.array([[0.1, -0.75], [0.5, 0.0]])).add(-0.5)
+        assert r.value == 0.75 and r.passed
+
+    def test_exactly_at_tolerance_passes(self):
+        assert Residual("r", 0.5).add(-0.5).passed
+        assert not Residual("r", 0.5).add(np.nextafter(0.5, 1.0)).passed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_fails_wherever_it_comes(self, bad):
+        for values in ([bad, 0.0], [0.0, bad, 0.0], [np.array([1e-20, bad])]):
+            r = Residual("r", 1e300)
+            for v in values:
+                r.add(v)
+            result = r.result()
+            assert not result.passed
+            assert not math.isfinite(result.residual)
+
+    def test_nan_sticks_after_larger_values(self):
+        r = Residual("r", math.inf).add(math.nan).add(1e10).add(math.inf)
+        assert math.isnan(r.value) and not r.passed
 
 
 class TestTensorField:

@@ -1,5 +1,8 @@
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sewcells.catalog import flat_cosymplectic_cell, model_cosymplectic_cell
@@ -138,6 +141,31 @@ class TestSew:
         out_file = tmp_path / "sewn.json"
         assert main(["sew", str(model_file), "--copies", "2", "--out", str(out_file), "--points", "6"]) == EXIT_PASS
         assert main(["sew", str(out_file), "--copies", "2", "--out", str(tmp_path / "y.json")]) == EXIT_INPUT
+
+
+NAN_PHI_ENTRY = "exp(400)*exp(400)*0"  # inf * 0: a NaN component at every point
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
+    ids=["verify", "nullity", "sew"],
+)
+def test_nan_phi_fails_every_command(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc["phi"][1][1] = NAN_PHI_ENTRY
+    Path("nan.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command[0], "nan.json", *command[1:], "--points", "6", "--json", "report.json"]
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == EXIT_FAIL
+    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    subject = report["subjects"][0]
+    checks = subject.get("checks") or subject["sections"]["induced structure axioms"]
+    phi_square = next(c for c in checks if c["name"] == "phi_square_identity")
+    assert phi_square["passed"] is False and math.isnan(phi_square["residual"])
+    assert "FAIL  phi_square_identity" in capsys.readouterr().out
 
 
 class TestCatalogCommand:

@@ -20,7 +20,7 @@ from sewcells.expressions import (
     evaluate_jet2,
     free_variables,
     parse_expression,
-    substitute,
+    rename_variables,
     to_source,
 )
 
@@ -127,17 +127,20 @@ class TestJets:
 
 
 class TestSubstitution:
+    """``rename_variables`` is the substitution ``t_i := s`` that sewing uses."""
+
     def test_single_variable_rename(self):
         expr = parse_expression("exp(2*t1)", ("t1",))
-        assert substitute(expr, "t1", Var("s")) == parse_expression("exp(2*s)", ("s",))
+        assert rename_variables(expr, {"t1": "s"}) == parse_expression("exp(2*s)", ("s",))
 
     def test_absent_variable_is_identity(self):
         expr = parse_expression("x", XYZ)
-        assert substitute(expr, "t", Var("s")) is expr or substitute(expr, "t", Var("s")) == expr
+        assert rename_variables(expr, {"t": "s"}) == expr
 
     def test_diagonal_identification(self):
-        expr = parse_expression("exp(-2*z1)*y1", ("z1", "y1"))
-        assert substitute(expr, "z1", Var("s")) == parse_expression("exp(-2*s)*y1", ("s", "y1"))
+        expr = parse_expression("exp(-2*z1)*y1+z2", ("z1", "y1", "z2"))
+        renamed = rename_variables(expr, {"z1": "s", "z2": "s"})
+        assert renamed == parse_expression("exp(-2*s)*y1+s", ("s", "y1"))
 
     def test_commutes_with_evaluation(self):
         rng = np.random.default_rng(11)
@@ -146,20 +149,16 @@ class TestSubstitution:
         checked = 0
         while checked < 200:
             expr = random_expression(rng, coords, 3)
-            replacement = random_expression(rng, coords, 2)
             point = rng.uniform(-1.2, 1.2, size=3)
-            target = coords[int(rng.integers(3))]
+            target, source = (coords[int(i)] for i in rng.choice(3, size=2, replace=False))
             try:
-                inner = evaluate(replacement, point, index)
-                shifted = point.copy()
-                shifted[index[target]] = inner
-                direct = evaluate(expr, shifted, index)
-                via_sub = evaluate(substitute(expr, target, replacement), point, index)
+                identified = point.copy()
+                identified[index[target]] = point[index[source]]
+                direct = evaluate(expr, identified, index)
+                via_rename = evaluate(rename_variables(expr, {target: source}), point, index)
             except EvaluationDomainError:
                 continue
-            if abs(direct) > 1e6:
-                continue
-            assert via_sub == pytest.approx(direct, rel=1e-14, abs=1e-14)
+            assert via_rename == direct
             checked += 1
 
 

@@ -126,3 +126,30 @@ class TestLoaderErrors:
         with pytest.raises(ManifoldFileError) as err:
             load_manifold(self._write(tmp_path, doc))
         assert "phi[1][2]" in str(err.value)
+
+
+def _bad_provenance(doc, key, value):
+    doc["provenance"]["sewn"][key] = value
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda doc: _bad_provenance(doc, "cell_count", "two"),
+        lambda doc: _bad_provenance(doc, "cell_count", -1),
+        lambda doc: doc.update(domain=[5]),
+        lambda doc: _bad_provenance(doc, "sources", 5),
+    ],
+    ids=["cell_count_text", "cell_count_negative", "domain_not_text", "sources_not_list"],
+)
+def test_malformed_sewn_file_is_an_input_error(spoil, model_cell, tmp_path, capsys):
+    from sewcells.cli import EXIT_INPUT, main
+
+    doc = structure_to_dict(sew([model_cell, model_cell]))
+    spoil(doc)
+    path = tmp_path / "sewn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifoldFileError):
+        load_manifold(path)
+    assert main(["verify", str(path), "--points", "3"]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
