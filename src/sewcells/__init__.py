@@ -20,6 +20,7 @@ from .charts import (
     Residual,
     TensorField,
     ValidationReport,
+    nullity_samples,
     sample_points,
     sample_points_grouped,
     validate_structure,
@@ -37,6 +38,7 @@ from .expressions import (
 )
 from .geometry import (
     Classification,
+    affinor_derivatives,
     christoffel,
     classify,
     covariant_derivative_affinor,

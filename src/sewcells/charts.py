@@ -415,6 +415,18 @@ def sample_points_grouped(
     return samples
 
 
+def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
+    """The samples the nullity checks read from ``count`` and ``seed``.
+
+    On an adapted chart these are 5 groups of ``max(2, count // 5)`` samples
+    sharing the adapted value, the structure ``check_generalized`` needs;
+    otherwise ``count`` plain draws.
+    """
+    if chart.adapted_index is None:
+        return sample_points(chart, count, seed)
+    return sample_points_grouped(chart, 5, max(2, count // 5), seed)
+
+
 # ---------------------------------------------------------------------------
 # Checks and reports
 # ---------------------------------------------------------------------------

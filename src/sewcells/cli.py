@@ -23,13 +23,14 @@ from .charts import (
     ContactStructure,
     Residual,
     SampleEvaluationError,
+    SamplingError,
     ValidationReport,
+    nullity_samples,
     sample_points,
-    sample_points_grouped,
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import classify, covariant_derivative_affinor, normality_tensor
+from .geometry import affinor_derivatives, classify, normality_tensor
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
 from .nullity import RAW, check_generalized, fit_nullity, kenmotsu_convention
 from .sewing import (
@@ -63,13 +64,13 @@ def _classification_dict(classification) -> dict:
     }
 
 
-def _structure_checks(struct: ContactStructure, samples, tol: float) -> ValidationReport:
-    """Axiom validation plus the Reeb-parallelism facts that hold on any cell."""
+def _structure_checks(struct: ContactStructure, samples, derivatives, tol: float) -> ValidationReport:
+    """Axiom validation plus the Reeb-parallelism facts that hold on any cell;
+    ``derivatives`` are the samples' ``affinor_derivatives``."""
     report = validate_structure(struct, samples, tol)
     xi_geodesic = Residual("xi_geodesic", tol)
     phi_parallel = Residual("phi_parallel_along_xi", tol)
-    for s in samples:
-        deriv = covariant_derivative_affinor(struct, s.array())
+    for deriv in derivatives:
         xi_geodesic.add(deriv.nabla_xi_xi_norm)
         phi_parallel.add(deriv.nabla_xi_phi_norm)
     return _with_checks(report, xi_geodesic, phi_parallel)
@@ -81,8 +82,9 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    report = _structure_checks(struct, samples, args.tol)
-    classification = classify(struct, samples, args.tol)
+    derivatives = affinor_derivatives(struct, samples)
+    report = _structure_checks(struct, samples, derivatives, args.tol)
+    classification = classify(struct, samples, derivatives, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
         report = _with_checks(report, weight_fit)
@@ -116,18 +118,11 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
-def _nullity_samples(struct: ContactStructure, args):
-    if struct.chart.adapted_index is None:
-        return sample_points(struct.chart, args.points, args.seed), False
-    per_group = max(2, args.points // 5)
-    return sample_points_grouped(struct.chart, 5, per_group, args.seed), True
-
-
 def cmd_nullity(args) -> int:
     report = _base_report("nullity", args)
     struct = load_manifold(args.file)
     report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
-    samples, grouped = _nullity_samples(struct, args)
+    samples = nullity_samples(struct.chart, args.points, args.seed)
 
     validation = validate_structure(struct, samples, args.tol)
     if not validation.passed:
@@ -136,7 +131,7 @@ def cmd_nullity(args) -> int:
         return _fail_on_axioms(report, args, struct, {"checks": validation.check_dicts()})
 
     convention = RAW
-    classification = classify(struct, samples, args.tol)
+    classification = classify(struct, samples, affinor_derivatives(struct, samples), args.tol)
     if args.convention == "kenmotsu":
         if classification.alpha is None:
             print("the normalized h' convention needs an almost alpha-Kenmotsu structure")
@@ -149,8 +144,9 @@ def cmd_nullity(args) -> int:
     print(f"{struct.name}: per-sample nullity fits ({convention.label()})")
     header = f"  {'t' if t_axis is not None else 'draw':>12}  {'kappa':>14} {'mu':>14} {'muprime':>14} {'residual':>12}"
     print(header)
-    if grouped:
-        gen = check_generalized(struct, samples, args.tol, convention)
+    fits = [fit_nullity(struct, s.array(), convention) for s in samples]
+    if t_axis is not None:
+        gen = check_generalized(struct, samples, fits, args.tol)
         pairs = list(zip(gen.samples, gen.fits))
         verdicts = {
             "constant_kappa": gen.constant_kappa,
@@ -161,7 +157,7 @@ def cmd_nullity(args) -> int:
             "group_spread_max": gen.group_spread_max,
         }
     else:
-        pairs = [(s, fit_nullity(struct, s.array(), convention)) for s in samples]
+        pairs = list(zip(samples, fits))
         verdicts = {}
     fit_residual = Residual("fit_residual", args.tol)
     for sample, fit in pairs:
@@ -204,21 +200,20 @@ def cmd_nullity(args) -> int:
 
 
 def cmd_sew(args) -> int:
-    if args.copies < 2:
-        print("--copies must be at least 2")
-        return EXIT_INPUT
     report = _base_report("sew", args)
     report["parameters"]["copies"] = args.copies
     cell = load_manifold(args.file)
     report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
     cells = [cell] * args.copies
     sewn = sew(cells)
+    # the induced and extrinsic stages read the plain samples, the theorem stage the grouped ones
+    sewn_samples = sample_points(sewn.chart, args.points, args.seed)
+    grouped_samples = nullity_samples(sewn.chart, args.points, args.seed)
     save_manifold(sewn, args.out)
     print(f"wrote sewn definition to {args.out}")
     report["output"] = {"path": str(args.out), "sha256": file_digest(args.out)}
 
-    sewn_samples = sample_points(sewn.chart, args.points, args.seed)
-    induced = _structure_checks(sewn, sewn_samples, max(args.tol, 1e-9))
+    induced = _structure_checks(sewn, sewn_samples, affinor_derivatives(sewn, sewn_samples), max(args.tol, 1e-9))
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")
@@ -230,10 +225,8 @@ def cmd_sew(args) -> int:
         INDUCED: induced,
         "product f-structure": verify_f_structure(product, product_samples, args.tol),
         "lift laws": verify_lift_laws(product, product_samples, max(args.tol, 1e-9)),
-        "extrinsic geometry": extrinsic_report(cells, count=args.points, seed=args.seed, tol=args.tol),
-        "classification and nullity transfer": verify_sewing_theorems(
-            cells, tol=args.tol, count=args.points, seed=args.seed
-        ),
+        "extrinsic geometry": extrinsic_report(product, sewn, sewn_samples, args.tol),
+        "classification and nullity transfer": verify_sewing_theorems(product, sewn, grouped_samples, args.tol),
     }
     theorems = sections["classification and nullity transfer"]
     for title, section in sections.items():
@@ -321,8 +314,19 @@ def _finish(report: dict, args) -> None:
         print(f"machine report written to {args.json}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names the type after the function
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--points", type=int, default=DEFAULT_POINTS, help="sample count (default 25)")
+    parser.add_argument("--points", type=_int_at_least(1), default=DEFAULT_POINTS,
+                        help="sample count (default 25)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 7)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-8)")
     parser.add_argument("--json", type=Path, default=None, help="write the machine report here")
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sew = sub.add_parser("sew", help="sew copies of a cell and verify the construction")
     p_sew.add_argument("file", type=Path)
-    p_sew.add_argument("--copies", type=int, required=True)
+    p_sew.add_argument("--copies", type=_int_at_least(2), required=True)
     p_sew.add_argument("--out", type=Path, required=True)
     _add_common(p_sew)
     p_sew.set_defaults(func=cmd_sew)
@@ -363,11 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, the help or the version
+        return exc.code
     start = time.perf_counter()
     try:
         status = args.func(args)
-    except (ManifoldFileError, ExpressionError, SewingError, FileNotFoundError) as exc:
+    except (ManifoldFileError, ExpressionError, SewingError, SamplingError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SampleEvaluationError as exc:

@@ -72,12 +72,15 @@ def christoffel(metric: TensorField, point) -> ChristoffelAtPoint:
 
 @dataclass
 class CurvatureAtPoint:
-    """``riem[l, i, j, k]`` = l-th component of ``R(e_i, e_j) e_k``."""
+    """``riem[l, i, j, k]`` = l-th component of ``R(e_i, e_j) e_k``, and the
+    Christoffel symbols ``gamma[k, i, j]`` it was built from."""
 
     riem: np.ndarray
+    gamma: np.ndarray
 
 
-def riemann_from_christoffel(ch: ChristoffelAtPoint) -> CurvatureAtPoint:
+def riemann(metric: TensorField, point) -> CurvatureAtPoint:
+    ch = christoffel(metric, point)
     quad = np.einsum("lim,mjk->lijk", ch.gamma, ch.gamma)
     riem = (
         np.einsum("iljk->lijk", ch.dgamma)
@@ -85,11 +88,7 @@ def riemann_from_christoffel(ch: ChristoffelAtPoint) -> CurvatureAtPoint:
         + quad
         - np.einsum("lijk->ljik", quad)
     )
-    return CurvatureAtPoint(riem)
-
-
-def riemann(metric: TensorField, point) -> CurvatureAtPoint:
-    return riemann_from_christoffel(christoffel(metric, point))
+    return CurvatureAtPoint(riem, ch.gamma)
 
 
 def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]:
@@ -140,14 +139,19 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
     )
 
 
+def affinor_derivatives(struct: ContactStructure, samples) -> list[AffinorDerivative]:
+    """``covariant_derivative_affinor`` at every sample, computed once for
+    every consumer of the same sample set."""
+    return [covariant_derivative_affinor(struct, s.array()) for s in samples]
+
+
 @dataclass
 class StructureTensorsAtPoint:
     """The flow-rate affinor ``h = 1/2 L_xi phi``, its composite ``h' = h phi``,
-    the covariant derivative of phi, and optionally ``h'/alpha``."""
+    and optionally ``h'/alpha``."""
 
     h: np.ndarray
     hprime: np.ndarray
-    nablaphi: np.ndarray
     kenmotsu_hprime: np.ndarray | None = None
 
 
@@ -167,8 +171,7 @@ def h_tensor(struct: ContactStructure, point, alpha: float | None = None) -> Str
         if alpha == 0.0:
             raise GeometryError("the normalized h' needs a nonzero alpha")
         kenmotsu = hprime / alpha
-    nablaphi = covariant_derivative_affinor(struct, point).nablaphi
-    return StructureTensorsAtPoint(h, hprime, nablaphi, kenmotsu)
+    return StructureTensorsAtPoint(h, hprime, kenmotsu)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,7 @@ def weight_fit(struct: ContactStructure, point) -> tuple[float, float]:
 def classify(
     struct: ContactStructure,
     samples,
+    derivatives: list[AffinorDerivative],
     tol: float,
     spread_tol: float = WEIGHT_SPREAD_TOL,
 ) -> Classification:
@@ -294,17 +298,17 @@ def classify(
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
-    dimension when the residual is not finite.
+    dimension when the residual is not finite.  ``derivatives`` holds
+    ``covariant_derivative_affinor`` at each sample (see ``affinor_derivatives``).
     """
     weights: list[float] = []
     fit = Residual("weight_fit_residual", tol)
     nabla = Residual("nabla_phi", tol)
-    for sample in samples:
-        point = sample.array()
-        lam, res = weight_fit(struct, point)
+    for sample, deriv in zip(samples, derivatives, strict=True):
+        lam, res = weight_fit(struct, sample.array())
         weights.append(lam)
         fit.add(res)
-        nabla.add(covariant_derivative_affinor(struct, point).nablaphi)
+        nabla.add(deriv.nablaphi)
     arr = np.asarray(weights)
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None

@@ -57,8 +57,11 @@ def kenmotsu_convention(alpha: float) -> Convention:
     return Convention(KENMOTSU_HPRIME, alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullityFit:
+    """The fitted constants at one point, with the ``h`` and ``h'`` they multiply
+    (``h'`` normalized when the convention says so)."""
+
     kappa: float
     mu: float
     muprime: float
@@ -66,6 +69,8 @@ class NullityFit:
     h_norm: float
     determinate_mu: bool
     convention: Convention
+    h: np.ndarray
+    hprime: np.ndarray
 
 
 def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW) -> NullityFit:
@@ -99,7 +104,7 @@ def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW) -
         denom = float(a_kappa @ a_kappa)
         kappa = float(a_kappa @ b) / denom if denom > 0.0 else 0.0
         residual = float(np.linalg.norm(b - kappa * a_kappa))
-        return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, convention)
+        return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, convention, h, hp)
 
     a = np.stack(columns, axis=1)
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -109,7 +114,7 @@ def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW) -
         )
     kappa, mu, muprime = (float(v) for v in solution)
     residual = float(np.linalg.norm(b - a @ solution))
-    return NullityFit(kappa, mu, muprime, residual, h_norm, True, convention)
+    return NullityFit(kappa, mu, muprime, residual, h_norm, True, convention, h, hp)
 
 
 @dataclass(frozen=True)
@@ -131,57 +136,49 @@ class GeneralizedNullityReport:
 def check_generalized(
     struct: ContactStructure,
     samples: Sequence[PointSample],
+    fits: Sequence[NullityFit],
     tol: float,
-    convention: Convention = RAW,
 ) -> GeneralizedNullityReport:
-    """Group samples sharing the adapted coordinate and test constancy.
+    """Group the fits at the samples by the shared adapted coordinate and test constancy.
 
-    ``eta_aligned`` is true when the fitted values agree within ``tol`` inside
-    every shared-coordinate group - the numerical form of
-    ``d kappa ^ eta = 0``.  Needs at least 3 distinct shared values with at
-    least 2 samples each.
+    ``fits[j]`` is the nullity fit at ``samples[j]``.  ``eta_aligned`` is true
+    when the fitted values agree within ``tol`` inside every shared-coordinate
+    group - the numerical form of ``d kappa ^ eta = 0``.  Needs at least 3
+    distinct shared values with at least 2 samples each.
     """
     t_axis = struct.chart.adapted_index
     if t_axis is None:
         raise ChartError("generalized-nullity checks need an adapted chart")
-    groups: dict[float, list[PointSample]] = {}
-    for sample in samples:
-        groups.setdefault(sample.coords[t_axis], []).append(sample)
+    groups: dict[float, list[tuple[PointSample, NullityFit]]] = {}
+    for sample, fit in zip(samples, fits, strict=True):
+        groups.setdefault(sample.coords[t_axis], []).append((sample, fit))
     rich = {t: members for t, members in groups.items() if len(members) >= 2}
     if len(rich) < 3:
         raise ValueError(
             "insufficient sample structure: need >= 2 samples sharing each of >= 3 adapted values"
         )
 
-    ordered_samples: list[PointSample] = []
-    fits: list[NullityFit] = []
-    group_values: list[float] = []
-    group_sizes: list[int] = []
+    group_values = sorted(groups)
     group_spread = Residual("eta_aligned", tol)
-    for t_value in sorted(groups):
-        members = groups[t_value]
-        group_values.append(t_value)
-        group_sizes.append(len(members))
-        member_fits = [fit_nullity(struct, s.array(), convention) for s in members]
-        ordered_samples.extend(members)
-        fits.extend(member_fits)
-        if len(members) >= 2:
-            for pick in (
-                [f.kappa for f in member_fits],
-                [f.mu for f in member_fits if f.determinate_mu],
-                [f.muprime for f in member_fits if f.determinate_mu],
-            ):
-                group_spread.add(_spread(pick))
+    for members in rich.values():
+        member_fits = [fit for _, fit in members]
+        for pick in (
+            [f.kappa for f in member_fits],
+            [f.mu for f in member_fits if f.determinate_mu],
+            [f.muprime for f in member_fits if f.determinate_mu],
+        ):
+            group_spread.add(_spread(pick))
+    ordered = [pair for t in group_values for pair in groups[t]]
 
     kappa_spread, mu_spread, muprime_spread = (
         Residual(name, tol).add(_spread([getattr(f, name) for f in fits]))
         for name in ("kappa", "mu", "muprime")
     )
     return GeneralizedNullityReport(
-        samples=tuple(ordered_samples),
-        fits=tuple(fits),
+        samples=tuple(sample for sample, _ in ordered),
+        fits=tuple(fit for _, fit in ordered),
         group_values=tuple(group_values),
-        group_sizes=tuple(group_sizes),
+        group_sizes=tuple(len(groups[t]) for t in group_values),
         constant_kappa=kappa_spread.passed,
         constant_mu=mu_spread.passed,
         constant_muprime=muprime_spread.passed,

@@ -44,24 +44,22 @@ from .charts import (
     ValidationReport,
     column_field,
     sample_points,
-    sample_points_grouped,
 )
 from .expressions import BinOp, ExpressionNode, Num, rename_variables
 from .geometry import (
     ALMOST_ALPHA_KENMOTSU,
     ALMOST_COSYMPLECTIC,
     Classification,
+    affinor_derivatives,
     christoffel,
     classify,
     exterior_derivative,
-    h_tensor,
     lie_bracket,
     numeric_rank,
     riemann,
 )
 from .nullity import (
     RAW,
-    Convention,
     GeneralizedNullityReport,
     NullityFit,
     check_generalized,
@@ -307,29 +305,27 @@ def verify_lift_laws(
     product: ProductDefinition,
     samples: Sequence[PointSample],
     tol: float,
-    cross_tol: float | None = None,
 ) -> ValidationReport:
     """Covariant derivative and curvature respect the block splitting.
 
     Within a block the product connection coefficients coincide with the
     lifted cell connection; across blocks both the connection and the
     curvature operator vanish; brackets of the affinor-image fields and the
-    median stay inside their span.
+    median stay inside their span.  The cross-block terms vanish exactly, so
+    they are held to a tenth of ``tol``.
     """
-    if cross_tol is None:
-        cross_tol = tol * 0.1
     dim = product.chart.dim
     median = product.median()
     normals = product.normal_frame()
     columns = [column_field(product.f, j) for j in range(dim)]
     lift = Residual("lifted_covariant_derivative", tol)
-    cross_conn = Residual("cross_block_connection", cross_tol)
-    cross_curv = Residual("cross_block_curvature", cross_tol)
+    cross_conn = Residual("cross_block_connection", tol * 0.1)
+    cross_curv = Residual("cross_block_curvature", tol * 0.1)
     invol = Residual("image_median_involutive", tol)
     for sample in samples:
         point = sample.array()
-        gamma_bar = christoffel(product.metric, point).gamma
-        riem_bar = riemann(product.metric, point).riem
+        curvature = riemann(product.metric, point)
+        gamma_bar, riem_bar = curvature.gamma, curvature.riem
         for i, cell in enumerate(product.cells):
             block = list(product.blocks[i])
             cell_gamma = christoffel(cell.metric, product.project_point(point, i)).gamma
@@ -492,17 +488,13 @@ class ExtrinsicReport(ValidationReport):
 
 
 def extrinsic_report(
-    cells: Sequence[ContactStructure],
-    samples: Sequence[PointSample] | None = None,
-    count: int = 25,
-    seed: int = 7,
-    tol: float = 1e-8,
+    product: ProductDefinition,
+    sewn: SewnManifold,
+    samples: Sequence[PointSample],
+    tol: float,
 ) -> ExtrinsicReport:
-    """Second fundamental form, normal connection and curvature restriction."""
-    product = build_product(cells)
-    sewn = sew(cells)
-    if samples is None:
-        samples = sample_points(sewn.chart, count, seed)
+    """Second fundamental form, normal connection and curvature restriction
+    of ``sewn`` (the diagonal of ``product``) at samples of its chart."""
     k = product.cell_count
     dim_n = sewn.chart.dim
     e_mat = embedding_matrix(product, sewn)
@@ -519,8 +511,8 @@ def extrinsic_report(
     for sample in samples:
         p = sample.array()
         q = e_mat @ p
-        gamma_bar = christoffel(product.metric, q).gamma
-        riem_bar = riemann(product.metric, q).riem
+        curvature = riemann(product.metric, q)
+        gamma_bar, riem_bar = curvature.gamma, curvature.riem
         g = product.metric.evaluate(q)
         xi_bar = median.evaluate(q)
         normal_data = [tf.evaluate_with_grads(q) for tf in normals]
@@ -574,14 +566,11 @@ def extrinsic_report(
 
 @dataclass(frozen=True)
 class NullityTransferRow:
+    """The raw fits at one sewn sample and at its projection into the first cell."""
+
     point: PointSample
     sewn: NullityFit
-    cell_kappa: float
-    cell_mu: float
-    cell_muprime: float
-    kappa_defect: float
-    mu_defect: float
-    muprime_defect: float
+    cell: NullityFit
 
 
 @dataclass(frozen=True)
@@ -610,8 +599,7 @@ class TheoremReport(ValidationReport):
     convention_comparison: ConventionComparison | None
 
 
-def _mean_fit(struct: ContactStructure, points, convention: Convention) -> tuple[float, float, float]:
-    fits = [fit_nullity(struct, p, convention) for p in points]
+def _mean_fit(fits: Sequence[NullityFit]) -> tuple[float, float, float]:
     return (
         float(np.mean([f.kappa for f in fits])),
         float(np.mean([f.mu for f in fits])),
@@ -620,16 +608,15 @@ def _mean_fit(struct: ContactStructure, points, convention: Convention) -> tuple
 
 
 def verify_sewing_theorems(
-    cells: Sequence[ContactStructure],
-    samples: Sequence[PointSample] | None = None,
-    tol: float = 1e-8,
-    convention: Convention = RAW,
-    count: int = 25,
-    seed: int = 7,
-    require_copies: bool = False,
+    product: ProductDefinition,
+    sewn: SewnManifold,
+    samples: Sequence[PointSample],
+    tol: float,
 ) -> TheoremReport:
     """Check classification transfer, nullity transfer and the commutation laws.
 
+    ``sewn`` is the diagonal of ``product`` and ``samples`` lie on its chart,
+    grouped by the diagonal value as ``check_generalized`` needs.
     Classification: sewn almost cosymplectic cells stay almost cosymplectic,
     and equal-weight alpha-Kenmotsu cells sew to weight ``alpha/sqrt(k)``.
     Nullity (identical cell copies): at every sample with diagonal value s,
@@ -640,16 +627,10 @@ def verify_sewing_theorems(
     ``H2 = mu' h'`` built from the fitted data must be g-symmetric, commute or
     anticommute with phi as required, commute with each other and kill xi.
     """
-    product = build_product(cells)
-    sewn = sew(cells)
+    cells = product.cells
     k = product.cell_count
-    if samples is None:
-        per_group = max(2, count // 5)
-        samples = sample_points_grouped(sewn.chart, 5, per_group, seed)
     e_mat = embedding_matrix(product, sewn)
     copies = all(_same_definition(cell, cells[0]) for cell in cells[1:])
-    if require_copies and not copies:
-        raise SewingError("nullity transfer needs identical cell copies")
 
     cell_points = [
         [product.project_point(e_mat @ s.array(), i) for s in samples] for i in range(k)
@@ -658,12 +639,17 @@ def verify_sewing_theorems(
         [PointSample(tuple(float(v) for v in p), s.seed, s.draw) for p, s in zip(pts, samples)]
         for pts in cell_points
     ]
-    cell_class = classify(cells[0], cell_samples[0], tol)
-    sewn_class = classify(sewn, samples, tol)
+
+    def classified(struct: ContactStructure, points: Sequence[PointSample]) -> Classification:
+        return classify(struct, points, affinor_derivatives(struct, points), tol)
+
+    cell_class = classified(cells[0], cell_samples[0])
+    sewn_class = classified(sewn, samples)
 
     checks: list[CheckResult] = []
     agree = all(
-        classify(cell, cell_samples[i], tol).kind == cell_class.kind for i, cell in enumerate(cells)
+        classified(cell, points).kind == cell_class.kind
+        for cell, points in zip(cells[1:], cell_samples[1:])
     )
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,
                               note=cell_class.describe()))
@@ -704,26 +690,15 @@ def verify_sewing_theorems(
                 if cf.determinate_mu and sewn_fit.determinate_mu:
                     mu.add(sewn_fit.mu - cf.mu / sqrt_k)
                     muprime.add(sewn_fit.muprime - cf.muprime / sqrt_k)
-            first = cell_fits[0]
-            nullity_rows.append(NullityTransferRow(
-                point=s,
-                sewn=sewn_fit,
-                cell_kappa=first.kappa,
-                cell_mu=first.mu,
-                cell_muprime=first.muprime,
-                kappa_defect=abs(sewn_fit.kappa - first.kappa / k),
-                mu_defect=abs(sewn_fit.mu - first.mu / sqrt_k) if first.determinate_mu else 0.0,
-                muprime_defect=abs(sewn_fit.muprime - first.muprime / sqrt_k) if first.determinate_mu else 0.0,
-            ))
+            nullity_rows.append(NullityTransferRow(s, sewn_fit, cell_fits[0]))
             _add_operator_laws(laws, sewn, p, sewn_fit)
-        generalized = check_generalized(sewn, samples, tol, RAW)
+        generalized = check_generalized(sewn, samples, [row.sewn for row in nullity_rows], tol)
         checks.extend(r.result() for r in (fit_residuals, kappa, mu, muprime))
         checks.append(Residual("eta_aligned", tol).add(generalized.group_spread_max).result())
         checks.extend(r.result() for r in laws)
         if cell_class.kind == ALMOST_ALPHA_KENMOTSU and sewn_class.kind == ALMOST_ALPHA_KENMOTSU:
             comparison = _compare_conventions(
-                cells[0], sewn, cell_points[0], [s.array() for s in samples],
-                cell_class.alpha, sewn_class.alpha, k, tol,
+                cells[0], sewn, cell_points[0], nullity_rows, cell_class.alpha, sewn_class.alpha, k, tol,
             )
     return TheoremReport(
         subject=sewn.name,
@@ -754,9 +729,8 @@ def _add_operator_laws(laws, struct: ContactStructure, point, fit: NullityFit) -
     """
     symmetric, p_phi, h_phi, p_h, kills_xi = laws
     g, phi, xi, _ = struct.values_at(point)
-    tensors = h_tensor(struct, point)
     p_op = -fit.kappa * (phi @ phi)
-    h_ops = (fit.mu * tensors.h, fit.muprime * tensors.hprime)
+    h_ops = (fit.mu * fit.h, fit.muprime * fit.hprime)
     for op in (p_op,) + h_ops:
         symmetric.add(g @ op - (g @ op).T)
         kills_xi.add(op @ xi)
@@ -776,11 +750,12 @@ def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:
     )
 
 
-def _compare_conventions(cell, sewn, cell_points, sewn_points, alpha_cell, alpha_sewn, k, tol):
-    cell_raw = _mean_fit(cell, cell_points, RAW)
-    cell_norm = _mean_fit(cell, cell_points, kenmotsu_convention(alpha_cell))
-    sewn_raw = _mean_fit(sewn, sewn_points, RAW)
-    sewn_norm = _mean_fit(sewn, sewn_points, kenmotsu_convention(alpha_sewn))
+def _compare_conventions(cell, sewn, cell_points, rows, alpha_cell, alpha_sewn, k, tol):
+    """Means of the raw fits in ``rows`` against new fits in the normalized convention."""
+    cell_raw = _mean_fit([row.cell for row in rows])
+    cell_norm = _mean_fit([fit_nullity(cell, p, kenmotsu_convention(alpha_cell)) for p in cell_points])
+    sewn_raw = _mean_fit([row.sewn for row in rows])
+    sewn_norm = _mean_fit([fit_nullity(sewn, row.point.array(), kenmotsu_convention(alpha_sewn)) for row in rows])
     # the ratio is meaningless when the cells have mu' = 0 in the first place
     if abs(cell_raw[2]) <= 1e-8 or abs(cell_norm[2]) <= 1e-8:
         ratio_raw = ratio_norm = math.nan

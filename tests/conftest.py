@@ -7,6 +7,8 @@ from sewcells.catalog import (
     model_cosymplectic_cell,
     standard_cells,
 )
+from sewcells.charts import nullity_samples, sample_points
+from sewcells.sewing import build_product, sew
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +34,15 @@ def halfspace_cell():
 @pytest.fixture(scope="session")
 def catalog_cells():
     return standard_cells()
+
+
+@pytest.fixture(scope="session")
+def sewing_inputs():
+    """What ``sew`` hands its stages: ``build(cells, count, seed=7)`` returns the
+    product, the sewn manifold, its plain samples (induced and extrinsic
+    checks) and its grouped nullity samples (theorem checks)."""
+    def build(cells, count, seed=7):
+        sewn = sew(cells)
+        return (build_product(cells), sewn, sample_points(sewn.chart, count, seed),
+                nullity_samples(sewn.chart, count, seed))
+    return build

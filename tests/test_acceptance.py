@@ -26,7 +26,6 @@ from sewcells.geometry import (
 )
 from sewcells.nullity import check_generalized, fit_nullity
 from sewcells.sewing import (
-    build_product,
     extrinsic_report,
     sew,
     verify_f_structure,
@@ -137,8 +136,9 @@ def test_criterion_3_halfspace_regression(halfspace_cell):
     )
 
 
-def test_criterion_4_kenmotsu_transfer(kenmotsu_cell):
-    report = verify_sewing_theorems([kenmotsu_cell, kenmotsu_cell], tol=1e-8, count=25, seed=SEED)
+def test_criterion_4_kenmotsu_transfer(kenmotsu_cell, sewing_inputs):
+    product, sewn, _, grouped = sewing_inputs([kenmotsu_cell, kenmotsu_cell], 25, SEED)
+    report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
     alpha = report.sewn_classification.alpha
     alpha_ok = alpha is not None and abs(alpha - 1.0 / math.sqrt(2.0)) <= 1e-8
     kappa_defect = max(abs(row.sewn.kappa + 1.0) for row in report.nullity_rows)
@@ -194,17 +194,17 @@ def test_criterion_5_structure_theorem_suite(cells):
     )
 
 
-def test_criterion_6_product_proposition_suite(cells):
+def test_criterion_6_product_proposition_suite(cells, sewing_inputs):
     worst_f = worst_lift = worst_cross = worst_invol = worst_ext = 0.0
     ranks_ok = True
     for a, b in itertools.combinations_with_replacement(range(len(cells)), 2):
         pair = [cells[a], cells[b]]
-        product = build_product(pair)
+        product, sewn, sewn_samples, _ = sewing_inputs(pair, 25, SEED)
         samples = sample_points(product.chart, 25, SEED)
         f_rep = verify_f_structure(product, samples, 1e-9)
         ranks_ok = ranks_ok and f_rep.check("kernel_rank").passed
         worst_f = max(worst_f, f_rep.check("f_cubed_plus_f").residual, f_rep.check("coframing_closed").residual)
-        lift = verify_lift_laws(product, samples, 1e-9, cross_tol=1e-10)
+        lift = verify_lift_laws(product, samples, 1e-9)
         worst_lift = max(worst_lift, lift.check("lifted_covariant_derivative").residual)
         worst_cross = max(
             worst_cross,
@@ -212,7 +212,7 @@ def test_criterion_6_product_proposition_suite(cells):
             lift.check("cross_block_curvature").residual,
         )
         worst_invol = max(worst_invol, lift.check("image_median_involutive").residual)
-        ext = extrinsic_report(pair, count=25, seed=SEED, tol=1e-8)
+        ext = extrinsic_report(product, sewn, sewn_samples, 1e-8)
         worst_ext = max(
             worst_ext,
             ext.check("normal_connection_flat").residual,
@@ -266,11 +266,12 @@ def test_criterion_7_oracle_equivalence(cells):
 
 
 def test_criterion_8_generalized_nullity_structure(halfspace_cell):
-    single = check_generalized(
-        halfspace_cell, sample_points_grouped(halfspace_cell.chart, 5, 3, SEED), 1e-8
-    )
-    sewn = sew([halfspace_cell, halfspace_cell])
-    paired = check_generalized(sewn, sample_points_grouped(sewn.chart, 5, 3, SEED), 1e-8)
+    def generalized(struct):
+        samples = sample_points_grouped(struct.chart, 5, 3, SEED)
+        return check_generalized(struct, samples, [fit_nullity(struct, s.array()) for s in samples], 1e-8)
+
+    single = generalized(halfspace_cell)
+    paired = generalized(sew([halfspace_cell, halfspace_cell]))
     ok = (
         single.eta_aligned
         and not single.constant_kappa

@@ -10,7 +10,7 @@ from sewcells.catalog import (
     standard_cells,
 )
 from sewcells.charts import sample_points, validate_structure
-from sewcells.geometry import classify
+from sewcells.geometry import affinor_derivatives, classify
 from sewcells.nullity import fit_nullity, kenmotsu_convention
 
 
@@ -29,7 +29,8 @@ class TestConstructors:
 
     def test_model_cell_classifies_almost_cosymplectic(self):
         cell = model_cosymplectic_cell(1.0)
-        cl = classify(cell, sample_points(cell.chart, 15, 7), 1e-9)
+        samples = sample_points(cell.chart, 15, 7)
+        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
         assert cl.kind == "almost_cosymplectic"
 
     def test_model_cell_rejects_nonpositive_lam(self):
@@ -45,7 +46,8 @@ class TestKenmotsuWarped:
         assert np.array_equal(cell.metric.evaluate(np.zeros(3)), np.eye(3))
 
     def test_classification_and_normalized_fit(self, kenmotsu_cell):
-        cl = classify(kenmotsu_cell, sample_points(kenmotsu_cell.chart, 15, 7), 1e-9)
+        samples = sample_points(kenmotsu_cell.chart, 15, 7)
+        cl = classify(kenmotsu_cell, samples, affinor_derivatives(kenmotsu_cell, samples), 1e-9)
         assert cl.kind == "almost_alpha_kenmotsu"
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
         fit = fit_nullity(kenmotsu_cell, np.array([0.25, 0.5, -0.5]), kenmotsu_convention(1.0))

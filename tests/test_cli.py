@@ -136,6 +136,7 @@ class TestSew:
 
     def test_copies_must_be_at_least_two(self, model_file, tmp_path):
         assert main(["sew", str(model_file), "--copies", "1", "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
+        assert not (tmp_path / "x.json").exists()
 
     def test_sewing_a_sewn_file_is_an_input_error(self, model_file, tmp_path):
         out_file = tmp_path / "sewn.json"
@@ -143,14 +144,17 @@ class TestSew:
         assert main(["sew", str(out_file), "--copies", "2", "--out", str(tmp_path / "y.json")]) == EXIT_INPUT
 
 
-NAN_PHI_ENTRY = "exp(400)*exp(400)*0"  # inf * 0: a NaN component at every point
-
-
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "command",
     [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
     ids=["verify", "nullity", "sew"],
 )
+
+
+NAN_PHI_ENTRY = "exp(400)*exp(400)*0"  # inf * 0: a NaN component at every point
+
+
+@COMMANDS
 def test_nan_phi_fails_every_command(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = structure_to_dict(model_cosymplectic_cell(1.0))
@@ -166,6 +170,27 @@ def test_nan_phi_fails_every_command(command, tmp_path, monkeypatch, capsys):
     phi_square = next(c for c in checks if c["name"] == "phi_square_identity")
     assert phi_square["passed"] is False and math.isnan(phi_square["residual"])
     assert "FAIL  phi_square_identity" in capsys.readouterr().out
+
+
+@COMMANDS
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_is_a_usage_error(command, points, model_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], str(model_file), *command[1:], "--points", points, "--json", "report.json"]
+    assert main(argv) == EXIT_INPUT
+    assert "--points: must be at least 1" in capsys.readouterr().err
+    assert not Path("sewn.json").exists() and not Path("report.json").exists()
+
+
+@COMMANDS
+def test_unsampleable_domain_is_an_input_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc["domain"] = ["x > 5"]  # the sampling box of x is [-1, 1]
+    Path("far.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command[0], "far.json", *command[1:], "--json", "report.json"]) == EXIT_INPUT
+    assert "input error: no in-domain point" in capsys.readouterr().err
+    assert not Path("sewn.json").exists() and not Path("report.json").exists()
 
 
 class TestCatalogCommand:

@@ -9,6 +9,7 @@ from sewcells.geometry import (
     ALMOST_ALPHA_KENMOTSU,
     ALMOST_COSYMPLECTIC,
     GeometryError,
+    affinor_derivatives,
     christoffel,
     classify,
     covariant_derivative_affinor,
@@ -82,6 +83,12 @@ class TestChristoffel:
 
 
 class TestRiemann:
+    def test_carries_the_connection_it_was_built_from(self, catalog_cells):
+        for cell in catalog_cells:
+            for sample in sample_points(cell.chart, 10, 17):
+                point = sample.array()
+                assert np.array_equal(riemann(cell.metric, point).gamma, christoffel(cell.metric, point).gamma)
+
     def test_flat_cell_curvature_vanishes(self, flat_cell):
         riem = riemann(flat_cell.metric, np.array([0.1, 0.2, 0.3])).riem
         assert not riem.any()
@@ -243,20 +250,24 @@ class TestNormality:
 
 class TestClassification:
     def test_flat_cell(self, flat_cell):
-        cl = classify(flat_cell, sample_points(flat_cell.chart, 20, 33), 1e-9)
+        samples = sample_points(flat_cell.chart, 20, 33)
+        cl = classify(flat_cell, samples, affinor_derivatives(flat_cell, samples), 1e-9)
         assert cl.kind == ALMOST_COSYMPLECTIC and cl.is_cosymplectic
 
     def test_model_cell(self, model_cell):
-        cl = classify(model_cell, sample_points(model_cell.chart, 20, 33), 1e-9)
+        samples = sample_points(model_cell.chart, 20, 33)
+        cl = classify(model_cell, samples, affinor_derivatives(model_cell, samples), 1e-9)
         assert cl.kind == ALMOST_COSYMPLECTIC and not cl.is_cosymplectic
 
     def test_kenmotsu_cell(self, kenmotsu_cell):
-        cl = classify(kenmotsu_cell, sample_points(kenmotsu_cell.chart, 20, 33), 1e-9)
+        samples = sample_points(kenmotsu_cell.chart, 20, 33)
+        cl = classify(kenmotsu_cell, samples, affinor_derivatives(kenmotsu_cell, samples), 1e-9)
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
     def test_halfspace_cell(self, halfspace_cell):
-        cl = classify(halfspace_cell, sample_points(halfspace_cell.chart, 20, 33), 1e-9)
+        samples = sample_points(halfspace_cell.chart, 20, 33)
+        cl = classify(halfspace_cell, samples, affinor_derivatives(halfspace_cell, samples), 1e-9)
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
@@ -288,7 +299,7 @@ class TestClassification:
             lam, residual = weight_fit(cell, sample.array())
             assert residual <= 1e-12
             assert lam == pytest.approx(sample.coords[1] / 2.0, abs=1e-12)
-        cl = classify(cell, samples, 1e-9)
+        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
         assert cl.kind == "weight_function"
 
     def test_nonconstant_weight_reported(self):
@@ -310,7 +321,8 @@ class TestClassification:
             xi=TensorField.build(chart, 1, 0, ["1", "0", "0"]),
             eta=TensorField.build(chart, 0, 1, ["1", "0", "0"]),
         )
-        cl = classify(cell, sample_points(chart, 15, 2), 1e-9)
+        samples = sample_points(chart, 15, 2)
+        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
         assert cl.kind == "weight_function"
 
 

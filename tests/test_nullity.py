@@ -112,24 +112,29 @@ class TestPointFits:
                 assert swapped.kappa == pytest.approx(original.kappa, abs=1e-9)
 
 
+def generalized(struct, samples):
+    fits = [fit_nullity(struct, s.array()) for s in samples]
+    return check_generalized(struct, samples, fits, 1e-8)
+
+
 class TestGeneralized:
     def test_model_cell_is_constant(self, model_cell):
         samples = sample_points_grouped(model_cell.chart, 5, 3, 7)
-        report = check_generalized(model_cell, samples, 1e-8)
+        report = generalized(model_cell, samples)
         assert report.constant_kappa
         assert report.eta_aligned
         assert all(f.kappa == pytest.approx(-1.0, abs=1e-8) for f in report.fits)
 
     def test_flat_cell_is_constant_zero(self, flat_cell):
         samples = sample_points_grouped(flat_cell.chart, 5, 2, 7)
-        report = check_generalized(flat_cell, samples, 1e-8)
+        report = generalized(flat_cell, samples)
         assert report.constant_kappa and report.constant_mu and report.constant_muprime
         assert report.eta_aligned
         assert all(f.kappa == pytest.approx(0.0, abs=1e-10) for f in report.fits)
 
     def test_halfspace_cell_is_aligned_but_not_constant(self, halfspace_cell):
         samples = sample_points_grouped(halfspace_cell.chart, 5, 3, 7)
-        report = check_generalized(halfspace_cell, samples, 1e-8)
+        report = generalized(halfspace_cell, samples)
         assert not report.constant_kappa
         assert report.eta_aligned
         for sample, fit in zip(report.samples, report.fits):
@@ -151,9 +156,9 @@ class TestGeneralized:
         )
         samples = sample_points(chart, 6, 1)
         with pytest.raises(ChartError):
-            check_generalized(cell, samples, 1e-8)
+            generalized(cell, samples)
 
     def test_insufficient_structure_raises(self, model_cell):
         samples = sample_points(model_cell.chart, 10, 7)  # no shared t values
         with pytest.raises(ValueError):
-            check_generalized(model_cell, samples, 1e-8)
+            generalized(model_cell, samples)

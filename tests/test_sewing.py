@@ -289,44 +289,53 @@ class TestSew:
 
 
 class TestExtrinsic:
-    def test_flat_pair_is_totally_geodesic(self, flat_cell):
-        report = extrinsic_report([flat_cell, flat_cell], count=10, seed=7, tol=1e-8)
+    def test_flat_pair_is_totally_geodesic(self, flat_cell, sewing_inputs):
+        product, sewn, samples, _ = sewing_inputs([flat_cell, flat_cell], 10)
+        report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
         for sample in report.samples:
             assert not sample.second_fundamental.any()
 
-    def test_model_pair(self, model_cell):
-        report = extrinsic_report([model_cell, model_cell], count=15, seed=7, tol=1e-8)
+    def test_model_pair(self, model_cell, sewing_inputs):
+        product, sewn, samples, _ = sewing_inputs([model_cell, model_cell], 15)
+        report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
         assert report.check("normal_connection_flat").residual <= 1e-9
         assert report.check("weingarten_kills_xi").residual <= 1e-9
         # the diagonal is not totally geodesic here
         assert max(float(np.max(np.abs(s.second_fundamental))) for s in report.samples) > 0.1
 
-    def test_kenmotsu_pair_curvature_restriction(self, kenmotsu_cell):
-        report = extrinsic_report([kenmotsu_cell, kenmotsu_cell], count=15, seed=7, tol=1e-8)
+    def test_kenmotsu_pair_curvature_restriction(self, kenmotsu_cell, sewing_inputs):
+        product, sewn, samples, _ = sewing_inputs([kenmotsu_cell, kenmotsu_cell], 15)
+        report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
         assert report.check("curvature_restriction_match").residual <= 1e-8
 
-    def test_model_triple_has_nontrivial_normal_bundle(self, model_cell):
-        report = extrinsic_report([model_cell] * 3, count=8, seed=7, tol=1e-8)
+    def test_model_triple_has_nontrivial_normal_bundle(self, model_cell, sewing_inputs):
+        product, sewn, samples, _ = sewing_inputs([model_cell] * 3, 8)
+        report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
         assert report.samples[0].second_fundamental.shape == (7, 7, 2)
 
 
+def theorems(sewing_inputs, cells, count):
+    product, sewn, _, grouped = sewing_inputs(cells, count)
+    return verify_sewing_theorems(product, sewn, grouped, 1e-8)
+
+
 class TestTheorems:
-    def test_model_pair_and_triple_nullity_transfer(self, model_cell):
-        pair = verify_sewing_theorems([model_cell, model_cell], tol=1e-8, count=15, seed=7)
+    def test_model_pair_and_triple_nullity_transfer(self, model_cell, sewing_inputs):
+        pair = theorems(sewing_inputs, [model_cell, model_cell], 15)
         assert pair.passed
         assert pair.cells_are_copies
         assert all(row.sewn.kappa == pytest.approx(-0.5, abs=1e-8) for row in pair.nullity_rows)
-        triple = verify_sewing_theorems([model_cell] * 3, tol=1e-8, count=12, seed=7)
+        triple = theorems(sewing_inputs, [model_cell] * 3, 12)
         assert triple.passed
         assert all(row.sewn.kappa == pytest.approx(-1.0 / 3.0, abs=1e-8) for row in triple.nullity_rows)
         assert all(abs(row.sewn.mu) <= 1e-8 and abs(row.sewn.muprime) <= 1e-8 for row in triple.nullity_rows)
 
-    def test_halfspace_pair_generalized_transfer(self, halfspace_cell):
-        report = verify_sewing_theorems([halfspace_cell, halfspace_cell], tol=1e-8, count=15, seed=7)
+    def test_halfspace_pair_generalized_transfer(self, halfspace_cell, sewing_inputs):
+        report = theorems(sewing_inputs, [halfspace_cell, halfspace_cell], 15)
         assert report.passed
         for row in report.nullity_rows:
             s = row.point.coords[0]
@@ -337,8 +346,8 @@ class TestTheorems:
         # this cell has mu' = 0, so no convention can be singled out
         assert report.convention_comparison.reproduces_inverse_k.startswith("indeterminate")
 
-    def test_kenmotsu_pair_classification_and_convention(self, kenmotsu_cell):
-        report = verify_sewing_theorems([kenmotsu_cell, kenmotsu_cell], tol=1e-8, count=15, seed=7)
+    def test_kenmotsu_pair_classification_and_convention(self, kenmotsu_cell, sewing_inputs):
+        report = theorems(sewing_inputs, [kenmotsu_cell, kenmotsu_cell], 15)
         assert report.passed
         assert report.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
         assert all(row.sewn.kappa == pytest.approx(-1.0, abs=1e-8) for row in report.nullity_rows)
@@ -348,37 +357,35 @@ class TestTheorems:
         assert comp.muprime_ratio_normalized == pytest.approx(0.5, abs=1e-8)
         assert comp.muprime_ratio_raw == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
-    def test_flat_pair(self, flat_cell):
-        report = verify_sewing_theorems([flat_cell, flat_cell], tol=1e-8, count=10, seed=7)
+    def test_flat_pair(self, flat_cell, sewing_inputs):
+        report = theorems(sewing_inputs, [flat_cell, flat_cell], 10)
         assert report.passed
         assert report.sewn_classification.kind == "almost_cosymplectic"
-
-    def test_nullity_transfer_rejects_distinct_cells(self, model_cell, flat_cell):
-        with pytest.raises(SewingError):
-            verify_sewing_theorems([model_cell, flat_cell], count=6, seed=7, require_copies=True)
 
     def test_mixed_weight_pair_is_unclassified(self, kenmotsu_cell, flat_cell):
         # weights 1 and 0 cannot share a single weight function in dimension 5
         sewn = sew([kenmotsu_cell, flat_cell])
-        from sewcells.geometry import UNCLASSIFIED, classify
+        from sewcells.geometry import UNCLASSIFIED, affinor_derivatives, classify
 
-        cl = classify(sewn, sample_points(sewn.chart, 10, 7), 1e-8)
+        samples = sample_points(sewn.chart, 10, 7)
+
+        cl = classify(sewn, samples, affinor_derivatives(sewn, samples), 1e-8)
         assert cl.kind == UNCLASSIFIED
         assert cl.fit_residual_max > 1e-8
         # the structure axioms still hold on the sewn manifold
         report = validate_structure(sewn, sample_points(sewn.chart, 10, 7), 1e-9)
         assert report.passed, report.format_table()
 
-    def test_classification_is_order_invariant(self, model_cell, flat_cell):
+    def test_classification_is_order_invariant(self, model_cell, flat_cell, sewing_inputs):
         # both cells have weight 0, so any order sews to an almost cosymplectic manifold
-        forward = verify_sewing_theorems([model_cell, flat_cell], tol=1e-8, count=10, seed=7)
-        backward = verify_sewing_theorems([flat_cell, model_cell], tol=1e-8, count=10, seed=7)
+        forward = theorems(sewing_inputs, [model_cell, flat_cell], 10)
+        backward = theorems(sewing_inputs, [flat_cell, model_cell], 10)
         assert not forward.cells_are_copies
         assert forward.sewn_classification.kind == backward.sewn_classification.kind == "almost_cosymplectic"
         k1 = kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0, c=1.0, cprime=1.0)
         k2 = kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0, c=0.5, cprime=2.0)
-        ab = verify_sewing_theorems([k1, k2], tol=1e-8, count=10, seed=7)
-        ba = verify_sewing_theorems([k2, k1], tol=1e-8, count=10, seed=7)
+        ab = theorems(sewing_inputs, [k1, k2], 10)
+        ba = theorems(sewing_inputs, [k2, k1], 10)
         assert ab.sewn_classification.alpha == pytest.approx(ba.sewn_classification.alpha, abs=1e-10)
         assert ab.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
