@@ -3,8 +3,17 @@
 A chart is a single coordinate patch: ordered coordinate names, optional
 strict-inequality domain constraints, and optionally a distinguished
 coordinate ``t`` for which the structure form is ``scale * dt``.  Tensor
-fields store one expression per component; all evaluation is pointwise and
-pure, so fields are safe to share across workers.
+fields store one expression per component.  A field folds its constant
+components once, on first evaluation, and evaluates each other component with
+one call per point or per stack of points, its jet taken over the coordinates
+that component depends on and scattered into the full gradient and Hessian.
+
+Sweeps over samples go through ``evaluate_batches``, which hands consumers
+stacks of samples.  The batch size is derived from the chart dimension n:
+a batch holds as many samples as keep one (n, n, n) float array with a sample
+axis (a metric gradient, the Christoffel symbols, nabla phi) within
+``BATCH_BYTES``.  Nothing with a sample axis grows beyond that, whatever the
+sample count.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,36 +202,53 @@ class TensorField:
             node = node[i]
         return node
 
+    @cached_property
+    def _plan(self) -> "_FieldPlan":
+        return _FieldPlan.build(self)
+
     def evaluate(self, point) -> np.ndarray:
-        out = np.empty(self.shape)
-        index = self.chart.coord_index
-        for idx in np.ndindex(*self.shape):
-            out[idx] = evaluate(self.component(idx), point, index)
-        return out
+        """Component values at a point (n,), or at each point of a stack (P, n)
+        with a leading P axis."""
+        point = np.asarray(point, dtype=float)
+        plan = self._plan
+        lead = point.shape[:-1]
+        vals = np.empty(lead + plan.constant.shape)
+        vals[...] = plan.constant
+        if plan.terms:
+            index = self.chart.coord_index
+            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
+        return vals.reshape(lead + self.shape)
 
     def evaluate_with_grads(self, point):
-        n = self.chart.dim
-        vals = np.empty(self.shape)
-        grads = np.empty(self.shape + (n,))
-        index = self.chart.coord_index
-        for idx in np.ndindex(*self.shape):
-            jet = evaluate_jet2(self.component(idx), point, index)
-            vals[idx] = jet.value
-            grads[idx] = jet.grad
-        return vals, grads
+        """``evaluate_with_jets`` without the Hessians."""
+        return self.evaluate_with_jets(point, hessians=False)
 
-    def evaluate_with_jets(self, point):
+    def evaluate_with_jets(self, point, hessians: bool = True):
+        """Values, ``grads[..., l] = d_l`` of each component and, unless
+        ``hessians`` is false, ``hesses[..., l, m] = d_l d_m``; at a stack
+        (P, n) each has a leading P axis."""
+        point = np.asarray(point, dtype=float)
+        plan = self._plan
         n = self.chart.dim
-        vals = np.empty(self.shape)
-        grads = np.empty(self.shape + (n,))
-        hesses = np.empty(self.shape + (n, n))
-        index = self.chart.coord_index
-        for idx in np.ndindex(*self.shape):
-            jet = evaluate_jet2(self.component(idx), point, index)
-            vals[idx] = jet.value
-            grads[idx] = jet.grad
-            hesses[idx] = jet.hess
-        return vals, grads, hesses
+        lead = point.shape[:-1]
+        size = plan.constant.size
+        vals = np.empty(lead + (size,))
+        vals[...] = plan.constant
+        grads = np.zeros(lead + (size * n,))
+        hesses = np.zeros(lead + (size * n * n,)) if hessians else None
+        if plan.terms:
+            # each component's jet is taken over its own coordinates only, then scattered
+            jets = [evaluate_jet2(node, point[..., columns], local) for node, columns, local in plan.terms]
+            vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
+            grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
+            if hesses is not None:
+                hesses[..., plan.hess_slots] = np.concatenate(
+                    [jet.hess.reshape(lead + (-1,)) for jet in jets], axis=-1
+                )
+        shape = lead + self.shape
+        if hesses is None:
+            return vals.reshape(shape), grads.reshape(shape + (n,))
+        return vals.reshape(shape), grads.reshape(shape + (n,)), hesses.reshape(shape + (n, n))
 
     def renamed_grid(self, mapping: dict[str, str]):
         """The component grid with variables renamed (for lifting into blocks)."""
@@ -233,6 +259,48 @@ class TensorField:
             return tuple(walk(entry, depth - 1) for entry in grid)
 
         return walk(self.components, self.rank)
+
+
+class _FieldPlan(NamedTuple):
+    """How a field evaluates: its constant components folded once, and each
+    other component with the coordinates it depends on.
+
+    Components are numbered in row-major order.  ``terms`` holds (expression,
+    its coordinates' chart indices, their local index) for each component at
+    ``positions``; ``grad_slots`` and ``hess_slots`` are the flat slots of
+    the full gradient and Hessian that the terms' own jets fill, in order.
+    """
+
+    constant: np.ndarray
+    positions: np.ndarray
+    terms: tuple[tuple[ExpressionNode, np.ndarray, dict[str, int]], ...]
+    grad_slots: np.ndarray
+    hess_slots: np.ndarray
+
+    @classmethod
+    def build(cls, field: TensorField) -> "_FieldPlan":
+        chart = field.chart
+        n = chart.dim
+        constant = np.zeros(int(np.prod(field.shape, dtype=int)))
+        positions: list[int] = []
+        terms = []
+        grad_slots: list[int] = []
+        hess_slots: list[int] = []
+        for pos, idx in enumerate(np.ndindex(*field.shape)):
+            node = field.component(idx)
+            columns = sorted(chart.coord_index[name] for name in free_variables(node))
+            if not columns:
+                try:
+                    constant[pos] = evaluate(node, (), {})
+                    continue
+                except EvaluationDomainError:
+                    pass  # kept as a term, so that every evaluation raises as before
+            positions.append(pos)
+            terms.append((node, np.array(columns, dtype=np.intp), {chart.coords[c]: j for j, c in enumerate(columns)}))
+            grad_slots.extend(pos * n + c for c in columns)
+            hess_slots.extend((pos * n + a) * n + b for a in columns for b in columns)
+        return cls(constant, np.array(positions, dtype=np.intp), tuple(terms),
+                   np.array(grad_slots, dtype=np.intp), np.array(hess_slots, dtype=np.intp))
 
 
 def _parse_grid(grid, rank: int, chart: Chart):
@@ -427,6 +495,38 @@ def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
     return sample_points_grouped(chart, 5, max(2, count // 5), seed)
 
 
+BATCH_BYTES = 128 * 1024
+
+
+def batch_size(dim: int) -> int:
+    """Samples per batch on a chart of dimension ``dim`` (see the module docstring)."""
+    return max(1, BATCH_BYTES // (8 * dim**3))
+
+
+def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable):
+    """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
+    ``points`` stacks the batch's coordinates as a (B, dim) array.
+
+    When a batch leaves the domain of an expression, its samples are evaluated
+    again one at a time, and the ``SampleEvaluationError`` names the first
+    sample, in draw order, that fails.
+    """
+    size = batch_size(dim)
+    for start in range(0, len(samples), size):
+        batch = samples[start:start + size]
+        points = np.array([s.coords for s in batch], dtype=float)
+        try:
+            result = evaluate_stack(points)
+        except EvaluationDomainError:
+            for row, sample in enumerate(batch):
+                try:
+                    evaluate_stack(points[row:row + 1])
+                except EvaluationDomainError as exc:
+                    raise SampleEvaluationError(sample, exc) from exc
+            raise
+        yield batch, result
+
+
 # ---------------------------------------------------------------------------
 # Checks and reports
 # ---------------------------------------------------------------------------
@@ -538,21 +638,19 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
         adapted = Residual("eta_adapted_component", tol, note=f"eta = {scale:g} * d{struct.chart.coords[t_axis]}")
         expected = np.zeros(n)
         expected[t_axis] = scale
-    for sample in samples:
-        point = sample.array()
-        try:
-            g = struct.metric.evaluate(point)
-            p = struct.phi.evaluate(point)
-            xi = struct.xi.evaluate(point)
-            eta_vals, eta_grads = struct.eta.evaluate_with_grads(point)
-        except EvaluationDomainError as exc:
-            raise SampleEvaluationError(sample, exc) from exc
-        phi2.add(p @ p + np.eye(n) - np.outer(xi, eta_vals))
-        eta_xi.add(float(eta_vals @ xi) - 1.0)
-        compat.add(p.T @ g @ p - g + np.outer(eta_vals, eta_vals))
-        deta.add(eta_grads.T - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
-        eigs = np.linalg.eigvalsh(g)
-        min_eig = min(min_eig, float(eigs[0]))
+    identity = np.eye(n)
+
+    def fields(points):
+        eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
+        return struct.metric.evaluate(points), struct.phi.evaluate(points), struct.xi.evaluate(points), eta_vals, eta_grads
+
+    for _, (g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, fields):
+        phi2.add(p @ p + identity - xi[:, :, None] * eta_vals[:, None, :])
+        eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
+        compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
+        deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
+        # fmin skips a NaN eigenvalue as the running min did; Cholesky catches the NaN metric
+        min_eig = min(min_eig, float(np.fmin.reduce(np.linalg.eigvalsh(g)[:, 0])))
         try:
             # LAPACK returns NaN factors for a NaN metric instead of failing
             cholesky_ok = cholesky_ok and bool(np.isfinite(np.linalg.cholesky(g)).all())

@@ -1,6 +1,7 @@
 """Batch entry point: load definitions, run verification sweeps, emit reports.
 
-Exit status: 0 all checks passed, 1 verification failure, 2 input error.
+Exit status: 0 all checks passed, 1 verification failure (or standard output
+closed before everything was written), 2 input error.
 The human-readable table goes to stdout; ``--json`` writes a machine report
 that is byte-stable for fixed inputs, seed and version (wall-clock timing is
 only ever printed, never serialized).
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -25,6 +27,7 @@ from .charts import (
     SampleEvaluationError,
     SamplingError,
     ValidationReport,
+    evaluate_batches,
     nullity_samples,
     sample_points,
     validate_structure,
@@ -68,11 +71,8 @@ def _structure_checks(struct: ContactStructure, samples, derivatives, tol: float
     """Axiom validation plus the Reeb-parallelism facts that hold on any cell;
     ``derivatives`` are the samples' ``affinor_derivatives``."""
     report = validate_structure(struct, samples, tol)
-    xi_geodesic = Residual("xi_geodesic", tol)
-    phi_parallel = Residual("phi_parallel_along_xi", tol)
-    for deriv in derivatives:
-        xi_geodesic.add(deriv.nabla_xi_xi_norm)
-        phi_parallel.add(deriv.nabla_xi_phi_norm)
+    xi_geodesic = Residual("xi_geodesic", tol).add(derivatives.nabla_xi_xi)
+    phi_parallel = Residual("phi_parallel_along_xi", tol).add(derivatives.nabla_xi_phi)
     return _with_checks(report, xi_geodesic, phi_parallel)
 
 
@@ -89,7 +89,10 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
         report = _with_checks(report, weight_fit)
     # np.max, unlike the builtin, keeps a NaN wherever it comes
-    normality_max = float(np.max([np.max(np.abs(normality_tensor(struct, s.array()))) for s in samples]))
+    normality_max = float(np.max([
+        np.max(np.abs(torsion))
+        for _, torsion in evaluate_batches(samples, struct.dim, lambda points: normality_tensor(struct, points))
+    ]))
     subject = {
         "name": struct.name,
         "dimension": struct.dim,
@@ -367,6 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): send the rest, and the final flush, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return EXIT_FAIL
+    return status
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, the help or the version

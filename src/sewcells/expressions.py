@@ -18,7 +18,17 @@ reproduces ``e`` node for node.
 
 Evaluation is pure.  ``evaluate`` returns the value; ``evaluate_jet2``
 propagates order-2 jets and returns the value together with the exact
-gradient and Hessian (no finite differencing).
+gradient and Hessian (no finite differencing).  Both take one point of shape
+(n,) or a stack of P points of shape (P, n).  At a point the value is a float,
+the gradient (n,) and the Hessian (n, n); at a stack each of them gains a
+leading P axis, and one call evaluates the whole stack with numpy.
+
+Leaving the real domain raises ``EvaluationDomainError``: log or sqrt of a
+non-positive argument, division by zero, zero to a negative power, a
+non-integer power of a non-positive base, and overflow in exp, sinh, cosh or a
+power.  A stack raises exactly when one of its rows would.  Arithmetic that
+overflows (a product reaching inf, then ``inf * 0``) is not a domain error: it
+stays silent and yields inf or NaN, which every residual check then fails.
 """
 
 from __future__ import annotations
@@ -325,73 +335,141 @@ def rename_variables(node: ExpressionNode, mapping: Mapping[str, str]) -> Expres
     return BinOp(node.op, rename_variables(node.left, mapping), rename_variables(node.right, mapping))
 
 
+
+
 # ---------------------------------------------------------------------------
 # Value evaluation
 # ---------------------------------------------------------------------------
+#
+# One recursion serves a single point and a stack of points.  A single point
+# goes down as a list of Python floats, so its values are floats; a stack goes
+# down transposed, one (P,) column per coordinate, so its values are arrays.
+# A constant subtree is a float in both.  Both take their elementary functions
+# from the same numpy ufuncs, so a stack gives bit for bit what its rows give
+# one at a time.  Every domain check asks whether any row violates it, so a
+# stack raises exactly when one of its rows would.
 
-def _pow_value(base: float, exponent: float) -> float:
+_NUMPY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+          "sinh": np.sinh, "cosh": np.cosh, "sqrt": np.sqrt}
+# math raises OverflowError where numpy would only warn, so a single value is
+# checked with math first
+_OVERFLOWING = {"exp": math.exp, "sinh": math.sinh, "cosh": math.cosh}
+_POSITIVE_ARGUMENT = ("log", "sqrt")
+
+
+def _anywhere(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _first(values, mask) -> float:
+    """The first offending value, for error messages."""
+    return float(values[mask][0]) if isinstance(values, np.ndarray) else values
+
+
+def _raise_on_overflow(out: np.ndarray, arg: np.ndarray, what: str) -> None:
+    """An infinite result of a finite argument is an overflow, as ``math`` reports it."""
+    infinite = np.isinf(out)
+    if infinite.any() and (infinite & np.isfinite(arg)).any():
+        raise EvaluationDomainError(f"overflow in {what}")
+
+
+def _pow_value(base, exponent: float):
     if exponent == int(exponent):
-        power = int(exponent)
-        if base == 0.0 and power < 0:
+        if exponent < 0 and _anywhere(base == 0.0):
             raise EvaluationDomainError("zero raised to a negative power")
+    else:
+        bad = base <= 0.0
+        if _anywhere(bad):
+            raise EvaluationDomainError(f"non-integer power of non-positive base {_first(base, bad)!r}")
+    if isinstance(base, np.ndarray):
+        out = np.power(base, exponent)
+        _raise_on_overflow(out, base, "power")
+        return out
+    try:
+        math.pow(base, exponent)
+    except OverflowError as exc:
+        raise EvaluationDomainError("overflow in power") from exc
+    return float(np.power(base, exponent))
+
+
+def _call_value(func: str, v):
+    if func in _POSITIVE_ARGUMENT:
+        bad = v <= 0.0
+        if _anywhere(bad):
+            raise EvaluationDomainError(f"{func} of non-positive argument {_first(v, bad)!r}")
+    if isinstance(v, np.ndarray):
+        out = _NUMPY[func](v)
+        if func in _OVERFLOWING:
+            _raise_on_overflow(out, v, func)
+        return out
+    if func in _OVERFLOWING:
         try:
-            return float(base**power)
+            _OVERFLOWING[func](v)
         except OverflowError as exc:
-            raise EvaluationDomainError("overflow in power") from exc
-    if base <= 0.0:
-        raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}")
-    return math.pow(base, exponent)
+            raise EvaluationDomainError(f"overflow in {func}") from exc
+    elif math.isinf(v) and func in ("sin", "cos"):
+        return math.nan  # what numpy gives, without its warning
+    return float(_NUMPY[func](v))
 
 
-def evaluate(node: ExpressionNode, point, index: Mapping[str, int]) -> float:
-    """Evaluate at ``point`` (coordinates resolved through ``index``)."""
+def _divide(left, right):
+    divisor = right.value if isinstance(right, _Jet) else right
+    if _anywhere(divisor == 0.0):
+        raise EvaluationDomainError("division by zero")
+    return left / right
+
+
+def _exponent(node: ExpressionNode) -> float:
+    """The value of a constant exponent subtree."""
+    if isinstance(node, Num):
+        return node.value
+    if free_variables(node):
+        raise ExpressionError("variable exponents are not supported")
+    return _value(node, [], {})
+
+
+def _coordinate(node: Var, point, index: Mapping[str, int]):
+    try:
+        return index[node.name], point[index[node.name]]
+    except KeyError as exc:
+        raise ExpressionError(f"unbound variable {node.name!r}") from exc
+
+
+def evaluate(node: ExpressionNode, point, index: Mapping[str, int]):
+    """Evaluate at ``point`` (coordinates resolved through ``index``).
+
+    A point of shape (n,) gives a float; a stack of shape (P, n) gives an
+    array of shape (P,).
+    """
+    point = np.asarray(point, dtype=float)
+    if point.ndim != 2:
+        return _value(node, point.tolist(), index)
+    out = np.empty(point.shape[0])
+    with np.errstate(all="ignore"):
+        out[...] = _value(node, point.T, index)
+    return out
+
+
+def _value(node: ExpressionNode, point, index: Mapping[str, int]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        try:
-            return float(point[index[node.name]])
-        except KeyError as exc:
-            raise ExpressionError(f"unbound variable {node.name!r}") from exc
+        return _coordinate(node, point, index)[1]
     if isinstance(node, Neg):
-        return -evaluate(node.operand, point, index)
+        return -_value(node.operand, point, index)
     if isinstance(node, Call):
-        return _call_value(node.func, evaluate(node.arg, point, index))
-    left = evaluate(node.left, point, index)
+        return _call_value(node.func, _value(node.arg, point, index))
+    left = _value(node.left, point, index)
     if node.op == "^":
-        return _pow_value(left, evaluate(node.right, point, index))
-    right = evaluate(node.right, point, index)
+        return _pow_value(left, _exponent(node.right))
+    right = _value(node.right, point, index)
     if node.op == "+":
         return left + right
     if node.op == "-":
         return left - right
     if node.op == "*":
         return left * right
-    if right == 0.0:
-        raise EvaluationDomainError("division by zero")
-    return left / right
-
-
-def _call_value(func: str, v: float) -> float:
-    try:
-        if func == "exp":
-            return math.exp(v)
-        if func == "log":
-            if v <= 0.0:
-                raise EvaluationDomainError(f"log of non-positive argument {v!r}")
-            return math.log(v)
-        if func == "sin":
-            return math.sin(v)
-        if func == "cos":
-            return math.cos(v)
-        if func == "sinh":
-            return math.sinh(v)
-        if func == "cosh":
-            return math.cosh(v)
-        if v <= 0.0:
-            raise EvaluationDomainError(f"sqrt of non-positive argument {v!r}")
-        return math.sqrt(v)
-    except OverflowError as exc:
-        raise EvaluationDomainError(f"overflow in {func}") from exc
+    return _divide(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -400,55 +478,93 @@ def _call_value(func: str, v: float) -> float:
 
 @dataclass
 class Jet2:
-    """Value, gradient and Hessian of a scalar at a point.
+    """Value, gradient and Hessian of a scalar at a point or a stack of points.
 
-    The Hessian is kept exactly symmetric: every rule below assembles it from
-    elementwise-symmetric terms, so ``hess == hess.T`` bit for bit.
+    At a point of shape (n,): a float, (n,) and (n, n).  At a stack of shape
+    (P, n) each gains a leading P axis.  The Hessian is exactly symmetric.
     """
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+class _Jet:
+    """A jet under propagation; constants stay plain floats beside it.
 
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
+    At a point: a float, (n,) and (n, n).  At a stack the sample axis comes
+    last - (P,), (n, P) and (n, n, P) - so a value broadcasts against its
+    derivatives and one rule serves both.  Every rule assembles the Hessian
+    from elementwise-symmetric terms, so ``hess == hess.T`` bit for bit.
+    """
 
-    def __mul__(self, other: "Jet2") -> "Jet2":
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+
+    @classmethod
+    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet":
+        grad = np.zeros((n,) + lead)
+        grad[i] = 1.0
+        return cls(value, grad, np.zeros((n, n) + lead))
+
+    def __add__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return _Jet(self.value + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return _Jet(self.value - other, self.grad, self.hess)
+
+    def __rsub__(self, other) -> "_Jet":
+        return _Jet(other - self.value, -self.grad, -self.hess)
+
+    def __neg__(self) -> "_Jet":
+        return _Jet(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return _Jet(self.value * other, self.grad * other, self.hess * other)
         value = self.value * other.value
         grad = self.grad * other.value + other.grad * self.value
         hess = (
             self.hess * other.value
             + other.hess * self.value
-            + np.outer(self.grad, other.grad)
-            + np.outer(other.grad, self.grad)
+            + _outer(self.grad, other.grad)
+            + _outer(other.grad, self.grad)
         )
-        return Jet2(value, grad, hess)
+        return _Jet(value, grad, hess)
 
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        if other.value == 0.0:
-            raise EvaluationDomainError("division by zero")
-        return self * other._reciprocal()
+    __rmul__ = __mul__
 
-    def _reciprocal(self) -> "Jet2":
+    def __truediv__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return self * other._reciprocal()
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other) -> "_Jet":
+        return self._reciprocal() * other
+
+    def _reciprocal(self) -> "_Jet":
         inv = 1.0 / self.value
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
-    def _chain(self, f: float, fp: float, fpp: float) -> "Jet2":
+    def _chain(self, f, fp, fpp) -> "_Jet":
         """Compose with a scalar function given f, f', f'' at ``self.value``."""
         grad = fp * self.grad
-        hess = fp * self.hess + fpp * np.outer(self.grad, self.grad)
-        return Jet2(f, grad, hess)
+        hess = fp * self.hess + fpp * _outer(self.grad, self.grad)
+        return _Jet(f, grad, hess)
 
-    def power(self, exponent: float) -> "Jet2":
+    def power(self, exponent: float):
         if exponent == 0.0:
-            n = self.grad.shape[0]
-            return Jet2(1.0, np.zeros(n), np.zeros((n, n)))
+            return 1.0
         if exponent == 1.0:
             return self
         f = _pow_value(self.value, exponent)
@@ -460,73 +576,91 @@ class Jet2:
         return self._chain(f, fp, fpp)
 
 
-def _jet_const(value: float, n: int) -> Jet2:
-    return Jet2(value, np.zeros(n), np.zeros((n, n)))
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, None] * b[None]
 
 
-def _jet_var(i: int, value: float, n: int) -> Jet2:
-    grad = np.zeros(n)
-    grad[i] = 1.0
-    return Jet2(value, grad, np.zeros((n, n)))
-
-
-def _jet_exp(j: Jet2) -> Jet2:
+def _jet_exp(j: _Jet) -> _Jet:
     e = _call_value("exp", j.value)
     return j._chain(e, e, e)
 
 
-def _jet_log(j: Jet2) -> Jet2:
+def _jet_log(j: _Jet) -> _Jet:
     f = _call_value("log", j.value)
     return j._chain(f, 1.0 / j.value, -1.0 / (j.value * j.value))
 
 
-def _jet_sqrt(j: Jet2) -> Jet2:
+def _jet_sin(j: _Jet) -> _Jet:
+    s = _call_value("sin", j.value)
+    return j._chain(s, _call_value("cos", j.value), -s)
+
+
+def _jet_cos(j: _Jet) -> _Jet:
+    c = _call_value("cos", j.value)
+    return j._chain(c, -_call_value("sin", j.value), -c)
+
+
+def _jet_sinh(j: _Jet) -> _Jet:
+    s = _call_value("sinh", j.value)
+    return j._chain(s, _call_value("cosh", j.value), s)
+
+
+def _jet_cosh(j: _Jet) -> _Jet:
+    c = _call_value("cosh", j.value)
+    return j._chain(c, _call_value("sinh", j.value), c)
+
+
+def _jet_sqrt(j: _Jet) -> _Jet:
     root = _call_value("sqrt", j.value)
     fp = 0.5 / root
     return j._chain(root, fp, -0.5 * fp / j.value)
 
 
-_JET_CALLS: dict[str, Callable[[Jet2], Jet2]] = {
+_JET_CALLS: dict[str, Callable[[_Jet], _Jet]] = {
     "exp": _jet_exp,
     "log": _jet_log,
-    "sin": lambda j: j._chain(math.sin(j.value), math.cos(j.value), -math.sin(j.value)),
-    "cos": lambda j: j._chain(math.cos(j.value), -math.sin(j.value), -math.cos(j.value)),
-    "sinh": lambda j: j._chain(_call_value("sinh", j.value), _call_value("cosh", j.value), _call_value("sinh", j.value)),
-    "cosh": lambda j: j._chain(_call_value("cosh", j.value), _call_value("sinh", j.value), _call_value("cosh", j.value)),
+    "sin": _jet_sin,
+    "cos": _jet_cos,
+    "sinh": _jet_sinh,
+    "cosh": _jet_cosh,
     "sqrt": _jet_sqrt,
 }
 
 
 def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int]) -> Jet2:
-    """Evaluate value, gradient and Hessian at ``point`` by jet propagation."""
+    """Value, gradient and Hessian at a point (n,) or a stack (P, n), by jet propagation."""
     point = np.asarray(point, dtype=float)
-    return _eval_jet(node, point, index, point.shape[0])
+    n = point.shape[-1]
+    lead = point.shape[:-1]
+    stacked = point.ndim == 2
+    with np.errstate(all="ignore"):
+        jet = _jet(node, point.T if stacked else point.tolist(), index, n, lead)
+    if not isinstance(jet, _Jet):
+        return Jet2(np.full(lead, jet) if stacked else jet, np.zeros(lead + (n,)), np.zeros(lead + (n, n)))
+    if stacked:
+        return Jet2(np.array(jet.value), jet.grad.T, jet.hess.transpose(2, 0, 1))
+    return Jet2(jet.value, jet.grad, jet.hess)
 
 
-def _eval_jet(node: ExpressionNode, point: np.ndarray, index: Mapping[str, int], n: int) -> Jet2:
+def _jet(node: ExpressionNode, point, index: Mapping[str, int], n: int, lead: tuple[int, ...]):
     if isinstance(node, Num):
-        return _jet_const(node.value, n)
+        return node.value
     if isinstance(node, Var):
-        try:
-            i = index[node.name]
-        except KeyError as exc:
-            raise ExpressionError(f"unbound variable {node.name!r}") from exc
-        return _jet_var(i, float(point[i]), n)
+        return _Jet.variable(*_coordinate(node, point, index), n, lead)
     if isinstance(node, Neg):
-        return -_eval_jet(node.operand, point, index, n)
+        return -_jet(node.operand, point, index, n, lead)
     if isinstance(node, Call):
-        return _JET_CALLS[node.func](_eval_jet(node.arg, point, index, n))
-    left = _eval_jet(node.left, point, index, n)
+        arg = _jet(node.arg, point, index, n, lead)
+        return _JET_CALLS[node.func](arg) if isinstance(arg, _Jet) else _call_value(node.func, arg)
+    left = _jet(node.left, point, index, n, lead)
     if node.op == "^":
-        exponent = _eval_jet(node.right, point, index, n)
-        if np.any(exponent.grad != 0.0):
-            raise ExpressionError("variable exponents are not supported")
-        return left.power(exponent.value)
-    right = _eval_jet(node.right, point, index, n)
+        exponent = _exponent(node.right)
+        return left.power(exponent) if isinstance(left, _Jet) else _pow_value(left, exponent)
+    right = _jet(node.right, point, index, n, lead)
     if node.op == "+":
         return left + right
     if node.op == "-":
         return left - right
     if node.op == "*":
         return left * right
-    return left / right
+    return _divide(left, right)

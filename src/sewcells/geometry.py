@@ -14,15 +14,22 @@ in the test suite):
 
 Derivatives of the inverse metric are always assembled as
 ``d(g^-1) = -g^-1 (dg) g^-1``; a numeric inverse is never differenced.
+
+The layers a sweep runs (``christoffel``, ``covariant_derivative_affinor``,
+``weight_fit``, ``normality_tensor``, and ``riemann``) take one point (n,) or a
+stack of points (P, n), and at a stack every result gains a leading P axis.
+``affinor_derivatives`` and ``classify`` feed them batches of samples (see
+``charts.evaluate_batches``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .charts import ContactStructure, Residual, TensorField
+from .charts import ContactStructure, Residual, TensorField, evaluate_batches
 
 _RANK_TOL = 1e-8
 
@@ -44,51 +51,68 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ChristoffelAtPoint:
-    """``gamma[k, i, j] = Gamma^k_ij`` and ``dgamma[m, k, i, j] = d_m Gamma^k_ij``."""
+    """``gamma[..., k, i, j] = Gamma^k_ij``."""
 
     gamma: np.ndarray
-    dgamma: np.ndarray
+
+
+def _require_metric(metric: TensorField) -> None:
+    if (metric.upper, metric.lower) != (0, 2):
+        raise GeometryError("christoffel needs a (0,2) metric field")
+
+
+def _connection(vals: np.ndarray, grads: np.ndarray):
+    """The inverse metric, ``T[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij``
+    and Gamma, from the metric values and ``grads[..., i, j, l] = d_l g_ij``."""
+    ginv = _metric_inverse(vals)
+    t = np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads) - np.einsum("...ijl->...lij", grads)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, t)
+    return ginv, t, gamma
 
 
 def christoffel(metric: TensorField, point) -> ChristoffelAtPoint:
-    if (metric.upper, metric.lower) != (0, 2):
-        raise GeometryError("christoffel needs a (0,2) metric field")
+    """Gamma at a point or a stack, from first-order jets of the metric."""
+    _require_metric(metric)
+    return ChristoffelAtPoint(_connection(*metric.evaluate_with_grads(point))[2])
+
+
+def christoffel_with_derivative(metric: TensorField, point):
+    """Gamma and ``dgamma[..., m, k, i, j] = d_m Gamma^k_ij``, from second-order
+    jets of the metric; ``riemann`` is the package's only reader of d Gamma."""
+    _require_metric(metric)
     vals, grads, hesses = metric.evaluate_with_jets(point)
-    ginv = _metric_inverse(vals)
-    # T[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij   (grads[i,j,l] = d_l g_ij)
-    t = np.einsum("jli->lij", grads) + np.einsum("ilj->lij", grads) - np.einsum("ijl->lij", grads)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
-    # dT[m,l,i,j] = d_m T[l,i,j]
+    ginv, t, gamma = _connection(vals, grads)
+    # dT[..., m, l, i, j] = d_m T[..., l, i, j]
     dt = (
-        np.einsum("jlim->mlij", hesses)
-        + np.einsum("iljm->mlij", hesses)
-        - np.einsum("ijlm->mlij", hesses)
+        np.einsum("...jlim->...mlij", hesses)
+        + np.einsum("...iljm->...mlij", hesses)
+        - np.einsum("...ijlm->...mlij", hesses)
     )
-    dg = np.einsum("ijm->mij", grads)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, t) + np.einsum("kl,mlij->mkij", ginv, dt))
-    return ChristoffelAtPoint(gamma, dgamma)
+    dg = np.einsum("...ijm->...mij", grads)
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, t) + np.einsum("...kl,...mlij->...mkij", ginv, dt))
+    return gamma, dgamma
 
 
 @dataclass
 class CurvatureAtPoint:
-    """``riem[l, i, j, k]`` = l-th component of ``R(e_i, e_j) e_k``, and the
-    Christoffel symbols ``gamma[k, i, j]`` it was built from."""
+    """``riem[..., l, i, j, k]`` = l-th component of ``R(e_i, e_j) e_k``, and the
+    Christoffel symbols ``gamma[..., k, i, j]`` it was built from."""
 
     riem: np.ndarray
     gamma: np.ndarray
 
 
 def riemann(metric: TensorField, point) -> CurvatureAtPoint:
-    ch = christoffel(metric, point)
-    quad = np.einsum("lim,mjk->lijk", ch.gamma, ch.gamma)
+    gamma, dgamma = christoffel_with_derivative(metric, point)
+    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
     riem = (
-        np.einsum("iljk->lijk", ch.dgamma)
-        - np.einsum("jlik->lijk", ch.dgamma)
+        np.einsum("...iljk->...lijk", dgamma)
+        - np.einsum("...jlik->...lijk", dgamma)
         + quad
-        - np.einsum("lijk->ljik", quad)
+        - np.einsum("...lijk->...ljik", quad)
     )
-    return CurvatureAtPoint(riem, ch.gamma)
+    return CurvatureAtPoint(riem, gamma)
 
 
 def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]:
@@ -112,37 +136,55 @@ def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]
 
 @dataclass
 class AffinorDerivative:
-    """``nablaphi[i, j, k] = (nabla_i phi)^j_k`` plus the xi-direction norms."""
+    """``nablaphi[..., i, j, k] = (nabla_i phi)^j_k`` plus the xi-direction norms
+    (floats at a point, (P,) arrays at a stack)."""
 
     nablaphi: np.ndarray
-    nabla_xi_phi_norm: float
-    nabla_xi_xi_norm: float
+    nabla_xi_phi_norm: float | np.ndarray
+    nabla_xi_xi_norm: float | np.ndarray
+
+
+def _max_abs(a: np.ndarray, trailing: int):
+    """The largest magnitude over the last ``trailing`` axes: a float at a point,
+    one value per sample at a stack.  A NaN propagates."""
+    out = np.abs(a).max(axis=tuple(range(-trailing, 0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDerivative:
-    ch = christoffel(struct.metric, point)
+    gamma = christoffel(struct.metric, point).gamma
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xvals, xgrads = struct.xi.evaluate_with_grads(point)
     # (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
     nablaphi = (
-        np.einsum("jki->ijk", pgrads)
-        + np.einsum("jim,mk->ijk", ch.gamma, pvals)
-        - np.einsum("mik,jm->ijk", ch.gamma, pvals)
+        np.einsum("...jki->...ijk", pgrads)
+        + np.einsum("...jim,...mk->...ijk", gamma, pvals)
+        - np.einsum("...mik,...jm->...ijk", gamma, pvals)
     )
-    nabla_xi_phi = np.einsum("i,ijk->jk", xvals, nablaphi)
-    nabla_xi = np.einsum("ji->ij", xgrads) + np.einsum("jim,m->ij", ch.gamma, xvals)
-    nabla_xi_xi = np.einsum("i,ij->j", xvals, nabla_xi)
-    return AffinorDerivative(
-        nablaphi,
-        float(np.max(np.abs(nabla_xi_phi))),
-        float(np.max(np.abs(nabla_xi_xi))),
-    )
+    nabla_xi_phi = np.einsum("...i,...ijk->...jk", xvals, nablaphi)
+    nabla_xi = np.einsum("...ji->...ij", xgrads) + np.einsum("...jim,...m->...ij", gamma, xvals)
+    nabla_xi_xi = np.einsum("...i,...ij->...j", xvals, nabla_xi)
+    return AffinorDerivative(nablaphi, _max_abs(nabla_xi_phi, 2), _max_abs(nabla_xi_xi, 1))
 
 
-def affinor_derivatives(struct: ContactStructure, samples) -> list[AffinorDerivative]:
-    """``covariant_derivative_affinor`` at every sample, computed once for
-    every consumer of the same sample set."""
-    return [covariant_derivative_affinor(struct, s.array()) for s in samples]
+class AffinorNorms(NamedTuple):
+    """Per-sample largest magnitudes of ``nabla phi``, ``nabla_xi phi`` and
+    ``nabla_xi xi`` over a sample set, each an array in sample order."""
+
+    nabla_phi: np.ndarray
+    nabla_xi_phi: np.ndarray
+    nabla_xi_xi: np.ndarray
+
+
+def affinor_derivatives(struct: ContactStructure, samples) -> AffinorNorms:
+    """``covariant_derivative_affinor`` over the samples in batches, reduced to
+    the norms its consumers read, computed once for every consumer of the
+    same sample set."""
+    parts = [
+        (_max_abs(d.nablaphi, 3), d.nabla_xi_phi_norm, d.nabla_xi_xi_norm)
+        for _, d in evaluate_batches(samples, struct.dim, lambda points: covariant_derivative_affinor(struct, points))
+    ]
+    return AffinorNorms(*(np.concatenate(column) for column in zip(*parts)))
 
 
 @dataclass
@@ -197,9 +239,9 @@ def exterior_derivative(form: TensorField, point) -> np.ndarray:
 def wedge_eta_two_form(eta_vals: np.ndarray, two_form: np.ndarray) -> np.ndarray:
     """``(eta ^ w)_ijk = eta_i w_jk + eta_j w_ki + eta_k w_ij``."""
     return (
-        np.einsum("i,jk->ijk", eta_vals, two_form)
-        + np.einsum("j,ki->ijk", eta_vals, two_form)
-        + np.einsum("k,ij->ijk", eta_vals, two_form)
+        np.einsum("...i,...jk->...ijk", eta_vals, two_form)
+        + np.einsum("...j,...ki->...ijk", eta_vals, two_form)
+        + np.einsum("...k,...ij->...ijk", eta_vals, two_form)
     )
 
 
@@ -208,12 +250,12 @@ def fundamental_form_with_derivative(struct: ContactStructure, point):
     gvals, ggrads = struct.metric.evaluate_with_grads(point)
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     phi_form = gvals @ pvals
-    # partial[a,b,c] = d_a Phi_bc
-    partial = np.einsum("bma,mc->abc", ggrads, pvals) + np.einsum("bm,mca->abc", gvals, pgrads)
+    # partial[..., a, b, c] = d_a Phi_bc
+    partial = np.einsum("...bma,...mc->...abc", ggrads, pvals) + np.einsum("...bm,...mca->...abc", gvals, pgrads)
     d_phi = (
-        np.einsum("ijk->ijk", partial)
-        - np.einsum("jik->ijk", partial)
-        + np.einsum("kij->ijk", partial)
+        partial
+        - np.einsum("...jik->...ijk", partial)
+        + np.einsum("...kij->...ijk", partial)
     )
     return phi_form, d_phi
 
@@ -221,21 +263,21 @@ def fundamental_form_with_derivative(struct: ContactStructure, point):
 def normality_tensor(struct: ContactStructure, point) -> np.ndarray:
     """Torsion obstruction ``[phi, phi] + 2 d(eta) (x) xi`` on coordinate fields.
 
-    Returns ``N[c, i, j]`` = c-th component of the tensor applied to
+    Returns ``N[..., c, i, j]`` = c-th component of the tensor applied to
     ``(e_i, e_j)``; the structure is normal iff this vanishes.
     """
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xi_vals = struct.xi.evaluate(point)
     eta_vals, eta_grads = struct.eta.evaluate_with_grads(point)
-    d_eta = eta_grads.T - eta_grads
-    term_bracket = np.einsum("ai,cja->cij", pvals, pgrads)
-    term_through = np.einsum("aij,ca->cij", pgrads, pvals)
+    d_eta = np.swapaxes(eta_grads, -1, -2) - eta_grads
+    term_bracket = np.einsum("...ai,...cja->...cij", pvals, pgrads)
+    term_through = np.einsum("...aij,...ca->...cij", pgrads, pvals)
     nij = (
         term_bracket
-        - np.einsum("cij->cji", term_bracket)
+        - np.einsum("...cij->...cji", term_bracket)
         + term_through
-        - np.einsum("cij->cji", term_through)
-        + 2.0 * np.einsum("ij,c->cij", d_eta, xi_vals)
+        - np.einsum("...cij->...cji", term_through)
+        + 2.0 * np.einsum("...ij,...c->...cij", d_eta, xi_vals)
     )
     return nij
 
@@ -273,23 +315,27 @@ class Classification:
         return base
 
 
-def weight_fit(struct: ContactStructure, point) -> tuple[float, float]:
-    """Least-squares weight lambda minimizing ``|dPhi - 2 lambda eta ^ Phi|``."""
+def weight_fit(struct: ContactStructure, point):
+    """Least-squares weight lambda minimizing ``|dPhi - 2 lambda eta ^ Phi|``,
+    and the residual: floats at a point, (P,) arrays at a stack."""
     phi_form, d_phi = fundamental_form_with_derivative(struct, point)
     eta_vals = struct.eta.evaluate(point)
     wedge = wedge_eta_two_form(eta_vals, phi_form)
-    denom = float(np.sum(wedge * wedge))
-    if denom == 0.0:
+    axes = (-3, -2, -1)
+    denom = np.sum(wedge * wedge, axis=axes)
+    if np.any(denom == 0.0):
         raise GeometryError("degenerate structure: eta ^ Phi vanishes")
-    lam = float(np.sum(d_phi * wedge)) / (2.0 * denom)
-    residual = float(np.max(np.abs(d_phi - 2.0 * lam * wedge)))
+    lam = np.sum(d_phi * wedge, axis=axes) / (2.0 * denom)
+    residual = np.abs(d_phi - 2.0 * lam[..., None, None, None] * wedge).max(axis=axes)
+    if lam.ndim == 0:
+        return float(lam), float(residual)
     return lam, residual
 
 
 def classify(
     struct: ContactStructure,
     samples,
-    derivatives: list[AffinorDerivative],
+    derivatives: AffinorNorms,
     tol: float,
     spread_tol: float = WEIGHT_SPREAD_TOL,
 ) -> Classification:
@@ -299,17 +345,14 @@ def classify(
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
     dimension when the residual is not finite.  ``derivatives`` holds
-    ``covariant_derivative_affinor`` at each sample (see ``affinor_derivatives``).
+    ``affinor_derivatives`` at the same samples.
     """
-    weights: list[float] = []
-    fit = Residual("weight_fit_residual", tol)
-    nabla = Residual("nabla_phi", tol)
-    for sample, deriv in zip(samples, derivatives, strict=True):
-        lam, res = weight_fit(struct, sample.array())
-        weights.append(lam)
-        fit.add(res)
-        nabla.add(deriv.nablaphi)
-    arr = np.asarray(weights)
+    if len(derivatives.nabla_phi) != len(samples):
+        raise ValueError("derivatives and samples differ in length")
+    lams, residuals = zip(*(fit for _, fit in evaluate_batches(samples, struct.dim, lambda points: weight_fit(struct, points))))
+    arr = np.concatenate(lams)
+    fit = Residual("weight_fit_residual", tol).add(np.concatenate(residuals))
+    nabla = Residual("nabla_phi", tol).add(derivatives.nabla_phi)
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
     elif Residual("weight", tol).add(arr).passed:
@@ -318,7 +361,7 @@ def classify(
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    return Classification(kind, alpha, tuple(weights), fit.value, nabla.passed, nabla.value)
+    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, nabla.passed, nabla.value)
 
 
 # ---------------------------------------------------------------------------

@@ -516,43 +516,36 @@ def extrinsic_report(
         g = product.metric.evaluate(q)
         xi_bar = median.evaluate(q)
         normal_data = [tf.evaluate_with_grads(q) for tf in normals]
-        normal_vals = [vals for vals, _ in normal_data]
-
-        for a, (u_a, _) in enumerate(normal_data):
-            perp.add(e_mat.T @ (g @ u_a))
-            for b, (u_b, _) in enumerate(normal_data):
-                frame.add(float(u_a @ g @ u_b) - (1.0 if a == b else 0.0))
+        normal_matrix = np.stack([vals for vals, _ in normal_data], axis=1)  # [j, alpha] = alpha-th normal field
+        perp.add(e_mat.T @ g @ normal_matrix)
+        frame.add(normal_matrix.T @ g @ normal_matrix - np.eye(k - 1))
 
         def nabla_along(v: np.ndarray, w_vals: np.ndarray, w_grads: np.ndarray) -> np.ndarray:
             return np.einsum("a,ja->j", v, w_grads) + np.einsum("a,jam,m->j", v, gamma_bar, w_vals)
 
         def split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = np.array([float(v @ g @ u) for u in normal_vals])
-            normal = sum((c * u for c, u in zip(coeffs, normal_vals)), np.zeros_like(v))
+            """Tangential and normal parts of a vector ``v[j]`` or of vectors ``v[j, p]``."""
+            normal = normal_matrix @ (normal_matrix.T @ g @ v)
             return v - normal, normal
 
-        second = np.zeros((dim_n, dim_n, k - 1))
-        for a in range(dim_n):
-            for b in range(dim_n):
-                deriv = np.einsum("i,m,jim->j", e_mat[:, a], e_mat[:, b], gamma_bar)
-                second[a, b] = [float(deriv @ g @ u) for u in normal_vals]
+        # second[a, b, alpha] = g(Gamma(E_a, E_b), u_alpha), the normal part of nabla_{E_a} E_b
+        second = np.einsum("ia,mb,jim,jl,lc->abc", e_mat, e_mat, gamma_bar, g, normal_matrix, optimize=True)
         for u_vals, u_grads in normal_data:
-            for b in range(dim_n):
-                deriv = nabla_along(e_mat[:, b], u_vals, u_grads)
-                for u_other in normal_vals:
-                    dperp.add(float(deriv @ g @ u_other))
+            # [j, b] = (nabla_{E_b} u)^j, whose normal components the flat normal connection kills
+            along_frame = u_grads @ e_mat + np.einsum("jam,ab,m->jb", gamma_bar, e_mat, u_vals, optimize=True)
+            dperp.add(normal_matrix.T @ g @ along_frame)
             tangential, _ = split(nabla_along(xi_bar, u_vals, u_grads))
             weinxi.add(tangential)
 
         riem_n = riemann(sewn.metric, p).riem
         xi_n = sewn.xi.evaluate(p)
-        intrinsic = np.einsum("labm,m->lab", riem_n, xi_n)
-        for a in range(dim_n):
-            for b in range(a + 1, dim_n):
-                ambient = np.einsum("lijm,i,j,m->l", riem_bar, e_mat[:, a], e_mat[:, b], xi_bar)
-                tangential, normal = split(ambient)
-                tangency.add(normal)
-                match.add(tangential - e_mat @ intrinsic[:, a, b])
+        upper = np.triu_indices(dim_n, 1)  # the pairs a < b
+        # ambient[l, a, b] = R-bar(E_a, E_b) xi-bar, split along the normal frame
+        ambient = np.einsum("lijm,ia,jb,m->lab", riem_bar, e_mat, e_mat, xi_bar, optimize=True)[:, upper[0], upper[1]]
+        tangential, normal = split(ambient)
+        tangency.add(normal)
+        intrinsic = np.einsum("labm,m->lab", riem_n, xi_n)[:, upper[0], upper[1]]
+        match.add(tangential - e_mat @ intrinsic)
 
         out_samples.append(ExtrinsicSample(point=sample, second_fundamental=second))
 

@@ -37,7 +37,9 @@ def test_traced_function_resolves(name):
 
 
 def test_traced_commands_run_every_predicted_layer(tmp_path, monkeypatch):
-    from sewcells import cli
+    import numpy as np
+
+    from sewcells import cli, geometry
     from sewcells.catalog import model_cosymplectic_cell
     from sewcells.charts import nullity_samples, sample_points
     from sewcells.manifold_io import load_manifold, save_manifold
@@ -50,16 +52,30 @@ def test_traced_commands_run_every_predicted_layer(tmp_path, monkeypatch):
         ["nullity", "model.json"],
         ["sew", "model.json", "--copies", "2", "--points", "5", "--out", "sewn.json"],
     ]
-    group = "geometry.covariant_derivative_affinor"
-    repeats = []  # nabla-phi calls per command at a (structure, point) already seen in it
+    # The tracer keys a call by the whole stack it receives, so the spy counts
+    # nabla-phi rows at a (structure, point) already seen in the same command.
+    original = geometry.covariant_derivative_affinor
+    seen: set = set()
+    structures = []  # keeps the ids in ``seen`` from being reused
+    repeats = []
+
+    def spy(struct, points):
+        structures.append(struct)
+        for row in np.atleast_2d(points):
+            key = (id(struct), row.tobytes())
+            repeats[-1] += key in seen
+            seen.add(key)
+        return original(struct, points)
+
+    monkeypatch.setattr(geometry, "covariant_derivative_affinor", spy)
     tracer = spans.Tracer()
     tracer.install()
     try:
         for index, argv in enumerate(commands):
             tracer.begin_command(index)
-            keyed, distinct = tracer.keyed[group], tracer.distinct[group]
+            seen.clear()
+            repeats.append(0)
             assert cli.main(argv) == cli.EXIT_PASS, argv
-            repeats.append((tracer.keyed[group] - keyed) - (tracer.distinct[group] - distinct))
     finally:
         tracer.uninstall()
 

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from sewcells.charts import (
+    BATCH_BYTES,
     CellDefinition,
     Chart,
     ChartError,
     Constraint,
     PointSample,
     Residual,
+    SampleEvaluationError,
     SamplingError,
     TensorField,
+    batch_size,
     column_field,
+    evaluate_batches,
     sample_points,
     sample_points_grouped,
     validate_structure,
 )
+from sewcells.expressions import EvaluationDomainError
 from sewcells.geometry import fundamental_form_with_derivative, h_tensor
+from sewcells.sewing import sew
 
 
 class TestChart:
@@ -197,3 +203,47 @@ class TestTensorField:
     def test_point_sample_array(self):
         s = PointSample((1.0, 2.0), seed=3, draw=4)
         assert np.array_equal(s.array(), [1.0, 2.0])
+
+
+class TestStacks:
+    def test_field_over_a_stack_matches_its_rows(self, catalog_cells):
+        for cell in (*catalog_cells, sew([catalog_cells[-1]] * 3)):
+            points = np.array([s.coords for s in sample_points(cell.chart, 6, 4)])
+            for field in (cell.metric, cell.phi, cell.xi, cell.eta):
+                stacked = (field.evaluate(points),) + field.evaluate_with_jets(points)
+                rows = [(field.evaluate(p),) + field.evaluate_with_jets(p) for p in points]
+                for got, expected in zip(stacked, zip(*rows)):
+                    assert np.array_equal(got, np.array(expected))
+                assert all(np.array_equal(a, b) for a, b in zip(field.evaluate_with_grads(points), stacked[1:]))
+
+    def test_constant_components_fold_once(self, model_cell):
+        # the model metric has constant entries; their derivatives are exact zeros
+        vals, grads, hesses = model_cell.metric.evaluate_with_jets(np.array([0.3, -0.2, 0.5]))
+        assert vals[0, 0] == 1.0 and not grads[0, 0].any() and not hesses[0, 0].any()
+        assert model_cell.metric.evaluate(np.zeros((0, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7, 13, 18, 40])
+    def test_batch_stays_within_budget(self, dim):
+        size = batch_size(dim)
+        assert size >= 1
+        assert size == 1 or size * 8 * dim**3 <= BATCH_BYTES
+
+    def test_batches_name_the_first_failing_sample(self):
+        dim = 13
+        size = batch_size(dim)
+        samples = [PointSample((float(i),) + (0.0,) * (dim - 1), 0, i) for i in range(3 * size)]
+        bad = {size + 2, size + 4, 2 * size + 1}
+        seen = []
+
+        def evaluate_stack(points):
+            seen.append(len(points))
+            if any(int(p[0]) in bad for p in points):
+                raise EvaluationDomainError("bad row")
+            return len(points)
+
+        with pytest.raises(SampleEvaluationError) as err:
+            for _ in evaluate_batches(samples, dim, evaluate_stack):
+                pass
+        assert err.value.sample.draw == size + 2
+        # two whole batches, then the failing batch again row by row up to the bad row
+        assert seen == [size, size] + [1] * 3

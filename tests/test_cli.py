@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import sewcells
 from sewcells.catalog import flat_cosymplectic_cell, model_cosymplectic_cell
 from sewcells.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from sewcells.charts import sample_points
 from sewcells.manifold_io import load_manifold, save_manifold, structure_to_dict
 
 
@@ -161,15 +165,46 @@ def test_nan_phi_fails_every_command(command, tmp_path, monkeypatch, capsys):
     doc["phi"][1][1] = NAN_PHI_ENTRY
     Path("nan.json").write_text(json.dumps(doc), encoding="utf-8")
     argv = [command[0], "nan.json", *command[1:], "--points", "6", "--json", "report.json"]
-    with np.errstate(invalid="ignore"):
-        assert main(argv) == EXIT_FAIL
+    assert main(argv) == EXIT_FAIL
     report = json.loads(Path("report.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
     subject = report["subjects"][0]
     checks = subject.get("checks") or subject["sections"]["induced structure axioms"]
     phi_square = next(c for c in checks if c["name"] == "phi_square_identity")
     assert phi_square["passed"] is False and math.isnan(phi_square["residual"])
-    assert "FAIL  phi_square_identity" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "FAIL  phi_square_identity" in captured.out
+    assert "RuntimeWarning" not in captured.err
+
+
+def test_domain_error_names_the_first_failing_sample(tmp_path, monkeypatch, capsys):
+    """A metric entry defined only for x > 0, on a file without that domain."""
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc["metric"][0][0] = "0*log(x) + 1"
+    Path("partial.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "partial.json", "--points", "40"]) == EXIT_FAIL
+    struct = load_manifold("partial.json")
+    x = struct.chart.index_of("x")
+    first = next(s for s in sample_points(struct.chart, 40, 7) if s.coords[x] <= 0.0)
+    err = capsys.readouterr().err
+    assert f"verification error: evaluation failed at sample {first.coords}: log of non-positive" in err
+
+
+def test_closed_stdout_exits_quietly(tmp_path, model_file):
+    """``sewcells nullity cell.json | head -2``: the reader goes away before the output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sewcells.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sewcells.cli", "nullity", str(model_file), "--points", "200"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_FAIL
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
 @COMMANDS

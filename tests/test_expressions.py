@@ -210,3 +210,66 @@ class TestFiniteDifferenceAgreement:
             fd_hess = gradient_hessian_fd(expr, point, index)
             scale_h = max(1.0, float(np.max(np.abs(jet.hess))))
             assert float(np.max(np.abs(fd_hess - jet.hess))) <= 1e-5 * scale_h
+
+
+class TestStacks:
+    """A stack of points (P, n) evaluates as its rows do one at a time."""
+
+    COORDS = ("u", "v", "w")
+    INDEX = {"u": 0, "v": 1, "w": 2}
+
+    @staticmethod
+    def _rows(fn, expr, points, index):
+        out = []
+        for point in points:
+            try:
+                out.append(fn(expr, point, index))
+            except EvaluationDomainError:
+                out.append(None)
+        return out
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_stack_matches_rows_and_raises_when_a_row_does(self, seed, count):
+        rng = np.random.default_rng(seed)
+        expr = random_expression(rng, self.COORDS, 4)
+        points = rng.uniform(-1.5, 1.5, size=(count, 3))
+        for fn in (evaluate_jet2, evaluate):
+            rows = self._rows(fn, expr, points, self.INDEX)
+            if any(row is None for row in rows):
+                with pytest.raises(EvaluationDomainError):
+                    fn(expr, points, self.INDEX)
+                continue
+            stacked = fn(expr, points, self.INDEX)
+            pairs = (
+                [(stacked.value, [r.value for r in rows]), (stacked.grad, [r.grad for r in rows]),
+                 (stacked.hess, [r.hess for r in rows])]
+                if fn is evaluate_jet2 else [(stacked, rows)]
+            )
+            for got, expected in pairs:
+                expected = np.array(expected, dtype=float)
+                assert got.shape == expected.shape
+                np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0, equal_nan=True)
+
+    @pytest.mark.parametrize("src", ["exp(1000*x)", "sinh(1000*x)", "cosh(1000*x)", "(10*x)^400"])
+    def test_overflow_in_a_function_or_power_raises(self, src):
+        expr = parse_expression(src, XYZ)
+        points = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for fn in (evaluate, evaluate_jet2):
+            fn(expr, points[0], IDX_XYZ)
+            for bad in (points[1], points):
+                with pytest.raises(EvaluationDomainError, match="overflow"):
+                    fn(expr, bad, IDX_XYZ)
+
+    def test_overflowing_product_stays_silent(self):
+        expr = parse_expression("exp(700*x)*exp(700*x)", XYZ)
+        points = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert evaluate(expr, points[1], IDX_XYZ) == math.inf
+        assert list(evaluate(expr, points, IDX_XYZ) == math.inf) == [False, True]
+        jet = evaluate_jet2(expr, points, IDX_XYZ)
+        assert jet.value[1] == math.inf and jet.grad.shape == (2, 3) and jet.hess.shape == (2, 3, 3)
+
+    def test_constant_expression_over_a_stack(self):
+        jet = evaluate_jet2(parse_expression("3.5 + 2^2", TXY), np.ones((4, 3)), IDX_TXY)
+        assert np.array_equal(jet.value, np.full(4, 7.5))
+        assert jet.grad.shape == (4, 3) and not jet.grad.any() and not jet.hess.any()
