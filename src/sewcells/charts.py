@@ -9,10 +9,14 @@ one call per point or per stack of points, its jet taken over the coordinates
 that component depends on and scattered into the full gradient and Hessian.
 
 Sweeps over samples go through ``evaluate_batches``, which hands consumers
-stacks of samples.  The batch size is derived from the chart dimension n:
-a batch holds as many samples as keep one (n, n, n) float array with a sample
-axis (a metric gradient, the Christoffel symbols, nabla phi) within
-``BATCH_BYTES``.  Nothing with a sample axis grows beyond that, whatever the
+stacks of samples.  The batch size is derived from the chart dimension n by
+one of two budgets.  A jet or bracket sweep holds as many samples as keep one
+(n, n, n) float array with a sample axis (a metric gradient, the Christoffel
+symbols, nabla phi, the brackets of an affinor's columns) within
+``BATCH_BYTES``.  A curvature sweep (the Riemann tensor, the nullity fits)
+keeps one (n, n, n, n) array with a sample axis (the metric Hessian, d Gamma,
+R) within the same budget, and runs one sample at a time where even one such
+array exceeds it.  Nothing with a sample axis grows beyond that, whatever the
 sample count.
 """
 
@@ -313,13 +317,6 @@ def _parse_grid(grid, rank: int, chart: Chart):
     return [_parse_grid(entry, rank - 1, chart) for entry in grid]
 
 
-def column_field(affinor: TensorField, j: int) -> TensorField:
-    """The vector field ``affinor(e_j)`` (the j-th column) as a (1,0) field."""
-    if (affinor.upper, affinor.lower) != (1, 1):
-        raise ChartError("column_field takes a (1,1) affinor")
-    return TensorField(affinor.chart, 1, 0, tuple(row[j] for row in affinor.components))
-
-
 # ---------------------------------------------------------------------------
 # Structures
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ class ContactStructure:
         return 1.0
 
     def values_at(self, point):
-        """Evaluate (g, phi, xi, eta) at a point."""
+        """Evaluate (g, phi, xi, eta) at a point or a stack."""
         return (
             self.metric.evaluate(point),
             self.phi.evaluate(point),
@@ -498,20 +495,22 @@ def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
 BATCH_BYTES = 128 * 1024
 
 
-def batch_size(dim: int) -> int:
-    """Samples per batch on a chart of dimension ``dim`` (see the module docstring)."""
-    return max(1, BATCH_BYTES // (8 * dim**3))
+def batch_size(dim: int, curvature: bool = False) -> int:
+    """Samples per batch on a chart of dimension ``dim``: the jet budget, or
+    the curvature budget when ``curvature`` is true (see the module docstring)."""
+    return max(1, BATCH_BYTES // (8 * dim ** (4 if curvature else 3)))
 
 
-def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable):
+def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable, curvature: bool = False):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
-    ``points`` stacks the batch's coordinates as a (B, dim) array.
+    ``points`` stacks the batch's coordinates as a (B, dim) array and B follows
+    ``batch_size(dim, curvature)``.
 
     When a batch leaves the domain of an expression, its samples are evaluated
     again one at a time, and the ``SampleEvaluationError`` names the first
     sample, in draw order, that fails.
     """
-    size = batch_size(dim)
+    size = batch_size(dim, curvature)
     for start in range(0, len(samples), size):
         batch = samples[start:start + size]
         points = np.array([s.coords for s in batch], dtype=float)

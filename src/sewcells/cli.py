@@ -35,7 +35,7 @@ from .charts import (
 from .expressions import ExpressionError
 from .geometry import affinor_derivatives, classify, normality_tensor
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
-from .nullity import RAW, check_generalized, fit_nullity, kenmotsu_convention
+from .nullity import RAW, check_generalized, kenmotsu_convention, nullity_fits
 from .sewing import (
     SewingError,
     build_product,
@@ -147,7 +147,7 @@ def cmd_nullity(args) -> int:
     print(f"{struct.name}: per-sample nullity fits ({convention.label()})")
     header = f"  {'t' if t_axis is not None else 'draw':>12}  {'kappa':>14} {'mu':>14} {'muprime':>14} {'residual':>12}"
     print(header)
-    fits = [fit_nullity(struct, s.array(), convention) for s in samples]
+    fits = nullity_fits(struct, samples, convention)
     if t_axis is not None:
         gen = check_generalized(struct, samples, fits, args.tol)
         pairs = list(zip(gen.samples, gen.fits))

@@ -16,10 +16,14 @@ Derivatives of the inverse metric are always assembled as
 ``d(g^-1) = -g^-1 (dg) g^-1``; a numeric inverse is never differenced.
 
 The layers a sweep runs (``christoffel``, ``covariant_derivative_affinor``,
-``weight_fit``, ``normality_tensor``, and ``riemann``) take one point (n,) or a
-stack of points (P, n), and at a stack every result gains a leading P axis.
-``affinor_derivatives`` and ``classify`` feed them batches of samples (see
-``charts.evaluate_batches``).
+``weight_fit``, ``normality_tensor``, ``riemann``, ``h_tensor``,
+``exterior_derivative`` and ``lie_bracket``) take one point (n,) or a stack of
+points (P, n), and at a stack every result gains a leading P axis.
+``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
+one call gives the brackets of every column pair.  ``affinor_derivatives``,
+``classify`` and the ``sew`` stages feed these layers batches of samples (see
+``charts.evaluate_batches``); ``riemann`` computes d(g^-1), d Gamma and the
+Gamma Gamma term as batched matrix products.
 """
 
 from __future__ import annotations
@@ -78,20 +82,30 @@ def christoffel(metric: TensorField, point) -> ChristoffelAtPoint:
 
 def christoffel_with_derivative(metric: TensorField, point):
     """Gamma and ``dgamma[..., m, k, i, j] = d_m Gamma^k_ij``, from second-order
-    jets of the metric; ``riemann`` is the package's only reader of d Gamma."""
+    jets of the metric; ``riemann`` is the package's only reader of d Gamma.
+
+    The contractions are batched matrix products over the leading axes, with
+    the index pair (i, j) flattened into one axis.  Arrays of the size of the
+    Hessians are updated in place and released once read: they set the peak
+    memory of a curvature batch."""
     _require_metric(metric)
     vals, grads, hesses = metric.evaluate_with_jets(point)
     ginv, t, gamma = _connection(vals, grads)
+    n = vals.shape[-1]
+    lead = vals.shape[:-2]
     # dT[..., m, l, i, j] = d_m T[..., l, i, j]
-    dt = (
-        np.einsum("...jlim->...mlij", hesses)
-        + np.einsum("...iljm->...mlij", hesses)
-        - np.einsum("...ijlm->...mlij", hesses)
-    )
-    dg = np.einsum("...ijm->...mij", grads)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, t) + np.einsum("...kl,...mlij->...mkij", ginv, dt))
-    return gamma, dgamma
+    dt = np.einsum("...jlim->...mlij", hesses) + np.einsum("...iljm->...mlij", hesses)
+    dt -= np.einsum("...ijlm->...mlij", hesses)
+    del hesses
+    dg = np.moveaxis(grads, -1, -3)  # dg[..., m, i, j] = d_m g_ij
+    ginv_m = ginv[..., None, :, :]   # broadcast over m
+    dginv = -(ginv_m @ dg @ ginv_m)  # d_m(g^-1) = -g^-1 (d_m g) g^-1
+    # d_m Gamma^k_ij = 1/2 (g^kl d_m T_lij + d_m(g^-1)^kl T_lij)
+    dgamma = ginv_m @ dt.reshape(lead + (n, n, n * n))
+    del dt
+    dgamma += dginv @ t.reshape(lead + (1, n, n * n))
+    dgamma *= 0.5
+    return gamma, dgamma.reshape(lead + (n,) * 4)
 
 
 @dataclass
@@ -105,13 +119,14 @@ class CurvatureAtPoint:
 
 def riemann(metric: TensorField, point) -> CurvatureAtPoint:
     gamma, dgamma = christoffel_with_derivative(metric, point)
-    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-    riem = (
-        np.einsum("...iljk->...lijk", dgamma)
-        - np.einsum("...jlik->...lijk", dgamma)
-        + quad
-        - np.einsum("...lijk->...ljik", quad)
-    )
+    n = gamma.shape[-1]
+    lead = gamma.shape[:-3]
+    # quad[..., l, i, j, k] = Gamma^l_im Gamma^m_jk, with (l, i) and (j, k) flattened
+    quad = (gamma.reshape(lead + (n * n, n)) @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
+    riem = np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+    del dgamma
+    riem += quad
+    riem -= np.einsum("...lijk->...ljik", quad)
     return CurvatureAtPoint(riem, gamma)
 
 
@@ -198,14 +213,15 @@ class StructureTensorsAtPoint:
 
 
 def h_tensor(struct: ContactStructure, point, alpha: float | None = None) -> StructureTensorsAtPoint:
-    """Evaluate ``h X = 1/2([xi, phi X] - phi [xi, X])`` on coordinate fields."""
+    """Evaluate ``h X = 1/2([xi, phi X] - phi [xi, X])`` on coordinate fields,
+    at a point or a stack."""
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xvals, xgrads = struct.xi.evaluate_with_grads(point)
     # h^j_k = 1/2 (xi^i d_i phi^j_k - phi^m_k d_m xi^j + (d_k xi^m) phi^j_m)
     h = 0.5 * (
-        np.einsum("i,jki->jk", xvals, pgrads)
-        - np.einsum("mk,jm->jk", pvals, xgrads)
-        + np.einsum("mk,jm->jk", xgrads, pvals)
+        np.einsum("...i,...jki->...jk", xvals, pgrads)
+        - np.einsum("...mk,...jm->...jk", pvals, xgrads)
+        + np.einsum("...mk,...jm->...jk", xgrads, pvals)
     )
     hprime = h @ pvals
     kenmotsu = None
@@ -221,18 +237,19 @@ def h_tensor(struct: ContactStructure, point, alpha: float | None = None) -> Str
 # ---------------------------------------------------------------------------
 
 def exterior_derivative(form: TensorField, point) -> np.ndarray:
-    """d of a stored (0,1) or (0,2) form; returns the antisymmetric grid."""
+    """d of a stored (0,1) or (0,2) form at a point or a stack; returns the
+    antisymmetric grid."""
     if form.upper != 0 or form.lower not in (1, 2):
         raise GeometryError("exterior_derivative handles (0,1) and (0,2) forms")
     vals, grads = form.evaluate_with_grads(point)
     if form.lower == 1:
         # (dw)_ij = d_i w_j - d_j w_i ; grads[c, l] = d_l w_c
-        return grads.T - grads
+        return np.swapaxes(grads, -1, -2) - grads
     # (dw)_ijk = d_i w_jk - d_j w_ik + d_k w_ij ; grads[b, c, l] = d_l w_bc
     return (
-        np.einsum("jki->ijk", grads)
-        - np.einsum("ikj->ijk", grads)
-        + np.einsum("ijk->ijk", grads)
+        np.einsum("...jki->...ijk", grads)
+        - np.einsum("...ikj->...ijk", grads)
+        + grads
     )
 
 
@@ -368,13 +385,32 @@ def classify(
 # Vector-field helpers
 # ---------------------------------------------------------------------------
 
+def _family_index(field: TensorField, letter: str) -> str:
+    """The einsum letter of the column index a field carries into ``lie_bracket``:
+    none for a vector field, ``letter`` for a (1,1) affinor."""
+    valence = (field.upper, field.lower)
+    if valence == (1, 0):
+        return ""
+    if valence == (1, 1):
+        return letter
+    raise GeometryError("lie_bracket takes vector fields or (1,1) affinors")
+
+
 def lie_bracket(v: TensorField, w: TensorField, point) -> np.ndarray:
-    """``[V, W]^j = V^a d_a W^j - W^a d_a V^j`` at a point."""
-    if (v.upper, v.lower) != (1, 0) or (w.upper, w.lower) != (1, 0):
-        raise GeometryError("lie_bracket takes vector fields")
+    """``[V, W]^j = V^c d_c W^j - W^c d_c V^j`` at a point or a stack.
+
+    A (1,1) affinor ``A`` stands for the family of its columns ``A e_a``, whose
+    index follows j in the result: ``lie_bracket(f, f, p)[..., j, a, b]`` is
+    ``[f e_a, f e_b]^j`` and ``lie_bracket(f, w, p)[..., j, a]`` is
+    ``[f e_a, W]^j``.
+    """
+    a, b = _family_index(v, "a"), _family_index(w, "b")
     vvals, vgrads = v.evaluate_with_grads(point)
-    wvals, wgrads = w.evaluate_with_grads(point)
-    return np.einsum("a,ja->j", vvals, wgrads) - np.einsum("a,ja->j", wvals, vgrads)
+    wvals, wgrads = (vvals, vgrads) if w is v else w.evaluate_with_grads(point)
+    return (
+        np.einsum(f"...c{a},...j{b}c->...j{a}{b}", vvals, wgrads)
+        - np.einsum(f"...c{b},...j{a}c->...j{a}{b}", wvals, vgrads)
+    )
 
 
 def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorField, point) -> np.ndarray:
@@ -385,8 +421,8 @@ def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorFi
     return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, ch.gamma, wvals)
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = _RANK_TOL) -> int:
+def numeric_rank(matrix: np.ndarray, rel_tol: float = _RANK_TOL) -> np.ndarray:
+    """The number of singular values above ``rel_tol`` times the largest, for
+    a matrix or for each matrix of a stack; a zero matrix has rank 0."""
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return np.sum(s > rel_tol * s[..., :1], axis=-1)

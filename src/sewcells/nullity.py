@@ -9,6 +9,11 @@ field pairs) onto the three-parameter family
 with ``h = 1/2 L_xi phi`` and ``h' = h phi`` (or ``h'/alpha`` under the
 normalized convention).  When ``h`` vanishes the mu/mu' directions are
 meaningless, so only kappa is fitted and the pair is flagged undetermined.
+
+``fit_nullity`` takes one point or a stack of points.  At a stack it builds
+the curvature, ``h`` and the design matrices of every sample at once and runs
+only the least-squares solve per sample; ``nullity_fits`` feeds it a sample
+set in curvature batches (see ``charts.evaluate_batches``).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import ChartError, ContactStructure, PointSample, Residual
+from .charts import ChartError, ContactStructure, PointSample, Residual, evaluate_batches
 from .geometry import h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
@@ -73,40 +78,65 @@ class NullityFit:
     hprime: np.ndarray
 
 
-def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW) -> NullityFit:
-    """Least-squares (kappa, mu, mu') at one point; see the module docstring."""
+def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW):
+    """Least-squares (kappa, mu, mu'): one ``NullityFit`` at a point (n,), a
+    list of them, in row order, at a stack (P, n); see the module docstring."""
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 1:
+        return _fit_stack(struct, point[None], convention)[0]
+    return _fit_stack(struct, point, convention)
+
+
+def nullity_fits(
+    struct: ContactStructure, samples: Sequence[PointSample], convention: Convention = RAW
+) -> list[NullityFit]:
+    """``fit_nullity`` at every sample, in sample order, over curvature batches."""
+    batches = evaluate_batches(
+        samples, struct.dim, lambda points: fit_nullity(struct, points, convention), curvature=True
+    )
+    return [fit for _, fits in batches for fit in fits]
+
+
+def _fit_stack(struct: ContactStructure, points: np.ndarray, convention: Convention) -> list[NullityFit]:
     n = struct.dim
-    riem = riemann(struct.metric, point).riem
-    xi = struct.xi.evaluate(point)
-    eta = struct.eta.evaluate(point)
-    tensors = h_tensor(struct, point, alpha=convention.alpha)
+    riem = riemann(struct.metric, points).riem
+    xi = struct.xi.evaluate(points)
+    eta = struct.eta.evaluate(points)
+    tensors = h_tensor(struct, points, alpha=convention.alpha)
     h = tensors.h
     hp = tensors.kenmotsu_hprime if convention.kind == KENMOTSU_HPRIME else tensors.hprime
-    h_norm = float(np.max(np.abs(h)))
+    h_norms = np.abs(h).max(axis=(-2, -1))
 
-    lhs_rows: list[np.ndarray] = []
-    basis_rows: list[list[np.ndarray]] = []
-    r_xi = np.einsum("lijm,m->lij", riem, xi)  # l-th component of R(e_i, e_j) xi
-    identity = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs_rows.append(r_xi[:, i, j])
-            basis_rows.append([
-                eta[j] * identity[:, i] - eta[i] * identity[:, j],
-                eta[j] * h[:, i] - eta[i] * h[:, j],
-                eta[j] * hp[:, i] - eta[i] * hp[:, j],
-            ])
-    b = np.concatenate(lhs_rows)
-    columns = [np.concatenate([row[c] for row in basis_rows]) for c in range(3)]
+    # one row per pair i < j and component l, pair-major: the l-th component of
+    # R(e_i, e_j) xi against that of each basis vector
+    i, j = np.triu_indices(n, 1)
+    rows = len(i) * n
 
+    def flat(v: np.ndarray) -> np.ndarray:
+        """``v[p, l, pair]`` as the rows of the design."""
+        return np.swapaxes(v, 1, 2).reshape(len(points), rows)
+
+    def column(op: np.ndarray) -> np.ndarray:
+        """``eta(e_j) op(e_i) - eta(e_i) op(e_j)`` for every pair."""
+        return flat(eta[:, None, j] * op[:, :, i] - eta[:, None, i] * op[:, :, j])
+
+    b = flat(np.einsum("plijm,pm->plij", riem, xi)[:, :, i, j])
+    design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
+    return [_solve(design[p], b[p], h_norm, convention, h[p], hp[p]) for p, h_norm in enumerate(h_norms.tolist())]
+
+
+def _solve(
+    a: np.ndarray, b: np.ndarray, h_norm: float, convention: Convention, h: np.ndarray, hp: np.ndarray
+) -> NullityFit:
+    """The least-squares fit at one sample from its design matrix ``a`` (one
+    column per constant) and right-hand side ``b``."""
     if h_norm <= H_DEGENERACY_THRESHOLD:
-        a_kappa = columns[0]
+        a_kappa = a[:, 0]
         denom = float(a_kappa @ a_kappa)
         kappa = float(a_kappa @ b) / denom if denom > 0.0 else 0.0
         residual = float(np.linalg.norm(b - kappa * a_kappa))
         return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, convention, h, hp)
 
-    a = np.stack(columns, axis=1)
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
         raise NullityFitError(

@@ -22,6 +22,12 @@ distribution spanned by the affinor image and the median is involutive),
 ``extrinsic_report`` (flat normal connection, Weingarten operators kill the
 Reeb field, ambient curvature of the Reeb field restricts to the intrinsic
 one), and ``verify_sewing_theorems`` (classification and nullity transfer).
+
+Every stage runs over stacks of samples (``charts.evaluate_batches``): the
+curvature, the connection and the nullity fits in curvature batches, the
+structure values and the Lie brackets in jet batches.  The brackets of all
+pairs of affinor-image fields come from one ``lie_bracket`` call on the
+affinor itself.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .charts import (
     Residual,
     TensorField,
     ValidationReport,
-    column_field,
+    evaluate_batches,
     sample_points,
 )
 from .expressions import BinOp, ExpressionNode, Num, rename_variables
@@ -65,6 +71,7 @@ from .nullity import (
     check_generalized,
     fit_nullity,
     kenmotsu_convention,
+    nullity_fits,
 )
 
 _ADAPTED_PROBE_TOL = 1e-12
@@ -182,9 +189,6 @@ class ProductDefinition:
             fields.append(TensorField(self.chart, 1, 0, tuple(comps)))
         return tuple(fields)
 
-    def project_point(self, point, cell_index: int) -> np.ndarray:
-        return np.asarray(point)[list(self.blocks[cell_index])]
-
 
 def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
     """Lift the cells onto the product chart with block tensors."""
@@ -266,32 +270,34 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
     dual = Residual("coframing_duality", tol)
     closed = Residual("coframing_closed", tol)
     unit_median = Residual("median_unit_length", tol)
-    rank_ok = True
-    worst_rank = 2 * k
-    for sample in samples:
-        point = sample.array()
-        g = product.metric.evaluate(point)
-        f = product.f.evaluate(point)
+    ranks: list[int] = []
+    identity = np.eye(k)
+
+    def fields(points):
+        # frames[p, j, a] = j-th component of the a-th Reeb field; coframes[p, a, j] likewise
+        frames = np.stack([tf.evaluate(points) for tf in product.framing], axis=-1)
+        coframes = np.stack([tf.evaluate(points) for tf in product.coframing], axis=-2)
+        d_coframes = [exterior_derivative(tf, points) for tf in product.coframing]
+        g, f = product.metric.evaluate(points), product.f.evaluate(points)
+        return g, f, frames, coframes, d_coframes, median.evaluate(points)
+
+    for _, (g, f, frames, coframes, d_coframes, med) in evaluate_batches(samples, product.chart.dim, fields):
         cubed.add(f @ f @ f + f)
-        skew.add(f.T @ g + g @ f)
-        xi_vals = [tf.evaluate(point) for tf in product.framing]
-        eta_vals = [tf.evaluate(point) for tf in product.coframing]
-        for xi in xi_vals:
-            kernel_span.add(f @ xi)
-        framing.add(np.array([[xi_a @ g @ xi_b for xi_b in xi_vals] for xi_a in xi_vals]) - np.eye(k))
-        dual.add(np.array([[eta_a @ xi_b for xi_b in xi_vals] for eta_a in eta_vals]) - np.eye(k))
-        med = median.evaluate(point)
-        unit_median.add(float(med @ g @ med) - 1.0)
-        for coframe in product.coframing:
-            closed.add(exterior_derivative(coframe, point))
-        rank = numeric_rank(f)
-        worst_rank = rank if rank != 2 * k else worst_rank
-        rank_ok = rank_ok and rank == 2 * k
+        skew.add(np.swapaxes(f, 1, 2) @ g + g @ f)
+        kernel_span.add(f @ frames)
+        framing.add(np.swapaxes(frames, 1, 2) @ g @ frames - identity)
+        dual.add(coframes @ frames - identity)
+        unit_median.add(np.einsum("pi,pij,pj->p", med, g, med) - 1.0)
+        for d_coframe in d_coframes:
+            closed.add(d_coframe)
+        ranks.extend(numeric_rank(f).tolist())
+    wrong = [rank for rank in ranks if rank != 2 * k]
+    worst_rank = wrong[-1] if wrong else 2 * k
     checks = (
         cubed.result(),
         skew.result(),
         kernel_span.result(),
-        CheckResult("kernel_rank", float(abs(worst_rank - 2 * k)), 0.0, rank_ok,
+        CheckResult("kernel_rank", float(abs(worst_rank - 2 * k)), 0.0, not wrong,
                     note=f"rank {worst_rank}, expected {2 * k} (kernel dimension {k})"),
         framing.result(),
         dual.result(),
@@ -317,38 +323,41 @@ def verify_lift_laws(
     dim = product.chart.dim
     median = product.median()
     normals = product.normal_frame()
-    columns = [column_field(product.f, j) for j in range(dim)]
+    blocks = [list(block) for block in product.blocks]
+    block_of = np.empty(dim, dtype=int)
+    for i, block in enumerate(blocks):
+        block_of[block] = i
+    cross = block_of[:, None] != block_of[None, :]  # index pairs (i, j) from different blocks
+    upper = np.triu_indices(dim, 1)  # the column pairs a < b
     lift = Residual("lifted_covariant_derivative", tol)
     cross_conn = Residual("cross_block_connection", tol * 0.1)
     cross_curv = Residual("cross_block_curvature", tol * 0.1)
     invol = Residual("image_median_involutive", tol)
-    for sample in samples:
-        point = sample.array()
-        curvature = riemann(product.metric, point)
-        gamma_bar, riem_bar = curvature.gamma, curvature.riem
-        for i, cell in enumerate(product.cells):
-            block = list(product.blocks[i])
-            cell_gamma = christoffel(cell.metric, product.project_point(point, i)).gamma
-            expected = np.zeros((dim, 3, 3))
-            expected[block] = cell_gamma
-            lift.add(gamma_bar[:, block, :][:, :, block] - expected)
-            for j in range(len(product.cells)):
-                if j == i:
-                    continue
-                other = list(product.blocks[j])
-                cross_conn.add(gamma_bar[:, block, :][:, :, other])
-                cross_curv.add(riem_bar[:, block, :, :][:, :, other, :])
-        g = product.metric.evaluate(point)
-        normal_vals = [tf.evaluate(point) for tf in normals]
 
-        def add_normal_part(bracket: np.ndarray) -> None:
-            for u in normal_vals:
-                invol.add(float(bracket @ g @ u))
+    def connections(points):
+        curvature = riemann(product.metric, points)
+        cell_gammas = [christoffel(cell.metric, points[:, block]).gamma for cell, block in zip(product.cells, blocks)]
+        return curvature.gamma, curvature.riem, cell_gammas
 
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                add_normal_part(lie_bracket(columns[a], columns[b], point))
-            add_normal_part(lie_bracket(columns[a], median, point))
+    for batch, (gamma_bar, riem_bar, cell_gammas) in evaluate_batches(samples, dim, connections, curvature=True):
+        for block, cell_gamma in zip(blocks, cell_gammas):
+            expected = np.zeros((len(batch), dim, 3, 3))
+            expected[:, block] = cell_gamma
+            lift.add(gamma_bar[:, :, block][:, :, :, block] - expected)
+        cross_conn.add(gamma_bar[:, :, cross])
+        cross_curv.add(riem_bar[:, :, cross])
+
+    def normal_parts(points):
+        """``g([X, Y], u)`` for every normal field u, over the brackets of the
+        affinor-image fields and of those with the median."""
+        g_normal = product.metric.evaluate(points) @ np.stack([tf.evaluate(points) for tf in normals], axis=-1)
+        images = lie_bracket(product.f, product.f, points)[:, :, upper[0], upper[1]]
+        with_median = lie_bracket(product.f, median, points)
+        return [np.swapaxes(brackets, 1, 2) @ g_normal for brackets in (images, with_median)]
+
+    for _, parts in evaluate_batches(samples, dim, normal_parts):
+        for part in parts:
+            invol.add(part)
     checks = (lift.result(), cross_conn.result(), cross_curv.result(), invol.result())
     return ValidationReport(f"lift laws of {len(product.cells)}-cell product", len(samples), checks)
 
@@ -496,61 +505,70 @@ def extrinsic_report(
     """Second fundamental form, normal connection and curvature restriction
     of ``sewn`` (the diagonal of ``product``) at samples of its chart."""
     k = product.cell_count
-    dim_n = sewn.chart.dim
     e_mat = embedding_matrix(product, sewn)
     median = product.median()
     normals = product.normal_frame()
+    upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
+    identity = np.eye(k - 1)
 
-    out_samples: list[ExtrinsicSample] = []
+    second_forms: list[np.ndarray] = []
     frame = Residual("normal_frame_orthonormal", tol)
     perp = Residual("normal_frame_perpendicular", tol)
     dperp = Residual("normal_connection_flat", tol)
     weinxi = Residual("weingarten_kills_xi", tol)
     tangency = Residual("curvature_xi_tangent", tol)
     match = Residual("curvature_restriction_match", tol)
-    for sample in samples:
-        p = sample.array()
-        q = e_mat @ p
-        curvature = riemann(product.metric, q)
-        gamma_bar, riem_bar = curvature.gamma, curvature.riem
-        g = product.metric.evaluate(q)
-        xi_bar = median.evaluate(q)
-        normal_data = [tf.evaluate_with_grads(q) for tf in normals]
-        normal_matrix = np.stack([vals for vals, _ in normal_data], axis=1)  # [j, alpha] = alpha-th normal field
-        perp.add(e_mat.T @ g @ normal_matrix)
-        frame.add(normal_matrix.T @ g @ normal_matrix - np.eye(k - 1))
 
-        def nabla_along(v: np.ndarray, w_vals: np.ndarray, w_grads: np.ndarray) -> np.ndarray:
-            return np.einsum("a,ja->j", v, w_grads) + np.einsum("a,jam,m->j", v, gamma_bar, w_vals)
+    def fields(points):
+        q = points @ e_mat.T
+        normal_jets = [tf.evaluate_with_grads(q) for tf in normals]
+        return (
+            riemann(product.metric, q),
+            product.metric.evaluate(q),
+            median.evaluate(q),
+            np.stack([vals for vals, _ in normal_jets], axis=-1),    # [p, j, alpha]: the alpha-th normal field
+            np.stack([grads for _, grads in normal_jets], axis=1),   # [p, alpha, j, a] = d_a u_alpha^j
+            riemann(sewn.metric, points).riem,
+            sewn.xi.evaluate(points),
+        )
+
+    for _, (curvature, g, xi_bar, normal, normal_grads, riem_n, xi_n) in evaluate_batches(
+        samples, product.chart.dim, fields, curvature=True
+    ):
+        gamma_bar, riem_bar = curvature.gamma, curvature.riem
+        g_normal = g @ normal                   # [p, j, alpha] = g(e_j, u_alpha)
+        normal_t = np.swapaxes(g_normal, 1, 2)  # [p, alpha, j]
+        perp.add(e_mat.T @ g_normal)
+        frame.add(np.swapaxes(normal, 1, 2) @ g_normal - identity)
 
         def split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Tangential and normal parts of a vector ``v[j]`` or of vectors ``v[j, p]``."""
-            normal = normal_matrix @ (normal_matrix.T @ g @ v)
-            return v - normal, normal
+            """Tangential and normal parts of the vectors ``v[p, j, c]``."""
+            normal_part = normal @ (normal_t @ v)
+            return v - normal_part, normal_part
 
-        # second[a, b, alpha] = g(Gamma(E_a, E_b), u_alpha), the normal part of nabla_{E_a} E_b
-        second = np.einsum("ia,mb,jim,jl,lc->abc", e_mat, e_mat, gamma_bar, g, normal_matrix, optimize=True)
-        for u_vals, u_grads in normal_data:
-            # [j, b] = (nabla_{E_b} u)^j, whose normal components the flat normal connection kills
-            along_frame = u_grads @ e_mat + np.einsum("jam,ab,m->jb", gamma_bar, e_mat, u_vals, optimize=True)
-            dperp.add(normal_matrix.T @ g @ along_frame)
-            tangential, _ = split(nabla_along(xi_bar, u_vals, u_grads))
-            weinxi.add(tangential)
+        # second[p, a, b, alpha] = g(Gamma(E_a, E_b), u_alpha), the normal part of nabla_{E_a} E_b
+        second_forms.extend(np.einsum("ia,mb,pjim,pjc->pabc", e_mat, e_mat, gamma_bar, g_normal, optimize=True))
+        # [p, alpha, j, b] = (nabla_{E_b} u_alpha)^j, whose normal components the flat normal connection kills
+        along_frame = normal_grads @ e_mat + np.einsum("pjam,ab,pmc->pcjb", gamma_bar, e_mat, normal, optimize=True)
+        dperp.add(normal_t[:, None] @ along_frame)
+        # [p, j, alpha] = (nabla_xi-bar u_alpha)^j, whose tangential part the Weingarten operators kill
+        along_xi = (
+            np.einsum("pa,pcja->pjc", xi_bar, normal_grads)
+            + np.einsum("pa,pjam,pmc->pjc", xi_bar, gamma_bar, normal, optimize=True)
+        )
+        weinxi.add(split(along_xi)[0])
 
-        riem_n = riemann(sewn.metric, p).riem
-        xi_n = sewn.xi.evaluate(p)
-        upper = np.triu_indices(dim_n, 1)  # the pairs a < b
-        # ambient[l, a, b] = R-bar(E_a, E_b) xi-bar, split along the normal frame
-        ambient = np.einsum("lijm,ia,jb,m->lab", riem_bar, e_mat, e_mat, xi_bar, optimize=True)[:, upper[0], upper[1]]
-        tangential, normal = split(ambient)
-        tangency.add(normal)
-        intrinsic = np.einsum("labm,m->lab", riem_n, xi_n)[:, upper[0], upper[1]]
+        # ambient[p, l, pair] = R-bar(E_a, E_b) xi-bar for the pairs a < b, split along the normal frame
+        ambient = np.einsum("plijm,ia,jb,pm->plab", riem_bar, e_mat, e_mat, xi_bar, optimize=True)
+        ambient = ambient[:, :, upper[0], upper[1]]
+        tangential, normal_part = split(ambient)
+        tangency.add(normal_part)
+        intrinsic = np.einsum("plabm,pm->plab", riem_n, xi_n)[:, :, upper[0], upper[1]]
         match.add(tangential - e_mat @ intrinsic)
 
-        out_samples.append(ExtrinsicSample(point=sample, second_fundamental=second))
-
     checks = tuple(r.result() for r in (frame, perp, dperp, weinxi, tangency, match))
-    return ExtrinsicReport(sewn.name, len(samples), checks, samples=tuple(out_samples))
+    out_samples = tuple(ExtrinsicSample(sample, second) for sample, second in zip(samples, second_forms))
+    return ExtrinsicReport(sewn.name, len(samples), checks, samples=out_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +643,10 @@ def verify_sewing_theorems(
     e_mat = embedding_matrix(product, sewn)
     copies = all(_same_definition(cell, cells[0]) for cell in cells[1:])
 
-    cell_points = [
-        [product.project_point(e_mat @ s.array(), i) for s in samples] for i in range(k)
-    ]
+    product_points = np.array([s.coords for s in samples]) @ e_mat.T
     cell_samples = [
-        [PointSample(tuple(float(v) for v in p), s.seed, s.draw) for p, s in zip(pts, samples)]
-        for pts in cell_points
+        [PointSample(tuple(p), s.seed, s.draw) for p, s in zip(product_points[:, list(block)].tolist(), samples)]
+        for block in product.blocks
     ]
 
     def classified(struct: ContactStructure, points: Sequence[PointSample]) -> Classification:
@@ -672,26 +688,31 @@ def verify_sewing_theorems(
         mu = Residual("mu_transfer", tol, note=f"mu -> mu/sqrt({k}), raw convention")
         muprime = Residual("muprime_transfer", tol, note=f"mu' -> mu'/sqrt({k}), raw convention")
         laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS)
-        for j, s in enumerate(samples):
-            p = s.array()
-            sewn_fit = fit_nullity(sewn, p, RAW)
+        sewn_fits: list[NullityFit] = []
+
+        def fits_and_values(points):
+            return fit_nullity(sewn, points, RAW), sewn.values_at(points)
+
+        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values, curvature=True):
+            sewn_fits.extend(fits)
+            _add_operator_laws(laws, g, phi, xi, fits)
+        cell_fits = [nullity_fits(cell, points, RAW) for cell, points in zip(cells, cell_samples)]
+        for s, sewn_fit, *row in zip(samples, sewn_fits, *cell_fits):
             fit_residuals.add(sewn_fit.residual)
-            cell_fits = [fit_nullity(cells[i], cell_points[i][j], RAW) for i in range(k)]
-            for cf in cell_fits:
+            for cf in row:
                 fit_residuals.add(cf.residual)
                 kappa.add(sewn_fit.kappa - cf.kappa / k)
                 if cf.determinate_mu and sewn_fit.determinate_mu:
                     mu.add(sewn_fit.mu - cf.mu / sqrt_k)
                     muprime.add(sewn_fit.muprime - cf.muprime / sqrt_k)
-            nullity_rows.append(NullityTransferRow(s, sewn_fit, cell_fits[0]))
-            _add_operator_laws(laws, sewn, p, sewn_fit)
+            nullity_rows.append(NullityTransferRow(s, sewn_fit, row[0]))
         generalized = check_generalized(sewn, samples, [row.sewn for row in nullity_rows], tol)
         checks.extend(r.result() for r in (fit_residuals, kappa, mu, muprime))
         checks.append(Residual("eta_aligned", tol).add(generalized.group_spread_max).result())
         checks.extend(r.result() for r in laws)
         if cell_class.kind == ALMOST_ALPHA_KENMOTSU and sewn_class.kind == ALMOST_ALPHA_KENMOTSU:
             comparison = _compare_conventions(
-                cells[0], sewn, cell_points[0], nullity_rows, cell_class.alpha, sewn_class.alpha, k, tol,
+                cells[0], sewn, cell_samples[0], nullity_rows, cell_class.alpha, sewn_class.alpha, k, tol,
             )
     return TheoremReport(
         subject=sewn.name,
@@ -715,18 +736,26 @@ _OPERATOR_LAWS = (
 )
 
 
-def _add_operator_laws(laws, struct: ContactStructure, point, fit: NullityFit) -> None:
-    """Fold one sample into the residuals named by ``_OPERATOR_LAWS``.
+def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: Sequence[NullityFit]) -> None:
+    """Fold a batch of samples into the residuals named by ``_OPERATOR_LAWS``,
+    from the stacked values of g, phi and xi there and the fits in row order.
 
     The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
     """
     symmetric, p_phi, h_phi, p_h, kills_xi = laws
-    g, phi, xi, _ = struct.values_at(point)
-    p_op = -fit.kappa * (phi @ phi)
-    h_ops = (fit.mu * fit.h, fit.muprime * fit.hprime)
+
+    def coefficients(name: str) -> np.ndarray:
+        return np.array([getattr(fit, name) for fit in fits])[:, None, None]
+
+    p_op = -coefficients("kappa") * (phi @ phi)
+    h_ops = (
+        coefficients("mu") * np.stack([fit.h for fit in fits]),
+        coefficients("muprime") * np.stack([fit.hprime for fit in fits]),
+    )
     for op in (p_op,) + h_ops:
-        symmetric.add(g @ op - (g @ op).T)
-        kills_xi.add(op @ xi)
+        g_op = g @ op
+        symmetric.add(g_op - np.swapaxes(g_op, 1, 2))
+        kills_xi.add(op @ xi[:, :, None])
     p_phi.add(p_op @ phi - phi @ p_op)
     for h_op in h_ops:
         h_phi.add(h_op @ phi + phi @ h_op)
@@ -743,12 +772,13 @@ def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:
     )
 
 
-def _compare_conventions(cell, sewn, cell_points, rows, alpha_cell, alpha_sewn, k, tol):
-    """Means of the raw fits in ``rows`` against new fits in the normalized convention."""
+def _compare_conventions(cell, sewn, cell_samples, rows, alpha_cell, alpha_sewn, k, tol):
+    """Means of the raw fits in ``rows`` against new fits in the normalized
+    convention, at the same sewn samples and their ``cell_samples``."""
     cell_raw = _mean_fit([row.cell for row in rows])
-    cell_norm = _mean_fit([fit_nullity(cell, p, kenmotsu_convention(alpha_cell)) for p in cell_points])
+    cell_norm = _mean_fit(nullity_fits(cell, cell_samples, kenmotsu_convention(alpha_cell)))
     sewn_raw = _mean_fit([row.sewn for row in rows])
-    sewn_norm = _mean_fit([fit_nullity(sewn, row.point.array(), kenmotsu_convention(alpha_sewn)) for row in rows])
+    sewn_norm = _mean_fit(nullity_fits(sewn, [row.point for row in rows], kenmotsu_convention(alpha_sewn)))
     # the ratio is meaningless when the cells have mu' = 0 in the first place
     if abs(cell_raw[2]) <= 1e-8 or abs(cell_norm[2]) <= 1e-8:
         ratio_raw = ratio_norm = math.nan

@@ -15,7 +15,6 @@ from sewcells.charts import (
     SamplingError,
     TensorField,
     batch_size,
-    column_field,
     evaluate_batches,
     sample_points,
     sample_points_grouped,
@@ -195,11 +194,6 @@ class TestTensorField:
         with pytest.raises(Exception):
             TensorField.build(chart, 1, 0, ["z", "0"])
 
-    def test_column_field(self, model_cell):
-        col = column_field(model_cell.phi, 1)
-        point = np.array([0.2, 0.0, 0.0])
-        assert np.array_equal(col.evaluate(point), model_cell.phi.evaluate(point)[:, 1])
-
     def test_point_sample_array(self):
         s = PointSample((1.0, 2.0), seed=3, draw=4)
         assert np.array_equal(s.array(), [1.0, 2.0])
@@ -227,6 +221,15 @@ class TestStacks:
         size = batch_size(dim)
         assert size >= 1
         assert size == 1 or size * 8 * dim**3 <= BATCH_BYTES
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 6, 7, 9, 12, 13, 18, 40])
+    def test_curvature_batch_stays_within_budget(self, dim):
+        # one (n, n, n, n) array per sample, as many samples as the budget allows
+        size = batch_size(dim, curvature=True)
+        assert size >= 1
+        assert size == 1 or size * 8 * dim**4 <= BATCH_BYTES
+        assert (size + 1) * 8 * dim**4 > BATCH_BYTES
+        assert size <= batch_size(dim)
 
     def test_batches_name_the_first_failing_sample(self):
         dim = 13

@@ -1,0 +1,178 @@
+"""The curvature and bracket layers over sample stacks.
+
+A stack (P, n) must give what its rows give one at a time: to 1e-13 relative,
+or 1e-15 absolute where the row value is below 1e-10 (the batched matrix
+products may sum in another order than the single-point ones).  The matrix
+kernel of ``riemann`` is checked against a plain ``einsum`` reference written
+here, and the column family of ``lie_bracket`` against brackets of (1,0)
+column fields built here.  Finally ``sew`` keeps its memory within the
+curvature budget.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sewcells import cli
+from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
+from sewcells.charts import BATCH_BYTES, TensorField, sample_points
+from sewcells.geometry import h_tensor, lie_bracket, riemann
+from sewcells.manifold_io import load_manifold, save_manifold
+from sewcells.nullity import RAW, fit_nullity, kenmotsu_convention
+from sewcells.sewing import build_product, sew
+
+REL = 1e-13
+ABS = 1e-15
+FLOOR = 1e-10
+
+
+def assert_rows_match(stacked, rows):
+    stacked, rows = np.asarray(stacked, dtype=float), np.asarray(rows, dtype=float)
+    assert stacked.shape == rows.shape
+    gap = np.abs(stacked - rows)
+    large = np.abs(rows) >= FLOOR
+    assert np.all(gap[large] <= REL * np.abs(rows[large])), float(np.max(gap[large] / np.abs(rows[large])))
+    assert np.all(gap[~large] <= ABS), float(np.max(gap[~large], initial=0.0))
+
+
+@pytest.fixture(scope="module")
+def structures(tmp_path_factory):
+    """Every catalog cell, and a sewn k = 3 definition read back from its file."""
+    path = tmp_path_factory.mktemp("stacks") / "sewn.json"
+    save_manifold(sew([standard_cells()[-1]] * 3), path)
+    return (*standard_cells(), load_manifold(path))
+
+
+def _points(struct, count=6, seed=4):
+    return np.array([s.coords for s in sample_points(struct.chart, count, seed)])
+
+
+class TestStackEqualsRows:
+    def test_h_tensor(self, structures):
+        for struct in structures:
+            points = _points(struct)
+            stacked = h_tensor(struct, points, alpha=1.5)
+            rows = [h_tensor(struct, p, alpha=1.5) for p in points]
+            for name in ("h", "hprime", "kenmotsu_hprime"):
+                assert_rows_match(getattr(stacked, name), [getattr(r, name) for r in rows])
+
+    def test_riemann(self, structures):
+        for struct in structures:
+            points = _points(struct)
+            stacked = riemann(struct.metric, points)
+            rows = [riemann(struct.metric, p) for p in points]
+            assert_rows_match(stacked.riem, [r.riem for r in rows])
+            assert_rows_match(stacked.gamma, [r.gamma for r in rows])
+
+    @pytest.mark.parametrize("convention", [RAW, kenmotsu_convention(1.5)], ids=["raw", "kenmotsu"])
+    def test_fit_nullity(self, structures, convention):
+        for struct in structures:
+            points = _points(struct)
+            stacked = fit_nullity(struct, points, convention)
+            rows = [fit_nullity(struct, p, convention) for p in points]
+            assert len(stacked) == len(rows)
+            for name in ("kappa", "mu", "muprime", "residual", "h_norm"):
+                assert_rows_match([getattr(f, name) for f in stacked], [getattr(f, name) for f in rows])
+            assert [f.determinate_mu for f in stacked] == [f.determinate_mu for f in rows]
+            assert all(f.convention == convention for f in stacked)
+
+    def test_lie_bracket(self, structures):
+        for struct in structures:
+            points = _points(struct)
+            for v, w in ((struct.phi, struct.phi), (struct.phi, struct.xi), (struct.xi, struct.phi),
+                         (struct.xi, struct.xi)):
+                assert_rows_match(lie_bracket(v, w, points), [lie_bracket(v, w, p) for p in points])
+
+
+def _riemann_reference(metric, point):
+    """R^l_ijk at one point with plain einsum contractions, from the metric jets."""
+    g, dg, ddg = metric.evaluate_with_jets(point)  # dg[i, j, l] = d_l g_ij, ddg[i, j, l, m] = d_l d_m g_ij
+    ginv = np.linalg.inv(g)
+    t = np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg) - np.einsum("ijl->lij", dg)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
+    dt = np.einsum("jlim->mlij", ddg) + np.einsum("iljm->mlij", ddg) - np.einsum("ijlm->mlij", ddg)
+    dginv = -np.einsum("ka,abm,bl->mkl", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, t) + np.einsum("kl,mlij->mkij", ginv, dt))
+    return (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
+
+
+def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell):
+    product = build_product([model_cell, halfspace_cell])
+    for metric, chart in [(s.metric, s.chart) for s in structures] + [(product.metric, product.chart)]:
+        points = np.array([s.coords for s in sample_points(chart, 4, 9)])
+        stacked = riemann(metric, points).riem
+        for row, point in zip(stacked, points):
+            reference = _riemann_reference(metric, point)
+            # both sum O(n) products of entries of at most the reference's magnitude
+            np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(reference).max()))
+
+
+def _column(affinor: TensorField, a: int) -> TensorField:
+    """The (1,0) field ``affinor(e_a)``."""
+    return TensorField(affinor.chart, 1, 0, tuple(row[a] for row in affinor.components))
+
+
+def test_bracket_of_affinor_columns(structures, model_cell, kenmotsu_cell):
+    product = build_product([model_cell, kenmotsu_cell])
+    median = product.median()
+    for f, w in [(s.phi, s.xi) for s in structures] + [(product.f, median)]:
+        n = f.chart.dim
+        points = np.array([s.coords for s in sample_points(f.chart, 3, 5)])
+        pairs = lie_bracket(f, f, points)
+        with_w = lie_bracket(f, w, points)
+        assert pairs.shape == (3, n, n, n) and with_w.shape == (3, n, n)
+        columns = [_column(f, a) for a in range(n)]
+        for p, point in enumerate(points):
+            for a in range(n):
+                assert_rows_match(with_w[p, :, a], lie_bracket(columns[a], w, point))
+                for b in range(n):
+                    assert_rows_match(pairs[p, :, a, b], lie_bracket(columns[a], columns[b], point))
+
+
+class TestSewMemory:
+    @pytest.fixture
+    def cell_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_manifold(model_cosymplectic_cell(1.0), "model.json")
+        save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
+
+    def test_every_curvature_batch_fits_the_budget(self, cell_files, monkeypatch):
+        # every Hessian stack is one (n, n, n, n) array per sample
+        original = TensorField.evaluate_with_jets
+        stacks = []
+
+        def spy(field, point, hessians=True):
+            if hessians:
+                stacks.append(np.shape(point))
+            return original(field, point, hessians)
+
+        monkeypatch.setattr(TensorField, "evaluate_with_jets", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "out.json"]) == cli.EXIT_PASS
+        dims = {shape[-1] for shape in stacks}
+        assert {3, 9, 12} <= dims  # the cells, the sewn manifold and the product
+        for shape in stacks:
+            count = shape[0] if len(shape) == 2 else 1
+            assert count == 1 or count * 8 * shape[-1] ** 4 <= BATCH_BYTES, shape
+
+    @pytest.mark.parametrize("cell, copies, limit", [("warped", 4, 1.38e6), ("model", 6, 5.10e6)])
+    def test_peak_stays_below_the_point_by_point_stages(self, cell_files, cell, copies, limit):
+        # the limits are the tracemalloc peaks of the stages when they ran point by point
+        argv = ["sew", f"{cell}.json", "--copies", str(copies), "--out", "out.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)  # warm: the peak below is the command's own, not the first import's
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == cli.EXIT_PASS
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= limit

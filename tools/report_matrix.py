@@ -1,0 +1,226 @@
+"""Run a fixed matrix of sewcells commands under two source trees and compare
+the JSON reports they write.
+
+    python3 tools/report_matrix.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
+``src`` directory of a checkout).  The matrix is ``verify`` and ``nullity`` on
+every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
+halfspace cell, ``sew --copies 2,3,4,6`` on every cell, and ``nullity`` on the
+sewn k = 2 outputs.  Each tree writes its own cell files with its own
+``catalog`` command and runs every command as a fresh process in its own
+scratch directory, with the same relative paths, so the paths in the reports
+do not depend on where the trees live.  NEW_SRC runs the matrix twice.
+
+Printed: every command whose exit code, check names, verdicts (``passed``),
+classification kinds or report structure differ; the worst relative
+difference of numeric fields whose magnitude is at least 1e-10 and the worst
+absolute difference of the others; the numeric fields that moved at all,
+with checks named by their check name; the text fields that differ (the
+version, notes); how many reports changed bytes; and whether the two NEW_SRC
+runs wrote byte-identical reports and sewn files.  Exit status 0 when nothing
+structural differs, both numeric gaps are within 1e-12 and the repeat is
+byte-identical; 1 otherwise; 2 on a bad argument.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REL_TOL = 1e-12
+ABS_TOL = 1e-12
+MAGNITUDE_FLOOR = 1e-10  # numbers below this are roundoff-level residuals, compared absolutely
+
+CELLS = {
+    "flat": ("flat_cosymplectic",),
+    "model": ("model_cosymplectic", "--param", "lam=0.8"),
+    "warped": ("kenmotsu_warped", "--param", "alpha=1.2", "--param", "kappa0=-3", "--param", "c=1.5",
+               "--param", "cprime=0.7"),
+    "halfspace": ("halfspace_kenmotsu",),
+}
+KENMOTSU_CELLS = ("warped", "halfspace")
+COPIES = (2, 3, 4, 6)
+
+
+def matrix() -> list[tuple[str, list[str]]]:
+    """(report name, argv) for every command, in run order; every argv writes
+    ``reports/<name>.json``."""
+    commands = []
+    for cell in CELLS:
+        commands.append((f"verify-{cell}", ["verify", f"cells/{cell}.json"]))
+        commands.append((f"nullity-{cell}", ["nullity", f"cells/{cell}.json"]))
+        if cell in KENMOTSU_CELLS:
+            commands.append((f"nullity-kenmotsu-{cell}", ["nullity", f"cells/{cell}.json", "--convention", "kenmotsu"]))
+        for k in COPIES:
+            commands.append((f"sew-{cell}-k{k}", ["sew", f"cells/{cell}.json", "--copies", str(k),
+                                                   "--out", f"sewn/{cell}-k{k}.json"]))
+    for cell in CELLS:
+        commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
+    return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
+
+
+def run_tree(src: Path, work: Path) -> dict[str, int]:
+    """Write the cells and run the matrix under ``src`` in ``work``; return the
+    exit code of every command."""
+    for sub in ("cells", "sewn", "reports"):
+        (work / sub).mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+
+    def run(argv: list[str]) -> int:
+        done = subprocess.run([sys.executable, "-m", "sewcells.cli", *argv], cwd=work, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if "Traceback" in done.stderr:
+            print(f"  traceback from {' '.join(argv)}:\n{done.stderr}", file=sys.stderr)
+        return done.returncode
+
+    for cell, args in CELLS.items():
+        status = run(["catalog", *args, "--out", f"cells/{cell}.json"])
+        if status != 0:
+            raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
+    return {name: run(argv) for name, argv in matrix()}
+
+
+class Comparison:
+    """Differences between two reports, walked in parallel."""
+
+    def __init__(self) -> None:
+        self.structural: list[str] = []   # check names, verdicts, kinds, keys, lengths, types
+        self.text: dict[str, list[str]] = {}  # field without command and list index -> differences
+        self.worst_rel = (0.0, "")
+        self.worst_abs = (0.0, "")
+        self.moved: set[str] = set()       # numeric fields that differ, without command and list index
+
+    def walk(self, old, new, where: str) -> None:
+        if isinstance(old, dict) and isinstance(new, dict):
+            if old.keys() != new.keys():
+                self.structural.append(f"{where}: keys {sorted(old.keys() ^ new.keys())} differ")
+            for key in sorted(old.keys() & new.keys()):
+                self.walk(old[key], new[key], f"{where}.{key}")
+        elif isinstance(old, list) and isinstance(new, list):
+            if len(old) != len(new):
+                self.structural.append(f"{where}: length {len(old)} -> {len(new)}")
+            for i, (a, b) in enumerate(zip(old, new)):
+                # a check is labelled by its name, so that moved residuals read as check names
+                named = isinstance(a, dict) and isinstance(b, dict) and {"name", "residual"} <= a.keys() \
+                    and a["name"] == b.get("name")
+                self.walk(a, b, f"{where}[{a['name'] if named else i}]")
+        elif isinstance(old, bool) or isinstance(new, bool) or old is None or new is None:
+            if old != new:
+                self.structural.append(f"{where}: {old!r} -> {new!r}")
+        elif isinstance(old, (int, float)) and isinstance(new, (int, float)):
+            self._number(float(old), float(new), where)
+        elif isinstance(old, str) and isinstance(new, str):
+            if old != new:
+                label = f"{where}: {old!r} -> {new!r}"
+                # check names and classification kinds are verdicts, notes and versions are text
+                if where.rsplit(".", 1)[-1] in ("name", "kind", "reproduces_inverse_k"):
+                    self.structural.append(label)
+                else:
+                    self.text.setdefault(_field(where), []).append(label)
+        elif old != new:
+            self.structural.append(f"{where}: {old!r} -> {new!r}")
+
+    def _number(self, old: float, new: float, where: str) -> None:
+        if math.isnan(old) or math.isnan(new) or math.isinf(old) or math.isinf(new):
+            if not (old == new or (math.isnan(old) and math.isnan(new))):
+                self.structural.append(f"{where}: {old!r} -> {new!r}")
+            return
+        if old != new:
+            self.moved.add(_field(where))
+        scale = max(abs(old), abs(new))
+        if scale >= MAGNITUDE_FLOOR:
+            rel = abs(old - new) / scale
+            if rel > self.worst_rel[0]:
+                self.worst_rel = (rel, f"{where}: {old!r} -> {new!r}")
+        else:
+            gap = abs(old - new)
+            if gap > self.worst_abs[0]:
+                self.worst_abs = (gap, f"{where}: {old!r} -> {new!r}")
+
+
+def _field(where: str) -> str:
+    """A report path without its command name and list indices."""
+    return re.sub(r"\[\d+\]", "[]", where.split(".", 1)[1])
+
+
+def _load(path: Path):
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
+def _changed_files(first: Path, second: Path) -> list[str]:
+    """Files under ``first`` whose bytes differ from, or are missing in, ``second``."""
+    changed = []
+    for path in sorted(first.rglob("*")):
+        if path.is_file():
+            twin = second / path.relative_to(first)
+            if not twin.is_file() or twin.read_bytes() != path.read_bytes():
+                changed.append(str(path.relative_to(first)))
+    return changed
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all((Path(a) / "sewcells" / "__init__.py").is_file() for a in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("each argument must be a directory holding the sewcells package", file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a) for a in argv)
+    with tempfile.TemporaryDirectory(prefix="report_matrix_") as scratch:
+        root = Path(scratch)
+        statuses = {}
+        for label, src in (("old", old_src), ("new", new_src), ("repeat", new_src)):
+            print(f"running the matrix under {src} ({label})", file=sys.stderr)
+            statuses[label] = run_tree(src, root / label)
+
+        comparison = Comparison()
+        exit_diffs = changed = 0
+        for name, _ in matrix():
+            old_status, new_status = statuses["old"][name], statuses["new"][name]
+            if old_status != new_status:
+                exit_diffs += 1
+                print(f"{name}: exit {old_status} -> {new_status}")
+            old_path, new_path = (root / label / "reports" / f"{name}.json" for label in ("old", "new"))
+            old_report, new_report = _load(old_path), _load(new_path)
+            if (old_report is None) != (new_report is None):
+                comparison.structural.append(f"{name}: report written by one tree only")
+            elif old_report is not None:
+                changed += old_path.read_bytes() != new_path.read_bytes()
+                before = len(comparison.structural)
+                comparison.walk(old_report, new_report, name)
+                for line in comparison.structural[before:]:
+                    print(line)
+        repeat_changed = _changed_files(root / "new", root / "repeat")
+
+    total = len(matrix())
+    print(f"commands: {total}; exit codes differ: {exit_diffs}; "
+          f"check names, verdicts, kinds or structure differ: {len(comparison.structural)}")
+    print(f"worst relative difference (|x| >= {MAGNITUDE_FLOOR:g}): {comparison.worst_rel[0]:.3g}"
+          + (f"  at {comparison.worst_rel[1]}" if comparison.worst_rel[1] else ""))
+    print(f"worst absolute difference (|x| < {MAGNITUDE_FLOOR:g}): {comparison.worst_abs[0]:.3g}"
+          + (f"  at {comparison.worst_abs[1]}" if comparison.worst_abs[1] else ""))
+    print(f"numeric fields that differ: {len(comparison.moved)}")
+    for field in sorted(comparison.moved):
+        print(f"  {field}")
+    print(f"text fields that differ: {len(comparison.text)}")
+    for field, labels in sorted(comparison.text.items()):
+        print(f"  {field}: {len(labels)} times, e.g. {labels[0]}")
+    print(f"reports whose bytes changed: {changed} of {total}")
+    print("repeated run byte-identical: " + ("yes" if not repeat_changed else f"no ({', '.join(repeat_changed)})"))
+    ok = (
+        not exit_diffs
+        and not comparison.structural
+        and comparison.worst_rel[0] <= REL_TOL
+        and comparison.worst_abs[0] <= ABS_TOL
+        and not repeat_changed
+    )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
