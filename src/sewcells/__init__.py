@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .catalog import (
     CATALOG,
@@ -48,14 +48,7 @@ from .geometry import (
     riemann,
 )
 from .manifold_io import load_manifold, save_manifold
-from .nullity import (
-    RAW,
-    Convention,
-    NullityFit,
-    check_generalized,
-    fit_nullity,
-    kenmotsu_convention,
-)
+from .nullity import NullityFit, check_generalized, fit_nullity, normalized
 from .sewing import (
     ProductDefinition,
     SewnManifold,

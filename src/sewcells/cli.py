@@ -35,7 +35,7 @@ from .charts import (
 from .expressions import ExpressionError
 from .geometry import affinor_derivatives, classify, normality_tensor
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
-from .nullity import RAW, check_generalized, kenmotsu_convention, nullity_fits
+from .nullity import check_generalized, normalized, nullity_fits
 from .sewing import (
     SewingError,
     build_product,
@@ -133,21 +133,24 @@ def cmd_nullity(args) -> int:
         print("structure axioms fail; nullity fit skipped")
         return _fail_on_axioms(report, args, struct, {"checks": validation.check_dicts()})
 
-    convention = RAW
     classification = classify(struct, samples, affinor_derivatives(struct, samples), args.tol)
-    if args.convention == "kenmotsu":
-        if classification.alpha is None:
-            print("the normalized h' convention needs an almost alpha-Kenmotsu structure")
-            return EXIT_INPUT
-        convention = kenmotsu_convention(classification.alpha)
-    report["parameters"]["convention"] = convention.label()
+    alpha = classification.alpha
+    kenmotsu = args.convention == "kenmotsu"
+    if kenmotsu and alpha is None:
+        print("the normalized h' convention needs an almost alpha-Kenmotsu structure")
+        return EXIT_INPUT
+    label = f"kenmotsu-h'({alpha!r})" if kenmotsu else "raw-h'"
+    report["parameters"]["convention"] = label
 
     t_axis = struct.chart.adapted_index
     rows = []
-    print(f"{struct.name}: per-sample nullity fits ({convention.label()})")
+    print(f"{struct.name}: per-sample nullity fits ({label})")
     header = f"  {'t' if t_axis is not None else 'draw':>12}  {'kappa':>14} {'mu':>14} {'muprime':>14} {'residual':>12}"
     print(header)
-    fits = nullity_fits(struct, samples, convention)
+    fits = nullity_fits(struct, samples)
+    if kenmotsu:
+        # before the constancy checks: the spread of mu' scales by |alpha| too
+        fits = [normalized(fit, alpha) for fit in fits]
     if t_axis is not None:
         gen = check_generalized(struct, samples, fits, args.tol)
         pairs = list(zip(gen.samples, gen.fits))

@@ -53,13 +53,6 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
 # Connection and curvature
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChristoffelAtPoint:
-    """``gamma[..., k, i, j] = Gamma^k_ij``."""
-
-    gamma: np.ndarray
-
-
 def _require_metric(metric: TensorField) -> None:
     if (metric.upper, metric.lower) != (0, 2):
         raise GeometryError("christoffel needs a (0,2) metric field")
@@ -74,10 +67,11 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     return ginv, t, gamma
 
 
-def christoffel(metric: TensorField, point) -> ChristoffelAtPoint:
-    """Gamma at a point or a stack, from first-order jets of the metric."""
+def christoffel(metric: TensorField, point) -> np.ndarray:
+    """``gamma[..., k, i, j] = Gamma^k_ij`` at a point or a stack, from
+    first-order jets of the metric."""
     _require_metric(metric)
-    return ChristoffelAtPoint(_connection(*metric.evaluate_with_grads(point))[2])
+    return _connection(*metric.evaluate_with_grads(point))[2]
 
 
 def christoffel_with_derivative(metric: TensorField, point):
@@ -167,7 +161,7 @@ def _max_abs(a: np.ndarray, trailing: int):
 
 
 def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDerivative:
-    gamma = christoffel(struct.metric, point).gamma
+    gamma = christoffel(struct.metric, point)
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xvals, xgrads = struct.xi.evaluate_with_grads(point)
     # (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
@@ -204,15 +198,13 @@ def affinor_derivatives(struct: ContactStructure, samples) -> AffinorNorms:
 
 @dataclass
 class StructureTensorsAtPoint:
-    """The flow-rate affinor ``h = 1/2 L_xi phi``, its composite ``h' = h phi``,
-    and optionally ``h'/alpha``."""
+    """The flow-rate affinor ``h = 1/2 L_xi phi`` and its composite ``h' = h phi``."""
 
     h: np.ndarray
     hprime: np.ndarray
-    kenmotsu_hprime: np.ndarray | None = None
 
 
-def h_tensor(struct: ContactStructure, point, alpha: float | None = None) -> StructureTensorsAtPoint:
+def h_tensor(struct: ContactStructure, point) -> StructureTensorsAtPoint:
     """Evaluate ``h X = 1/2([xi, phi X] - phi [xi, X])`` on coordinate fields,
     at a point or a stack."""
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
@@ -223,13 +215,7 @@ def h_tensor(struct: ContactStructure, point, alpha: float | None = None) -> Str
         - np.einsum("...mk,...jm->...jk", pvals, xgrads)
         + np.einsum("...mk,...jm->...jk", xgrads, pvals)
     )
-    hprime = h @ pvals
-    kenmotsu = None
-    if alpha is not None:
-        if alpha == 0.0:
-            raise GeometryError("the normalized h' needs a nonzero alpha")
-        kenmotsu = hprime / alpha
-    return StructureTensorsAtPoint(h, hprime, kenmotsu)
+    return StructureTensorsAtPoint(h, h @ pvals)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +401,10 @@ def lie_bracket(v: TensorField, w: TensorField, point) -> np.ndarray:
 
 def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorField, point) -> np.ndarray:
     """``(nabla_V W)^j = V^a (d_a W^j + Gamma^j_am W^m)`` at a point."""
-    ch = christoffel(metric, point)
+    gamma = christoffel(metric, point)
     vvals = v.evaluate(point)
     wvals, wgrads = w.evaluate_with_grads(point)
-    return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, ch.gamma, wvals)
+    return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, gamma, wvals)
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = _RANK_TOL) -> np.ndarray:

@@ -6,9 +6,14 @@ field pairs) onto the three-parameter family
     kappa (eta(Y) X - eta(X) Y) + mu (eta(Y) h X - eta(X) h Y)
         + mu' (eta(Y) h' X - eta(X) h' Y),
 
-with ``h = 1/2 L_xi phi`` and ``h' = h phi`` (or ``h'/alpha`` under the
-normalized convention).  When ``h`` vanishes the mu/mu' directions are
-meaningless, so only kappa is fitted and the pair is flagged undetermined.
+with ``h = 1/2 L_xi phi`` and ``h' = h phi``.  When ``h`` vanishes the mu/mu'
+directions are meaningless, so only kappa is fitted and the pair is flagged
+undetermined.
+
+Every fit is made with the raw ``h'``.  The normalization ``h'/alpha`` of
+almost alpha-Kenmotsu geometry (Dileo & Pastore, J. Geom. 93, 2009) spans the
+same design column divided by alpha, so its fit is the raw one with ``mu'``
+multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 
 ``fit_nullity`` takes one point or a stack of points.  At a stack it builds
 the curvature, ``h`` and the design matrices of every sample at once and runs
@@ -18,7 +23,7 @@ set in curvature batches (see ``charts.evaluate_batches``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,44 +33,14 @@ from .geometry import h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
 
-RAW_HPRIME = "raw"
-KENMOTSU_HPRIME = "kenmotsu"
-
 
 class NullityFitError(RuntimeError):
     """Degenerate normal equations with a non-negligible h."""
 
 
-@dataclass(frozen=True)
-class Convention:
-    """Which normalization of h' enters the fitted decomposition."""
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (RAW_HPRIME, KENMOTSU_HPRIME):
-            raise ValueError(f"unknown convention {self.kind!r}")
-        if self.kind == KENMOTSU_HPRIME and not self.alpha:
-            raise ValueError("the normalized convention needs a nonzero alpha")
-
-    def label(self) -> str:
-        if self.kind == RAW_HPRIME:
-            return "raw-h'"
-        return f"kenmotsu-h'({self.alpha!r})"
-
-
-RAW = Convention(RAW_HPRIME)
-
-
-def kenmotsu_convention(alpha: float) -> Convention:
-    return Convention(KENMOTSU_HPRIME, alpha)
-
-
 @dataclass(frozen=True, eq=False)
 class NullityFit:
-    """The fitted constants at one point, with the ``h`` and ``h'`` they multiply
-    (``h'`` normalized when the convention says so)."""
+    """The fitted constants at one point, with the ``h`` and ``h'`` they multiply."""
 
     kappa: float
     mu: float
@@ -73,38 +48,41 @@ class NullityFit:
     residual: float
     h_norm: float
     determinate_mu: bool
-    convention: Convention
     h: np.ndarray
     hprime: np.ndarray
 
 
-def fit_nullity(struct: ContactStructure, point, convention: Convention = RAW):
+def fit_nullity(struct: ContactStructure, point):
     """Least-squares (kappa, mu, mu'): one ``NullityFit`` at a point (n,), a
     list of them, in row order, at a stack (P, n); see the module docstring."""
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
-        return _fit_stack(struct, point[None], convention)[0]
-    return _fit_stack(struct, point, convention)
+        return _fit_stack(struct, point[None])[0]
+    return _fit_stack(struct, point)
 
 
-def nullity_fits(
-    struct: ContactStructure, samples: Sequence[PointSample], convention: Convention = RAW
-) -> list[NullityFit]:
+def nullity_fits(struct: ContactStructure, samples: Sequence[PointSample]) -> list[NullityFit]:
     """``fit_nullity`` at every sample, in sample order, over curvature batches."""
-    batches = evaluate_batches(
-        samples, struct.dim, lambda points: fit_nullity(struct, points, convention), curvature=True
-    )
+    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), curvature=True)
     return [fit for _, fits in batches for fit in fits]
 
 
-def _fit_stack(struct: ContactStructure, points: np.ndarray, convention: Convention) -> list[NullityFit]:
+def normalized(fit: NullityFit, alpha: float) -> NullityFit:
+    """The fit against ``h'/alpha`` instead of ``h'``: the same least-squares
+    problem with the third column divided by alpha, so ``mu'`` scales by alpha
+    and kappa, mu and the residual stay."""
+    if not alpha:
+        raise ValueError("the normalized h' needs a nonzero alpha")
+    return replace(fit, muprime=alpha * fit.muprime, hprime=fit.hprime / alpha)
+
+
+def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]:
     n = struct.dim
     riem = riemann(struct.metric, points).riem
     xi = struct.xi.evaluate(points)
     eta = struct.eta.evaluate(points)
-    tensors = h_tensor(struct, points, alpha=convention.alpha)
-    h = tensors.h
-    hp = tensors.kenmotsu_hprime if convention.kind == KENMOTSU_HPRIME else tensors.hprime
+    tensors = h_tensor(struct, points)
+    h, hp = tensors.h, tensors.hprime
     h_norms = np.abs(h).max(axis=(-2, -1))
 
     # one row per pair i < j and component l, pair-major: the l-th component of
@@ -122,12 +100,10 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray, convention: Convent
 
     b = flat(np.einsum("plijm,pm->plij", riem, xi)[:, :, i, j])
     design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
-    return [_solve(design[p], b[p], h_norm, convention, h[p], hp[p]) for p, h_norm in enumerate(h_norms.tolist())]
+    return [_solve(design[p], b[p], h_norm, h[p], hp[p]) for p, h_norm in enumerate(h_norms.tolist())]
 
 
-def _solve(
-    a: np.ndarray, b: np.ndarray, h_norm: float, convention: Convention, h: np.ndarray, hp: np.ndarray
-) -> NullityFit:
+def _solve(a: np.ndarray, b: np.ndarray, h_norm: float, h: np.ndarray, hp: np.ndarray) -> NullityFit:
     """The least-squares fit at one sample from its design matrix ``a`` (one
     column per constant) and right-hand side ``b``."""
     if h_norm <= H_DEGENERACY_THRESHOLD:
@@ -135,7 +111,7 @@ def _solve(
         denom = float(a_kappa @ a_kappa)
         kappa = float(a_kappa @ b) / denom if denom > 0.0 else 0.0
         residual = float(np.linalg.norm(b - kappa * a_kappa))
-        return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, convention, h, hp)
+        return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, h, hp)
 
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
@@ -144,7 +120,7 @@ def _solve(
         )
     kappa, mu, muprime = (float(v) for v in solution)
     residual = float(np.linalg.norm(b - a @ solution))
-    return NullityFit(kappa, mu, muprime, residual, h_norm, True, convention, h, hp)
+    return NullityFit(kappa, mu, muprime, residual, h_norm, True, h, hp)
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ def test_criterion_7_oracle_equivalence(cells):
     for cell in cells:
         for sample in sample_points(cell.chart, 20, SEED):
             point = sample.array()
-            diff = christoffel(cell.metric, point).gamma - koszul_fd(cell.metric, point)
+            diff = christoffel(cell.metric, point) - koszul_fd(cell.metric, point)
             worst_gamma = max(worst_gamma, float(np.max(np.abs(diff))))
 
     coords = ("u", "v", "w")

@@ -11,7 +11,7 @@ from sewcells.catalog import (
 )
 from sewcells.charts import sample_points, validate_structure
 from sewcells.geometry import affinor_derivatives, classify
-from sewcells.nullity import fit_nullity, kenmotsu_convention
+from sewcells.nullity import fit_nullity, normalized
 
 
 class TestConstructors:
@@ -50,7 +50,7 @@ class TestKenmotsuWarped:
         cl = classify(kenmotsu_cell, samples, affinor_derivatives(kenmotsu_cell, samples), 1e-9)
         assert cl.kind == "almost_alpha_kenmotsu"
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
-        fit = fit_nullity(kenmotsu_cell, np.array([0.25, 0.5, -0.5]), kenmotsu_convention(1.0))
+        fit = normalized(fit_nullity(kenmotsu_cell, np.array([0.25, 0.5, -0.5])), 1.0)
         assert fit.kappa == pytest.approx(-2.0, abs=1e-8)
         assert fit.muprime == pytest.approx(-2.0, abs=1e-8)
         assert abs(fit.mu) <= 1e-8

@@ -3,30 +3,68 @@ import math
 import numpy as np
 import pytest
 
-from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell
+from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell
 from sewcells.charts import ChartError, sample_points, sample_points_grouped
-from sewcells.nullity import (
-    RAW,
-    Convention,
-    check_generalized,
-    fit_nullity,
-    kenmotsu_convention,
-)
+from sewcells.geometry import affinor_derivatives, classify, h_tensor, riemann
+from sewcells.manifold_io import load_manifold, save_manifold
+from sewcells.nullity import check_generalized, fit_nullity, normalized
+from sewcells.sewing import sew
+
+
+@pytest.fixture(scope="module")
+def kenmotsu_structures(tmp_path_factory):
+    """(structure, its classified alpha): the warped cell at alpha = 1.2, the
+    halfspace cell, and sewn k = 2 and k = 3 copies of the warped cell read
+    back from their files."""
+    warped = kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7)
+    structures = [warped, halfspace_kenmotsu_cell()]
+    for k in (2, 3):
+        path = tmp_path_factory.mktemp("sewn") / f"sewn{k}.json"
+        save_manifold(sew([warped] * k), path)
+        structures.append(load_manifold(path))
+    out = []
+    for struct in structures:
+        samples = sample_points(struct.chart, 8, 5)
+        alpha = classify(struct, samples, affinor_derivatives(struct, samples), 1e-8).alpha
+        assert alpha is not None, struct.name
+        out.append((struct, alpha, samples))
+    return out
+
+
+def _normalized_lstsq(struct, point, alpha):
+    """(kappa, mu, mu') and the residual of the fit against h'/alpha, solved
+    here from ``riemann`` and ``h_tensor`` without ``fit_nullity``."""
+    n = struct.dim
+    riem = riemann(struct.metric, point).riem
+    xi, eta = struct.xi.evaluate(point), struct.eta.evaluate(point)
+    tensors = h_tensor(struct, point)
+    i, j = np.triu_indices(n, 1)
+
+    def column(op):
+        # eta(e_j) op(e_i) - eta(e_i) op(e_j), one row per pair and component
+        return (eta[j] * op[:, i] - eta[i] * op[:, j]).T.ravel()
+
+    b = np.einsum("lijm,m->lij", riem, xi)[:, i, j].T.ravel()
+    a = np.stack([column(np.eye(n)), column(tensors.h), column(tensors.hprime / alpha)], axis=-1)
+    solution = np.linalg.lstsq(a, b, rcond=None)[0]
+    return solution, float(np.linalg.norm(b - a @ solution))
 
 
 class TestConvention:
-    def test_raw_label(self):
-        assert RAW.label() == "raw-h'"
+    def test_normalized_matches_direct_fit(self, kenmotsu_structures):
+        for struct, alpha, samples in kenmotsu_structures:
+            for sample in samples:
+                fit = normalized(fit_nullity(struct, sample.array()), alpha)
+                assert fit.determinate_mu
+                (kappa, mu, muprime), residual = _normalized_lstsq(struct, sample.array(), alpha)
+                for got, want in ((fit.kappa, kappa), (fit.mu, mu), (fit.muprime, muprime)):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-14), struct.name
+                assert abs(fit.residual - residual) <= 1e-14, struct.name
 
-    def test_normalized_needs_alpha(self):
+    def test_normalized_needs_alpha(self, kenmotsu_cell):
+        fit = fit_nullity(kenmotsu_cell, np.array([0.1, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            Convention("kenmotsu")
-        with pytest.raises(ValueError):
-            kenmotsu_convention(0.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Convention("other")
+            normalized(fit, 0.0)
 
 
 class TestPointFits:
@@ -57,13 +95,13 @@ class TestPointFits:
         # alpha = 2 separates the conventions: mu' scales by alpha between them
         cell = kenmotsu_warped_cell(alpha=2.0, kappa0=-8.0)
         point = np.array([0.2, 0.1, -0.3])
-        raw = fit_nullity(cell, point, RAW)
-        normalized = fit_nullity(cell, point, kenmotsu_convention(2.0))
+        raw = fit_nullity(cell, point)
+        rescaled = normalized(raw, 2.0)
         assert raw.kappa == pytest.approx(-8.0, abs=1e-8)
-        assert normalized.kappa == pytest.approx(-8.0, abs=1e-8)
+        assert rescaled.kappa == pytest.approx(-8.0, abs=1e-8)
         assert raw.muprime == pytest.approx(-4.0, abs=1e-8)          # -2 alpha
-        assert normalized.muprime == pytest.approx(-8.0, abs=1e-8)   # -2 alpha^2
-        assert normalized.muprime == pytest.approx(2.0 * raw.muprime, rel=1e-9)
+        assert rescaled.muprime == pytest.approx(-8.0, abs=1e-8)     # -2 alpha^2
+        assert rescaled.muprime == pytest.approx(2.0 * raw.muprime, rel=1e-9)
 
     def test_residuals_small_on_catalog(self, catalog_cells):
         for cell in catalog_cells:

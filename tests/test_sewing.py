@@ -12,6 +12,7 @@ from sewcells.charts import (
     validate_structure,
 )
 from sewcells.geometry import covariant_derivative_vector, lie_bracket, riemann
+from sewcells import sewing
 from sewcells.nullity import fit_nullity
 from sewcells.sewing import (
     SewingError,
@@ -136,6 +137,17 @@ class TestFStructure:
         rank_check = report.check("kernel_rank")
         assert not rank_check.passed
         assert "rank 2" in rank_check.note  # kernel dimension k + 2 = 4
+
+    def test_kernel_rank_reports_the_worst_rank(self, model_cell, monkeypatch):
+        # the worst rank is in the middle of the sweep, not at its end
+        k = 2
+        ranks = iter([2 * k, 2 * k - 1, 2 * k - 2, 2 * k - 1])
+        monkeypatch.setattr(sewing, "numeric_rank", lambda stack: np.array([next(ranks) for _ in stack]))
+        product = build_product([model_cell] * k)
+        rank_check = verify_f_structure(product, sample_points(product.chart, 4, 7), 1e-10).check("kernel_rank")
+        assert not rank_check.passed
+        assert rank_check.residual == 2.0
+        assert rank_check.note.startswith(f"rank {2 * k - 2},")
 
 
 class TestLiftLaws:

@@ -21,7 +21,7 @@ from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, stan
 from sewcells.charts import BATCH_BYTES, TensorField, sample_points
 from sewcells.geometry import h_tensor, lie_bracket, riemann
 from sewcells.manifold_io import load_manifold, save_manifold
-from sewcells.nullity import RAW, fit_nullity, kenmotsu_convention
+from sewcells.nullity import fit_nullity
 from sewcells.sewing import build_product, sew
 
 REL = 1e-13
@@ -54,9 +54,9 @@ class TestStackEqualsRows:
     def test_h_tensor(self, structures):
         for struct in structures:
             points = _points(struct)
-            stacked = h_tensor(struct, points, alpha=1.5)
-            rows = [h_tensor(struct, p, alpha=1.5) for p in points]
-            for name in ("h", "hprime", "kenmotsu_hprime"):
+            stacked = h_tensor(struct, points)
+            rows = [h_tensor(struct, p) for p in points]
+            for name in ("h", "hprime"):
                 assert_rows_match(getattr(stacked, name), [getattr(r, name) for r in rows])
 
     def test_riemann(self, structures):
@@ -67,17 +67,15 @@ class TestStackEqualsRows:
             assert_rows_match(stacked.riem, [r.riem for r in rows])
             assert_rows_match(stacked.gamma, [r.gamma for r in rows])
 
-    @pytest.mark.parametrize("convention", [RAW, kenmotsu_convention(1.5)], ids=["raw", "kenmotsu"])
-    def test_fit_nullity(self, structures, convention):
+    def test_fit_nullity(self, structures):
         for struct in structures:
             points = _points(struct)
-            stacked = fit_nullity(struct, points, convention)
-            rows = [fit_nullity(struct, p, convention) for p in points]
+            stacked = fit_nullity(struct, points)
+            rows = [fit_nullity(struct, p) for p in points]
             assert len(stacked) == len(rows)
             for name in ("kappa", "mu", "muprime", "residual", "h_norm"):
                 assert_rows_match([getattr(f, name) for f in stacked], [getattr(f, name) for f in rows])
             assert [f.determinate_mu for f in stacked] == [f.determinate_mu for f in rows]
-            assert all(f.convention == convention for f in stacked)
 
     def test_lie_bracket(self, structures):
         for struct in structures:
