@@ -25,6 +25,7 @@ from sewcells.geometry import (
     wedge_eta_two_form,
     weight_fit,
 )
+from sewcells.nullity import fit_nullity, normalized
 
 
 def euclidean_metric(n=3, names=("t", "x", "y")):
@@ -181,6 +182,14 @@ class TestHTensor:
             for sample in sample_points(cell.chart, 5, 71):
                 point = sample.array()
                 assert float(np.max(np.abs(h_tensor(cell, point).h - h_tensor_fd(cell, point)))) <= 1e-6
+
+    def test_normalized_hprime_requires_alpha(self, kenmotsu_cell):
+        point = np.array([0.1, 0.0, 0.0])
+        hprime = h_tensor(kenmotsu_cell, point).hprime
+        fit = fit_nullity(kenmotsu_cell, point)
+        assert np.allclose(normalized(fit, 2.0).hprime, hprime / 2.0)
+        with pytest.raises(ValueError):
+            normalized(fit, 0.0)
 
 
 class TestExteriorCalculus:

@@ -21,7 +21,7 @@ from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, stan
 from sewcells.charts import BATCH_BYTES, TensorField, sample_points
 from sewcells.geometry import h_tensor, lie_bracket, riemann
 from sewcells.manifold_io import load_manifold, save_manifold
-from sewcells.nullity import fit_nullity
+from sewcells.nullity import fit_nullity, normalized
 from sewcells.sewing import build_product, sew
 
 REL = 1e-13
@@ -67,14 +67,22 @@ class TestStackEqualsRows:
             assert_rows_match(stacked.riem, [r.riem for r in rows])
             assert_rows_match(stacked.gamma, [r.gamma for r in rows])
 
-    def test_fit_nullity(self, structures):
+    @pytest.mark.parametrize("alpha", [None, 1.5], ids=["raw", "kenmotsu"])
+    def test_fit_nullity(self, structures, alpha):
+        def fits(struct, point):
+            fit = fit_nullity(struct, point)
+            if alpha is None:
+                return fit
+            return [normalized(f, alpha) for f in fit] if isinstance(fit, list) else normalized(fit, alpha)
+
         for struct in structures:
             points = _points(struct)
-            stacked = fit_nullity(struct, points)
-            rows = [fit_nullity(struct, p) for p in points]
+            stacked = fits(struct, points)
+            rows = [fits(struct, p) for p in points]
             assert len(stacked) == len(rows)
             for name in ("kappa", "mu", "muprime", "residual", "h_norm"):
                 assert_rows_match([getattr(f, name) for f in stacked], [getattr(f, name) for f in rows])
+            assert_rows_match([f.hprime for f in stacked], [f.hprime for f in rows])
             assert [f.determinate_mu for f in stacked] == [f.determinate_mu for f in rows]
 
     def test_lie_bracket(self, structures):
