@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .catalog import (
     CATALOG,
@@ -52,6 +52,7 @@ from .nullity import NullityFit, check_generalized, fit_nullity, normalized
 from .sewing import (
     ProductDefinition,
     SewnManifold,
+    block_structure,
     build_product,
     extrinsic_report,
     sew,

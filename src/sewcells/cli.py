@@ -53,6 +53,9 @@ EXIT_INPUT = 2
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
+# One sample of the sewn curvature is 8 (2k+1)^4 bytes, about 9.5 MB at k = 16.
+MAX_COPIES = 16
+MAX_POINTS = 10_000
 
 INDUCED = "induced structure axioms"
 
@@ -131,14 +134,14 @@ def cmd_nullity(args) -> int:
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
-        return _fail_on_axioms(report, args, struct, {"checks": validation.check_dicts()})
+        return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
 
     classification = classify(struct, samples, affinor_derivatives(struct, samples), args.tol)
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:
         print("the normalized h' convention needs an almost alpha-Kenmotsu structure")
-        return EXIT_INPUT
+        return _stop(report, args, struct, {"classification": _classification_dict(classification)}, EXIT_INPUT)
     label = f"kenmotsu-h'({alpha!r})" if kenmotsu else "raw-h'"
     report["parameters"]["convention"] = label
 
@@ -223,7 +226,7 @@ def cmd_sew(args) -> int:
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")
-        return _fail_on_axioms(report, args, sewn, {"sections": {INDUCED: induced.check_dicts()}})
+        return _stop(report, args, sewn, {"sections": {INDUCED: induced.check_dicts()}}, EXIT_FAIL)
 
     product = build_product(cells)
     product_samples = sample_points(product.chart, args.points, args.seed)
@@ -269,12 +272,13 @@ def cmd_sew(args) -> int:
     return EXIT_PASS if all_passed else EXIT_FAIL
 
 
-def _fail_on_axioms(report: dict, args, struct: ContactStructure, checks: dict) -> int:
-    """Write the report of a structure whose axioms fail, and stop with exit 1."""
-    report["subjects"] = [{"name": struct.name, "dimension": struct.dim, **checks, "passed": False}]
+def _stop(report: dict, args, struct: ContactStructure, payload: dict, status: int) -> int:
+    """Write the report of a structure the command stops short on, as failed
+    with ``payload``, and return ``status``."""
+    report["subjects"] = [{"name": struct.name, "dimension": struct.dim, **payload, "passed": False}]
     report["passed"] = False
     _finish(report, args)
-    return EXIT_FAIL
+    return status
 
 
 def cmd_catalog(args) -> int:
@@ -320,19 +324,21 @@ def _finish(report: dict, args) -> None:
         print(f"machine report written to {args.json}")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_between(low: int, high: int):
+    """An argparse type: an integer from ``low`` to ``high``."""
     def integer(text: str) -> int:  # argparse names the type after the function
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--points", type=_int_at_least(1), default=DEFAULT_POINTS,
-                        help="sample count (default 25)")
+    parser.add_argument("--points", type=_int_between(1, MAX_POINTS), default=DEFAULT_POINTS,
+                        help=f"sample count, at most {MAX_POINTS} (default {DEFAULT_POINTS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 7)")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-8)")
     parser.add_argument("--json", type=Path, default=None, help="write the machine report here")
@@ -359,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sew = sub.add_parser("sew", help="sew copies of a cell and verify the construction")
     p_sew.add_argument("file", type=Path)
-    p_sew.add_argument("--copies", type=_int_at_least(2), required=True)
+    p_sew.add_argument("--copies", type=_int_between(2, MAX_COPIES), required=True,
+                       help=f"number of copies, from 2 to {MAX_COPIES}")
     p_sew.add_argument("--out", type=Path, required=True)
     _add_common(p_sew)
     p_sew.set_defaults(func=cmd_sew)

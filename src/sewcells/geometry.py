@@ -124,21 +124,6 @@ def riemann(metric: TensorField, point) -> CurvatureAtPoint:
     return CurvatureAtPoint(riem, gamma)
 
 
-def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]:
-    """Antisymmetry in (X, Y), g-skewness in (Z, W), and first Bianchi."""
-    g = metric.evaluate(point)
-    riem = riemann(metric, point).riem
-    antisym = riem + np.einsum("lijk->ljik", riem)
-    bianchi = riem + np.einsum("lijk->ljki", riem) + np.einsum("lijk->lkij", riem)
-    lowered = np.einsum("wl,lijk->ijkw", g, riem)  # g(R(e_i,e_j) e_k, e_w)
-    skew = lowered + np.einsum("ijkw->ijwk", lowered)
-    return {
-        "antisymmetry": float(np.max(np.abs(antisym))),
-        "first_bianchi": float(np.max(np.abs(bianchi))),
-        "g_skewness": float(np.max(np.abs(skew))),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Covariant derivatives of the structure tensors
 # ---------------------------------------------------------------------------
@@ -397,14 +382,6 @@ def lie_bracket(v: TensorField, w: TensorField, point) -> np.ndarray:
         np.einsum(f"...c{a},...j{b}c->...j{a}{b}", vvals, wgrads)
         - np.einsum(f"...c{b},...j{a}c->...j{a}{b}", wvals, vgrads)
     )
-
-
-def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorField, point) -> np.ndarray:
-    """``(nabla_V W)^j = V^a (d_a W^j + Gamma^j_am W^m)`` at a point."""
-    gamma = christoffel(metric, point)
-    vvals = v.evaluate(point)
-    wvals, wgrads = w.evaluate_with_grads(point)
-    return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, gamma, wvals)
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = _RANK_TOL) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals
 from oracles import fuzz_cases, gradient_hessian_fd, koszul_fd, value_gradient_fd
 from sewcells.catalog import model_cosymplectic_cell, standard_cells
 from sewcells.charts import TensorField, sample_points, sample_points_grouped, validate_structure
@@ -17,8 +18,6 @@ from sewcells.expressions import evaluate_jet2
 from sewcells.geometry import (
     christoffel,
     covariant_derivative_affinor,
-    covariant_derivative_vector,
-    curvature_symmetry_residuals,
     exterior_derivative,
     fundamental_form_with_derivative,
     h_tensor,
@@ -195,8 +194,8 @@ def test_criterion_5_structure_theorem_suite(cells):
 
 
 def test_criterion_6_product_proposition_suite(cells, sewing_inputs):
-    worst_f = worst_lift = worst_cross = worst_invol = worst_ext = 0.0
-    ranks_ok = True
+    worst_f = worst_lift = worst_invol = worst_ext = 0.0
+    ranks_ok = blocks_ok = True
     for a, b in itertools.combinations_with_replacement(range(len(cells)), 2):
         pair = [cells[a], cells[b]]
         product, sewn, sewn_samples, _ = sewing_inputs(pair, 25, SEED)
@@ -206,11 +205,7 @@ def test_criterion_6_product_proposition_suite(cells, sewing_inputs):
         worst_f = max(worst_f, f_rep.check("f_cubed_plus_f").residual, f_rep.check("coframing_closed").residual)
         lift = verify_lift_laws(product, samples, 1e-9)
         worst_lift = max(worst_lift, lift.check("lifted_covariant_derivative").residual)
-        worst_cross = max(
-            worst_cross,
-            lift.check("cross_block_connection").residual,
-            lift.check("cross_block_curvature").residual,
-        )
+        blocks_ok = blocks_ok and lift.check("block_structure").passed
         worst_invol = max(worst_invol, lift.check("image_median_involutive").residual)
         ext = extrinsic_report(product, sewn, sewn_samples, 1e-8)
         worst_ext = max(
@@ -224,14 +219,14 @@ def test_criterion_6_product_proposition_suite(cells, sewing_inputs):
         ranks_ok
         and worst_f <= 1e-9
         and worst_lift <= 1e-9
-        and worst_cross <= 1e-10
+        and blocks_ok
         and worst_invol <= 1e-9
         and worst_ext <= 1e-8
     )
     _conclude(
         "criterion 6: product and submanifold propositions on all catalog pairs",
         ok,
-        f"f/coframing {worst_f:.3e} <= 1e-9; lift {worst_lift:.3e} <= 1e-9; cross {worst_cross:.3e} <= 1e-10; "
+        f"f/coframing {worst_f:.3e} <= 1e-9; lift {worst_lift:.3e} <= 1e-9; block structure {'exact' if blocks_ok else 'broken'}; "
         f"involutivity {worst_invol:.3e} <= 1e-9; extrinsic {worst_ext:.3e} <= 1e-8; kernel ranks {'ok' if ranks_ok else 'bad'}",
     )
 

@@ -107,6 +107,18 @@ class TestNullity:
     def test_kenmotsu_convention_rejected_for_cosymplectic(self, model_file, capsys):
         assert main(["nullity", str(model_file), "--convention", "kenmotsu"]) == EXIT_INPUT
 
+    def test_rejected_kenmotsu_convention_still_writes_the_report(self, model_file, tmp_path, capsys):
+        report_file = tmp_path / "report.json"
+        argv = ["nullity", str(model_file), "--convention", "kenmotsu", "--json", str(report_file)]
+        assert main(argv) == EXIT_INPUT
+        assert "needs an almost alpha-Kenmotsu structure" in capsys.readouterr().out
+        report = json.loads(report_file.read_text(encoding="utf-8"))
+        assert report["passed"] is False
+        [subject] = report["subjects"]
+        assert subject["passed"] is False
+        assert subject["classification"]["kind"] == "almost_cosymplectic"
+        assert subject["classification"]["alpha"] is None
+
     def test_unadapted_file_gets_plain_fits(self, tmp_path, capsys):
         doc = structure_to_dict(flat_cosymplectic_cell())
         doc["adapted_coordinate"] = None
@@ -141,6 +153,11 @@ class TestSew:
     def test_copies_must_be_at_least_two(self, model_file, tmp_path):
         assert main(["sew", str(model_file), "--copies", "1", "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
         assert not (tmp_path / "x.json").exists()
+
+    def test_eight_copies(self, model_file, tmp_path, capsys):
+        out_file = tmp_path / "sewn.json"
+        assert main(["sew", str(model_file), "--copies", "8", "--out", str(out_file)]) == EXIT_PASS
+        assert load_manifold(out_file).dim == 17
 
     def test_sewing_a_sewn_file_is_an_input_error(self, model_file, tmp_path):
         out_file = tmp_path / "sewn.json"
@@ -215,6 +232,38 @@ def test_points_below_one_is_a_usage_error(command, points, model_file, tmp_path
     assert main(argv) == EXIT_INPUT
     assert "--points: must be at least 1" in capsys.readouterr().err
     assert not Path("sewn.json").exists() and not Path("report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sew", "--copies", "17", "--out", "sewn.json"], "--copies: must be at most 16, got 17"),
+    (["sew", "--copies", str(10**12), "--out", "sewn.json"], f"--copies: must be at most 16, got {10**12}"),
+    (["sew", "--copies", "2", "--out", "sewn.json", "--points", "10001"], "--points: must be at most 10000, got 10001"),
+    (["verify", "--points", str(10**15)], f"--points: must be at most 10000, got {10**15}"),
+    (["nullity", "--points", str(10**15)], f"--points: must be at most 10000, got {10**15}"),
+], ids=["copies-17", "copies-huge", "sew-points", "verify-points", "nullity-points"])
+def test_huge_counts_are_usage_errors(argv, message, model_file, tmp_path, monkeypatch, capsys):
+    """Rejected while parsing: nothing is sampled, sewn or written."""
+    import sewcells.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected count reached the command")
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_manifold", "sample_points", "nullity_samples", "sew", "build_product"):
+        monkeypatch.setattr(cli, name, refuse)
+    full = [argv[0], str(model_file), *argv[1:], "--json", "report.json"]
+    assert main(full) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert not Path("sewn.json").exists() and not Path("report.json").exists()
+
+
+def test_largest_counts_parse(model_file):
+    from sewcells.cli import MAX_COPIES, MAX_POINTS, build_parser
+
+    argv = ["sew", str(model_file), "--copies", "16", "--out", "sewn.json", "--points", "10000"]
+    args = build_parser().parse_args(argv)  # parsed only: a run at these counts takes minutes
+    assert (args.copies, args.points) == (MAX_COPIES, MAX_POINTS) == (16, 10_000)
 
 
 @COMMANDS

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals
 from oracles import h_tensor_fd, koszul_fd, nabla_phi_fd, normality_fd
 from sewcells.charts import Chart, TensorField, sample_points
 from sewcells.geometry import (
@@ -14,8 +15,6 @@ from sewcells.geometry import (
     christoffel_with_derivative,
     classify,
     covariant_derivative_affinor,
-    covariant_derivative_vector,
-    curvature_symmetry_residuals,
     exterior_derivative,
     fundamental_form_with_derivative,
     h_tensor,

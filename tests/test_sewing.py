@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
+from geometry_helpers import covariant_derivative_vector, second_fundamental
 from sewcells.catalog import kenmotsu_warped_cell
 from sewcells.charts import (
     CellDefinition,
@@ -11,12 +15,15 @@ from sewcells.charts import (
     sample_points,
     validate_structure,
 )
-from sewcells.geometry import covariant_derivative_vector, lie_bracket, riemann
+from sewcells.geometry import lie_bracket, riemann
 from sewcells import sewing
+from sewcells.expressions import BinOp, Num, Var
+from sewcells.manifold_io import save_manifold
 from sewcells.nullity import fit_nullity
 from sewcells.sewing import (
     SewingError,
     SewnManifold,
+    block_structure,
     build_product,
     embed_point,
     embedding_matrix,
@@ -161,8 +168,8 @@ class TestLiftLaws:
         product = build_product([model_cell, model_cell])
         report = verify_lift_laws(product, sample_points(product.chart, 25, 7), 1e-9)
         assert report.passed, report.format_table()
-        assert report.check("cross_block_connection").residual <= 1e-12
-        assert report.check("cross_block_curvature").residual <= 1e-12
+        structure = report.check("block_structure")
+        assert structure.passed and structure.residual == 0.0
 
     def test_two_halfspace_cells_involutivity(self, halfspace_cell):
         product = build_product([halfspace_cell, halfspace_cell])
@@ -173,6 +180,63 @@ class TestLiftLaws:
         product = build_product([model_cell, kenmotsu_cell])
         report = verify_lift_laws(product, sample_points(product.chart, 15, 7), 1e-9)
         assert report.passed, report.format_table()
+
+
+def _with_metric_entry(product, a, b, node):
+    """The product with the symmetric metric entries (a, b) and (b, a) replaced by ``node``."""
+    grid = [list(row) for row in product.metric.components]
+    grid[a][b] = grid[b][a] = node
+    metric = TensorField(product.chart, 0, 2, tuple(tuple(row) for row in grid))
+    return dataclasses.replace(product, metric=metric)
+
+
+class TestBlockStructure:
+    def test_product_splits_exactly(self, model_cell, halfspace_cell, kenmotsu_cell):
+        check = block_structure(build_product([model_cell, halfspace_cell, kenmotsu_cell]))
+        assert check.passed and check.residual == 0.0 and check.tolerance == 0.0
+
+    def test_nonzero_cross_block_metric_entry_fails(self, model_cell):
+        product = build_product([model_cell, model_cell])
+        t1, t2 = product.adapted_positions
+        mutated = _with_metric_entry(product, t1, t2, Num(0.25))
+        check = block_structure(mutated)
+        assert not check.passed
+        assert check.residual == 2.0  # metric[t1][t2] and metric[t2][t1]
+        assert f"metric[{t1}][{t2}] couples blocks but is not the literal 0" in check.note
+        # the sampled stages do not run on a product that does not split
+        report = verify_lift_laws(mutated, sample_points(product.chart, 4, 7), 1e-9)
+        assert not report.passed and [c.name for c in report.checks] == ["block_structure"]
+        sewn = sew([model_cell, model_cell])
+        with pytest.raises(SewingError, match="does not split"):
+            extrinsic_report(mutated, sewn, sample_points(sewn.chart, 4, 7), 1e-8)
+
+    def test_block_entry_naming_another_block_fails(self, model_cell):
+        product = build_product([model_cell, model_cell])
+        x1 = product.chart.index_of("x1")
+        entry = product.metric.components[x1][x1]
+        check = block_structure(_with_metric_entry(product, x1, x1, BinOp("+", entry, BinOp("*", Num(0.0), Var("x2")))))
+        assert not check.passed
+        assert check.residual == 1.0
+        assert f"metric[{x1}][{x1}] names x2 outside block 1" in check.note
+
+    def test_sew_stays_off_the_product_chart(self, tmp_path, monkeypatch):
+        """No connection, curvature or bracket of ``sew --copies 4`` takes a
+        field on the 12-dimensional product chart."""
+        from sewcells import cli, geometry, nullity
+
+        monkeypatch.chdir(tmp_path)
+        save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
+        dims = {name: set() for name in ("riemann", "christoffel", "lie_bracket")}
+        for module in (geometry, sewing, nullity):
+            for name in dims:
+                if hasattr(module, name):
+                    def spy(*args, _original=getattr(module, name), _name=name):
+                        dims[_name].update(arg.chart.dim for arg in args if isinstance(arg, TensorField))
+                        return _original(*args)
+                    monkeypatch.setattr(module, name, spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
+        assert dims == {"riemann": {3, 9}, "christoffel": {3, 9}, "lie_bracket": {3}}
 
 
 class TestSew:
@@ -305,8 +369,7 @@ class TestExtrinsic:
         product, sewn, samples, _ = sewing_inputs([flat_cell, flat_cell], 10)
         report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
-        for sample in report.samples:
-            assert not sample.second_fundamental.any()
+        assert not second_fundamental(product, sewn, samples).any()
 
     def test_model_pair(self, model_cell, sewing_inputs):
         product, sewn, samples, _ = sewing_inputs([model_cell, model_cell], 15)
@@ -315,7 +378,7 @@ class TestExtrinsic:
         assert report.check("normal_connection_flat").residual <= 1e-9
         assert report.check("weingarten_kills_xi").residual <= 1e-9
         # the diagonal is not totally geodesic here
-        assert max(float(np.max(np.abs(s.second_fundamental))) for s in report.samples) > 0.1
+        assert float(np.max(np.abs(second_fundamental(product, sewn, samples)))) > 0.1
 
     def test_kenmotsu_pair_curvature_restriction(self, kenmotsu_cell, sewing_inputs):
         product, sewn, samples, _ = sewing_inputs([kenmotsu_cell, kenmotsu_cell], 15)
@@ -327,7 +390,7 @@ class TestExtrinsic:
         product, sewn, samples, _ = sewing_inputs([model_cell] * 3, 8)
         report = extrinsic_report(product, sewn, samples, 1e-8)
         assert report.passed
-        assert report.samples[0].second_fundamental.shape == (7, 7, 2)
+        assert second_fundamental(product, sewn, samples)[0].shape == (7, 7, 2)
 
 
 def theorems(sewing_inputs, cells, count):

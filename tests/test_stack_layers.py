@@ -164,7 +164,8 @@ class TestSewMemory:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "out.json"]) == cli.EXIT_PASS
         dims = {shape[-1] for shape in stacks}
-        assert {3, 9, 12} <= dims  # the cells, the sewn manifold and the product
+        # the cells and the product's blocks, and the sewn manifold; never the 12-dim product chart
+        assert dims == {3, 9}
         for shape in stacks:
             count = shape[0] if len(shape) == 2 else 1
             assert count == 1 or count * 8 * shape[-1] ** 4 <= BATCH_BYTES, shape
