@@ -143,6 +143,18 @@ class Chart:
     def satisfies(self, point) -> bool:
         return all(c.holds(point, self.coord_index) for c in self.constraints)
 
+    def inside(self, points: np.ndarray) -> np.ndarray:
+        """``satisfies`` for each row of a stack (P, n), as a (P,) mask.  A
+        constraint is tested on the whole stack at once, and row by row where
+        the stack leaves its domain."""
+        mask = np.ones(len(points), dtype=bool)
+        for c in self.constraints:
+            try:
+                mask &= evaluate(c.positive, points, self.coord_index) > 0.0
+            except EvaluationDomainError:
+                mask &= np.array([c.holds(row, self.coord_index) for row in points], dtype=bool)
+        return mask
+
 
 # ---------------------------------------------------------------------------
 # Tensor fields
@@ -242,7 +254,9 @@ class TensorField:
         hesses = np.zeros(lead + (size * n * n,)) if hessians else None
         if plan.terms:
             # each component's jet is taken over its own coordinates only, then scattered
-            jets = [evaluate_jet2(node, point[..., columns], local) for node, columns, local in plan.terms]
+            order = 2 if hessians else 1
+            local_points = [point[..., columns] for columns in plan.column_sets]
+            jets = [evaluate_jet2(node, local_points[slot], local, order) for node, slot, local in plan.terms]
             vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
             grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
             if hesses is not None:
@@ -269,15 +283,19 @@ class _FieldPlan(NamedTuple):
     """How a field evaluates: its constant components folded once, and each
     other component with the coordinates it depends on.
 
-    Components are numbered in row-major order.  ``terms`` holds (expression,
-    its coordinates' chart indices, their local index) for each component at
-    ``positions``; ``grad_slots`` and ``hess_slots`` are the flat slots of
-    the full gradient and Hessian that the terms' own jets fill, in order.
+    Components are numbered in row-major order.  ``column_sets`` holds the
+    distinct sets of chart indices that components depend on, and ``terms``
+    holds (expression, the position of its set in ``column_sets``, the local
+    index of its coordinates) for each component at ``positions``, so that
+    the columns of a point are gathered once per set.  ``grad_slots`` and
+    ``hess_slots`` are the flat slots of the full gradient and Hessian that
+    the terms' own jets fill, in order.
     """
 
     constant: np.ndarray
     positions: np.ndarray
-    terms: tuple[tuple[ExpressionNode, np.ndarray, dict[str, int]], ...]
+    column_sets: tuple[np.ndarray, ...]
+    terms: tuple[tuple[ExpressionNode, int, dict[str, int]], ...]
     grad_slots: np.ndarray
     hess_slots: np.ndarray
 
@@ -287,12 +305,13 @@ class _FieldPlan(NamedTuple):
         n = chart.dim
         constant = np.zeros(int(np.prod(field.shape, dtype=int)))
         positions: list[int] = []
+        column_sets: dict[tuple[int, ...], int] = {}
         terms = []
         grad_slots: list[int] = []
         hess_slots: list[int] = []
         for pos, idx in enumerate(np.ndindex(*field.shape)):
             node = field.component(idx)
-            columns = sorted(chart.coord_index[name] for name in free_variables(node))
+            columns = tuple(sorted(chart.coord_index[name] for name in free_variables(node)))
             if not columns:
                 try:
                     constant[pos] = evaluate(node, (), {})
@@ -300,10 +319,12 @@ class _FieldPlan(NamedTuple):
                 except EvaluationDomainError:
                     pass  # kept as a term, so that every evaluation raises as before
             positions.append(pos)
-            terms.append((node, np.array(columns, dtype=np.intp), {chart.coords[c]: j for j, c in enumerate(columns)}))
+            slot = column_sets.setdefault(columns, len(column_sets))
+            terms.append((node, slot, {chart.coords[c]: j for j, c in enumerate(columns)}))
             grad_slots.extend(pos * n + c for c in columns)
             hess_slots.extend((pos * n + a) * n + b for a in columns for b in columns)
-        return cls(constant, np.array(positions, dtype=np.intp), tuple(terms),
+        return cls(constant, np.array(positions, dtype=np.intp),
+                   tuple(np.array(columns, dtype=np.intp) for columns in column_sets), tuple(terms),
                    np.array(grad_slots, dtype=np.intp), np.array(hess_slots, dtype=np.intp))
 
 
@@ -418,25 +439,42 @@ def sample_points(
     seed: int,
     box: dict[str, tuple[float, float]] | None = None,
 ) -> list[PointSample]:
-    """Draw ``count`` in-domain points, deterministically for a fixed seed."""
+    """Draw ``count`` in-domain points, deterministically for a fixed seed.
+
+    Candidates are drawn coordinate by coordinate, point after point, and
+    the first ``count`` in the domain are kept with their draw index; the
+    sampler gives up after ``_MAX_REJECTIONS`` misses in a row.  Candidates
+    are drawn and tested in blocks sized from the hit rate so far; a block
+    takes from the generator what as many single draws would, so the samples
+    do not depend on the block sizes.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    intervals = sampling_box(chart, box)
+    lo, hi = np.array(sampling_box(chart, box), dtype=float).T
     rng = np.random.default_rng(seed)
     samples: list[PointSample] = []
-    draw = 0
-    for _ in range(count):
-        for _ in range(_MAX_REJECTIONS):
-            point = tuple(float(rng.uniform(lo, hi)) for lo, hi in intervals)
-            draw += 1
-            if chart.satisfies(point):
-                samples.append(PointSample(point, seed, draw - 1))
-                break
+    drawn = 0       # candidates drawn so far
+    run_start = 0   # draw index of the first candidate after the last hit
+    while True:
+        remaining = count - len(samples)
+        if samples:
+            block = -(-remaining * drawn // len(samples))  # the expected draws at the hit rate so far
         else:
+            block = 2 * drawn if drawn else remaining
+        block = min(block, _MAX_REJECTIONS)
+        points = rng.uniform(lo, hi, size=(block, len(lo)))
+        for row in np.flatnonzero(chart.inside(points)).tolist():
+            if drawn + row - run_start >= _MAX_REJECTIONS:
+                break
+            samples.append(PointSample(tuple(points[row].tolist()), seed, drawn + row))
+            run_start = drawn + row + 1
+            if len(samples) == count:
+                return samples
+        drawn += block
+        if drawn - run_start >= _MAX_REJECTIONS:
             raise SamplingError(
                 f"no in-domain point after {_MAX_REJECTIONS} draws; tighten the sampling box"
             )
-    return samples
 
 
 def sample_points_grouped(

@@ -70,13 +70,21 @@ def _classification_dict(classification) -> dict:
     }
 
 
-def _structure_checks(struct: ContactStructure, samples, derivatives, tol: float) -> ValidationReport:
-    """Axiom validation plus the Reeb-parallelism facts that hold on any cell;
-    ``derivatives`` are the samples' ``affinor_derivatives``."""
+def _structure_checks(struct: ContactStructure, samples, tol: float):
+    """Axiom validation plus the Reeb-parallelism facts that hold on any cell,
+    and the samples' ``affinor_derivatives`` that the latter read.
+
+    The axioms run first: without a positive definite metric there is no
+    Levi-Civita connection, so the report then holds the axioms alone and the
+    derivatives are None.
+    """
     report = validate_structure(struct, samples, tol)
+    if not report.check("metric_positive_definite").passed:
+        return report, None
+    derivatives = affinor_derivatives(struct, samples)
     xi_geodesic = Residual("xi_geodesic", tol).add(derivatives.nabla_xi_xi)
     phi_parallel = Residual("phi_parallel_along_xi", tol).add(derivatives.nabla_xi_phi)
-    return _with_checks(report, xi_geodesic, phi_parallel)
+    return _with_checks(report, xi_geodesic, phi_parallel), derivatives
 
 
 def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationReport:
@@ -85,8 +93,12 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    derivatives = affinor_derivatives(struct, samples)
-    report = _structure_checks(struct, samples, derivatives, args.tol)
+    report, derivatives = _structure_checks(struct, samples, args.tol)
+    header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
+    if derivatives is None:
+        print(report.format_table(header))
+        print("  metric not positive definite; derivative checks skipped")
+        return _failed_subject(struct, {"checks": report.check_dicts()})
     classification = classify(struct, samples, derivatives, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
@@ -104,7 +116,6 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
         "normality_max": normality_max,
         "passed": report.passed,
     }
-    header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
     print(report.format_table(header))
     print(f"  classification: {classification.describe()}")
     print(f"  normality tensor max |N|: {normality_max:.3e}")
@@ -222,7 +233,7 @@ def cmd_sew(args) -> int:
     print(f"wrote sewn definition to {args.out}")
     report["output"] = {"path": str(args.out), "sha256": file_digest(args.out)}
 
-    induced = _structure_checks(sewn, sewn_samples, affinor_derivatives(sewn, sewn_samples), max(args.tol, 1e-9))
+    induced, _ = _structure_checks(sewn, sewn_samples, max(args.tol, 1e-9))
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")
@@ -275,10 +286,14 @@ def cmd_sew(args) -> int:
 def _stop(report: dict, args, struct: ContactStructure, payload: dict, status: int) -> int:
     """Write the report of a structure the command stops short on, as failed
     with ``payload``, and return ``status``."""
-    report["subjects"] = [{"name": struct.name, "dimension": struct.dim, **payload, "passed": False}]
+    report["subjects"] = [_failed_subject(struct, payload)]
     report["passed"] = False
     _finish(report, args)
     return status
+
+
+def _failed_subject(struct: ContactStructure, payload: dict) -> dict:
+    return {"name": struct.name, "dimension": struct.dim, **payload, "passed": False}
 
 
 def cmd_catalog(args) -> int:

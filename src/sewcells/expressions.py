@@ -17,18 +17,24 @@ exponent subtrees fold to a single number.  With that, ``parse(to_source(e))``
 reproduces ``e`` node for node.
 
 Evaluation is pure.  ``evaluate`` returns the value; ``evaluate_jet2``
-propagates order-2 jets and returns the value together with the exact
-gradient and Hessian (no finite differencing).  Both take one point of shape
-(n,) or a stack of P points of shape (P, n).  At a point the value is a float,
-the gradient (n,) and the Hessian (n, n); at a stack each of them gains a
-leading P axis, and one call evaluates the whole stack with numpy.
+propagates forward-mode jets and returns the value together with the exact
+gradient and, at order 2 (the default), the exact Hessian (no finite
+differencing).  An order-1 jet carries no Hessian at all, so a caller that
+reads none pays for none; both orders share the value and gradient rules and
+give the same values and gradients bit for bit.  Both functions take one
+point of shape (n,) or a stack of P points of shape (P, n).  At a point the
+value is a float, the gradient (n,) and the Hessian (n, n); at a stack each
+of them gains a leading P axis, and one call evaluates the whole stack with
+numpy.
 
 Leaving the real domain raises ``EvaluationDomainError``: log or sqrt of a
 non-positive argument, division by zero, zero to a negative power, a
 non-integer power of a non-positive base, and overflow in exp, sinh, cosh or a
-power.  A stack raises exactly when one of its rows would.  Arithmetic that
-overflows (a product reaching inf, then ``inf * 0``) is not a domain error: it
-stays silent and yields inf or NaN, which every residual check then fails.
+power (for a jet, also in the powers its derivatives take).  A stack raises
+exactly when one of its rows would, and an order-1 jet exactly when an
+order-2 one would.  Arithmetic that overflows (a product reaching inf, then
+``inf * 0``) is not a domain error: it stays silent and yields inf or NaN,
+which every residual check then fails.
 """
 
 from __future__ import annotations
@@ -413,7 +419,7 @@ def _call_value(func: str, v):
 
 
 def _divide(left, right):
-    divisor = right.value if isinstance(right, _Jet) else right
+    divisor = right.value if isinstance(right, _Jet1) else right
     if _anywhere(divisor == 0.0):
         raise EvaluationDomainError("division by zero")
     return left / right
@@ -473,7 +479,7 @@ def _value(node: ExpressionNode, point, index: Mapping[str, int]):
 
 
 # ---------------------------------------------------------------------------
-# Order-2 jets
+# Jets of order 1 and 2
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -481,86 +487,79 @@ class Jet2:
     """Value, gradient and Hessian of a scalar at a point or a stack of points.
 
     At a point of shape (n,): a float, (n,) and (n, n).  At a stack of shape
-    (P, n) each gains a leading P axis.  The Hessian is exactly symmetric.
+    (P, n) each gains a leading P axis.  The Hessian is exactly symmetric; an
+    order-1 jet carries none (``hess`` is None).
     """
 
     value: float | np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
 
 
-class _Jet:
-    """A jet under propagation; constants stay plain floats beside it.
+class _Jet1:
+    """An order-1 jet under propagation; constants stay plain floats beside it.
 
-    At a point: a float, (n,) and (n, n).  At a stack the sample axis comes
-    last - (P,), (n, P) and (n, n, P) - so a value broadcasts against its
-    derivatives and one rule serves both.  Every rule assembles the Hessian
-    from elementwise-symmetric terms, so ``hess == hess.T`` bit for bit.
+    At a point: a float and (n,).  At a stack the sample axis comes last -
+    (P,) and (n, P) - so a value broadcasts against its gradient and one rule
+    serves both.  ``_Jet2`` adds the Hessian to every rule and leaves the
+    value and gradient rules as they are, so both orders give the same values
+    and gradients bit for bit.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad: np.ndarray):
         self.value = value
         self.grad = grad
-        self.hess = hess
 
     @classmethod
-    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet":
+    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet1":
         grad = np.zeros((n,) + lead)
         grad[i] = 1.0
-        return cls(value, grad, np.zeros((n, n) + lead))
+        return cls(value, grad)
 
-    def __add__(self, other) -> "_Jet":
-        if isinstance(other, _Jet):
-            return _Jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return _Jet(self.value + other, self.grad, self.hess)
+    def __add__(self, other) -> "_Jet1":
+        if isinstance(other, _Jet1):
+            return _Jet1(self.value + other.value, self.grad + other.grad)
+        return _Jet1(self.value + other, self.grad)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "_Jet":
-        if isinstance(other, _Jet):
-            return _Jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return _Jet(self.value - other, self.grad, self.hess)
+    def __sub__(self, other) -> "_Jet1":
+        if isinstance(other, _Jet1):
+            return _Jet1(self.value - other.value, self.grad - other.grad)
+        return _Jet1(self.value - other, self.grad)
 
-    def __rsub__(self, other) -> "_Jet":
-        return _Jet(other - self.value, -self.grad, -self.hess)
+    def __rsub__(self, other) -> "_Jet1":
+        return _Jet1(other - self.value, -self.grad)
 
-    def __neg__(self) -> "_Jet":
-        return _Jet(-self.value, -self.grad, -self.hess)
+    def __neg__(self) -> "_Jet1":
+        return _Jet1(-self.value, -self.grad)
 
-    def __mul__(self, other) -> "_Jet":
-        if not isinstance(other, _Jet):
-            return _Jet(self.value * other, self.grad * other, self.hess * other)
-        value = self.value * other.value
-        grad = self.grad * other.value + other.grad * self.value
-        hess = (
-            self.hess * other.value
-            + other.hess * self.value
-            + _outer(self.grad, other.grad)
-            + _outer(other.grad, self.grad)
-        )
-        return _Jet(value, grad, hess)
+    def __mul__(self, other) -> "_Jet1":
+        if not isinstance(other, _Jet1):
+            return _Jet1(self.value * other, self.grad * other)
+        return _Jet1(self.value * other.value, self.grad * other.value + other.grad * self.value)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "_Jet":
-        if isinstance(other, _Jet):
+    def __truediv__(self, other) -> "_Jet1":
+        if isinstance(other, _Jet1):
             return self * other._reciprocal()
         return self * (1.0 / other)
 
-    def __rtruediv__(self, other) -> "_Jet":
+    def __rtruediv__(self, other) -> "_Jet1":
         return self._reciprocal() * other
 
-    def _reciprocal(self) -> "_Jet":
+    def _reciprocal(self) -> "_Jet1":
         inv = 1.0 / self.value
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
-    def _chain(self, f, fp, fpp) -> "_Jet":
-        """Compose with a scalar function given f, f', f'' at ``self.value``."""
-        grad = fp * self.grad
-        hess = fp * self.hess + fpp * _outer(self.grad, self.grad)
-        return _Jet(f, grad, hess)
+    def _chain(self, f, fp, fpp) -> "_Jet1":
+        """Compose with a scalar function given f, f', f'' at ``self.value``.
+
+        f'' is taken at both orders, so that both raise on the same domain."""
+        return _Jet1(f, fp * self.grad)
 
     def power(self, exponent: float):
         if exponent == 0.0:
@@ -576,47 +575,104 @@ class _Jet:
         return self._chain(f, fp, fpp)
 
 
+class _Jet2(_Jet1):
+    """An order-2 jet: at a point (n, n) Hessian, at a stack (n, n, P).  Every
+    rule assembles the Hessian from elementwise-symmetric terms, so
+    ``hess == hess.T`` bit for bit."""
+
+    __slots__ = ("hess",)
+
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+
+    @classmethod
+    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet2":
+        grad = np.zeros((n,) + lead)
+        grad[i] = 1.0
+        return cls(value, grad, np.zeros((n, n) + lead))
+
+    def __add__(self, other) -> "_Jet2":
+        if isinstance(other, _Jet2):
+            return _Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return _Jet2(self.value + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Jet2":
+        if isinstance(other, _Jet2):
+            return _Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return _Jet2(self.value - other, self.grad, self.hess)
+
+    def __rsub__(self, other) -> "_Jet2":
+        return _Jet2(other - self.value, -self.grad, -self.hess)
+
+    def __neg__(self) -> "_Jet2":
+        return _Jet2(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, other) -> "_Jet2":
+        if not isinstance(other, _Jet2):
+            return _Jet2(self.value * other, self.grad * other, self.hess * other)
+        value = self.value * other.value
+        grad = self.grad * other.value + other.grad * self.value
+        hess = (
+            self.hess * other.value
+            + other.hess * self.value
+            + _outer(self.grad, other.grad)
+            + _outer(other.grad, self.grad)
+        )
+        return _Jet2(value, grad, hess)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f, fp, fpp) -> "_Jet2":
+        grad = fp * self.grad
+        hess = fp * self.hess + fpp * _outer(self.grad, self.grad)
+        return _Jet2(f, grad, hess)
+
+
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b[None]
 
 
-def _jet_exp(j: _Jet) -> _Jet:
+def _jet_exp(j: _Jet1) -> _Jet1:
     e = _call_value("exp", j.value)
     return j._chain(e, e, e)
 
 
-def _jet_log(j: _Jet) -> _Jet:
+def _jet_log(j: _Jet1) -> _Jet1:
     f = _call_value("log", j.value)
     return j._chain(f, 1.0 / j.value, -1.0 / (j.value * j.value))
 
 
-def _jet_sin(j: _Jet) -> _Jet:
+def _jet_sin(j: _Jet1) -> _Jet1:
     s = _call_value("sin", j.value)
     return j._chain(s, _call_value("cos", j.value), -s)
 
 
-def _jet_cos(j: _Jet) -> _Jet:
+def _jet_cos(j: _Jet1) -> _Jet1:
     c = _call_value("cos", j.value)
     return j._chain(c, -_call_value("sin", j.value), -c)
 
 
-def _jet_sinh(j: _Jet) -> _Jet:
+def _jet_sinh(j: _Jet1) -> _Jet1:
     s = _call_value("sinh", j.value)
     return j._chain(s, _call_value("cosh", j.value), s)
 
 
-def _jet_cosh(j: _Jet) -> _Jet:
+def _jet_cosh(j: _Jet1) -> _Jet1:
     c = _call_value("cosh", j.value)
     return j._chain(c, _call_value("sinh", j.value), c)
 
 
-def _jet_sqrt(j: _Jet) -> _Jet:
+def _jet_sqrt(j: _Jet1) -> _Jet1:
     root = _call_value("sqrt", j.value)
     fp = 0.5 / root
     return j._chain(root, fp, -0.5 * fp / j.value)
 
 
-_JET_CALLS: dict[str, Callable[[_Jet], _Jet]] = {
+_JET_CALLS: dict[str, Callable[[_Jet1], _Jet1]] = {
     "exp": _jet_exp,
     "log": _jet_log,
     "sin": _jet_sin,
@@ -627,36 +683,43 @@ _JET_CALLS: dict[str, Callable[[_Jet], _Jet]] = {
 }
 
 
-def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int]) -> Jet2:
-    """Value, gradient and Hessian at a point (n,) or a stack (P, n), by jet propagation."""
+def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: int = 2) -> Jet2:
+    """Value, gradient and, at ``order`` 2, Hessian at a point (n,) or a stack
+    (P, n), by jet propagation; an order-1 jet propagates no Hessian.  Both
+    orders give the same values and gradients bit for bit and raise alike."""
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
+    jet_type = _Jet2 if order == 2 else _Jet1
     point = np.asarray(point, dtype=float)
     n = point.shape[-1]
     lead = point.shape[:-1]
     stacked = point.ndim == 2
     with np.errstate(all="ignore"):
-        jet = _jet(node, point.T if stacked else point.tolist(), index, n, lead)
-    if not isinstance(jet, _Jet):
-        return Jet2(np.full(lead, jet) if stacked else jet, np.zeros(lead + (n,)), np.zeros(lead + (n, n)))
+        jet = _jet(node, point.T if stacked else point.tolist(), index, n, lead, jet_type)
+    if not isinstance(jet, _Jet1):
+        value = np.full(lead, jet) if stacked else jet
+        return Jet2(value, np.zeros(lead + (n,)), np.zeros(lead + (n, n)) if order == 2 else None)
+    hess = jet.hess if order == 2 else None
     if stacked:
-        return Jet2(np.array(jet.value), jet.grad.T, jet.hess.transpose(2, 0, 1))
-    return Jet2(jet.value, jet.grad, jet.hess)
+        return Jet2(np.array(jet.value), jet.grad.T, None if hess is None else hess.transpose(2, 0, 1))
+    return Jet2(jet.value, jet.grad, hess)
 
 
-def _jet(node: ExpressionNode, point, index: Mapping[str, int], n: int, lead: tuple[int, ...]):
+def _jet(node: ExpressionNode, point, index: Mapping[str, int], n: int, lead: tuple[int, ...], jet_type):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return _Jet.variable(*_coordinate(node, point, index), n, lead)
+        return jet_type.variable(*_coordinate(node, point, index), n, lead)
     if isinstance(node, Neg):
-        return -_jet(node.operand, point, index, n, lead)
+        return -_jet(node.operand, point, index, n, lead, jet_type)
     if isinstance(node, Call):
-        arg = _jet(node.arg, point, index, n, lead)
-        return _JET_CALLS[node.func](arg) if isinstance(arg, _Jet) else _call_value(node.func, arg)
-    left = _jet(node.left, point, index, n, lead)
+        arg = _jet(node.arg, point, index, n, lead, jet_type)
+        return _JET_CALLS[node.func](arg) if isinstance(arg, _Jet1) else _call_value(node.func, arg)
+    left = _jet(node.left, point, index, n, lead, jet_type)
     if node.op == "^":
         exponent = _exponent(node.right)
-        return left.power(exponent) if isinstance(left, _Jet) else _pow_value(left, exponent)
-    right = _jet(node.right, point, index, n, lead)
+        return left.power(exponent) if isinstance(left, _Jet1) else _pow_value(left, exponent)
+    right = _jet(node.right, point, index, n, lead, jet_type)
     if node.op == "+":
         return left + right
     if node.op == "-":

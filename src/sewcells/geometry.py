@@ -23,7 +23,11 @@ points (P, n), and at a stack every result gains a leading P axis.
 one call gives the brackets of every column pair.  ``affinor_derivatives``,
 ``classify`` and the ``sew`` stages feed these layers batches of samples (see
 ``charts.evaluate_batches``); ``riemann`` computes d(g^-1), d Gamma and the
-Gamma Gamma term as batched matrix products.
+Gamma Gamma term as batched matrix products, and the first-order layers
+(Gamma, nabla phi, d Phi and the normality tensor) contract the same way,
+one index summed and the other index pairs flattened into a matrix axis.
+Only ``riemann`` reads the Hessians of the metric; every other layer takes
+order-1 jets.
 """
 
 from __future__ import annotations
@@ -62,8 +66,12 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     """The inverse metric, ``T[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij``
     and Gamma, from the metric values and ``grads[..., i, j, l] = d_l g_ij``."""
     ginv = _metric_inverse(vals)
+    n = vals.shape[-1]
+    lead = vals.shape[:-2]
+    # with grads[..., a, b, c] = d_c g_ab: T_lij = grads[j, l, i] + grads[i, l, j] - grads[i, j, l]
     t = np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads) - np.einsum("...ijl->...lij", grads)
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, t)
+    # Gamma^k_ij = 1/2 g^kl T_lij, with (i, j) flattened
+    gamma = 0.5 * (ginv @ t.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
     return ginv, t, gamma
 
 
@@ -149,16 +157,18 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
     gamma = christoffel(struct.metric, point)
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xvals, xgrads = struct.xi.evaluate_with_grads(point)
-    # (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m
-    nablaphi = (
-        np.einsum("...jki->...ijk", pgrads)
-        + np.einsum("...jim,...mk->...ijk", gamma, pvals)
-        - np.einsum("...mik,...jm->...ijk", gamma, pvals)
-    )
-    nabla_xi_phi = np.einsum("...i,...ijk->...jk", xvals, nablaphi)
-    nabla_xi = np.einsum("...ji->...ij", xgrads) + np.einsum("...jim,...m->...ij", gamma, xvals)
-    nabla_xi_xi = np.einsum("...i,...ij->...j", xvals, nabla_xi)
-    return AffinorDerivative(nablaphi, _max_abs(nabla_xi_phi, 2), _max_abs(nabla_xi_xi, 1))
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    cube = lead + (n, n, n)
+    # (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m, built as
+    # jik[..., j, i, k] with (j, i) or (i, k) flattened into one matrix axis
+    jik = np.swapaxes(pgrads, -1, -2) + (gamma.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    jik -= (pvals @ gamma.reshape(lead + (n, n * n))).reshape(cube)
+    nabla_xi_phi = xvals[..., None, None, :] @ jik  # [..., j, 1, k] = xi^i (nabla_i phi)^j_k
+    # nabla_xi[..., j, i] = (nabla_i xi)^j = d_i xi^j + Gamma^j_im xi^m
+    nabla_xi = xgrads + (gamma @ xvals[..., None, :, None])[..., 0]
+    nabla_xi_xi = (nabla_xi @ xvals[..., None])[..., 0]
+    return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1))
 
 
 class AffinorNorms(NamedTuple):
@@ -227,9 +237,9 @@ def exterior_derivative(form: TensorField, point) -> np.ndarray:
 def wedge_eta_two_form(eta_vals: np.ndarray, two_form: np.ndarray) -> np.ndarray:
     """``(eta ^ w)_ijk = eta_i w_jk + eta_j w_ki + eta_k w_ij``."""
     return (
-        np.einsum("...i,...jk->...ijk", eta_vals, two_form)
-        + np.einsum("...j,...ki->...ijk", eta_vals, two_form)
-        + np.einsum("...k,...ij->...ijk", eta_vals, two_form)
+        eta_vals[..., :, None, None] * two_form[..., None, :, :]
+        + eta_vals[..., None, :, None] * np.swapaxes(two_form, -1, -2)[..., :, None, :]
+        + eta_vals[..., None, None, :] * two_form[..., :, :, None]
     )
 
 
@@ -238,13 +248,13 @@ def fundamental_form_with_derivative(struct: ContactStructure, point):
     gvals, ggrads = struct.metric.evaluate_with_grads(point)
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     phi_form = gvals @ pvals
-    # partial[..., a, b, c] = d_a Phi_bc
-    partial = np.einsum("...bma,...mc->...abc", ggrads, pvals) + np.einsum("...bm,...mca->...abc", gvals, pgrads)
-    d_phi = (
-        partial
-        - np.einsum("...jik->...ijk", partial)
-        + np.einsum("...kij->...ijk", partial)
-    )
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    # bca[..., b, c, a] = d_a Phi_bc = phi^m_c d_a g_bm + g_bm d_a phi^m_c
+    bca = np.swapaxes(pvals, -1, -2)[..., None, :, :] @ ggrads
+    bca += (gvals @ pgrads.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+    # (d Phi)_ijk = d_i Phi_jk - d_j Phi_ik + d_k Phi_ij
+    d_phi = np.moveaxis(bca, -1, -3) - np.swapaxes(bca, -1, -2) + bca
     return phi_form, d_phi
 
 
@@ -258,16 +268,15 @@ def normality_tensor(struct: ContactStructure, point) -> np.ndarray:
     xi_vals = struct.xi.evaluate(point)
     eta_vals, eta_grads = struct.eta.evaluate_with_grads(point)
     d_eta = np.swapaxes(eta_grads, -1, -2) - eta_grads
-    term_bracket = np.einsum("...ai,...cja->...cij", pvals, pgrads)
-    term_through = np.einsum("...aij,...ca->...cij", pgrads, pvals)
-    nij = (
-        term_bracket
-        - np.einsum("...cij->...cji", term_bracket)
-        + term_through
-        - np.einsum("...cij->...cji", term_through)
-        + 2.0 * np.einsum("...ij,...c->...cij", d_eta, xi_vals)
-    )
-    return nij
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    cube = lead + (n, n, n)
+    # with pgrads[..., c, j, a] = d_a phi^c_j, the bracket term B_cij = phi^a_i d_a phi^c_j
+    # and the term through phi T_cij = phi^c_a d_j phi^a_i:
+    # N_cij = S_cij - S_cji + 2 xi^c (d eta)_ij for S_cij = T_cij - B_cji
+    s = (pvals @ pgrads.reshape(lead + (n, n * n))).reshape(cube)
+    s -= (pgrads.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    return s - np.swapaxes(s, -1, -2) + 2.0 * xi_vals[..., :, None, None] * d_eta[..., None, :, :]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Unlike ``oracles.py``, these use the jet machinery under test, so they check
 the package against itself: identities of the curvature, covariant
-derivatives of vector fields, and the second fundamental form of the sewn
-diagonal, computed here on the full product chart.
+derivatives of vector fields, the second fundamental form of the sewn
+diagonal, computed here on the full product chart, and plain ``einsum``
+references at one point for the contractions that the package runs as
+batched matrix products (Gamma, nabla phi, d Phi and the normality tensor).
 """
 
 import numpy as np
@@ -48,3 +50,49 @@ def second_fundamental(product, sewn, samples) -> np.ndarray:
     g_normal = product.metric.evaluate(points) @ normal  # [p, j, alpha] = g(e_j, u_alpha)
     gamma = christoffel(product.metric, points)
     return np.einsum("ia,mb,pjim,pjc->pabc", e_mat, e_mat, gamma, g_normal)
+
+
+def christoffel_reference(metric: TensorField, point) -> np.ndarray:
+    """``Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)`` at a point."""
+    g, dg = metric.evaluate_with_grads(point)  # dg[i, j, l] = d_l g_ij
+    t = np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg) - np.einsum("ijl->lij", dg)
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g), t)
+
+
+def nabla_phi_reference(struct, point):
+    """``(nabla_i phi)^j_k``, ``xi^i (nabla_i phi)^j_k`` and ``xi^i (nabla_i xi)^j`` at a point."""
+    gamma = christoffel_reference(struct.metric, point)
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    xvals, xgrads = struct.xi.evaluate_with_grads(point)
+    nablaphi = (
+        np.einsum("jki->ijk", pgrads)
+        + np.einsum("jim,mk->ijk", gamma, pvals)
+        - np.einsum("mik,jm->ijk", gamma, pvals)
+    )
+    nabla_xi = np.einsum("ji->ij", xgrads) + np.einsum("jim,m->ij", gamma, xvals)
+    return nablaphi, np.einsum("i,ijk->jk", xvals, nablaphi), np.einsum("i,ij->j", xvals, nabla_xi)
+
+
+def d_fundamental_form_reference(struct, point) -> np.ndarray:
+    """``(d Phi)_ijk = d_i Phi_jk - d_j Phi_ik + d_k Phi_ij`` for ``Phi_ij = g_im phi^m_j``."""
+    gvals, ggrads = struct.metric.evaluate_with_grads(point)
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    partial = np.einsum("bma,mc->abc", ggrads, pvals) + np.einsum("bm,mca->abc", gvals, pgrads)
+    return partial - np.einsum("jik->ijk", partial) + np.einsum("kij->ijk", partial)
+
+
+def normality_reference(struct, point) -> np.ndarray:
+    """``N[c, i, j]``, the c-th component of ``[phi, phi] + 2 d(eta) (x) xi`` on ``(e_i, e_j)``."""
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    xvals = struct.xi.evaluate(point)
+    eta_grads = struct.eta.evaluate_with_grads(point)[1]
+    d_eta = eta_grads.T - eta_grads
+    term_bracket = np.einsum("ai,cja->cij", pvals, pgrads)
+    term_through = np.einsum("aij,ca->cij", pgrads, pvals)
+    return (
+        term_bracket
+        - np.einsum("cij->cji", term_bracket)
+        + term_through
+        - np.einsum("cij->cji", term_through)
+        + 2.0 * np.einsum("ij,c->cij", d_eta, xvals)
+    )

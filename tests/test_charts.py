@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sewcells import charts
 from sewcells.charts import (
+    _MAX_REJECTIONS,
     BATCH_BYTES,
     CellDefinition,
     Chart,
@@ -18,6 +20,7 @@ from sewcells.charts import (
     evaluate_batches,
     sample_points,
     sample_points_grouped,
+    sampling_box,
     validate_structure,
 )
 from sewcells.expressions import EvaluationDomainError
@@ -66,6 +69,74 @@ class TestSampling:
         chart = Chart(("x",), (Constraint.from_source("x - 10 > 0", ("x",)),))
         with pytest.raises(SamplingError):
             sample_points(chart, 1, 0)
+
+    @staticmethod
+    def _scalar_reference(chart, count, seed, box=None, limit=_MAX_REJECTIONS):
+        """One candidate at a time, one coordinate at a time."""
+        intervals = sampling_box(chart, box)
+        rng = np.random.default_rng(seed)
+        samples, draw = [], 0
+        for _ in range(count):
+            for _ in range(limit):
+                point = tuple(float(rng.uniform(lo, hi)) for lo, hi in intervals)
+                draw += 1
+                if chart.satisfies(point):
+                    samples.append(PointSample(point, seed, draw - 1))
+                    break
+            else:
+                raise SamplingError("reference gave up")
+        return samples
+
+    def test_block_draws_match_the_scalar_loop(self, halfspace_cell, monkeypatch):
+        xy = ("x", "y")
+        logarithmic = Chart(xy, (Constraint.from_source("log(x) + y > -0.5", xy),))
+        fallbacks = []
+        holds = Constraint.holds
+
+        def counted(constraint, point, index):
+            fallbacks.append(point)
+            return holds(constraint, point, index)
+
+        monkeypatch.setattr(Constraint, "holds", counted)
+        cases = [
+            (Chart(("t", "x", "y")), None),               # unconstrained: every draw is kept
+            (halfspace_cell.chart, {"z": (-2.0, 1.0)}),   # z > 0 rejects about two draws in three
+            (logarithmic, None),                          # the stack leaves the domain of log
+        ]
+        for chart, box in cases:
+            row_tests = 0
+            for seed in range(12):
+                for count in (1, 5, 40):
+                    expected = self._scalar_reference(chart, count, seed, box)
+                    fallbacks.clear()
+                    got = sample_points(chart, count, seed, box)
+                    row_tests += len(fallbacks)
+                    assert got == expected
+                    assert all(type(s.draw) is int for s in got)
+            if box is not None:
+                assert any(s.draw > i for i, s in enumerate(got)), "the box must force rejections"
+            # only a stack that leaves a constraint's domain is tested row by row
+            assert bool(row_tests) == (chart is logarithmic)
+
+    def test_gives_up_after_a_run_of_misses(self, monkeypatch):
+        """``SamplingError`` exactly where the scalar loop gives up: after
+        ``_MAX_REJECTIONS`` misses in a row (made small here, with a domain
+        that keeps about two draws in five, so that runs one short of the
+        limit occur as well)."""
+        monkeypatch.setattr(charts, "_MAX_REJECTIONS", 6)
+        chart = Chart(("x",), (Constraint.from_source("x > 0.2", ("x",)),))
+        outcomes = set()
+        for seed in range(60):
+            try:
+                expected = self._scalar_reference(chart, 8, seed, limit=6)
+            except SamplingError:
+                with pytest.raises(SamplingError, match="no in-domain point after 6 draws"):
+                    sample_points(chart, 8, seed)
+                outcomes.add("raised")
+                continue
+            assert sample_points(chart, 8, seed) == expected
+            outcomes.add("sampled")
+        assert outcomes == {"raised", "sampled"}
 
     def test_grouped_sampler_shares_adapted_values(self):
         chart = Chart(("t", "x", "y"), adapted_index=0)

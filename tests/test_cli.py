@@ -194,6 +194,26 @@ def test_nan_phi_fails_every_command(command, tmp_path, monkeypatch, capsys):
     assert "RuntimeWarning" not in captured.err
 
 
+@COMMANDS
+def test_singular_metric_stops_after_the_axioms(command, tmp_path, monkeypatch, capsys):
+    """No connection without an invertible metric: the axioms run first, and a
+    metric that is not positive definite ends the command with its report."""
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(flat_cosymplectic_cell())
+    doc["metric"][1][1] = "0"
+    Path("singular.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command[0], "singular.json", *command[1:], "--json", "report.json"]
+    assert main(argv) == EXIT_FAIL
+    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is False
+    subject = report["subjects"][0]
+    checks = subject.get("checks") or subject["sections"]["induced structure axioms"]
+    assert {c["name"]: c["passed"] for c in checks}["metric_positive_definite"] is False
+    captured = capsys.readouterr()
+    assert "FAIL  metric_positive_definite" in captured.out
+    assert "Traceback" not in captured.err and "Error" not in captured.err
+
+
 def test_domain_error_names_the_first_failing_sample(tmp_path, monkeypatch, capsys):
     """A metric entry defined only for x > 0, on a file without that domain."""
     monkeypatch.chdir(tmp_path)

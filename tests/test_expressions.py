@@ -269,7 +269,54 @@ class TestStacks:
         jet = evaluate_jet2(expr, points, IDX_XYZ)
         assert jet.value[1] == math.inf and jet.grad.shape == (2, 3) and jet.hess.shape == (2, 3, 3)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_order_one_matches_order_two(self, seed, count):
+        """Values and gradients bit for bit, at a point and at a stack, and a
+        domain error in one order is a domain error in the other."""
+        rng = np.random.default_rng(seed)
+        expr = random_expression(rng, self.COORDS, 4)
+        points = rng.uniform(-1.5, 1.5, size=(count, 3))
+        for point in (points[0], points):
+            try:
+                second = evaluate_jet2(expr, point, self.INDEX)
+            except EvaluationDomainError:
+                with pytest.raises(EvaluationDomainError):
+                    evaluate_jet2(expr, point, self.INDEX, order=1)
+                continue
+            first = evaluate_jet2(expr, point, self.INDEX, order=1)
+            assert first.hess is None and second.hess is not None
+            for got, expected in ((first.value, second.value), (first.grad, second.grad)):
+                assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_order_must_be_one_or_two(self):
+        with pytest.raises(ValueError, match="order"):
+            evaluate_jet2(parse_expression("x", XYZ), np.zeros(3), IDX_XYZ, order=3)
+
     def test_constant_expression_over_a_stack(self):
         jet = evaluate_jet2(parse_expression("3.5 + 2^2", TXY), np.ones((4, 3)), IDX_TXY)
         assert np.array_equal(jet.value, np.full(4, 7.5))
         assert jet.grad.shape == (4, 3) and not jet.grad.any() and not jet.hess.any()
+
+
+def test_verify_on_a_sewn_file_propagates_no_hessian(tmp_path, monkeypatch, capsys):
+    """``verify`` reads no second derivative, so every jet it takes is of order 1."""
+    from sewcells import charts, cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+    from sewcells.sewing import sew
+
+    path = tmp_path / "sewn.json"
+    save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
+    original = charts.evaluate_jet2
+    hessians = []
+
+    def spy(*args, **kwargs):
+        jet = original(*args, **kwargs)
+        hessians.append(jet.hess is not None)
+        return jet
+
+    monkeypatch.setattr(charts, "evaluate_jet2", spy)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_PASS
+    assert hessians and not any(hessians)

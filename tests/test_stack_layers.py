@@ -19,7 +19,21 @@ import pytest
 from sewcells import cli
 from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
 from sewcells.charts import BATCH_BYTES, TensorField, sample_points
-from sewcells.geometry import h_tensor, lie_bracket, riemann
+from geometry_helpers import (
+    christoffel_reference,
+    d_fundamental_form_reference,
+    nabla_phi_reference,
+    normality_reference,
+)
+from sewcells.geometry import (
+    christoffel,
+    covariant_derivative_affinor,
+    fundamental_form_with_derivative,
+    h_tensor,
+    lie_bracket,
+    normality_tensor,
+    riemann,
+)
 from sewcells.manifold_io import load_manifold, save_manifold
 from sewcells.nullity import fit_nullity, normalized
 from sewcells.sewing import build_product, sew
@@ -119,6 +133,31 @@ def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell
             reference = _riemann_reference(metric, point)
             # both sum O(n) products of entries of at most the reference's magnitude
             np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(reference).max()))
+
+
+def test_first_order_layers_match_einsum_references(structures):
+    """Gamma, nabla phi (with its xi-direction norms), d Phi and N, run as
+    batched matrix products over a stack, against the ``einsum`` references
+    at each row.  Both sum the same O(1) terms in another order, so they agree
+    to 1e-13 of the reference's largest magnitude, or of 1 where the terms
+    cancel (nabla phi vanishes on the cosymplectic cells)."""
+    def close(got, reference):
+        np.testing.assert_allclose(got, reference, rtol=REL, atol=REL * max(1.0, np.abs(reference).max()))
+
+    for struct in structures:
+        points = _points(struct, count=8, seed=13)
+        gamma = christoffel(struct.metric, points)
+        derivative = covariant_derivative_affinor(struct, points)
+        d_phi = fundamental_form_with_derivative(struct, points)[1]
+        torsion = normality_tensor(struct, points)
+        for p, point in enumerate(points):
+            close(gamma[p], christoffel_reference(struct.metric, point))
+            nablaphi, nabla_xi_phi, nabla_xi_xi = nabla_phi_reference(struct, point)
+            close(derivative.nablaphi[p], nablaphi)
+            close(derivative.nabla_xi_phi_norm[p], np.abs(nabla_xi_phi).max())
+            close(derivative.nabla_xi_xi_norm[p], np.abs(nabla_xi_xi).max())
+            close(d_phi[p], d_fundamental_form_reference(struct, point))
+            close(torsion[p], normality_reference(struct, point))
 
 
 def _column(affinor: TensorField, a: int) -> TensorField:
