@@ -6,23 +6,26 @@ coordinate ``t`` for which the structure form is ``scale * dt``.  Tensor
 fields store one expression per component.  A field folds its constant
 components once, on first evaluation, and evaluates each other component with
 one call per point or per stack of points, its jet taken over the coordinates
-that component depends on and scattered into the full gradient and Hessian.
+that component depends on; the gradients are scattered into the full grid,
+and the Hessians stay the sparse entries of those jets.
 
 Sweeps over samples go through ``evaluate_batches``, which hands consumers
 stacks of samples.  The batch size is derived from the chart dimension n by
-one of two budgets.  A jet or bracket sweep holds as many samples as keep one
-(n, n, n) float array with a sample axis (a metric gradient, the Christoffel
-symbols, nabla phi, the brackets of an affinor's columns) within
-``BATCH_BYTES``.  A curvature sweep (the Riemann tensor, the nullity fits)
-keeps one (n, n, n, n) array with a sample axis (the metric Hessian, d Gamma,
-R) within the same budget, and runs one sample at a time where even one such
-array exceeds it.  Nothing with a sample axis grows beyond that, whatever the
-sample count.
+one budget: a batch holds as many samples as keep one (n, n, n) float array
+with a sample axis (a metric gradient, the Christoffel symbols, nabla phi,
+the brackets of an affinor's columns, the curvature along one vector) within
+``BATCH_BYTES``, and runs one sample at a time where even one such array
+exceeds it.  No sweep builds an (n, n, n, n) array: the curvature reads the
+sparse Hessians only through their contractions with a vector
+(``TensorField.fold_hessians``).
+Nothing with a sample axis grows beyond that, whatever the sample count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -232,7 +235,10 @@ class TensorField:
         vals[...] = plan.constant
         if plan.terms:
             index = self.chart.coord_index
-            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
+            # numpy warns only at a stack; one guard serves every component
+            with np.errstate(all="ignore") if lead else contextlib.nullcontext():
+                values = [evaluate(node, point, index, guard=False) for node, _, _ in plan.terms]
+            vals[..., plan.positions] = np.array(values).T
         return vals.reshape(lead + self.shape)
 
     def evaluate_with_grads(self, point):
@@ -241,8 +247,10 @@ class TensorField:
 
     def evaluate_with_jets(self, point, hessians: bool = True):
         """Values, ``grads[..., l] = d_l`` of each component and, unless
-        ``hessians`` is false, ``hesses[..., l, m] = d_l d_m``; at a stack
-        (P, n) each has a leading P axis."""
+        ``hessians`` is false, the Hessian entries that the components' own
+        jets give: ``hess[..., s]`` is the second derivative at the flat slot
+        ``hessian_slots[s]`` of the Hessian grid ``shape + (n, n)``, which is
+        zero at every other slot.  At a stack (P, n) each has a leading P axis."""
         point = np.asarray(point, dtype=float)
         plan = self._plan
         n = self.chart.dim
@@ -251,22 +259,44 @@ class TensorField:
         vals = np.empty(lead + (size,))
         vals[...] = plan.constant
         grads = np.zeros(lead + (size * n,))
-        hesses = np.zeros(lead + (size * n * n,)) if hessians else None
+        jets = []
         if plan.terms:
-            # each component's jet is taken over its own coordinates only, then scattered
+            # each component's jet is taken over its own coordinates only
             order = 2 if hessians else 1
             local_points = [point[..., columns] for columns in plan.column_sets]
-            jets = [evaluate_jet2(node, local_points[slot], local, order) for node, slot, local in plan.terms]
+            with np.errstate(all="ignore"):
+                jets = [evaluate_jet2(node, local_points[slot], local, order, guard=False)
+                        for node, slot, local in plan.terms]
             vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
             grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
-            if hesses is not None:
-                hesses[..., plan.hess_slots] = np.concatenate(
-                    [jet.hess.reshape(lead + (-1,)) for jet in jets], axis=-1
-                )
         shape = lead + self.shape
-        if hesses is None:
+        if not hessians:
             return vals.reshape(shape), grads.reshape(shape + (n,))
-        return vals.reshape(shape), grads.reshape(shape + (n,)), hesses.reshape(shape + (n, n))
+        hess = np.concatenate([jet.hess.reshape(lead + (-1,)) for jet in jets] or [np.zeros(lead + (0,))], axis=-1)
+        return vals.reshape(shape), grads.reshape(shape + (n,)), hess
+
+    @property
+    def hessian_slots(self) -> np.ndarray:
+        """The flat slots of the Hessian grid that the entries of
+        ``evaluate_with_jets`` fill, in order."""
+        return self._plan.hess_slots
+
+    def fold_hessians(self, hess: np.ndarray, v):
+        """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with
+        a vector ``v`` per point, for a rank-2 field: ``first[..., b, c, d] =
+        v^a d_c d_d F_ab`` and ``along[..., a, b, d] = v^c d_c d_d F_ab``.  One
+        scatter-add over slots fixed by the field sums each entry's terms in
+        the same order at a point and at a stack."""
+        plan = self._plan
+        n = self.chart.dim
+        lead = hess.shape[:-1]
+        rows = math.prod(lead)
+        weighted = (np.asarray(v)[..., plan.fold_weights] * np.tile(hess, 2)).reshape(rows, -1)
+        slots = (np.arange(rows)[:, None] * (2 * n ** 3) + plan.fold_targets).ravel()
+        # float also when there is no entry, where bincount gives integer zeros
+        folded = np.bincount(slots, weighted.ravel(), minlength=rows * 2 * n ** 3).astype(float, copy=False)
+        first, along = folded.reshape((rows, 2, n, n, n)).swapaxes(0, 1)
+        return first.reshape(lead + (n, n, n)), along.reshape(lead + (n, n, n))
 
     def renamed_grid(self, mapping: dict[str, str]):
         """The component grid with variables renamed (for lifting into blocks)."""
@@ -289,7 +319,9 @@ class _FieldPlan(NamedTuple):
     index of its coordinates) for each component at ``positions``, so that
     the columns of a point are gathered once per set.  ``grad_slots`` and
     ``hess_slots`` are the flat slots of the full gradient and Hessian that
-    the terms' own jets fill, in order.
+    the terms' own jets fill, in order.  ``TensorField.fold_hessians`` adds
+    each Hessian entry, weighted by ``v[fold_weights]``, into the slots
+    ``fold_targets`` of its two contractions with a vector, laid end to end.
     """
 
     constant: np.ndarray
@@ -298,6 +330,8 @@ class _FieldPlan(NamedTuple):
     terms: tuple[tuple[ExpressionNode, int, dict[str, int]], ...]
     grad_slots: np.ndarray
     hess_slots: np.ndarray
+    fold_weights: np.ndarray
+    fold_targets: np.ndarray
 
     @classmethod
     def build(cls, field: TensorField) -> "_FieldPlan":
@@ -323,9 +357,15 @@ class _FieldPlan(NamedTuple):
             terms.append((node, slot, {chart.coords[c]: j for j, c in enumerate(columns)}))
             grad_slots.extend(pos * n + c for c in columns)
             hess_slots.extend((pos * n + a) * n + b for a in columns for b in columns)
+        hess = np.array(hess_slots, dtype=np.intp)
+        # for a rank-2 field the slot of d_c d_d F_ab is ((a n + b) n + c) n + d; the
+        # first contraction drops a, the second c
+        cube = n ** 3
         return cls(constant, np.array(positions, dtype=np.intp),
                    tuple(np.array(columns, dtype=np.intp) for columns in column_sets), tuple(terms),
-                   np.array(grad_slots, dtype=np.intp), np.array(hess_slots, dtype=np.intp))
+                   np.array(grad_slots, dtype=np.intp), hess,
+                   np.concatenate([hess // cube, hess // n % n]),
+                   np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]))
 
 
 def _parse_grid(grid, rank: int, chart: Chart):
@@ -443,38 +483,11 @@ def sample_points(
 
     Candidates are drawn coordinate by coordinate, point after point, and
     the first ``count`` in the domain are kept with their draw index; the
-    sampler gives up after ``_MAX_REJECTIONS`` misses in a row.  Candidates
-    are drawn and tested in blocks sized from the hit rate so far; a block
-    takes from the generator what as many single draws would, so the samples
-    do not depend on the block sizes.
+    sampler gives up after ``_MAX_REJECTIONS`` misses in a row.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    lo, hi = np.array(sampling_box(chart, box), dtype=float).T
-    rng = np.random.default_rng(seed)
-    samples: list[PointSample] = []
-    drawn = 0       # candidates drawn so far
-    run_start = 0   # draw index of the first candidate after the last hit
-    while True:
-        remaining = count - len(samples)
-        if samples:
-            block = -(-remaining * drawn // len(samples))  # the expected draws at the hit rate so far
-        else:
-            block = 2 * drawn if drawn else remaining
-        block = min(block, _MAX_REJECTIONS)
-        points = rng.uniform(lo, hi, size=(block, len(lo)))
-        for row in np.flatnonzero(chart.inside(points)).tolist():
-            if drawn + row - run_start >= _MAX_REJECTIONS:
-                break
-            samples.append(PointSample(tuple(points[row].tolist()), seed, drawn + row))
-            run_start = drawn + row + 1
-            if len(samples) == count:
-                return samples
-        drawn += block
-        if drawn - run_start >= _MAX_REJECTIONS:
-            raise SamplingError(
-                f"no in-domain point after {_MAX_REJECTIONS} draws; tighten the sampling box"
-            )
+    return _draw_samples(chart, 1, count, seed, box, None)
 
 
 def sample_points_grouped(
@@ -487,34 +500,74 @@ def sample_points_grouped(
     """Samples organised into groups sharing the adapted-coordinate value.
 
     Members of a group differ only in the non-adapted coordinates, which is
-    what alignment checks along the structure form need.
+    what alignment checks along the structure form need.  Candidates are
+    drawn as in ``sample_points``.  The first member of a group is the next
+    candidate in the domain, and it fixes the group's adapted value; every
+    later member is the next candidate in the domain once its adapted
+    coordinate is replaced by that value.
     """
     if chart.adapted_index is None:
         raise ChartError("grouped sampling needs an adapted chart")
     if groups < 1 or per_group < 1:
         raise ValueError("groups and per_group must be >= 1")
-    t_axis = chart.adapted_index
-    intervals = sampling_box(chart, box)
+    return _draw_samples(chart, groups, per_group, seed, box, chart.adapted_index)
+
+
+def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, box, t_axis: int | None) -> list[PointSample]:
+    """The samplers' one loop: ``groups`` groups of ``per_group`` members, the
+    members of a group sharing the coordinate ``t_axis`` unless it is None.
+
+    Candidates are drawn and tested in blocks sized from the hit rate so far,
+    and what a block leaves over feeds the next member.  A block takes from
+    the generator what as many single draws would, so the samples do not
+    depend on the block sizes.  A member gives up after ``_MAX_REJECTIONS``
+    misses in a row.
+    """
+    lo, hi = np.array(sampling_box(chart, box), dtype=float).T
     rng = np.random.default_rng(seed)
+    count = groups * per_group
     samples: list[PointSample] = []
-    draw = 0
+    block = np.empty((0, len(lo)))
+    base = 0  # draw index of block[0]
+    pos = 0   # the next unread row of block
+
+    def hits(t_value: float | None) -> deque[int]:
+        """The rows of the block from ``pos`` on that are in the domain once
+        their coordinate ``t_axis`` is ``t_value`` (as drawn when it is None)."""
+        candidates = block[pos:]
+        if t_value is not None:
+            candidates = candidates.copy()
+            candidates[:, t_axis] = t_value
+        return deque((pos + np.flatnonzero(chart.inside(candidates))).tolist())
+
     for _ in range(groups):
-        t_value: float | None = None
+        t_value = None
+        found = hits(t_value)
         for _ in range(per_group):
-            for _ in range(_MAX_REJECTIONS):
-                point = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
-                draw += 1
-                if t_value is not None:
-                    point[t_axis] = t_value
-                if chart.satisfies(point):
-                    if t_value is None:
-                        t_value = point[t_axis]
-                    samples.append(PointSample(tuple(point), seed, draw - 1))
+            run_start = base + pos
+            while not found:
+                drawn = base + len(block)
+                if drawn - run_start >= _MAX_REJECTIONS:
                     break
-            else:
+                remaining = count - len(samples)
+                # the expected draws at the hit rate so far
+                size = -(-remaining * drawn // len(samples)) if samples else (2 * drawn or remaining)
+                block = rng.uniform(lo, hi, size=(min(size, _MAX_REJECTIONS), len(lo)))
+                base, pos = drawn, 0
+                found = hits(t_value)
+            if not found or base + found[0] - run_start >= _MAX_REJECTIONS:
                 raise SamplingError(
                     f"no in-domain point after {_MAX_REJECTIONS} draws; tighten the sampling box"
                 )
+            row = found.popleft()
+            point = block[row].tolist()
+            pos = row + 1
+            if t_value is not None:
+                point[t_axis] = t_value
+            elif t_axis is not None:
+                t_value = point[t_axis]
+                found = hits(t_value)  # the later members share the first one's value
+            samples.append(PointSample(tuple(point), seed, base + row))
     return samples
 
 
@@ -533,22 +586,21 @@ def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
 BATCH_BYTES = 128 * 1024
 
 
-def batch_size(dim: int, curvature: bool = False) -> int:
-    """Samples per batch on a chart of dimension ``dim``: the jet budget, or
-    the curvature budget when ``curvature`` is true (see the module docstring)."""
-    return max(1, BATCH_BYTES // (8 * dim ** (4 if curvature else 3)))
+def batch_size(dim: int) -> int:
+    """Samples per batch on a chart of dimension ``dim`` (see the module docstring)."""
+    return max(1, BATCH_BYTES // (8 * dim ** 3))
 
 
-def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable, curvature: bool = False):
+def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
-    ``points`` stacks the batch's coordinates as a (B, dim) array and B follows
-    ``batch_size(dim, curvature)``.
+    ``points`` stacks the batch's coordinates as a (B, dim) array and B is
+    ``batch_size(dim)``.
 
     When a batch leaves the domain of an expression, its samples are evaluated
     again one at a time, and the ``SampleEvaluationError`` names the first
     sample, in draw order, that fails.
     """
-    size = batch_size(dim, curvature)
+    size = batch_size(dim)
     for start in range(0, len(samples), size):
         batch = samples[start:start + size]
         points = np.array([s.coords for s in batch], dtype=float)

@@ -53,7 +53,8 @@ EXIT_INPUT = 2
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
-# One sample of the sewn curvature is 8 (2k+1)^4 bytes, about 9.5 MB at k = 16.
+# The sewn curvature holds a few arrays of 8 (2k+1)^3 bytes per sample (0.29 MB
+# each at k = 16), and its time per sample grows about as k^3.
 MAX_COPIES = 16
 MAX_POINTS = 10_000
 

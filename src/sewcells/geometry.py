@@ -22,12 +22,14 @@ points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
 one call gives the brackets of every column pair.  ``affinor_derivatives``,
 ``classify`` and the ``sew`` stages feed these layers batches of samples (see
-``charts.evaluate_batches``); ``riemann`` computes d(g^-1), d Gamma and the
-Gamma Gamma term as batched matrix products, and the first-order layers
-(Gamma, nabla phi, d Phi and the normality tensor) contract the same way,
-one index summed and the other index pairs flattened into a matrix axis.
-Only ``riemann`` reads the Hessians of the metric; every other layer takes
-order-1 jets.
+``charts.evaluate_batches``).  Every consumer of the curvature contracts it
+with one vector field (the nullity conditions involve only ``R(X, Y) xi``), so
+``riemann`` gives the curvature along a vector, ``R(e_i, e_j) v``, and never
+the whole (n, n, n, n) tensor.  It and the first-order layers (Gamma,
+nabla phi, d Phi and the normality tensor) contract as batched matrix
+products, one index summed and the other index pairs flattened into a matrix
+axis.  Only ``riemann`` reads the Hessians of the metric, as the sparse
+entries of its components' jets; every other layer takes order-1 jets.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def _require_metric(metric: TensorField) -> None:
 
 
 def _connection(vals: np.ndarray, grads: np.ndarray):
-    """The inverse metric, ``T[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij``
-    and Gamma, from the metric values and ``grads[..., i, j, l] = d_l g_ij``."""
+    """The inverse metric and Gamma, from the metric values and
+    ``grads[..., i, j, l] = d_l g_ij``."""
     ginv = _metric_inverse(vals)
     n = vals.shape[-1]
     lead = vals.shape[:-2]
@@ -72,64 +74,53 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     t = np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads) - np.einsum("...ijl->...lij", grads)
     # Gamma^k_ij = 1/2 g^kl T_lij, with (i, j) flattened
     gamma = 0.5 * (ginv @ t.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
-    return ginv, t, gamma
+    return ginv, gamma
 
 
 def christoffel(metric: TensorField, point) -> np.ndarray:
     """``gamma[..., k, i, j] = Gamma^k_ij`` at a point or a stack, from
     first-order jets of the metric."""
     _require_metric(metric)
-    return _connection(*metric.evaluate_with_grads(point))[2]
+    return _connection(*metric.evaluate_with_grads(point))[1]
 
 
-def christoffel_with_derivative(metric: TensorField, point):
-    """Gamma and ``dgamma[..., m, k, i, j] = d_m Gamma^k_ij``, from second-order
-    jets of the metric; ``riemann`` is the package's only reader of d Gamma.
+def riemann(metric: TensorField, point, v):
+    """Gamma and the curvature along a vector ``v`` per point:
+    ``gamma[..., k, i, j] = Gamma^k_ij`` and ``rv[..., l, i, j] = (R(e_i, e_j) v)^l``.
 
-    The contractions are batched matrix products over the leading axes, with
-    the index pair (i, j) flattened into one axis.  Arrays of the size of the
-    Hessians are updated in place and released once read: they set the peak
-    memory of a curvature batch."""
+    Nothing of size n^4 is built.  With ``Gamma^l_jk = 1/2 g^lm T_mjk`` for
+    ``T_mjk = d_j g_km + d_k g_jm - d_m g_jk`` and ``(Gamma v)^q_j = Gamma^q_jk v^k``,
+    ``d_i Gamma^l_jk v^k = g^lm (1/2 d_i T_mjk v^k - (d_i g_mq) (Gamma v)^q_j)``,
+    and ``d_i T_mjk v^k`` reads the metric Hessians only through their two
+    contractions with v (``TensorField.fold_hessians``).  Every contraction is
+    a batched matrix product per sample, so a stack gives what its rows give,
+    and arrays of size n^3 per sample are updated in place and released once
+    read: they set the peak memory of a batch."""
     _require_metric(metric)
-    vals, grads, hesses = metric.evaluate_with_jets(point)
-    ginv, t, gamma = _connection(vals, grads)
+    vals, grads, hess = metric.evaluate_with_jets(point)
+    ginv, gamma = _connection(vals, grads)
+    v = np.asarray(v, dtype=float)
     n = vals.shape[-1]
     lead = vals.shape[:-2]
-    # dT[..., m, l, i, j] = d_m T[..., l, i, j]
-    dt = np.einsum("...jlim->...mlij", hesses) + np.einsum("...iljm->...mlij", hesses)
-    dt -= np.einsum("...ijlm->...mlij", hesses)
-    del hesses
-    dg = np.moveaxis(grads, -1, -3)  # dg[..., m, i, j] = d_m g_ij
-    ginv_m = ginv[..., None, :, :]   # broadcast over m
-    dginv = -(ginv_m @ dg @ ginv_m)  # d_m(g^-1) = -g^-1 (d_m g) g^-1
-    # d_m Gamma^k_ij = 1/2 (g^kl d_m T_lij + d_m(g^-1)^kl T_lij)
-    dgamma = ginv_m @ dt.reshape(lead + (n, n, n * n))
-    del dt
-    dgamma += dginv @ t.reshape(lead + (1, n, n * n))
-    dgamma *= 0.5
-    return gamma, dgamma.reshape(lead + (n,) * 4)
-
-
-@dataclass
-class CurvatureAtPoint:
-    """``riem[..., l, i, j, k]`` = l-th component of ``R(e_i, e_j) e_k``, and the
-    Christoffel symbols ``gamma[..., k, i, j]`` it was built from."""
-
-    riem: np.ndarray
-    gamma: np.ndarray
-
-
-def riemann(metric: TensorField, point) -> CurvatureAtPoint:
-    gamma, dgamma = christoffel_with_derivative(metric, point)
-    n = gamma.shape[-1]
-    lead = gamma.shape[:-3]
-    # quad[..., l, i, j, k] = Gamma^l_im Gamma^m_jk, with (l, i) and (j, k) flattened
-    quad = (gamma.reshape(lead + (n * n, n)) @ gamma.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
-    riem = np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
-    del dgamma
-    riem += quad
-    riem -= np.einsum("...lijk->...ljik", quad)
-    return CurvatureAtPoint(riem, gamma)
+    gv = (gamma @ v[..., None, :, None])[..., 0]  # gv[..., q, j] = Gamma^q_jk v^k
+    # first[..., m, c, d] = v^a d_c d_d g_am and along[..., a, b, d] = v^c d_c d_d g_ab, so that
+    # e[..., i, m, j] = d_i T_mjk v^k = first[m, j, i] - first[j, m, i] + along[j, m, i]
+    first, along = metric.fold_hessians(hess, v)
+    e = np.moveaxis(first, -1, -3) - np.swapaxes(first, -1, -3)
+    e += np.swapaxes(along, -1, -3)
+    del first, along
+    e *= 0.5
+    e -= np.moveaxis(grads, -1, -3) @ gv[..., None, :, :]  # (d_i g_mq) (Gamma v)^q_j
+    d = ginv[..., None, :, :] @ e  # d[..., i, l, j] = d_i Gamma^l_jk v^k
+    del e
+    # (R(e_i, e_j) v)^l = d[i, l, j] - d[j, l, i] + quad[l, i, j] - quad[l, j, i]
+    rv = np.swapaxes(d, -3, -2) - np.moveaxis(d, -3, -1)
+    del d
+    # quad[..., l, i, j] = Gamma^l_im (Gamma v)^m_j, with (l, i) flattened
+    quad = (gamma.reshape(lead + (n * n, n)) @ gv).reshape(lead + (n, n, n))
+    rv += quad
+    rv -= np.swapaxes(quad, -1, -2)
+    return gamma, rv
 
 
 # ---------------------------------------------------------------------------

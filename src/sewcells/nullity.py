@@ -16,9 +16,10 @@ same design column divided by alpha, so its fit is the raw one with ``mu'``
 multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 
 ``fit_nullity`` takes one point or a stack of points.  At a stack it builds
-the curvature, ``h`` and the design matrices of every sample at once and runs
-only the least-squares solve per sample; ``nullity_fits`` feeds it a sample
-set in curvature batches (see ``charts.evaluate_batches``).
+``R(e_i, e_j) xi`` (``geometry.riemann`` along xi), ``h`` and the design
+matrices of every sample at once and runs only the least-squares solve per
+sample; ``nullity_fits`` feeds it a sample set in batches (see
+``charts.evaluate_batches``).
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def fit_nullity(struct: ContactStructure, point):
 
 
 def nullity_fits(struct: ContactStructure, samples: Sequence[PointSample]) -> list[NullityFit]:
-    """``fit_nullity`` at every sample, in sample order, over curvature batches."""
-    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), curvature=True)
+    """``fit_nullity`` at every sample, in sample order, over batches."""
+    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points))
     return [fit for _, fits in batches for fit in fits]
 
 
@@ -78,8 +79,8 @@ def normalized(fit: NullityFit, alpha: float) -> NullityFit:
 
 def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]:
     n = struct.dim
-    riem = riemann(struct.metric, points).riem
     xi = struct.xi.evaluate(points)
+    rxi = riemann(struct.metric, points, xi)[1]  # rxi[p, l, i, j] = (R(e_i, e_j) xi)^l
     eta = struct.eta.evaluate(points)
     tensors = h_tensor(struct, points)
     h, hp = tensors.h, tensors.hprime
@@ -98,7 +99,7 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]
         """``eta(e_j) op(e_i) - eta(e_i) op(e_j)`` for every pair."""
         return flat(eta[:, None, j] * op[:, :, i] - eta[:, None, i] * op[:, :, j])
 
-    b = flat(np.einsum("plijm,pm->plij", riem, xi)[:, :, i, j])
+    b = flat(rxi[:, :, i, j])
     design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
     return [_solve(design[p], b[p], h_norm, h[p], hp[p]) for p, h_norm in enumerate(h_norms.tolist())]
 

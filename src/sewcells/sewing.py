@@ -38,11 +38,12 @@ field over its own three coordinates, and the stages assemble the connection,
 block.  Only the sewn metric's own curvature, which the curvature restriction
 is compared with, is (2k+1)-dimensional.
 
-Every stage runs over stacks of samples (``charts.evaluate_batches``): the
-curvature and the nullity fits in curvature batches of their own chart's
-dimension, the block geometry, the structure values and the Lie brackets in
-jet batches.  The brackets of all pairs of a block's affinor-image fields
-come from one ``lie_bracket`` call on the block of the affinor.
+Every stage runs over stacks of samples (``charts.evaluate_batches``), in
+batches of its own chart's dimension: the block geometry and the Lie
+brackets of a 3-dimensional block, the curvature along the Reeb field and
+the nullity fits of the sewn chart.  The brackets of all pairs of a block's
+affinor-image fields come from one ``lie_bracket`` call on the block of the
+affinor.
 """
 
 from __future__ import annotations
@@ -578,12 +579,12 @@ def extrinsic_report(
     field and curvature restriction of ``sewn`` (the diagonal of ``product``)
     at samples of its chart.
 
-    The product geometry is evaluated block by block, in curvature batches of
-    a 3-dimensional chart, which needs ``block_structure`` to hold
-    (``SewingError`` otherwise).  Inside each batch the sewn curvature runs in
-    curvature batches of the sewn chart, and the product contractions compared
-    with it are assembled there: a sum over the product index is a sum over
-    the blocks k of their three rows j.
+    The product geometry is evaluated block by block, in batches of a
+    3-dimensional chart, which needs ``block_structure`` to hold
+    (``SewingError`` otherwise).  Inside each batch the sewn curvature along
+    the Reeb field runs in batches of the sewn chart, and the product
+    contractions compared with it are assembled there: a sum over the product
+    index is a sum over the blocks k of their three rows j.
     """
     structure = block_structure(product)
     if not structure.passed:
@@ -606,8 +607,8 @@ def extrinsic_report(
         parts = []
         for block, rows in zip(blocks, frame_rows):
             local = points @ rows.T
-            curvature = riemann(block.metric, local)
             xi_bar = block.median.evaluate(local)
+            gamma, curvature_xi = riemann(block.metric, local, xi_bar)
             jets = [u.evaluate_with_grads(local) for u in block.normals]
             normal = np.stack([vals for vals, _ in jets], axis=-1)
             parts.append(_BlockGeometry(
@@ -615,20 +616,19 @@ def extrinsic_report(
                 g_normal=block.metric.evaluate(local) @ normal,
                 normal_grads=np.stack([grads for _, grads in jets], axis=1),
                 xi_bar=xi_bar,
-                gamma=curvature.gamma,
-                curvature_xi=np.einsum("plamj,pj->plam", curvature.riem, xi_bar),
+                gamma=gamma,
+                curvature_xi=curvature_xi,
             ))
         return _BlockGeometry(*map(np.stack, zip(*parts)))
 
     def sewn_curvature(points):
         """(R(e_a, e_b) xi)^l of the sewn metric for the pairs a < b."""
-        riem_n = riemann(sewn.metric, points).riem
-        return np.einsum("plabm,pm->plab", riem_n, sewn.xi.evaluate(points))[:, :, upper[0], upper[1]]
+        return riemann(sewn.metric, points, sewn.xi.evaluate(points))[1][:, :, upper[0], upper[1]]
 
     e = frame_rows[:, None, None]  # broadcast over the samples and one more axis
-    for batch, geometry in evaluate_batches(samples, 3, block_geometry, curvature=True):
+    for batch, geometry in evaluate_batches(samples, 3, block_geometry):
         start = 0
-        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, curvature=True):
+        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature):
             geo = geometry.rows(slice(start, start + len(sub)))
             start += len(sub)
 
@@ -773,7 +773,7 @@ def verify_sewing_theorems(
         def fits_and_values(points):
             return fit_nullity(sewn, points), sewn.values_at(points)
 
-        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values, curvature=True):
+        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values):
             sewn_fits.extend(fits)
             _add_operator_laws(laws, g, phi, xi, fits)
         cell_fits = [nullity_fits(cell, points) for cell, points in zip(cells, cell_samples)]

@@ -1,24 +1,54 @@
 """Geometric quantities that only the tests read, built on the package's jets.
 
 Unlike ``oracles.py``, these use the jet machinery under test, so they check
-the package against itself: identities of the curvature, covariant
-derivatives of vector fields, the second fundamental form of the sewn
-diagonal, computed here on the full product chart, and plain ``einsum``
+the package against itself: the dense Riemann tensor and identities of it,
+covariant derivatives of vector fields, the second fundamental form of the
+sewn diagonal, computed here on the full product chart, and plain ``einsum``
 references at one point for the contractions that the package runs as
-batched matrix products (Gamma, nabla phi, d Phi and the normality tensor).
+batched matrix products (Gamma, the curvature along a vector, nabla phi,
+d Phi and the normality tensor).
 """
 
 import numpy as np
 
 from sewcells.charts import TensorField
-from sewcells.geometry import christoffel, riemann
+from sewcells.geometry import christoffel
 from sewcells.sewing import embedding_matrix
+
+
+def dense_hessians(field: TensorField, point) -> np.ndarray:
+    """``hesses[..., l, m] = d_l d_m`` of every component at a point, scattered
+    from the sparse entries that ``evaluate_with_jets`` gives."""
+    hess = field.evaluate_with_jets(point)[2]
+    n = field.chart.dim
+    dense = np.zeros(n ** (field.rank + 2))
+    dense[field.hessian_slots] = hess
+    return dense.reshape(field.shape + (n, n))
+
+
+def riemann_reference(metric: TensorField, point) -> np.ndarray:
+    """``R^l_ijk`` (the l-th component of ``R(e_i, e_j) e_k``) at one point, with
+    plain ``einsum`` contractions from the metric jets and the dense Hessians."""
+    g, dg = metric.evaluate_with_grads(point)  # dg[i, j, l] = d_l g_ij
+    ddg = dense_hessians(metric, point)        # ddg[i, j, l, m] = d_l d_m g_ij
+    ginv = np.linalg.inv(g)
+    t = np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg) - np.einsum("ijl->lij", dg)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
+    dt = np.einsum("jlim->mlij", ddg) + np.einsum("iljm->mlij", ddg) - np.einsum("ijlm->mlij", ddg)
+    dginv = -np.einsum("ka,abm,bl->mkl", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, t) + np.einsum("kl,mlij->mkij", ginv, dt))
+    return (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
 
 
 def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]:
     """Antisymmetry in (X, Y), g-skewness in (Z, W), and first Bianchi."""
     g = metric.evaluate(point)
-    riem = riemann(metric, point).riem
+    riem = riemann_reference(metric, point)
     antisym = riem + np.einsum("lijk->ljik", riem)
     bianchi = riem + np.einsum("lijk->ljki", riem) + np.einsum("lijk->lkij", riem)
     lowered = np.einsum("wl,lijk->ijkw", g, riem)  # g(R(e_i,e_j) e_k, e_w)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sewcells.charts import (
     validate_structure,
 )
 from sewcells.expressions import EvaluationDomainError
-from sewcells.geometry import fundamental_form_with_derivative, h_tensor
+from sewcells.geometry import fundamental_form_with_derivative, h_tensor, riemann
 from sewcells.sewing import sew
 
 
@@ -135,6 +136,68 @@ class TestSampling:
                 outcomes.add("raised")
                 continue
             assert sample_points(chart, 8, seed) == expected
+            outcomes.add("sampled")
+        assert outcomes == {"raised", "sampled"}
+
+    @staticmethod
+    def _grouped_scalar_reference(chart, groups, per_group, seed, box=None, limit=_MAX_REJECTIONS):
+        """The grouped sampler one candidate at a time, one coordinate at a time."""
+        t_axis = chart.adapted_index
+        intervals = sampling_box(chart, box)
+        rng = np.random.default_rng(seed)
+        samples, draw = [], 0
+        for _ in range(groups):
+            t_value = None
+            for _ in range(per_group):
+                for _ in range(limit):
+                    point = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
+                    draw += 1
+                    if t_value is not None:
+                        point[t_axis] = t_value
+                    if chart.satisfies(point):
+                        if t_value is None:
+                            t_value = point[t_axis]
+                        samples.append(PointSample(tuple(point), seed, draw - 1))
+                        break
+                else:
+                    raise SamplingError("reference gave up")
+        return samples
+
+    def test_grouped_block_draws_match_the_scalar_loop(self, catalog_cells):
+        names = ("t", "x", "y")
+        # the domain depends on t, so the adapted value a group shares changes the hit rate
+        coupled = Chart(names, (Constraint.from_source("x + 0.8 * t > 0", names),), adapted_index=0)
+        cases = [(cell.chart, None) for cell in catalog_cells] + [
+            (catalog_cells[-1].chart, {"z": (-2.0, 1.0)}),  # z > 0 rejects about two draws in three
+            (coupled, None),
+            (sew([catalog_cells[-1]] * 3).chart, {"s": (-0.5, 1.0)}),
+        ]
+        for chart, box in cases:
+            rejected = False
+            for seed in range(8):
+                for groups, per_group in ((1, 1), (5, 2), (5, 7), (3, 20)):
+                    expected = self._grouped_scalar_reference(chart, groups, per_group, seed, box)
+                    got = sample_points_grouped(chart, groups, per_group, seed, box)
+                    assert got == expected
+                    assert all(type(s.draw) is int for s in got)
+                    rejected = rejected or any(s.draw > i for i, s in enumerate(got))
+            # the boxes and the coupled domain must force rejections
+            assert rejected == (box is not None or chart is coupled)
+
+    def test_grouped_sampler_gives_up_after_a_run_of_misses(self, monkeypatch):
+        monkeypatch.setattr(charts, "_MAX_REJECTIONS", 6)
+        names = ("t", "x")
+        chart = Chart(names, (Constraint.from_source("x + 0.5 * t > 0.3", names),), adapted_index=0)
+        outcomes = set()
+        for seed in range(60):
+            try:
+                expected = self._grouped_scalar_reference(chart, 3, 3, seed, limit=6)
+            except SamplingError:
+                with pytest.raises(SamplingError, match="no in-domain point after 6 draws"):
+                    sample_points_grouped(chart, 3, 3, seed)
+                outcomes.add("raised")
+                continue
+            assert sample_points_grouped(chart, 3, 3, seed) == expected
             outcomes.add("sampled")
         assert outcomes == {"raised", "sampled"}
 
@@ -282,9 +345,14 @@ class TestStacks:
                 assert all(np.array_equal(a, b) for a, b in zip(field.evaluate_with_grads(points), stacked[1:]))
 
     def test_constant_components_fold_once(self, model_cell):
-        # the model metric has constant entries; their derivatives are exact zeros
-        vals, grads, hesses = model_cell.metric.evaluate_with_jets(np.array([0.3, -0.2, 0.5]))
-        assert vals[0, 0] == 1.0 and not grads[0, 0].any() and not hesses[0, 0].any()
+        # the model metric has constant entries; their derivatives are exact zeros,
+        # and their Hessians have no entry: (x, x) and (y, y) depend on t alone
+        metric = model_cell.metric
+        vals, grads, hess = metric.evaluate_with_jets(np.array([0.3, -0.2, 0.5]))
+        assert vals[0, 0] == 1.0 and not grads[0, 0].any()
+        n = 3
+        assert list(metric.hessian_slots) == [((1 * n + 1) * n + 0) * n + 0, ((2 * n + 2) * n + 0) * n + 0]
+        assert hess.shape == (2,) and hess.all()
         assert model_cell.metric.evaluate(np.zeros((0, 3))).shape == (0, 3, 3)
 
     @pytest.mark.parametrize("dim", [1, 3, 5, 7, 13, 18, 40])
@@ -295,12 +363,24 @@ class TestStacks:
 
     @pytest.mark.parametrize("dim", [1, 3, 5, 6, 7, 9, 12, 13, 18, 40])
     def test_curvature_batch_stays_within_budget(self, dim):
-        # one (n, n, n, n) array per sample, as many samples as the budget allows
-        size = batch_size(dim, curvature=True)
-        assert size >= 1
-        assert size == 1 or size * 8 * dim**4 <= BATCH_BYTES
-        assert (size + 1) * 8 * dim**4 > BATCH_BYTES
-        assert size <= batch_size(dim)
+        # curvature sweeps take the jet budget: at a full batch, riemann holds a few
+        # (n, n, n) arrays per sample and never one of size n^4 (156 budgets at n = 40)
+        names = tuple(f"x{i}" for i in range(dim))
+        grid = [["0"] * dim for _ in range(dim)]
+        for i in range(dim):
+            grid[i][i] = f"exp(0.1*{names[i]}*{names[(i + 1) % dim]})"
+        metric = TensorField.build(Chart(names), 0, 2, grid)
+        size = batch_size(dim)
+        rng = np.random.default_rng(dim)
+        points, v = rng.uniform(-1.0, 1.0, (2, size, dim))
+        riemann(metric, points[:1], v[:1])  # the field plan is built once, outside the peak
+        tracemalloc.start()
+        try:
+            riemann(metric, points, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * max(BATCH_BYTES, 8 * dim**3)
 
     def test_batches_name_the_first_failing_sample(self):
         dim = 13

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals
+from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals, dense_hessians
 from oracles import h_tensor_fd, koszul_fd, nabla_phi_fd, normality_fd
 from sewcells.charts import Chart, TensorField, sample_points
 from sewcells.geometry import (
@@ -12,7 +12,6 @@ from sewcells.geometry import (
     GeometryError,
     affinor_derivatives,
     christoffel,
-    christoffel_with_derivative,
     classify,
     covariant_derivative_affinor,
     exterior_derivative,
@@ -37,7 +36,8 @@ class TestChristoffel:
     def test_euclidean_connection_vanishes(self):
         point = np.array([0.3, -0.2, 0.9])
         assert not christoffel(euclidean_metric(), point).any()
-        assert not christoffel_with_derivative(euclidean_metric(), point)[1].any()
+        gamma, rv = riemann(euclidean_metric(), point, np.array([0.5, -1.0, 2.0]))
+        assert not gamma.any() and not rv.any()
 
     def test_model_cell_symbols_at_origin(self, model_cell):
         gamma = christoffel(model_cell.metric, np.zeros(3))
@@ -51,9 +51,9 @@ class TestChristoffel:
         for cell in catalog_cells:
             for sample in sample_points(cell.chart, 5, 21):
                 gamma = christoffel(cell.metric, sample.array())
-                dgamma = christoffel_with_derivative(cell.metric, sample.array())[1]
                 assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
-                assert np.array_equal(dgamma, np.swapaxes(dgamma, 2, 3))
+                hesses = dense_hessians(cell.metric, sample.array())  # so d Gamma is symmetric too
+                assert np.array_equal(hesses, np.swapaxes(hesses, 2, 3))
 
     def test_matches_finite_difference_koszul(self, catalog_cells):
         for cell in catalog_cells:
@@ -89,28 +89,30 @@ class TestRiemann:
         for cell in catalog_cells:
             for sample in sample_points(cell.chart, 10, 17):
                 point = sample.array()
-                assert np.array_equal(riemann(cell.metric, point).gamma, christoffel(cell.metric, point))
+                gamma = riemann(cell.metric, point, cell.xi.evaluate(point))[0]
+                assert np.array_equal(gamma, christoffel(cell.metric, point))
 
     def test_flat_cell_curvature_vanishes(self, flat_cell):
-        riem = riemann(flat_cell.metric, np.array([0.1, 0.2, 0.3])).riem
-        assert not riem.any()
+        point = np.array([0.1, 0.2, 0.3])
+        for v in np.eye(3):
+            assert not riemann(flat_cell.metric, point, v)[1].any()
 
     def test_model_cell_reeb_curvature(self, model_cell):
         # R(d/dx, xi) xi = -d/dx at every t
         for t in (-0.5, 0.0, 0.7):
-            riem = riemann(model_cell.metric, np.array([t, 0.4, -0.1])).riem
-            vec = riem[:, 1, 0, 0]  # R(e_x, e_t) e_t
+            rv = riemann(model_cell.metric, np.array([t, 0.4, -0.1]), np.array([1.0, 0.0, 0.0]))[1]
+            vec = rv[:, 1, 0]  # R(e_x, e_t) e_t
             assert np.allclose(vec, [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_halfspace_cell_reeb_curvature(self, halfspace_cell):
         # R(X, xi) xi = -(1 + e^{-4z}) X for the unit fields X = d/dx, d/dy
         for z in (0.5, 1.0, math.log(2.0)):
             point = np.array([0.4, -0.7, z])
-            riem = riemann(halfspace_cell.metric, point).riem
             xi = halfspace_cell.xi.evaluate(point)
+            rxi = riemann(halfspace_cell.metric, point, xi)[1]
             kappa = -(1.0 + math.exp(-4.0 * z))
             for axis in (0, 1):
-                vec = np.einsum("lm,m->l", riem[:, axis, :, :] @ xi, xi)
+                vec = rxi[:, axis, :] @ xi
                 expected = np.zeros(3)
                 expected[axis] = kappa
                 assert np.allclose(vec, expected, atol=1e-10)

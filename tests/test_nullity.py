@@ -35,8 +35,8 @@ def _normalized_lstsq(struct, point, alpha):
     """(kappa, mu, mu') and the residual of the fit against h'/alpha, solved
     here from ``riemann`` and ``h_tensor`` without ``fit_nullity``."""
     n = struct.dim
-    riem = riemann(struct.metric, point).riem
     xi, eta = struct.xi.evaluate(point), struct.eta.evaluate(point)
+    rxi = riemann(struct.metric, point, xi)[1]  # rxi[l, i, j] = (R(e_i, e_j) xi)^l
     tensors = h_tensor(struct, point)
     i, j = np.triu_indices(n, 1)
 
@@ -44,7 +44,7 @@ def _normalized_lstsq(struct, point, alpha):
         # eta(e_j) op(e_i) - eta(e_i) op(e_j), one row per pair and component
         return (eta[j] * op[:, i] - eta[i] * op[:, j]).T.ravel()
 
-    b = np.einsum("lijm,m->lij", riem, xi)[:, i, j].T.ravel()
+    b = rxi[:, i, j].T.ravel()
     a = np.stack([column(np.eye(n)), column(tensors.h), column(tensors.hprime / alpha)], axis=-1)
     solution = np.linalg.lstsq(a, b, rcond=None)[0]
     return solution, float(np.linalg.norm(b - a @ solution))

@@ -264,7 +264,8 @@ class TestSew:
     def test_two_flat_cells_are_flat_with_zero_nullity(self, flat_cell):
         sewn = sew([flat_cell, flat_cell])
         for sample in sample_points(sewn.chart, 5, 7):
-            assert not riemann(sewn.metric, sample.array()).riem.any()
+            point = sample.array()
+            assert not riemann(sewn.metric, point, sewn.xi.evaluate(point))[1].any()
             fit = fit_nullity(sewn, sample.array())
             assert fit.kappa == pytest.approx(0.0, abs=1e-12)
             assert not fit.determinate_mu

@@ -2,11 +2,11 @@
 
 A stack (P, n) must give what its rows give one at a time: to 1e-13 relative,
 or 1e-15 absolute where the row value is below 1e-10 (the batched matrix
-products may sum in another order than the single-point ones).  The matrix
-kernel of ``riemann`` is checked against a plain ``einsum`` reference written
-here, and the column family of ``lie_bracket`` against brackets of (1,0)
-column fields built here.  Finally ``sew`` keeps its memory within the
-curvature budget.
+products may sum in another order than the single-point ones).  The
+curvature along a vector that ``riemann`` builds from the sparse Hessians is
+checked against the dense ``einsum`` reference of ``geometry_helpers``, and
+the column family of ``lie_bracket`` against brackets of (1,0) column fields
+built here.  Finally ``sew`` keeps its memory within the batch budget.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ from geometry_helpers import (
     d_fundamental_form_reference,
     nabla_phi_reference,
     normality_reference,
+    riemann_reference,
 )
 from sewcells.geometry import (
     christoffel,
@@ -76,10 +77,11 @@ class TestStackEqualsRows:
     def test_riemann(self, structures):
         for struct in structures:
             points = _points(struct)
-            stacked = riemann(struct.metric, points)
-            rows = [riemann(struct.metric, p) for p in points]
-            assert_rows_match(stacked.riem, [r.riem for r in rows])
-            assert_rows_match(stacked.gamma, [r.gamma for r in rows])
+            xi = struct.xi.evaluate(points)
+            gamma, rxi = riemann(struct.metric, points, xi)
+            rows = [riemann(struct.metric, p, v) for p, v in zip(points, xi)]
+            assert_rows_match(rxi, [r[1] for r in rows])
+            assert_rows_match(gamma, [r[0] for r in rows])
 
     @pytest.mark.parametrize("alpha", [None, 1.5], ids=["raw", "kenmotsu"])
     def test_fit_nullity(self, structures, alpha):
@@ -107,32 +109,23 @@ class TestStackEqualsRows:
                 assert_rows_match(lie_bracket(v, w, points), [lie_bracket(v, w, p) for p in points])
 
 
-def _riemann_reference(metric, point):
-    """R^l_ijk at one point with plain einsum contractions, from the metric jets."""
-    g, dg, ddg = metric.evaluate_with_jets(point)  # dg[i, j, l] = d_l g_ij, ddg[i, j, l, m] = d_l d_m g_ij
-    ginv = np.linalg.inv(g)
-    t = np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg) - np.einsum("ijl->lij", dg)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
-    dt = np.einsum("jlim->mlij", ddg) + np.einsum("iljm->mlij", ddg) - np.einsum("ijlm->mlij", ddg)
-    dginv = -np.einsum("ka,abm,bl->mkl", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, t) + np.einsum("kl,mlij->mkij", ginv, dt))
-    return (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
-    )
-
-
 def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell):
+    """The curvature along a vector, built from the sparse Hessians, against
+    the dense reference contracted with the vector, on every catalog cell,
+    the sewn k = 3 file and a product chart.  Both sum O(n) products of
+    entries of at most the reference's magnitude, so they agree to 1e-13 of
+    its largest magnitude, or of 1 where the terms cancel."""
     product = build_product([model_cell, halfspace_cell])
-    for metric, chart in [(s.metric, s.chart) for s in structures] + [(product.metric, product.chart)]:
+    fields = [(s.metric, s.chart, s.xi) for s in structures] + [(product.metric, product.chart, product.median())]
+    for metric, chart, field in fields:
         points = np.array([s.coords for s in sample_points(chart, 4, 9)])
-        stacked = riemann(metric, points).riem
-        for row, point in zip(stacked, points):
-            reference = _riemann_reference(metric, point)
-            # both sum O(n) products of entries of at most the reference's magnitude
-            np.testing.assert_allclose(row, reference, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(reference).max()))
+        # the Reeb field and a vector off it, so that every slot of the contraction is read
+        for v in (field.evaluate(points), np.random.default_rng(3).uniform(-1.0, 1.0, points.shape)):
+            gamma, rv = riemann(metric, points, v)
+            for p, point in enumerate(points):
+                reference = np.einsum("lijk,k->lij", riemann_reference(metric, point), v[p])
+                np.testing.assert_allclose(rv[p], reference, rtol=REL, atol=REL * max(1.0, np.abs(reference).max()))
+                np.testing.assert_array_equal(gamma[p], christoffel(metric, point))
 
 
 def test_first_order_layers_match_einsum_references(structures):
@@ -190,7 +183,7 @@ class TestSewMemory:
         save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
 
     def test_every_curvature_batch_fits_the_budget(self, cell_files, monkeypatch):
-        # every Hessian stack is one (n, n, n, n) array per sample
+        # the curvature reads every Hessian stack through (n, n, n) contractions per sample
         original = TensorField.evaluate_with_jets
         stacks = []
 
@@ -207,7 +200,7 @@ class TestSewMemory:
         assert dims == {3, 9}
         for shape in stacks:
             count = shape[0] if len(shape) == 2 else 1
-            assert count == 1 or count * 8 * shape[-1] ** 4 <= BATCH_BYTES, shape
+            assert count == 1 or count * 8 * shape[-1] ** 3 <= BATCH_BYTES, shape
 
     @pytest.mark.parametrize("cell, copies, limit", [("warped", 4, 1.38e6), ("model", 6, 5.10e6)])
     def test_peak_stays_below_the_point_by_point_stages(self, cell_files, cell, copies, limit):
