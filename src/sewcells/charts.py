@@ -17,13 +17,14 @@ the brackets of an affinor's columns, the curvature along one vector) within
 ``BATCH_BYTES``, and runs one sample at a time where even one such array
 exceeds it.  No sweep builds an (n, n, n, n) array: the curvature reads the
 sparse Hessians only through their contractions with a vector
-(``TensorField.fold_hessians``).
+(``TensorField.fold_hessians``), whose arrays hold two entries per Hessian
+entry; a sweep that folds a field's Hessians names it, and its batches count
+those entries too (they outgrow n^3 where components read most coordinates).
 Nothing with a sample axis grows beyond that, whatever the sample count.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -143,13 +144,10 @@ class Chart:
         except KeyError as exc:
             raise ChartError(f"no coordinate {name!r} in chart {self.coords}") from exc
 
-    def satisfies(self, point) -> bool:
-        return all(c.holds(point, self.coord_index) for c in self.constraints)
-
     def inside(self, points: np.ndarray) -> np.ndarray:
-        """``satisfies`` for each row of a stack (P, n), as a (P,) mask.  A
-        constraint is tested on the whole stack at once, and row by row where
-        the stack leaves its domain."""
+        """Whether each row of a stack (P, n) meets every constraint, as a
+        (P,) mask.  A constraint is tested on the whole stack at once, and row
+        by row where the stack leaves its domain."""
         mask = np.ones(len(points), dtype=bool)
         for c in self.constraints:
             try:
@@ -235,10 +233,7 @@ class TensorField:
         vals[...] = plan.constant
         if plan.terms:
             index = self.chart.coord_index
-            # numpy warns only at a stack; one guard serves every component
-            with np.errstate(all="ignore") if lead else contextlib.nullcontext():
-                values = [evaluate(node, point, index, guard=False) for node, _, _ in plan.terms]
-            vals[..., plan.positions] = np.array(values).T
+            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
         return vals.reshape(lead + self.shape)
 
     def evaluate_with_grads(self, point):
@@ -248,9 +243,11 @@ class TensorField:
     def evaluate_with_jets(self, point, hessians: bool = True):
         """Values, ``grads[..., l] = d_l`` of each component and, unless
         ``hessians`` is false, the Hessian entries that the components' own
-        jets give: ``hess[..., s]`` is the second derivative at the flat slot
-        ``hessian_slots[s]`` of the Hessian grid ``shape + (n, n)``, which is
-        zero at every other slot.  At a stack (P, n) each has a leading P axis."""
+        jets give: ``hess[..., :]`` lays end to end, component after component,
+        the (m, m) Hessian over the m coordinates that component reads.  The
+        field's plan keeps their slots in the grid ``shape + (n, n)``, which
+        is zero at every other slot.  At a stack (P, n) each has a leading P
+        axis."""
         point = np.asarray(point, dtype=float)
         plan = self._plan
         n = self.chart.dim
@@ -264,9 +261,7 @@ class TensorField:
             # each component's jet is taken over its own coordinates only
             order = 2 if hessians else 1
             local_points = [point[..., columns] for columns in plan.column_sets]
-            with np.errstate(all="ignore"):
-                jets = [evaluate_jet2(node, local_points[slot], local, order, guard=False)
-                        for node, slot, local in plan.terms]
+            jets = [evaluate_jet2(node, local_points[slot], local, order) for node, slot, local in plan.terms]
             vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
             grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
         shape = lead + self.shape
@@ -274,12 +269,6 @@ class TensorField:
             return vals.reshape(shape), grads.reshape(shape + (n,))
         hess = np.concatenate([jet.hess.reshape(lead + (-1,)) for jet in jets] or [np.zeros(lead + (0,))], axis=-1)
         return vals.reshape(shape), grads.reshape(shape + (n,)), hess
-
-    @property
-    def hessian_slots(self) -> np.ndarray:
-        """The flat slots of the Hessian grid that the entries of
-        ``evaluate_with_jets`` fill, in order."""
-        return self._plan.hess_slots
 
     def fold_hessians(self, hess: np.ndarray, v):
         """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with
@@ -289,14 +278,15 @@ class TensorField:
         the same order at a point and at a stack."""
         plan = self._plan
         n = self.chart.dim
-        lead = hess.shape[:-1]
+        *lead, entries = hess.shape
         rows = math.prod(lead)
-        weighted = (np.asarray(v)[..., plan.fold_weights] * np.tile(hess, 2)).reshape(rows, -1)
+        weighted = np.asarray(v, dtype=float)[..., plan.fold_weights].reshape(rows, 2, entries)
+        weighted *= hess.reshape(rows, 1, entries)
         slots = (np.arange(rows)[:, None] * (2 * n ** 3) + plan.fold_targets).ravel()
         # float also when there is no entry, where bincount gives integer zeros
         folded = np.bincount(slots, weighted.ravel(), minlength=rows * 2 * n ** 3).astype(float, copy=False)
         first, along = folded.reshape((rows, 2, n, n, n)).swapaxes(0, 1)
-        return first.reshape(lead + (n, n, n)), along.reshape(lead + (n, n, n))
+        return first.reshape(*lead, n, n, n), along.reshape(*lead, n, n, n)
 
     def renamed_grid(self, mapping: dict[str, str]):
         """The component grid with variables renamed (for lifting into blocks)."""
@@ -586,21 +576,24 @@ def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
 BATCH_BYTES = 128 * 1024
 
 
-def batch_size(dim: int) -> int:
-    """Samples per batch on a chart of dimension ``dim`` (see the module docstring)."""
-    return max(1, BATCH_BYTES // (8 * dim ** 3))
+def batch_size(dim: int, folds: Sequence[TensorField] = ()) -> int:
+    """Samples per batch on a chart of dimension ``dim``, for a sweep that
+    folds the Hessians of the fields ``folds`` (see the module docstring)."""
+    width = max([dim ** 3] + [field._plan.fold_targets.size for field in folds])
+    return max(1, BATCH_BYTES // (8 * width))
 
 
-def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable):
+def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable,
+                     folds: Sequence[TensorField] = ()):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
     ``points`` stacks the batch's coordinates as a (B, dim) array and B is
-    ``batch_size(dim)``.
+    ``batch_size(dim, folds)``.
 
     When a batch leaves the domain of an expression, its samples are evaluated
     again one at a time, and the ``SampleEvaluationError`` names the first
     sample, in draw order, that fails.
     """
-    size = batch_size(dim)
+    size = batch_size(dim, folds)
     for start in range(0, len(samples), size):
         batch = samples[start:start + size]
         points = np.array([s.coords for s in batch], dtype=float)

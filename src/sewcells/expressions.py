@@ -39,7 +39,6 @@ which every residual check then fails.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -442,19 +441,17 @@ def _coordinate(node: Var, point, index: Mapping[str, int]):
         raise ExpressionError(f"unbound variable {node.name!r}") from exc
 
 
-def evaluate(node: ExpressionNode, point, index: Mapping[str, int], *, guard: bool = True):
+def evaluate(node: ExpressionNode, point, index: Mapping[str, int]):
     """Evaluate at ``point`` (coordinates resolved through ``index``).
 
     A point of shape (n,) gives a float; a stack of shape (P, n) gives an
-    array of shape (P,).  A stack is evaluated with numpy's floating-point
-    warnings off; with ``guard`` false the caller has turned them off already
-    (one ``np.errstate`` for many expressions).
+    array of shape (P,).
     """
     point = np.asarray(point, dtype=float)
     if point.ndim != 2:
         return _value(node, point.tolist(), index)
     out = np.empty(point.shape[0])
-    with np.errstate(all="ignore") if guard else contextlib.nullcontext():
+    with np.errstate(all="ignore"):
         out[...] = _value(node, point.T, index)
     return out
 
@@ -686,13 +683,10 @@ _JET_CALLS: dict[str, Callable[[_Jet1], _Jet1]] = {
 }
 
 
-def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: int = 2, *,
-                  guard: bool = True) -> Jet2:
+def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: int = 2) -> Jet2:
     """Value, gradient and, at ``order`` 2, Hessian at a point (n,) or a stack
     (P, n), by jet propagation; an order-1 jet propagates no Hessian.  Both
-    orders give the same values and gradients bit for bit and raise alike.
-    The propagation runs with numpy's floating-point warnings off; with
-    ``guard`` false the caller has turned them off already."""
+    orders give the same values and gradients bit for bit and raise alike."""
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     jet_type = _Jet2 if order == 2 else _Jet1
@@ -700,7 +694,7 @@ def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: 
     n = point.shape[-1]
     lead = point.shape[:-1]
     stacked = point.ndim == 2
-    with np.errstate(all="ignore") if guard else contextlib.nullcontext():
+    with np.errstate(all="ignore"):
         jet = _jet(node, point.T if stacked else point.tolist(), index, n, lead, jet_type)
     if not isinstance(jet, _Jet1):
         value = np.full(lead, jet) if stacked else jet

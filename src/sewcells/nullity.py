@@ -18,8 +18,8 @@ multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 ``fit_nullity`` takes one point or a stack of points.  At a stack it builds
 ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi), ``h`` and the design
 matrices of every sample at once and runs only the least-squares solve per
-sample; ``nullity_fits`` feeds it a sample set in batches (see
-``charts.evaluate_batches``).
+sample; ``nullity_fits`` feeds it a sample set in batches that the fold of
+the metric's Hessians also fits (see ``charts.evaluate_batches``).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def fit_nullity(struct: ContactStructure, point):
 
 def nullity_fits(struct: ContactStructure, samples: Sequence[PointSample]) -> list[NullityFit]:
     """``fit_nullity`` at every sample, in sample order, over batches."""
-    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points))
+    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), (struct.metric,))
     return [fit for _, fits in batches for fit in fits]
 
 

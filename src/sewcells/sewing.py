@@ -41,9 +41,10 @@ is compared with, is (2k+1)-dimensional.
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
-the nullity fits of the sewn chart.  The brackets of all pairs of a block's
-affinor-image fields come from one ``lie_bracket`` call on the block of the
-affinor.
+the nullity fits of the sewn chart; the curvature sweeps name the metrics
+whose Hessians they fold, so that their batches fit the fold too.  The
+brackets of all pairs of a block's affinor-image fields come from one
+``lie_bracket`` call on the block of the affinor.
 """
 
 from __future__ import annotations
@@ -626,9 +627,9 @@ def extrinsic_report(
         return riemann(sewn.metric, points, sewn.xi.evaluate(points))[1][:, :, upper[0], upper[1]]
 
     e = frame_rows[:, None, None]  # broadcast over the samples and one more axis
-    for batch, geometry in evaluate_batches(samples, 3, block_geometry):
+    for batch, geometry in evaluate_batches(samples, 3, block_geometry, [block.metric for block in blocks]):
         start = 0
-        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature):
+        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, (sewn.metric,)):
             geo = geometry.rows(slice(start, start + len(sub)))
             start += len(sub)
 
@@ -773,7 +774,7 @@ def verify_sewing_theorems(
         def fits_and_values(points):
             return fit_nullity(sewn, points), sewn.values_at(points)
 
-        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values):
+        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values, (sewn.metric,)):
             sewn_fits.extend(fits)
             _add_operator_laws(laws, g, phi, xi, fits)
         cell_fits = [nullity_fits(cell, points) for cell, points in zip(cells, cell_samples)]

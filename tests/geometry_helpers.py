@@ -12,7 +12,7 @@ d Phi and the normality tensor).
 import numpy as np
 
 from sewcells.charts import TensorField
-from sewcells.geometry import christoffel
+from sewcells.geometry import christoffel, riemann
 from sewcells.sewing import embedding_matrix
 
 
@@ -22,7 +22,7 @@ def dense_hessians(field: TensorField, point) -> np.ndarray:
     hess = field.evaluate_with_jets(point)[2]
     n = field.chart.dim
     dense = np.zeros(n ** (field.rank + 2))
-    dense[field.hessian_slots] = hess
+    dense[field._plan.hess_slots] = hess
     return dense.reshape(field.shape + (n, n))
 
 
@@ -45,10 +45,15 @@ def riemann_reference(metric: TensorField, point) -> np.ndarray:
     )
 
 
-def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]:
-    """Antisymmetry in (X, Y), g-skewness in (Z, W), and first Bianchi."""
+def curvature_symmetry_residuals(metric: TensorField, point, v) -> dict[str, float]:
+    """Antisymmetry in (X, Y), g-skewness in (Z, W), and first Bianchi of the
+    reference tensor, and the gap between the package's curvature along ``v``
+    and the reference contracted with ``v``, relative to max(1, its largest
+    entry)."""
     g = metric.evaluate(point)
     riem = riemann_reference(metric, point)
+    expected = np.einsum("lijk,k->lij", riem, v)
+    along = riemann(metric, point, v)[1]
     antisym = riem + np.einsum("lijk->ljik", riem)
     bianchi = riem + np.einsum("lijk->ljki", riem) + np.einsum("lijk->lkij", riem)
     lowered = np.einsum("wl,lijk->ijkw", g, riem)  # g(R(e_i,e_j) e_k, e_w)
@@ -57,6 +62,7 @@ def curvature_symmetry_residuals(metric: TensorField, point) -> dict[str, float]
         "antisymmetry": float(np.max(np.abs(antisym))),
         "first_bianchi": float(np.max(np.abs(bianchi))),
         "g_skewness": float(np.max(np.abs(skew))),
+        "along_vector": float(np.max(np.abs(along - expected)) / max(1.0, np.max(np.abs(expected)))),
     }
 
 

@@ -173,7 +173,7 @@ def _structure_suite_residual(struct, samples) -> float:
             float(np.max(np.abs(h @ phi + phi @ h))),
             abs(float(np.trace(h))),
         )
-        worst = max(worst, max(curvature_symmetry_residuals(struct.metric, point).values()))
+        worst = max(worst, max(curvature_symmetry_residuals(struct.metric, point, xi).values()))
     return worst
 
 

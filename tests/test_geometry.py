@@ -120,10 +120,12 @@ class TestRiemann:
     def test_curvature_symmetries_on_catalog(self, catalog_cells):
         for cell in catalog_cells:
             for sample in sample_points(cell.chart, 50, 12):
-                residuals = curvature_symmetry_residuals(cell.metric, sample.array())
+                point = sample.array()
+                residuals = curvature_symmetry_residuals(cell.metric, point, cell.xi.evaluate(point))
                 assert residuals["antisymmetry"] <= 1e-9
                 assert residuals["first_bianchi"] <= 1e-9
                 assert residuals["g_skewness"] <= 1e-9
+                assert residuals["along_vector"] <= 1e-13
 
 
 class TestReebParallelism:

@@ -183,24 +183,25 @@ class TestSewMemory:
         save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
 
     def test_every_curvature_batch_fits_the_budget(self, cell_files, monkeypatch):
-        # the curvature reads every Hessian stack through (n, n, n) contractions per sample
+        # the curvature reads every Hessian stack through (n, n, n) contractions per
+        # sample, and its fold holds two entries per Hessian entry
         original = TensorField.evaluate_with_jets
         stacks = []
 
         def spy(field, point, hessians=True):
             if hessians:
-                stacks.append(np.shape(point))
+                stacks.append((np.shape(point), len(field._plan.hess_slots)))
             return original(field, point, hessians)
 
         monkeypatch.setattr(TensorField, "evaluate_with_jets", spy)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "out.json"]) == cli.EXIT_PASS
-        dims = {shape[-1] for shape in stacks}
+        dims = {shape[-1] for shape, _ in stacks}
         # the cells and the product's blocks, and the sewn manifold; never the 12-dim product chart
         assert dims == {3, 9}
-        for shape in stacks:
+        for shape, entries in stacks:
             count = shape[0] if len(shape) == 2 else 1
-            assert count == 1 or count * 8 * shape[-1] ** 3 <= BATCH_BYTES, shape
+            assert count == 1 or count * 8 * max(shape[-1] ** 3, 2 * entries) <= BATCH_BYTES, shape
 
     @pytest.mark.parametrize("cell, copies, limit", [("warped", 4, 1.38e6), ("model", 6, 5.10e6)])
     def test_peak_stays_below_the_point_by_point_stages(self, cell_files, cell, copies, limit):
