@@ -418,7 +418,9 @@ def _run(argv) -> int:
     start = time.perf_counter()
     try:
         status = args.func(args)
-    except (ManifoldFileError, ExpressionError, SewingError, SamplingError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        raise  # an OSError too, but a closed stdout is for ``main`` to handle
+    except (ManifoldFileError, ExpressionError, SewingError, SamplingError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SampleEvaluationError as exc:

@@ -130,8 +130,6 @@ class GeneralizedNullityReport:
 
     samples: tuple[PointSample, ...]
     fits: tuple[NullityFit, ...]
-    group_values: tuple[float, ...]        # shared adapted-coordinate value per group
-    group_sizes: tuple[int, ...]
     constant_kappa: bool
     constant_mu: bool
     constant_muprime: bool
@@ -165,7 +163,6 @@ def check_generalized(
             "insufficient sample structure: need >= 2 samples sharing each of >= 3 adapted values"
         )
 
-    group_values = sorted(groups)
     group_spread = Residual("eta_aligned", tol)
     for members in rich.values():
         member_fits = [fit for _, fit in members]
@@ -175,7 +172,7 @@ def check_generalized(
             [f.muprime for f in member_fits if f.determinate_mu],
         ):
             group_spread.add(_spread(pick))
-    ordered = [pair for t in group_values for pair in groups[t]]
+    ordered = [pair for t in sorted(groups) for pair in groups[t]]
 
     kappa_spread, mu_spread, muprime_spread = (
         Residual(name, tol).add(_spread([getattr(f, name) for f in fits]))
@@ -184,8 +181,6 @@ def check_generalized(
     return GeneralizedNullityReport(
         samples=tuple(sample for sample, _ in ordered),
         fits=tuple(fit for _, fit in ordered),
-        group_values=tuple(group_values),
-        group_sizes=tuple(len(groups[t]) for t in group_values),
         constant_kappa=kappa_spread.passed,
         constant_mu=mu_spread.passed,
         constant_muprime=muprime_spread.passed,

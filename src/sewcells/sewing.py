@@ -24,19 +24,19 @@ operators kill the Reeb field, ambient curvature of the Reeb field restricts
 to the intrinsic one), and ``verify_sewing_theorems`` (classification and
 nullity transfer).
 
-The product is a Riemannian product, so its connection and curvature split
-along the blocks.  ``block_structure`` proves the splitting exactly on the
-expression trees: every off-block component of the metric and the affinor,
-and every component of a framing or coframing field outside its own block, is
-the literal zero, and every block component names only its block's
-coordinates.  Cross-block Christoffel symbols, curvature and brackets of
-fields with disjoint supports then vanish identically, and neither
-``verify_lift_laws`` nor ``extrinsic_report`` evaluates anything on the
-3k-dimensional chart: each diagonal block of the product's trees becomes a
-field over its own three coordinates, and the stages assemble the connection,
-``R(E_a, E_b) xi``, the normal-frame and Weingarten contractions block by
-block.  Only the sewn metric's own curvature, which the curvature restriction
-is compared with, is (2k+1)-dimensional.
+The product is a Riemannian product, and its f-structure is the direct sum of
+the cells' structures.  ``block_structure`` proves the splitting exactly on
+the expression trees: every off-block component of the metric and the
+affinor, and every component of a framing or coframing field outside its own
+block, is the literal zero, and every block component names only its block's
+coordinates.  Each affinor axiom is then one per block, and cross-block
+Christoffel symbols, curvature and brackets of fields with disjoint supports
+vanish identically.  So none of ``verify_f_structure``, ``verify_lift_laws``
+and ``extrinsic_report`` evaluates anything on the 3k-dimensional chart: a
+product builds its diagonal blocks once, each block of its trees a field over
+the block's three coordinates, and the stages evaluate those at the block
+projections of their samples.  Only the sewn metric's own curvature, which
+the curvature restriction is compared with, is (2k+1)-dimensional.
 
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +92,7 @@ from .nullity import (
 
 _ADAPTED_PROBE_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
+_ZERO = Num(0.0)
 
 
 class SewingError(ValueError):
@@ -103,7 +104,7 @@ class SewingError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _scaled(node: ExpressionNode, factor: float) -> ExpressionNode:
-    if node == Num(0.0) or factor == 1.0:
+    if node == _ZERO or factor == 1.0:
         return node
     return BinOp("*", Num(factor), node)
 
@@ -133,8 +134,8 @@ def _require_sewable(cells: Sequence[ContactStructure]) -> None:
         _probe_adapted_unit(cell)
 
 
-def _probe_points(chart: Chart, count: int = 3):
-    return [s.array() for s in sample_points(chart, count, seed=0)]
+def _probe_points(chart: Chart):
+    return [s.array() for s in sample_points(chart, 3, seed=0)]
 
 
 def _probe_adapted_unit(cell: ContactStructure) -> None:
@@ -174,13 +175,7 @@ class ProductDefinition:
     def median(self) -> TensorField:
         """The unit field ``(xi_1 + ... + xi_k)/sqrt(k)``."""
         k = self.cell_count
-        scale = 1.0 / math.sqrt(k)
-        comps = [Num(0.0)] * self.chart.dim
-        for framing in self.framing:
-            for pos, node in enumerate(framing.components):
-                if node != Num(0.0):
-                    comps[pos] = _scaled(node, scale)
-        return TensorField(self.chart, 1, 0, tuple(comps))
+        return self._framing_sums([[1.0 / math.sqrt(k)] * k])[0]
 
     def normal_frame(self) -> tuple[TensorField, ...]:
         """Unit fields spanning the complement of the diagonal inside Ker(f).
@@ -191,19 +186,47 @@ class ProductDefinition:
         ``1/sqrt(l(l-1))`` per leading term.
         """
         k = self.cell_count
-        fields = []
+        rows = []
         for l in range(2, k + 1):
             lead = 1.0 / math.sqrt(l * (l - 1))
-            coeffs = [lead] * (l - 1) + [-(l - 1) * lead] + [0.0] * (k - l)
-            comps = [Num(0.0)] * self.chart.dim
-            for j, coeff in enumerate(coeffs):
-                if coeff == 0.0:
-                    continue
-                for pos, node in enumerate(self.framing[j].components):
-                    if node != Num(0.0):
+            rows.append([lead] * (l - 1) + [-(l - 1) * lead] + [0.0] * (k - l))
+        return self._framing_sums(rows)
+
+    def _framing_sums(self, rows: Sequence[Sequence[float]]) -> tuple[TensorField, ...]:
+        """The field ``sum_j row[j] xi_j`` for each row of coefficients."""
+        supports = [[(pos, node) for pos, node in enumerate(field.components) if node != _ZERO]
+                    for field in self.framing]
+        fields = []
+        for row in rows:
+            comps = [_ZERO] * self.chart.dim
+            for coeff, support in zip(row, supports):
+                if coeff != 0.0:
+                    for pos, node in support:
                         comps[pos] = _scaled(node, coeff)
             fields.append(TensorField(self.chart, 1, 0, tuple(comps)))
         return tuple(fields)
+
+    @cached_property
+    def _split(self) -> tuple[CheckResult, list[_Block]]:
+        """``block_structure``, and the diagonal blocks when it holds: built once,
+        so that the product's stages share the blocks and their field plans."""
+        structure = block_structure(self)
+        if not structure.passed:
+            return structure, []
+        median = self.median()
+        normals = self.normal_frame()
+        blocks = []
+        for i, rows in enumerate(map(list, self.blocks)):
+            chart = Chart(tuple(self.chart.coords[pos] for pos in rows))
+
+            def restricted(field: TensorField) -> TensorField:
+                def walk(grid, depth):
+                    return grid if depth == 0 else tuple(walk(grid[pos], depth - 1) for pos in rows)
+                return TensorField(chart, field.upper, field.lower, walk(field.components, field.rank))
+
+            fields = (self.metric, self.f, self.framing[i], self.coframing[i], median)
+            blocks.append(_Block(rows, *map(restricted, fields), tuple(map(restricted, normals))))
+        return structure, blocks
 
 
 def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
@@ -219,8 +242,8 @@ def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
     chart = Chart(tuple(names), constraints, adapted_index=None)
 
     dim = 3 * k
-    metric_grid = [[Num(0.0)] * dim for _ in range(dim)]
-    f_grid = [[Num(0.0)] * dim for _ in range(dim)]
+    metric_grid = [[_ZERO] * dim for _ in range(dim)]
+    f_grid = [[_ZERO] * dim for _ in range(dim)]
     framing: list[TensorField] = []
     coframing: list[TensorField] = []
     blocks: list[tuple[int, ...]] = []
@@ -236,8 +259,8 @@ def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
             for b in range(3):
                 metric_grid[base + a][base + b] = renamed_metric[a][b]
                 f_grid[base + a][base + b] = renamed_phi[a][b]
-        xi_comps = [Num(0.0)] * dim
-        eta_comps = [Num(0.0)] * dim
+        xi_comps = [_ZERO] * dim
+        eta_comps = [_ZERO] * dim
         renamed_xi = cell.xi.renamed_grid(mapping)
         renamed_eta = cell.eta.renamed_grid(mapping)
         for a in range(3):
@@ -287,52 +310,43 @@ def block_structure(product: ProductDefinition) -> CheckResult:
     coords = product.chart.coords
     block_of = {pos: i for i, block in enumerate(product.blocks) for pos in block}
     names = [{coords[pos] for pos in block} for block in product.blocks]
-    entries = []  # (label, tree, the block the component belongs to or None)
-    for label, field in (("metric", product.metric), ("f", product.f)):
-        for a, row in enumerate(field.components):
-            for b, node in enumerate(row):
-                entries.append((f"{label}[{a}][{b}]", node, block_of[a] if block_of[a] == block_of[b] else None))
-    for label, fields in (("framing", product.framing), ("coframing", product.coframing)):
-        for i, field in enumerate(fields):
-            for a, node in enumerate(field.components):
-                entries.append((f"{label}[{i}][{a}]", node, i if block_of[a] == i else None))
+    # (label, the two indices, tree, the block the component belongs to or None)
+    entries = [(label, a, b, node, block_of[a] if block_of[a] == block_of[b] else None)
+               for label, field in (("metric", product.metric), ("f", product.f))
+               for a, row in enumerate(field.components) for b, node in enumerate(row)]
+    entries += [(label, i, a, node, i if block_of[a] == i else None)
+                for label, fields in (("framing", product.framing), ("coframing", product.coframing))
+                for i, field in enumerate(fields) for a, node in enumerate(field.components)]
     broken = []
-    for label, node, block in entries:
+    for label, a, b, node, block in entries:
         if block is None:
-            if node != Num(0.0):
-                broken.append(f"{label} couples blocks but is not the literal 0")
+            if node is not _ZERO and node != _ZERO:  # build_product shares one literal 0
+                broken.append(f"{label}[{a}][{b}] couples blocks but is not the literal 0")
         elif outside := sorted(free_variables(node) - names[block]):
-            broken.append(f"{label} names {', '.join(outside)} outside block {block + 1}")
+            broken.append(f"{label}[{a}][{b}] names {', '.join(outside)} outside block {block + 1}")
     note = f"{len(broken)} components: {broken[0]}" if broken else "exact, on the expression trees"
     return CheckResult("block_structure", float(len(broken)), 0.0, not broken, note=note)
 
 
 class _Block(NamedTuple):
     """One diagonal block of the product: its product indices, and the
-    product's own trees there as fields over the block's three coordinates."""
+    product's own trees there as fields over the block's three coordinates
+    (``xi`` and ``eta`` are the block's framing and coframing field)."""
 
     rows: list[int]
     metric: TensorField
     f: TensorField
+    xi: TensorField
+    eta: TensorField
     median: TensorField
     normals: tuple[TensorField, ...]
 
 
 def _blocks(product: ProductDefinition) -> list[_Block]:
-    """The blocks of a product whose ``block_structure`` holds."""
-    median = product.median()
-    normals = product.normal_frame()
-    blocks = []
-    for rows in map(list, product.blocks):
-        chart = Chart(tuple(product.chart.coords[pos] for pos in rows))
-
-        def restricted(field: TensorField) -> TensorField:
-            def walk(grid, depth):
-                return grid if depth == 0 else tuple(walk(grid[pos], depth - 1) for pos in rows)
-            return TensorField(chart, field.upper, field.lower, walk(field.components, field.rank))
-
-        blocks.append(_Block(rows, restricted(product.metric), restricted(product.f), restricted(median),
-                             tuple(restricted(u) for u in normals)))
+    """The blocks of the product (``SewingError`` when ``block_structure`` fails)."""
+    structure, blocks = product._split
+    if not structure.passed:
+        raise SewingError(f"the product does not split into its blocks: {structure.note}")
     return blocks
 
 
@@ -341,9 +355,16 @@ def _blocks(product: ProductDefinition) -> list[_Block]:
 # ---------------------------------------------------------------------------
 
 def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample], tol: float) -> ValidationReport:
-    """Axioms of the product affinor: f^3 + f = 0, skewness, kernel = framing."""
+    """Axioms of the product affinor: f^3 + f = 0, skewness, kernel = framing.
+
+    The product is the direct sum of its blocks (``SewingError`` when
+    ``block_structure`` fails), and framing and coframing fields of different
+    blocks pair to zero identically.  So each axiom is checked on each block's
+    trees at the block projections of the samples; per sample, rank f sums the
+    block ranks and |xi-bar|^2 the blocks' parts of the median.
+    """
     k = product.cell_count
-    median = product.median()
+    blocks = _blocks(product)
     cubed = Residual("f_cubed_plus_f", tol)
     skew = Residual("f_metric_skew", tol)
     kernel_span = Residual("f_kills_framing", tol)
@@ -352,26 +373,29 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
     closed = Residual("coframing_closed", tol)
     unit_median = Residual("median_unit_length", tol)
     ranks: list[int] = []
-    identity = np.eye(k)
 
     def fields(points):
-        # frames[p, j, a] = j-th component of the a-th Reeb field; coframes[p, a, j] likewise
-        frames = np.stack([tf.evaluate(points) for tf in product.framing], axis=-1)
-        coframes = np.stack([tf.evaluate(points) for tf in product.coframing], axis=-2)
-        d_coframes = [exterior_derivative(tf, points) for tf in product.coframing]
-        g, f = product.metric.evaluate(points), product.f.evaluate(points)
-        return g, f, frames, coframes, d_coframes, median.evaluate(points)
+        parts = []
+        for block in blocks:
+            local = points[:, block.rows]
+            parts.append((block.metric.evaluate(local), block.f.evaluate(local), block.xi.evaluate(local),
+                          block.eta.evaluate(local), exterior_derivative(block.eta, local),
+                          block.median.evaluate(local)))
+        return parts
 
-    for _, (g, f, frames, coframes, d_coframes, med) in evaluate_batches(samples, product.chart.dim, fields):
-        cubed.add(f @ f @ f + f)
-        skew.add(np.swapaxes(f, 1, 2) @ g + g @ f)
-        kernel_span.add(f @ frames)
-        framing.add(np.swapaxes(frames, 1, 2) @ g @ frames - identity)
-        dual.add(coframes @ frames - identity)
-        unit_median.add(np.einsum("pi,pij,pj->p", med, g, med) - 1.0)
-        for d_coframe in d_coframes:
-            closed.add(d_coframe)
-        ranks.extend(numeric_rank(f).tolist())
+    for _, parts in evaluate_batches(samples, 3, fields):
+        rank = median_length = 0
+        for g, f, xi, eta, d_eta, med in parts:
+            cubed.add(f @ f @ f + f)
+            skew.add(np.swapaxes(f, 1, 2) @ g + g @ f)
+            kernel_span.add(f @ xi[:, :, None])
+            framing.add(np.einsum("pi,pij,pj->p", xi, g, xi) - 1.0)
+            dual.add(np.einsum("pi,pi->p", eta, xi) - 1.0)
+            closed.add(d_eta)
+            rank = rank + numeric_rank(f)
+            median_length = median_length + np.einsum("pi,pij,pj->p", med, g, med)
+        unit_median.add(median_length - 1.0)
+        ranks.extend(rank.tolist())
     rank_gaps = np.array(ranks) - 2 * k
     worst_rank = ranks[int(np.argmax(np.abs(rank_gaps)))]
     checks = (
@@ -405,13 +429,13 @@ def verify_lift_laws(
     frame must vanish.
     """
     title = f"lift laws of {len(product.cells)}-cell product"
-    structure = block_structure(product)
+    structure, blocks = product._split
     if not structure.passed:
         return ValidationReport(title, len(samples), (structure,))
     upper = np.triu_indices(3, 1)  # the column pairs a < b of a block
     lift = Residual("lifted_covariant_derivative", tol)
     invol = Residual("image_median_involutive", tol)
-    for block, cell in zip(_blocks(product), product.cells):
+    for block, cell in zip(blocks, product.cells):
 
         def parts(points):
             """The gap between the block's and the cell's connection, and
@@ -451,13 +475,10 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     """Construct the sewn manifold of the given cells symbolically."""
     _require_sewable(cells)
     k = len(cells)
-    u_names: list[list[str]] = []
-    for i, cell in enumerate(cells):
-        mapping = _suffix_map(cell, i)
-        u_names.append(
-            [mapping[name] for a, name in enumerate(cell.chart.coords) if a != cell.chart.adapted_index]
-        )
-    names = ("s",) + tuple(name for block in u_names for name in block)
+    # each cell's non-adapted axes, at the positions 2i + 1 and 2i + 2 of the diagonal chart
+    axes = [[a for a in range(3) if a != cell.chart.adapted_index] for cell in cells]
+    positions = [dict(zip(free, (2 * i + 1, 2 * i + 2))) for i, free in enumerate(axes)]
+    names = ("s",) + tuple(_suffix_map(cell, i)[cell.chart.coords[a]] for i, cell in enumerate(cells) for a in axes[i])
     if len(set(names)) != len(names):
         raise SewingError(f"coordinate name collision after renaming: {names}")
     constraints = _collect_constraints(cells, _diagonal_map)
@@ -466,21 +487,9 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
 
     _probe_diagonal_consistency(cells)
 
-    # Position of each cell's non-adapted coordinates in the diagonal chart.
-    positions: list[dict[int, int]] = []
-    cursor = 1
-    for i, cell in enumerate(cells):
-        local = {}
-        for a in range(3):
-            if a == cell.chart.adapted_index:
-                continue
-            local[a] = cursor
-            cursor += 1
-        positions.append(local)
-
-    metric_grid = [[Num(0.0)] * dim for _ in range(dim)]
-    phi_grid = [[Num(0.0)] * dim for _ in range(dim)]
-    xi_comps = [Num(0.0)] * dim
+    metric_grid = [[_ZERO] * dim for _ in range(dim)]
+    phi_grid = [[_ZERO] * dim for _ in range(dim)]
+    xi_comps = [_ZERO] * dim
     scale = 1.0 / math.sqrt(k)
     ss_terms = []
     for i, cell in enumerate(cells):
@@ -500,7 +509,7 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
                 phi_grid[pos_a][pos_b] = p[a][b]
     metric_grid[0][0] = _sum_nodes(ss_terms)
     xi_comps[0] = Num(scale)
-    eta_comps = [Num(0.0)] * dim
+    eta_comps = [_ZERO] * dim
     eta_comps[0] = Num(math.sqrt(k))
 
     return SewnManifold(
@@ -546,10 +555,6 @@ def embedding_matrix(product: ProductDefinition, sewn: SewnManifold) -> np.ndarr
     return e
 
 
-def embed_point(product: ProductDefinition, sewn: SewnManifold, point) -> np.ndarray:
-    return embedding_matrix(product, sewn) @ np.asarray(point, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Extrinsic geometry of the sewn submanifold
 # ---------------------------------------------------------------------------
@@ -587,12 +592,9 @@ def extrinsic_report(
     contractions compared with it are assembled there: a sum over the product
     index is a sum over the blocks k of their three rows j.
     """
-    structure = block_structure(product)
-    if not structure.passed:
-        raise SewingError(f"the product does not split into its blocks: {structure.note}")
+    blocks = _blocks(product)
     k = product.cell_count
     e_mat = embedding_matrix(product, sewn)
-    blocks = _blocks(product)
     frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [k, j, a]: the rows of E_a in block k
     upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
     identity = np.eye(k - 1)

@@ -244,6 +244,22 @@ def test_closed_stdout_exits_quietly(tmp_path, model_file):
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "blocked"],
+    ["sew", "cell.json", "--copies", "2", "--out", "blocked"],
+    ["catalog", "flat_cosymplectic", "--out", "blocked"],
+    ["verify", "cell.json", "--json", "blocked"],
+], ids=["verify-input", "sew-out", "catalog-out", "verify-json"])
+def test_directory_path_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    """A directory where a file is read or written exits 2 without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    save_manifold(flat_cosymplectic_cell(), "cell.json")
+    Path("blocked").mkdir()
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
 @COMMANDS
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_points_below_one_is_a_usage_error(command, points, model_file, tmp_path, monkeypatch, capsys):

@@ -25,7 +25,6 @@ from sewcells.sewing import (
     SewnManifold,
     block_structure,
     build_product,
-    embed_point,
     embedding_matrix,
     extrinsic_report,
     sew,
@@ -146,15 +145,28 @@ class TestFStructure:
         assert "rank 2" in rank_check.note  # kernel dimension k + 2 = 4
 
     def test_kernel_rank_reports_the_worst_rank(self, model_cell, monkeypatch):
-        # the worst rank is in the middle of the sweep, not at its end
+        # one stack of block ranks per block; their per-sample sums (4, 3, 2, 3)
+        # are worst in the middle of the sweep, not at its end
         k = 2
-        ranks = iter([2 * k, 2 * k - 1, 2 * k - 2, 2 * k - 1])
+        ranks = iter([2, 2, 1, 2, 2, 1, 1, 1])
         monkeypatch.setattr(sewing, "numeric_rank", lambda stack: np.array([next(ranks) for _ in stack]))
         product = build_product([model_cell] * k)
         rank_check = verify_f_structure(product, sample_points(product.chart, 4, 7), 1e-10).check("kernel_rank")
         assert not rank_check.passed
         assert rank_check.residual == 2.0
         assert rank_check.note.startswith(f"rank {2 * k - 2},")
+
+    def test_doubled_affinor_entry_breaks_f_cubed(self, model_cell):
+        """The stage reads the product's own trees: a changed entry of one
+        block of ``product.f`` fails although the cells are untouched."""
+        product = build_product([model_cell, model_cell])
+        x2, y2 = product.chart.index_of("x2"), product.chart.index_of("y2")
+        grid = [list(row) for row in product.f.components]
+        grid[x2][y2] = BinOp("*", Num(2.0), grid[x2][y2])
+        mutated = dataclasses.replace(product, f=TensorField(product.chart, 1, 1, tuple(map(tuple, grid))))
+        assert block_structure(mutated).passed
+        report = verify_f_structure(mutated, sample_points(product.chart, 5, 7), 1e-10)
+        assert not report.check("f_cubed_plus_f").passed
 
 
 class TestLiftLaws:
@@ -206,9 +218,22 @@ class TestBlockStructure:
         # the sampled stages do not run on a product that does not split
         report = verify_lift_laws(mutated, sample_points(product.chart, 4, 7), 1e-9)
         assert not report.passed and [c.name for c in report.checks] == ["block_structure"]
+        with pytest.raises(SewingError, match="does not split"):
+            verify_f_structure(mutated, sample_points(product.chart, 4, 7), 1e-9)
         sewn = sew([model_cell, model_cell])
         with pytest.raises(SewingError, match="does not split"):
             extrinsic_report(mutated, sewn, sample_points(sewn.chart, 4, 7), 1e-8)
+
+    def test_stages_share_one_split(self, model_cell, monkeypatch):
+        original = sewing.block_structure
+        checked = []
+        monkeypatch.setattr(sewing, "block_structure", lambda product: checked.append(product) or original(product))
+        product = build_product([model_cell] * 3)
+        sewn = sew([model_cell] * 3)
+        assert verify_f_structure(product, sample_points(product.chart, 4, 7), 1e-9).passed
+        assert verify_lift_laws(product, sample_points(product.chart, 4, 7), 1e-9).passed
+        assert extrinsic_report(product, sewn, sample_points(sewn.chart, 4, 7), 1e-8).passed
+        assert checked == [product]
 
     def test_block_entry_naming_another_block_fails(self, model_cell):
         product = build_product([model_cell, model_cell])
@@ -220,23 +245,38 @@ class TestBlockStructure:
         assert f"metric[{x1}][{x1}] names x2 outside block 1" in check.note
 
     def test_sew_stays_off_the_product_chart(self, tmp_path, monkeypatch):
-        """No connection, curvature or bracket of ``sew --copies 4`` takes a
-        field on the 12-dimensional product chart."""
+        """No field of ``sew --copies 4`` on the 12-dimensional product chart is
+        evaluated or handed to a connection, curvature, bracket or exterior
+        derivative, and no 12x12 matrix is ranked."""
         from sewcells import cli, geometry, nullity
 
         monkeypatch.chdir(tmp_path)
         save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
-        dims = {name: set() for name in ("riemann", "christoffel", "lie_bracket")}
+        functions = ("riemann", "christoffel", "lie_bracket", "exterior_derivative", "numeric_rank")
+        methods = ("evaluate", "evaluate_with_grads", "evaluate_with_jets")
+        dims = {name: set() for name in functions + methods}
+
+        def spy(name, original):
+            def spied(*args, **kwargs):
+                if name == "numeric_rank":
+                    dims[name].add(args[0].shape[-2:])
+                else:
+                    dims[name].update(arg.chart.dim for arg in args if isinstance(arg, TensorField))
+                return original(*args, **kwargs)
+            return spied
+
         for module in (geometry, sewing, nullity):
-            for name in dims:
+            for name in functions:
                 if hasattr(module, name):
-                    def spy(*args, _original=getattr(module, name), _name=name):
-                        dims[_name].update(arg.chart.dim for arg in args if isinstance(arg, TensorField))
-                        return _original(*args)
-                    monkeypatch.setattr(module, name, spy)
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for name in methods:
+            monkeypatch.setattr(TensorField, name, spy(name, getattr(TensorField, name)))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
-        assert dims == {"riemann": {3, 9}, "christoffel": {3, 9}, "lie_bracket": {3}}
+        assert dims == {
+            "riemann": {3, 9}, "christoffel": {3, 9}, "lie_bracket": {3}, "exterior_derivative": {3},
+            "numeric_rank": {(3, 3)}, "evaluate": {3, 9}, "evaluate_with_grads": {3, 9}, "evaluate_with_jets": {3, 9},
+        }
 
 
 class TestSew:
@@ -357,7 +397,7 @@ class TestSew:
         e = embedding_matrix(product, sewn)
         # product coords: (t1, x1, y1, x2, y2, z2); diagonal chart (s, x1, y1, x2, y2)
         point = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
-        q = embed_point(product, sewn, point)
+        q = e @ point
         assert q[product.chart.index_of("t1")] == 0.5
         assert q[product.chart.index_of("z2")] == 0.5
         assert q[product.chart.index_of("x1")] == 1.0
