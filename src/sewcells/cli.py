@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,14 +264,7 @@ def cmd_sew(args) -> int:
     subject["sewn_classification"] = _classification_dict(theorems.sewn_classification)
     if theorems.convention_comparison is not None:
         comp = theorems.convention_comparison
-        subject["convention_comparison"] = {
-            "cell_count": comp.cell_count,
-            "alpha_cell": comp.alpha_cell,
-            "alpha_sewn": comp.alpha_sewn,
-            "muprime_ratio_raw": comp.muprime_ratio_raw,
-            "muprime_ratio_normalized": comp.muprime_ratio_normalized,
-            "reproduces_inverse_k": comp.reproduces_inverse_k,
-        }
+        subject["convention_comparison"] = asdict(comp)
         print(
             f"h' convention reproducing the 1/k transfer of mu': {comp.reproduces_inverse_k}"
             f" (raw ratio {comp.muprime_ratio_raw:.6f},"
@@ -415,6 +408,12 @@ def _run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, the help or the version
         return exc.code
+    report_path = getattr(args, "json", None)
+    if report_path is not None and (report_path.is_dir() or not report_path.parent.is_dir()):
+        # refused before the command runs, so that an unusable report path costs no run
+        problem = "is a directory" if report_path.is_dir() else "is in a directory that does not exist"
+        print(f"input error: --json {report_path} {problem}", file=sys.stderr)
+        return EXIT_INPUT
     start = time.perf_counter()
     try:
         status = args.func(args)

@@ -289,7 +289,6 @@ class Classification:
     weights: tuple[float, ...]
     fit_residual_max: float
     is_cosymplectic: bool
-    nabla_phi_norm_max: float
 
     def describe(self) -> str:
         if self.kind == ALMOST_COSYMPLECTIC:
@@ -340,7 +339,6 @@ def classify(
     lams, residuals = zip(*(fit for _, fit in evaluate_batches(samples, struct.dim, lambda points: weight_fit(struct, points))))
     arr = np.concatenate(lams)
     fit = Residual("weight_fit_residual", tol).add(np.concatenate(residuals))
-    nabla = Residual("nabla_phi", tol).add(derivatives.nabla_phi)
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
     elif Residual("weight", tol).add(arr).passed:
@@ -349,7 +347,8 @@ def classify(
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, nabla.passed, nabla.value)
+    cosymplectic = Residual("nabla_phi", tol).add(derivatives.nabla_phi).passed
+    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, cosymplectic)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ the block's three coordinates, and the stages evaluate those at the block
 projections of their samples.  Only the sewn metric's own curvature, which
 the curvature restriction is compared with, is (2k+1)-dimensional.
 
+The frame of the diagonal is one constant matrix over the blocks' Reeb
+fields: the median and the normal frame inside Ker f are the rows of
+``frame_coefficients(k)`` applied to ``(xi_1, ..., xi_k)``.  Since ``xi_b``
+vanishes outside block b, each of them is ``c[alpha, b] xi_b`` on block b,
+and the stages read the frame from the block's own ``xi``.
+
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
@@ -172,40 +178,6 @@ class ProductDefinition:
     def cell_count(self) -> int:
         return len(self.cells)
 
-    def median(self) -> TensorField:
-        """The unit field ``(xi_1 + ... + xi_k)/sqrt(k)``."""
-        k = self.cell_count
-        return self._framing_sums([[1.0 / math.sqrt(k)] * k])[0]
-
-    def normal_frame(self) -> tuple[TensorField, ...]:
-        """Unit fields spanning the complement of the diagonal inside Ker(f).
-
-        The l-th field is proportional to
-        ``xi_1 + ... + xi_{l-1} - (l-1) xi_l`` (pairwise orthogonal to each
-        other and to the median); each is normalized by the exact constant
-        ``1/sqrt(l(l-1))`` per leading term.
-        """
-        k = self.cell_count
-        rows = []
-        for l in range(2, k + 1):
-            lead = 1.0 / math.sqrt(l * (l - 1))
-            rows.append([lead] * (l - 1) + [-(l - 1) * lead] + [0.0] * (k - l))
-        return self._framing_sums(rows)
-
-    def _framing_sums(self, rows: Sequence[Sequence[float]]) -> tuple[TensorField, ...]:
-        """The field ``sum_j row[j] xi_j`` for each row of coefficients."""
-        supports = [[(pos, node) for pos, node in enumerate(field.components) if node != _ZERO]
-                    for field in self.framing]
-        fields = []
-        for row in rows:
-            comps = [_ZERO] * self.chart.dim
-            for coeff, support in zip(row, supports):
-                if coeff != 0.0:
-                    for pos, node in support:
-                        comps[pos] = _scaled(node, coeff)
-            fields.append(TensorField(self.chart, 1, 0, tuple(comps)))
-        return tuple(fields)
-
     @cached_property
     def _split(self) -> tuple[CheckResult, list[_Block]]:
         """``block_structure``, and the diagonal blocks when it holds: built once,
@@ -213,8 +185,6 @@ class ProductDefinition:
         structure = block_structure(self)
         if not structure.passed:
             return structure, []
-        median = self.median()
-        normals = self.normal_frame()
         blocks = []
         for i, rows in enumerate(map(list, self.blocks)):
             chart = Chart(tuple(self.chart.coords[pos] for pos in rows))
@@ -224,8 +194,7 @@ class ProductDefinition:
                     return grid if depth == 0 else tuple(walk(grid[pos], depth - 1) for pos in rows)
                 return TensorField(chart, field.upper, field.lower, walk(field.components, field.rank))
 
-            fields = (self.metric, self.f, self.framing[i], self.coframing[i], median)
-            blocks.append(_Block(rows, *map(restricted, fields), tuple(map(restricted, normals))))
+            blocks.append(_Block(rows, *map(restricted, (self.metric, self.f, self.framing[i], self.coframing[i]))))
         return structure, blocks
 
 
@@ -331,15 +300,32 @@ def block_structure(product: ProductDefinition) -> CheckResult:
 class _Block(NamedTuple):
     """One diagonal block of the product: its product indices, and the
     product's own trees there as fields over the block's three coordinates
-    (``xi`` and ``eta`` are the block's framing and coframing field)."""
+    (``xi`` and ``eta`` are the block's framing and coframing field).  The
+    median and the normal frame are ``frame_coefficients`` times the blocks'
+    ``xi``, so a block carries no field of its own for them."""
 
     rows: list[int]
     metric: TensorField
     f: TensorField
     xi: TensorField
     eta: TensorField
-    median: TensorField
-    normals: tuple[TensorField, ...]
+
+
+def frame_coefficients(k: int) -> np.ndarray:
+    """The constant frame of the diagonal over the framing fields (the Helmert
+    matrix): ``u_alpha = sum_b c[alpha, b] xi_b`` for ``c = frame_coefficients(k)``.
+
+    Row 0 is the median ``(xi_1 + ... + xi_k)/sqrt(k)``; row l >= 1 is the
+    l-th normal ``(xi_1 + ... + xi_l - l xi_{l+1})/sqrt(l(l+1))``.  The rows
+    are orthonormal, and so is the frame, because the framing fields are.
+    """
+    c = np.zeros((k, k))
+    c[0] = 1.0 / math.sqrt(k)
+    for l in range(1, k):
+        lead = 1.0 / math.sqrt(l * (l + 1))
+        c[l, :l] = lead
+        c[l, l] = -l * lead
+    return c
 
 
 def _blocks(product: ProductDefinition) -> list[_Block]:
@@ -361,7 +347,8 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
     ``block_structure`` fails), and framing and coframing fields of different
     blocks pair to zero identically.  So each axiom is checked on each block's
     trees at the block projections of the samples; per sample, rank f sums the
-    block ranks and |xi-bar|^2 the blocks' parts of the median.
+    block ranks, and |xi-bar|^2 = sum_b g_b(xi_b, xi_b)/k, since the median
+    is ``xi_b/sqrt(k)`` on block b.
     """
     k = product.cell_count
     blocks = _blocks(product)
@@ -379,22 +366,22 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
         for block in blocks:
             local = points[:, block.rows]
             parts.append((block.metric.evaluate(local), block.f.evaluate(local), block.xi.evaluate(local),
-                          block.eta.evaluate(local), exterior_derivative(block.eta, local),
-                          block.median.evaluate(local)))
+                          block.eta.evaluate(local), exterior_derivative(block.eta, local)))
         return parts
 
     for _, parts in evaluate_batches(samples, 3, fields):
-        rank = median_length = 0
-        for g, f, xi, eta, d_eta, med in parts:
+        rank = framing_lengths = 0
+        for g, f, xi, eta, d_eta in parts:
             cubed.add(f @ f @ f + f)
             skew.add(np.swapaxes(f, 1, 2) @ g + g @ f)
             kernel_span.add(f @ xi[:, :, None])
-            framing.add(np.einsum("pi,pij,pj->p", xi, g, xi) - 1.0)
+            length = np.einsum("pi,pij,pj->p", xi, g, xi)
+            framing.add(length - 1.0)
             dual.add(np.einsum("pi,pi->p", eta, xi) - 1.0)
             closed.add(d_eta)
             rank = rank + numeric_rank(f)
-            median_length = median_length + np.einsum("pi,pij,pj->p", med, g, med)
-        unit_median.add(median_length - 1.0)
+            framing_lengths = framing_lengths + length
+        unit_median.add(framing_lengths / k - 1.0)
         ranks.extend(rank.tolist())
     rank_gaps = np.array(ranks) - 2 * k
     worst_rank = ranks[int(np.argmax(np.abs(rank_gaps)))]
@@ -426,7 +413,9 @@ def verify_lift_laws(
     product's trees, must equal the cell's own.  A bracket of two
     affinor-image fields, or of one with the median, is zero across blocks,
     so only the in-block pairs are taken; their components along the normal
-    frame must vanish.
+    frame must vanish.  On block b the frame is the constant
+    ``frame_coefficients`` column b times the block's ``xi``: the median is
+    ``c[0, b] xi_b`` and ``g(., u_alpha) = c[alpha, b] g_b(., xi_b)``.
     """
     title = f"lift laws of {len(product.cells)}-cell product"
     structure, blocks = product._split
@@ -435,7 +424,7 @@ def verify_lift_laws(
     upper = np.triu_indices(3, 1)  # the column pairs a < b of a block
     lift = Residual("lifted_covariant_derivative", tol)
     invol = Residual("image_median_involutive", tol)
-    for block, cell in zip(blocks, product.cells):
+    for block, cell, column in zip(blocks, product.cells, frame_coefficients(len(blocks)).T):
 
         def parts(points):
             """The gap between the block's and the cell's connection, and
@@ -443,9 +432,9 @@ def verify_lift_laws(
             the block's affinor-image fields and of those with the median."""
             local = points[:, block.rows]
             gap = christoffel(block.metric, local) - christoffel(cell.metric, local)
-            g_normal = block.metric.evaluate(local) @ np.stack([u.evaluate(local) for u in block.normals], axis=-1)
+            g_normal = (block.metric.evaluate(local) @ block.xi.evaluate(local)[:, :, None]) * column[1:]
             images = lie_bracket(block.f, block.f, local)[:, :, upper[0], upper[1]]
-            with_median = lie_bracket(block.f, block.median, local)
+            with_median = column[0] * lie_bracket(block.f, block.xi, local)
             return gap, [np.swapaxes(brackets, 1, 2) @ g_normal for brackets in (images, with_median)]
 
         for _, (gap, brackets) in evaluate_batches(samples, 3, parts):
@@ -587,10 +576,14 @@ def extrinsic_report(
 
     The product geometry is evaluated block by block, in batches of a
     3-dimensional chart, which needs ``block_structure`` to hold
-    (``SewingError`` otherwise).  Inside each batch the sewn curvature along
-    the Reeb field runs in batches of the sewn chart, and the product
-    contractions compared with it are assembled there: a sum over the product
-    index is a sum over the blocks k of their three rows j.
+    (``SewingError`` otherwise).  The median and the normal frame are the
+    constant ``frame_coefficients`` c over the blocks' Reeb fields, so each
+    block evaluates its ``xi`` with gradients once per batch: on block b,
+    ``xi-bar = c[0, b] xi_b``, ``u_alpha = c[alpha, b] xi_b`` and
+    ``d u_alpha = c[alpha, b] d xi_b``.  Inside each batch the sewn
+    curvature along the Reeb field runs in batches of the sewn chart, and the
+    product contractions compared with it are assembled there: a sum over the
+    product index is a sum over the blocks k of their three rows j.
     """
     blocks = _blocks(product)
     k = product.cell_count
@@ -598,6 +591,7 @@ def extrinsic_report(
     frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [k, j, a]: the rows of E_a in block k
     upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
     identity = np.eye(k - 1)
+    c = frame_coefficients(k)
 
     frame = Residual("normal_frame_orthonormal", tol)
     perp = Residual("normal_frame_perpendicular", tol)
@@ -608,16 +602,16 @@ def extrinsic_report(
 
     def block_geometry(points):
         parts = []
-        for block, rows in zip(blocks, frame_rows):
+        for block, rows, column in zip(blocks, frame_rows, c.T):
             local = points @ rows.T
-            xi_bar = block.median.evaluate(local)
+            xi, xi_grads = block.xi.evaluate_with_grads(local)
+            xi_bar = column[0] * xi
             gamma, curvature_xi = riemann(block.metric, local, xi_bar)
-            jets = [u.evaluate_with_grads(local) for u in block.normals]
-            normal = np.stack([vals for vals, _ in jets], axis=-1)
+            normal = xi[:, :, None] * column[1:]
             parts.append(_BlockGeometry(
                 normal=normal,
                 g_normal=block.metric.evaluate(local) @ normal,
-                normal_grads=np.stack([grads for _, grads in jets], axis=1),
+                normal_grads=column[1:, None, None] * xi_grads[:, None],
                 xi_bar=xi_bar,
                 gamma=gamma,
                 curvature_xi=curvature_xi,

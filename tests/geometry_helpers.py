@@ -2,16 +2,20 @@
 
 Unlike ``oracles.py``, these use the jet machinery under test, so they check
 the package against itself: the dense Riemann tensor and identities of it,
-covariant derivatives of vector fields, the second fundamental form of the
-sewn diagonal, computed here on the full product chart, and plain ``einsum``
+covariant derivatives of vector fields, the median and the normal frame of a
+product from their closed form, the second fundamental form of the sewn
+diagonal, computed here on the full product chart, and plain ``einsum``
 references at one point for the contractions that the package runs as
 batched matrix products (Gamma, the curvature along a vector, nabla phi,
 d Phi and the normality tensor).
 """
 
+import math
+
 import numpy as np
 
 from sewcells.charts import TensorField
+from sewcells.expressions import BinOp, Num
 from sewcells.geometry import christoffel, riemann
 from sewcells.sewing import embedding_matrix
 
@@ -74,6 +78,33 @@ def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorFi
     return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, gamma, wvals)
 
 
+def _framing_sum(product, coefficients) -> TensorField:
+    """``sum_i coefficients[i] xi_i`` on the product chart; the framing fields
+    have disjoint supports, so each component takes one term at most."""
+    comps = [Num(0.0)] * product.chart.dim
+    for coeff, xi in zip(coefficients, product.framing):
+        for pos, node in enumerate(xi.components):
+            if coeff != 0.0 and node != Num(0.0):
+                comps[pos] = BinOp("*", Num(coeff), node)
+    return TensorField(product.chart, 1, 0, tuple(comps))
+
+
+def product_median(product) -> TensorField:
+    """The median ``(xi_1 + ... + xi_k)/sqrt(k)`` on the product chart."""
+    k = product.cell_count
+    return _framing_sum(product, [1.0 / math.sqrt(k)] * k)
+
+
+def product_normal_frame(product) -> tuple[TensorField, ...]:
+    """The unit normals ``(xi_1 + ... + xi_l - l xi_{l+1})/sqrt(l(l+1))``,
+    l = 1..k-1, of the diagonal inside Ker(f), on the product chart."""
+    k = product.cell_count
+    return tuple(
+        _framing_sum(product, [1.0 / math.sqrt(l * (l + 1))] * l + [-l / math.sqrt(l * (l + 1))] + [0.0] * (k - l - 1))
+        for l in range(1, k)
+    )
+
+
 def second_fundamental(product, sewn, samples) -> np.ndarray:
     """``second[p, a, b, alpha] = g(nabla_{E_a} E_b, u_alpha)``: the second
     fundamental form of the diagonal ``sewn`` along the normal frame of
@@ -82,7 +113,7 @@ def second_fundamental(product, sewn, samples) -> np.ndarray:
     ``Gamma(E_a, E_b)``."""
     e_mat = embedding_matrix(product, sewn)
     points = np.array([s.coords for s in samples]) @ e_mat.T
-    normal = np.stack([u.evaluate(points) for u in product.normal_frame()], axis=-1)
+    normal = np.stack([u.evaluate(points) for u in product_normal_frame(product)], axis=-1)
     g_normal = product.metric.evaluate(points) @ normal  # [p, j, alpha] = g(e_j, u_alpha)
     gamma = christoffel(product.metric, points)
     return np.einsum("ia,mb,pjim,pjc->pabc", e_mat, e_mat, gamma, g_normal)

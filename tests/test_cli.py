@@ -249,15 +249,21 @@ def test_closed_stdout_exits_quietly(tmp_path, model_file):
     ["sew", "cell.json", "--copies", "2", "--out", "blocked"],
     ["catalog", "flat_cosymplectic", "--out", "blocked"],
     ["verify", "cell.json", "--json", "blocked"],
-], ids=["verify-input", "sew-out", "catalog-out", "verify-json"])
+    ["sew", "cell.json", "--copies", "2", "--out", "sewn.json", "--json", "blocked"],
+    ["verify", "cell.json", "--json", "missing/report.json"],
+], ids=["verify-input", "sew-out", "catalog-out", "verify-json", "sew-json", "verify-json-parent"])
 def test_directory_path_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
-    """A directory where a file is read or written exits 2 without a traceback."""
+    """A directory where a file is read or written exits 2 without a traceback.
+    An unusable ``--json`` path is refused before the command runs: no check
+    is printed and ``sew`` writes no definition file."""
     monkeypatch.chdir(tmp_path)
     save_manifold(flat_cosymplectic_cell(), "cell.json")
     Path("blocked").mkdir()
     assert main(argv) == EXIT_INPUT
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "input error" in err and "Traceback" not in err
+    assert "PASS" not in out and "FAIL" not in out
+    assert not Path("sewn.json").exists()
 
 
 @COMMANDS

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geometry_helpers import covariant_derivative_vector, second_fundamental
+from geometry_helpers import covariant_derivative_vector, product_median, second_fundamental
 from sewcells.catalog import kenmotsu_warped_cell
 from sewcells.charts import (
     CellDefinition,
@@ -235,6 +235,37 @@ class TestBlockStructure:
         assert extrinsic_report(product, sewn, sample_points(sewn.chart, 4, 7), 1e-8).passed
         assert checked == [product]
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_frame_coefficients_are_the_helmert_matrix(self, k):
+        """Row 0 is the median, row l the l-th normal
+        (xi_1 + ... + xi_l - l xi_{l+1})/sqrt(l(l+1)), and the rows are orthonormal."""
+        expected = np.zeros((k, k))
+        expected[0] = 1.0 / math.sqrt(k)
+        for l in range(1, k):
+            expected[l, :l] = 1.0 / math.sqrt(l * (l + 1))
+            expected[l, l] = -l / math.sqrt(l * (l + 1))
+        c = sewing.frame_coefficients(k)
+        np.testing.assert_allclose(c, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(c @ c.T, np.eye(k), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_product_stages_build_linearly_many_plans(self, halfspace_cell, k, monkeypatch):
+        """The three product stages read the median and the normal frame from
+        the blocks' own Reeb fields, so they build field plans for the blocks'
+        four fields, the cell metric and the sewn metric and Reeb field, not
+        one per normal field and block."""
+        from sewcells import charts
+
+        product = build_product([halfspace_cell] * k)
+        sewn = sew([halfspace_cell] * k)
+        original = charts._FieldPlan.build
+        built = []
+        monkeypatch.setattr(charts._FieldPlan, "build", lambda field: built.append(field) or original(field))
+        assert verify_f_structure(product, sample_points(product.chart, 2, 7), 1e-8).passed
+        assert verify_lift_laws(product, sample_points(product.chart, 2, 7), 1e-9).passed
+        assert extrinsic_report(product, sewn, sample_points(sewn.chart, 2, 7), 1e-8).passed
+        assert len(built) <= 4 * k + 3
+
     def test_block_entry_naming_another_block_fails(self, model_cell):
         product = build_product([model_cell, model_cell])
         x1 = product.chart.index_of("x1")
@@ -375,7 +406,7 @@ class TestSew:
         product = build_product(cells)
         sewn = sew(cells)
         e = embedding_matrix(product, sewn)
-        median = product.median()
+        median = product_median(product)
         for sample in sample_points(sewn.chart, 15, 7):
             p = sample.array()
             q = e @ p

@@ -24,6 +24,7 @@ from geometry_helpers import (
     d_fundamental_form_reference,
     nabla_phi_reference,
     normality_reference,
+    product_median,
     riemann_reference,
 )
 from sewcells.geometry import (
@@ -116,7 +117,7 @@ def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell
     entries of at most the reference's magnitude, so they agree to 1e-13 of
     its largest magnitude, or of 1 where the terms cancel."""
     product = build_product([model_cell, halfspace_cell])
-    fields = [(s.metric, s.chart, s.xi) for s in structures] + [(product.metric, product.chart, product.median())]
+    fields = [(s.metric, s.chart, s.xi) for s in structures] + [(product.metric, product.chart, product_median(product))]
     for metric, chart, field in fields:
         points = np.array([s.coords for s in sample_points(chart, 4, 9)])
         # the Reeb field and a vector off it, so that every slot of the contraction is read
@@ -160,7 +161,7 @@ def _column(affinor: TensorField, a: int) -> TensorField:
 
 def test_bracket_of_affinor_columns(structures, model_cell, kenmotsu_cell):
     product = build_product([model_cell, kenmotsu_cell])
-    median = product.median()
+    median = product_median(product)
     for f, w in [(s.phi, s.xi) for s in structures] + [(product.f, median)]:
         n = f.chart.dim
         points = np.array([s.coords for s in sample_points(f.chart, 3, 5)])

@@ -6,8 +6,9 @@ the JSON reports they write.
 OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
 ``src`` directory of a checkout).  The matrix is ``verify`` and ``nullity`` on
 every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
-halfspace cell, ``sew --copies 2,3,4,6`` on every cell, and ``nullity`` on the
-sewn k = 2 outputs.  Each tree writes its own cell files with its own
+halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
+frame the CLI builds, ``cli.MAX_COPIES``), and ``nullity`` on the sewn k = 2
+outputs.  Each tree writes its own cell files with its own
 ``catalog`` command and runs every command as a fresh process in its own
 scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice.
@@ -46,7 +47,7 @@ CELLS = {
     "halfspace": ("halfspace_kenmotsu",),
 }
 KENMOTSU_CELLS = ("warped", "halfspace")
-COPIES = (2, 3, 4, 6)
+COPIES = (2, 3, 4, 6, 16)
 
 
 def matrix() -> list[tuple[str, list[str]]]:
