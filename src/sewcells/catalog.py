@@ -28,8 +28,6 @@ from .charts import CellDefinition, Chart, Constraint, TensorField
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    parameters: tuple[str, ...]
-    summary: str
     build: Callable[..., CellDefinition]
 
 
@@ -133,27 +131,13 @@ def halfspace_kenmotsu_cell() -> CellDefinition:
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "flat_cosymplectic": CatalogEntry(
-        "flat_cosymplectic", (), "Euclidean cosymplectic baseline", flat_cosymplectic_cell
-    ),
-    "model_cosymplectic": CatalogEntry(
-        "model_cosymplectic",
-        ("lam",),
-        "constant-nullity almost cosymplectic model, kappa = -lam^2",
-        model_cosymplectic_cell,
-    ),
-    "kenmotsu_warped": CatalogEntry(
-        "kenmotsu_warped",
-        ("alpha", "kappa0", "c", "cprime"),
-        "doubly warped almost alpha-Kenmotsu cell",
-        kenmotsu_warped_cell,
-    ),
-    "halfspace_kenmotsu": CatalogEntry(
-        "halfspace_kenmotsu",
-        (),
-        "almost Kenmotsu cell on z > 0 with nonconstant nullity",
-        halfspace_kenmotsu_cell,
-    ),
+    entry.name: entry
+    for entry in (
+        CatalogEntry("flat_cosymplectic", flat_cosymplectic_cell),
+        CatalogEntry("model_cosymplectic", model_cosymplectic_cell),
+        CatalogEntry("kenmotsu_warped", kenmotsu_warped_cell),
+        CatalogEntry("halfspace_kenmotsu", halfspace_kenmotsu_cell),
+    )
 }
 
 

@@ -338,7 +338,7 @@ class _FieldPlan(NamedTuple):
             columns = tuple(sorted(chart.coord_index[name] for name in free_variables(node)))
             if not columns:
                 try:
-                    constant[pos] = evaluate(node, (), {})
+                    constant[pos] = node.value if isinstance(node, Num) else evaluate(node, (), {})
                     continue
                 except EvaluationDomainError:
                     pass  # kept as a term, so that every evaluation raises as before
@@ -445,30 +445,20 @@ POSITIVE_BOX = (0.1, 2.1)
 _MAX_REJECTIONS = 10_000
 
 
-def sampling_box(chart: Chart, overrides: dict[str, tuple[float, float]] | None = None) -> list[tuple[float, float]]:
+def sampling_box(chart: Chart) -> list[tuple[float, float]]:
     """Per-coordinate sampling intervals.
 
     Defaults to [-1, 1]; a coordinate constrained by a bare ``name > 0``
-    constraint is shifted to (0.1, 2.1).  ``overrides`` wins for its keys.
+    constraint is shifted to (0.1, 2.1).
     """
     box = {name: DEFAULT_BOX for name in chart.coords}
     for c in chart.constraints:
         if isinstance(c.positive, Var):
             box[c.positive.name] = POSITIVE_BOX
-    if overrides:
-        for name, interval in overrides.items():
-            if name not in box:
-                raise ChartError(f"box override for unknown coordinate {name!r}")
-            box[name] = interval
     return [box[name] for name in chart.coords]
 
 
-def sample_points(
-    chart: Chart,
-    count: int,
-    seed: int,
-    box: dict[str, tuple[float, float]] | None = None,
-) -> list[PointSample]:
+def sample_points(chart: Chart, count: int, seed: int) -> list[PointSample]:
     """Draw ``count`` in-domain points, deterministically for a fixed seed.
 
     Candidates are drawn coordinate by coordinate, point after point, and
@@ -477,16 +467,10 @@ def sample_points(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return _draw_samples(chart, 1, count, seed, box, None)
+    return _draw_samples(chart, 1, count, seed, None)
 
 
-def sample_points_grouped(
-    chart: Chart,
-    groups: int,
-    per_group: int,
-    seed: int,
-    box: dict[str, tuple[float, float]] | None = None,
-) -> list[PointSample]:
+def sample_points_grouped(chart: Chart, groups: int, per_group: int, seed: int) -> list[PointSample]:
     """Samples organised into groups sharing the adapted-coordinate value.
 
     Members of a group differ only in the non-adapted coordinates, which is
@@ -500,10 +484,10 @@ def sample_points_grouped(
         raise ChartError("grouped sampling needs an adapted chart")
     if groups < 1 or per_group < 1:
         raise ValueError("groups and per_group must be >= 1")
-    return _draw_samples(chart, groups, per_group, seed, box, chart.adapted_index)
+    return _draw_samples(chart, groups, per_group, seed, chart.adapted_index)
 
 
-def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, box, t_axis: int | None) -> list[PointSample]:
+def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: int | None) -> list[PointSample]:
     """The samplers' one loop: ``groups`` groups of ``per_group`` members, the
     members of a group sharing the coordinate ``t_axis`` unless it is None.
 
@@ -513,7 +497,7 @@ def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, box, t_a
     depend on the block sizes.  A member gives up after ``_MAX_REJECTIONS``
     misses in a row.
     """
-    lo, hi = np.array(sampling_box(chart, box), dtype=float).T
+    lo, hi = np.array(sampling_box(chart), dtype=float).T
     rng = np.random.default_rng(seed)
     count = groups * per_group
     samples: list[PointSample] = []
@@ -547,7 +531,7 @@ def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, box, t_a
                 found = hits(t_value)
             if not found or base + found[0] - run_start >= _MAX_REJECTIONS:
                 raise SamplingError(
-                    f"no in-domain point after {_MAX_REJECTIONS} draws; tighten the sampling box"
+                    f"no in-domain point after {_MAX_REJECTIONS} draws in the sampling box"
                 )
             row = found.popleft()
             point = block[row].tolist()

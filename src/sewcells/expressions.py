@@ -16,25 +16,26 @@ a unary minus applied to a literal folds into the literal, and constant
 exponent subtrees fold to a single number.  With that, ``parse(to_source(e))``
 reproduces ``e`` node for node.
 
-Evaluation is pure.  ``evaluate`` returns the value; ``evaluate_jet2``
-propagates forward-mode jets and returns the value together with the exact
-gradient and, at order 2 (the default), the exact Hessian (no finite
-differencing).  An order-1 jet carries no Hessian at all, so a caller that
-reads none pays for none; both orders share the value and gradient rules and
-give the same values and gradients bit for bit.  Both functions take one
-point of shape (n,) or a stack of P points of shape (P, n).  At a point the
-value is a float, the gradient (n,) and the Hessian (n, n); at a stack each
-of them gains a leading P axis, and one call evaluates the whole stack with
-numpy.
+Evaluation is pure and takes one walk for every order.  ``evaluate`` returns
+the value (order 0); ``evaluate_jet2`` propagates forward-mode jets and
+returns the value together with the exact gradient and, at order 2 (the
+default), the exact Hessian (no finite differencing).  An order-1 jet carries
+no Hessian at all, so a caller that reads none pays for none.  All three
+orders share the value rules, and orders 1 and 2 the gradient rules, so they
+give the same values and gradients bit for bit.  The walk runs on stacks
+only: both functions take a stack of P points of shape (P, n) and evaluate it
+with numpy in one call, and a point of shape (n,) is a stack of one.  At a
+point the value is a float, the gradient (n,) and the Hessian (n, n); at a
+stack each of them gains a leading P axis.
 
 Leaving the real domain raises ``EvaluationDomainError``: log or sqrt of a
 non-positive argument, division by zero, zero to a negative power, a
 non-integer power of a non-positive base, and overflow in exp, sinh, cosh or a
-power (for a jet, also in the powers its derivatives take).  A stack raises
-exactly when one of its rows would, and an order-1 jet exactly when an
-order-2 one would.  Arithmetic that overflows (a product reaching inf, then
-``inf * 0``) is not a domain error: it stays silent and yields inf or NaN,
-which every residual check then fails.
+power (for a jet, also in the powers its derivatives take), in constant
+subtrees too.  A stack raises exactly when one of its rows would, and an
+order-1 jet exactly when an order-2 one would.  Arithmetic that overflows (a
+product reaching inf, then ``inf * 0``) is not a domain error: it stays
+silent and yields inf or NaN, which every residual check then fails.
 """
 
 from __future__ import annotations
@@ -341,25 +342,23 @@ def rename_variables(node: ExpressionNode, mapping: Mapping[str, str]) -> Expres
     return BinOp(node.op, rename_variables(node.left, mapping), rename_variables(node.right, mapping))
 
 
-
-
 # ---------------------------------------------------------------------------
-# Value evaluation
+# Evaluation over stacks
 # ---------------------------------------------------------------------------
 #
-# One recursion serves a single point and a stack of points.  A single point
-# goes down as a list of Python floats, so its values are floats; a stack goes
-# down transposed, one (P,) column per coordinate, so its values are arrays.
-# A constant subtree is a float in both.  Both take their elementary functions
-# from the same numpy ufuncs, so a stack gives bit for bit what its rows give
-# one at a time.  Every domain check asks whether any row violates it, so a
-# stack raises exactly when one of its rows would.
+# One walk, ``_jet``, serves orders 0, 1 and 2 over stacks only; a point is a
+# stack of one.  The stack goes down transposed, one (P,) column per
+# coordinate.  At order 0 a coordinate is its own column, so values are (P,)
+# arrays; at orders 1 and 2 it is a jet whose value is that column.  A
+# constant subtree stays a scalar, a 0-d value that goes through the same
+# numpy ufuncs and domain checks.  Every rule is elementwise over the sample
+# axis, so a stack gives bit for bit what its rows give one at a time, and
+# every domain check asks whether any row violates it, so a stack raises
+# exactly when one of its rows would.
 
 _NUMPY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
           "sinh": np.sinh, "cosh": np.cosh, "sqrt": np.sqrt}
-# math raises OverflowError where numpy would only warn, so a single value is
-# checked with math first
-_OVERFLOWING = {"exp": math.exp, "sinh": math.sinh, "cosh": math.cosh}
+_OVERFLOWING = ("exp", "sinh", "cosh")
 _POSITIVE_ARGUMENT = ("log", "sqrt")
 
 
@@ -369,11 +368,11 @@ def _anywhere(mask) -> bool:
 
 def _first(values, mask) -> float:
     """The first offending value, for error messages."""
-    return float(values[mask][0]) if isinstance(values, np.ndarray) else values
+    return float(np.asarray(values)[mask][0])
 
 
-def _raise_on_overflow(out: np.ndarray, arg: np.ndarray, what: str) -> None:
-    """An infinite result of a finite argument is an overflow, as ``math`` reports it."""
+def _raise_on_overflow(out, arg, what: str) -> None:
+    """An infinite result of a finite argument is an overflow."""
     infinite = np.isinf(out)
     if infinite.any() and (infinite & np.isfinite(arg)).any():
         raise EvaluationDomainError(f"overflow in {what}")
@@ -387,15 +386,9 @@ def _pow_value(base, exponent: float):
         bad = base <= 0.0
         if _anywhere(bad):
             raise EvaluationDomainError(f"non-integer power of non-positive base {_first(base, bad)!r}")
-    if isinstance(base, np.ndarray):
-        out = np.power(base, exponent)
-        _raise_on_overflow(out, base, "power")
-        return out
-    try:
-        math.pow(base, exponent)
-    except OverflowError as exc:
-        raise EvaluationDomainError("overflow in power") from exc
-    return float(np.power(base, exponent))
+    out = np.power(base, exponent)
+    _raise_on_overflow(out, base, "power")
+    return out
 
 
 def _call_value(func: str, v):
@@ -403,19 +396,10 @@ def _call_value(func: str, v):
         bad = v <= 0.0
         if _anywhere(bad):
             raise EvaluationDomainError(f"{func} of non-positive argument {_first(v, bad)!r}")
-    if isinstance(v, np.ndarray):
-        out = _NUMPY[func](v)
-        if func in _OVERFLOWING:
-            _raise_on_overflow(out, v, func)
-        return out
+    out = _NUMPY[func](v)
     if func in _OVERFLOWING:
-        try:
-            _OVERFLOWING[func](v)
-        except OverflowError as exc:
-            raise EvaluationDomainError(f"overflow in {func}") from exc
-    elif math.isinf(v) and func in ("sin", "cos"):
-        return math.nan  # what numpy gives, without its warning
-    return float(_NUMPY[func](v))
+        _raise_on_overflow(out, v, func)
+    return out
 
 
 def _divide(left, right):
@@ -431,51 +415,34 @@ def _exponent(node: ExpressionNode) -> float:
         return node.value
     if free_variables(node):
         raise ExpressionError("variable exponents are not supported")
-    return _value(node, [], {})
+    return float(_jet(node, None, {}, None))
 
 
-def _coordinate(node: Var, point, index: Mapping[str, int]):
+def _coordinate(node: Var, index: Mapping[str, int]) -> int:
     try:
-        return index[node.name], point[index[node.name]]
+        return index[node.name]
     except KeyError as exc:
         raise ExpressionError(f"unbound variable {node.name!r}") from exc
 
 
+def _column(i: int, columns: np.ndarray) -> np.ndarray:
+    """A coordinate at order 0: its own column of the stack."""
+    return columns[i]
+
+
 def evaluate(node: ExpressionNode, point, index: Mapping[str, int]):
-    """Evaluate at ``point`` (coordinates resolved through ``index``).
+    """Evaluate at ``point`` (coordinates resolved through ``index``): the
+    order-0 walk.
 
     A point of shape (n,) gives a float; a stack of shape (P, n) gives an
     array of shape (P,).
     """
     point = np.asarray(point, dtype=float)
-    if point.ndim != 2:
-        return _value(node, point.tolist(), index)
-    out = np.empty(point.shape[0])
+    stack = point[None] if point.ndim == 1 else point
+    out = np.empty(len(stack))
     with np.errstate(all="ignore"):
-        out[...] = _value(node, point.T, index)
-    return out
-
-
-def _value(node: ExpressionNode, point, index: Mapping[str, int]):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return _coordinate(node, point, index)[1]
-    if isinstance(node, Neg):
-        return -_value(node.operand, point, index)
-    if isinstance(node, Call):
-        return _call_value(node.func, _value(node.arg, point, index))
-    left = _value(node.left, point, index)
-    if node.op == "^":
-        return _pow_value(left, _exponent(node.right))
-    right = _value(node.right, point, index)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return _divide(left, right)
+        out[...] = _jet(node, stack.T, index, _column)
+    return out if point.ndim == 2 else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +453,10 @@ def _value(node: ExpressionNode, point, index: Mapping[str, int]):
 class Jet2:
     """Value, gradient and Hessian of a scalar at a point or a stack of points.
 
-    At a point of shape (n,): a float, (n,) and (n, n).  At a stack of shape
-    (P, n) each gains a leading P axis.  The Hessian is exactly symmetric; an
-    order-1 jet carries none (``hess`` is None).
+    At a point of shape (n,): a float, (n,) and (n, n), unwrapped from the
+    stack of one that the walk took.  At a stack of shape (P, n) each gains a
+    leading P axis.  The Hessian is exactly symmetric; an order-1 jet carries
+    none (``hess`` is None).
     """
 
     value: float | np.ndarray
@@ -497,13 +465,13 @@ class Jet2:
 
 
 class _Jet1:
-    """An order-1 jet under propagation; constants stay plain floats beside it.
+    """An order-1 jet under propagation over a stack of P points; constants
+    stay scalars beside it.
 
-    At a point: a float and (n,).  At a stack the sample axis comes last -
-    (P,) and (n, P) - so a value broadcasts against its gradient and one rule
-    serves both.  ``_Jet2`` adds the Hessian to every rule and leaves the
-    value and gradient rules as they are, so both orders give the same values
-    and gradients bit for bit.
+    The sample axis comes last - the value is (P,) and the gradient (n, P) -
+    so a value broadcasts against its gradient.  ``_Jet2`` adds the Hessian to
+    every rule and leaves the value and gradient rules as they are, so both
+    orders give the same values and gradients bit for bit.
     """
 
     __slots__ = ("value", "grad")
@@ -513,10 +481,11 @@ class _Jet1:
         self.grad = grad
 
     @classmethod
-    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet1":
-        grad = np.zeros((n,) + lead)
+    def variable(cls, i: int, columns: np.ndarray) -> "_Jet1":
+        """The jet of coordinate ``i`` over the stack's columns (n, P)."""
+        grad = np.zeros(columns.shape)
         grad[i] = 1.0
-        return cls(value, grad)
+        return cls(columns[i], grad)
 
     def __add__(self, other) -> "_Jet1":
         if isinstance(other, _Jet1):
@@ -576,9 +545,8 @@ class _Jet1:
 
 
 class _Jet2(_Jet1):
-    """An order-2 jet: at a point (n, n) Hessian, at a stack (n, n, P).  Every
-    rule assembles the Hessian from elementwise-symmetric terms, so
-    ``hess == hess.T`` bit for bit."""
+    """An order-2 jet, whose Hessian is (n, n, P).  Every rule assembles the
+    Hessian from elementwise-symmetric terms, so it is symmetric bit for bit."""
 
     __slots__ = ("hess",)
 
@@ -588,10 +556,10 @@ class _Jet2(_Jet1):
         self.hess = hess
 
     @classmethod
-    def variable(cls, i: int, value, n: int, lead: tuple[int, ...]) -> "_Jet2":
-        grad = np.zeros((n,) + lead)
+    def variable(cls, i: int, columns: np.ndarray) -> "_Jet2":
+        grad = np.zeros(columns.shape)
         grad[i] = 1.0
-        return cls(value, grad, np.zeros((n, n) + lead))
+        return cls(columns[i], grad, np.zeros((len(columns),) + columns.shape))
 
     def __add__(self, other) -> "_Jet2":
         if isinstance(other, _Jet2):
@@ -689,37 +657,40 @@ def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: 
     orders give the same values and gradients bit for bit and raise alike."""
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
-    jet_type = _Jet2 if order == 2 else _Jet1
     point = np.asarray(point, dtype=float)
-    n = point.shape[-1]
-    lead = point.shape[:-1]
-    stacked = point.ndim == 2
+    stack = point[None] if point.ndim == 1 else point
+    p, n = stack.shape
     with np.errstate(all="ignore"):
-        jet = _jet(node, point.T if stacked else point.tolist(), index, n, lead, jet_type)
-    if not isinstance(jet, _Jet1):
-        value = np.full(lead, jet) if stacked else jet
-        return Jet2(value, np.zeros(lead + (n,)), np.zeros(lead + (n, n)) if order == 2 else None)
-    hess = jet.hess if order == 2 else None
-    if stacked:
-        return Jet2(np.array(jet.value), jet.grad.T, None if hess is None else hess.transpose(2, 0, 1))
-    return Jet2(jet.value, jet.grad, hess)
+        jet = _jet(node, stack.T, index, _Jet2.variable if order == 2 else _Jet1.variable)
+    if isinstance(jet, _Jet1):
+        value, grad = np.array(jet.value), jet.grad.T
+        hess = jet.hess.transpose(2, 0, 1) if order == 2 else None
+    else:
+        value, grad = np.full(p, jet), np.zeros((p, n))
+        hess = np.zeros((p, n, n)) if order == 2 else None
+    if point.ndim == 2:
+        return Jet2(value, grad, hess)
+    return Jet2(float(value[0]), grad[0], None if hess is None else hess[0])
 
 
-def _jet(node: ExpressionNode, point, index: Mapping[str, int], n: int, lead: tuple[int, ...], jet_type):
+def _jet(node: ExpressionNode, columns, index: Mapping[str, int], variable: Callable):
+    """The walk of every order over a stack's ``columns`` (n, P): ``variable(i,
+    columns)`` gives coordinate ``i`` its column at order 0 and its jet at
+    orders 1 and 2."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return jet_type.variable(*_coordinate(node, point, index), n, lead)
+        return variable(_coordinate(node, index), columns)
     if isinstance(node, Neg):
-        return -_jet(node.operand, point, index, n, lead, jet_type)
+        return -_jet(node.operand, columns, index, variable)
     if isinstance(node, Call):
-        arg = _jet(node.arg, point, index, n, lead, jet_type)
+        arg = _jet(node.arg, columns, index, variable)
         return _JET_CALLS[node.func](arg) if isinstance(arg, _Jet1) else _call_value(node.func, arg)
-    left = _jet(node.left, point, index, n, lead, jet_type)
+    left = _jet(node.left, columns, index, variable)
     if node.op == "^":
         exponent = _exponent(node.right)
         return left.power(exponent) if isinstance(left, _Jet1) else _pow_value(left, exponent)
-    right = _jet(node.right, point, index, n, lead, jet_type)
+    right = _jet(node.right, columns, index, variable)
     if node.op == "+":
         return left + right
     if node.op == "-":

@@ -319,13 +319,7 @@ def weight_fit(struct: ContactStructure, point):
     return lam, residual
 
 
-def classify(
-    struct: ContactStructure,
-    samples,
-    derivatives: AffinorNorms,
-    tol: float,
-    spread_tol: float = WEIGHT_SPREAD_TOL,
-) -> Classification:
+def classify(struct: ContactStructure, samples, derivatives: AffinorNorms, tol: float) -> Classification:
     """Decide almost cosymplectic / almost alpha-Kenmotsu / weight function.
 
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
@@ -343,7 +337,7 @@ def classify(
         kind, alpha = UNCLASSIFIED, None
     elif Residual("weight", tol).add(arr).passed:
         kind, alpha = ALMOST_COSYMPLECTIC, None
-    elif Residual("weight_spread", spread_tol).add(np.ptp(arr)).passed:
+    elif Residual("weight_spread", WEIGHT_SPREAD_TOL).add(np.ptp(arr)).passed:
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
@@ -383,8 +377,8 @@ def lie_bracket(v: TensorField, w: TensorField, point) -> np.ndarray:
     )
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = _RANK_TOL) -> np.ndarray:
-    """The number of singular values above ``rel_tol`` times the largest, for
+def numeric_rank(matrix: np.ndarray) -> np.ndarray:
+    """The number of singular values above ``_RANK_TOL`` times the largest, for
     a matrix or for each matrix of a stack; a zero matrix has rank 0."""
     s = np.linalg.svd(matrix, compute_uv=False)
-    return np.sum(s > rel_tol * s[..., :1], axis=-1)
+    return np.sum(s > _RANK_TOL * s[..., :1], axis=-1)

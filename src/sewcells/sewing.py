@@ -140,8 +140,9 @@ def _require_sewable(cells: Sequence[ContactStructure]) -> None:
         _probe_adapted_unit(cell)
 
 
-def _probe_points(chart: Chart):
-    return [s.array() for s in sample_points(chart, 3, seed=0)]
+def _probe_points(chart: Chart) -> np.ndarray:
+    """Three seeded samples as one (3, n) stack."""
+    return np.array([s.coords for s in sample_points(chart, 3, seed=0)])
 
 
 def _probe_adapted_unit(cell: ContactStructure) -> None:
@@ -149,12 +150,11 @@ def _probe_adapted_unit(cell: ContactStructure) -> None:
     t_axis = cell.chart.adapted_index
     expected = np.zeros(cell.dim)
     expected[t_axis] = 1.0
-    for point in _probe_points(cell.chart):
-        eta = cell.eta.evaluate(point)
-        if not Residual("eta", _ADAPTED_PROBE_TOL).add(eta - expected).passed:
-            raise SewingError(
-                f"cell {cell.name!r} is not adapted: eta != d{cell.chart.coords[t_axis]}"
-            )
+    eta = cell.eta.evaluate(_probe_points(cell.chart))
+    if not Residual("eta", _ADAPTED_PROBE_TOL).add(eta - expected).passed:
+        raise SewingError(
+            f"cell {cell.name!r} is not adapted: eta != d{cell.chart.coords[t_axis]}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +521,16 @@ def _probe_diagonal_consistency(cells: Sequence[ContactStructure]) -> None:
     """
     for cell in cells:
         t = cell.chart.adapted_index
-        for point in _probe_points(cell.chart):
-            xi = cell.xi.evaluate(point)
-            if not Residual("xi", _TANGENCY_TOL).add(float(xi[t]) - 1.0).passed:
-                raise SewingError(
-                    f"cell {cell.name!r}: median tangency fails (xi^t = {xi[t]!r})"
-                )
-            phi = cell.phi.evaluate(point)
-            if not Residual("phi", _TANGENCY_TOL).add(phi[t]).passed:
-                raise SewingError(
-                    f"cell {cell.name!r}: affinor maps into the distinguished direction"
-                )
+        points = _probe_points(cell.chart)
+        xi_t = cell.xi.evaluate(points)[:, t]
+        if not Residual("xi", _TANGENCY_TOL).add(xi_t - 1.0).passed:
+            raise SewingError(
+                f"cell {cell.name!r}: median tangency fails (xi^t = {xi_t.tolist()!r} at the probes)"
+            )
+        if not Residual("phi", _TANGENCY_TOL).add(cell.phi.evaluate(points)[:, t]).passed:
+            raise SewingError(
+                f"cell {cell.name!r}: affinor maps into the distinguished direction"
+            )
 
 
 def embedding_matrix(product: ProductDefinition, sewn: SewnManifold) -> np.ndarray:

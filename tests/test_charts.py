@@ -29,6 +29,11 @@ from sewcells.geometry import fundamental_form_with_derivative, h_tensor, rieman
 from sewcells.sewing import sew
 
 
+def _with_constraint(chart, src):
+    """``chart`` with one more constraint, which ``sampling_box`` leaves unshifted."""
+    return Chart(chart.coords, chart.constraints + (Constraint.from_source(src, chart.coords),), chart.adapted_index)
+
+
 def _holds(chart, point) -> bool:
     """Whether one point meets every constraint of ``chart``, tested with
     scalar arithmetic (the samplers test stacks with ``Chart.inside``)."""
@@ -78,9 +83,9 @@ class TestSampling:
             sample_points(chart, 1, 0)
 
     @staticmethod
-    def _scalar_reference(chart, count, seed, box=None, limit=_MAX_REJECTIONS):
+    def _scalar_reference(chart, count, seed, limit=_MAX_REJECTIONS):
         """One candidate at a time, one coordinate at a time."""
-        intervals = sampling_box(chart, box)
+        intervals = sampling_box(chart)
         rng = np.random.default_rng(seed)
         samples, draw = [], 0
         for _ in range(count):
@@ -106,22 +111,23 @@ class TestSampling:
 
         monkeypatch.setattr(Constraint, "holds", counted)
         cases = [
-            (Chart(("t", "x", "y")), None),               # unconstrained: every draw is kept
-            (halfspace_cell.chart, {"z": (-2.0, 1.0)}),   # z > 0 rejects about two draws in three
-            (logarithmic, None),                          # the stack leaves the domain of log
+            (Chart(("t", "x", "y")), False),              # unconstrained: every draw is kept
+            # z - 0.5 > 0 rejects about one draw in five of the box (0.1, 2.1)
+            (_with_constraint(halfspace_cell.chart, "z - 0.5 > 0"), True),
+            (logarithmic, False),                         # the stack leaves the domain of log
         ]
-        for chart, box in cases:
+        for chart, rejects in cases:
             row_tests = 0
             for seed in range(12):
                 for count in (1, 5, 40):
-                    expected = self._scalar_reference(chart, count, seed, box)
+                    expected = self._scalar_reference(chart, count, seed)
                     fallbacks.clear()
-                    got = sample_points(chart, count, seed, box)
+                    got = sample_points(chart, count, seed)
                     row_tests += len(fallbacks)
                     assert got == expected
                     assert all(type(s.draw) is int for s in got)
-            if box is not None:
-                assert any(s.draw > i for i, s in enumerate(got)), "the box must force rejections"
+            if rejects:
+                assert any(s.draw > i for i, s in enumerate(got)), "the constraint must force rejections"
             # only a stack that leaves a constraint's domain is tested row by row
             assert bool(row_tests) == (chart is logarithmic)
 
@@ -146,10 +152,10 @@ class TestSampling:
         assert outcomes == {"raised", "sampled"}
 
     @staticmethod
-    def _grouped_scalar_reference(chart, groups, per_group, seed, box=None, limit=_MAX_REJECTIONS):
+    def _grouped_scalar_reference(chart, groups, per_group, seed, limit=_MAX_REJECTIONS):
         """The grouped sampler one candidate at a time, one coordinate at a time."""
         t_axis = chart.adapted_index
-        intervals = sampling_box(chart, box)
+        intervals = sampling_box(chart)
         rng = np.random.default_rng(seed)
         samples, draw = [], 0
         for _ in range(groups):
@@ -173,22 +179,23 @@ class TestSampling:
         names = ("t", "x", "y")
         # the domain depends on t, so the adapted value a group shares changes the hit rate
         coupled = Chart(names, (Constraint.from_source("x + 0.8 * t > 0", names),), adapted_index=0)
-        cases = [(cell.chart, None) for cell in catalog_cells] + [
-            (catalog_cells[-1].chart, {"z": (-2.0, 1.0)}),  # z > 0 rejects about two draws in three
-            (coupled, None),
-            (sew([catalog_cells[-1]] * 3).chart, {"s": (-0.5, 1.0)}),
+        cases = [(cell.chart, False) for cell in catalog_cells] + [
+            # z - 0.5 > 0 rejects about one draw in five of the box (0.1, 2.1)
+            (_with_constraint(catalog_cells[-1].chart, "z - 0.5 > 0"), True),
+            (coupled, True),
+            (_with_constraint(sew([catalog_cells[-1]] * 3).chart, "s - 0.5 > 0"), True),
         ]
-        for chart, box in cases:
+        for chart, rejects in cases:
             rejected = False
             for seed in range(8):
                 for groups, per_group in ((1, 1), (5, 2), (5, 7), (3, 20)):
-                    expected = self._grouped_scalar_reference(chart, groups, per_group, seed, box)
-                    got = sample_points_grouped(chart, groups, per_group, seed, box)
+                    expected = self._grouped_scalar_reference(chart, groups, per_group, seed)
+                    got = sample_points_grouped(chart, groups, per_group, seed)
                     assert got == expected
                     assert all(type(s.draw) is int for s in got)
                     rejected = rejected or any(s.draw > i for i, s in enumerate(got))
-            # the boxes and the coupled domain must force rejections
-            assert rejected == (box is not None or chart is coupled)
+            # the added constraints and the coupled domain must force rejections
+            assert rejected == rejects
 
     def test_grouped_sampler_gives_up_after_a_run_of_misses(self, monkeypatch):
         monkeypatch.setattr(charts, "_MAX_REJECTIONS", 6)

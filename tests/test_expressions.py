@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ class TestStacks:
                 assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
                 assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+    def test_point_is_its_stack_of_one_where_a_derivative_overflows(self):
+        """At x = 1e-200 the Hessian of log(x) is -1/x^2 = -inf; a point gives
+        what its stack of one gives instead of a Python ZeroDivisionError."""
+        expr = parse_expression("log(x)", XYZ)
+        point = np.array([1e-200, 0.0, 0.0])
+        jet, stacked = evaluate_jet2(expr, point, IDX_XYZ), evaluate_jet2(expr, point[None], IDX_XYZ)
+        assert jet.hess[0, 0] == -math.inf
+        for got, expected in ((jet.value, stacked.value), (jet.grad, stacked.grad), (jet.hess, stacked.hess)):
+            assert np.asarray(got).tobytes() == expected[0].tobytes()
+
     def test_order_must_be_one_or_two(self):
         with pytest.raises(ValueError, match="order"):
             evaluate_jet2(parse_expression("x", XYZ), np.zeros(3), IDX_XYZ, order=3)
@@ -299,6 +310,43 @@ class TestStacks:
         assert np.array_equal(jet.value, np.full(4, 7.5))
         assert jet.grad.shape == (4, 3) and not jet.grad.any() and not jet.hess.any()
 
+
+
+class TestConstantSubtrees:
+    """A constant subtree keeps every domain rule of the walk, at a point, at a
+    stack and at every jet order."""
+
+    POINTS = np.array([[0.5, 0.0, 0.0], [1.0, -2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "src, match",
+        [
+            ("x + exp(1000)", "overflow in exp"),
+            ("x*sinh(800)", "overflow in sinh"),
+            ("x + cosh(800)", "overflow in cosh"),
+            ("x + 10^400", "overflow in power"),
+            ("x + log(0 - 1)", "log of non-positive argument -1.0"),
+            ("x + sqrt(0 - 1)", "sqrt of non-positive argument -1.0"),
+            ("x/(1 - 1)", "division by zero"),
+            ("x + (1 - 1)^-1", "zero raised to a negative power"),
+            ("x + (0 - 2)^0.5", "non-integer power of non-positive base -2.0"),
+        ],
+    )
+    def test_leaving_the_domain_raises(self, src, match):
+        expr = parse_expression(src, XYZ)
+        for point in (self.POINTS[0], self.POINTS):
+            with pytest.raises(EvaluationDomainError, match=match):
+                evaluate(expr, point, IDX_XYZ)
+            for order in (1, 2):
+                with pytest.raises(EvaluationDomainError, match=match):
+                    evaluate_jet2(expr, point, IDX_XYZ, order=order)
+
+    def test_sine_of_an_infinite_constant_is_nan_without_a_warning(self):
+        expr = parse_expression("x + sin(1e300*1e300)", XYZ)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(evaluate(expr, self.POINTS[0], IDX_XYZ))
+            assert np.isnan(evaluate(expr, self.POINTS, IDX_XYZ)).all()
 
 def test_verify_on_a_sewn_file_propagates_no_hessian(tmp_path, monkeypatch, capsys):
     """``verify`` reads no second derivative, so every jet it takes is of order 1."""

@@ -332,6 +332,21 @@ class TestSew:
             eta = sewn.eta.evaluate(point)
             assert np.allclose(eta, [math.sqrt(2.0), 0, 0, 0, 0], atol=1e-15)
 
+    def test_probes_evaluate_each_cell_field_on_one_stack(self, halfspace_cell, monkeypatch):
+        """The sewability probes take each probed field of a cell on the (3, 3)
+        stack of its three probe points, once per cell."""
+        original = TensorField.evaluate
+        shapes = {}
+
+        def spy(field, point):
+            shapes.setdefault(id(field), []).append(np.shape(point))
+            return original(field, point)
+
+        monkeypatch.setattr(TensorField, "evaluate", spy)
+        sew([halfspace_cell] * 3)
+        for field in (halfspace_cell.eta, halfspace_cell.xi, halfspace_cell.phi):
+            assert shapes[id(field)] == [(3, 3)] * 3
+
     def test_two_flat_cells_are_flat_with_zero_nullity(self, flat_cell):
         sewn = sew([flat_cell, flat_cell])
         for sample in sample_points(sewn.chart, 5, 7):

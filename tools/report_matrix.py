@@ -7,9 +7,13 @@ OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
 ``src`` directory of a checkout).  The matrix is ``verify`` and ``nullity`` on
 every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
 halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
-frame the CLI builds, ``cli.MAX_COPIES``), and ``nullity`` on the sewn k = 2
-outputs.  Each tree writes its own cell files with its own
-``catalog`` command and runs every command as a fresh process in its own
+frame the CLI builds, ``cli.MAX_COPIES``), ``nullity`` on the sewn k = 2
+outputs, and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
+is the halfspace cell with its constants written as constant subtrees under
+exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
+constant subtrees, which no catalog cell has.  Each tree writes its own
+catalog cell files with its own ``catalog`` command, and the same
+``CONSTANTS_CELL`` file, and runs every command as a fresh process in its own
 scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice.
 
@@ -49,6 +53,30 @@ CELLS = {
 KENMOTSU_CELLS = ("warped", "halfspace")
 COPIES = (2, 3, 4, 6, 16)
 
+# The halfspace cell of the catalog, with 1 written as cosh(0), exp(log(1)) and
+# (cosh(0) + cosh(0))^-1*2, 2 as sqrt(4), and 0 as sinh(0) and log(cosh(0))
+_A = "x - y*exp(-sqrt(4)*z)"
+_B = "y - x*exp(log(cosh(0)) - 2*z)"
+CONSTANTS_CELL = {
+    "format": "manifold-definition/1",
+    "name": "halfspace_constants",
+    "coordinates": ["x", "y", "z"],
+    "adapted_coordinate": "z",
+    "domain": ["z > 0"],
+    "metric": [
+        ["cosh(0)", "sinh(0)", f"-({_A})"],
+        ["sinh(0)", "exp(sinh(0))", f"-({_B})"],
+        [f"-({_A})", f"-({_B})", f"cosh(0) + ({_A})^sqrt(4) + ({_B})^2"],
+    ],
+    "phi": [
+        ["0", "-sqrt(1)", _B],
+        ["(cosh(0) + cosh(0))^-1*2", "0", f"-({_A})"],
+        ["sinh(0)", "0", "0"],
+    ],
+    "xi": [_A, _B, "cosh(0)"],
+    "eta": ["sinh(0)", "0", "exp(log(1))"],
+}
+
 
 def matrix() -> list[tuple[str, list[str]]]:
     """(report name, argv) for every command, in run order; every argv writes
@@ -64,6 +92,9 @@ def matrix() -> list[tuple[str, list[str]]]:
                                                    "--out", f"sewn/{cell}-k{k}.json"]))
     for cell in CELLS:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
+    commands.append(("verify-constants", ["verify", "cells/constants.json"]))
+    commands.append(("sew-constants-k2", ["sew", "cells/constants.json", "--copies", "2",
+                                          "--out", "sewn/constants-k2.json"]))
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
@@ -85,6 +116,7 @@ def run_tree(src: Path, work: Path) -> dict[str, int]:
         status = run(["catalog", *args, "--out", f"cells/{cell}.json"])
         if status != 0:
             raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
+    (work / "cells" / "constants.json").write_text(json.dumps(CONSTANTS_CELL, indent=2) + "\n", encoding="utf-8")
     return {name: run(argv) for name, argv in matrix()}
 
 
