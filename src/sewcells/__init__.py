@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .catalog import (
     CATALOG,
@@ -38,7 +38,6 @@ from .expressions import (
 )
 from .geometry import (
     Classification,
-    affinor_derivatives,
     christoffel,
     classify,
     covariant_derivative_affinor,

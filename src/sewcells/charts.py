@@ -7,7 +7,11 @@ fields store one expression per component.  A field folds its constant
 components once, on first evaluation, and evaluates each other component with
 one call per point or per stack of points, its jet taken over the coordinates
 that component depends on; the gradients are scattered into the full grid,
-and the Hessians stay the sparse entries of those jets.
+and the Hessians stay the sparse entries of those jets.  A field remembers
+one jet, its last: the stack's shape and bytes, the order and the read-only
+results.  A later call at an equal stack for no higher order reads it back, so
+the layers of one batch walk each field once; values alone read it but are
+never remembered, and a call that raises leaves it as it was.
 
 Sweeps over samples go through ``evaluate_batches``, which hands consumers
 stacks of samples.  The batch size is derived from the chart dimension n by
@@ -226,15 +230,7 @@ class TensorField:
     def evaluate(self, point) -> np.ndarray:
         """Component values at a point (n,), or at each point of a stack (P, n)
         with a leading P axis."""
-        point = np.asarray(point, dtype=float)
-        plan = self._plan
-        lead = point.shape[:-1]
-        vals = np.empty(lead + plan.constant.shape)
-        vals[...] = plan.constant
-        if plan.terms:
-            index = self.chart.coord_index
-            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
-        return vals.reshape(lead + self.shape)
+        return self._jet(point, 0)[0]
 
     def evaluate_with_grads(self, point):
         """``evaluate_with_jets`` without the Hessians."""
@@ -248,27 +244,43 @@ class TensorField:
         field's plan keeps their slots in the grid ``shape + (n, n)``, which
         is zero at every other slot.  At a stack (P, n) each has a leading P
         axis."""
+        return self._jet(point, 2 if hessians else 1)
+
+    _memo = ((), b"", ())  # (stack shape, stack bytes, (values, gradients[, Hessian entries])) of the last jet
+
+    def _jet(self, point, order: int) -> tuple:
+        """The values, the gradients from order 1 on and the Hessian entries at
+        order 2, read-only; read back from the remembered jet where it serves,
+        and remembered from order 1 on (see the module docstring)."""
         point = np.asarray(point, dtype=float)
+        at_shape, at_bytes, remembered = self._memo
+        if len(remembered) > order and at_shape == point.shape and at_bytes == point.tobytes():
+            return remembered[:order + 1]
         plan = self._plan
         n = self.chart.dim
         lead = point.shape[:-1]
-        size = plan.constant.size
-        vals = np.empty(lead + (size,))
+        vals = np.empty(lead + plan.constant.shape)
         vals[...] = plan.constant
-        grads = np.zeros(lead + (size * n,))
+        grads = np.zeros(lead + (plan.constant.size * n,)) if order else None
         jets = []
-        if plan.terms:
+        if plan.terms and not order:
+            index = self.chart.coord_index
+            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
+        elif plan.terms:
             # each component's jet is taken over its own coordinates only
-            order = 2 if hessians else 1
             local_points = [point[..., columns] for columns in plan.column_sets]
             jets = [evaluate_jet2(node, local_points[slot], local, order) for node, slot, local in plan.terms]
             vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
             grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
         shape = lead + self.shape
-        if not hessians:
-            return vals.reshape(shape), grads.reshape(shape + (n,))
-        hess = np.concatenate([jet.hess.reshape(lead + (-1,)) for jet in jets] or [np.zeros(lead + (0,))], axis=-1)
-        return vals.reshape(shape), grads.reshape(shape + (n,)), hess
+        result = (vals.reshape(shape),) + ((grads.reshape(shape + (n,)),) if order else ())
+        if order == 2:
+            result += (np.concatenate([jet.hess.reshape(lead + (-1,)) for jet in jets] or [np.zeros(lead + (0,))], -1),)
+        for array in result:
+            array.flags.writeable = False
+        if order:
+            object.__setattr__(self, "_memo", (point.shape, point.tobytes(), result))
+        return result
 
     def fold_hessians(self, hess: np.ndarray, v):
         """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with

@@ -17,8 +17,6 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .catalog import CATALOG
 from .charts import (
@@ -27,13 +25,12 @@ from .charts import (
     SampleEvaluationError,
     SamplingError,
     ValidationReport,
-    evaluate_batches,
     nullity_samples,
     sample_points,
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import affinor_derivatives, classify, normality_tensor
+from .geometry import classify
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
 from .nullity import check_generalized, normalized, nullity_fits
 from .sewing import (
@@ -73,19 +70,20 @@ def _classification_dict(classification) -> dict:
 
 def _structure_checks(struct: ContactStructure, samples, tol: float):
     """Axiom validation plus the Reeb-parallelism facts that hold on any cell,
-    and the samples' ``affinor_derivatives`` that the latter read.
+    and the samples' ``classify``, whose one sweep gives nabla phi, the weight
+    fit and the normality tensor from one jet walk per field and batch.
 
     The axioms run first: without a positive definite metric there is no
     Levi-Civita connection, so the report then holds the axioms alone and the
-    derivatives are None.
+    classification is None.
     """
     report = validate_structure(struct, samples, tol)
     if not report.check("metric_positive_definite").passed:
         return report, None
-    derivatives = affinor_derivatives(struct, samples)
-    xi_geodesic = Residual("xi_geodesic", tol).add(derivatives.nabla_xi_xi)
-    phi_parallel = Residual("phi_parallel_along_xi", tol).add(derivatives.nabla_xi_phi)
-    return _with_checks(report, xi_geodesic, phi_parallel), derivatives
+    classification = classify(struct, samples, tol)
+    xi_geodesic = Residual("xi_geodesic", tol).add(classification.nabla_xi_xi_max)
+    phi_parallel = Residual("phi_parallel_along_xi", tol).add(classification.nabla_xi_phi_max)
+    return _with_checks(report, xi_geodesic, phi_parallel), classification
 
 
 def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationReport:
@@ -94,32 +92,26 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    report, derivatives = _structure_checks(struct, samples, args.tol)
+    report, classification = _structure_checks(struct, samples, args.tol)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
-    if derivatives is None:
+    if classification is None:
         print(report.format_table(header))
         print("  metric not positive definite; derivative checks skipped")
         return _failed_subject(struct, {"checks": report.check_dicts()})
-    classification = classify(struct, samples, derivatives, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
         report = _with_checks(report, weight_fit)
-    # np.max, unlike the builtin, keeps a NaN wherever it comes
-    normality_max = float(np.max([
-        np.max(np.abs(torsion))
-        for _, torsion in evaluate_batches(samples, struct.dim, lambda points: normality_tensor(struct, points))
-    ]))
     subject = {
         "name": struct.name,
         "dimension": struct.dim,
         "checks": report.check_dicts(),
         "classification": _classification_dict(classification),
-        "normality_max": normality_max,
+        "normality_max": classification.normality_max,
         "passed": report.passed,
     }
     print(report.format_table(header))
     print(f"  classification: {classification.describe()}")
-    print(f"  normality tensor max |N|: {normality_max:.3e}")
+    print(f"  normality tensor max |N|: {classification.normality_max:.3e}")
     return subject
 
 
@@ -148,7 +140,7 @@ def cmd_nullity(args) -> int:
         print("structure axioms fail; nullity fit skipped")
         return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
 
-    classification = classify(struct, samples, affinor_derivatives(struct, samples), args.tol)
+    classification = classify(struct, samples, args.tol)
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:

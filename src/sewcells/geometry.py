@@ -20,12 +20,16 @@ The layers a sweep runs (``christoffel``, ``covariant_derivative_affinor``,
 ``exterior_derivative`` and ``lie_bracket``) take one point (n,) or a stack of
 points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
-one call gives the brackets of every column pair.  ``affinor_derivatives``,
-``classify`` and the ``sew`` stages feed these layers batches of samples (see
-``charts.evaluate_batches``).  Every consumer of the curvature contracts it
-with one vector field (the nullity conditions involve only ``R(X, Y) xi``), so
-``riemann`` gives the curvature along a vector, ``R(e_i, e_j) v``, and never
-the whole (n, n, n, n) tensor.  It and the first-order layers (Gamma,
+one call gives the brackets of every column pair.  ``classify`` and the
+``sew`` stages feed these layers batches of samples (see
+``charts.evaluate_batches``).  ``classify`` is the one sweep over a sample
+set that reads first derivatives of the structure: each batch runs nabla phi,
+the normality tensor and the weight fit, and as a field remembers its last
+jet (``TensorField.evaluate_with_jets``), each field is walked once per batch.
+Every consumer of the curvature contracts it with one vector field (the
+nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
+curvature along a vector, ``R(e_i, e_j) v``, and never the whole
+(n, n, n, n) tensor.  It and the first-order layers (Gamma,
 nabla phi, d Phi and the normality tensor) contract as batched matrix
 products, one index summed and the other index pairs flattened into a matrix
 axis.  Only ``riemann`` reads the Hessians of the metric, as the sparse
@@ -35,7 +39,6 @@ entries of its components' jets; every other layer takes order-1 jets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -162,26 +165,6 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
     return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1))
 
 
-class AffinorNorms(NamedTuple):
-    """Per-sample largest magnitudes of ``nabla phi``, ``nabla_xi phi`` and
-    ``nabla_xi xi`` over a sample set, each an array in sample order."""
-
-    nabla_phi: np.ndarray
-    nabla_xi_phi: np.ndarray
-    nabla_xi_xi: np.ndarray
-
-
-def affinor_derivatives(struct: ContactStructure, samples) -> AffinorNorms:
-    """``covariant_derivative_affinor`` over the samples in batches, reduced to
-    the norms its consumers read, computed once for every consumer of the
-    same sample set."""
-    parts = [
-        (_max_abs(d.nablaphi, 3), d.nabla_xi_phi_norm, d.nabla_xi_xi_norm)
-        for _, d in evaluate_batches(samples, struct.dim, lambda points: covariant_derivative_affinor(struct, points))
-    ]
-    return AffinorNorms(*(np.concatenate(column) for column in zip(*parts)))
-
-
 @dataclass
 class StructureTensorsAtPoint:
     """The flow-rate affinor ``h = 1/2 L_xi phi`` and its composite ``h' = h phi``."""
@@ -289,6 +272,10 @@ class Classification:
     weights: tuple[float, ...]
     fit_residual_max: float
     is_cosymplectic: bool
+    # the largest magnitudes over the samples
+    nabla_xi_phi_max: float
+    nabla_xi_xi_max: float
+    normality_max: float
 
     def describe(self) -> str:
         if self.kind == ALMOST_COSYMPLECTIC:
@@ -304,35 +291,48 @@ class Classification:
 
 def weight_fit(struct: ContactStructure, point):
     """Least-squares weight lambda minimizing ``|dPhi - 2 lambda eta ^ Phi|``,
-    and the residual: floats at a point, (P,) arrays at a stack."""
+    and the residual: floats at a point, (P,) arrays at a stack.  Both are NaN
+    where ``eta ^ Phi`` vanishes, since no weight is defined there."""
     phi_form, d_phi = fundamental_form_with_derivative(struct, point)
     eta_vals = struct.eta.evaluate(point)
     wedge = wedge_eta_two_form(eta_vals, phi_form)
     axes = (-3, -2, -1)
     denom = np.sum(wedge * wedge, axis=axes)
-    if np.any(denom == 0.0):
-        raise GeometryError("degenerate structure: eta ^ Phi vanishes")
-    lam = np.sum(d_phi * wedge, axis=axes) / (2.0 * denom)
+    lam = np.sum(d_phi * wedge, axis=axes) / (2.0 * np.where(denom == 0.0, np.nan, denom))
     residual = np.abs(d_phi - 2.0 * lam[..., None, None, None] * wedge).max(axis=axes)
     if lam.ndim == 0:
         return float(lam), float(residual)
     return lam, residual
 
 
-def classify(struct: ContactStructure, samples, derivatives: AffinorNorms, tol: float) -> Classification:
+def classify(struct: ContactStructure, samples, tol: float) -> Classification:
     """Decide almost cosymplectic / almost alpha-Kenmotsu / weight function.
 
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
-    dimension when the residual is not finite.  ``derivatives`` holds
-    ``affinor_derivatives`` at the same samples.
+    dimension when the residual is not finite.  This is the one sweep over the
+    samples that reads derivatives of the structure: each batch runs nabla phi,
+    the normality tensor and the weight fit, which share the fields' remembered
+    jets (``TensorField.evaluate_with_jets``), so each field is walked once.
     """
-    if len(derivatives.nabla_phi) != len(samples):
-        raise ValueError("derivatives and samples differ in length")
-    lams, residuals = zip(*(fit for _, fit in evaluate_batches(samples, struct.dim, lambda points: weight_fit(struct, points))))
+    nabla_phi, xi_phi, xi_xi, torsion, fit = (
+        Residual(name, tol) for name in ("nabla_phi", "nabla_xi_phi", "nabla_xi_xi", "normality", "weight_fit")
+    )
+
+    def sweep(points):
+        # each layer is reduced before the next runs, which frees its (n, n, n) arrays
+        derivative = covariant_derivative_affinor(struct, points)
+        nabla_phi.add(derivative.nablaphi)
+        xi_phi.add(derivative.nabla_xi_phi_norm)
+        xi_xi.add(derivative.nabla_xi_xi_norm)
+        del derivative
+        torsion.add(normality_tensor(struct, points))
+        return weight_fit(struct, points)
+
+    lams, residuals = zip(*(weights for _, weights in evaluate_batches(samples, struct.dim, sweep)))
+    fit.add(np.concatenate(residuals))
     arr = np.concatenate(lams)
-    fit = Residual("weight_fit_residual", tol).add(np.concatenate(residuals))
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
     elif Residual("weight", tol).add(arr).passed:
@@ -341,8 +341,8 @@ def classify(struct: ContactStructure, samples, derivatives: AffinorNorms, tol: 
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    cosymplectic = Residual("nabla_phi", tol).add(derivatives.nabla_phi).passed
-    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, cosymplectic)
+    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, nabla_phi.passed,
+                          xi_phi.value, xi_xi.value, torsion.value)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def lie_bracket(v: TensorField, w: TensorField, point) -> np.ndarray:
     """
     a, b = _family_index(v, "a"), _family_index(w, "b")
     vvals, vgrads = v.evaluate_with_grads(point)
-    wvals, wgrads = (vvals, vgrads) if w is v else w.evaluate_with_grads(point)
+    wvals, wgrads = w.evaluate_with_grads(point)
     return (
         np.einsum(f"...c{a},...j{b}c->...j{a}{b}", vvals, wgrads)
         - np.einsum(f"...c{b},...j{a}c->...j{a}{b}", wvals, vgrads)

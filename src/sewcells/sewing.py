@@ -79,7 +79,6 @@ from .geometry import (
     ALMOST_ALPHA_KENMOTSU,
     ALMOST_COSYMPLECTIC,
     Classification,
-    affinor_derivatives,
     christoffel,
     classify,
     exterior_derivative,
@@ -725,15 +724,12 @@ def verify_sewing_theorems(
         for block in product.blocks
     ]
 
-    def classified(struct: ContactStructure, points: Sequence[PointSample]) -> Classification:
-        return classify(struct, points, affinor_derivatives(struct, points), tol)
-
-    cell_class = classified(cells[0], cell_samples[0])
-    sewn_class = classified(sewn, samples)
+    cell_class = classify(cells[0], cell_samples[0], tol)
+    sewn_class = classify(sewn, samples, tol)
 
     checks: list[CheckResult] = []
     agree = all(
-        classified(cell, points).kind == cell_class.kind
+        classify(cell, points, tol).kind == cell_class.kind
         for cell, points in zip(cells[1:], cell_samples[1:])
     )
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,

@@ -10,7 +10,7 @@ from sewcells.catalog import (
     standard_cells,
 )
 from sewcells.charts import sample_points, validate_structure
-from sewcells.geometry import affinor_derivatives, classify
+from sewcells.geometry import classify
 from sewcells.nullity import fit_nullity, normalized
 
 
@@ -30,7 +30,7 @@ class TestConstructors:
     def test_model_cell_classifies_almost_cosymplectic(self):
         cell = model_cosymplectic_cell(1.0)
         samples = sample_points(cell.chart, 15, 7)
-        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
+        cl = classify(cell, samples, 1e-9)
         assert cl.kind == "almost_cosymplectic"
 
     def test_model_cell_rejects_nonpositive_lam(self):
@@ -47,7 +47,7 @@ class TestKenmotsuWarped:
 
     def test_classification_and_normalized_fit(self, kenmotsu_cell):
         samples = sample_points(kenmotsu_cell.chart, 15, 7)
-        cl = classify(kenmotsu_cell, samples, affinor_derivatives(kenmotsu_cell, samples), 1e-9)
+        cl = classify(kenmotsu_cell, samples, 1e-9)
         assert cl.kind == "almost_alpha_kenmotsu"
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
         fit = normalized(fit_nullity(kenmotsu_cell, np.array([0.25, 0.5, -0.5])), 1.0)

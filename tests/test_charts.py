@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -344,6 +345,118 @@ class TestTensorField:
     def test_point_sample_array(self):
         s = PointSample((1.0, 2.0), seed=3, draw=4)
         assert np.array_equal(s.array(), [1.0, 2.0])
+
+
+class TestRememberedJet:
+    """A field remembers the jet of its last call, at one stack."""
+
+    @pytest.fixture
+    def field(self):
+        field = TensorField.build(Chart(("x", "y")), 0, 1, ["log(x)*y", "sin(x) + y^2"])
+        field._plan  # built before the walks are counted
+        return field
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Expression walks of field evaluations, counted by order."""
+        counts = [0, 0, 0]
+        value, jet = charts.evaluate, charts.evaluate_jet2
+
+        def counted_value(node, point, index):
+            counts[0] += 1
+            return value(node, point, index)
+
+        def counted_jet(node, point, index, order=2):
+            counts[order] += 1
+            return jet(node, point, index, order)
+
+        monkeypatch.setattr(charts, "evaluate", counted_value)
+        monkeypatch.setattr(charts, "evaluate_jet2", counted_jet)
+        return counts
+
+    points = np.array([[0.5, -0.25], [1.5, 0.75], [0.25, 2.0]])
+
+    def test_an_equal_stack_in_a_new_array_hits(self, field, walks):
+        first = field.evaluate_with_grads(self.points)
+        again = field.evaluate_with_grads(self.points.copy())
+        assert walks == [0, 2, 0]
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_a_different_stack_of_the_same_shape_misses(self, field, walks):
+        field.evaluate_with_grads(self.points)
+        vals, _ = field.evaluate_with_grads(self.points + 0.125)
+        assert walks == [0, 4, 0]
+        assert vals[0, 0] == math.log(0.625) * -0.125
+
+    def test_a_stack_changed_in_place_misses(self, field, walks):
+        points = self.points.copy()
+        field.evaluate_with_grads(points)
+        points[0, 0] = 2.0
+        vals, _ = field.evaluate_with_grads(points)
+        assert walks == [0, 4, 0]
+        assert vals[0, 0] == math.log(2.0) * -0.25
+
+    def test_order_one_serves_values_and_gradients_but_not_hessians(self, field, walks):
+        vals, grads = field.evaluate_with_grads(self.points)
+        assert field.evaluate(self.points) is vals
+        assert field.evaluate_with_grads(self.points)[1] is grads
+        assert walks == [0, 2, 0]
+        jet = field.evaluate_with_jets(self.points)
+        assert walks == [0, 2, 2]
+        assert field.evaluate(self.points) is jet[0] and field.evaluate_with_grads(self.points) == jet[:2]
+        assert walks == [0, 2, 2]
+
+    def test_values_alone_are_not_remembered(self, field, walks):
+        field.evaluate_with_grads(self.points)
+        field.evaluate(self.points[:2])
+        field.evaluate(self.points[:2])
+        field.evaluate_with_grads(self.points)
+        assert walks == [4, 2, 0]
+
+    def test_returned_arrays_are_read_only(self, field):
+        for array in (field.evaluate(self.points), *field.evaluate_with_jets(self.points)):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_a_domain_error_keeps_the_previous_entry(self, field, walks):
+        vals, _ = field.evaluate_with_grads(self.points)
+        with pytest.raises(EvaluationDomainError):
+            field.evaluate_with_grads(-self.points)
+        assert field.evaluate_with_grads(self.points)[0] is vals
+        assert walks[1] == 2 + 1  # the raising stack stopped at its first component
+
+
+def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys):
+    """``verify`` takes the order-1 jet of each component of g, phi, xi and eta at
+    most once per batch: the layers of ``classify`` read the fields' remembered
+    jets.  On the 7-dim sewn chart 100 points make 3 batches."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "sewn.json"
+    save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
+    structures, walks = [], Counter()
+    load, jet = cli.load_manifold, charts.evaluate_jet2
+
+    def loaded(file):
+        structures.append(load(file))
+        return structures[-1]
+
+    def counted_jet(node, point, index, order=2):
+        if order == 1:
+            walks[id(node), point.shape, point.tobytes()] += 1
+        return jet(node, point, index, order)
+
+    monkeypatch.setattr(cli, "load_manifold", loaded)
+    monkeypatch.setattr(charts, "evaluate_jet2", counted_jet)
+    assert cli.main(["verify", str(path), "--points", "100"]) == cli.EXIT_PASS
+    (struct,) = structures
+    # a node that two components share (g is symmetric) is walked once for each
+    fields = (struct.metric, struct.phi, struct.xi, struct.eta)
+    components = Counter(id(node) for field in fields for node, _, _ in field._plan.terms)
+    assert {node for node, _, _ in walks} == set(components)
+    assert all(count <= components[node] for (node, _, _), count in walks.items())
 
 
 class TestStacks:

@@ -214,6 +214,31 @@ def test_singular_metric_stops_after_the_axioms(command, tmp_path, monkeypatch, 
     assert "Traceback" not in captured.err and "Error" not in captured.err
 
 
+@COMMANDS
+@pytest.mark.parametrize("zero", ["phi", "eta"])
+def test_vanishing_eta_wedge_phi_fails_with_a_report(command, zero, tmp_path, monkeypatch, capsys):
+    """With phi = 0 or eta = 0, eta ^ Phi vanishes and the weight fit has no
+    weight: it gives NaN, the checks fail and the command writes its report.
+    ``sew`` refuses the eta = 0 cell as not adapted."""
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc[zero] = [["0"] * 3] * 3 if zero == "phi" else ["0"] * 3
+    Path("zero.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command[0], "zero.json", *command[1:], "--json", "report.json"]
+    refused = command[0] == "sew" and zero == "eta"
+    assert main(argv) == (EXIT_INPUT if refused else EXIT_FAIL)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    if refused:
+        assert "not adapted" in captured.err
+        return
+    subject = json.loads(Path("report.json").read_text(encoding="utf-8"))["subjects"][0]
+    assert subject["passed"] is False
+    if command[0] == "verify":
+        assert math.isnan(next(c for c in subject["checks"] if c["name"] == "weight_fit_residual")["residual"])
+        assert subject["classification"]["kind"] == "none"
+
+
 def test_domain_error_names_the_first_failing_sample(tmp_path, monkeypatch, capsys):
     """A metric entry defined only for x > 0, on a file without that domain."""
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals, dense_hessians
 from oracles import h_tensor_fd, koszul_fd, nabla_phi_fd, normality_fd
 from sewcells.charts import Chart, TensorField, sample_points
+from sewcells.expressions import to_source
 from sewcells.geometry import (
     ALMOST_ALPHA_KENMOTSU,
     ALMOST_COSYMPLECTIC,
     GeometryError,
-    affinor_derivatives,
     christoffel,
     classify,
     covariant_derivative_affinor,
@@ -258,23 +259,23 @@ class TestNormality:
 class TestClassification:
     def test_flat_cell(self, flat_cell):
         samples = sample_points(flat_cell.chart, 20, 33)
-        cl = classify(flat_cell, samples, affinor_derivatives(flat_cell, samples), 1e-9)
+        cl = classify(flat_cell, samples, 1e-9)
         assert cl.kind == ALMOST_COSYMPLECTIC and cl.is_cosymplectic
 
     def test_model_cell(self, model_cell):
         samples = sample_points(model_cell.chart, 20, 33)
-        cl = classify(model_cell, samples, affinor_derivatives(model_cell, samples), 1e-9)
+        cl = classify(model_cell, samples, 1e-9)
         assert cl.kind == ALMOST_COSYMPLECTIC and not cl.is_cosymplectic
 
     def test_kenmotsu_cell(self, kenmotsu_cell):
         samples = sample_points(kenmotsu_cell.chart, 20, 33)
-        cl = classify(kenmotsu_cell, samples, affinor_derivatives(kenmotsu_cell, samples), 1e-9)
+        cl = classify(kenmotsu_cell, samples, 1e-9)
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
     def test_halfspace_cell(self, halfspace_cell):
         samples = sample_points(halfspace_cell.chart, 20, 33)
-        cl = classify(halfspace_cell, samples, affinor_derivatives(halfspace_cell, samples), 1e-9)
+        cl = classify(halfspace_cell, samples, 1e-9)
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
@@ -306,7 +307,7 @@ class TestClassification:
             lam, residual = weight_fit(cell, sample.array())
             assert residual <= 1e-12
             assert lam == pytest.approx(sample.coords[1] / 2.0, abs=1e-12)
-        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
+        cl = classify(cell, samples, 1e-9)
         assert cl.kind == "weight_function"
 
     def test_nonconstant_weight_reported(self):
@@ -329,8 +330,28 @@ class TestClassification:
             eta=TensorField.build(chart, 0, 1, ["1", "0", "0"]),
         )
         samples = sample_points(chart, 15, 2)
-        cl = classify(cell, samples, affinor_derivatives(cell, samples), 1e-9)
+        cl = classify(cell, samples, 1e-9)
         assert cl.kind == "weight_function"
+
+
+    def test_carries_the_largest_derivative_magnitudes(self, halfspace_cell):
+        samples = sample_points(halfspace_cell.chart, 30, 5)
+        cl = classify(halfspace_cell, samples, 1e-9)
+        derivatives = [covariant_derivative_affinor(halfspace_cell, s.array()) for s in samples]
+        assert cl.nabla_xi_phi_max == max(d.nabla_xi_phi_norm for d in derivatives)
+        assert cl.nabla_xi_xi_max == max(d.nabla_xi_xi_norm for d in derivatives)
+        assert cl.normality_max == max(np.abs(normality_tensor(halfspace_cell, s.array())).max() for s in samples)
+        assert cl.normality_max > 0.0
+
+    def test_weight_is_nan_where_eta_wedge_phi_vanishes(self, model_cell):
+        # phi scaled by x: eta ^ Phi vanishes on x = 0, where no weight is defined
+        assert model_cell.chart.coords == ("t", "x", "y")
+        scaled = [[f"x*({to_source(model_cell.phi.component((i, j)))})" for j in range(3)] for i in range(3)]
+        cell = replace(model_cell, phi=TensorField.build(model_cell.chart, 1, 1, scaled))
+        lam, residual = weight_fit(cell, np.array([[0.1, 0.0, 0.2], [0.1, 0.5, 0.2]]))
+        assert np.isnan(lam[0]) and np.isnan(residual[0])
+        assert np.isfinite(lam[1]) and residual[1] <= 1e-12
+        assert all(math.isnan(v) for v in weight_fit(cell, np.array([0.1, 0.0, 0.2])))
 
 
 class TestVectorFieldHelpers:

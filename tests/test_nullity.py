@@ -5,7 +5,7 @@ import pytest
 
 from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell
 from sewcells.charts import ChartError, sample_points, sample_points_grouped
-from sewcells.geometry import affinor_derivatives, classify, h_tensor, riemann
+from sewcells.geometry import classify, h_tensor, riemann
 from sewcells.manifold_io import load_manifold, save_manifold
 from sewcells.nullity import check_generalized, fit_nullity, normalized
 from sewcells.sewing import sew
@@ -25,7 +25,7 @@ def kenmotsu_structures(tmp_path_factory):
     out = []
     for struct in structures:
         samples = sample_points(struct.chart, 8, 5)
-        alpha = classify(struct, samples, affinor_derivatives(struct, samples), 1e-8).alpha
+        alpha = classify(struct, samples, 1e-8).alpha
         assert alpha is not None, struct.name
         out.append((struct, alpha, samples))
     return out

@@ -527,11 +527,11 @@ class TestTheorems:
     def test_mixed_weight_pair_is_unclassified(self, kenmotsu_cell, flat_cell):
         # weights 1 and 0 cannot share a single weight function in dimension 5
         sewn = sew([kenmotsu_cell, flat_cell])
-        from sewcells.geometry import UNCLASSIFIED, affinor_derivatives, classify
+        from sewcells.geometry import UNCLASSIFIED, classify
 
         samples = sample_points(sewn.chart, 10, 7)
 
-        cl = classify(sewn, samples, affinor_derivatives(sewn, samples), 1e-8)
+        cl = classify(sewn, samples, 1e-8)
         assert cl.kind == UNCLASSIFIED
         assert cl.fit_residual_max > 1e-8
         # the structure axioms still hold on the sewn manifold

@@ -8,7 +8,9 @@ OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
 every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
 halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
 frame the CLI builds, ``cli.MAX_COPIES``), ``nullity`` on the sewn k = 2
-outputs, and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
+outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
+5 batches, where a field's remembered jet serves the later layers of a
+batch), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
 exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
 constant subtrees, which no catalog cell has.  Each tree writes its own
@@ -92,6 +94,8 @@ def matrix() -> list[tuple[str, list[str]]]:
                                                    "--out", f"sewn/{cell}-k{k}.json"]))
     for cell in CELLS:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
+        # 9 dimensions: 100 points make 5 batches
+        commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
     commands.append(("verify-constants", ["verify", "cells/constants.json"]))
     commands.append(("sew-constants-k2", ["sew", "cells/constants.json", "--copies", "2",
                                           "--out", "sewn/constants-k2.json"]))
