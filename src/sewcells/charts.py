@@ -4,14 +4,18 @@ A chart is a single coordinate patch: ordered coordinate names, optional
 strict-inequality domain constraints, and optionally a distinguished
 coordinate ``t`` for which the structure form is ``scale * dt``.  Tensor
 fields store one expression per component.  A field folds its constant
-components once, on first evaluation, and evaluates each other component with
-one call per point or per stack of points, its jet taken over the coordinates
-that component depends on; the gradients are scattered into the full grid,
-and the Hessians stay the sparse entries of those jets.  A field remembers
-one jet, its last: the stack's shape and bytes, the order and the read-only
-results.  A later call at an equal stack for no higher order reads it back, so
-the layers of one batch walk each field once; values alone read it but are
-never remembered, and a call that raises leaves it as it was.
+components once, on first evaluation, and compiles the others into one
+program (``expressions.Program``), hash-consed per column set: a component's
+jet is taken over the coordinates it depends on, and a subtree that several
+components over one column set share is one instruction.  The program runs
+once per point or stack of points and order, in the row-major order of the
+components, so the first component to leave its domain raises.  The
+gradients are scattered into the full grid, and the Hessians stay the sparse
+entries of the components' own jets.  A field remembers one jet, its last:
+the stack's shape and bytes, the order and the read-only results.  A later
+call at an equal stack for no higher order reads it back, so the layers of
+one batch run each field's program once; values alone read it but are never
+remembered, and a call that raises leaves it as it was.
 
 Sweeps over samples go through ``evaluate_batches``, which hands consumers
 stacks of samples.  The batch size is derived from the chart dimension n by
@@ -43,6 +47,7 @@ from .expressions import (
     EvaluationDomainError,
     ExpressionNode,
     Num,
+    Program,
     Var,
     evaluate,
     evaluate_jet2,
@@ -148,14 +153,20 @@ class Chart:
         except KeyError as exc:
             raise ChartError(f"no coordinate {name!r} in chart {self.coords}") from exc
 
+    @cached_property
+    def _constraint_programs(self) -> tuple[Program, ...]:
+        """Each constraint as a program of one root over every coordinate,
+        compiled on first use: the samplers test many stacks."""
+        return tuple(Program([(c.positive, 0)], [(range(self.dim), self.coord_index)]) for c in self.constraints)
+
     def inside(self, points: np.ndarray) -> np.ndarray:
         """Whether each row of a stack (P, n) meets every constraint, as a
         (P,) mask.  A constraint is tested on the whole stack at once, and row
         by row where the stack leaves its domain."""
         mask = np.ones(len(points), dtype=bool)
-        for c in self.constraints:
+        for c, program in zip(self.constraints, self._constraint_programs):
             try:
-                mask &= evaluate(c.positive, points, self.coord_index) > 0.0
+                mask &= evaluate(program, points)[:, 0] > 0.0
             except EvaluationDomainError:
                 mask &= np.array([c.holds(row, self.coord_index) for row in points], dtype=bool)
         return mask
@@ -259,23 +270,22 @@ class TensorField:
         plan = self._plan
         n = self.chart.dim
         lead = point.shape[:-1]
+        shape = lead + self.shape
         vals = np.empty(lead + plan.constant.shape)
         vals[...] = plan.constant
-        grads = np.zeros(lead + (plan.constant.size * n,)) if order else None
-        jets = []
-        if plan.terms and not order:
-            index = self.chart.coord_index
-            vals[..., plan.positions] = np.array([evaluate(node, point, index) for node, _, _ in plan.terms]).T
-        elif plan.terms:
-            # each component's jet is taken over its own coordinates only
-            local_points = [point[..., columns] for columns in plan.column_sets]
-            jets = [evaluate_jet2(node, local_points[slot], local, order) for node, slot, local in plan.terms]
-            vals[..., plan.positions] = np.array([jet.value for jet in jets]).T
-            grads[..., plan.grad_slots] = np.concatenate([jet.grad for jet in jets], axis=-1)
-        shape = lead + self.shape
-        result = (vals.reshape(shape),) + ((grads.reshape(shape + (n,)),) if order else ())
-        if order == 2:
-            result += (np.concatenate([jet.hess.reshape(lead + (-1,)) for jet in jets] or [np.zeros(lead + (0,))], -1),)
+        if not order:
+            if plan.program.roots:
+                vals[..., plan.positions] = evaluate(plan.program, point)
+            result = (vals.reshape(shape),)
+        else:
+            grads = np.zeros(lead + (plan.constant.size * n,))
+            if plan.program.roots:
+                jet = evaluate_jet2(plan.program, point, order=order)
+                vals[..., plan.positions] = jet.value
+                grads[..., plan.grad_slots] = jet.grad
+            result = (vals.reshape(shape), grads.reshape(shape + (n,)))
+            if order == 2:
+                result += (jet.hess if plan.program.roots else np.zeros(lead + (0,)),)
         for array in result:
             array.flags.writeable = False
         if order:
@@ -312,24 +322,21 @@ class TensorField:
 
 
 class _FieldPlan(NamedTuple):
-    """How a field evaluates: its constant components folded once, and each
-    other component with the coordinates it depends on.
+    """How a field evaluates: its constant components folded once, and the
+    other components, at ``positions`` in row-major order, as the roots of one
+    program (``expressions.Program``).
 
-    Components are numbered in row-major order.  ``column_sets`` holds the
-    distinct sets of chart indices that components depend on, and ``terms``
-    holds (expression, the position of its set in ``column_sets``, the local
-    index of its coordinates) for each component at ``positions``, so that
-    the columns of a point are gathered once per set.  ``grad_slots`` and
+    The roots are grouped by the set of chart coordinates they read, and a
+    root's jet is taken over its group's coordinates only.  ``grad_slots`` and
     ``hess_slots`` are the flat slots of the full gradient and Hessian that
-    the terms' own jets fill, in order.  ``TensorField.fold_hessians`` adds
+    the roots' own jets fill, in order.  ``TensorField.fold_hessians`` adds
     each Hessian entry, weighted by ``v[fold_weights]``, into the slots
     ``fold_targets`` of its two contractions with a vector, laid end to end.
     """
 
     constant: np.ndarray
     positions: np.ndarray
-    column_sets: tuple[np.ndarray, ...]
-    terms: tuple[tuple[ExpressionNode, int, dict[str, int]], ...]
+    program: Program
     grad_slots: np.ndarray
     hess_slots: np.ndarray
     fold_weights: np.ndarray
@@ -341,8 +348,8 @@ class _FieldPlan(NamedTuple):
         n = chart.dim
         constant = np.zeros(int(np.prod(field.shape, dtype=int)))
         positions: list[int] = []
-        column_sets: dict[tuple[int, ...], int] = {}
-        terms = []
+        groups: dict[tuple[int, ...], int] = {}
+        roots = []
         grad_slots: list[int] = []
         hess_slots: list[int] = []
         for pos, idx in enumerate(np.ndindex(*field.shape)):
@@ -353,21 +360,23 @@ class _FieldPlan(NamedTuple):
                     constant[pos] = node.value if isinstance(node, Num) else evaluate(node, (), {})
                     continue
                 except EvaluationDomainError:
-                    pass  # kept as a term, so that every evaluation raises as before
+                    pass  # kept as a root, so that every evaluation raises as before
             positions.append(pos)
-            slot = column_sets.setdefault(columns, len(column_sets))
-            terms.append((node, slot, {chart.coords[c]: j for j, c in enumerate(columns)}))
+            roots.append((node, groups.setdefault(columns, len(groups))))
             grad_slots.extend(pos * n + c for c in columns)
             hess_slots.extend((pos * n + a) * n + b for a in columns for b in columns)
+        program = Program(roots, [(columns, {chart.coords[c]: j for j, c in enumerate(columns)})
+                                  for columns in groups])
         hess = np.array(hess_slots, dtype=np.intp)
         # for a rank-2 field the slot of d_c d_d F_ab is ((a n + b) n + c) n + d; the
-        # first contraction drops a, the second c
+        # first contraction drops a, the second c.  The fold indices are below 2 n^3,
+        # which 32 bits hold up to n = 1290, and take half the memory there
         cube = n ** 3
-        return cls(constant, np.array(positions, dtype=np.intp),
-                   tuple(np.array(columns, dtype=np.intp) for columns in column_sets), tuple(terms),
+        fold = np.int32 if 2 * cube < 2 ** 31 else np.intp
+        return cls(constant, np.array(positions, dtype=np.intp), program,
                    np.array(grad_slots, dtype=np.intp), hess,
-                   np.concatenate([hess // cube, hess // n % n]),
-                   np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]))
+                   np.concatenate([hess // cube, hess // n % n]).astype(fold),
+                   np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]).astype(fold))
 
 
 def _parse_grid(grid, rank: int, chart: Chart):

@@ -30,7 +30,7 @@ from .charts import (
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import classify
+from .geometry import classify, reeb_derivatives
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
 from .nullity import check_generalized, normalized, nullity_fits
 from .sewing import (
@@ -68,22 +68,13 @@ def _classification_dict(classification) -> dict:
     }
 
 
-def _structure_checks(struct: ContactStructure, samples, tol: float):
-    """Axiom validation plus the Reeb-parallelism facts that hold on any cell,
-    and the samples' ``classify``, whose one sweep gives nabla phi, the weight
-    fit and the normality tensor from one jet walk per field and batch.
-
-    The axioms run first: without a positive definite metric there is no
-    Levi-Civita connection, so the report then holds the axioms alone and the
-    classification is None.
-    """
-    report = validate_structure(struct, samples, tol)
-    if not report.check("metric_positive_definite").passed:
-        return report, None
-    classification = classify(struct, samples, tol)
-    xi_geodesic = Residual("xi_geodesic", tol).add(classification.nabla_xi_xi_max)
-    phi_parallel = Residual("phi_parallel_along_xi", tol).add(classification.nabla_xi_phi_max)
-    return _with_checks(report, xi_geodesic, phi_parallel), classification
+def _with_reeb_checks(report: ValidationReport, nabla_xi_phi_max: float, nabla_xi_xi_max: float,
+                      tol: float) -> ValidationReport:
+    """``report`` with the Reeb-parallelism facts that hold on any cell, from
+    the largest |nabla_xi phi| and |nabla_xi xi| over its samples."""
+    xi_geodesic = Residual("xi_geodesic", tol).add(nabla_xi_xi_max)
+    phi_parallel = Residual("phi_parallel_along_xi", tol).add(nabla_xi_phi_max)
+    return _with_checks(report, xi_geodesic, phi_parallel)
 
 
 def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationReport:
@@ -92,12 +83,16 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    report, classification = _structure_checks(struct, samples, args.tol)
+    report = validate_structure(struct, samples, args.tol)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
-    if classification is None:
+    # the axioms run first: without a positive definite metric there is no Levi-Civita connection
+    if not report.check("metric_positive_definite").passed:
         print(report.format_table(header))
         print("  metric not positive definite; derivative checks skipped")
         return _failed_subject(struct, {"checks": report.check_dicts()})
+    # classify's one sweep gives nabla phi, the weight fit and the normality tensor
+    classification = classify(struct, samples, args.tol)
+    report = _with_reeb_checks(report, classification.nabla_xi_phi_max, classification.nabla_xi_xi_max, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
         report = _with_checks(report, weight_fit)
@@ -226,7 +221,11 @@ def cmd_sew(args) -> int:
     print(f"wrote sewn definition to {args.out}")
     report["output"] = {"path": str(args.out), "sha256": file_digest(args.out)}
 
-    induced, _ = _structure_checks(sewn, sewn_samples, max(args.tol, 1e-9))
+    tol = max(args.tol, 1e-9)
+    induced = validate_structure(sewn, sewn_samples, tol)
+    if induced.check("metric_positive_definite").passed:
+        # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone
+        induced = _with_reeb_checks(induced, *reeb_derivatives(sewn, sewn_samples), tol)
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")

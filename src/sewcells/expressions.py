@@ -16,17 +16,20 @@ a unary minus applied to a literal folds into the literal, and constant
 exponent subtrees fold to a single number.  With that, ``parse(to_source(e))``
 reproduces ``e`` node for node.
 
-Evaluation is pure and takes one walk for every order.  ``evaluate`` returns
-the value (order 0); ``evaluate_jet2`` propagates forward-mode jets and
-returns the value together with the exact gradient and, at order 2 (the
-default), the exact Hessian (no finite differencing).  An order-1 jet carries
-no Hessian at all, so a caller that reads none pays for none.  All three
-orders share the value rules, and orders 1 and 2 the gradient rules, so they
-give the same values and gradients bit for bit.  The walk runs on stacks
-only: both functions take a stack of P points of shape (P, n) and evaluate it
-with numpy in one call, and a point of shape (n,) is a stack of one.  At a
-point the value is a float, the gradient (n,) and the Hessian (n, n); at a
-stack each of them gains a leading P axis.
+Evaluation is pure and runs one straight-line program for every order.  A
+``Program`` compiles several trees, its roots, hash-consed: each distinct
+subtree is one instruction per column set its roots read, and one run visits
+each instruction once.  A bare tree is a program of one root, just as a point
+is a stack of one.  ``evaluate`` returns the values (order 0);
+``evaluate_jet2`` propagates forward-mode jets and returns the values together
+with the exact gradients and, at order 2 (the default), the exact Hessians (no
+finite differencing).  An order-1 jet carries no Hessian at all, so a caller
+that reads none pays for none.  All three orders share the value rules, and
+orders 1 and 2 the gradient rules, so they give the same values and gradients
+bit for bit.  A run takes a stack of P points of shape (P, n) and evaluates it
+with numpy in one pass; for a tree, a point of shape (n,) gives a float value,
+an (n,) gradient and an (n, n) Hessian, and a stack gives each of them a
+leading P axis.
 
 Leaving the real domain raises ``EvaluationDomainError``: log or sqrt of a
 non-positive argument, division by zero, zero to a negative power, a
@@ -41,9 +44,11 @@ silent and yields inf or NaN, which every residual check then fails.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -223,6 +228,8 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.factor()
+            if isinstance(exponent, Num):
+                return BinOp("^", base, exponent)
             if free_variables(exponent):
                 raise ExpressionSyntaxError("exponent must be a constant", at)
             try:
@@ -346,8 +353,8 @@ def rename_variables(node: ExpressionNode, mapping: Mapping[str, str]) -> Expres
 # Evaluation over stacks
 # ---------------------------------------------------------------------------
 #
-# One walk, ``_jet``, serves orders 0, 1 and 2 over stacks only; a point is a
-# stack of one.  The stack goes down transposed, one (P,) column per
+# One program run (``Program.run``) serves orders 0, 1 and 2 over stacks only;
+# a point is a stack of one.  The stack goes in transposed, one (P,) column per
 # coordinate.  At order 0 a coordinate is its own column, so values are (P,)
 # arrays; at orders 1 and 2 it is a jet whose value is that column.  A
 # constant subtree stays a scalar, a 0-d value that goes through the same
@@ -409,42 +416,6 @@ def _divide(left, right):
     return left / right
 
 
-def _exponent(node: ExpressionNode) -> float:
-    """The value of a constant exponent subtree."""
-    if isinstance(node, Num):
-        return node.value
-    if free_variables(node):
-        raise ExpressionError("variable exponents are not supported")
-    return float(_jet(node, None, {}, None))
-
-
-def _coordinate(node: Var, index: Mapping[str, int]) -> int:
-    try:
-        return index[node.name]
-    except KeyError as exc:
-        raise ExpressionError(f"unbound variable {node.name!r}") from exc
-
-
-def _column(i: int, columns: np.ndarray) -> np.ndarray:
-    """A coordinate at order 0: its own column of the stack."""
-    return columns[i]
-
-
-def evaluate(node: ExpressionNode, point, index: Mapping[str, int]):
-    """Evaluate at ``point`` (coordinates resolved through ``index``): the
-    order-0 walk.
-
-    A point of shape (n,) gives a float; a stack of shape (P, n) gives an
-    array of shape (P,).
-    """
-    point = np.asarray(point, dtype=float)
-    stack = point[None] if point.ndim == 1 else point
-    out = np.empty(len(stack))
-    with np.errstate(all="ignore"):
-        out[...] = _jet(node, stack.T, index, _column)
-    return out if point.ndim == 2 else float(out[0])
-
-
 # ---------------------------------------------------------------------------
 # Jets of order 1 and 2
 # ---------------------------------------------------------------------------
@@ -454,9 +425,10 @@ class Jet2:
     """Value, gradient and Hessian of a scalar at a point or a stack of points.
 
     At a point of shape (n,): a float, (n,) and (n, n), unwrapped from the
-    stack of one that the walk took.  At a stack of shape (P, n) each gains a
-    leading P axis.  The Hessian is exactly symmetric; an order-1 jet carries
-    none (``hess`` is None).
+    stack of one that the program ran on.  At a stack of shape (P, n) each
+    gains a leading P axis.  The Hessian is exactly symmetric; an order-1 jet
+    carries none (``hess`` is None).  The jets of a program's roots share one
+    ``Jet2`` in the layout of ``Program.run``.
     """
 
     value: float | np.ndarray
@@ -651,50 +623,263 @@ _JET_CALLS: dict[str, Callable[[_Jet1], _Jet1]] = {
 }
 
 
-def evaluate_jet2(node: ExpressionNode, point, index: Mapping[str, int], order: int = 2) -> Jet2:
+
+
+# ---------------------------------------------------------------------------
+# Straight-line programs
+# ---------------------------------------------------------------------------
+
+# Every rule takes two operands, and a unary one ignores its second.
+
+def _column(i: int, columns: np.ndarray) -> np.ndarray:
+    """A coordinate at order 0: its own column of the stack."""
+    return columns[i]
+
+
+def _coordinate(i: int, group: tuple):
+    """Coordinate ``i`` of a group, bound per run to (variable, columns)."""
+    variable, columns = group
+    return variable(i, columns)
+
+
+def _fail(message: str, _):
+    raise ExpressionError(message)
+
+
+def _negative(operand, _):
+    return -operand
+
+
+def _call_rule(func: str) -> Callable:
+    jet_rule = _JET_CALLS[func]
+
+    def rule(arg, _):
+        return jet_rule(arg) if isinstance(arg, _Jet1) else _call_value(func, arg)
+
+    return rule
+
+
+def _power(base, exponent):
+    exponent = float(exponent)
+    return base.power(exponent) if isinstance(base, _Jet1) else _pow_value(base, exponent)
+
+
+_CALL_RULES = {func: _call_rule(func) for func in FUNCTIONS}
+_BINARY_RULES = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
+_RULES = (_fail, _coordinate, _negative, *_BINARY_RULES.values(), *_CALL_RULES.values())
+_RULE_CODES = {rule: code for code, rule in enumerate(_RULES)}
+_STORE = len(_RULES)  # copies a root's results out; bound per run
+
+
+class _Assembler:
+    """Emits the hash-consed instructions (rule, one or two operands) of
+    expression trees in post-order.  An operand is an instruction's index,
+    or ``-1 - j`` for entry j of ``immediates``: a group (bound per run), a
+    constant, an integer (a coordinate's position in its group, or a root)
+    or an error message."""
+
+    def __init__(self, indexes: Sequence[Mapping[str, int]]):
+        self.indexes = indexes
+        self.immediates: list = [None] * len(indexes)
+        self.refs: dict = {}
+        self.rules: list = []
+        self.first: list[int] = []
+        self.second: list[int | None] = []
+
+    def immediate(self, key, value) -> int:
+        ref = self.refs.get(key)
+        if ref is None:
+            ref = self.refs[key] = -1 - len(self.immediates)
+            self.immediates.append(value)
+        return ref
+
+    def integer(self, i: int) -> int:
+        return self.immediate((int, i), i)
+
+    def instruction(self, rule, a: int, b: int | None = None) -> int:
+        key = (rule, a, b)
+        ref = self.refs.get(key)
+        if ref is None:
+            ref = self.refs[key] = len(self.rules)
+            self.rules.append(rule)
+            self.first.append(a)
+            self.second.append(b)
+        return ref
+
+    def fail(self, message: str) -> int:
+        return self.instruction(_fail, self.immediate(message, message))
+
+    def emit(self, node: ExpressionNode, group: int) -> int:
+        """The operand of ``node`` in ``group``, emitting what it needs first."""
+        kind = type(node)
+        if kind is BinOp:
+            left = self.emit(node.left, group)
+            if node.op == "^" and type(node.right) is not Num and free_variables(node.right):
+                return self.fail("variable exponents are not supported")
+            return self.instruction(_BINARY_RULES[node.op], left, self.emit(node.right, group))
+        if kind is Num:
+            value = node.value
+            # the sign keeps -0.0 apart from 0.0, and the tag numbers apart from the other immediates
+            return self.immediate((Num, value, math.copysign(1.0, value)), value)
+        if kind is Var:
+            local = self.indexes[group].get(node.name)
+            if local is None:
+                return self.fail(f"unbound variable {node.name!r}")
+            return self.instruction(_coordinate, self.integer(local), -1 - group)
+        if kind is Call:
+            return self.instruction(_CALL_RULES[node.func], self.emit(node.arg, group))
+        return self.instruction(_negative, self.emit(node.operand, group))
+
+
+class Program:
+    """A straight-line program over expression trees, its roots.
+
+    ``trees`` holds (tree, group) pairs in root order, and ``groups`` holds
+    (columns, local index) pairs: the columns of the stack that a group reads
+    and the position of each coordinate name among them.  A root's jet is
+    taken over its group's columns only.
+
+    Instructions are hash-consed bottom-up, keyed by their rule and operands;
+    a coordinate's operands name its group, so each distinct (subtree, group)
+    pair is one instruction, and a constant subtree, whose value no group
+    changes, one across groups.  A ``Num`` leaf is an immediate operand.  The
+    instructions run in the order in which walking the trees one after
+    another, each in post-order, first reaches them, so the first to leave its
+    domain raises what that walk would have raised first.  Each writes a
+    register, which is reused once its value has been read for the last time,
+    and a root's results are copied out right after the instruction that
+    computes them.  The code is one flat array of (rule, register, operand,
+    operand) rows, so that a field's program takes little memory between
+    runs.
+    """
+
+    __slots__ = ("columns", "immediates", "code", "registers", "size", "offsets")
+
+    def __init__(self, trees: Sequence[tuple[ExpressionNode, int]],
+                 groups: Sequence[tuple[Sequence[int], Mapping[str, int]]]):
+        # a range reads its columns as a view of the stack, without a copy
+        self.columns = tuple(slice(c.start, c.stop, c.step) if isinstance(c, range) else np.asarray(c, dtype=np.intp)
+                             for c, _ in groups)
+        assembler = _Assembler([index for _, index in groups])
+        roots_at: dict[int, list[int]] = {}  # operand -> the roots it holds
+        offsets = [0, 0]  # (gradient, Hessian) columns before each root, and after the last
+        for root, (tree, group) in enumerate(trees):
+            roots_at.setdefault(assembler.emit(tree, group), []).append(root)
+            m = len(groups[group][0])
+            offsets += [offsets[-2] + m, offsets[-1] + m * m]
+        last = {}  # instruction -> the instruction that reads it last (only keys from 0 on are read)
+        for k, (a, b) in enumerate(zip(assembler.first, assembler.second)):
+            last[a] = last[b] = k
+        # register 0 takes what a store returns; an immediate operand is read in place
+        code = [field for ref in roots_at if ref < 0 for root in roots_at[ref]
+                for field in (_STORE, 0, ref, assembler.integer(root))]
+        register: dict[int, int] = {}
+        free: list[int] = []  # registers whose value has been read for the last time
+        count = 1
+        for k, (rule, a, b) in enumerate(zip(assembler.rules, assembler.first, assembler.second)):
+            first = register[a] if a >= 0 else a
+            second = first if b is None else register[b] if b >= 0 else b
+            if a >= 0 and last[a] == k:
+                free.append(register.pop(a))
+            if b is not None and b >= 0 and b != a and last[b] == k:
+                free.append(register.pop(b))
+            if free:
+                target = register[k] = free.pop()
+            else:
+                target = register[k] = count
+                count += 1
+            code += [_RULE_CODES[rule], target, first, second]
+            for root in roots_at.get(k, ()):
+                code += [_STORE, 0, target, assembler.integer(root)]
+            if k not in last:  # never read again
+                free.append(register.pop(k))
+        self.immediates = assembler.immediates[::-1]  # immediate j is the register -1 - j from the end
+        self.code = array("i", code)
+        self.registers = count
+        self.size = len(assembler.rules)
+        self.offsets = array("i", offsets)
+
+    def __len__(self) -> int:
+        """The number of instructions, not counting the copies out."""
+        return self.size
+
+    @property
+    def roots(self) -> int:
+        return len(self.offsets) // 2 - 1
+
+    def run(self, stack: np.ndarray, order: int) -> tuple:
+        """The roots' values (P, R) at a stack (P, n) and, from order 1 on,
+        their gradients (P, sum of m) over their groups' m columns and at
+        order 2 their row-major (m, m) Hessians (P, sum of m^2), each laid
+        end to end in root order."""
+        p = len(stack)
+        variable = (_column, _Jet1.variable, _Jet2.variable)[order]
+        columns = stack.T
+        values = [None] * self.registers + self.immediates
+        for group, cols in enumerate(self.columns):
+            values[-1 - group] = (variable, columns[cols])
+        out = (np.empty((p, self.roots)),) + tuple(np.zeros((p, size)) for size in self.offsets[-2:][:order])
+        offsets = self.offsets
+
+        def store(result, root: int) -> None:
+            if not isinstance(result, _Jet1):  # a value, or a constant whose derivatives are zero
+                out[0][:, root] = result
+                return
+            out[0][:, root] = result.value
+            out[1][:, offsets[2 * root]:offsets[2 * root + 2]] = result.grad.T
+            if order == 2:
+                start, stop = offsets[2 * root + 1], offsets[2 * root + 3]
+                out[2][:, start:stop] = result.hess.reshape(stop - start, p).T
+
+        rules, fields = (*_RULES, store), iter(self.code)
+        with np.errstate(all="ignore"):
+            for rule, register, a, b in zip(fields, fields, fields, fields):
+                values[register] = rules[rule](values[a], values[b])
+        return out
+
+
+def _program(expr, width: int, index) -> Program:
+    """A program as it is, and a tree as the program of one root that reads
+    every column of the stack."""
+    if isinstance(expr, Program):
+        return expr
+    return Program([(expr, 0)], [(range(width), {} if index is None else index)])
+
+
+def evaluate(expr: ExpressionNode | Program, point, index: Mapping[str, int] | None = None):
+    """Values at ``point``, of shape (n,), or at each point of a stack (P, n).
+
+    A tree, its coordinates resolved through ``index``, gives a float at a
+    point and (P,) at a stack; a program gives its roots' values, (R,) and
+    (P, R).
+    """
+    point = np.asarray(point, dtype=float)
+    stack = point[None] if point.ndim == 1 else point
+    (values,) = _program(expr, stack.shape[1], index).run(stack, 0)
+    if isinstance(expr, Program):
+        return values if point.ndim == 2 else values[0]
+    return values[:, 0] if point.ndim == 2 else float(values[0, 0])
+
+
+def evaluate_jet2(expr: ExpressionNode | Program, point, index: Mapping[str, int] | None = None,
+                  order: int = 2) -> Jet2:
     """Value, gradient and, at ``order`` 2, Hessian at a point (n,) or a stack
     (P, n), by jet propagation; an order-1 jet propagates no Hessian.  Both
-    orders give the same values and gradients bit for bit and raise alike."""
+    orders give the same values and gradients bit for bit and raise alike.
+
+    A tree's jet is taken over every coordinate; a program gives the layout of
+    ``Program.run``, without the P axis at a point."""
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     point = np.asarray(point, dtype=float)
     stack = point[None] if point.ndim == 1 else point
     p, n = stack.shape
-    with np.errstate(all="ignore"):
-        jet = _jet(node, stack.T, index, _Jet2.variable if order == 2 else _Jet1.variable)
-    if isinstance(jet, _Jet1):
-        value, grad = np.array(jet.value), jet.grad.T
-        hess = jet.hess.transpose(2, 0, 1) if order == 2 else None
-    else:
-        value, grad = np.full(p, jet), np.zeros((p, n))
-        hess = np.zeros((p, n, n)) if order == 2 else None
+    value, grad, *hess = _program(expr, n, index).run(stack, order)
+    hess = hess[0] if hess else None
+    if not isinstance(expr, Program):
+        value = value[:, 0]
+        hess = None if hess is None else hess.reshape(p, n, n)
     if point.ndim == 2:
         return Jet2(value, grad, hess)
-    return Jet2(float(value[0]), grad[0], None if hess is None else hess[0])
-
-
-def _jet(node: ExpressionNode, columns, index: Mapping[str, int], variable: Callable):
-    """The walk of every order over a stack's ``columns`` (n, P): ``variable(i,
-    columns)`` gives coordinate ``i`` its column at order 0 and its jet at
-    orders 1 and 2."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return variable(_coordinate(node, index), columns)
-    if isinstance(node, Neg):
-        return -_jet(node.operand, columns, index, variable)
-    if isinstance(node, Call):
-        arg = _jet(node.arg, columns, index, variable)
-        return _JET_CALLS[node.func](arg) if isinstance(arg, _Jet1) else _call_value(node.func, arg)
-    left = _jet(node.left, columns, index, variable)
-    if node.op == "^":
-        exponent = _exponent(node.right)
-        return left.power(exponent) if isinstance(left, _Jet1) else _pow_value(left, exponent)
-    right = _jet(node.right, columns, index, variable)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return _divide(left, right)
+    return Jet2(value[0] if isinstance(expr, Program) else float(value[0]), grad[0],
+                None if hess is None else hess[0])

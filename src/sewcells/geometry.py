@@ -25,7 +25,9 @@ one call gives the brackets of every column pair.  ``classify`` and the
 ``charts.evaluate_batches``).  ``classify`` is the one sweep over a sample
 set that reads first derivatives of the structure: each batch runs nabla phi,
 the normality tensor and the weight fit, and as a field remembers its last
-jet (``TensorField.evaluate_with_jets``), each field is walked once per batch.
+jet (``TensorField.evaluate_with_jets``), each field's program runs once per
+batch.  ``reeb_derivatives`` is the part of that sweep that the
+Reeb-parallelism checks read, nabla phi alone.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -163,6 +165,23 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
     nabla_xi = xgrads + (gamma @ xvals[..., None, :, None])[..., 0]
     nabla_xi_xi = (nabla_xi @ xvals[..., None])[..., 0]
     return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1))
+
+
+def reeb_derivatives(struct: ContactStructure, samples) -> tuple[float, float]:
+    """The largest magnitudes of nabla_xi phi and nabla_xi xi over the
+    samples: the part of ``classify``'s sweep that the Reeb-parallelism checks
+    read, nabla phi alone over the same batches, so the maxima are the numbers
+    ``classify`` gives, without its weight fit and normality tensor."""
+    xi_phi, xi_xi = Residual("nabla_xi_phi", 0.0), Residual("nabla_xi_xi", 0.0)
+
+    def sweep(points):
+        derivative = covariant_derivative_affinor(struct, points)  # reduced here, which frees nabla phi
+        return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
+
+    for _, (phi_norm, xi_norm) in evaluate_batches(samples, struct.dim, sweep):
+        xi_phi.add(phi_norm)
+        xi_xi.add(xi_norm)
+    return xi_phi.value, xi_xi.value
 
 
 @dataclass
@@ -314,7 +333,7 @@ def classify(struct: ContactStructure, samples, tol: float) -> Classification:
     dimension when the residual is not finite.  This is the one sweep over the
     samples that reads derivatives of the structure: each batch runs nabla phi,
     the normality tensor and the weight fit, which share the fields' remembered
-    jets (``TensorField.evaluate_with_jets``), so each field is walked once.
+    jets (``TensorField.evaluate_with_jets``), so each field's program runs once.
     """
     nabla_phi, xi_phi, xi_xi, torsion, fit = (
         Residual(name, tol) for name in ("nabla_phi", "nabla_xi_phi", "nabla_xi_xi", "normality", "weight_fit")

@@ -358,17 +358,18 @@ class TestRememberedJet:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Expression walks of field evaluations, counted by order."""
+        """Runs of the field's program, counted by order: one run walks every
+        component of the field."""
         counts = [0, 0, 0]
         value, jet = charts.evaluate, charts.evaluate_jet2
 
-        def counted_value(node, point, index):
+        def counted_value(program, point, index=None):
             counts[0] += 1
-            return value(node, point, index)
+            return value(program, point, index)
 
-        def counted_jet(node, point, index, order=2):
+        def counted_jet(program, point, index=None, order=2):
             counts[order] += 1
-            return jet(node, point, index, order)
+            return jet(program, point, index, order)
 
         monkeypatch.setattr(charts, "evaluate", counted_value)
         monkeypatch.setattr(charts, "evaluate_jet2", counted_jet)
@@ -379,13 +380,13 @@ class TestRememberedJet:
     def test_an_equal_stack_in_a_new_array_hits(self, field, walks):
         first = field.evaluate_with_grads(self.points)
         again = field.evaluate_with_grads(self.points.copy())
-        assert walks == [0, 2, 0]
+        assert walks == [0, 1, 0]
         assert all(a is b for a, b in zip(first, again))
 
     def test_a_different_stack_of_the_same_shape_misses(self, field, walks):
         field.evaluate_with_grads(self.points)
         vals, _ = field.evaluate_with_grads(self.points + 0.125)
-        assert walks == [0, 4, 0]
+        assert walks == [0, 2, 0]
         assert vals[0, 0] == math.log(0.625) * -0.125
 
     def test_a_stack_changed_in_place_misses(self, field, walks):
@@ -393,25 +394,25 @@ class TestRememberedJet:
         field.evaluate_with_grads(points)
         points[0, 0] = 2.0
         vals, _ = field.evaluate_with_grads(points)
-        assert walks == [0, 4, 0]
+        assert walks == [0, 2, 0]
         assert vals[0, 0] == math.log(2.0) * -0.25
 
     def test_order_one_serves_values_and_gradients_but_not_hessians(self, field, walks):
         vals, grads = field.evaluate_with_grads(self.points)
         assert field.evaluate(self.points) is vals
         assert field.evaluate_with_grads(self.points)[1] is grads
-        assert walks == [0, 2, 0]
+        assert walks == [0, 1, 0]
         jet = field.evaluate_with_jets(self.points)
-        assert walks == [0, 2, 2]
+        assert walks == [0, 1, 1]
         assert field.evaluate(self.points) is jet[0] and field.evaluate_with_grads(self.points) == jet[:2]
-        assert walks == [0, 2, 2]
+        assert walks == [0, 1, 1]
 
     def test_values_alone_are_not_remembered(self, field, walks):
         field.evaluate_with_grads(self.points)
         field.evaluate(self.points[:2])
         field.evaluate(self.points[:2])
         field.evaluate_with_grads(self.points)
-        assert walks == [4, 2, 0]
+        assert walks == [2, 1, 0]
 
     def test_returned_arrays_are_read_only(self, field):
         for array in (field.evaluate(self.points), *field.evaluate_with_jets(self.points)):
@@ -420,43 +421,87 @@ class TestRememberedJet:
 
     def test_a_domain_error_keeps_the_previous_entry(self, field, walks):
         vals, _ = field.evaluate_with_grads(self.points)
-        with pytest.raises(EvaluationDomainError):
+        # the raising stack stopped at its first component, log(x)*y
+        with pytest.raises(EvaluationDomainError, match="log of non-positive argument -0.5"):
             field.evaluate_with_grads(-self.points)
         assert field.evaluate_with_grads(self.points)[0] is vals
-        assert walks[1] == 2 + 1  # the raising stack stopped at its first component
+        assert walks[1] == 1 + 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_the_first_component_in_row_major_order_raises(order):
+    """exp(x) and sqrt(x) read x, log(y) reads y; at x < 0 and y < 0 the second
+    and the third component leave their domains, and the error is the second
+    one's, where a run column set by column set would give the third's."""
+    field = TensorField.build(Chart(("x", "y", "z")), 1, 0, ["exp(x)", "log(y)", "sqrt(x)"])
+    points = np.array([[0.5, 0.5, 0.0], [-0.5, -0.25, 0.0]])
+    with pytest.raises(EvaluationDomainError, match=r"^log of non-positive argument -0\.25$"):
+        field._jet(points, order)
+    points[:, 1] = 1.0  # log(y) is defined
+    with pytest.raises(EvaluationDomainError, match=r"^sqrt of non-positive argument -0\.5$"):
+        field._jet(points, order)
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, name, None) for name in ("operand", "arg", "left", "right")):
+        if child is not None:
+            yield from _subtrees(child)
 
 
 def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys):
-    """``verify`` takes the order-1 jet of each component of g, phi, xi and eta at
-    most once per batch: the layers of ``classify`` read the fields' remembered
-    jets.  On the 7-dim sewn chart 100 points make 3 batches."""
+    """``verify`` runs the program of each field of g, phi, xi and eta at most
+    once per batch and order (the layers of ``classify`` read the fields'
+    remembered jets), and a program holds one instruction per distinct
+    (subtree, column set) pair of its field's components, a constant subtree
+    one across column sets.  On the 7-dim sewn chart 100 points make 3
+    batches."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.expressions import Num, Program, free_variables
     from sewcells.manifold_io import save_manifold
 
     path = tmp_path / "sewn.json"
     save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
-    structures, walks = [], Counter()
-    load, jet = cli.load_manifold, charts.evaluate_jet2
+    structures, runs = [], Counter()
+    load, value, jet = cli.load_manifold, charts.evaluate, charts.evaluate_jet2
 
     def loaded(file):
         structures.append(load(file))
         return structures[-1]
 
-    def counted_jet(node, point, index, order=2):
-        if order == 1:
-            walks[id(node), point.shape, point.tobytes()] += 1
-        return jet(node, point, index, order)
+    def counted_value(program, point, index=None):
+        if isinstance(program, Program):  # a tree is a constant component of a plan
+            runs[id(program), point.tobytes(), 0] += 1
+        return value(program, point, index)
+
+    def counted_jet(program, point, index=None, order=2):
+        runs[id(program), point.tobytes(), order] += 1
+        return jet(program, point, index, order)
 
     monkeypatch.setattr(cli, "load_manifold", loaded)
+    monkeypatch.setattr(charts, "evaluate", counted_value)
     monkeypatch.setattr(charts, "evaluate_jet2", counted_jet)
     assert cli.main(["verify", str(path), "--points", "100"]) == cli.EXIT_PASS
     (struct,) = structures
-    # a node that two components share (g is symmetric) is walked once for each
     fields = (struct.metric, struct.phi, struct.xi, struct.eta)
-    components = Counter(id(node) for field in fields for node, _, _ in field._plan.terms)
-    assert {node for node, _, _ in walks} == set(components)
-    assert all(count <= components[node] for (node, _, _), count in walks.items())
+    run = [field for field in fields if field._plan.program.roots]  # eta = sqrt(3) ds has none
+    programs = {id(field._plan.program) for field in run}
+    constraints = {id(program) for program in struct.chart._constraint_programs}  # the sampler's
+    assert {program for program, _, _ in runs} == programs | constraints
+    field_runs = {key: count for key, count in runs.items() if key[0] in programs}
+    assert set(field_runs.values()) == {1}
+    # g, phi and xi at order 0 (the axioms) and all at order 1 (classify), 3 batches each
+    orders = Counter(order for _, _, order in field_runs)
+    assert orders == {0: 3 * sum(field is not struct.eta for field in run), 1: 3 * len(run)}
+    for field in fields:
+        pairs = set()
+        for pos in field._plan.positions:
+            node = field.component(np.unravel_index(pos, field.shape))
+            columns = frozenset(free_variables(node))
+            pairs.update((sub, columns if free_variables(sub) else frozenset())
+                         for sub in _subtrees(node) if not isinstance(sub, Num))
+        assert len(field._plan.program) == len(pairs)
 
 
 class TestStacks:

@@ -15,6 +15,7 @@ from sewcells.expressions import (
     ExpressionSyntaxError,
     Neg,
     Num,
+    Program,
     UnknownIdentifierError,
     Var,
     evaluate,
@@ -348,6 +349,105 @@ class TestConstantSubtrees:
             assert math.isnan(evaluate(expr, self.POINTS[0], IDX_XYZ))
             assert np.isnan(evaluate(expr, self.POINTS, IDX_XYZ)).all()
 
+class TestProgram:
+    """A program over several roots gives each root what the root gives alone,
+    and raises what evaluating the roots one after another raises first."""
+
+    COORDS = ("u", "v", "w")
+
+    @staticmethod
+    def _roots(rng, coords):
+        """Roots that share subtrees: a few drawn subtrees, combined and
+        repeated, with a constant and a root that is a subtree of another."""
+        parts = [random_expression(rng, coords, 3) for _ in range(3)]
+        roots = [BinOp(str(rng.choice(["+", "-", "*", "/"])), parts[int(rng.integers(3))], parts[int(rng.integers(3))])
+                 for _ in range(4)]
+        roots += [Call("exp", parts[0]), parts[1], roots[0], Num(float(rng.uniform(-2.0, 2.0)))]
+        return [roots[i] for i in rng.permutation(len(roots))]
+
+    def _groups(self, roots, own_columns):
+        """(tree, group) pairs and groups: each root over the coordinates it
+        reads, as a field plan groups them, or every root over all of them."""
+        if not own_columns:
+            return [(root, 0) for root in roots], [(range(3), {name: i for i, name in enumerate(self.COORDS)})]
+        sets: dict = {}
+        trees = []
+        for root in roots:
+            columns = tuple(sorted(self.COORDS.index(name) for name in free_variables(root)))
+            trees.append((root, sets.setdefault(columns, len(sets))))
+        return trees, [(columns, {self.COORDS[c]: j for j, c in enumerate(columns)}) for columns in sets]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_each_root_gives_what_it_gives_alone(self, seed, count, own_columns):
+        rng = np.random.default_rng(seed)
+        roots = self._roots(rng, self.COORDS)
+        trees, groups = self._groups(roots, own_columns)
+        program = Program(trees, groups)
+        assert program.roots == len(roots)
+        points = rng.uniform(-1.5, 1.5, size=(count, 3))
+        for point in (points[0], points):
+            for order in (0, 1, 2):
+                alone, first_error = [], None
+                for tree, group in trees:
+                    columns, index = groups[group]
+                    local = point[..., list(columns)]
+                    try:
+                        alone.append(evaluate(tree, local, index) if order == 0
+                                     else evaluate_jet2(tree, local, index, order))
+                    except EvaluationDomainError as exc:
+                        first_error = str(exc)
+                        break
+                if first_error is not None:
+                    with pytest.raises(EvaluationDomainError) as err:
+                        evaluate(program, point) if order == 0 else evaluate_jet2(program, point, order=order)
+                    assert str(err.value) == first_error
+                    continue
+                if order == 0:
+                    values = evaluate(program, point)
+                    for root, expected in enumerate(alone):
+                        assert np.asarray(values[..., root]).tobytes() == np.asarray(expected).tobytes()
+                    continue
+                jet = evaluate_jet2(program, point, order=order)
+                assert (jet.hess is None) == (order == 1)
+                gradient = hessian = 0
+                for root, expected in enumerate(alone):
+                    m = len(groups[trees[root][1]][0])
+                    assert np.asarray(jet.value[..., root]).tobytes() == np.asarray(expected.value).tobytes()
+                    assert jet.grad[..., gradient:gradient + m].tobytes() == expected.grad.tobytes()
+                    gradient += m
+                    if order == 2:
+                        entries = jet.hess[..., hessian:hessian + m * m]
+                        assert entries.tobytes() == expected.hess.reshape(entries.shape).tobytes()
+                        hessian += m * m
+                assert gradient == jet.grad.shape[-1]
+
+    def test_shared_subtrees_are_one_instruction_per_group(self):
+        index = {"x": 0, "y": 1}
+        a, b = parse_expression("exp(x)*sin(x)", ("x", "y")), parse_expression("exp(x)*sin(x) + y", ("x", "y"))
+        one_group = Program([(a, 0), (b, 0), (a, 0)], [(range(2), index)])
+        # x, exp, sin, the product, y and the sum
+        assert len(one_group) == 6
+        # a over {x} and b over {x, y}: the coordinate x differs, and so does all above it
+        two_groups = Program([(a, 0), (b, 1)], [((0,), {"x": 0}), ((0, 1), index)])
+        assert len(two_groups) == 4 + 6
+
+    def test_a_constant_subtree_is_one_instruction_across_groups(self):
+        a = parse_expression("x*exp(2)", ("x", "y"))
+        b = parse_expression("y*exp(2)", ("x", "y"))
+        program = Program([(a, 0), (b, 1)], [((0,), {"x": 0}), ((1,), {"y": 0})])
+        assert len(program) == 5  # x, exp(2), x*exp(2), y, y*exp(2)
+
+    def test_unbound_variable_raises_where_the_walk_reaches_it(self):
+        # the domain error of the first root comes before the unbound name of the second
+        first, second = parse_expression("log(x)", ("x", "y")), parse_expression("y", ("x", "y"))
+        program = Program([(first, 0), (second, 0)], [(range(1), {"x": 0})])
+        with pytest.raises(EvaluationDomainError, match="log of non-positive"):
+            evaluate(program, np.array([-1.0]))
+        with pytest.raises(ExpressionError, match="unbound variable 'y'"):
+            evaluate(program, np.array([1.0]))
+
+
 def test_verify_on_a_sewn_file_propagates_no_hessian(tmp_path, monkeypatch, capsys):
     """``verify`` reads no second derivative, so every jet it takes is of order 1."""
     from sewcells import charts, cli
@@ -358,13 +458,14 @@ def test_verify_on_a_sewn_file_propagates_no_hessian(tmp_path, monkeypatch, caps
     path = tmp_path / "sewn.json"
     save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
     original = charts.evaluate_jet2
-    hessians = []
+    runs = []
 
-    def spy(*args, **kwargs):
-        jet = original(*args, **kwargs)
-        hessians.append(jet.hess is not None)
+    def spy(program, point, index=None, order=2):
+        jet = original(program, point, index, order)
+        runs.append((type(program), jet.hess is not None))
         return jet
 
     monkeypatch.setattr(charts, "evaluate_jet2", spy)
     assert cli.main(["verify", str(path)]) == cli.EXIT_PASS
-    assert hessians and not any(hessians)
+    # every jet is a field program's run, and none carries a Hessian
+    assert runs and set(runs) == {(Program, False)}

@@ -19,15 +19,23 @@ catalog cell files with its own ``catalog`` command, and the same
 scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice.
 
-Printed: every command whose exit code, check names, verdicts (``passed``),
-classification kinds or report structure differ; the worst relative
-difference of numeric fields whose magnitude is at least 1e-10 and the worst
-absolute difference of the others; the numeric fields that moved at all,
-with checks named by their check name; the text fields that differ (the
-version, notes); how many reports changed bytes; and whether the two NEW_SRC
-runs wrote byte-identical reports and sewn files.  Exit status 0 when nothing
-structural differs, both numeric gaps are within 1e-12 and the repeat is
-byte-identical; 1 otherwise; 2 on a bad argument.
+One more command, ``verify`` on ``ERROR_CELL``, stops on an evaluation error:
+it must exit 1 with a ``verification error:`` line on stderr and write no
+report.  That cell's metric reads t, y and t again on its diagonal, and at
+every sample the second and the third entry leave their domains, so the line
+names the error of the first of them in row-major order.  The
+``verification error:`` line of every command is compared between the trees.
+
+Printed: every command whose exit code, ``verification error:`` line, check
+names, verdicts (``passed``), classification kinds or report structure
+differ; the worst relative difference of numeric fields whose magnitude is
+at least 1e-10 and the worst absolute difference of the others; the numeric
+fields that moved at all, with checks named by their check name; the text
+fields that differ (the version, notes); how many reports changed bytes; and
+whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
+error lines.  Exit status 0 when nothing structural differs, both numeric
+gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
+bad argument.
 """
 
 from __future__ import annotations
@@ -80,6 +88,28 @@ CONSTANTS_CELL = {
 }
 
 
+# The flat cell with 1 written as 1 + 0*exp(t), 1 + 0*log(y - 2) and 1 + 0*sqrt(t - 2)
+# on the metric diagonal: the last two leave their domains at every sample, and
+# the first of them reads another coordinate than the entries around it
+ERROR_CELL = {
+    "format": "manifold-definition/1",
+    "name": "flat_domain_errors",
+    "coordinates": ["t", "x", "y"],
+    "adapted_coordinate": "t",
+    "domain": [],
+    "metric": [
+        ["1 + 0*exp(t)", "0", "0"],
+        ["0", "1 + 0*log(y - 2)", "0"],
+        ["0", "0", "1 + 0*sqrt(t - 2)"],
+    ],
+    "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    "xi": ["1", "0", "0"],
+    "eta": ["1", "0", "0"],
+}
+ERROR_COMMAND = "verify-error"
+ERROR_PREFIX = "verification error:"
+
+
 def matrix() -> list[tuple[str, list[str]]]:
     """(report name, argv) for every command, in run order; every argv writes
     ``reports/<name>.json``."""
@@ -96,31 +126,34 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
         # 9 dimensions: 100 points make 5 batches
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
+    commands.append((ERROR_COMMAND, ["verify", "cells/error.json"]))
     commands.append(("verify-constants", ["verify", "cells/constants.json"]))
     commands.append(("sew-constants-k2", ["sew", "cells/constants.json", "--copies", "2",
                                           "--out", "sewn/constants-k2.json"]))
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
-def run_tree(src: Path, work: Path) -> dict[str, int]:
+def run_tree(src: Path, work: Path) -> dict[str, tuple[int, str | None]]:
     """Write the cells and run the matrix under ``src`` in ``work``; return the
-    exit code of every command."""
+    exit code and the ``verification error:`` line (or None) of every command."""
     for sub in ("cells", "sewn", "reports"):
         (work / sub).mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
 
-    def run(argv: list[str]) -> int:
+    def run(argv: list[str]) -> tuple[int, str | None]:
         done = subprocess.run([sys.executable, "-m", "sewcells.cli", *argv], cwd=work, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         if "Traceback" in done.stderr:
             print(f"  traceback from {' '.join(argv)}:\n{done.stderr}", file=sys.stderr)
-        return done.returncode
+        errors = [line for line in done.stderr.splitlines() if line.startswith(ERROR_PREFIX)]
+        return done.returncode, errors[0] if errors else None
 
     for cell, args in CELLS.items():
-        status = run(["catalog", *args, "--out", f"cells/{cell}.json"])
+        status, _ = run(["catalog", *args, "--out", f"cells/{cell}.json"])
         if status != 0:
             raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
-    (work / "cells" / "constants.json").write_text(json.dumps(CONSTANTS_CELL, indent=2) + "\n", encoding="utf-8")
+    for name, cell in (("constants", CONSTANTS_CELL), ("error", ERROR_CELL)):
+        (work / "cells" / f"{name}.json").write_text(json.dumps(cell, indent=2) + "\n", encoding="utf-8")
     return {name: run(argv) for name, argv in matrix()}
 
 
@@ -218,10 +251,13 @@ def main(argv: list[str]) -> int:
         comparison = Comparison()
         exit_diffs = changed = 0
         for name, _ in matrix():
-            old_status, new_status = statuses["old"][name], statuses["new"][name]
+            (old_status, old_error), (new_status, new_error) = statuses["old"][name], statuses["new"][name]
             if old_status != new_status:
                 exit_diffs += 1
                 print(f"{name}: exit {old_status} -> {new_status}")
+            if old_error != new_error:
+                comparison.structural.append(f"{name}: stderr {old_error!r} -> {new_error!r}")
+                print(comparison.structural[-1])
             old_path, new_path = (root / label / "reports" / f"{name}.json" for label in ("old", "new"))
             old_report, new_report = _load(old_path), _load(new_path)
             if (old_report is None) != (new_report is None):
@@ -232,7 +268,15 @@ def main(argv: list[str]) -> int:
                 comparison.walk(old_report, new_report, name)
                 for line in comparison.structural[before:]:
                     print(line)
+        # the error command must stop as it should, or the comparison of its line shows nothing
+        status, error = statuses["new"][ERROR_COMMAND]
+        if status != 1 or error is None or (root / "new" / "reports" / f"{ERROR_COMMAND}.json").exists():
+            comparison.structural.append(f"{ERROR_COMMAND}: exit {status}, stderr {error!r}, expected exit 1, "
+                                         f"a {ERROR_PREFIX!r} line and no report")
+            print(comparison.structural[-1])
         repeat_changed = _changed_files(root / "new", root / "repeat")
+        repeat_changed += [f"stderr of {name}" for name, _ in matrix()
+                           if statuses["new"][name][1] != statuses["repeat"][name][1]]
 
     total = len(matrix())
     print(f"commands: {total}; exit codes differ: {exit_diffs}; "
@@ -248,6 +292,7 @@ def main(argv: list[str]) -> int:
     for field, labels in sorted(comparison.text.items()):
         print(f"  {field}: {len(labels)} times, e.g. {labels[0]}")
     print(f"reports whose bytes changed: {changed} of {total}")
+    print(f"{ERROR_COMMAND} under NEW_SRC: exit {status}, {error}")
     print("repeated run byte-identical: " + ("yes" if not repeat_changed else f"no ({', '.join(repeat_changed)})"))
     ok = (
         not exit_diffs
