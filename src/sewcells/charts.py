@@ -29,6 +29,12 @@ sparse Hessians only through their contractions with a vector
 entry; a sweep that folds a field's Hessians names it, and its batches count
 those entries too (they outgrow n^3 where components read most coordinates).
 Nothing with a sample axis grows beyond that, whatever the sample count.
+
+``validate_structure`` is the one sweep over a sample set that reads first
+derivatives: it takes the order-1 jets of the four structure fields on each
+batch, reduces the axiom residuals from them, and hands the batch to the
+derivative layers of its caller (``geometry.classify_layers`` or
+``geometry.reeb_layer``), which read the same remembered jets.
 """
 
 from __future__ import annotations
@@ -701,7 +707,8 @@ class ValidationReport:
 # Axiom validation
 # ---------------------------------------------------------------------------
 
-def validate_structure(struct: ContactStructure, samples: Sequence[PointSample], tol: float) -> ValidationReport:
+def validate_structure(struct: ContactStructure, samples: Sequence[PointSample], tol: float,
+                       layers: Callable | None = None) -> ValidationReport:
     """Check the structure axioms at every sample.
 
     Residuals reported (max over samples): ``phi^2 + Id - xi (x) eta``,
@@ -709,6 +716,16 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
     ``phi^T g phi - g + eta (x) eta``, positive definiteness of g, and
     ``d eta``.  On an adapted chart, eta is additionally required to equal
     ``scale * dt`` componentwise.
+
+    This is the one sweep over the samples that reads first derivatives: on
+    each batch it takes the order-1 jets of g, phi, xi and eta, reduces the
+    residuals and then calls ``layers``, if given, with the batch's stack, so
+    that the derivative layers read the fields' remembered jets and each
+    field's program runs once per batch.  ``layers`` runs only while every
+    batch so far has had a positive definite metric: without one there is no
+    Levi-Civita connection, and a caller drops what ``layers`` gathered when
+    ``metric_positive_definite`` fails.  A batch with a non-finite metric
+    entry fails that check before any eigenvalue is taken.
     """
     if not samples:
         raise ValueError("samples must be non-empty")
@@ -718,7 +735,7 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
     compat = Residual("metric_compatibility", tol)
     deta = Residual("eta_closed", tol)
     min_eig = math.inf
-    cholesky_ok = True
+    spd_ok = True
     scale = struct.eta_scale
     t_axis = struct.chart.adapted_index
     if t_axis is not None:
@@ -728,27 +745,35 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
     identity = np.eye(n)
 
     def fields(points):
+        # eta first, then g, phi and xi: the first field to leave its domain raises
         eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
-        return struct.metric.evaluate(points), struct.phi.evaluate(points), struct.xi.evaluate(points), eta_vals, eta_grads
+        g, p, xi = (field.evaluate_with_grads(points)[0] for field in (struct.metric, struct.phi, struct.xi))
+        return points, g, p, xi, eta_vals, eta_grads
 
-    for _, (g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, fields):
-        phi2.add(p @ p + identity - xi[:, :, None] * eta_vals[:, None, :])
-        eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
-        compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
-        deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
-        # fmin skips a NaN eigenvalue as the running min did; Cholesky catches the NaN metric
-        min_eig = min(min_eig, float(np.fmin.reduce(np.linalg.eigvalsh(g)[:, 0])))
-        try:
-            # LAPACK returns NaN factors for a NaN metric instead of failing
-            cholesky_ok = cholesky_ok and bool(np.isfinite(np.linalg.cholesky(g)).all())
-        except np.linalg.LinAlgError:
-            cholesky_ok = False
-        if t_axis is not None:
-            adapted.add(eta_vals - expected)
+    # a non-finite entry makes NaN residuals, which fail their checks without a warning
+    with np.errstate(all="ignore"):
+        for _, (points, g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, fields):
+            phi2.add(p @ p + identity - xi[:, :, None] * eta_vals[:, None, :])
+            eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
+            compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
+            deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
+            if t_axis is not None:
+                adapted.add(eta_vals - expected)
+            if not np.isfinite(g).all():
+                # no eigenvalue, which LAPACK may fail to find; the NaN sticks in min
+                min_eig, spd_ok = math.nan, False
+                continue
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(g)[:, 0].min()))
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                spd_ok = False
+            spd_ok = spd_ok and min_eig >= SPD_EIGENVALUE_FLOOR
+            if spd_ok and layers is not None:
+                layers(points)
 
-    spd_ok = cholesky_ok and min_eig >= SPD_EIGENVALUE_FLOOR
     checks = [
-        CheckResult("metric_positive_definite", max(0.0, SPD_EIGENVALUE_FLOOR - min_eig), 0.0, spd_ok,
+        CheckResult("metric_positive_definite", float(np.maximum(0.0, SPD_EIGENVALUE_FLOOR - min_eig)), 0.0, spd_ok,
                     note=f"min eigenvalue {min_eig:.3e}"),
         phi2.result(),
         eta_xi.result(),

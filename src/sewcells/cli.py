@@ -10,6 +10,7 @@ only ever printed, never serialized).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .charts import (
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import classify, reeb_derivatives
+from .geometry import classify, classify_layers, reeb_derivatives, reeb_layer
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
 from .nullity import check_generalized, normalized, nullity_fits
 from .sewing import (
@@ -81,17 +82,27 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
     return replace(report, checks=report.checks + tuple(r.result() for r in residuals))
 
 
+def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer) -> tuple[ValidationReport, list]:
+    """The structure axioms and ``layer``'s results batch by batch, from one
+    sweep over ``samples``: ``validate_structure`` runs ``layer`` on each
+    batch, from the jets the axioms took, while the metric is positive
+    definite.  Where it is not, the caller drops the results."""
+    results = []
+    report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)))
+    return report, results
+
+
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    report = validate_structure(struct, samples, args.tol)
+    # one sweep: the axioms and classify's layers (nabla phi, the normality tensor and the weight fit)
+    report, results = _axioms_and_layers(struct, samples, args.tol, classify_layers)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
-    # the axioms run first: without a positive definite metric there is no Levi-Civita connection
+    # without a positive definite metric there is no Levi-Civita connection: the layers' results go
     if not report.check("metric_positive_definite").passed:
         print(report.format_table(header))
         print("  metric not positive definite; derivative checks skipped")
         return _failed_subject(struct, {"checks": report.check_dicts()})
-    # classify's one sweep gives nabla phi, the weight fit and the normality tensor
-    classification = classify(struct, samples, args.tol)
+    classification = classify(struct, samples, args.tol, results)
     report = _with_reeb_checks(report, classification.nabla_xi_phi_max, classification.nabla_xi_xi_max, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
@@ -129,13 +140,15 @@ def cmd_nullity(args) -> int:
     report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
-    validation = validate_structure(struct, samples, args.tol)
+    # one sweep for the axioms and classify's layers, as in verify; the fits below take
+    # second derivatives in a sweep of their own, in the batches of the Hessian fold
+    validation, results = _axioms_and_layers(struct, samples, args.tol, classify_layers)
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
         return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
 
-    classification = classify(struct, samples, args.tol)
+    classification = classify(struct, samples, args.tol, results)
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:
@@ -222,10 +235,10 @@ def cmd_sew(args) -> int:
     report["output"] = {"path": str(args.out), "sha256": file_digest(args.out)}
 
     tol = max(args.tol, 1e-9)
-    induced = validate_structure(sewn, sewn_samples, tol)
+    # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone, in the axioms' sweep
+    induced, results = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer)
     if induced.check("metric_positive_definite").passed:
-        # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone
-        induced = _with_reeb_checks(induced, *reeb_derivatives(sewn, sewn_samples), tol)
+        induced = _with_reeb_checks(induced, *reeb_derivatives(results), tol)
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")
@@ -344,7 +357,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", type=Path, default=None, help="write the machine report here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse leaves it as
+    it was, and a subcommand is looked up by name when it runs (``_run``)."""
     parser = argparse.ArgumentParser(
         prog="sewcells",
         description="verify almost contact metric cells and their sewn products",
@@ -355,13 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="structure axioms, classification, normality")
     p_verify.add_argument("files", nargs="+", type=Path)
     _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_null = sub.add_parser("nullity", help="per-sample nullity fits and constancy verdicts")
     p_null.add_argument("file", type=Path)
     p_null.add_argument("--convention", choices=("raw", "kenmotsu"), default="raw")
     _add_common(p_null)
-    p_null.set_defaults(func=cmd_nullity)
 
     p_sew = sub.add_parser("sew", help="sew copies of a cell and verify the construction")
     p_sew.add_argument("file", type=Path)
@@ -369,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"number of copies, from 2 to {MAX_COPIES}")
     p_sew.add_argument("--out", type=Path, required=True)
     _add_common(p_sew)
-    p_sew.set_defaults(func=cmd_sew)
 
     p_cat = sub.add_parser("catalog", help="export a built-in cell to a definition file")
     p_cat.add_argument("entry")
     p_cat.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_cat.add_argument("--out", type=Path, required=True)
-    p_cat.set_defaults(func=cmd_catalog)
     return parser
 
 
@@ -407,7 +419,8 @@ def _run(argv) -> int:
         return EXIT_INPUT
     start = time.perf_counter()
     try:
-        status = args.func(args)
+        # by name, at run time: a ``cmd_*`` rebound after the parser was built is the one that runs
+        status = globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         raise  # an OSError too, but a closed stdout is for ``main`` to handle
     except (ManifoldFileError, ExpressionError, SewingError, SamplingError, OSError) as exc:

@@ -22,12 +22,18 @@ points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
 one call gives the brackets of every column pair.  ``classify`` and the
 ``sew`` stages feed these layers batches of samples (see
-``charts.evaluate_batches``).  ``classify`` is the one sweep over a sample
-set that reads first derivatives of the structure: each batch runs nabla phi,
-the normality tensor and the weight fit, and as a field remembers its last
-jet (``TensorField.evaluate_with_jets``), each field's program runs once per
-batch.  ``reeb_derivatives`` is the part of that sweep that the
-Reeb-parallelism checks read, nabla phi alone.
+``charts.evaluate_batches``).  ``classify_layers`` runs, on one batch, the
+layers that classify a structure: nabla phi, the normality tensor and the
+weight fit, each reduced before the next runs; ``reeb_layer`` is the part of
+them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``,
+``nullity`` and the induced stage of ``sew`` run them inside the axioms'
+sweep (``charts.validate_structure``), which takes the order-1 jets of g,
+phi, xi and eta on each batch; as a field remembers its last jet
+(``TensorField.evaluate_with_jets``), each field's program runs once per
+batch for the axioms and these layers together.  ``classify`` and
+``reeb_derivatives`` reduce the layers' results over the batches, and
+``classify`` runs ``classify_layers`` in a sweep of its own where no axiom
+sweep took them (the theorem stage of ``sew``).
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -167,21 +173,21 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
     return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1))
 
 
-def reeb_derivatives(struct: ContactStructure, samples) -> tuple[float, float]:
+def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
+    """nabla phi on one batch, reduced before it is freed: its largest
+    magnitude, and per sample those of nabla_xi phi and nabla_xi xi, which
+    the Reeb-parallelism checks read."""
+    derivative = covariant_derivative_affinor(struct, points)
+    return np.abs(derivative.nablaphi).max(), derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
+
+
+def reeb_derivatives(results) -> tuple[float, float]:
     """The largest magnitudes of nabla_xi phi and nabla_xi xi over the
-    samples: the part of ``classify``'s sweep that the Reeb-parallelism checks
-    read, nabla phi alone over the same batches, so the maxima are the numbers
-    ``classify`` gives, without its weight fit and normality tensor."""
-    xi_phi, xi_xi = Residual("nabla_xi_phi", 0.0), Residual("nabla_xi_xi", 0.0)
-
-    def sweep(points):
-        derivative = covariant_derivative_affinor(struct, points)  # reduced here, which frees nabla phi
-        return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
-
-    for _, (phi_norm, xi_norm) in evaluate_batches(samples, struct.dim, sweep):
-        xi_phi.add(phi_norm)
-        xi_xi.add(xi_norm)
-    return xi_phi.value, xi_xi.value
+    batches whose ``reeb_layer`` (or ``classify_layers``) results are
+    ``results``."""
+    _, xi_phi, xi_xi, *_ = zip(*results)
+    return (Residual("nabla_xi_phi", 0.0).add(np.concatenate(xi_phi)).value,
+            Residual("nabla_xi_xi", 0.0).add(np.concatenate(xi_xi)).value)
 
 
 @dataclass
@@ -324,33 +330,32 @@ def weight_fit(struct: ContactStructure, point):
     return lam, residual
 
 
-def classify(struct: ContactStructure, samples, tol: float) -> Classification:
+def classify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
+    """``classify``'s layers on one batch, each reduced before the next runs,
+    which frees its (n, n, n) arrays: ``reeb_layer``, the largest magnitude of
+    the normality tensor, and the weights and fit residuals of ``weight_fit``
+    per sample.  They share the fields' remembered jets
+    (``TensorField.evaluate_with_jets``), so each field's program runs once."""
+    return (*reeb_layer(struct, points), np.abs(normality_tensor(struct, points)).max(),
+            *weight_fit(struct, points))
+
+
+def classify(struct: ContactStructure, samples, tol: float, results=None) -> Classification:
     """Decide almost cosymplectic / almost alpha-Kenmotsu / weight function.
 
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
-    dimension when the residual is not finite.  This is the one sweep over the
-    samples that reads derivatives of the structure: each batch runs nabla phi,
-    the normality tensor and the weight fit, which share the fields' remembered
-    jets (``TensorField.evaluate_with_jets``), so each field's program runs once.
+    dimension when the residual is not finite.  ``results`` are those of
+    ``classify_layers`` on the batches of ``samples``, as the axiom sweep
+    (``charts.validate_structure``) takes them; without them ``classify``
+    runs ``classify_layers`` in a sweep of its own.
     """
-    nabla_phi, xi_phi, xi_xi, torsion, fit = (
-        Residual(name, tol) for name in ("nabla_phi", "nabla_xi_phi", "nabla_xi_xi", "normality", "weight_fit")
-    )
-
-    def sweep(points):
-        # each layer is reduced before the next runs, which frees its (n, n, n) arrays
-        derivative = covariant_derivative_affinor(struct, points)
-        nabla_phi.add(derivative.nablaphi)
-        xi_phi.add(derivative.nabla_xi_phi_norm)
-        xi_xi.add(derivative.nabla_xi_xi_norm)
-        del derivative
-        torsion.add(normality_tensor(struct, points))
-        return weight_fit(struct, points)
-
-    lams, residuals = zip(*(weights for _, weights in evaluate_batches(samples, struct.dim, sweep)))
-    fit.add(np.concatenate(residuals))
+    if results is None:
+        results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points))]
+    nabla_phi, _, _, torsion, lams, residuals = zip(*results)
+    xi_phi, xi_xi = reeb_derivatives(results)
+    fit = Residual("weight_fit", tol).add(np.concatenate(residuals))
     arr = np.concatenate(lams)
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
@@ -360,8 +365,9 @@ def classify(struct: ContactStructure, samples, tol: float) -> Classification:
         kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    return Classification(kind, alpha, tuple(arr.tolist()), fit.value, nabla_phi.passed,
-                          xi_phi.value, xi_xi.value, torsion.value)
+    return Classification(kind, alpha, tuple(arr.tolist()), fit.value,
+                          Residual("nabla_phi", tol).add(np.array(nabla_phi)).passed,
+                          xi_phi, xi_xi, Residual("normality", tol).add(np.array(torsion)).value)
 
 
 # ---------------------------------------------------------------------------

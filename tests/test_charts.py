@@ -25,7 +25,7 @@ from sewcells.charts import (
     sampling_box,
     validate_structure,
 )
-from sewcells.expressions import EvaluationDomainError
+from sewcells.expressions import EvaluationDomainError, to_source
 from sewcells.geometry import fundamental_form_with_derivative, h_tensor, riemann
 from sewcells.sewing import sew
 
@@ -449,29 +449,18 @@ def _subtrees(node):
             yield from _subtrees(child)
 
 
-def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys):
-    """``verify`` runs the program of each field of g, phi, xi and eta at most
-    once per batch and order (the layers of ``classify`` read the fields'
-    remembered jets), and a program holds one instruction per distinct
-    (subtree, column set) pair of its field's components, a constant subtree
-    one across column sets.  On the 7-dim sewn chart 100 points make 3
-    batches."""
-    from sewcells import cli
-    from sewcells.catalog import halfspace_kenmotsu_cell
-    from sewcells.expressions import Num, Program, free_variables
-    from sewcells.manifold_io import save_manifold
+@pytest.fixture
+def program_runs(monkeypatch):
+    """Counts the runs of every program as (program id, stack bytes, order):
+    the field programs and the samplers' constraint programs (a bare tree,
+    a constant component of a plan, is not counted)."""
+    from sewcells.expressions import Program
 
-    path = tmp_path / "sewn.json"
-    save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
-    structures, runs = [], Counter()
-    load, value, jet = cli.load_manifold, charts.evaluate, charts.evaluate_jet2
-
-    def loaded(file):
-        structures.append(load(file))
-        return structures[-1]
+    runs = Counter()
+    value, jet = charts.evaluate, charts.evaluate_jet2
 
     def counted_value(program, point, index=None):
-        if isinstance(program, Program):  # a tree is a constant component of a plan
+        if isinstance(program, Program):
             runs[id(program), point.tobytes(), 0] += 1
         return value(program, point, index)
 
@@ -479,21 +468,54 @@ def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsy
         runs[id(program), point.tobytes(), order] += 1
         return jet(program, point, index, order)
 
-    monkeypatch.setattr(cli, "load_manifold", loaded)
     monkeypatch.setattr(charts, "evaluate", counted_value)
     monkeypatch.setattr(charts, "evaluate_jet2", counted_jet)
+    return runs
+
+
+def _captured(monkeypatch, module, name):
+    """Rebind ``module.name`` so that what it returns is also appended to the list returned."""
+    made, original = [], getattr(module, name)
+
+    def capture(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, capture)
+    return made
+
+
+def _field_orders(runs, field) -> Counter:
+    """How often the program of ``field`` ran at each order."""
+    return Counter(order for program, _, order in runs if program == id(field._plan.program))
+
+
+def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys, program_runs):
+    """``verify`` runs the program of each field of g, phi, xi and eta exactly
+    once per batch, at order 1 only: the axioms read the values of those jets,
+    and the layers of ``classify`` read the fields' remembered jets in the
+    same sweep.  A program holds one instruction per distinct (subtree,
+    column set) pair of its field's components, a constant subtree one across
+    column sets.  On the 7-dim sewn chart 100 points make 3 batches."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.expressions import Num, free_variables
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "sewn.json"
+    save_manifold(sew([halfspace_kenmotsu_cell()] * 3), path)
+    structures = _captured(monkeypatch, cli, "load_manifold")
+    program_runs.clear()
     assert cli.main(["verify", str(path), "--points", "100"]) == cli.EXIT_PASS
     (struct,) = structures
     fields = (struct.metric, struct.phi, struct.xi, struct.eta)
     run = [field for field in fields if field._plan.program.roots]  # eta = sqrt(3) ds has none
     programs = {id(field._plan.program) for field in run}
     constraints = {id(program) for program in struct.chart._constraint_programs}  # the sampler's
-    assert {program for program, _, _ in runs} == programs | constraints
-    field_runs = {key: count for key, count in runs.items() if key[0] in programs}
+    assert {program for program, _, _ in program_runs} == programs | constraints
+    field_runs = {key: count for key, count in program_runs.items() if key[0] in programs}
     assert set(field_runs.values()) == {1}
-    # g, phi and xi at order 0 (the axioms) and all at order 1 (classify), 3 batches each
-    orders = Counter(order for _, _, order in field_runs)
-    assert orders == {0: 3 * sum(field is not struct.eta for field in run), 1: 3 * len(run)}
+    assert Counter(order for _, _, order in field_runs) == {1: 3 * len(run)}
     for field in fields:
         pairs = set()
         for pos in field._plan.positions:
@@ -502,6 +524,77 @@ def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsy
             pairs.update((sub, columns if free_variables(sub) else frozenset())
                          for sub in _subtrees(node) if not isinstance(sub, Num))
         assert len(field._plan.program) == len(pairs)
+
+
+def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeypatch, capsys, program_runs):
+    """``nullity`` runs each field's program once per batch at order 1 for the
+    axioms and ``classify``, and the metric's once per batch at order 2 in the
+    sweep of the fits.  On a cell both sweeps take the 25 samples as one
+    batch, so the fits read phi and xi from the remembered jets."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "halfspace.json"
+    save_manifold(halfspace_kenmotsu_cell(), path)
+    structures = _captured(monkeypatch, cli, "load_manifold")
+    program_runs.clear()
+    assert cli.main(["nullity", str(path)]) == cli.EXIT_PASS
+    (struct,) = structures
+    run = [field for field in (struct.metric, struct.phi, struct.xi, struct.eta) if field._plan.program.roots]
+    assert struct.metric in run and struct.phi in run and struct.xi in run
+    for field in run:
+        assert _field_orders(program_runs, field) == ({1: 1, 2: 1} if field is struct.metric else {1: 1})
+
+
+def test_sew_induced_stage_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys, program_runs):
+    """The induced stage of ``sew`` runs each sewn field's program once per
+    batch of the sewn samples, at order 1 only, for the axioms and nabla phi.
+    On the 7-dim sewn chart 100 points make 3 batches."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "halfspace.json"
+    save_manifold(halfspace_kenmotsu_cell(), path)
+    sewn = _captured(monkeypatch, cli, "sew")
+    induced = Counter()
+    build_product = cli.build_product
+
+    def product(cells):  # the induced stage has ended
+        induced.update(program_runs)
+        return build_product(cells)
+
+    monkeypatch.setattr(cli, "build_product", product)
+    argv = ["sew", str(path), "--copies", "3", "--out", str(tmp_path / "sewn.json"), "--points", "100"]
+    program_runs.clear()
+    assert cli.main(argv) == cli.EXIT_PASS
+    (struct,) = sewn
+    samples, size = sample_points(struct.chart, 100, 7), batch_size(7)
+    stacks = {np.array([s.coords for s in samples[start:start + size]]).tobytes() for start in range(0, 100, size)}
+    assert len(stacks) == 3
+    for field in (struct.metric, struct.phi, struct.xi):
+        runs = {key: count for key, count in induced.items() if key[0] == id(field._plan.program)}
+        assert {stack for _, stack, _ in runs} == stacks
+        assert set(runs.values()) == {1} and {order for _, _, order in runs} == {1}
+
+
+def test_a_jet_that_leaves_its_domain_where_its_value_does_not_stops_the_axioms(model_cell):
+    """The axioms take order-1 jets, so a component whose value is defined
+    at a sample and whose derivative is not stops the axiom sweep there: the
+    derivative of x^-2 overflows at x = 1e-154, where x^-2 is 1e308."""
+    entries = [[to_source(model_cell.metric.component((i, j))) for j in range(3)] for i in range(3)]
+    entries[0][0] = "1 + 0*x^-2"
+    metric = TensorField.build(model_cell.chart, 0, 2, entries)
+    cell = CellDefinition("jet_overflow", model_cell.chart, metric, model_cell.phi, model_cell.xi, model_cell.eta)
+    x = model_cell.chart.index_of("x")
+    coords = [0.3, 0.3, 0.3]
+    coords[x] = 1e-154
+    samples = [PointSample((0.1, 0.2, 0.3), 7, 0), PointSample(tuple(coords), 7, 1)]
+    assert np.isfinite(metric.evaluate(np.array(coords))).all()
+    with pytest.raises(SampleEvaluationError, match="overflow in power") as err:
+        validate_structure(cell, samples, 1e-9)
+    assert err.value.sample == samples[1]
 
 
 class TestStacks:

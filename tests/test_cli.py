@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sewcells
@@ -360,3 +361,120 @@ class TestCatalogCommand:
     def test_bad_parameter(self, tmp_path):
         assert main(["catalog", "model_cosymplectic", "--param", "lam=zero", "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
         assert main(["catalog", "model_cosymplectic", "--param", "lam=-1", "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
+
+
+@COMMANDS
+@pytest.mark.parametrize("entry", ["exp(400)*exp(400)*0", "exp(400)*exp(400)"], ids=["nan", "inf"])
+def test_non_finite_metric_fails_positive_definiteness(command, entry, tmp_path, monkeypatch, capsys):
+    """A NaN or infinite metric entry fails ``metric_positive_definite`` with
+    a report: no eigenvalue is taken of it (LAPACK need not converge there),
+    and the axioms' arithmetic on it warns of nothing."""
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc["metric"][1][1] = entry
+    Path("metric.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command[0], "metric.json", *command[1:], "--points", "6", "--json", "report.json"]
+    assert main(argv) == EXIT_FAIL
+    subject = json.loads(Path("report.json").read_text(encoding="utf-8"))["subjects"][0]
+    checks = subject.get("checks") or subject["sections"]["induced structure axioms"]
+    spd = next(c for c in checks if c["name"] == "metric_positive_definite")
+    assert spd["passed"] is False and math.isnan(spd["residual"])
+    captured = capsys.readouterr()
+    assert "FAIL  metric_positive_definite" in captured.out
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+
+
+def test_derivative_layers_stop_at_the_first_batch_without_a_positive_definite_metric(tmp_path, monkeypatch,
+                                                                                      capsys):
+    """The derivative layers run in the axioms' sweep only while every batch
+    so far has had a positive definite metric; once one has not, what they
+    gave is dropped and ``verify`` reports the axioms alone.  The flat cell's
+    leaf block scaled by x + 0.999 is negative only for x < -0.999: of 3000
+    samples at seed 7 the first there is sample 2848, in the fifth batch of
+    606, so the first four batches have a positive definite metric."""
+    import sewcells.cli as cli
+    from sewcells import geometry
+    from sewcells.charts import batch_size
+
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(flat_cosymplectic_cell())
+    for i in (1, 2):
+        doc["metric"][i][i] = f"(x + 0.999)*{doc['metric'][i][i]}"
+    Path("partly.json").write_text(json.dumps(doc), encoding="utf-8")
+    struct = load_manifold("partly.json")
+    samples = sample_points(struct.chart, 3000, 7)
+    size = batch_size(3)
+    x = struct.chart.index_of("x")
+    first_bad = next(i for i, s in enumerate(samples) if s.coords[x] + 0.999 <= 0.0) // size
+    assert first_bad == 4 and len(samples) > first_bad * size
+    stacks = {name: [] for name in ("covariant_derivative_affinor", "normality_tensor", "weight_fit")}
+    for name, seen in stacks.items():
+        layer = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda s, points, layer=layer, seen=seen: seen.append(points) or layer(s, points))
+
+    assert cli.main(["verify", "partly.json", "--points", "3000", "--json", "report.json"]) == EXIT_FAIL
+    before = [np.array([s.coords for s in samples[start:start + size]]) for start in range(0, first_bad * size, size)]
+    for seen in stacks.values():
+        assert len(seen) == first_bad and all(np.array_equal(a, b) for a, b in zip(seen, before))
+    out = capsys.readouterr().out
+    assert "metric not positive definite; derivative checks skipped" in out
+    assert "classification" not in out
+    subject = json.loads(Path("report.json").read_text(encoding="utf-8"))["subjects"][0]
+    assert set(subject) == {"name", "dimension", "checks", "passed"} and subject["passed"] is False
+    assert [c["name"] for c in subject["checks"] if not c["passed"]] == ["metric_positive_definite"]
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_parser_is_built_once(self):
+        from sewcells.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_convention_does_not_carry_over(self, tmp_path, capsys):
+        from sewcells.catalog import halfspace_kenmotsu_cell
+
+        path = tmp_path / "halfspace.json"
+        save_manifold(halfspace_kenmotsu_cell(), path)
+        assert main(["nullity", str(path), "--convention", "kenmotsu"]) == EXIT_PASS
+        assert "kenmotsu-h'" in capsys.readouterr().out
+        assert main(["nullity", str(path)]) == EXIT_PASS
+        out = capsys.readouterr().out
+        assert "raw-h'" in out and "kenmotsu-h'" not in out
+
+    def test_params_do_not_carry_over(self, tmp_path, capsys):
+        assert main(["catalog", "model_cosymplectic", "--param", "lam=1", "--out", str(tmp_path / "a.json")]) == EXIT_PASS
+        # without --param the entry gets no parameter, so its required lam is missing
+        assert main(["catalog", "model_cosymplectic", "--out", str(tmp_path / "b.json")]) == EXIT_INPUT
+        assert "missing 1 required positional argument: 'lam'" in capsys.readouterr().out
+        warped = ["catalog", "kenmotsu_warped", "--param", "alpha=1", "--param", "kappa0=-2"]
+        assert main([*warped, "--param", "c=1.5", "--out", str(tmp_path / "c.json")]) == EXIT_PASS
+        assert main([*warped, "--out", str(tmp_path / "d.json")]) == EXIT_PASS
+        provenance = [json.loads((tmp_path / name).read_text(encoding="utf-8"))["provenance"]
+                      for name in ("a.json", "c.json", "d.json")]
+        assert [p["parameters"] for p in provenance] == [
+            {"lam": 1.0}, {"alpha": 1.0, "kappa0": -2.0, "c": 1.5}, {"alpha": 1.0, "kappa0": -2.0}]
+
+    def test_help_version_and_usage_errors_change_nothing(self, model_file, tmp_path, capsys):
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["verify", str(model_file), "--json", str(first)]) == EXIT_PASS
+        before = capsys.readouterr().out
+        for argv, status in ((["--help"], 0), (["verify", "--help"], 0), (["--version"], 0),
+                             (["verify", str(model_file), "--points", "x"], 2), (["frobnicate"], 2)):
+            assert main(argv) == status
+        capsys.readouterr()
+        assert main(["verify", str(model_file), "--json", str(second)]) == EXIT_PASS
+        after = capsys.readouterr().out
+        assert first.read_bytes() == second.read_bytes()
+        drop_elapsed = lambda text: [line for line in text.splitlines() if not line.startswith(("elapsed", "machine"))]
+        assert drop_elapsed(before) == drop_elapsed(after)
+
+    def test_command_is_looked_up_when_it_runs(self, model_file, monkeypatch, capsys):
+        import sewcells.cli as cli
+
+        assert cli.main(["verify", str(model_file)]) == EXIT_PASS
+        calls = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.files) or 42)
+        assert cli.main(["verify", str(model_file)]) == 42
+        assert calls == [[model_file]]
