@@ -174,11 +174,11 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
 
 
 def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
-    """nabla phi on one batch, reduced before it is freed: its largest
-    magnitude, and per sample those of nabla_xi phi and nabla_xi xi, which
-    the Reeb-parallelism checks read."""
+    """nabla phi on one batch, reduced per sample before it is freed: its
+    largest magnitude, and those of nabla_xi phi and nabla_xi xi, which the
+    Reeb-parallelism checks read."""
     derivative = covariant_derivative_affinor(struct, points)
-    return np.abs(derivative.nablaphi).max(), derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
+    return _max_abs(derivative.nablaphi, 3), derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
 
 
 def reeb_derivatives(results) -> tuple[float, float]:
@@ -331,12 +331,13 @@ def weight_fit(struct: ContactStructure, point):
 
 
 def classify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
-    """``classify``'s layers on one batch, each reduced before the next runs,
-    which frees its (n, n, n) arrays: ``reeb_layer``, the largest magnitude of
-    the normality tensor, and the weights and fit residuals of ``weight_fit``
-    per sample.  They share the fields' remembered jets
+    """``classify``'s layers on one batch, each reduced per sample before the
+    next runs, which frees its (n, n, n) arrays: ``reeb_layer``, the largest
+    magnitude of the normality tensor, and the weights and fit residuals of
+    ``weight_fit``.  So the results of a stack of samples slice into those of
+    its rows.  The layers share the fields' remembered jets
     (``TensorField.evaluate_with_jets``), so each field's program runs once."""
-    return (*reeb_layer(struct, points), np.abs(normality_tensor(struct, points)).max(),
+    return (*reeb_layer(struct, points), _max_abs(normality_tensor(struct, points), 3),
             *weight_fit(struct, points))
 
 
@@ -366,8 +367,8 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     else:
         kind, alpha = WEIGHT_FUNCTION, None
     return Classification(kind, alpha, tuple(arr.tolist()), fit.value,
-                          Residual("nabla_phi", tol).add(np.array(nabla_phi)).passed,
-                          xi_phi, xi_xi, Residual("normality", tol).add(np.array(torsion)).value)
+                          Residual("nabla_phi", tol).add(np.concatenate(nabla_phi)).passed,
+                          xi_phi, xi_xi, Residual("normality", tol).add(np.concatenate(torsion)).value)
 
 
 # ---------------------------------------------------------------------------

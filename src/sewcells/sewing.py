@@ -81,6 +81,7 @@ from .geometry import (
     Classification,
     christoffel,
     classify,
+    classify_layers,
     exterior_derivative,
     lie_bracket,
     numeric_rank,
@@ -92,7 +93,6 @@ from .nullity import (
     check_generalized,
     fit_nullity,
     normalized,
-    nullity_fits,
 )
 
 _ADAPTED_PROBE_TOL = 1e-12
@@ -712,26 +712,33 @@ def verify_sewing_theorems(
     Every sample is fitted once, in the raw convention; when cells and sewn
     structure are both almost alpha-Kenmotsu, the convention comparison reads
     the normalized h' convention off those fits through ``nullity.normalized``.
+
+    Each structure's samples are walked once (``_sweep``): the sewn chart's
+    in one sweep that classifies, fits and folds the operator laws batch by
+    batch, and each distinct cell definition's in one sweep over the
+    projected samples of all its blocks (``_block_sweeps``).  The sewn sweep
+    runs first, so a domain error that both would meet is reported from the
+    sewn samples.
     """
     cells = product.cells
     k = product.cell_count
-    e_mat = embedding_matrix(product, sewn)
     copies = all(_same_definition(cell, cells[0]) for cell in cells[1:])
+    laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS) if copies else ()
 
-    product_points = np.array([s.coords for s in samples]) @ e_mat.T
+    # first: the cell sweep's remembered jets on its stack would otherwise stay alive under this one
+    sewn_results, sewn_fits = _sweep(sewn, samples, copies, laws)
+    sewn_class = classify(sewn, samples, tol, sewn_results)
+
+    product_points = np.array([s.coords for s in samples]) @ embedding_matrix(product, sewn).T
     cell_samples = [
         [PointSample(tuple(p), s.seed, s.draw) for p, s in zip(product_points[:, list(block)].tolist(), samples)]
         for block in product.blocks
     ]
-
-    cell_class = classify(cells[0], cell_samples[0], tol)
-    sewn_class = classify(sewn, samples, tol)
+    blocks = _block_sweeps(cells, cell_samples, tol, copies)
+    cell_class = blocks[0][0]
 
     checks: list[CheckResult] = []
-    agree = all(
-        classify(cell, points, tol).kind == cell_class.kind
-        for cell, points in zip(cells[1:], cell_samples[1:])
-    )
+    agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,
                               note=cell_class.describe()))
     if cell_class.kind == ALMOST_COSYMPLECTIC:
@@ -759,17 +766,7 @@ def verify_sewing_theorems(
         kappa = Residual("kappa_transfer", tol, note=f"kappa -> kappa/{k}")
         mu = Residual("mu_transfer", tol, note=f"mu -> mu/sqrt({k}), raw convention")
         muprime = Residual("muprime_transfer", tol, note=f"mu' -> mu'/sqrt({k}), raw convention")
-        laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS)
-        sewn_fits: list[NullityFit] = []
-
-        def fits_and_values(points):
-            return fit_nullity(sewn, points), sewn.values_at(points)
-
-        for _, (fits, (g, phi, xi, _)) in evaluate_batches(samples, sewn.dim, fits_and_values, (sewn.metric,)):
-            sewn_fits.extend(fits)
-            _add_operator_laws(laws, g, phi, xi, fits)
-        cell_fits = [nullity_fits(cell, points) for cell, points in zip(cells, cell_samples)]
-        for s, sewn_fit, *row in zip(samples, sewn_fits, *cell_fits):
+        for s, sewn_fit, *row in zip(samples, sewn_fits, *(fits for _, fits in blocks)):
             fit_residuals.add(sewn_fit.residual)
             for cf in row:
                 fit_residuals.add(cf.residual)
@@ -795,6 +792,49 @@ def verify_sewing_theorems(
         generalized=generalized,
         convention_comparison=comparison,
     )
+
+
+def _sweep(struct: ContactStructure, samples: Sequence[PointSample], fit: bool,
+           laws: Sequence[Residual] = ()) -> tuple[list, list[NullityFit]]:
+    """``classify_layers``' results batch by batch and, when ``fit``, the
+    nullity fits in sample order, from one sweep over ``samples``.  With the
+    fits the batches also fit the fold of the metric's Hessians, and on each
+    batch the fit runs first: its order-2 jet of the metric serves the
+    order-1 one of the layers (``TensorField.evaluate_with_jets``).  Each
+    batch's fits are folded into ``laws`` (``_add_operator_laws``) with the
+    values of g, phi and xi there, which no later batch keeps."""
+    def batch(points):
+        fits = fit_nullity(struct, points) if fit else []
+        layers = classify_layers(struct, points)
+        if laws:
+            g, phi, xi, _ = struct.values_at(points)
+            _add_operator_laws(laws, g, phi, xi, fits)
+        return layers, fits
+
+    swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, (struct.metric,) if fit else ())]
+    return [layers for layers, _ in swept], [f for _, fits in swept for f in fits]
+
+
+def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Sequence[PointSample]],
+                  tol: float, fit: bool) -> list[tuple[Classification, list[NullityFit]]]:
+    """Each block's classification and, when ``fit``, its nullity fits: the
+    blocks whose cells share a definition (``_same_definition``) run one
+    ``_sweep`` over their samples stacked in block order, on the first of
+    their cells, and its per-sample results are sliced back into blocks.
+    Every block has as many samples."""
+    groups: dict[int, list[int]] = {}  # first block of a definition -> its blocks
+    for b, cell in enumerate(cells):
+        groups.setdefault(next((a for a in groups if _same_definition(cells[a], cell)), b), []).append(b)
+    per_block = len(cell_samples[0])
+    blocks: list = [None] * len(cells)
+    for first, members in groups.items():
+        cell = cells[first]
+        results, fits = _sweep(cell, [s for b in members for s in cell_samples[b]], fit)
+        columns = [np.concatenate(column) for column in zip(*results)]
+        for j, b in enumerate(members):
+            rows = slice(j * per_block, (j + 1) * per_block)
+            blocks[b] = classify(cell, cell_samples[b], tol, [tuple(c[rows] for c in columns)]), fits[rows]
+    return blocks
 
 
 _OPERATOR_LAWS = (

@@ -552,6 +552,101 @@ class TestTheorems:
         assert ab.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
 
+def _spy(monkeypatch, module, name, calls, record):
+    """Rebind ``module.name`` so that each call also appends ``record(args, result)`` to ``calls``."""
+    original = getattr(module, name)
+
+    def spied(*args):
+        result = original(*args)
+        calls.append(record(args, result))
+        return result
+
+    monkeypatch.setattr(module, name, spied)
+
+
+class TestTheoremSweeps:
+    """The theorem stage walks each structure's samples once: the sewn chart's
+    in the batches of its metric's Hessian fold, and each distinct cell
+    definition's over the projected samples of all its blocks, stacked in
+    block order, whose per-sample results are sliced back into blocks."""
+
+    @pytest.fixture
+    def layer_calls(self, monkeypatch):
+        """(layer, dimension, stack shape) of every ``classify_layers`` and
+        ``fit_nullity`` call through the bindings of ``sewing``, which only
+        the theorem stage uses."""
+        calls = []
+        for name in ("fit_nullity", "classify_layers"):
+            _spy(monkeypatch, sewing, name, calls, lambda args, _, name=name: (name, args[0].dim, args[1].shape))
+        return calls
+
+    @staticmethod
+    def assert_blocks_are_their_own(cells, cell_samples, tol, blocks, fit):
+        """Each block's sliced classification and fits equal those of the
+        block's samples swept alone, field by field and bit for bit."""
+        from sewcells.geometry import classify
+        from sewcells.nullity import nullity_fits
+
+        assert len(blocks) == len(cells)
+        for cell, samples, (classification, fits) in zip(cells, cell_samples, blocks):
+            assert classification == classify(cell, samples, tol)
+            if not fit:
+                assert fits == []
+                continue
+            own = nullity_fits(cell, samples)
+            assert len(fits) == len(own)
+            for got, want in zip(fits, own):
+                for name in ("kappa", "mu", "muprime", "residual", "h_norm", "determinate_mu"):
+                    assert getattr(got, name) == getattr(want, name), name
+                np.testing.assert_array_equal(got.h, want.h)
+                np.testing.assert_array_equal(got.hprime, want.hprime)
+
+    def test_sew_walks_the_sewn_chart_then_the_stacked_cells(self, kenmotsu_cell, layer_calls, tmp_path,
+                                                             monkeypatch, capsys):
+        """``sew --copies 4`` at 25 points: the sewn chart (n = 9) in fold
+        batches of 22 and 3 samples, then the four blocks' 100 projected
+        samples as one stack, each batch fitted and classified once."""
+        from sewcells import cli
+        from sewcells.charts import batch_size
+
+        monkeypatch.chdir(tmp_path)
+        save_manifold(kenmotsu_cell, "warped.json")
+        swept = []
+        _spy(monkeypatch, sewing, "_block_sweeps", swept, lambda args, result: (*args, result))
+        assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
+        assert batch_size(9, (sew([kenmotsu_cell] * 4).metric,)) == 22
+        assert layer_calls == [
+            (name, 9, (rows, 9)) for rows in (22, 3) for name in ("fit_nullity", "classify_layers")
+        ] + [("fit_nullity", 3, (100, 3)), ("classify_layers", 3, (100, 3))]
+        ((cells, cell_samples, tol, fit, blocks),) = swept
+        assert fit and [len(samples) for samples in cell_samples] == [25] * 4
+        self.assert_blocks_are_their_own(cells, cell_samples, tol, blocks, fit)
+
+    def test_blocks_straddling_fold_batches(self, halfspace_cell, layer_calls):
+        """16 halfspace blocks of 25 samples: the 400-row stack runs in fold
+        batches of 182, 182 and 36 rows, so blocks 7 and 14 span two."""
+        from sewcells.charts import batch_size, nullity_samples
+
+        cells = [halfspace_cell] * 16
+        cell_samples = [nullity_samples(halfspace_cell.chart, 25, seed) for seed in range(16)]
+        blocks = sewing._block_sweeps(cells, cell_samples, 1e-8, True)
+        assert batch_size(3, (halfspace_cell.metric,)) == 182
+        assert layer_calls == [(name, 3, (rows, 3)) for rows in (182, 182, 36)
+                               for name in ("fit_nullity", "classify_layers")]
+        self.assert_blocks_are_their_own(cells, cell_samples, 1e-8, blocks, True)
+
+    def test_each_distinct_cell_is_swept_once(self, model_cell, flat_cell, layer_calls):
+        """Blocks of distinct cells are not copies, so nothing is fitted, and
+        each cell definition sweeps the stack of its own blocks."""
+        from sewcells.charts import nullity_samples
+
+        cells = [model_cell, flat_cell, model_cell]
+        cell_samples = [nullity_samples(model_cell.chart, 25, seed) for seed in range(3)]
+        blocks = sewing._block_sweeps(cells, cell_samples, 1e-8, False)
+        assert layer_calls == [("classify_layers", 3, (50, 3)), ("classify_layers", 3, (25, 3))]
+        self.assert_blocks_are_their_own(cells, cell_samples, 1e-8, blocks, False)
+
+
 class TestTransformedFrameTables:
     """The sewn halfspace pair in the rotated frame.
 
