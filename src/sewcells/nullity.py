@@ -17,9 +17,12 @@ multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 
 ``fit_nullity`` takes one point or a stack of points.  At a stack it builds
 ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi), ``h`` and the design
-matrices of every sample at once and runs only the least-squares solve per
-sample; ``nullity_fits`` feeds it a sample set in batches that the fold of
-the metric's Hessians also fits (see ``charts.evaluate_batches``).
+matrices of every sample at once, and solves all their least-squares
+problems with one batched SVD; a sample whose design or curvature is not
+finite gets NaN constants instead of failing the stack.  ``nullity_fits``
+feeds it a sample set in batches that the fold of the metric's Hessians also
+fits (see ``charts.evaluate_batches``), as does the theorem stage of ``sew``
+(``sewing.verify_sewing_theorems``), which classifies on the same batches.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ def normalized(fit: NullityFit, alpha: float) -> NullityFit:
 
 def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]:
     n = struct.dim
+    i, j = np.triu_indices(n, 1)
     xi = struct.xi.evaluate(points)
-    rxi = riemann(struct.metric, points, xi)[1]  # rxi[p, l, i, j] = (R(e_i, e_j) xi)^l
+    # rxi[p, l, pair] = (R(e_i, e_j) xi)^l for the pairs i < j; the (n, n, n) curvature is freed here
+    rxi = riemann(struct.metric, points, xi)[1][:, :, i, j]
     eta = struct.eta.evaluate(points)
     tensors = h_tensor(struct, points)
     h, hp = tensors.h, tensors.hprime
@@ -88,7 +93,6 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]
 
     # one row per pair i < j and component l, pair-major: the l-th component of
     # R(e_i, e_j) xi against that of each basis vector
-    i, j = np.triu_indices(n, 1)
     rows = len(i) * n
 
     def flat(v: np.ndarray) -> np.ndarray:
@@ -99,29 +103,55 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]
         """``eta(e_j) op(e_i) - eta(e_i) op(e_j)`` for every pair."""
         return flat(eta[:, None, j] * op[:, :, i] - eta[:, None, i] * op[:, :, j])
 
-    b = flat(rxi[:, :, i, j])
+    b = flat(rxi)
     design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
-    return [_solve(design[p], b[p], h_norm, h[p], hp[p]) for p, h_norm in enumerate(h_norms.tolist())]
+    return [NullityFit(*row, h_norm, not h_norm <= H_DEGENERACY_THRESHOLD, h[p], hp[p])
+            for p, (row, h_norm) in enumerate(zip(_solve_stack(design, b, h_norms).tolist(), h_norms.tolist()))]
 
 
-def _solve(a: np.ndarray, b: np.ndarray, h_norm: float, h: np.ndarray, hp: np.ndarray) -> NullityFit:
-    """The least-squares fit at one sample from its design matrix ``a`` (one
-    column per constant) and right-hand side ``b``."""
-    if h_norm <= H_DEGENERACY_THRESHOLD:
-        a_kappa = a[:, 0]
-        denom = float(a_kappa @ a_kappa)
-        kappa = float(a_kappa @ b) / denom if denom > 0.0 else 0.0
-        residual = float(np.linalg.norm(b - kappa * a_kappa))
-        return NullityFit(kappa, 0.0, 0.0, residual, h_norm, False, h, hp)
+def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray) -> np.ndarray:
+    """``[p] = (kappa, mu, mu', residual)``: the least-squares fit of ``b[p]``
+    against the columns of ``design[p]``, all samples in one batched SVD.
 
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 3:
-        raise NullityFitError(
-            f"degenerate nullity fit (rank {rank}) with |h| = {h_norm:.3e}"
-        )
-    kappa, mu, muprime = (float(v) for v in solution)
-    residual = float(np.linalg.norm(b - a @ solution))
-    return NullityFit(kappa, mu, muprime, residual, h_norm, True, h, hp)
+    The solution is ``V S^+ U^T b`` over the singular values above the
+    default cutoff of ``np.linalg.lstsq``, ``eps max(rows, 3) s_max``, which
+    also gives the rank.  Where ``|h|`` is at most ``H_DEGENERACY_THRESHOLD``
+    only kappa is fitted, from the first column, and mu = mu' = 0; where it
+    is above and the rank is below 3, ``NullityFitError`` names the first
+    such sample.  A sample with a non-finite entry in its design or in its
+    ``b`` is left out of the SVD, which would fail for the whole stack, and
+    gets NaN throughout; its rows of ``design`` and ``b`` are zeroed in place."""
+    rows, cols = design.shape[1:]
+    finite = np.isfinite(design).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    design[~finite] = 0.0
+    b[~finite] = 0.0
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(rows, cols) * s[:, :1]
+    rank = kept.sum(axis=1)
+    determinate = ~(h_norms <= H_DEGENERACY_THRESHOLD)
+    degenerate = np.flatnonzero(finite & determinate & (rank < cols))
+    if degenerate.size:
+        first = degenerate[0]
+        raise NullityFitError(f"degenerate nullity fit (rank {rank[first]}) with |h| = {h_norms[first]:.3e}")
+    ub = (np.swapaxes(u, 1, 2) @ b[:, :, None])[:, :, 0]
+    del u  # as large as the design
+    solution = (np.swapaxes(vt, 1, 2) @ np.divide(ub, s, out=np.zeros_like(ub), where=kept)[:, :, None])[:, :, 0]
+    # kappa alone: the first column's projection, 0 where that column vanishes
+    a_kappa = design[:, :, 0]
+    denom = _dots(a_kappa, a_kappa)
+    kappa_only = np.zeros_like(solution)
+    np.divide(_dots(a_kappa, b), denom, out=kappa_only[:, 0], where=denom > 0.0)
+    solution = np.where(determinate[:, None], solution, kappa_only)
+    b -= (design @ solution[:, :, None])[:, :, 0]  # the residual vectors
+    solved = np.concatenate([solution, np.sqrt(_dots(b, b))[:, None]], axis=1)
+    solved[~finite] = np.nan
+    return solved
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``x`` with that of ``y``, summed as
+    ``x[p] @ y[p]`` sums it."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell
 from sewcells.charts import ChartError, sample_points, sample_points_grouped
 from sewcells.geometry import classify, h_tensor, riemann
 from sewcells.manifold_io import load_manifold, save_manifold
-from sewcells.nullity import check_generalized, fit_nullity, normalized
+from sewcells.nullity import NullityFitError, _solve_stack, check_generalized, fit_nullity, normalized
 from sewcells.sewing import sew
 
 
@@ -200,3 +202,85 @@ class TestGeneralized:
         samples = sample_points(model_cell.chart, 10, 7)  # no shared t values
         with pytest.raises(ValueError):
             generalized(model_cell, samples)
+
+
+def _designs(seed: int, count: int, rows: int, dependence: float = 1.0):
+    """``count`` random designs (rows, 3) and right-hand sides; the third
+    column is the second plus ``dependence`` times noise, so a small
+    ``dependence`` makes the designs nearly rank-deficient."""
+    rng = np.random.default_rng(seed)
+    design = rng.normal(size=(count, rows, 3))
+    design[:, :, 2] = design[:, :, 1] + dependence * rng.normal(size=(count, rows))
+    return design, rng.normal(size=(count, rows))
+
+
+def _parent_kappa_only(a, b):
+    """The kappa-only fit of one sample as it was solved one sample at a time."""
+    a_kappa = a[:, 0]
+    denom = float(a_kappa @ a_kappa)
+    kappa = float(a_kappa @ b) / denom if denom > 0.0 else 0.0
+    return kappa, float(np.linalg.norm(b - kappa * a_kappa))
+
+
+class TestBatchedSolve:
+    """``_solve_stack`` solves every sample's least squares in one batched SVD."""
+
+    @staticmethod
+    def assert_matches_lstsq(design, b, solved):
+        """Each row against ``np.linalg.lstsq``: (kappa, mu, mu') to 1e-12 of
+        their largest magnitude, and the residual |b - A x| to 1e-12 of the
+        terms it cancels from, |b| + |A| |x|."""
+        for a, rhs, got in zip(design, b, solved):
+            x, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+            assert rank == 3
+            assert np.abs(got[:3] - x).max() <= 1e-12 * np.abs(x).max()
+            scale = np.linalg.norm(rhs) + np.linalg.norm(a) * np.linalg.norm(x)
+            assert abs(got[3] - np.linalg.norm(rhs - a @ x)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("rows", [9, 324, 1014], ids=["cell", "sewn-k4", "sewn-k6"])
+    @pytest.mark.parametrize("dependence", [1.0, 1e-4], ids=["generic", "near-deficient"])
+    def test_matches_lstsq(self, rows, dependence):
+        design, b = _designs(rows, 12, rows, dependence)
+        solved = _solve_stack(design.copy(), b.copy(), np.ones(len(b)))
+        self.assert_matches_lstsq(design, b, solved)
+
+    # the rows of a fit on 3, 5, 7 and 9 dimensions; a least-squares solution moves with the
+    # square of the condition number, so the drawn designs keep it below about 1e3
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([9, 50, 147, 324]),
+           st.floats(-2.0, 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lstsq_on_drawn_designs(self, seed, count, rows, log_dependence):
+        design, b = _designs(seed, count, rows, 10.0 ** log_dependence)
+        design *= np.random.default_rng(seed).uniform(0.1, 10.0, size=(count, 1, 1))
+        solved = _solve_stack(design.copy(), b.copy(), np.ones(count))
+        self.assert_matches_lstsq(design, b, solved)
+
+    def test_kappa_only_rows_keep_the_single_sample_formula(self):
+        design, b = _designs(5, 6, 9)
+        design[2, :, 0] = 0.0  # no kappa column: kappa is 0
+        design[4, :, 1:] = 0.0  # rank 1: only kappa is fitted, so no error
+        h_norms = np.array([1.0, 1e-9, 0.0, 1.0, 1e-8, 0.0])
+        solved = _solve_stack(design.copy(), b.copy(), h_norms)
+        for p in (1, 2, 4, 5):
+            assert (solved[p, 0], solved[p, 3]) == _parent_kappa_only(design[p], b[p])
+            assert solved[p, 1] == solved[p, 2] == 0.0
+        self.assert_matches_lstsq(design[[0, 3]], b[[0, 3]], solved[[0, 3]])
+
+    def test_error_names_the_first_rank_deficient_row(self):
+        design, b = _designs(6, 6, 9)
+        for p in (1, 3, 5):
+            design[p, :, 2] = design[p, :, 1]
+        h_norms = np.array([1.0, 1e-9, 1.0, 2.5, 1.0, 4.0])  # row 1 fits kappa alone
+        with pytest.raises(NullityFitError, match=r"^degenerate nullity fit \(rank 2\) with \|h\| = 2\.500e\+00$"):
+            _solve_stack(design, b, h_norms)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["design", "b"])
+    def test_non_finite_row_is_nan_and_leaves_the_others(self, entry, where, capfd):
+        design, b = _designs(7, 5, 36)
+        clean = _solve_stack(design.copy(), b.copy(), np.ones(5))
+        (design if where == "design" else b)[2, 3] = entry
+        solved = _solve_stack(design, b, np.ones(5))  # a RuntimeWarning would fail here
+        assert np.isnan(solved[2]).all()
+        np.testing.assert_array_equal(np.delete(solved, 2, axis=0), np.delete(clean, 2, axis=0))
+        assert capfd.readouterr() == ("", "")  # LAPACK writes its complaints to the stderr descriptor
