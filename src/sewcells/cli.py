@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -349,11 +350,23 @@ def _int_between(low: int, high: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--points", type=_int_between(1, MAX_POINTS), default=DEFAULT_POINTS,
                         help=f"sample count, at most {MAX_POINTS} (default {DEFAULT_POINTS})")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 7)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance (default 1e-8)")
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help="tolerance, a finite number at least 0 (default 1e-8)")
     parser.add_argument("--json", type=Path, default=None, help="write the machine report here")
 
 

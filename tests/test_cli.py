@@ -335,6 +335,29 @@ def test_largest_counts_parse(model_file):
 
 
 @COMMANDS
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_not_negative(command, tol, model_file, tmp_path, monkeypatch, capsys):
+    """A NaN or negative tolerance fails every check of a valid cell, and an
+    infinite one passes every check of a broken one: all are usage errors."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], str(model_file), *command[1:], "--tol", tol, "--json", "report.json"]
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert "usage:" in err and f"--tol: must be a finite number at least 0, got {tol}" in err
+    assert "Traceback" not in err and not out
+    assert not Path("sewn.json").exists() and not Path("report.json").exists()
+
+
+def test_zero_tolerance_is_accepted(model_file, capsys):
+    from sewcells.cli import build_parser
+
+    assert build_parser().parse_args(["verify", str(model_file), "--tol", "0"]).tol == 0.0
+    # roundoff residuals fail against 0, but the command runs
+    assert main(["verify", str(model_file), "--tol", "0"]) in (EXIT_PASS, EXIT_FAIL)
+    assert "usage:" not in capsys.readouterr().err
+
+
+@COMMANDS
 def test_unsampleable_domain_is_an_input_error(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = structure_to_dict(model_cosymplectic_cell(1.0))
