@@ -30,10 +30,12 @@ them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``,
 sweep (``charts.validate_structure``), which takes the order-1 jets of g,
 phi, xi and eta on each batch; as a field remembers its last jet
 (``TensorField.evaluate_with_jets``), each field's program runs once per
-batch for the axioms and these layers together.  ``classify`` and
-``reeb_derivatives`` reduce the layers' results over the batches, and
-``classify`` runs ``classify_layers`` in a sweep of its own where no axiom
-sweep took them (the theorem stage of ``sew``).
+batch for the axioms and these layers together; the theorem stage of
+``sew`` runs them in its sweeps of the nullity fits.  The layers reduce
+their results per sample, so the results of a stack slice into those of its
+rows, and ``classify`` and ``reeb_derivatives`` reduce them over the
+batches; given no results, ``classify`` runs ``classify_layers`` in a sweep
+of its own.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -349,8 +351,9 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     no such weight exists and the result is unclassified, as it is in any
     dimension when the residual is not finite.  ``results`` are those of
     ``classify_layers`` on the batches of ``samples``, as the axiom sweep
-    (``charts.validate_structure``) takes them; without them ``classify``
-    runs ``classify_layers`` in a sweep of its own.
+    (``charts.validate_structure``) or the theorem stage of ``sew`` takes
+    them, or those rows of a larger stack's results that are ``samples``;
+    without them ``classify`` runs ``classify_layers`` in a sweep of its own.
     """
     if results is None:
         results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points))]

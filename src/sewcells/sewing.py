@@ -50,7 +50,9 @@ brackets of a 3-dimensional block, the curvature along the Reeb field and
 the nullity fits of the sewn chart; the curvature sweeps name the metrics
 whose Hessians they fold, so that their batches fit the fold too.  The
 brackets of all pairs of a block's affinor-image fields come from one
-``lie_bracket`` call on the block of the affinor.
+``lie_bracket`` call on the block of the affinor.  The theorem stage walks
+the samples of the sewn chart once, and those of each distinct cell
+definition once, over the projected samples of all its blocks.
 """
 
 from __future__ import annotations
@@ -713,12 +715,12 @@ def verify_sewing_theorems(
     structure are both almost alpha-Kenmotsu, the convention comparison reads
     the normalized h' convention off those fits through ``nullity.normalized``.
 
-    Each structure's samples are walked once (``_sweep``): the sewn chart's
-    in one sweep that classifies, fits and folds the operator laws batch by
-    batch, and each distinct cell definition's in one sweep over the
-    projected samples of all its blocks (``_block_sweeps``).  The sewn sweep
-    runs first, so a domain error that both would meet is reported from the
-    sewn samples.
+    Each structure's samples are walked once (``_classify_sets``): the sewn
+    chart's in one sweep that classifies, fits and folds the operator laws
+    batch by batch, and each distinct cell definition's in one sweep over
+    the projected samples of all its blocks (``_block_sweeps``).  The sewn
+    sweep runs first, so a domain error that both would meet is reported
+    from the sewn samples.
     """
     cells = product.cells
     k = product.cell_count
@@ -726,8 +728,7 @@ def verify_sewing_theorems(
     laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS) if copies else ()
 
     # first: the cell sweep's remembered jets on its stack would otherwise stay alive under this one
-    sewn_results, sewn_fits = _sweep(sewn, samples, copies, laws)
-    sewn_class = classify(sewn, samples, tol, sewn_results)
+    ((sewn_class, sewn_fits),) = _classify_sets(sewn, [samples], tol, copies, laws)
 
     product_points = np.array([s.coords for s in samples]) @ embedding_matrix(product, sewn).T
     cell_samples = [
@@ -736,9 +737,11 @@ def verify_sewing_theorems(
     ]
     blocks = _block_sweeps(cells, cell_samples, tol, copies)
     cell_class = blocks[0][0]
+    agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
+    cell_fits = [fits for _, fits in blocks]
+    del product_points, blocks  # the fits and samples stay; the coordinates and other classifications go
 
     checks: list[CheckResult] = []
-    agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,
                               note=cell_class.describe()))
     if cell_class.kind == ALMOST_COSYMPLECTIC:
@@ -766,7 +769,7 @@ def verify_sewing_theorems(
         kappa = Residual("kappa_transfer", tol, note=f"kappa -> kappa/{k}")
         mu = Residual("mu_transfer", tol, note=f"mu -> mu/sqrt({k}), raw convention")
         muprime = Residual("muprime_transfer", tol, note=f"mu' -> mu'/sqrt({k}), raw convention")
-        for s, sewn_fit, *row in zip(samples, sewn_fits, *(fits for _, fits in blocks)):
+        for s, sewn_fit, *row in zip(samples, sewn_fits, *cell_fits):
             fit_residuals.add(sewn_fit.residual)
             for cf in row:
                 fit_residuals.add(cf.residual)
@@ -794,15 +797,17 @@ def verify_sewing_theorems(
     )
 
 
-def _sweep(struct: ContactStructure, samples: Sequence[PointSample], fit: bool,
-           laws: Sequence[Residual] = ()) -> tuple[list, list[NullityFit]]:
-    """``classify_layers``' results batch by batch and, when ``fit``, the
-    nullity fits in sample order, from one sweep over ``samples``.  With the
-    fits the batches also fit the fold of the metric's Hessians, and on each
-    batch the fit runs first: its order-2 jet of the metric serves the
-    order-1 one of the layers (``TensorField.evaluate_with_jets``).  Each
-    batch's fits are folded into ``laws`` (``_add_operator_laws``) with the
-    values of g, phi and xi there, which no later batch keeps."""
+def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Sequence[PointSample]], tol: float,
+                   fit: bool, laws: Sequence[Residual] = ()) -> list[tuple[Classification, list[NullityFit]]]:
+    """The classification and, when ``fit``, the nullity fits of each of
+    ``sample_sets``, which hold as many samples each, from one sweep over
+    their concatenation.  The per-sample results of ``classify_layers`` are
+    sliced back into the sets.  With the fits the batches also fit the fold
+    of the metric's Hessians, and on each batch the fit runs first: its
+    order-2 jet of the metric serves the order-1 one of the layers
+    (``TensorField.evaluate_with_jets``).  Each batch's fits are folded into
+    ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
+    there, which no later batch keeps."""
     def batch(points):
         fits = fit_nullity(struct, points) if fit else []
         layers = classify_layers(struct, points)
@@ -811,29 +816,30 @@ def _sweep(struct: ContactStructure, samples: Sequence[PointSample], fit: bool,
             _add_operator_laws(laws, g, phi, xi, fits)
         return layers, fits
 
-    swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, (struct.metric,) if fit else ())]
-    return [layers for layers, _ in swept], [f for _, fits in swept for f in fits]
+    stacked = [sample for sample_set in sample_sets for sample in sample_set]
+    swept = [out for _, out in evaluate_batches(stacked, struct.dim, batch, (struct.metric,) if fit else ())]
+    columns = [np.concatenate(column) for column in zip(*(layers for layers, _ in swept))]
+    fits = [f for _, batch_fits in swept for f in batch_fits]
+    size = len(sample_sets[0])
+    return [(classify(struct, sample_set, tol, [tuple(c[start:start + size] for c in columns)]),
+             fits[start:start + size])
+            for start, sample_set in zip(range(0, len(stacked), size), sample_sets)]
 
 
 def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Sequence[PointSample]],
                   tol: float, fit: bool) -> list[tuple[Classification, list[NullityFit]]]:
     """Each block's classification and, when ``fit``, its nullity fits: the
     blocks whose cells share a definition (``_same_definition``) run one
-    ``_sweep`` over their samples stacked in block order, on the first of
-    their cells, and its per-sample results are sliced back into blocks.
-    Every block has as many samples."""
+    ``_classify_sets`` over their samples, stacked in block order, on the
+    first of their cells."""
     groups: dict[int, list[int]] = {}  # first block of a definition -> its blocks
     for b, cell in enumerate(cells):
         groups.setdefault(next((a for a in groups if _same_definition(cells[a], cell)), b), []).append(b)
-    per_block = len(cell_samples[0])
     blocks: list = [None] * len(cells)
     for first, members in groups.items():
-        cell = cells[first]
-        results, fits = _sweep(cell, [s for b in members for s in cell_samples[b]], fit)
-        columns = [np.concatenate(column) for column in zip(*results)]
-        for j, b in enumerate(members):
-            rows = slice(j * per_block, (j + 1) * per_block)
-            blocks[b] = classify(cell, cell_samples[b], tol, [tuple(c[rows] for c in columns)]), fits[rows]
+        swept = _classify_sets(cells[first], [cell_samples[b] for b in members], tol, fit)
+        for b, result in zip(members, swept):
+            blocks[b] = result
     return blocks
 
 
