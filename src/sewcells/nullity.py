@@ -83,7 +83,8 @@ def normalized(fit: NullityFit, alpha: float) -> NullityFit:
 def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]:
     n = struct.dim
     i, j = np.triu_indices(n, 1)
-    xi = struct.xi.evaluate(points)
+    # xi's order-1 jet, remembered for h_tensor below; its gradients are only (n, n) per sample
+    xi = struct.xi.evaluate_with_grads(points)[0]
     # rxi[p, l, pair] = (R(e_i, e_j) xi)^l for the pairs i < j; the (n, n, n) curvature is freed here
     rxi = riemann(struct.metric, points, xi)[1][:, :, i, j]
     eta = struct.eta.evaluate(points)
