@@ -739,7 +739,7 @@ def verify_sewing_theorems(
     cell_class = blocks[0][0]
     agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
     cell_fits = [fits for _, fits in blocks]
-    del product_points, blocks  # the fits and samples stay; the coordinates and other classifications go
+    del product_points, cell_samples, blocks  # below, only the fits and cell_class are read
 
     checks: list[CheckResult] = []
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,
