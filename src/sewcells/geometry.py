@@ -31,11 +31,11 @@ sweep (``charts.validate_structure``), which takes the order-1 jets of g,
 phi, xi and eta on each batch; as a field remembers its last jet
 (``TensorField.evaluate_with_jets``), each field's program runs once per
 batch for the axioms and these layers together; the theorem stage of
-``sew`` runs them in its sweeps of the nullity fits.  The layers reduce
-their results per sample, so the results of a stack slice into those of its
-rows, and ``classify`` and ``reeb_derivatives`` reduce them over the
-batches; given no results, ``classify`` runs ``classify_layers`` in a sweep
-of its own.
+``sew`` runs them in sweeps of its own, next to the nullity fits.  The
+layers reduce their results per sample, so the results of a stack slice
+into those of its rows, and ``classify`` and ``reeb_derivatives`` reduce
+them over the batches; given no results, ``classify`` runs
+``classify_layers`` in a sweep of its own.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole

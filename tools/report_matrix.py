@@ -7,8 +7,10 @@ OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
 ``src`` directory of a checkout).  The matrix is ``verify`` and ``nullity`` on
 every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
 halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
-frame the CLI builds, ``cli.MAX_COPIES``), ``nullity`` on the sewn k = 2
-outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
+frame the CLI builds, ``cli.MAX_COPIES``), ``sew --copies 4 --points 100`` on
+the halfspace cell (the theorem stage sweeps its 400 stacked cell samples in
+3 batches that blocks straddle, and the sewn samples in 5), ``nullity`` on
+the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
 5 batches, where a field's remembered jet serves the later layers of a
 batch), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
@@ -140,6 +142,9 @@ def matrix() -> list[tuple[str, list[str]]]:
         for k in COPIES:
             commands.append((f"sew-{cell}-k{k}", ["sew", f"cells/{cell}.json", "--copies", str(k),
                                                    "--out", f"sewn/{cell}-k{k}.json"]))
+    # blocks of 100 samples over fold batches of 182 on the cell, 5 batches of 22 on the sewn chart
+    commands.append(("sew-halfspace-k4-p100", ["sew", "cells/halfspace.json", "--copies", "4",
+                                               "--out", "sewn/halfspace-k4-p100.json", "--points", "100"]))
     for cell in CELLS:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
         # 9 dimensions: 100 points make 5 batches
