@@ -14,21 +14,32 @@ gradients are scattered into the full grid, and the Hessians stay the sparse
 entries of the components' own jets.  A field remembers one jet, its last:
 the stack's shape and bytes, the order and the read-only results.  A later
 call at an equal stack for no higher order reads it back, so the layers of
-one batch run each field's program once; values alone read it but are never
-remembered, and a call that raises leaves it as it was.
+one batch run each field's program at most once; values alone read it but
+are never remembered, and a call that raises leaves it as it was.
 
 Sweeps over samples go through ``evaluate_batches``, which hands consumers
-stacks of samples.  The batch size is derived from the chart dimension n by
-one budget: a batch holds as many samples as keep one (n, n, n) float array
-with a sample axis (a metric gradient, the Christoffel symbols, nabla phi,
-the brackets of an affinor's columns, the curvature along one vector) within
-``BATCH_BYTES``, and runs one sample at a time where even one such array
+stacks of samples, and takes two sizes from one budget, ``BATCH_BYTES``.  A
+layer batch holds as many samples as keep one (n, n, n) float array with a
+sample axis (a metric gradient, the Christoffel symbols, nabla phi, the
+brackets of an affinor's columns, the curvature along one vector) within the
+budget, on a chart of dimension n, and one sample where even one such array
 exceeds it.  No sweep builds an (n, n, n, n) array: the curvature reads the
 sparse Hessians only through their contractions with a vector
 (``TensorField.fold_hessians``), whose arrays hold two entries per Hessian
-entry; a sweep that folds a field's Hessians names it, and its batches count
-those entries too (they outgrow n^3 where components read most coordinates).
-Nothing with a sample axis grows beyond that, whatever the sample count.
+entry, and the batches of a sweep that folds a field's Hessians count those
+entries too (they outgrow n^3 where components read most coordinates).
+Every sweep names the fields it reads, each with its jet order (a field read
+at order 2 is one whose Hessians it folds).  A program chunk holds as many
+whole batches as keep the compact jets of those fields, the values, gradient
+entries and at order 2 Hessian entries of their non-constant components,
+within the budget.  Each field's program runs once per chunk, since a run
+costs about as much on a few rows as on a hundred, and before the consumer
+runs on a batch, the batch's rows of that run become the field's remembered
+jet, which the layers read back.  A chunk of one batch is left to the
+consumer, and so is each batch of a chunk whose run leaves a domain, so a
+domain error names the same sample and expression as batch by batch.
+Nothing with a sample axis grows beyond the budget, whatever the sample
+count.
 
 ``validate_structure`` is the one sweep over a sample set that reads first
 derivatives: it takes the order-1 jets of the four structure fields on each
@@ -263,7 +274,7 @@ class TensorField:
         axis."""
         return self._jet(point, 2 if hessians else 1)
 
-    _memo = ((), b"", ())  # (stack shape, stack bytes, (values, gradients[, Hessian entries])) of the last jet
+    _memo = ((), b"", ())  # (stack shape, stack bytes, (values[, gradients[, Hessian entries]])) of the last jet
 
     def _jet(self, point, order: int) -> tuple:
         """The values, the gradients from order 1 on and the Hessian entries at
@@ -273,30 +284,48 @@ class TensorField:
         at_shape, at_bytes, remembered = self._memo
         if len(remembered) > order and at_shape == point.shape and at_bytes == point.tobytes():
             return remembered[:order + 1]
+        result = self._dense(point.shape[:-1], order, self._run(point, order))
+        if order:
+            self._remember(point, result)
+        return result
+
+    def _run(self, point, order: int) -> tuple:
+        """The compact jet at a point or a stack: the program's values, and
+        from order 1 on its gradient entries (``_FieldPlan.grad_slots``) and
+        at order 2 its Hessian entries, each with the stack's leading axis;
+        empty when every component is constant."""
+        program = self._plan.program
+        if not program.roots:
+            return ()
+        if not order:
+            return (evaluate(program, point),)
+        jet = evaluate_jet2(program, point, order=order)
+        return (jet.value, jet.grad) + ((jet.hess,) if order == 2 else ())
+
+    def _dense(self, lead: tuple, order: int, compact: tuple) -> tuple:
+        """The read-only values, gradients and Hessian entries up to ``order``
+        at a stack with the leading axes ``lead``, from its compact jet."""
         plan = self._plan
         n = self.chart.dim
-        lead = point.shape[:-1]
         shape = lead + self.shape
         vals = np.empty(lead + plan.constant.shape)
         vals[...] = plan.constant
-        if not order:
-            if plan.program.roots:
-                vals[..., plan.positions] = evaluate(plan.program, point)
-            result = (vals.reshape(shape),)
-        else:
+        if compact:
+            vals[..., plan.positions] = compact[0]
+        result = (vals.reshape(shape),)
+        if order:
             grads = np.zeros(lead + (plan.constant.size * n,))
-            if plan.program.roots:
-                jet = evaluate_jet2(plan.program, point, order=order)
-                vals[..., plan.positions] = jet.value
-                grads[..., plan.grad_slots] = jet.grad
-            result = (vals.reshape(shape), grads.reshape(shape + (n,)))
-            if order == 2:
-                result += (jet.hess if plan.program.roots else np.zeros(lead + (0,)),)
+            if compact:
+                grads[..., plan.grad_slots] = compact[1]
+            result += (grads.reshape(shape + (n,)),)
+        if order == 2:
+            result += (compact[2] if compact else np.zeros(lead + (0,)),)
         for array in result:
             array.flags.writeable = False
-        if order:
-            object.__setattr__(self, "_memo", (point.shape, point.tobytes(), result))
         return result
+
+    def _remember(self, point: np.ndarray, result: tuple) -> None:
+        object.__setattr__(self, "_memo", (point.shape, point.tobytes(), result))
 
     def fold_hessians(self, hess: np.ndarray, v):
         """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with
@@ -347,6 +376,11 @@ class _FieldPlan(NamedTuple):
     hess_slots: np.ndarray
     fold_weights: np.ndarray
     fold_targets: np.ndarray
+
+    def compact_width(self, order: int) -> int:
+        """Floats per sample of the program's jet up to ``order``: the values,
+        the gradient entries and the Hessian entries of its roots."""
+        return sum(slots.size for slots in (self.positions, self.grad_slots, self.hess_slots)[:order + 1])
 
     @classmethod
     def build(cls, field: TensorField) -> "_FieldPlan":
@@ -594,30 +628,66 @@ def batch_size(dim: int, folds: Sequence[TensorField] = ()) -> int:
     return max(1, BATCH_BYTES // (8 * width))
 
 
+def chunk_size(size: int, fields: Sequence[tuple]) -> int:
+    """Samples per program chunk of a sweep in batches of ``size`` that reads
+    ``fields`` (see ``evaluate_batches``): as many whole batches as keep the
+    compact jets of those fields within ``BATCH_BYTES``, and at least one."""
+    width = sum(field._plan.compact_width(order) for field, order, *_ in fields)
+    return size * max(1, BATCH_BYTES // (8 * size * width)) if width else size
+
+
 def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable,
-                     folds: Sequence[TensorField] = ()):
+                     fields: Sequence[tuple] = ()):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
     ``points`` stacks the batch's coordinates as a (B, dim) array and B is
-    ``batch_size(dim, folds)``.
+    ``batch_size(dim, folds)`` for the fields ``folds`` read at order 2.
 
-    When a batch leaves the domain of an expression, its samples are evaluated
-    again one at a time, and the ``SampleEvaluationError`` names the first
-    sample, in draw order, that fails.
+    ``fields`` names what the sweep reads: ``(field, order)`` for a field at
+    the points, ``(field, order, columns)`` for one at their columns
+    ``columns``, with the jet order read (0 values, 1 gradients, 2 Hessians).
+    Their programs run once per chunk of ``chunk_size`` samples, and before
+    ``evaluate_stack`` runs on a batch, the batch's rows become each field's
+    remembered jet, which the consumer reads back.  A chunk of one batch is
+    left to the consumer, and so is every batch of a chunk whose run leaves
+    the domain of an expression.  When a batch leaves it, its samples are
+    evaluated again one at a time, and the ``SampleEvaluationError`` names
+    the first sample, in draw order, that fails.
     """
-    size = batch_size(dim, folds)
-    for start in range(0, len(samples), size):
-        batch = samples[start:start + size]
-        points = np.array([s.coords for s in batch], dtype=float)
-        try:
-            result = evaluate_stack(points)
-        except EvaluationDomainError:
-            for row, sample in enumerate(batch):
-                try:
-                    evaluate_stack(points[row:row + 1])
-                except EvaluationDomainError as exc:
-                    raise SampleEvaluationError(sample, exc) from exc
-            raise
-        yield batch, result
+    reads = [(field, order, columns[0] if columns else slice(None)) for field, order, *columns in fields]
+    size = batch_size(dim, [field for field, order, _ in reads if order == 2])
+    chunk = chunk_size(size, reads)
+    for start in range(0, len(samples), chunk):
+        points = np.array([s.coords for s in samples[start:start + chunk]], dtype=float)
+        jets = _chunk_jets(points, reads) if len(points) > size else []
+        for offset in range(0, len(points), size):
+            rows = slice(offset, offset + size)
+            for (field, order, columns), compact in jets:
+                local = points[rows][:, columns]
+                # the Hessian rows are copied, so that the remembered jet does not keep the chunk's alive
+                rows_jet = tuple(a[rows] for a in compact[:2]) + tuple(a[rows].copy() for a in compact[2:])
+                field._remember(local, field._dense(local.shape[:-1], order, rows_jet))
+            batch = samples[start + offset:start + offset + size]
+            try:
+                result = evaluate_stack(points[rows])
+            except EvaluationDomainError:
+                for row, sample in enumerate(batch):
+                    try:
+                        evaluate_stack(points[offset + row:offset + row + 1])
+                    except EvaluationDomainError as exc:
+                        raise SampleEvaluationError(sample, exc) from exc
+                raise
+            yield batch, result
+        del jets  # before the next chunk runs
+
+
+def _chunk_jets(points: np.ndarray, reads: Sequence[tuple]) -> list:
+    """Each ``(field, order, columns)`` of ``reads`` with the field's compact
+    jet at those columns of the chunk ``points``, or none at all when one of
+    them leaves its domain there."""
+    try:
+        return [(read, read[0]._run(points[:, read[2]], read[1])) for read in reads]
+    except EvaluationDomainError:
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +791,10 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
     each batch it takes the order-1 jets of g, phi, xi and eta, reduces the
     residuals and then calls ``layers``, if given, with the batch's stack, so
     that the derivative layers read the fields' remembered jets and each
-    field's program runs once per batch.  ``layers`` runs only while every
-    batch so far has had a positive definite metric: without one there is no
-    Levi-Civita connection, and a caller drops what ``layers`` gathered when
-    ``metric_positive_definite`` fails.  A batch with a non-finite metric
+    field's program runs once per chunk (see ``evaluate_batches``).
+    ``layers`` runs only while every batch so far has had a positive definite
+    metric: without one there is no Levi-Civita connection, and a caller
+    drops what ``layers`` gathered when ``metric_positive_definite`` fails.  A batch with a non-finite metric
     entry fails that check before any eigenvalue is taken.
     """
     if not samples:
@@ -744,15 +814,18 @@ def validate_structure(struct: ContactStructure, samples: Sequence[PointSample],
         expected[t_axis] = scale
     identity = np.eye(n)
 
-    def fields(points):
+    fields = (struct.eta, struct.metric, struct.phi, struct.xi)
+
+    def jets(points):
         # eta first, then g, phi and xi: the first field to leave its domain raises
         eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
-        g, p, xi = (field.evaluate_with_grads(points)[0] for field in (struct.metric, struct.phi, struct.xi))
+        g, p, xi = (field.evaluate_with_grads(points)[0] for field in fields[1:])
         return points, g, p, xi, eta_vals, eta_grads
 
     # a non-finite entry makes NaN residuals, which fail their checks without a warning
     with np.errstate(all="ignore"):
-        for _, (points, g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, fields):
+        for _, (points, g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, jets,
+                                                                           [(field, 1) for field in fields]):
             phi2.add(p @ p + identity - xi[:, :, None] * eta_vals[:, None, :])
             eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
             compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])

@@ -30,8 +30,8 @@ them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``,
 sweep (``charts.validate_structure``), which takes the order-1 jets of g,
 phi, xi and eta on each batch; as a field remembers its last jet
 (``TensorField.evaluate_with_jets``), each field's program runs once per
-batch for the axioms and these layers together; the theorem stage of
-``sew`` runs them in sweeps of its own, next to the nullity fits.  The
+chunk of batches for the axioms and these layers together; the theorem
+stage of ``sew`` runs them in sweeps of its own, next to the nullity fits.  The
 layers reduce their results per sample, so the results of a stack slice
 into those of its rows, and ``classify`` and ``reeb_derivatives`` reduce
 them over the batches; given no results, ``classify`` runs
@@ -338,7 +338,8 @@ def classify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
     magnitude of the normality tensor, and the weights and fit residuals of
     ``weight_fit``.  So the results of a stack of samples slice into those of
     its rows.  The layers share the fields' remembered jets
-    (``TensorField.evaluate_with_jets``), so each field's program runs once."""
+    (``TensorField.evaluate_with_jets``), so each field's program runs at
+    most once."""
     return (*reeb_layer(struct, points), _max_abs(normality_tensor(struct, points), 3),
             *weight_fit(struct, points))
 
@@ -356,7 +357,9 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     without them ``classify`` runs ``classify_layers`` in a sweep of its own.
     """
     if results is None:
-        results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points))]
+        reads = [(field, 1) for field in (struct.metric, struct.phi, struct.xi, struct.eta)]
+        results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points),
+                                                      reads)]
     nabla_phi, _, _, torsion, lams, residuals = zip(*results)
     xi_phi, xi_xi = reeb_derivatives(results)
     fit = Residual("weight_fit", tol).add(np.concatenate(residuals))

@@ -21,8 +21,10 @@ matrices of every sample at once, and solves all their least-squares
 problems with one batched SVD; a sample whose design or curvature is not
 finite gets NaN constants instead of failing the stack.  ``nullity_fits``
 feeds it a sample set in batches that the fold of the metric's Hessians also
-fits (see ``charts.evaluate_batches``), as does the theorem stage of ``sew``
-(``sewing.verify_sewing_theorems``), which classifies on the same batches.
+fits, and runs the programs of g (order 2), phi and xi (order 1) and eta
+(values) once per chunk of batches (see ``charts.evaluate_batches``), as
+does the theorem stage of ``sew`` (``sewing.verify_sewing_theorems``),
+which classifies on the same batches.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def fit_nullity(struct: ContactStructure, point):
 
 def nullity_fits(struct: ContactStructure, samples: Sequence[PointSample]) -> list[NullityFit]:
     """``fit_nullity`` at every sample, in sample order, over batches."""
-    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), (struct.metric,))
+    reads = ((struct.metric, 2), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0))
+    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), reads)
     return [fit for _, fits in batches for fit in fits]
 
 

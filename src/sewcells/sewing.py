@@ -47,8 +47,10 @@ and the stages read the frame from the block's own ``xi``.
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
-the nullity fits of the sewn chart; the curvature sweeps name the metrics
-whose Hessians they fold, so that their batches fit the fold too.  The
+the nullity fits of the sewn chart.  Each sweep names the fields it reads,
+with their jet orders and, for a block's fields, the block's columns of the
+samples, so that each field's program runs once per chunk of batches and
+the curvature sweeps' batches fit the Hessian fold too.  The
 brackets of all pairs of a block's affinor-image fields come from one
 ``lie_bracket`` call on the block of the affinor.  The theorem stage walks
 the samples of the sewn chart once, and those of each distinct cell
@@ -94,7 +96,6 @@ from .nullity import (
     NullityFit,
     check_generalized,
     fit_nullity,
-    normalized,
 )
 
 _ADAPTED_PROBE_TOL = 1e-12
@@ -370,7 +371,9 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
                           block.eta.evaluate(local), exterior_derivative(block.eta, local)))
         return parts
 
-    for _, parts in evaluate_batches(samples, 3, fields):
+    reads = [(field, order, block.rows) for block in blocks
+             for field, order in ((block.metric, 0), (block.f, 0), (block.xi, 0), (block.eta, 1))]
+    for _, parts in evaluate_batches(samples, 3, fields, reads):
         rank = framing_lengths = 0
         for g, f, xi, eta, d_eta in parts:
             cubed.add(f @ f @ f + f)
@@ -438,7 +441,8 @@ def verify_lift_laws(
             with_median = column[0] * lie_bracket(block.f, block.xi, local)
             return gap, [np.swapaxes(brackets, 1, 2) @ g_normal for brackets in (images, with_median)]
 
-        for _, (gap, brackets) in evaluate_batches(samples, 3, parts):
+        reads = [(field, 1, block.rows) for field in (block.metric, cell.metric, block.f, block.xi)]
+        for _, (gap, brackets) in evaluate_batches(samples, 3, parts, reads):
             lift.add(gap)
             for part in brackets:
                 invol.add(part)
@@ -589,6 +593,7 @@ def extrinsic_report(
     k = product.cell_count
     e_mat = embedding_matrix(product, sewn)
     frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [k, j, a]: the rows of E_a in block k
+    columns = frame_rows.argmax(axis=-1)  # [k, j]: the sewn coordinate that coordinate j of block k equals
     upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
     identity = np.eye(k - 1)
     c = frame_coefficients(k)
@@ -602,8 +607,8 @@ def extrinsic_report(
 
     def block_geometry(points):
         parts = []
-        for block, rows, column in zip(blocks, frame_rows, c.T):
-            local = points @ rows.T
+        for block, cols, column in zip(blocks, columns, c.T):
+            local = points[:, cols]
             xi, xi_grads = block.xi.evaluate_with_grads(local)
             xi_bar = column[0] * xi
             gamma, curvature_xi = riemann(block.metric, local, xi_bar)
@@ -623,9 +628,12 @@ def extrinsic_report(
         return riemann(sewn.metric, points, sewn.xi.evaluate(points))[1][:, :, upper[0], upper[1]]
 
     e = frame_rows[:, None, None]  # broadcast over the samples and one more axis
-    for batch, geometry in evaluate_batches(samples, 3, block_geometry, [block.metric for block in blocks]):
+    block_reads = [(field, order, cols) for block, cols in zip(blocks, columns)
+                   for field, order in ((block.xi, 1), (block.metric, 2))]
+    sewn_reads = ((sewn.metric, 2), (sewn.xi, 0))
+    for batch, geometry in evaluate_batches(samples, 3, block_geometry, block_reads):
         start = 0
-        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, (sewn.metric,)):
+        for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, sewn_reads):
             geo = geometry.rows(slice(start, start + len(sub)))
             start += len(sub)
 
@@ -713,7 +721,8 @@ def verify_sewing_theorems(
     anticommute with phi as required, commute with each other and kill xi.
     Every sample is fitted once, in the raw convention; when cells and sewn
     structure are both almost alpha-Kenmotsu, the convention comparison reads
-    the normalized h' convention off those fits through ``nullity.normalized``.
+    the normalized h' convention off those fits: its mu' is alpha times the
+    raw one (``nullity.normalized``).
 
     Each structure's samples are walked once (``_classify_sets``): the sewn
     chart's in one sweep that classifies, fits and folds the operator laws
@@ -817,7 +826,8 @@ def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Sequence[Poin
         return layers, fits
 
     stacked = [sample for sample_set in sample_sets for sample in sample_set]
-    swept = [out for _, out in evaluate_batches(stacked, struct.dim, batch, (struct.metric,) if fit else ())]
+    reads = [(struct.metric, 2 if fit else 1)] + [(field, 1) for field in (struct.phi, struct.xi, struct.eta)]
+    swept = [out for _, out in evaluate_batches(stacked, struct.dim, batch, reads)]
     columns = [np.concatenate(column) for column in zip(*(layers for layers, _ in swept))]
     fits = [f for _, batch_fits in swept for f in batch_fits]
     size = len(sample_sets[0])
@@ -889,16 +899,20 @@ def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:
 
 
 def _compare_conventions(rows, alpha_cell, alpha_sewn, k, tol):
-    """Mean mu' of the raw fits in ``rows`` against that of their ``normalized``
-    rescalings, on the cells and on the sewn structure."""
+    """Mean mu' of the raw fits in ``rows`` against that of their normalized
+    rescalings, on the cells and on the sewn structure.  The normalized mu'
+    of a fit is ``alpha`` times its raw one, the product that
+    ``nullity.normalized`` takes, so no rescaled copy of a fit is built."""
 
-    def mean_muprime(fits) -> float:
-        return float(np.mean([f.muprime for f in fits]))
+    def mean_muprime(fits, alpha: float = 1.0) -> float:
+        return float(np.mean([alpha * f.muprime for f in fits]))
 
-    cell_raw = mean_muprime([row.cell for row in rows])
-    cell_norm = mean_muprime([normalized(row.cell, alpha_cell) for row in rows])
-    sewn_raw = mean_muprime([row.sewn for row in rows])
-    sewn_norm = mean_muprime([normalized(row.sewn, alpha_sewn) for row in rows])
+    cell_fits = [row.cell for row in rows]
+    sewn_fits = [row.sewn for row in rows]
+    cell_raw = mean_muprime(cell_fits)
+    cell_norm = mean_muprime(cell_fits, alpha_cell)
+    sewn_raw = mean_muprime(sewn_fits)
+    sewn_norm = mean_muprime(sewn_fits, alpha_sewn)
     # the ratio is meaningless when the cells have mu' = 0 in the first place
     if abs(cell_raw) <= 1e-8 or abs(cell_norm) <= 1e-8:
         ratio_raw = ratio_norm = math.nan

@@ -490,13 +490,29 @@ def _field_orders(runs, field) -> Counter:
     return Counter(order for program, _, order in runs if program == id(field._plan.program))
 
 
-def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys, program_runs):
+def _chunk_stacks(samples, fields, order: int = 1) -> list[bytes]:
+    """The stacks, as bytes, of the program chunks of a sweep in batches of
+    ``batch_size`` over ``samples`` that reads ``fields`` at ``order`` (below
+    2): the most whole batches whose compact jets, the values and gradient
+    entries of the non-constant components, fit ``BATCH_BYTES``, and at
+    least one batch."""
+    size = batch_size(len(samples[0].coords))
+    width = sum(f._plan.positions.size + order * f._plan.grad_slots.size for f in fields)
+    rows = size
+    while 8 * (rows + size) * width <= BATCH_BYTES:
+        rows += size
+    return [np.array([s.coords for s in samples[start:start + rows]]).tobytes()
+            for start in range(0, len(samples), rows)]
+
+
+def test_verify_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsys, program_runs):
     """``verify`` runs the program of each field of g, phi, xi and eta exactly
-    once per batch, at order 1 only: the axioms read the values of those jets,
-    and the layers of ``classify`` read the fields' remembered jets in the
-    same sweep.  A program holds one instruction per distinct (subtree,
-    column set) pair of its field's components, a constant subtree one across
-    column sets.  On the 7-dim sewn chart 100 points make 3 batches."""
+    once per chunk of batches, at order 1 only: the axioms read the values of
+    those jets, and the layers of ``classify`` read the fields' remembered
+    jets in the same sweep.  A program holds one instruction per distinct
+    (subtree, column set) pair of its field's components, a constant subtree
+    one across column sets.  On the 7-dim sewn chart 100 points make 3
+    batches, and the compact jets of all of them fit one chunk."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.expressions import Num, free_variables
@@ -515,7 +531,10 @@ def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsy
     assert {program for program, _, _ in program_runs} == programs | constraints
     field_runs = {key: count for key, count in program_runs.items() if key[0] in programs}
     assert set(field_runs.values()) == {1}
-    assert Counter(order for _, _, order in field_runs) == {1: 3 * len(run)}
+    assert Counter(order for _, _, order in field_runs) == {1: len(run)}
+    samples = sample_points(struct.chart, 100, 7)
+    assert batch_size(7) < 100 and _chunk_stacks(samples, run) == [np.array([s.coords for s in samples]).tobytes()]
+    assert {stack for _, stack, _ in field_runs} == set(_chunk_stacks(samples, run))
     for field in fields:
         pairs = set()
         for pos in field._plan.positions:
@@ -524,6 +543,41 @@ def test_verify_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsy
             pairs.update((sub, columns if free_variables(sub) else frozenset())
                          for sub in _subtrees(node) if not isinstance(sub, Num))
         assert len(field._plan.program) == len(pairs)
+
+
+def test_verify_runs_each_program_once_per_chunk_and_reports_as_batch_by_batch(tmp_path, monkeypatch, capsys,
+                                                                               program_runs):
+    """On the 13-dim sewn chart (k = 6) 100 points make 15 batches of 7.  Each
+    non-constant field's program runs once per chunk, on the chunk's whole
+    batches, and the report is byte-identical to that of a run in which
+    every chunk is one batch, so that every batch runs the programs alone."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "sewn.json"
+    save_manifold(sew([halfspace_kenmotsu_cell()] * 6), path)
+    structures = _captured(monkeypatch, cli, "load_manifold")
+
+    def verify(report: str) -> dict:
+        """The runs of each non-constant field's program, by stack and order."""
+        program_runs.clear()
+        assert cli.main(["verify", str(path), "--points", "100", "--json", str(tmp_path / report)]) == cli.EXIT_PASS
+        struct = structures[-1]
+        return {field: {(stack, order): count for (program, stack, order), count in program_runs.items()
+                        if program == id(field._plan.program)}
+                for field in (struct.metric, struct.phi, struct.xi, struct.eta) if field._plan.program.roots}
+
+    chunked = verify("chunked.json")
+    samples = sample_points(structures[-1].chart, 100, 7)
+    stacks = _chunk_stacks(samples, chunked)
+    assert batch_size(13) == 7 and 1 < len(stacks) < 15
+    assert len(chunked) == 3 and all(runs == {(stack, 1): 1 for stack in stacks} for runs in chunked.values())
+
+    monkeypatch.setattr(charts, "chunk_size", lambda size, fields: size)
+    alone = verify("alone.json")
+    assert all(len(runs) == 15 and set(runs.values()) == {1} for runs in alone.values())
+    assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
 def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeypatch, capsys, program_runs):
@@ -547,10 +601,11 @@ def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeyp
         assert _field_orders(program_runs, field) == ({1: 1, 2: 1} if field is struct.metric else {1: 1})
 
 
-def test_sew_induced_stage_walks_each_component_once_per_batch(tmp_path, monkeypatch, capsys, program_runs):
+def test_sew_induced_stage_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsys, program_runs):
     """The induced stage of ``sew`` runs each sewn field's program once per
-    batch of the sewn samples, at order 1 only, for the axioms and nabla phi.
-    On the 7-dim sewn chart 100 points make 3 batches."""
+    chunk of batches of the sewn samples, at order 1 only, for the axioms and
+    nabla phi.  On the 7-dim sewn chart 100 points make 3 batches, and one
+    chunk."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.manifold_io import save_manifold
@@ -570,10 +625,11 @@ def test_sew_induced_stage_walks_each_component_once_per_batch(tmp_path, monkeyp
     program_runs.clear()
     assert cli.main(argv) == cli.EXIT_PASS
     (struct,) = sewn
-    samples, size = sample_points(struct.chart, 100, 7), batch_size(7)
-    stacks = {np.array([s.coords for s in samples[start:start + size]]).tobytes() for start in range(0, 100, size)}
-    assert len(stacks) == 3
-    for field in (struct.metric, struct.phi, struct.xi):
+    samples = sample_points(struct.chart, 100, 7)
+    fields = (struct.metric, struct.phi, struct.xi)
+    stacks = set(_chunk_stacks(samples, fields))
+    assert len(stacks) == 1 and -(-100 // batch_size(7)) == 3
+    for field in fields:
         runs = {key: count for key, count in induced.items() if key[0] == id(field._plan.program)}
         assert {stack for _, stack, _ in runs} == stacks
         assert set(runs.values()) == {1} and {order for _, _, order in runs} == {1}

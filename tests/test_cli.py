@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import sewcells
 from sewcells.catalog import flat_cosymplectic_cell, model_cosymplectic_cell
 from sewcells.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from sewcells.charts import sample_points
+from sewcells.expressions import ExpressionError
 from sewcells.manifold_io import load_manifold, save_manifold, structure_to_dict
 
 
@@ -104,6 +106,36 @@ class TestNullity:
         out = capsys.readouterr().out
         assert "constant_kappa: False" in out
         assert "eta_aligned: True" in out
+
+    def test_sewn_nullity_runs_each_program_once_per_sweep(self, tmp_path, monkeypatch, capsys):
+        """``nullity`` of the sewn halfspace k = 4 file: on its 9 dimensions the
+        25 samples make 2 batches in the axioms' sweep and 2 in the fits'
+        sweep.  Each sweep runs phi's and xi's programs once, at order 1, on
+        the one chunk of its batches, where a run per batch made 4 runs each
+        (the fits' first batch missed the axioms' last)."""
+        import sewcells.charts as charts
+        import sewcells.cli as cli
+        from sewcells.catalog import halfspace_kenmotsu_cell
+        from sewcells.charts import batch_size
+        from sewcells.sewing import sew
+
+        path = tmp_path / "sewn.json"
+        save_manifold(sew([halfspace_kenmotsu_cell()] * 4), path)
+        loaded, load = [], cli.load_manifold
+        monkeypatch.setattr(cli, "load_manifold", lambda p: loaded.append(load(p)) or loaded[-1])
+        runs, jet = [], charts.evaluate_jet2
+
+        def spy(program, point, index=None, order=2):
+            runs.append((id(program), order))
+            return jet(program, point, index, order)
+
+        monkeypatch.setattr(charts, "evaluate_jet2", spy)
+        assert main(["nullity", str(path)]) == EXIT_PASS
+        (struct,) = loaded
+        assert batch_size(9) == batch_size(9, (struct.metric,)) == 22
+        orders = {name: Counter(order for program, order in runs if program == id(field._plan.program))
+                  for name, field in (("g", struct.metric), ("phi", struct.phi), ("xi", struct.xi))}
+        assert orders == {"g": {1: 1, 2: 1}, "phi": {1: 2}, "xi": {1: 2}}
 
     def test_kenmotsu_convention_rejected_for_cosymplectic(self, model_file, capsys):
         assert main(["nullity", str(model_file), "--convention", "kenmotsu"]) == EXIT_INPUT
@@ -252,6 +284,43 @@ def test_domain_error_names_the_first_failing_sample(tmp_path, monkeypatch, caps
     first = next(s for s in sample_points(struct.chart, 40, 7) if s.coords[x] <= 0.0)
     err = capsys.readouterr().err
     assert f"verification error: evaluation failed at sample {first.coords}: log of non-positive" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
+                         ids=["verify", "nullity", "sew"])
+def test_domain_error_in_a_later_batch_of_a_chunk(command, tmp_path, monkeypatch, capsys):
+    """The flat cell with 1 + 0*log(x + 0.999) on its metric diagonal leaves
+    its domain only where x <= -0.999.  At 3000 points and seed 7 the first
+    such sample is past the first batch of the chunk it lies in, so the chunk's
+    program run raises, and the batches evaluated alone name that sample, as
+    the samples evaluated one at a time in draw order find it."""
+    from sewcells.charts import batch_size, chunk_size, nullity_samples
+    from sewcells.sewing import sew
+
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(flat_cosymplectic_cell())
+    doc["metric"][1][1] = "1 + 0*log(x + 0.999)"
+    Path("late.json").write_text(json.dumps(doc), encoding="utf-8")
+    struct = load_manifold("late.json")
+    if command[0] == "sew":
+        struct = sew([struct] * 2)
+    draw = nullity_samples if command[0] == "nullity" else sample_points
+    fields = (struct.eta, struct.metric, struct.phi, struct.xi)  # in the order the axioms evaluate them
+    for index, sample in enumerate(draw(struct.chart, 3000, 7)):
+        try:
+            for field in fields:
+                field.evaluate_with_grads(np.array(sample.coords))
+        except ExpressionError as exc:
+            error = exc
+            break
+    else:
+        pytest.fail("no sample leaves the domain")
+    size = batch_size(struct.dim)
+    assert size <= index < chunk_size(size, [(field, 1) for field in fields])
+    assert main([command[0], "late.json", *command[1:], "--points", "3000"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"verification error: evaluation failed at sample {sample.coords}: {error}"]
+    assert str(error).startswith("log of non-positive argument")
 
 
 def test_closed_stdout_exits_quietly(tmp_path, model_file):

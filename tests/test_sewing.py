@@ -519,6 +519,33 @@ class TestTheorems:
         assert comp.muprime_ratio_normalized == pytest.approx(0.5, abs=1e-8)
         assert comp.muprime_ratio_raw == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
+    def test_convention_comparison_scales_the_raw_fits(self, sewing_inputs, monkeypatch):
+        """The comparison builds no ``normalized`` copy of a fit: it scales
+        the raw mu' by alpha, the product ``normalized`` takes, so it equals
+        bit for bit the comparison built from those copies."""
+        from sewcells import nullity
+
+        cell = kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7)
+
+        def refuse(*args):
+            raise AssertionError("a normalized copy of a fit was built")
+
+        for module in (nullity, sewing):
+            monkeypatch.setattr(module, "normalized", refuse, raising=False)
+        report = theorems(sewing_inputs, [cell, cell], 15)
+        monkeypatch.undo()
+        comp = report.convention_comparison
+        assert comp.reproduces_inverse_k == "kenmotsu"
+
+        def mean_muprime(fits) -> float:
+            return float(np.mean([f.muprime for f in fits]))
+
+        cells = [row.cell for row in report.nullity_rows]
+        sewns = [row.sewn for row in report.nullity_rows]
+        assert comp.muprime_ratio_raw == mean_muprime(sewns) / mean_muprime(cells)
+        assert comp.muprime_ratio_normalized == (mean_muprime([nullity.normalized(f, comp.alpha_sewn) for f in sewns])
+                                                 / mean_muprime([nullity.normalized(f, comp.alpha_cell) for f in cells]))
+
     def test_flat_pair(self, flat_cell, sewing_inputs):
         report = theorems(sewing_inputs, [flat_cell, flat_cell], 10)
         assert report.passed

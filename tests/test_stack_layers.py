@@ -18,7 +18,7 @@ import pytest
 
 from sewcells import cli
 from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
-from sewcells.charts import BATCH_BYTES, TensorField, sample_points
+from sewcells.charts import BATCH_BYTES, TensorField, batch_size, sample_points
 from geometry_helpers import (
     christoffel_reference,
     d_fundamental_form_reference,
@@ -184,25 +184,40 @@ class TestSewMemory:
         save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
 
     def test_every_curvature_batch_fits_the_budget(self, cell_files, monkeypatch):
-        # the curvature reads every Hessian stack through (n, n, n) contractions per
-        # sample, and its fold holds two entries per Hessian entry
+        # a sweep has two sizes.  Its layer batches: the curvature reads every Hessian
+        # stack through (n, n, n) contractions per sample, and its fold holds two
+        # entries per Hessian entry.  Its program chunks: a field's program runs on
+        # whole batches whose compact jets fit the budget, or on one batch
         original = TensorField.evaluate_with_jets
-        stacks = []
+        stacks, runs = [], []
 
         def spy(field, point, hessians=True):
             if hessians:
                 stacks.append((np.shape(point), len(field._plan.hess_slots)))
             return original(field, point, hessians)
 
+        run = TensorField._run
+
+        def counted_run(field, point, order):
+            compact = run(field, point, order)
+            runs.append((np.shape(point), sum(array.nbytes for array in compact)))
+            return compact
+
         monkeypatch.setattr(TensorField, "evaluate_with_jets", spy)
+        monkeypatch.setattr(TensorField, "_run", counted_run)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "out.json"]) == cli.EXIT_PASS
         dims = {shape[-1] for shape, _ in stacks}
         # the cells and the product's blocks, and the sewn manifold; never the 12-dim product chart
-        assert dims == {3, 9}
+        assert dims == {3, 9} and {shape[-1] for shape, _ in runs} == dims
         for shape, entries in stacks:
             count = shape[0] if len(shape) == 2 else 1
             assert count == 1 or count * 8 * max(shape[-1] ** 3, 2 * entries) <= BATCH_BYTES, shape
+        for shape, nbytes in runs:
+            count = shape[0] if len(shape) == 2 else 1
+            assert count <= batch_size(shape[-1]) or nbytes <= BATCH_BYTES, shape
+        # the sewn chart's 25 samples make batches of 22 and 3, and chunks of both
+        assert batch_size(9) == 22 and ((25, 9) in {shape for shape, _ in runs})
 
     @pytest.mark.parametrize("cell, copies, limit", [("warped", 4, 1.38e6), ("model", 6, 5.10e6)])
     def test_peak_stays_below_the_point_by_point_stages(self, cell_files, cell, copies, limit):

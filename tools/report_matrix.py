@@ -25,12 +25,16 @@ catalog cell files with its own ``catalog`` command, and the same
 scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice.
 
-One more command, ``verify`` on ``ERROR_CELL``, stops on an evaluation error:
-it must exit 1 with a ``verification error:`` line on stderr and write no
-report.  That cell's metric reads t, y and t again on its diagonal, and at
-every sample the second and the third entry leave their domains, so the line
-names the error of the first of them in row-major order.  The
-``verification error:`` line of every command is compared between the trees.
+Two more commands stop on an evaluation error: ``verify`` on ``ERROR_CELL``
+and ``verify`` at 3000 points on ``LATE_ERROR_CELL``.  Each must exit 1 with
+a ``verification error:`` line on stderr and write no report.  The first
+cell's metric reads t, y and t again on its diagonal, and at every sample
+the second and the third entry leave their domains, so the line names the
+error of the first of them in row-major order.  The second cell leaves its
+domain at a few samples only, the first of them in a later batch of the one
+program chunk that holds them all, so that the chunk's run raises and its
+batches are evaluated alone.  The ``verification error:`` line of every
+command is compared between the trees.
 
 Printed: every command whose exit code, ``verification error:`` line, check
 names, verdicts (``passed``), classification kinds or report structure
@@ -112,6 +116,20 @@ ERROR_CELL = {
     "xi": ["1", "0", "0"],
     "eta": ["1", "0", "0"],
 }
+# The flat cell with 1 written as 1 + 0*log(x + 0.999) in its leaf block, which leaves its
+# domain only where x <= -0.999: of 3000 samples at seed 7 the first there is draw 2848, in
+# the fifth batch of 606 of verify's one program chunk
+LATE_ERROR_CELL = {
+    "format": "manifold-definition/1",
+    "name": "flat_late_domain_error",
+    "coordinates": ["t", "x", "y"],
+    "adapted_coordinate": "t",
+    "domain": [],
+    "metric": [["1", "0", "0"], ["0", "1 + 0*log(x + 0.999)", "0"], ["0", "0", "1"]],
+    "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    "xi": ["1", "0", "0"],
+    "eta": ["1", "0", "0"],
+}
 # The flat cell with its leaf block scaled by x + 0.999, negative only for x < -0.999:
 # of 3000 samples at seed 7 the first there is draw 2848, in the fifth batch of verify
 PARTLY_PD_CELL = {
@@ -125,8 +143,8 @@ PARTLY_PD_CELL = {
     "xi": ["1", "0", "0"],
     "eta": ["1", "0", "0"],
 }
-PARTLY_PD_POINTS = "3000"
-ERROR_COMMAND = "verify-error"
+LATE_POINTS = "3000"  # the late batches of PARTLY_PD_CELL and LATE_ERROR_CELL
+ERROR_COMMANDS = ("verify-error", "verify-late-error")
 ERROR_PREFIX = "verification error:"
 
 
@@ -149,11 +167,12 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
         # 9 dimensions: 100 points make 5 batches
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
-    commands.append((ERROR_COMMAND, ["verify", "cells/error.json"]))
+    commands.append(("verify-error", ["verify", "cells/error.json"]))
+    commands.append(("verify-late-error", ["verify", "cells/late-error.json", "--points", LATE_POINTS]))
     commands.append(("verify-constants", ["verify", "cells/constants.json"]))
     commands.append(("sew-constants-k2", ["sew", "cells/constants.json", "--copies", "2",
                                           "--out", "sewn/constants-k2.json"]))
-    partly = ["--points", PARTLY_PD_POINTS]
+    partly = ["--points", LATE_POINTS]
     commands.append(("verify-partly-pd", ["verify", "cells/partly.json", *partly]))
     commands.append(("nullity-partly-pd", ["nullity", "cells/partly.json", *partly]))
     commands.append(("sew-partly-pd-k2", ["sew", "cells/partly.json", "--copies", "2",
@@ -180,7 +199,8 @@ def run_tree(src: Path, work: Path) -> dict[str, tuple[int, str | None]]:
         status, _ = run(["catalog", *args, "--out", f"cells/{cell}.json"])
         if status != 0:
             raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
-    for name, cell in (("constants", CONSTANTS_CELL), ("error", ERROR_CELL), ("partly", PARTLY_PD_CELL)):
+    for name, cell in (("constants", CONSTANTS_CELL), ("error", ERROR_CELL), ("late-error", LATE_ERROR_CELL),
+                       ("partly", PARTLY_PD_CELL)):
         (work / "cells" / f"{name}.json").write_text(json.dumps(cell, indent=2) + "\n", encoding="utf-8")
     return {name: run(argv) for name, argv in matrix()}
 
@@ -296,12 +316,13 @@ def main(argv: list[str]) -> int:
                 comparison.walk(old_report, new_report, name)
                 for line in comparison.structural[before:]:
                     print(line)
-        # the error command must stop as it should, or the comparison of its line shows nothing
-        status, error = statuses["new"][ERROR_COMMAND]
-        if status != 1 or error is None or (root / "new" / "reports" / f"{ERROR_COMMAND}.json").exists():
-            comparison.structural.append(f"{ERROR_COMMAND}: exit {status}, stderr {error!r}, expected exit 1, "
-                                         f"a {ERROR_PREFIX!r} line and no report")
-            print(comparison.structural[-1])
+        # the error commands must stop as they should, or the comparison of their lines shows nothing
+        for name in ERROR_COMMANDS:
+            status, error = statuses["new"][name]
+            if status != 1 or error is None or (root / "new" / "reports" / f"{name}.json").exists():
+                comparison.structural.append(f"{name}: exit {status}, stderr {error!r}, expected exit 1, "
+                                             f"a {ERROR_PREFIX!r} line and no report")
+                print(comparison.structural[-1])
         repeat_changed = _changed_files(root / "new", root / "repeat")
         repeat_changed += [f"stderr of {name}" for name, _ in matrix()
                            if statuses["new"][name][1] != statuses["repeat"][name][1]]
@@ -320,7 +341,8 @@ def main(argv: list[str]) -> int:
     for field, labels in sorted(comparison.text.items()):
         print(f"  {field}: {len(labels)} times, e.g. {labels[0]}")
     print(f"reports whose bytes changed: {changed} of {total}")
-    print(f"{ERROR_COMMAND} under NEW_SRC: exit {status}, {error}")
+    for name in ERROR_COMMANDS:
+        print(f"{name} under NEW_SRC: exit {statuses['new'][name][0]}, {statuses['new'][name][1]}")
     print("repeated run byte-identical: " + ("yes" if not repeat_changed else f"no ({', '.join(repeat_changed)})"))
     ok = (
         not exit_diffs
