@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .catalog import (
     CATALOG,
@@ -16,8 +16,8 @@ from .charts import (
     CheckResult,
     Constraint,
     ContactStructure,
-    PointSample,
     Residual,
+    Samples,
     TensorField,
     ValidationReport,
     nullity_samples,
@@ -47,7 +47,7 @@ from .geometry import (
     riemann,
 )
 from .manifold_io import load_manifold, save_manifold
-from .nullity import NullityFit, check_generalized, fit_nullity, normalized
+from .nullity import NullityFits, check_generalized, fit_nullity, normalized
 from .sewing import (
     ProductDefinition,
     SewnManifold,

@@ -17,8 +17,10 @@ call at an equal stack for no higher order reads it back, so the layers of
 one batch run each field's program at most once; values alone read it but
 are never remembered, and a call that raises leaves it as it was.
 
-Sweeps over samples go through ``evaluate_batches``, which hands consumers
-stacks of samples, and takes two sizes from one budget, ``BATCH_BYTES``.  A
+A sample set is one ``Samples``: the coordinates (P, n) of its points and
+their draw indices (P,), read-only; the samplers return one.  Sweeps over
+samples go through ``evaluate_batches``, which hands consumers row slices of
+the coordinates, and takes two sizes from one budget, ``BATCH_BYTES``.  A
 layer batch holds as many samples as keep one (n, n, n) float array with a
 sample axis (a metric gradient, the Christoffel symbols, nabla phi, the
 brackets of an affinor's columns, the curvature along one vector) within the
@@ -86,11 +88,13 @@ class SamplingError(RuntimeError):
 
 
 class SampleEvaluationError(RuntimeError):
-    """Evaluation failed at a specific sample; carries the sample."""
+    """Evaluation failed at a specific sample; carries its coordinates, a
+    tuple of floats, and its draw index."""
 
-    def __init__(self, sample: "PointSample", cause: Exception):
-        super().__init__(f"evaluation failed at sample {sample.coords}: {cause}")
-        self.sample = sample
+    def __init__(self, coords: tuple[float, ...], draw: int, cause: Exception):
+        super().__init__(f"evaluation failed at sample {coords}: {cause}")
+        self.coords = coords
+        self.draw = draw
         self.cause = cause
 
 
@@ -491,14 +495,25 @@ class CellDefinition(ContactStructure):
 # Seeded point sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointSample:
-    coords: tuple[float, ...]
-    seed: int
-    draw: int
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """A sample set: the coordinates ``coords`` (P, n) of its points and the
+    draw index ``draws`` (P,) of each, both read-only.  ``len`` counts the
+    samples, and indexing by a slice or an index array gives the samples at
+    those rows."""
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords)
+    coords: np.ndarray
+    draws: np.ndarray
+    __iter__ = None  # read by its columns, not sample by sample
+
+    def __post_init__(self) -> None:
+        self.coords.flags.writeable = self.draws.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.draws)
+
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(self.coords[rows], self.draws[rows])
 
 
 DEFAULT_BOX = (-1.0, 1.0)
@@ -519,7 +534,7 @@ def sampling_box(chart: Chart) -> list[tuple[float, float]]:
     return [box[name] for name in chart.coords]
 
 
-def sample_points(chart: Chart, count: int, seed: int) -> list[PointSample]:
+def sample_points(chart: Chart, count: int, seed: int) -> Samples:
     """Draw ``count`` in-domain points, deterministically for a fixed seed.
 
     Candidates are drawn coordinate by coordinate, point after point, and
@@ -531,7 +546,7 @@ def sample_points(chart: Chart, count: int, seed: int) -> list[PointSample]:
     return _draw_samples(chart, 1, count, seed, None)
 
 
-def sample_points_grouped(chart: Chart, groups: int, per_group: int, seed: int) -> list[PointSample]:
+def sample_points_grouped(chart: Chart, groups: int, per_group: int, seed: int) -> Samples:
     """Samples organised into groups sharing the adapted-coordinate value.
 
     Members of a group differ only in the non-adapted coordinates, which is
@@ -548,7 +563,7 @@ def sample_points_grouped(chart: Chart, groups: int, per_group: int, seed: int) 
     return _draw_samples(chart, groups, per_group, seed, chart.adapted_index)
 
 
-def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: int | None) -> list[PointSample]:
+def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: int | None) -> Samples:
     """The samplers' one loop: ``groups`` groups of ``per_group`` members, the
     members of a group sharing the coordinate ``t_axis`` unless it is None.
 
@@ -561,7 +576,8 @@ def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: 
     lo, hi = np.array(sampling_box(chart), dtype=float).T
     rng = np.random.default_rng(seed)
     count = groups * per_group
-    samples: list[PointSample] = []
+    points: list[list[float]] = []
+    draws: list[int] = []
     block = np.empty((0, len(lo)))
     base = 0  # draw index of block[0]
     pos = 0   # the next unread row of block
@@ -584,9 +600,9 @@ def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: 
                 drawn = base + len(block)
                 if drawn - run_start >= _MAX_REJECTIONS:
                     break
-                remaining = count - len(samples)
+                remaining = count - len(points)
                 # the expected draws at the hit rate so far
-                size = -(-remaining * drawn // len(samples)) if samples else (2 * drawn or remaining)
+                size = -(-remaining * drawn // len(points)) if points else (2 * drawn or remaining)
                 block = rng.uniform(lo, hi, size=(min(size, _MAX_REJECTIONS), len(lo)))
                 base, pos = drawn, 0
                 found = hits(t_value)
@@ -602,11 +618,12 @@ def _draw_samples(chart: Chart, groups: int, per_group: int, seed: int, t_axis: 
             elif t_axis is not None:
                 t_value = point[t_axis]
                 found = hits(t_value)  # the later members share the first one's value
-            samples.append(PointSample(tuple(point), seed, base + row))
-    return samples
+            points.append(point)
+            draws.append(base + row)
+    return Samples(np.array(points, dtype=float), np.array(draws, dtype=np.intp))
 
 
-def nullity_samples(chart: Chart, count: int, seed: int) -> list[PointSample]:
+def nullity_samples(chart: Chart, count: int, seed: int) -> Samples:
     """The samples the nullity checks read from ``count`` and ``seed``.
 
     On an adapted chart these are 5 groups of ``max(2, count // 5)`` samples
@@ -636,10 +653,9 @@ def chunk_size(size: int, fields: Sequence[tuple]) -> int:
     return size * max(1, BATCH_BYTES // (8 * size * width)) if width else size
 
 
-def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: Callable,
-                     fields: Sequence[tuple] = ()):
+def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, fields: Sequence[tuple] = ()):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
-    ``points`` stacks the batch's coordinates as a (B, dim) array and B is
+    ``batch`` is the batch's ``Samples``, ``points`` its coordinates (B, dim) and B is
     ``batch_size(dim, folds)`` for the fields ``folds`` read at order 2.
 
     ``fields`` names what the sweep reads: ``(field, order)`` for a field at
@@ -657,7 +673,7 @@ def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: C
     size = batch_size(dim, [field for field, order, _ in reads if order == 2])
     chunk = chunk_size(size, reads)
     for start in range(0, len(samples), chunk):
-        points = np.array([s.coords for s in samples[start:start + chunk]], dtype=float)
+        points = samples.coords[start:start + chunk]
         jets = _chunk_jets(points, reads) if len(points) > size else []
         for offset in range(0, len(points), size):
             rows = slice(offset, offset + size)
@@ -666,17 +682,17 @@ def evaluate_batches(samples: Sequence[PointSample], dim: int, evaluate_stack: C
                 # the Hessian rows are copied, so that the remembered jet does not keep the chunk's alive
                 rows_jet = tuple(a[rows] for a in compact[:2]) + tuple(a[rows].copy() for a in compact[2:])
                 field._remember(local, field._dense(local.shape[:-1], order, rows_jet))
-            batch = samples[start + offset:start + offset + size]
             try:
                 result = evaluate_stack(points[rows])
             except EvaluationDomainError:
-                for row, sample in enumerate(batch):
+                for row in range(offset, min(offset + size, len(points))):
                     try:
-                        evaluate_stack(points[offset + row:offset + row + 1])
+                        evaluate_stack(points[row:row + 1])
                     except EvaluationDomainError as exc:
-                        raise SampleEvaluationError(sample, exc) from exc
+                        raise SampleEvaluationError(tuple(points[row].tolist()), int(samples.draws[start + row]),
+                                                    exc) from exc
                 raise
-            yield batch, result
+            yield samples[start + offset:start + offset + size], result
         del jets  # before the next chunk runs
 
 
@@ -777,7 +793,7 @@ class ValidationReport:
 # Axiom validation
 # ---------------------------------------------------------------------------
 
-def validate_structure(struct: ContactStructure, samples: Sequence[PointSample], tol: float,
+def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
                        layers: Callable | None = None) -> ValidationReport:
     """Check the structure axioms at every sample.
 

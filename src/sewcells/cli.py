@@ -159,17 +159,17 @@ def cmd_nullity(args) -> int:
     report["parameters"]["convention"] = label
 
     t_axis = struct.chart.adapted_index
-    rows = []
     print(f"{struct.name}: per-sample nullity fits ({label})")
     header = f"  {'t' if t_axis is not None else 'draw':>12}  {'kappa':>14} {'mu':>14} {'muprime':>14} {'residual':>12}"
     print(header)
     fits = nullity_fits(struct, samples)
     if kenmotsu:
         # before the constancy checks: the spread of mu' scales by |alpha| too
-        fits = [normalized(fit, alpha) for fit in fits]
+        fits = normalized(fits, alpha)
     if t_axis is not None:
         gen = check_generalized(struct, samples, fits, args.tol)
-        pairs = list(zip(gen.samples, gen.fits))
+        samples, fits = samples[gen.order], fits[gen.order]
+        labels = samples.coords[:, t_axis]
         verdicts = {
             "constant_kappa": gen.constant_kappa,
             "constant_mu": gen.constant_mu,
@@ -179,28 +179,18 @@ def cmd_nullity(args) -> int:
             "group_spread_max": gen.group_spread_max,
         }
     else:
-        pairs = list(zip(samples, fits))
+        labels = samples.draws.astype(float)
         verdicts = {}
-    fit_residual = Residual("fit_residual", args.tol)
-    for sample, fit in pairs:
-        fit_residual.add(fit.residual)
-        label = sample.coords[t_axis] if t_axis is not None else float(sample.draw)
-        flag = "" if fit.determinate_mu else "  [mu undetermined: h = 0]"
-        print(
-            f"  {label:>12.6g}  {fit.kappa:>14.8g} {fit.mu:>14.8g} {fit.muprime:>14.8g}"
-            f" {fit.residual:>12.3e}{flag}"
-        )
-        rows.append(
-            {
-                "point": list(sample.coords),
-                "kappa": fit.kappa,
-                "mu": fit.mu,
-                "muprime": fit.muprime,
-                "residual": fit.residual,
-                "h_norm": fit.h_norm,
-                "determinate_mu": fit.determinate_mu,
-            }
-        )
+    fit_residual = Residual("fit_residual", args.tol).add(fits.residual)
+    # as Python numbers: JSON encodes no NumPy bool
+    columns = (fits.kappa, fits.mu, fits.muprime, fits.residual, fits.h_norm, fits.determinate_mu)
+    rows = []
+    for label, point, kappa, mu, muprime, residual, h_norm, determinate in zip(
+            labels.tolist(), samples.coords.tolist(), *(column.tolist() for column in columns)):
+        flag = "" if determinate else "  [mu undetermined: h = 0]"
+        print(f"  {label:>12.6g}  {kappa:>14.8g} {mu:>14.8g} {muprime:>14.8g} {residual:>12.3e}{flag}")
+        rows.append({"point": point, "kappa": kappa, "mu": mu, "muprime": muprime, "residual": residual,
+                     "h_norm": h_norm, "determinate_mu": determinate})
     for key, value in verdicts.items():
         print(f"  {key}: {value}")
     passed = fit_residual.passed

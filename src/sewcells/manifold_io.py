@@ -97,8 +97,8 @@ def load_manifold(path: str | Path) -> ContactStructure:
 
 def structure_from_dict(doc: dict) -> ContactStructure:
     coords = _require(doc, "coordinates")
-    if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
-        raise ManifoldFileError("coordinates must be a list of names")
+    if not isinstance(coords, list) or not coords or not all(isinstance(c, str) for c in coords):
+        raise ManifoldFileError("coordinates must be a non-empty list of names")
     coords = tuple(coords)
     n = len(coords)
     adapted = doc.get("adapted_coordinate")
@@ -127,6 +127,8 @@ def structure_from_dict(doc: dict) -> ContactStructure:
     eta_list = _load_vector(doc, "eta", coords, n)
 
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ManifoldFileError(f"name must be a string, got {name!r}")
     kwargs = dict(
         name=name,
         chart=chart,
@@ -164,10 +166,16 @@ def _sewn_provenance(doc: dict, n: int) -> dict | None:
     return {"cell_count": k, "sources": tuple(sources)}
 
 
+def _require_grid(doc: dict, key: str, n: int) -> list:
+    grid = _require(doc, key)
+    if not isinstance(grid, list) or len(grid) != n or not all(isinstance(row, list) and len(row) == n
+                                                               for row in grid):
+        raise ManifoldFileError(f"{key} must be a {n}x{n} grid")
+    return grid
+
+
 def _load_metric(doc: dict, coords: tuple[str, ...], n: int):
-    grid = _require(doc, "metric")
-    if not isinstance(grid, list) or len(grid) != n or any(len(row) != n for row in grid):
-        raise ManifoldFileError(f"metric must be a {n}x{n} grid")
+    grid = _require_grid(doc, "metric", n)
     parsed = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
@@ -194,9 +202,7 @@ def _load_metric(doc: dict, coords: tuple[str, ...], n: int):
 
 
 def _load_square(doc: dict, key: str, coords: tuple[str, ...], n: int):
-    grid = _require(doc, key)
-    if not isinstance(grid, list) or len(grid) != n or any(len(row) != n for row in grid):
-        raise ManifoldFileError(f"{key} must be a {n}x{n} grid")
+    grid = _require_grid(doc, key, n)
     return tuple(
         tuple(_parse_entry(grid[i][j], coords, f"{key}[{i}][{j}]") for j in range(n))
         for i in range(n)

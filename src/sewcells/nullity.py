@@ -15,16 +15,19 @@ almost alpha-Kenmotsu geometry (Dileo & Pastore, J. Geom. 93, 2009) spans the
 same design column divided by alpha, so its fit is the raw one with ``mu'``
 multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 
-``fit_nullity`` takes one point or a stack of points.  At a stack it builds
-``R(e_i, e_j) xi`` (``geometry.riemann`` along xi), ``h`` and the design
-matrices of every sample at once, and solves all their least-squares
-problems with one batched SVD; a sample whose design or curvature is not
-finite gets NaN constants instead of failing the stack.  ``nullity_fits``
-feeds it a sample set in batches that the fold of the metric's Hessians also
-fits, and runs the programs of g (order 2), phi and xi (order 1) and eta
-(values) once per chunk of batches (see ``charts.evaluate_batches``), as
-does the theorem stage of ``sew`` (``sewing.verify_sewing_theorems``),
-which classifies on the same batches.
+``fit_nullity`` takes one point or a stack of points and gives one
+``NullityFits``: an array per fitted quantity, with a leading sample axis at
+a stack.  It builds ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi),
+``h`` and the design matrices of every sample at once, and solves all their
+least-squares problems with one batched SVD; a sample whose design or
+curvature is not finite gets NaN constants instead of failing the stack.
+``nullity_fits`` feeds it a sample set in batches that the fold of the
+metric's Hessians also fits, and runs the programs of g (order 2), phi and
+xi (order 1) and eta (values) once per chunk of batches (see
+``charts.evaluate_batches``), as does the theorem stage of ``sew``
+(``sewing.verify_sewing_theorems``), which classifies on the same batches.
+``check_generalized`` groups the samples by their adapted column with one
+stable sort and reduces the fits' columns group by group.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import ChartError, ContactStructure, PointSample, Residual, evaluate_batches
+from .charts import ChartError, ContactStructure, Residual, Samples, evaluate_batches
 from .geometry import h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
@@ -45,45 +48,55 @@ class NullityFitError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class NullityFit:
-    """The fitted constants at one point, with the ``h`` and ``h'`` they multiply."""
+class NullityFits:
+    """The fitted constants at each sample of a stack, with the ``h`` and
+    ``h'`` they multiply: every field leads with the sample axis, or has none
+    at one point.  Indexing by rows gives the fits there."""
 
-    kappa: float
-    mu: float
-    muprime: float
-    residual: float
-    h_norm: float
-    determinate_mu: bool
+    kappa: np.ndarray
+    mu: np.ndarray
+    muprime: np.ndarray
+    residual: np.ndarray
+    h_norm: np.ndarray
+    determinate_mu: np.ndarray
     h: np.ndarray
     hprime: np.ndarray
 
+    def __getitem__(self, rows) -> "NullityFits":
+        return NullityFits(*(array[rows] for array in vars(self).values()))
 
-def fit_nullity(struct: ContactStructure, point):
-    """Least-squares (kappa, mu, mu'): one ``NullityFit`` at a point (n,), a
-    list of them, in row order, at a stack (P, n); see the module docstring."""
+    @staticmethod
+    def concatenate(parts: Sequence["NullityFits"]) -> "NullityFits":
+        """The fits of ``parts`` one after another."""
+        return NullityFits(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
+
+
+def fit_nullity(struct: ContactStructure, point) -> NullityFits:
+    """Least-squares (kappa, mu, mu') at a point (n,) or at each point of a
+    stack (P, n); see the module docstring."""
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
         return _fit_stack(struct, point[None])[0]
     return _fit_stack(struct, point)
 
 
-def nullity_fits(struct: ContactStructure, samples: Sequence[PointSample]) -> list[NullityFit]:
+def nullity_fits(struct: ContactStructure, samples: Samples) -> NullityFits:
     """``fit_nullity`` at every sample, in sample order, over batches."""
     reads = ((struct.metric, 2), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0))
     batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), reads)
-    return [fit for _, fits in batches for fit in fits]
+    return NullityFits.concatenate([fits for _, fits in batches])
 
 
-def normalized(fit: NullityFit, alpha: float) -> NullityFit:
-    """The fit against ``h'/alpha`` instead of ``h'``: the same least-squares
-    problem with the third column divided by alpha, so ``mu'`` scales by alpha
-    and kappa, mu and the residual stay."""
+def normalized(fits: NullityFits, alpha: float) -> NullityFits:
+    """The fits against ``h'/alpha`` instead of ``h'``: the same least-squares
+    problems with the third column divided by alpha, so ``mu'`` scales by
+    alpha and kappa, mu and the residual stay."""
     if not alpha:
         raise ValueError("the normalized h' needs a nonzero alpha")
-    return replace(fit, muprime=alpha * fit.muprime, hprime=fit.hprime / alpha)
+    return replace(fits, muprime=alpha * fits.muprime, hprime=fits.hprime / alpha)
 
 
-def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]:
+def _fit_stack(struct: ContactStructure, points: np.ndarray) -> NullityFits:
     n = struct.dim
     i, j = np.triu_indices(n, 1)
     # xi's order-1 jet, remembered for h_tensor below; its gradients are only (n, n) per sample
@@ -109,8 +122,8 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray) -> list[NullityFit]
 
     b = flat(rxi)
     design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
-    return [NullityFit(*row, h_norm, not h_norm <= H_DEGENERACY_THRESHOLD, h[p], hp[p])
-            for p, (row, h_norm) in enumerate(zip(_solve_stack(design, b, h_norms).tolist(), h_norms.tolist()))]
+    kappa, mu, muprime, residual = _solve_stack(design, b, h_norms).T
+    return NullityFits(kappa, mu, muprime, residual, h_norms, ~(h_norms <= H_DEGENERACY_THRESHOLD), h, hp)
 
 
 def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray) -> np.ndarray:
@@ -158,12 +171,13 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedNullityReport:
-    """Per-sample fits plus constancy flags along and across the leaves of eta."""
+    """Constancy flags of fits along and across the leaves of eta, and
+    ``order``, the sample rows by ascending adapted value, in sample order
+    within a value."""
 
-    samples: tuple[PointSample, ...]
-    fits: tuple[NullityFit, ...]
+    order: np.ndarray
     constant_kappa: bool
     constant_mu: bool
     constant_muprime: bool
@@ -172,49 +186,42 @@ class GeneralizedNullityReport:
     group_spread_max: float
 
 
-def check_generalized(
-    struct: ContactStructure,
-    samples: Sequence[PointSample],
-    fits: Sequence[NullityFit],
-    tol: float,
-) -> GeneralizedNullityReport:
+def check_generalized(struct: ContactStructure, samples: Samples, fits: NullityFits,
+                      tol: float) -> GeneralizedNullityReport:
     """Group the fits at the samples by the shared adapted coordinate and test constancy.
 
-    ``fits[j]`` is the nullity fit at ``samples[j]``.  ``eta_aligned`` is true
-    when the fitted values agree within ``tol`` inside every shared-coordinate
-    group - the numerical form of ``d kappa ^ eta = 0``.  Needs at least 3
-    distinct shared values with at least 2 samples each.
+    Row j of ``fits`` is the nullity fit at row j of ``samples``.
+    ``eta_aligned`` is true when the fitted values agree within ``tol``
+    inside every shared-coordinate group - the numerical form of
+    ``d kappa ^ eta = 0``.  Needs at least 3 distinct shared values with at
+    least 2 samples each.
     """
     t_axis = struct.chart.adapted_index
     if t_axis is None:
         raise ChartError("generalized-nullity checks need an adapted chart")
-    groups: dict[float, list[tuple[PointSample, NullityFit]]] = {}
-    for sample, fit in zip(samples, fits, strict=True):
-        groups.setdefault(sample.coords[t_axis], []).append((sample, fit))
-    rich = {t: members for t, members in groups.items() if len(members) >= 2}
+    if len(samples) != len(fits.kappa):
+        raise ValueError(f"{len(samples)} samples and {len(fits.kappa)} fits")
+    t = samples.coords[:, t_axis]
+    order = np.argsort(t, kind="stable")
+    groups = np.split(order, np.unique(t[order], return_index=True)[1][1:])
+    rich = [members for members in groups if len(members) >= 2]
     if len(rich) < 3:
         raise ValueError(
             "insufficient sample structure: need >= 2 samples sharing each of >= 3 adapted values"
         )
 
     group_spread = Residual("eta_aligned", tol)
-    for members in rich.values():
-        member_fits = [fit for _, fit in members]
-        for pick in (
-            [f.kappa for f in member_fits],
-            [f.mu for f in member_fits if f.determinate_mu],
-            [f.muprime for f in member_fits if f.determinate_mu],
-        ):
+    for members in rich:
+        determinate = fits.determinate_mu[members]
+        for pick in (fits.kappa[members], fits.mu[members][determinate], fits.muprime[members][determinate]):
             group_spread.add(_spread(pick))
-    ordered = [pair for t in sorted(groups) for pair in groups[t]]
 
     kappa_spread, mu_spread, muprime_spread = (
-        Residual(name, tol).add(_spread([getattr(f, name) for f in fits]))
-        for name in ("kappa", "mu", "muprime")
+        Residual(name, tol).add(_spread(values)) for name, values in
+        (("kappa", fits.kappa), ("mu", fits.mu), ("muprime", fits.muprime))
     )
     return GeneralizedNullityReport(
-        samples=tuple(sample for sample, _ in ordered),
-        fits=tuple(fit for _, fit in ordered),
+        order=order,
         constant_kappa=kappa_spread.passed,
         constant_mu=mu_spread.passed,
         constant_muprime=muprime_spread.passed,
@@ -224,6 +231,6 @@ def check_generalized(
     )
 
 
-def _spread(values: list[float]) -> float:
+def _spread(values: np.ndarray) -> float:
     """``max - min``, NaN when any value is NaN (the builtins would skip it)."""
-    return float(np.ptp(values)) if values else 0.0
+    return float(np.ptp(values)) if values.size else 0.0

@@ -54,7 +54,10 @@ the curvature sweeps' batches fit the Hessian fold too.  The
 brackets of all pairs of a block's affinor-image fields come from one
 ``lie_bracket`` call on the block of the affinor.  The theorem stage walks
 the samples of the sewn chart once, and those of each distinct cell
-definition once, over the projected samples of all its blocks.
+definition once, over the projected samples of all its blocks: one matmul
+with the embedding projects the sewn samples into every block.  It keeps
+the fits as columns (``nullity.NullityFits``) and reduces the transfer
+residuals and the operator laws from them with array expressions.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ from .charts import (
     Chart,
     Constraint,
     ContactStructure,
-    PointSample,
     Residual,
+    Samples,
     TensorField,
     ValidationReport,
     evaluate_batches,
@@ -91,12 +94,7 @@ from .geometry import (
     numeric_rank,
     riemann,
 )
-from .nullity import (
-    GeneralizedNullityReport,
-    NullityFit,
-    check_generalized,
-    fit_nullity,
-)
+from .nullity import GeneralizedNullityReport, NullityFits, check_generalized, fit_nullity
 
 _ADAPTED_PROBE_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
@@ -144,7 +142,7 @@ def _require_sewable(cells: Sequence[ContactStructure]) -> None:
 
 def _probe_points(chart: Chart) -> np.ndarray:
     """Three seeded samples as one (3, n) stack."""
-    return np.array([s.coords for s in sample_points(chart, 3, seed=0)])
+    return sample_points(chart, 3, seed=0).coords
 
 
 def _probe_adapted_unit(cell: ContactStructure) -> None:
@@ -342,7 +340,7 @@ def _blocks(product: ProductDefinition) -> list[_Block]:
 # Product verification
 # ---------------------------------------------------------------------------
 
-def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample], tol: float) -> ValidationReport:
+def verify_f_structure(product: ProductDefinition, samples: Samples, tol: float) -> ValidationReport:
     """Axioms of the product affinor: f^3 + f = 0, skewness, kernel = framing.
 
     The product is the direct sum of its blocks (``SewingError`` when
@@ -405,7 +403,7 @@ def verify_f_structure(product: ProductDefinition, samples: Sequence[PointSample
 
 def verify_lift_laws(
     product: ProductDefinition,
-    samples: Sequence[PointSample],
+    samples: Samples,
     tol: float,
 ) -> ValidationReport:
     """The connection respects the block splitting, and the affinor image plus
@@ -571,7 +569,7 @@ class _BlockGeometry(NamedTuple):
 def extrinsic_report(
     product: ProductDefinition,
     sewn: SewnManifold,
-    samples: Sequence[PointSample],
+    samples: Samples,
     tol: float,
 ) -> ValidationReport:
     """Normal frame, normal connection, Weingarten operators along the Reeb
@@ -670,15 +668,6 @@ def extrinsic_report(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NullityTransferRow:
-    """The raw fits at one sewn sample and at its projection into the first cell."""
-
-    point: PointSample
-    sewn: NullityFit
-    cell: NullityFit
-
-
-@dataclass(frozen=True)
 class ConventionComparison:
     """Which h' normalization makes mu' scale by 1/k under sewing."""
 
@@ -692,10 +681,14 @@ class ConventionComparison:
 
 @dataclass(frozen=True)
 class TheoremReport(ValidationReport):
+    """The stage's checks and classifications; for cell copies also the raw
+    fits at the samples and at their projections into the first cell."""
+
     cells_are_copies: bool
     cell_classification: Classification
     sewn_classification: Classification
-    nullity_rows: tuple[NullityTransferRow, ...]
+    sewn_fits: NullityFits | None
+    cell_fits: NullityFits | None
     generalized: GeneralizedNullityReport | None
     convention_comparison: ConventionComparison | None
 
@@ -703,7 +696,7 @@ class TheoremReport(ValidationReport):
 def verify_sewing_theorems(
     product: ProductDefinition,
     sewn: SewnManifold,
-    samples: Sequence[PointSample],
+    samples: Samples,
     tol: float,
 ) -> TheoremReport:
     """Check classification transfer, nullity transfer and the commutation laws.
@@ -739,11 +732,8 @@ def verify_sewing_theorems(
     # first: the cell sweep's remembered jets on its stack would otherwise stay alive under this one
     ((sewn_class, sewn_fits),) = _classify_sets(sewn, [samples], tol, copies, laws)
 
-    product_points = np.array([s.coords for s in samples]) @ embedding_matrix(product, sewn).T
-    cell_samples = [
-        [PointSample(tuple(p), s.seed, s.draw) for p, s in zip(product_points[:, list(block)].tolist(), samples)]
-        for block in product.blocks
-    ]
+    product_points = samples.coords @ embedding_matrix(product, sewn).T
+    cell_samples = [Samples(product_points[:, list(block)], samples.draws) for block in product.blocks]
     blocks = _block_sweeps(cells, cell_samples, tol, copies)
     cell_class = blocks[0][0]
     agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
@@ -769,30 +759,26 @@ def verify_sewing_theorems(
                       .add(sewn_class.fit_residual_max).result())
     checks.append(Residual("sewn_weight_fit_residual", tol).add(sewn_class.fit_residual_max).result())
 
-    nullity_rows: list[NullityTransferRow] = []
     generalized: GeneralizedNullityReport | None = None
     comparison: ConventionComparison | None = None
     if copies:
         sqrt_k = math.sqrt(k)
-        fit_residuals = Residual("nullity_fit_residuals", tol)
+        fit_residuals = Residual("nullity_fit_residuals", tol).add(sewn_fits.residual)
         kappa = Residual("kappa_transfer", tol, note=f"kappa -> kappa/{k}")
         mu = Residual("mu_transfer", tol, note=f"mu -> mu/sqrt({k}), raw convention")
         muprime = Residual("muprime_transfer", tol, note=f"mu' -> mu'/sqrt({k}), raw convention")
-        for s, sewn_fit, *row in zip(samples, sewn_fits, *cell_fits):
-            fit_residuals.add(sewn_fit.residual)
-            for cf in row:
-                fit_residuals.add(cf.residual)
-                kappa.add(sewn_fit.kappa - cf.kappa / k)
-                if cf.determinate_mu and sewn_fit.determinate_mu:
-                    mu.add(sewn_fit.mu - cf.mu / sqrt_k)
-                    muprime.add(sewn_fit.muprime - cf.muprime / sqrt_k)
-            nullity_rows.append(NullityTransferRow(s, sewn_fit, row[0]))
-        generalized = check_generalized(sewn, samples, [row.sewn for row in nullity_rows], tol)
+        for fits in cell_fits:
+            fit_residuals.add(fits.residual)
+            kappa.add(sewn_fits.kappa - fits.kappa / k)
+            both = fits.determinate_mu & sewn_fits.determinate_mu
+            mu.add((sewn_fits.mu - fits.mu / sqrt_k)[both])
+            muprime.add((sewn_fits.muprime - fits.muprime / sqrt_k)[both])
+        generalized = check_generalized(sewn, samples, sewn_fits, tol)
         checks.extend(r.result() for r in (fit_residuals, kappa, mu, muprime))
         checks.append(Residual("eta_aligned", tol).add(generalized.group_spread_max).result())
         checks.extend(r.result() for r in laws)
         if cell_class.kind == ALMOST_ALPHA_KENMOTSU and sewn_class.kind == ALMOST_ALPHA_KENMOTSU:
-            comparison = _compare_conventions(nullity_rows, cell_class.alpha, sewn_class.alpha, k, tol)
+            comparison = _compare_conventions(sewn_fits, cell_fits[0], cell_class.alpha, sewn_class.alpha, k, tol)
     return TheoremReport(
         subject=sewn.name,
         sample_count=len(samples),
@@ -800,14 +786,15 @@ def verify_sewing_theorems(
         cells_are_copies=copies,
         cell_classification=cell_class,
         sewn_classification=sewn_class,
-        nullity_rows=tuple(nullity_rows),
+        sewn_fits=sewn_fits,
+        cell_fits=cell_fits[0],
         generalized=generalized,
         convention_comparison=comparison,
     )
 
 
-def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Sequence[PointSample]], tol: float,
-                   fit: bool, laws: Sequence[Residual] = ()) -> list[tuple[Classification, list[NullityFit]]]:
+def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Samples], tol: float,
+                   fit: bool, laws: Sequence[Residual] = ()) -> list[tuple[Classification, NullityFits | None]]:
     """The classification and, when ``fit``, the nullity fits of each of
     ``sample_sets``, which hold as many samples each, from one sweep over
     their concatenation.  The per-sample results of ``classify_layers`` are
@@ -818,26 +805,26 @@ def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Sequence[Poin
     ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
     there, which no later batch keeps."""
     def batch(points):
-        fits = fit_nullity(struct, points) if fit else []
+        fits = fit_nullity(struct, points) if fit else None
         layers = classify_layers(struct, points)
         if laws:
             g, phi, xi, _ = struct.values_at(points)
             _add_operator_laws(laws, g, phi, xi, fits)
         return layers, fits
 
-    stacked = [sample for sample_set in sample_sets for sample in sample_set]
+    stacked = Samples(np.concatenate([s.coords for s in sample_sets]), np.concatenate([s.draws for s in sample_sets]))
     reads = [(struct.metric, 2 if fit else 1)] + [(field, 1) for field in (struct.phi, struct.xi, struct.eta)]
     swept = [out for _, out in evaluate_batches(stacked, struct.dim, batch, reads)]
     columns = [np.concatenate(column) for column in zip(*(layers for layers, _ in swept))]
-    fits = [f for _, batch_fits in swept for f in batch_fits]
+    fits = NullityFits.concatenate([batch_fits for _, batch_fits in swept]) if fit else None
     size = len(sample_sets[0])
     return [(classify(struct, sample_set, tol, [tuple(c[start:start + size] for c in columns)]),
-             fits[start:start + size])
+             fits[start:start + size] if fit else None)
             for start, sample_set in zip(range(0, len(stacked), size), sample_sets)]
 
 
-def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Sequence[PointSample]],
-                  tol: float, fit: bool) -> list[tuple[Classification, list[NullityFit]]]:
+def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Samples],
+                  tol: float, fit: bool) -> list[tuple[Classification, NullityFits | None]]:
     """Each block's classification and, when ``fit``, its nullity fits: the
     blocks whose cells share a definition (``_same_definition``) run one
     ``_classify_sets`` over their samples, stacked in block order, on the
@@ -862,22 +849,15 @@ _OPERATOR_LAWS = (
 )
 
 
-def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: Sequence[NullityFit]) -> None:
+def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: NullityFits) -> None:
     """Fold a batch of samples into the residuals named by ``_OPERATOR_LAWS``,
-    from the stacked values of g, phi and xi there and the fits in row order.
+    from the stacked values of g, phi and xi there and the batch's fits.
 
     The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
     """
     symmetric, p_phi, h_phi, p_h, kills_xi = laws
-
-    def coefficients(name: str) -> np.ndarray:
-        return np.array([getattr(fit, name) for fit in fits])[:, None, None]
-
-    p_op = -coefficients("kappa") * (phi @ phi)
-    h_ops = (
-        coefficients("mu") * np.stack([fit.h for fit in fits]),
-        coefficients("muprime") * np.stack([fit.hprime for fit in fits]),
-    )
+    p_op = -fits.kappa[:, None, None] * (phi @ phi)
+    h_ops = (fits.mu[:, None, None] * fits.h, fits.muprime[:, None, None] * fits.hprime)
     for op in (p_op,) + h_ops:
         g_op = g @ op
         symmetric.add(g_op - np.swapaxes(g_op, 1, 2))
@@ -898,17 +878,15 @@ def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:
     )
 
 
-def _compare_conventions(rows, alpha_cell, alpha_sewn, k, tol):
-    """Mean mu' of the raw fits in ``rows`` against that of their normalized
-    rescalings, on the cells and on the sewn structure.  The normalized mu'
-    of a fit is ``alpha`` times its raw one, the product that
-    ``nullity.normalized`` takes, so no rescaled copy of a fit is built."""
+def _compare_conventions(sewn_fits: NullityFits, cell_fits: NullityFits, alpha_cell, alpha_sewn, k, tol):
+    """Mean mu' of the raw fits on the cells and on the sewn structure against
+    that of their normalized rescalings.  The normalized mu' of a fit is
+    ``alpha`` times its raw one, the product that ``nullity.normalized``
+    takes, so no rescaled copy of the fits is built."""
 
-    def mean_muprime(fits, alpha: float = 1.0) -> float:
-        return float(np.mean([alpha * f.muprime for f in fits]))
+    def mean_muprime(fits: NullityFits, alpha: float = 1.0) -> float:
+        return float(np.mean(alpha * fits.muprime))
 
-    cell_fits = [row.cell for row in rows]
-    sewn_fits = [row.sewn for row in rows]
     cell_raw = mean_muprime(cell_fits)
     cell_norm = mean_muprime(cell_fits, alpha_cell)
     sewn_raw = mean_muprime(sewn_fits)

@@ -112,7 +112,7 @@ def second_fundamental(product, sewn, samples) -> np.ndarray:
     are constant on the product chart, so ``nabla_{E_a} E_b`` is
     ``Gamma(E_a, E_b)``."""
     e_mat = embedding_matrix(product, sewn)
-    points = np.array([s.coords for s in samples]) @ e_mat.T
+    points = samples.coords @ e_mat.T
     normal = np.stack([u.evaluate(points) for u in product_normal_frame(product)], axis=-1)
     g_normal = product.metric.evaluate(points) @ normal  # [p, j, alpha] = g(e_j, u_alpha)
     gamma = christoffel(product.metric, points)

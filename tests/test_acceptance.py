@@ -49,8 +49,8 @@ def test_criterion_1_model_cell_nullity():
     worst = 0.0
     for lam in (0.5, 1.0, 2.0):
         cell = model_cosymplectic_cell(lam)
-        for sample in sample_points(cell.chart, 25, SEED):
-            fit = fit_nullity(cell, sample.array())
+        for point in sample_points(cell.chart, 25, SEED).coords:
+            fit = fit_nullity(cell, point)
             worst = max(
                 worst,
                 abs(fit.kappa + lam * lam),
@@ -71,8 +71,7 @@ def test_criterion_2_model_transfer_pair_and_triple():
     worst_fit = 0.0
     for copies, expected_kappa in ((2, -0.5), (3, -1.0 / 3.0)):
         sewn = sew([cell] * copies)
-        for sample in sample_points(sewn.chart, 25, SEED):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 25, SEED).coords:
             worst_form = max(worst_form, float(np.max(np.abs(exterior_derivative(sewn.eta, point)))))
             _, d_phi = fundamental_form_with_derivative(sewn, point)
             worst_form = max(worst_form, float(np.max(np.abs(d_phi))))
@@ -88,8 +87,7 @@ def test_criterion_2_model_transfer_pair_and_triple():
 
 def test_criterion_3_halfspace_regression(halfspace_cell):
     worst_cell = 0.0
-    for sample in sample_points(halfspace_cell.chart, 10, SEED):
-        point = sample.array()
+    for point in sample_points(halfspace_cell.chart, 10, SEED).coords:
         fit = fit_nullity(halfspace_cell, point)
         expected = -(1.0 + math.exp(-4.0 * point[2]))
         worst_cell = max(worst_cell, abs(fit.kappa - expected), abs(fit.mu), abs(fit.muprime), fit.residual)
@@ -97,8 +95,7 @@ def test_criterion_3_halfspace_regression(halfspace_cell):
     sewn = sew([halfspace_cell, halfspace_cell])
     worst_sewn = 0.0
     samples = sample_points(sewn.chart, 10, SEED)
-    for sample in samples:
-        point = sample.array()
+    for point in samples.coords:
         fit = fit_nullity(sewn, point)
         expected = -(1.0 + math.exp(-4.0 * point[0])) / 2.0
         worst_sewn = max(worst_sewn, abs(fit.kappa - expected), fit.residual)
@@ -112,8 +109,7 @@ def test_criterion_3_halfspace_regression(halfspace_cell):
     xbar = [const_field([0, root, root, 0, 0]), const_field([0, 0, 0, root, root])]
     ybar = [const_field([0, -root, root, 0, 0]), const_field([0, 0, 0, -root, root])]
     worst_table = 0.0
-    for sample in samples:
-        point = sample.array()
+    for point in samples.coords:
         s = point[0]
         c_minus = (1.0 - math.exp(-2.0 * s)) * root
         c_plus = (1.0 + math.exp(-2.0 * s)) * root
@@ -140,7 +136,7 @@ def test_criterion_4_kenmotsu_transfer(kenmotsu_cell, sewing_inputs):
     report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
     alpha = report.sewn_classification.alpha
     alpha_ok = alpha is not None and abs(alpha - 1.0 / math.sqrt(2.0)) <= 1e-8
-    kappa_defect = max(abs(row.sewn.kappa + 1.0) for row in report.nullity_rows)
+    kappa_defect = float(np.abs(report.sewn_fits.kappa + 1.0).max())
     comp = report.convention_comparison
     recorded = comp is not None and comp.reproduces_inverse_k in ("kenmotsu", "raw")
     ok = alpha_ok and kappa_defect <= 1e-8 and recorded and comp.reproduces_inverse_k == "kenmotsu"
@@ -159,8 +155,7 @@ def _structure_suite_residual(struct, samples) -> float:
     for check in report.checks:
         if check.name != "metric_positive_definite":
             worst = max(worst, check.residual)
-    for sample in samples:
-        point = sample.array()
+    for point in samples.coords:
         deriv = covariant_derivative_affinor(struct, point)
         worst = max(worst, deriv.nabla_xi_xi_norm, deriv.nabla_xi_phi_norm)
         g, phi, xi, _ = struct.values_at(point)
@@ -234,8 +229,7 @@ def test_criterion_6_product_proposition_suite(cells, sewing_inputs):
 def test_criterion_7_oracle_equivalence(cells):
     worst_gamma = 0.0
     for cell in cells:
-        for sample in sample_points(cell.chart, 20, SEED):
-            point = sample.array()
+        for point in sample_points(cell.chart, 20, SEED).coords:
             diff = christoffel(cell.metric, point) - koszul_fd(cell.metric, point)
             worst_gamma = max(worst_gamma, float(np.max(np.abs(diff))))
 
@@ -263,7 +257,7 @@ def test_criterion_7_oracle_equivalence(cells):
 def test_criterion_8_generalized_nullity_structure(halfspace_cell):
     def generalized(struct):
         samples = sample_points_grouped(struct.chart, 5, 3, SEED)
-        return check_generalized(struct, samples, [fit_nullity(struct, s.array()) for s in samples], 1e-8)
+        return check_generalized(struct, samples, fit_nullity(struct, samples.coords), 1e-8)
 
     single = generalized(halfspace_cell)
     paired = generalized(sew([halfspace_cell, halfspace_cell]))

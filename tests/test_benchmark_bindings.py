@@ -85,5 +85,6 @@ def test_traced_commands_run_every_predicted_layer(tmp_path, monkeypatch):
     # sew draws its plain and its grouped samples from one seed, so the two sets
     # share their group-leading points; nabla phi repeats at those points only
     chart = load_manifold("sewn.json").chart
-    shared = {s.coords for s in sample_points(chart, 5, 7)} & {s.coords for s in nullity_samples(chart, 5, 7)}
+    shared = ({tuple(point) for point in sample_points(chart, 5, 7).coords.tolist()}
+              & {tuple(point) for point in nullity_samples(chart, 5, 7).coords.tolist()})
     assert repeats == [0, 0, len(shared)]

@@ -23,8 +23,8 @@ class TestConstructors:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_model_cell_nullity_constant(self, lam):
         cell = model_cosymplectic_cell(lam)
-        for sample in sample_points(cell.chart, 10, 7):
-            fit = fit_nullity(cell, sample.array())
+        for point in sample_points(cell.chart, 10, 7).coords:
+            fit = fit_nullity(cell, point)
             assert fit.kappa == pytest.approx(-lam * lam, abs=1e-8)
 
     def test_model_cell_classifies_almost_cosymplectic(self):
@@ -73,8 +73,7 @@ class TestHalfspaceCell:
     def test_metric_matches_orthonormal_frame_completion(self, halfspace_cell):
         # independent derivation: with frame columns E = (d/dx, d/dy, xi),
         # orthonormality E^T G E = Id forces G = (E E^T)^{-1}
-        for sample in sample_points(halfspace_cell.chart, 25, 7):
-            point = sample.array()
+        for point in sample_points(halfspace_cell.chart, 25, 7).coords:
             x, y, z = point
             a = x - y * math.exp(-2.0 * z)
             b = y - x * math.exp(-2.0 * z)
@@ -87,8 +86,7 @@ class TestHalfspaceCell:
         assert report.passed, report.format_table()
 
     def test_frame_is_orthonormal(self, halfspace_cell):
-        for sample in sample_points(halfspace_cell.chart, 10, 9):
-            point = sample.array()
+        for point in sample_points(halfspace_cell.chart, 10, 9).coords:
             g = halfspace_cell.metric.evaluate(point)
             xi = halfspace_cell.xi.evaluate(point)
             e_x = np.array([1.0, 0.0, 0.0])
@@ -98,8 +96,8 @@ class TestHalfspaceCell:
 
     def test_domain_constraint(self, halfspace_cell):
         assert [c.source() for c in halfspace_cell.chart.constraints] == ["z > 0"]
-        for sample in sample_points(halfspace_cell.chart, 50, 11):
-            assert sample.coords[2] > 0
+        for point in sample_points(halfspace_cell.chart, 50, 11).coords:
+            assert point[2] > 0
 
 
 class TestRegistry:

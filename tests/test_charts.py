@@ -13,9 +13,9 @@ from sewcells.charts import (
     Chart,
     ChartError,
     Constraint,
-    PointSample,
     Residual,
     SampleEvaluationError,
+    Samples,
     SamplingError,
     TensorField,
     batch_size,
@@ -67,12 +67,26 @@ class TestChart:
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
         chart = Chart(("t", "x", "y"))
-        assert sample_points(chart, 5, 42) == sample_points(chart, 5, 42)
+        first, second = sample_points(chart, 5, 42), sample_points(chart, 5, 42)
+        assert np.array_equal(first.coords, second.coords) and np.array_equal(first.draws, second.draws)
+
+    def test_samples_count_slice_and_stay_read_only(self):
+        samples = Samples(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([0, 2, 3]))
+        assert len(samples) == 3
+        assert len(Samples(np.zeros((0, 2)), np.zeros(0, dtype=np.intp))) == 0
+        tail = samples[1:]
+        assert tail.coords.tolist() == [[3.0, 4.0], [5.0, 6.0]] and tail.draws.tolist() == [2, 3]
+        picked = samples[np.array([2, 0])]
+        assert picked.coords.tolist() == [[5.0, 6.0], [1.0, 2.0]] and picked.draws.tolist() == [3, 0]
+        with pytest.raises(ValueError):
+            samples.coords[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            iter(samples)
 
     def test_constraints_are_satisfied(self):
         chart = Chart(("x", "y", "z"), (Constraint.from_source("z > 0", ("x", "y", "z")),))
-        for sample in sample_points(chart, 100, 3):
-            assert sample.coords[2] > 0
+        for point in sample_points(chart, 100, 3).coords:
+            assert point[2] > 0
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -88,17 +102,18 @@ class TestSampling:
         """One candidate at a time, one coordinate at a time."""
         intervals = sampling_box(chart)
         rng = np.random.default_rng(seed)
-        samples, draw = [], 0
+        points, draws, draw = [], [], 0
         for _ in range(count):
             for _ in range(limit):
-                point = tuple(float(rng.uniform(lo, hi)) for lo, hi in intervals)
+                point = [float(rng.uniform(lo, hi)) for lo, hi in intervals]
                 draw += 1
                 if _holds(chart, point):
-                    samples.append(PointSample(point, seed, draw - 1))
+                    points.append(point)
+                    draws.append(draw - 1)
                     break
             else:
                 raise SamplingError("reference gave up")
-        return samples
+        return points, draws
 
     def test_block_draws_match_the_scalar_loop(self, halfspace_cell, monkeypatch):
         xy = ("x", "y")
@@ -125,10 +140,10 @@ class TestSampling:
                     fallbacks.clear()
                     got = sample_points(chart, count, seed)
                     row_tests += len(fallbacks)
-                    assert got == expected
-                    assert all(type(s.draw) is int for s in got)
+                    assert (got.coords.tolist(), got.draws.tolist()) == expected
+                    assert got.draws.dtype == np.intp
             if rejects:
-                assert any(s.draw > i for i, s in enumerate(got)), "the constraint must force rejections"
+                assert (got.draws > np.arange(len(got))).any(), "the constraint must force rejections"
             # only a stack that leaves a constraint's domain is tested row by row
             assert bool(row_tests) == (chart is logarithmic)
 
@@ -148,7 +163,8 @@ class TestSampling:
                     sample_points(chart, 8, seed)
                 outcomes.add("raised")
                 continue
-            assert sample_points(chart, 8, seed) == expected
+            got = sample_points(chart, 8, seed)
+            assert (got.coords.tolist(), got.draws.tolist()) == expected
             outcomes.add("sampled")
         assert outcomes == {"raised", "sampled"}
 
@@ -158,7 +174,7 @@ class TestSampling:
         t_axis = chart.adapted_index
         intervals = sampling_box(chart)
         rng = np.random.default_rng(seed)
-        samples, draw = [], 0
+        points, draws, draw = [], [], 0
         for _ in range(groups):
             t_value = None
             for _ in range(per_group):
@@ -170,11 +186,12 @@ class TestSampling:
                     if _holds(chart, point):
                         if t_value is None:
                             t_value = point[t_axis]
-                        samples.append(PointSample(tuple(point), seed, draw - 1))
+                        points.append(point)
+                        draws.append(draw - 1)
                         break
                 else:
                     raise SamplingError("reference gave up")
-        return samples
+        return points, draws
 
     def test_grouped_block_draws_match_the_scalar_loop(self, catalog_cells):
         names = ("t", "x", "y")
@@ -192,9 +209,9 @@ class TestSampling:
                 for groups, per_group in ((1, 1), (5, 2), (5, 7), (3, 20)):
                     expected = self._grouped_scalar_reference(chart, groups, per_group, seed)
                     got = sample_points_grouped(chart, groups, per_group, seed)
-                    assert got == expected
-                    assert all(type(s.draw) is int for s in got)
-                    rejected = rejected or any(s.draw > i for i, s in enumerate(got))
+                    assert (got.coords.tolist(), got.draws.tolist()) == expected
+                    assert got.draws.dtype == np.intp
+                    rejected = rejected or (got.draws > np.arange(len(got))).any()
             # the added constraints and the coupled domain must force rejections
             assert rejected == rejects
 
@@ -211,7 +228,8 @@ class TestSampling:
                     sample_points_grouped(chart, 3, 3, seed)
                 outcomes.add("raised")
                 continue
-            assert sample_points_grouped(chart, 3, 3, seed) == expected
+            got = sample_points_grouped(chart, 3, 3, seed)
+            assert (got.coords.tolist(), got.draws.tolist()) == expected
             outcomes.add("sampled")
         assert outcomes == {"raised", "sampled"}
 
@@ -219,10 +237,10 @@ class TestSampling:
         chart = Chart(("t", "x", "y"), adapted_index=0)
         samples = sample_points_grouped(chart, 4, 3, 9)
         assert len(samples) == 12
-        t_values = {s.coords[0] for s in samples}
+        t_values = set(samples.coords[:, 0].tolist())
         assert len(t_values) == 4
         for t in t_values:
-            assert sum(1 for s in samples if s.coords[0] == t) == 3
+            assert np.count_nonzero(samples.coords[:, 0] == t) == 3
 
     def test_grouped_sampler_needs_adapted_chart(self):
         with pytest.raises(ChartError):
@@ -264,8 +282,8 @@ class TestValidation:
     def test_adapted_eta_components_are_exact(self, catalog_cells):
         for cell in catalog_cells:
             t = cell.chart.adapted_index
-            for sample in sample_points(cell.chart, 10, 4):
-                eta = cell.eta.evaluate(sample.array())
+            for point in sample_points(cell.chart, 10, 4).coords:
+                eta = cell.eta.evaluate(point)
                 expected = np.zeros(3)
                 expected[t] = 1.0
                 assert np.array_equal(eta, expected)
@@ -288,8 +306,7 @@ class TestFundamentalForm:
 
     def test_antisymmetry_and_reeb_annihilation(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 20, 5):
-                point = sample.array()
+            for point in sample_points(cell.chart, 20, 5).coords:
                 phi_form, _ = fundamental_form_with_derivative(cell, point)
                 assert float(np.max(np.abs(phi_form + phi_form.T))) <= 1e-12
                 xi = cell.xi.evaluate(point)
@@ -298,8 +315,8 @@ class TestFundamentalForm:
 
 class TestIndexOperations:
     def test_h_is_trace_free_on_model_cell(self, model_cell):
-        for sample in sample_points(model_cell.chart, 10, 6):
-            h = h_tensor(model_cell, sample.array()).h
+        for point in sample_points(model_cell.chart, 10, 6).coords:
+            h = h_tensor(model_cell, point).h
             assert abs(float(np.trace(h))) <= 1e-12
 
 
@@ -341,10 +358,6 @@ class TestTensorField:
         chart = Chart(("x", "y"))
         with pytest.raises(Exception):
             TensorField.build(chart, 1, 0, ["z", "0"])
-
-    def test_point_sample_array(self):
-        s = PointSample((1.0, 2.0), seed=3, draw=4)
-        assert np.array_equal(s.array(), [1.0, 2.0])
 
 
 class TestRememberedJet:
@@ -496,12 +509,12 @@ def _chunk_stacks(samples, fields, order: int = 1) -> list[bytes]:
     2): the most whole batches whose compact jets, the values and gradient
     entries of the non-constant components, fit ``BATCH_BYTES``, and at
     least one batch."""
-    size = batch_size(len(samples[0].coords))
+    size = batch_size(samples.coords.shape[1])
     width = sum(f._plan.positions.size + order * f._plan.grad_slots.size for f in fields)
     rows = size
     while 8 * (rows + size) * width <= BATCH_BYTES:
         rows += size
-    return [np.array([s.coords for s in samples[start:start + rows]]).tobytes()
+    return [samples.coords[start:start + rows].tobytes()
             for start in range(0, len(samples), rows)]
 
 
@@ -533,7 +546,7 @@ def test_verify_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsy
     assert set(field_runs.values()) == {1}
     assert Counter(order for _, _, order in field_runs) == {1: len(run)}
     samples = sample_points(struct.chart, 100, 7)
-    assert batch_size(7) < 100 and _chunk_stacks(samples, run) == [np.array([s.coords for s in samples]).tobytes()]
+    assert batch_size(7) < 100 and _chunk_stacks(samples, run) == [samples.coords.tobytes()]
     assert {stack for _, stack, _ in field_runs} == set(_chunk_stacks(samples, run))
     for field in fields:
         pairs = set()
@@ -646,17 +659,17 @@ def test_a_jet_that_leaves_its_domain_where_its_value_does_not_stops_the_axioms(
     x = model_cell.chart.index_of("x")
     coords = [0.3, 0.3, 0.3]
     coords[x] = 1e-154
-    samples = [PointSample((0.1, 0.2, 0.3), 7, 0), PointSample(tuple(coords), 7, 1)]
+    samples = Samples(np.array([[0.1, 0.2, 0.3], coords]), np.array([0, 1]))
     assert np.isfinite(metric.evaluate(np.array(coords))).all()
     with pytest.raises(SampleEvaluationError, match="overflow in power") as err:
         validate_structure(cell, samples, 1e-9)
-    assert err.value.sample == samples[1]
+    assert (err.value.coords, err.value.draw) == (tuple(coords), 1)
 
 
 class TestStacks:
     def test_field_over_a_stack_matches_its_rows(self, catalog_cells):
         for cell in (*catalog_cells, sew([catalog_cells[-1]] * 3)):
-            points = np.array([s.coords for s in sample_points(cell.chart, 6, 4)])
+            points = sample_points(cell.chart, 6, 4).coords
             for field in (cell.metric, cell.phi, cell.xi, cell.eta):
                 stacked = (field.evaluate(points),) + field.evaluate_with_jets(points)
                 rows = [(field.evaluate(p),) + field.evaluate_with_jets(p) for p in points]
@@ -713,7 +726,9 @@ class TestStacks:
     def test_batches_name_the_first_failing_sample(self):
         dim = 13
         size = batch_size(dim)
-        samples = [PointSample((float(i),) + (0.0,) * (dim - 1), 0, i) for i in range(3 * size)]
+        coords = np.zeros((3 * size, dim))
+        coords[:, 0] = np.arange(3 * size)
+        samples = Samples(coords, np.arange(3 * size))
         bad = {size + 2, size + 4, 2 * size + 1}
         seen = []
 
@@ -726,6 +741,6 @@ class TestStacks:
         with pytest.raises(SampleEvaluationError) as err:
             for _ in evaluate_batches(samples, dim, evaluate_stack):
                 pass
-        assert err.value.sample.draw == size + 2
+        assert err.value.draw == size + 2 and err.value.coords == (float(size + 2),) + (0.0,) * (dim - 1)
         # two whole batches, then the failing batch again row by row up to the bad row
         assert seen == [size, size] + [1] * 3

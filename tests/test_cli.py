@@ -137,6 +137,20 @@ class TestNullity:
                   for name, field in (("g", struct.metric), ("phi", struct.phi), ("xi", struct.xi))}
         assert orders == {"g": {1: 1, 2: 1}, "phi": {1: 2}, "xi": {1: 2}}
 
+    @pytest.mark.parametrize("cell, determinate", [("flat", False), ("halfspace", True)])
+    def test_json_table_holds_json_bools(self, cell, determinate, tmp_path, capsys):
+        """The table is built from the fits' columns as Python numbers: every
+        ``determinate_mu`` is a JSON bool, also on the flat cell, where h = 0."""
+        from sewcells.catalog import halfspace_kenmotsu_cell
+
+        path, report_file = tmp_path / "cell.json", tmp_path / "report.json"
+        save_manifold(flat_cosymplectic_cell() if cell == "flat" else halfspace_kenmotsu_cell(), path)
+        assert main(["nullity", str(path), "--json", str(report_file)]) == EXIT_PASS
+        [subject] = json.loads(report_file.read_text(encoding="utf-8"))["subjects"]
+        table = subject["nullity_table"]
+        assert len(table) == 25 and all(row["determinate_mu"] is determinate for row in table)
+        assert all(type(row[key]) is float for row in table for key in ("kappa", "mu", "muprime", "h_norm"))
+
     def test_kenmotsu_convention_rejected_for_cosymplectic(self, model_file, capsys):
         assert main(["nullity", str(model_file), "--convention", "kenmotsu"]) == EXIT_INPUT
 
@@ -281,9 +295,9 @@ def test_domain_error_names_the_first_failing_sample(tmp_path, monkeypatch, caps
     assert main(["verify", "partial.json", "--points", "40"]) == EXIT_FAIL
     struct = load_manifold("partial.json")
     x = struct.chart.index_of("x")
-    first = next(s for s in sample_points(struct.chart, 40, 7) if s.coords[x] <= 0.0)
+    first = next(point for point in sample_points(struct.chart, 40, 7).coords if point[x] <= 0.0)
     err = capsys.readouterr().err
-    assert f"verification error: evaluation failed at sample {first.coords}: log of non-positive" in err
+    assert f"verification error: evaluation failed at sample {tuple(first.tolist())}: log of non-positive" in err
 
 
 @pytest.mark.parametrize("command", [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
@@ -306,10 +320,10 @@ def test_domain_error_in_a_later_batch_of_a_chunk(command, tmp_path, monkeypatch
         struct = sew([struct] * 2)
     draw = nullity_samples if command[0] == "nullity" else sample_points
     fields = (struct.eta, struct.metric, struct.phi, struct.xi)  # in the order the axioms evaluate them
-    for index, sample in enumerate(draw(struct.chart, 3000, 7)):
+    for index, point in enumerate(draw(struct.chart, 3000, 7).coords):
         try:
             for field in fields:
-                field.evaluate_with_grads(np.array(sample.coords))
+                field.evaluate_with_grads(point)
         except ExpressionError as exc:
             error = exc
             break
@@ -319,7 +333,7 @@ def test_domain_error_in_a_later_batch_of_a_chunk(command, tmp_path, monkeypatch
     assert size <= index < chunk_size(size, [(field, 1) for field in fields])
     assert main([command[0], "late.json", *command[1:], "--points", "3000"]) == EXIT_FAIL
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"verification error: evaluation failed at sample {sample.coords}: {error}"]
+    assert err.splitlines() == [f"verification error: evaluation failed at sample {tuple(point.tolist())}: {error}"]
     assert str(error).startswith("log of non-positive argument")
 
 
@@ -497,7 +511,7 @@ def test_derivative_layers_stop_at_the_first_batch_without_a_positive_definite_m
     samples = sample_points(struct.chart, 3000, 7)
     size = batch_size(3)
     x = struct.chart.index_of("x")
-    first_bad = next(i for i, s in enumerate(samples) if s.coords[x] + 0.999 <= 0.0) // size
+    first_bad = int(np.flatnonzero(samples.coords[:, x] + 0.999 <= 0.0)[0]) // size
     assert first_bad == 4 and len(samples) > first_bad * size
     stacks = {name: [] for name in ("covariant_derivative_affinor", "normality_tensor", "weight_fit")}
     for name, seen in stacks.items():
@@ -505,7 +519,7 @@ def test_derivative_layers_stop_at_the_first_batch_without_a_positive_definite_m
         monkeypatch.setattr(geometry, name, lambda s, points, layer=layer, seen=seen: seen.append(points) or layer(s, points))
 
     assert cli.main(["verify", "partly.json", "--points", "3000", "--json", "report.json"]) == EXIT_FAIL
-    before = [np.array([s.coords for s in samples[start:start + size]]) for start in range(0, first_bad * size, size)]
+    before = [samples.coords[start:start + size] for start in range(0, first_bad * size, size)]
     for seen in stacks.values():
         assert len(seen) == first_bad and all(np.array_equal(a, b) for a, b in zip(seen, before))
     out = capsys.readouterr().out

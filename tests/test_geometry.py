@@ -50,16 +50,15 @@ class TestChristoffel:
 
     def test_symmetry_in_lower_indices(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 5, 21):
-                gamma = christoffel(cell.metric, sample.array())
+            for point in sample_points(cell.chart, 5, 21).coords:
+                gamma = christoffel(cell.metric, point)
                 assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
-                hesses = dense_hessians(cell.metric, sample.array())  # so d Gamma is symmetric too
+                hesses = dense_hessians(cell.metric, point)  # so d Gamma is symmetric too
                 assert np.array_equal(hesses, np.swapaxes(hesses, 2, 3))
 
     def test_matches_finite_difference_koszul(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 20, 8):
-                point = sample.array()
+            for point in sample_points(cell.chart, 20, 8).coords:
                 jet_gamma = christoffel(cell.metric, point)
                 fd_gamma = koszul_fd(cell.metric, point)
                 assert float(np.max(np.abs(jet_gamma - fd_gamma))) <= 1e-6
@@ -67,8 +66,7 @@ class TestChristoffel:
     def test_metric_compatibility(self, catalog_cells):
         # nabla_l g_ij = d_l g_ij - Gamma^m_li g_mj - Gamma^m_lj g_im = 0
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 10, 30):
-                point = sample.array()
+            for point in sample_points(cell.chart, 10, 30).coords:
                 vals, grads = cell.metric.evaluate_with_grads(point)
                 gamma = christoffel(cell.metric, point)
                 nabla_g = (
@@ -88,8 +86,7 @@ class TestChristoffel:
 class TestRiemann:
     def test_carries_the_connection_it_was_built_from(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 10, 17):
-                point = sample.array()
+            for point in sample_points(cell.chart, 10, 17).coords:
                 gamma = riemann(cell.metric, point, cell.xi.evaluate(point))[0]
                 assert np.array_equal(gamma, christoffel(cell.metric, point))
 
@@ -120,8 +117,7 @@ class TestRiemann:
 
     def test_curvature_symmetries_on_catalog(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 50, 12):
-                point = sample.array()
+            for point in sample_points(cell.chart, 50, 12).coords:
                 residuals = curvature_symmetry_residuals(cell.metric, point, cell.xi.evaluate(point))
                 assert residuals["antisymmetry"] <= 1e-9
                 assert residuals["first_bianchi"] <= 1e-9
@@ -132,8 +128,8 @@ class TestRiemann:
 class TestReebParallelism:
     def test_xi_is_geodesic_and_phi_is_xi_parallel(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 25, 40):
-                deriv = covariant_derivative_affinor(cell, sample.array())
+            for point in sample_points(cell.chart, 25, 40).coords:
+                deriv = covariant_derivative_affinor(cell, point)
                 assert deriv.nabla_xi_xi_norm <= 1e-9
                 assert deriv.nabla_xi_phi_norm <= 1e-9
 
@@ -147,8 +143,7 @@ class TestReebParallelism:
 
     def test_nabla_phi_matches_finite_differences(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 5, 52):
-                point = sample.array()
+            for point in sample_points(cell.chart, 5, 52).coords:
                 jet_version = covariant_derivative_affinor(cell, point).nablaphi
                 fd_version = nabla_phi_fd(cell, point)
                 assert float(np.max(np.abs(jet_version - fd_version))) <= 1e-6
@@ -171,8 +166,7 @@ class TestHTensor:
 
     def test_h_symmetries_on_catalog(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 25, 63):
-                point = sample.array()
+            for point in sample_points(cell.chart, 25, 63).coords:
                 g, phi, xi, _ = cell.values_at(point)
                 h = h_tensor(cell, point).h
                 assert float(np.max(np.abs(h @ xi))) <= 1e-9           # h xi = 0
@@ -183,8 +177,7 @@ class TestHTensor:
 
     def test_matches_bracket_oracle(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 5, 71):
-                point = sample.array()
+            for point in sample_points(cell.chart, 5, 71).coords:
                 assert float(np.max(np.abs(h_tensor(cell, point).h - h_tensor_fd(cell, point)))) <= 1e-6
 
     def test_normalized_hprime_requires_alpha(self, kenmotsu_cell):
@@ -199,8 +192,8 @@ class TestHTensor:
 class TestExteriorCalculus:
     def test_eta_is_closed_on_adapted_cells(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 10, 80):
-                d_eta = exterior_derivative(cell.eta, sample.array())
+            for point in sample_points(cell.chart, 10, 80).coords:
+                d_eta = exterior_derivative(cell.eta, point)
                 assert not d_eta.any()
 
     def test_flat_cell_fundamental_form_is_closed(self, flat_cell):
@@ -209,8 +202,7 @@ class TestExteriorCalculus:
 
     def test_kenmotsu_cell_weight_identity(self, kenmotsu_cell):
         # d(Phi) = 2 * 1 * eta ^ Phi for the alpha = 1 cell
-        for sample in sample_points(kenmotsu_cell.chart, 20, 90):
-            point = sample.array()
+        for point in sample_points(kenmotsu_cell.chart, 20, 90).coords:
             phi_form, d_phi = fundamental_form_with_derivative(kenmotsu_cell, point)
             eta = kenmotsu_cell.eta.evaluate(point)
             wedge = wedge_eta_two_form(eta, phi_form)
@@ -249,8 +241,7 @@ class TestNormality:
 
     def test_matches_brute_force_oracle(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 5, 95):
-                point = sample.array()
+            for point in sample_points(cell.chart, 5, 95).coords:
                 jet_version = normality_tensor(cell, point)
                 fd_version = normality_fd(cell, point)
                 assert float(np.max(np.abs(jet_version - fd_version))) <= 1e-6
@@ -281,8 +272,8 @@ class TestClassification:
 
     def test_weight_fit_is_exact_in_dimension_three(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 25, 44):
-                _, residual = weight_fit(cell, sample.array())
+            for point in sample_points(cell.chart, 25, 44).coords:
+                _, residual = weight_fit(cell, point)
                 assert residual <= 1e-9
 
     def test_weight_fit_is_exact_for_transverse_weight(self):
@@ -303,10 +294,10 @@ class TestClassification:
 
         samples = sample_points(chart, 20, 44)
         assert validate_structure(cell, samples, 1e-9).passed
-        for sample in samples:
-            lam, residual = weight_fit(cell, sample.array())
+        for point in samples.coords:
+            lam, residual = weight_fit(cell, point)
             assert residual <= 1e-12
-            assert lam == pytest.approx(sample.coords[1] / 2.0, abs=1e-12)
+            assert lam == pytest.approx(point[1] / 2.0, abs=1e-12)
         cl = classify(cell, samples, 1e-9)
         assert cl.kind == "weight_function"
 
@@ -337,10 +328,10 @@ class TestClassification:
     def test_carries_the_largest_derivative_magnitudes(self, halfspace_cell):
         samples = sample_points(halfspace_cell.chart, 30, 5)
         cl = classify(halfspace_cell, samples, 1e-9)
-        derivatives = [covariant_derivative_affinor(halfspace_cell, s.array()) for s in samples]
+        derivatives = [covariant_derivative_affinor(halfspace_cell, point) for point in samples.coords]
         assert cl.nabla_xi_phi_max == max(d.nabla_xi_phi_norm for d in derivatives)
         assert cl.nabla_xi_xi_max == max(d.nabla_xi_xi_norm for d in derivatives)
-        assert cl.normality_max == max(np.abs(normality_tensor(halfspace_cell, s.array())).max() for s in samples)
+        assert cl.normality_max == max(np.abs(normality_tensor(halfspace_cell, point)).max() for point in samples.coords)
         assert cl.normality_max > 0.0
 
     def test_weight_is_nan_where_eta_wedge_phi_vanishes(self, model_cell):
@@ -370,6 +361,6 @@ class TestVectorFieldHelpers:
 
     def test_covariant_derivative_of_xi_along_xi(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 5, 77):
-                vec = covariant_derivative_vector(cell.metric, cell.xi, cell.xi, sample.array())
+            for point in sample_points(cell.chart, 5, 77).coords:
+                vec = covariant_derivative_vector(cell.metric, cell.xi, cell.xi, point)
                 assert float(np.max(np.abs(vec))) <= 1e-12

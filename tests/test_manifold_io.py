@@ -1,14 +1,19 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sewcells.charts import sample_points, validate_structure
+from sewcells.catalog import model_cosymplectic_cell
+from sewcells.charts import ContactStructure, sample_points, validate_structure
 from sewcells.manifold_io import (
     ManifoldFileError,
     dumps,
     file_digest,
     load_manifold,
     save_manifold,
+    structure_from_dict,
     structure_to_dict,
 )
 from sewcells.sewing import SewnManifold, sew
@@ -120,6 +125,27 @@ class TestLoaderErrors:
         with pytest.raises(ManifoldFileError):
             load_manifold(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["metric", "phi"])
+    @pytest.mark.parametrize("row", [0, {}, {"0": "1"}, "abc", None], ids=["int", "empty-dict", "dict", "str", "null"])
+    def test_rejects_grid_rows_that_are_not_lists(self, flat_cell, key, row):
+        doc = self._doc(flat_cell)
+        doc[key] = [row] * 3
+        with pytest.raises(ManifoldFileError, match=f"{key} must be a 3x3 grid"):
+            structure_from_dict(doc)
+
+    def test_rejects_no_coordinates(self, flat_cell):
+        doc = self._doc(flat_cell)
+        doc.update(coordinates=[], adapted_coordinate=None)
+        with pytest.raises(ManifoldFileError, match="non-empty list of names"):
+            structure_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [7, None, ["a"], {"a": 1}, True])
+    def test_rejects_a_name_that_is_not_a_string(self, flat_cell, name):
+        doc = self._doc(flat_cell)
+        doc["name"] = name
+        with pytest.raises(ManifoldFileError, match="name must be a string"):
+            structure_from_dict(doc)
+
     def test_malformed_expression_reports_location(self, flat_cell, tmp_path):
         doc = self._doc(flat_cell)
         doc["phi"][1][2] = "1 +"
@@ -153,3 +179,56 @@ def test_malformed_sewn_file_is_an_input_error(spoil, model_cell, tmp_path, caps
         load_manifold(path)
     assert main(["verify", str(path), "--points", "3"]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+def _spoiled_documents():
+    """(label, document) for inputs that once reached the commands past the
+    loader: grid rows that are not lists, no coordinates, a name that is not
+    a string."""
+    def spoiled(**changes):
+        doc = structure_to_dict(model_cosymplectic_cell(1.0))
+        doc.update(changes)
+        return doc
+
+    return [
+        ("metric-int-rows", spoiled(metric=[1, 2, 3])),
+        ("phi-dict-rows", spoiled(phi=[{}, {}, {}])),
+        ("no-coordinates", spoiled(coordinates=[])),
+        ("name-int", spoiled(name=5)),
+    ]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
+                         ids=["verify", "nullity", "sew"])
+def test_malformed_definition_is_an_input_error(command, tmp_path, monkeypatch, capsys):
+    from sewcells.cli import EXIT_INPUT, main
+
+    monkeypatch.chdir(tmp_path)
+    for label, doc in _spoiled_documents():
+        with open("cell.json", "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        assert main([command[0], "cell.json", *command[1:], "--points", "5"]) == EXIT_INPUT, label
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err, label
+
+
+_VALID = structure_to_dict(model_cosymplectic_cell(1.0), provenance={"catalog": "model_cosymplectic"})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(_VALID)), value=_JSON | st.lists(_JSON, min_size=3, max_size=3))
+def test_any_json_value_under_one_key_loads_or_is_a_file_error(key, value):
+    """A valid cell document with one top-level key replaced by any JSON
+    value (lists of three values too, the length of every grid and vector)
+    gives a structure or ``ManifoldFileError``, never another exception."""
+    doc = copy.deepcopy(_VALID)
+    doc[key] = value
+    try:
+        assert isinstance(structure_from_dict(doc), ContactStructure)
+    except ManifoldFileError:
+        pass

@@ -55,10 +55,10 @@ def _normalized_lstsq(struct, point, alpha):
 class TestConvention:
     def test_normalized_matches_direct_fit(self, kenmotsu_structures):
         for struct, alpha, samples in kenmotsu_structures:
-            for sample in samples:
-                fit = normalized(fit_nullity(struct, sample.array()), alpha)
+            for point in samples.coords:
+                fit = normalized(fit_nullity(struct, point), alpha)
                 assert fit.determinate_mu
-                (kappa, mu, muprime), residual = _normalized_lstsq(struct, sample.array(), alpha)
+                (kappa, mu, muprime), residual = _normalized_lstsq(struct, point, alpha)
                 for got, want in ((fit.kappa, kappa), (fit.mu, mu), (fit.muprime, muprime)):
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-14), struct.name
                 assert abs(fit.residual - residual) <= 1e-14, struct.name
@@ -73,8 +73,8 @@ class TestPointFits:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_model_cell_constant_nullity(self, lam):
         cell = model_cosymplectic_cell(lam)
-        for sample in sample_points(cell.chart, 25, 7):
-            fit = fit_nullity(cell, sample.array())
+        for point in sample_points(cell.chart, 25, 7).coords:
+            fit = fit_nullity(cell, point)
             assert fit.residual <= 1e-8
             assert fit.kappa == pytest.approx(-lam * lam, abs=1e-8)
             assert abs(fit.mu) <= 1e-8 and abs(fit.muprime) <= 1e-8
@@ -107,16 +107,16 @@ class TestPointFits:
 
     def test_residuals_small_on_catalog(self, catalog_cells):
         for cell in catalog_cells:
-            for sample in sample_points(cell.chart, 50, 19):
-                assert fit_nullity(cell, sample.array()).residual <= 1e-8
+            for point in sample_points(cell.chart, 50, 19).coords:
+                assert fit_nullity(cell, point).residual <= 1e-8
 
     def test_residuals_small_on_sewn_pairs(self, catalog_cells):
         from sewcells.sewing import sew
 
         for cell in catalog_cells:
             sewn = sew([cell, cell])
-            for sample in sample_points(sewn.chart, 50, 19):
-                assert fit_nullity(sewn, sample.array()).residual <= 1e-8
+            for point in sample_points(sewn.chart, 50, 19).coords:
+                assert fit_nullity(sewn, point).residual <= 1e-8
 
     def test_residual_detects_non_nullity_structures(self):
         # x-dependent warping keeps the structure axioms but makes
@@ -139,13 +139,12 @@ class TestPointFits:
         )
         samples = sample_points(chart, 20, 7)
         assert validate_structure(cell, samples, 1e-9).passed
-        residuals = [fit_nullity(cell, s.array()).residual for s in samples]
+        residuals = [fit_nullity(cell, point).residual for point in samples.coords]
         assert max(residuals) > 1e-2
 
     def test_invariance_under_transverse_coordinate_permutation(self, halfspace_cell, model_cell):
         for cell, swap in ((halfspace_cell, (1, 0, 2)), (model_cell, (0, 2, 1))):
-            for sample in sample_points(cell.chart, 10, 23):
-                point = sample.array()
+            for point in sample_points(cell.chart, 10, 23).coords:
                 permuted = point[list(swap)]
                 original = fit_nullity(cell, point)
                 swapped = fit_nullity(cell, permuted)
@@ -153,8 +152,7 @@ class TestPointFits:
 
 
 def generalized(struct, samples):
-    fits = [fit_nullity(struct, s.array()) for s in samples]
-    return check_generalized(struct, samples, fits, 1e-8)
+    return check_generalized(struct, samples, fit_nullity(struct, samples.coords), 1e-8)
 
 
 class TestGeneralized:
@@ -163,23 +161,24 @@ class TestGeneralized:
         report = generalized(model_cell, samples)
         assert report.constant_kappa
         assert report.eta_aligned
-        assert all(f.kappa == pytest.approx(-1.0, abs=1e-8) for f in report.fits)
+        assert fit_nullity(model_cell, samples.coords).kappa == pytest.approx(-1.0, abs=1e-8)
 
     def test_flat_cell_is_constant_zero(self, flat_cell):
         samples = sample_points_grouped(flat_cell.chart, 5, 2, 7)
         report = generalized(flat_cell, samples)
         assert report.constant_kappa and report.constant_mu and report.constant_muprime
         assert report.eta_aligned
-        assert all(f.kappa == pytest.approx(0.0, abs=1e-10) for f in report.fits)
+        assert np.abs(fit_nullity(flat_cell, samples.coords).kappa).max() <= 1e-10
 
     def test_halfspace_cell_is_aligned_but_not_constant(self, halfspace_cell):
         samples = sample_points_grouped(halfspace_cell.chart, 5, 3, 7)
         report = generalized(halfspace_cell, samples)
         assert not report.constant_kappa
         assert report.eta_aligned
-        for sample, fit in zip(report.samples, report.fits):
-            z = sample.coords[2]
-            assert fit.kappa == pytest.approx(-(1.0 + math.exp(-4.0 * z)), abs=1e-8)
+        z = samples.coords[:, 2]
+        assert fit_nullity(halfspace_cell, samples.coords).kappa == pytest.approx(-(1.0 + np.exp(-4.0 * z)), abs=1e-8)
+        # the rows by ascending z, 3 to a value
+        assert np.all(np.diff(z[report.order]) >= 0.0) and sorted(report.order.tolist()) == list(range(15))
 
     def test_requires_adapted_chart(self):
         from sewcells.charts import CellDefinition, Chart, TensorField

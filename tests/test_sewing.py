@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from geometry_helpers import covariant_derivative_vector, product_median, second_fundamental
-from sewcells.catalog import kenmotsu_warped_cell
+from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell
 from sewcells.charts import (
     CellDefinition,
     Chart,
+    Residual,
     TensorField,
     sample_points,
     validate_structure,
@@ -46,8 +47,7 @@ class TestBuildProduct:
 
     def test_framing_is_orthonormal_by_blocks(self, model_cell, halfspace_cell):
         product = build_product([model_cell, halfspace_cell])
-        for sample in sample_points(product.chart, 10, 7):
-            point = sample.array()
+        for point in sample_points(product.chart, 10, 7).coords:
             g = product.metric.evaluate(point)
             xi = [tf.evaluate(point) for tf in product.framing]
             gram = np.array([[a @ g @ b for b in xi] for a in xi])
@@ -317,8 +317,7 @@ class TestSew:
         assert sewn.chart.coords == ("s", "x1", "y1", "x2", "y2")
         assert sewn.chart.adapted_index == 0
         assert sewn.eta_scale == pytest.approx(math.sqrt(2.0))
-        for sample in sample_points(sewn.chart, 10, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 10, 7).coords:
             s = point[0]
             g = sewn.metric.evaluate(point)
             expected = np.diag(
@@ -349,18 +348,16 @@ class TestSew:
 
     def test_two_flat_cells_are_flat_with_zero_nullity(self, flat_cell):
         sewn = sew([flat_cell, flat_cell])
-        for sample in sample_points(sewn.chart, 5, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 5, 7).coords:
             assert not riemann(sewn.metric, point, sewn.xi.evaluate(point))[1].any()
-            fit = fit_nullity(sewn, sample.array())
+            fit = fit_nullity(sewn, point)
             assert fit.kappa == pytest.approx(0.0, abs=1e-12)
             assert not fit.determinate_mu
 
     def test_two_halfspace_cells_reeb_field(self, halfspace_cell):
         sewn = sew([halfspace_cell, halfspace_cell])
         assert sewn.chart.coords == ("s", "x1", "y1", "x2", "y2")
-        for sample in sample_points(sewn.chart, 10, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 10, 7).coords:
             s, x1, y1, x2, y2 = point
             root = 1.0 / math.sqrt(2.0)
             expected = root * np.array(
@@ -396,8 +393,7 @@ class TestSew:
         flat, model, kenmotsu, halfspace = catalog_cells
         for cells in ([kenmotsu, flat], [model, halfspace], [kenmotsu, flat, halfspace]):
             sewn = sew(cells)
-            for sample in sample_points(sewn.chart, 8, 3):
-                point = sample.array()
+            for point in sample_points(sewn.chart, 8, 3).coords:
                 _, d_phi = fundamental_form_with_derivative(sewn, point)
                 eta = sewn.eta.evaluate(point)
                 assert float(np.max(np.abs(eta_wedge_3form(eta, d_phi)))) <= 1e-10
@@ -422,8 +418,7 @@ class TestSew:
         sewn = sew(cells)
         e = embedding_matrix(product, sewn)
         median = product_median(product)
-        for sample in sample_points(sewn.chart, 15, 7):
-            p = sample.array()
+        for p in sample_points(sewn.chart, 15, 7).coords:
             q = e @ p
             g_bar = product.metric.evaluate(q)
             f_bar = product.f.evaluate(q)
@@ -490,18 +485,18 @@ class TestTheorems:
         pair = theorems(sewing_inputs, [model_cell, model_cell], 15)
         assert pair.passed
         assert pair.cells_are_copies
-        assert all(row.sewn.kappa == pytest.approx(-0.5, abs=1e-8) for row in pair.nullity_rows)
+        assert pair.sewn_fits.kappa == pytest.approx(-0.5, abs=1e-8)
         triple = theorems(sewing_inputs, [model_cell] * 3, 12)
         assert triple.passed
-        assert all(row.sewn.kappa == pytest.approx(-1.0 / 3.0, abs=1e-8) for row in triple.nullity_rows)
-        assert all(abs(row.sewn.mu) <= 1e-8 and abs(row.sewn.muprime) <= 1e-8 for row in triple.nullity_rows)
+        assert triple.sewn_fits.kappa == pytest.approx(-1.0 / 3.0, abs=1e-8)
+        assert np.abs(triple.sewn_fits.mu).max() <= 1e-8 and np.abs(triple.sewn_fits.muprime).max() <= 1e-8
 
     def test_halfspace_pair_generalized_transfer(self, halfspace_cell, sewing_inputs):
-        report = theorems(sewing_inputs, [halfspace_cell, halfspace_cell], 15)
+        product, sewn, _, grouped = sewing_inputs([halfspace_cell, halfspace_cell], 15)
+        report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
         assert report.passed
-        for row in report.nullity_rows:
-            s = row.point.coords[0]
-            assert row.sewn.kappa == pytest.approx(-(1.0 + math.exp(-4.0 * s)) / 2.0, abs=1e-8)
+        s = grouped.coords[:, 0]
+        assert report.sewn_fits.kappa == pytest.approx(-(1.0 + np.exp(-4.0 * s)) / 2.0, abs=1e-8)
         assert report.generalized is not None
         assert report.generalized.eta_aligned
         assert not report.generalized.constant_kappa
@@ -512,7 +507,7 @@ class TestTheorems:
         report = theorems(sewing_inputs, [kenmotsu_cell, kenmotsu_cell], 15)
         assert report.passed
         assert report.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
-        assert all(row.sewn.kappa == pytest.approx(-1.0, abs=1e-8) for row in report.nullity_rows)
+        assert report.sewn_fits.kappa == pytest.approx(-1.0, abs=1e-8)
         comp = report.convention_comparison
         assert comp is not None
         assert comp.reproduces_inverse_k == "kenmotsu"
@@ -538,13 +533,12 @@ class TestTheorems:
         assert comp.reproduces_inverse_k == "kenmotsu"
 
         def mean_muprime(fits) -> float:
-            return float(np.mean([f.muprime for f in fits]))
+            return float(np.mean(fits.muprime))
 
-        cells = [row.cell for row in report.nullity_rows]
-        sewns = [row.sewn for row in report.nullity_rows]
+        cells, sewns = report.cell_fits, report.sewn_fits
         assert comp.muprime_ratio_raw == mean_muprime(sewns) / mean_muprime(cells)
-        assert comp.muprime_ratio_normalized == (mean_muprime([nullity.normalized(f, comp.alpha_sewn) for f in sewns])
-                                                 / mean_muprime([nullity.normalized(f, comp.alpha_cell) for f in cells]))
+        assert comp.muprime_ratio_normalized == (mean_muprime(nullity.normalized(sewns, comp.alpha_sewn))
+                                                 / mean_muprime(nullity.normalized(cells, comp.alpha_cell)))
 
     def test_flat_pair(self, flat_cell, sewing_inputs):
         report = theorems(sewing_inputs, [flat_cell, flat_cell], 10)
@@ -578,6 +572,86 @@ class TestTheorems:
         assert ab.sewn_classification.alpha == pytest.approx(ba.sewn_classification.alpha, abs=1e-10)
         assert ab.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
 
+
+def _transfer_by_rows(report, product, sewn, samples, tol):
+    """The transfer residuals and the convention ratios as the theorem stage
+    folded them one sample at a time, from ``fit_nullity`` at single points:
+    each sample's sewn fit against the fits at its projections into the k
+    cells, mu and mu' where both are determinate, and the mean mu' of the
+    sewn and the first cell's fits, raw and times alpha."""
+    cells = product.cells
+    k = len(cells)
+    fit_residuals = Residual("nullity_fit_residuals", tol)
+    kappa, mu, muprime = (Residual(name, tol) for name in ("kappa_transfer", "mu_transfer", "muprime_transfer"))
+    embedding = embedding_matrix(product, sewn)
+    sewn_muprime, cell_muprime = [], []
+    for point in samples.coords:
+        sewn_fit = fit_nullity(sewn, point)
+        projected = point @ embedding.T
+        row = [fit_nullity(cell, projected[list(block)]) for cell, block in zip(cells, product.blocks)]
+        fit_residuals.add(sewn_fit.residual)
+        for cf in row:
+            fit_residuals.add(cf.residual)
+            kappa.add(sewn_fit.kappa - cf.kappa / k)
+            if cf.determinate_mu and sewn_fit.determinate_mu:
+                mu.add(sewn_fit.mu - cf.mu / math.sqrt(k))
+                muprime.add(sewn_fit.muprime - cf.muprime / math.sqrt(k))
+        sewn_muprime.append(float(sewn_fit.muprime))
+        cell_muprime.append(float(row[0].muprime))
+    residuals = {r.name: r.value for r in (fit_residuals, kappa, mu, muprime)}
+    comp = report.convention_comparison
+    cell_raw, sewn_raw = np.mean(cell_muprime), np.mean(sewn_muprime)
+    cell_norm = np.mean([comp.alpha_cell * m for m in cell_muprime])
+    sewn_norm = np.mean([comp.alpha_sewn * m for m in sewn_muprime])
+    if abs(cell_raw) <= 1e-8 or abs(cell_norm) <= 1e-8:
+        return residuals, (math.nan, math.nan)
+    return residuals, (float(sewn_raw / cell_raw), float(sewn_norm / cell_norm))
+
+
+class TestColumnarTransfer:
+    """The theorem stage reduces the fits' columns under the
+    ``determinate_mu`` mask with the same IEEE operations that a loop over
+    the samples took, so its residuals and ratios equal those of the loop
+    bit for bit."""
+
+    @pytest.mark.parametrize("cell, copies, points", [
+        (kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7), 2, 25),
+        (kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7), 3, 25),
+        # 400 stacked cell samples in fold batches of 182: the second and the fourth block straddle two
+        (halfspace_kenmotsu_cell(), 4, 100),
+    ], ids=["warped-k2", "warped-k3", "halfspace-k4-p100"])
+    def test_transfer_matches_the_loop_over_single_points(self, cell, copies, points, sewing_inputs):
+        product, sewn, _, grouped = sewing_inputs([cell] * copies, points)
+        report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
+        assert report.passed and len(grouped) == points
+        residuals, ratios = _transfer_by_rows(report, product, sewn, grouped, 1e-8)
+        assert {name: report.check(name).residual for name in residuals} == residuals
+        comp = report.convention_comparison
+        np.testing.assert_array_equal([comp.muprime_ratio_raw, comp.muprime_ratio_normalized], ratios)
+        assert len(report.sewn_fits.kappa) == len(report.cell_fits.kappa) == points
+
+    def test_generalized_order_is_the_grouping_by_adapted_value(self, halfspace_cell):
+        """5 groups of 200 samples over fold batches of 182: the stable sort
+        by the adapted column lists the rows as grouping them by value in a
+        dict, with the values sorted, did."""
+        from sewcells.charts import batch_size, nullity_samples
+        from sewcells.nullity import _spread, check_generalized, nullity_fits
+
+        samples = nullity_samples(halfspace_cell.chart, 1000, 7)
+        assert batch_size(3, (halfspace_cell.metric,)) == 182
+        fits = nullity_fits(halfspace_cell, samples)
+        report = check_generalized(halfspace_cell, samples, fits, 1e-8)
+        groups = {}
+        for row, t in enumerate(samples.coords[:, 2].tolist()):
+            groups.setdefault(t, []).append(row)
+        assert [len(rows) for rows in groups.values()] == [200] * 5
+        assert report.order.tolist() == [row for t in sorted(groups) for row in groups[t]]
+        spread = Residual("eta_aligned", 1e-8)
+        for rows in groups.values():
+            determinate = [row for row in rows if fits.determinate_mu[row]]
+            for column, members in ((fits.kappa, rows), (fits.mu, determinate), (fits.muprime, determinate)):
+                spread.add(_spread(column[members]))
+        assert report.group_spread_max == spread.value
 
 def _spy(monkeypatch, module, name, calls, record):
     """Rebind ``module.name`` so that each call also appends ``record(args, result)`` to ``calls``."""
@@ -618,15 +692,12 @@ class TestTheoremSweeps:
         for cell, samples, (classification, fits) in zip(cells, cell_samples, blocks):
             assert classification == classify(cell, samples, tol)
             if not fit:
-                assert fits == []
+                assert fits is None
                 continue
             own = nullity_fits(cell, samples)
-            assert len(fits) == len(own)
-            for got, want in zip(fits, own):
-                for name in ("kappa", "mu", "muprime", "residual", "h_norm", "determinate_mu"):
-                    assert getattr(got, name) == getattr(want, name), name
-                np.testing.assert_array_equal(got.h, want.h)
-                np.testing.assert_array_equal(got.hprime, want.hprime)
+            assert len(fits.kappa) == len(samples)
+            for name, got in vars(fits).items():
+                np.testing.assert_array_equal(got, getattr(own, name), err_msg=name)
 
     def test_sew_walks_the_sewn_chart_then_the_stacked_cells(self, kenmotsu_cell, layer_calls, tmp_path,
                                                              monkeypatch, capsys):
@@ -703,16 +774,14 @@ class TestTransformedFrameTables:
 
     def test_phi_rotates_xbar_to_ybar(self, sewn):
         xbar, ybar = self._frames(sewn)
-        for sample in sample_points(sewn.chart, 5, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 5, 7).coords:
             phi = sewn.phi.evaluate(point)
             for xb, yb in zip(xbar, ybar):
                 assert np.allclose(phi @ xb.evaluate(point), yb.evaluate(point), atol=1e-14)
 
     def test_lie_bracket_table(self, sewn):
         xbar, ybar = self._frames(sewn)
-        for sample in sample_points(sewn.chart, 10, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 10, 7).coords:
             s = point[0]
             c_minus = (1.0 - math.exp(-2.0 * s)) / math.sqrt(2.0)
             c_plus = (1.0 + math.exp(-2.0 * s)) / math.sqrt(2.0)
@@ -726,8 +795,7 @@ class TestTransformedFrameTables:
 
     def test_covariant_derivative_table(self, sewn):
         xbar, ybar = self._frames(sewn)
-        for sample in sample_points(sewn.chart, 10, 7):
-            point = sample.array()
+        for point in sample_points(sewn.chart, 10, 7).coords:
             s = point[0]
             c_minus = (1.0 - math.exp(-2.0 * s)) / math.sqrt(2.0)
             c_plus = (1.0 + math.exp(-2.0 * s)) / math.sqrt(2.0)

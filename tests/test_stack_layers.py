@@ -63,7 +63,7 @@ def structures(tmp_path_factory):
 
 
 def _points(struct, count=6, seed=4):
-    return np.array([s.coords for s in sample_points(struct.chart, count, seed)])
+    return sample_points(struct.chart, count, seed).coords
 
 
 class TestStackEqualsRows:
@@ -88,19 +88,15 @@ class TestStackEqualsRows:
     def test_fit_nullity(self, structures, alpha):
         def fits(struct, point):
             fit = fit_nullity(struct, point)
-            if alpha is None:
-                return fit
-            return [normalized(f, alpha) for f in fit] if isinstance(fit, list) else normalized(fit, alpha)
+            return fit if alpha is None else normalized(fit, alpha)
 
         for struct in structures:
             points = _points(struct)
             stacked = fits(struct, points)
             rows = [fits(struct, p) for p in points]
-            assert len(stacked) == len(rows)
-            for name in ("kappa", "mu", "muprime", "residual", "h_norm"):
-                assert_rows_match([getattr(f, name) for f in stacked], [getattr(f, name) for f in rows])
-            assert_rows_match([f.hprime for f in stacked], [f.hprime for f in rows])
-            assert [f.determinate_mu for f in stacked] == [f.determinate_mu for f in rows]
+            for name in ("kappa", "mu", "muprime", "residual", "h_norm", "h", "hprime"):
+                assert_rows_match(getattr(stacked, name), [getattr(f, name) for f in rows])
+            assert stacked.determinate_mu.tolist() == [f.determinate_mu for f in rows]
 
     def test_lie_bracket(self, structures):
         for struct in structures:
@@ -119,7 +115,7 @@ def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell
     product = build_product([model_cell, halfspace_cell])
     fields = [(s.metric, s.chart, s.xi) for s in structures] + [(product.metric, product.chart, product_median(product))]
     for metric, chart, field in fields:
-        points = np.array([s.coords for s in sample_points(chart, 4, 9)])
+        points = sample_points(chart, 4, 9).coords
         # the Reeb field and a vector off it, so that every slot of the contraction is read
         for v in (field.evaluate(points), np.random.default_rng(3).uniform(-1.0, 1.0, points.shape)):
             gamma, rv = riemann(metric, points, v)
@@ -164,7 +160,7 @@ def test_bracket_of_affinor_columns(structures, model_cell, kenmotsu_cell):
     median = product_median(product)
     for f, w in [(s.phi, s.xi) for s in structures] + [(product.f, median)]:
         n = f.chart.dim
-        points = np.array([s.coords for s in sample_points(f.chart, 3, 5)])
+        points = sample_points(f.chart, 3, 5).coords
         pairs = lie_bracket(f, f, points)
         with_w = lie_bracket(f, w, points)
         assert pairs.shape == (3, n, n, n) and with_w.shape == (3, n, n)

@@ -9,7 +9,10 @@ every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
 halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
 frame the CLI builds, ``cli.MAX_COPIES``), ``sew --copies 4 --points 100`` on
 the halfspace cell (the theorem stage sweeps its 400 stacked cell samples in
-3 batches that blocks straddle, and the sewn samples in 5), ``nullity`` on
+3 batches that blocks straddle, and the sewn samples in 5), ``nullity
+--points 1000`` and ``nullity --convention kenmotsu --points 1000`` on the
+halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
+groups of 200 sharing an adapted value straddle), ``nullity`` on
 the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
 5 batches, where a field's remembered jet serves the later layers of a
 batch), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
@@ -163,6 +166,10 @@ def matrix() -> list[tuple[str, list[str]]]:
     # blocks of 100 samples over fold batches of 182 on the cell, 5 batches of 22 on the sewn chart
     commands.append(("sew-halfspace-k4-p100", ["sew", "cells/halfspace.json", "--copies", "4",
                                                "--out", "sewn/halfspace-k4-p100.json", "--points", "100"]))
+    # 5 groups of 200 samples over fold batches of 182
+    commands.append(("nullity-halfspace-p1000", ["nullity", "cells/halfspace.json", "--points", "1000"]))
+    commands.append(("nullity-kenmotsu-halfspace-p1000", ["nullity", "cells/halfspace.json", "--points", "1000",
+                                                          "--convention", "kenmotsu"]))
     for cell in CELLS:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
         # 9 dimensions: 100 points make 5 batches
