@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .catalog import (
     CATALOG,
@@ -11,7 +11,6 @@ from .catalog import (
     standard_cells,
 )
 from .charts import (
-    CellDefinition,
     Chart,
     CheckResult,
     Constraint,

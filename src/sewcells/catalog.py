@@ -22,17 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .charts import CellDefinition, Chart, Constraint, TensorField
+from .charts import Chart, Constraint, ContactStructure, TensorField
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    build: Callable[..., CellDefinition]
+    build: Callable[..., ContactStructure]
 
 
-def _cell(name: str, chart: Chart, metric, phi, xi, eta) -> CellDefinition:
-    return CellDefinition(
+def _cell(name: str, chart: Chart, metric, phi, xi, eta) -> ContactStructure:
+    return ContactStructure(
         name=name,
         chart=chart,
         metric=TensorField.build(chart, 0, 2, metric),
@@ -42,7 +42,7 @@ def _cell(name: str, chart: Chart, metric, phi, xi, eta) -> CellDefinition:
     )
 
 
-def flat_cosymplectic_cell() -> CellDefinition:
+def flat_cosymplectic_cell() -> ContactStructure:
     chart = Chart(("t", "x", "y"), adapted_index=0)
     return _cell(
         "flat_cosymplectic",
@@ -54,7 +54,7 @@ def flat_cosymplectic_cell() -> CellDefinition:
     )
 
 
-def model_cosymplectic_cell(lam: float) -> CellDefinition:
+def model_cosymplectic_cell(lam: float) -> ContactStructure:
     """Constant-nullity almost cosymplectic model with kappa = -lam^2."""
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -72,7 +72,7 @@ def model_cosymplectic_cell(lam: float) -> CellDefinition:
     )
 
 
-def kenmotsu_warped_cell(alpha: float, kappa0: float, c: float = 1.0, cprime: float = 1.0) -> CellDefinition:
+def kenmotsu_warped_cell(alpha: float, kappa0: float, c: float = 1.0, cprime: float = 1.0) -> ContactStructure:
     """Doubly warped almost alpha-Kenmotsu cell with constant nullity kappa0."""
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
@@ -97,7 +97,7 @@ def kenmotsu_warped_cell(alpha: float, kappa0: float, c: float = 1.0, cprime: fl
     )
 
 
-def halfspace_kenmotsu_cell() -> CellDefinition:
+def halfspace_kenmotsu_cell() -> ContactStructure:
     """Almost Kenmotsu structure on z > 0 with kappa(z) = -(1 + e^{-4z}).
 
     The metric is forced by declaring the frame (d/dx, d/dy, xi) orthonormal,
@@ -141,7 +141,7 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def standard_cells() -> tuple[CellDefinition, ...]:
+def standard_cells() -> tuple[ContactStructure, ...]:
     """One representative instance per catalog entry, used by the test sweeps."""
     return (
         flat_cosymplectic_cell(),

@@ -11,11 +11,8 @@ components over one column set share is one instruction.  The program runs
 once per point or stack of points and order, in the row-major order of the
 components, so the first component to leave its domain raises.  The
 gradients are scattered into the full grid, and the Hessians stay the sparse
-entries of the components' own jets.  A field remembers one jet, its last:
-the stack's shape and bytes, the order and the read-only results.  A later
-call at an equal stack for no higher order reads it back, so the layers of
-one batch run each field's program at most once; values alone read it but
-are never remembered, and a call that raises leaves it as it was.
+entries of the components' own jets.  Outside a sweep a field is a pure
+function: every call runs its program and returns read-only arrays.
 
 A sample set is one ``Samples``: the coordinates (P, n) of its points and
 their draw indices (P,), read-only; the samplers return one.  Sweeps over
@@ -35,11 +32,14 @@ at order 2 is one whose Hessians it folds).  A program chunk holds as many
 whole batches as keep the compact jets of those fields, the values, gradient
 entries and at order 2 Hessian entries of their non-constant components,
 within the budget.  Each field's program runs once per chunk, since a run
-costs about as much on a few rows as on a hundred, and before the consumer
-runs on a batch, the batch's rows of that run become the field's remembered
-jet, which the layers read back.  A chunk of one batch is left to the
-consumer, and so is each batch of a chunk whose run leaves a domain, so a
-domain error names the same sample and expression as batch by batch.
+costs about as much on a few rows as on a hundred.  From before the
+consumer runs on a batch until the sweep moves on, each field the sweep
+reads is bound to the batch's rows of that run: a call at an equal stack
+(its shape and bytes) for no higher order reads them without a run, so the
+layers of one batch share one run.  The sweep is the only code that binds
+a field, and no binding outlives the sweep, however it ends.
+Each batch of a chunk whose run leaves a domain is left to the consumer, so
+a domain error names the same sample and expression as batch by batch.
 Nothing with a sample axis grows beyond the budget, whatever the sample
 count.
 
@@ -47,7 +47,7 @@ count.
 derivatives: it takes the order-1 jets of the four structure fields on each
 batch, reduces the axiom residuals from them, and hands the batch to the
 derivative layers of its caller (``geometry.classify_layers`` or
-``geometry.reeb_layer``), which read the same remembered jets.
+``geometry.reeb_layer``), which read the same bound jets.
 """
 
 from __future__ import annotations
@@ -278,20 +278,17 @@ class TensorField:
         axis."""
         return self._jet(point, 2 if hessians else 1)
 
-    _memo = ((), b"", ())  # (stack shape, stack bytes, (values[, gradients[, Hessian entries]])) of the last jet
+    _memo = ((), b"", ())  # (stack shape, stack bytes, (values[, gradients[, Hessian entries]])) bound by a sweep
 
     def _jet(self, point, order: int) -> tuple:
         """The values, the gradients from order 1 on and the Hessian entries at
-        order 2, read-only; read back from the remembered jet where it serves,
-        and remembered from order 1 on (see the module docstring)."""
+        order 2, read-only: the rows that a sweep bound for this stack where
+        they serve, else one run of the program (see the module docstring)."""
         point = np.asarray(point, dtype=float)
-        at_shape, at_bytes, remembered = self._memo
-        if len(remembered) > order and at_shape == point.shape and at_bytes == point.tobytes():
-            return remembered[:order + 1]
-        result = self._dense(point.shape[:-1], order, self._run(point, order))
-        if order:
-            self._remember(point, result)
-        return result
+        at_shape, at_bytes, bound = self._memo
+        if len(bound) > order and at_shape == point.shape and at_bytes == point.tobytes():
+            return bound[:order + 1]
+        return self._dense(point.shape[:-1], order, self._run(point, order))
 
     def _run(self, point, order: int) -> tuple:
         """The compact jet at a point or a stack: the program's values, and
@@ -327,9 +324,6 @@ class TensorField:
         for array in result:
             array.flags.writeable = False
         return result
-
-    def _remember(self, point: np.ndarray, result: tuple) -> None:
-        object.__setattr__(self, "_memo", (point.shape, point.tobytes(), result))
 
     def fold_hessians(self, hess: np.ndarray, v):
         """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with
@@ -479,16 +473,6 @@ class ContactStructure:
             self.xi.evaluate(point),
             self.eta.evaluate(point),
         )
-
-
-@dataclass(frozen=True)
-class CellDefinition(ContactStructure):
-    """A 3-dimensional almost contact metric chart: the sewing building block."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.chart.dim != 3:
-            raise ChartError(f"a cell is 3-dimensional, got dimension {self.chart.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,49 +645,46 @@ def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, field
     ``fields`` names what the sweep reads: ``(field, order)`` for a field at
     the points, ``(field, order, columns)`` for one at their columns
     ``columns``, with the jet order read (0 values, 1 gradients, 2 Hessians).
-    Their programs run once per chunk of ``chunk_size`` samples, and before
-    ``evaluate_stack`` runs on a batch, the batch's rows become each field's
-    remembered jet, which the consumer reads back.  A chunk of one batch is
-    left to the consumer, and so is every batch of a chunk whose run leaves
-    the domain of an expression.  When a batch leaves it, its samples are
-    evaluated again one at a time, and the ``SampleEvaluationError`` names
-    the first sample, in draw order, that fails.
+    Their programs run once per chunk of ``chunk_size`` samples, and from
+    before ``evaluate_stack`` runs on a batch until the sweep moves on, each
+    field is bound to the batch's rows of its run, which the consumer reads
+    back; when the sweep ends, however it ends, no field it read is bound.
+    When a chunk's run leaves the domain of an expression, each of its
+    batches is left to the consumer, and when a batch leaves it, its samples
+    are evaluated again one at a time, and the ``SampleEvaluationError``
+    names the first sample, in draw order, that fails.
     """
     reads = [(field, order, columns[0] if columns else slice(None)) for field, order, *columns in fields]
     size = batch_size(dim, [field for field, order, _ in reads if order == 2])
     chunk = chunk_size(size, reads)
     for start in range(0, len(samples), chunk):
         points = samples.coords[start:start + chunk]
-        jets = _chunk_jets(points, reads) if len(points) > size else []
+        try:
+            jets = [field._run(points[:, columns], order) for field, order, columns in reads]
+        except EvaluationDomainError:
+            jets = []  # each batch is left to the consumer
         for offset in range(0, len(points), size):
             rows = slice(offset, offset + size)
-            for (field, order, columns), compact in jets:
-                local = points[rows][:, columns]
-                # the Hessian rows are copied, so that the remembered jet does not keep the chunk's alive
-                rows_jet = tuple(a[rows] for a in compact[:2]) + tuple(a[rows].copy() for a in compact[2:])
-                field._remember(local, field._dense(local.shape[:-1], order, rows_jet))
             try:
-                result = evaluate_stack(points[rows])
-            except EvaluationDomainError:
-                for row in range(offset, min(offset + size, len(points))):
-                    try:
-                        evaluate_stack(points[row:row + 1])
-                    except EvaluationDomainError as exc:
-                        raise SampleEvaluationError(tuple(points[row].tolist()), int(samples.draws[start + row]),
-                                                    exc) from exc
-                raise
-            yield samples[start + offset:start + offset + size], result
+                for (field, order, columns), compact in zip(reads, jets):
+                    local = points[rows][:, columns]
+                    bound = field._dense(local.shape[:-1], order, tuple(a[rows] for a in compact))
+                    object.__setattr__(field, "_memo", (local.shape, local.tobytes(), bound))
+                try:
+                    result = evaluate_stack(points[rows])
+                except EvaluationDomainError:
+                    for row in range(offset, min(offset + size, len(points))):
+                        try:
+                            evaluate_stack(points[row:row + 1])
+                        except EvaluationDomainError as exc:
+                            raise SampleEvaluationError(tuple(points[row].tolist()), int(samples.draws[start + row]),
+                                                        exc) from exc
+                    raise
+                yield samples[start + offset:start + offset + size], result
+            finally:
+                for field, _, _ in reads:
+                    object.__setattr__(field, "_memo", TensorField._memo)
         del jets  # before the next chunk runs
-
-
-def _chunk_jets(points: np.ndarray, reads: Sequence[tuple]) -> list:
-    """Each ``(field, order, columns)`` of ``reads`` with the field's compact
-    jet at those columns of the chunk ``points``, or none at all when one of
-    them leaves its domain there."""
-    try:
-        return [(read, read[0]._run(points[:, read[2]], read[1])) for read in reads]
-    except EvaluationDomainError:
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +787,8 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     This is the one sweep over the samples that reads first derivatives: on
     each batch it takes the order-1 jets of g, phi, xi and eta, reduces the
     residuals and then calls ``layers``, if given, with the batch's stack, so
-    that the derivative layers read the fields' remembered jets and each
-    field's program runs once per chunk (see ``evaluate_batches``).
+    that the derivative layers read the jets the sweep bound and each field's
+    program runs once per chunk (see ``evaluate_batches``).
     ``layers`` runs only while every batch so far has had a positive definite
     metric: without one there is no Levi-Civita connection, and a caller
     drops what ``layers`` gathered when ``metric_positive_definite`` fails.  A batch with a non-finite metric

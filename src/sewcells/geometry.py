@@ -28,14 +28,14 @@ weight fit, each reduced before the next runs; ``reeb_layer`` is the part of
 them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``,
 ``nullity`` and the induced stage of ``sew`` run them inside the axioms'
 sweep (``charts.validate_structure``), which takes the order-1 jets of g,
-phi, xi and eta on each batch; as a field remembers its last jet
-(``TensorField.evaluate_with_jets``), each field's program runs once per
-chunk of batches for the axioms and these layers together; the theorem
-stage of ``sew`` runs them in sweeps of its own, next to the nullity fits.  The
-layers reduce their results per sample, so the results of a stack slice
-into those of its rows, and ``classify`` and ``reeb_derivatives`` reduce
-them over the batches; given no results, ``classify`` runs
-``classify_layers`` in a sweep of its own.
+phi, xi and eta on each batch; as the sweep binds each field to the batch's
+rows of its run (``charts.evaluate_batches``), each field's program runs
+once per chunk of batches for the axioms and these layers together; the
+theorem stage of ``sew`` runs them in sweeps of its own, next to the nullity
+fits.  The layers reduce their results per sample, so the results of a
+stack slice into those of its rows, and ``classify`` and
+``reeb_derivatives`` reduce them over the batches; given no results,
+``classify`` runs ``classify_layers`` in a sweep of its own.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -337,9 +337,9 @@ def classify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
     next runs, which frees its (n, n, n) arrays: ``reeb_layer``, the largest
     magnitude of the normality tensor, and the weights and fit residuals of
     ``weight_fit``.  So the results of a stack of samples slice into those of
-    its rows.  The layers share the fields' remembered jets
-    (``TensorField.evaluate_with_jets``), so each field's program runs at
-    most once."""
+    its rows.  Inside a sweep that names the fields at these orders, the
+    layers read the jets it bound for the batch (``charts.evaluate_batches``),
+    so no field's program runs here."""
     return (*reeb_layer(struct, points), _max_abs(normality_tensor(struct, points), 3),
             *weight_fit(struct, points))
 

@@ -14,7 +14,6 @@ import json
 from pathlib import Path
 
 from .charts import (
-    CellDefinition,
     Chart,
     ChartError,
     Constraint,
@@ -140,8 +139,6 @@ def structure_from_dict(doc: dict) -> ContactStructure:
     sewn_info = _sewn_provenance(doc, n)
     if sewn_info:
         return SewnManifold(**kwargs, **sewn_info)
-    if n == 3:
-        return CellDefinition(**kwargs)
     return ContactStructure(**kwargs)
 
 

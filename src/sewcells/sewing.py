@@ -681,14 +681,12 @@ class ConventionComparison:
 
 @dataclass(frozen=True)
 class TheoremReport(ValidationReport):
-    """The stage's checks and classifications; for cell copies also the raw
-    fits at the samples and at their projections into the first cell."""
+    """The stage's checks and classifications; for cell copies also the
+    grouping of the sewn fits and the convention comparison."""
 
     cells_are_copies: bool
     cell_classification: Classification
     sewn_classification: Classification
-    sewn_fits: NullityFits | None
-    cell_fits: NullityFits | None
     generalized: GeneralizedNullityReport | None
     convention_comparison: ConventionComparison | None
 
@@ -729,7 +727,7 @@ def verify_sewing_theorems(
     copies = all(_same_definition(cell, cells[0]) for cell in cells[1:])
     laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS) if copies else ()
 
-    # first: the cell sweep's remembered jets on its stack would otherwise stay alive under this one
+    # first, so that a domain error that both sweeps would meet names a sewn sample
     ((sewn_class, sewn_fits),) = _classify_sets(sewn, [samples], tol, copies, laws)
 
     product_points = samples.coords @ embedding_matrix(product, sewn).T
@@ -786,8 +784,6 @@ def verify_sewing_theorems(
         cells_are_copies=copies,
         cell_classification=cell_class,
         sewn_classification=sewn_class,
-        sewn_fits=sewn_fits,
-        cell_fits=cell_fits[0],
         generalized=generalized,
         convention_comparison=comparison,
     )
@@ -799,9 +795,9 @@ def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Samples], tol
     ``sample_sets``, which hold as many samples each, from one sweep over
     their concatenation.  The per-sample results of ``classify_layers`` are
     sliced back into the sets.  With the fits the batches also fit the fold
-    of the metric's Hessians, and on each batch the fit runs first: its
-    order-2 jet of the metric serves the order-1 one of the layers
-    (``TensorField.evaluate_with_jets``).  Each batch's fits are folded into
+    of the metric's Hessians, and the sweep reads the metric at order 2, a
+    jet that also serves the layers' order-1 reads
+    (``charts.evaluate_batches``).  Each batch's fits are folded into
     ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
     there, which no later batch keeps."""
     def batch(points):

@@ -9,10 +9,10 @@ from sewcells import charts
 from sewcells.charts import (
     _MAX_REJECTIONS,
     BATCH_BYTES,
-    CellDefinition,
     Chart,
     ChartError,
     Constraint,
+    ContactStructure,
     Residual,
     SampleEvaluationError,
     Samples,
@@ -265,7 +265,7 @@ class TestValidation:
 
     def test_sign_flipped_phi_fails_validation(self, model_cell):
         chart = model_cell.chart
-        broken = CellDefinition(
+        broken = ContactStructure(
             name="broken",
             chart=chart,
             metric=model_cell.metric,
@@ -360,8 +360,14 @@ class TestTensorField:
             TensorField.build(chart, 1, 0, ["z", "0"])
 
 
-class TestRememberedJet:
-    """A field remembers the jet of its last call, at one stack."""
+def _bound(field: TensorField) -> bool:
+    """Whether a sweep holds ``field`` bound to the jet of a batch."""
+    return bool(field._memo[2])
+
+
+class TestSweepBindings:
+    """A sweep binds each field it reads to the rows of the batch that its
+    consumer runs on; outside a sweep a field is a pure function."""
 
     @pytest.fixture
     def field(self):
@@ -390,55 +396,111 @@ class TestRememberedJet:
 
     points = np.array([[0.5, -0.25], [1.5, 0.75], [0.25, 2.0]])
 
-    def test_an_equal_stack_in_a_new_array_hits(self, field, walks):
+    def samples(self, points=None) -> Samples:
+        points = self.points if points is None else points
+        return Samples(points.copy(), np.arange(len(points)))
+
+    def test_outside_a_sweep_every_call_runs_the_program(self, field, walks):
         first = field.evaluate_with_grads(self.points)
         again = field.evaluate_with_grads(self.points.copy())
-        assert walks == [0, 1, 0]
-        assert all(a is b for a, b in zip(first, again))
-
-    def test_a_different_stack_of_the_same_shape_misses(self, field, walks):
+        field.evaluate(self.points)
+        field.evaluate_with_jets(self.points)
         field.evaluate_with_grads(self.points)
-        vals, _ = field.evaluate_with_grads(self.points + 0.125)
-        assert walks == [0, 2, 0]
-        assert vals[0, 0] == math.log(0.625) * -0.125
-
-    def test_a_stack_changed_in_place_misses(self, field, walks):
-        points = self.points.copy()
-        field.evaluate_with_grads(points)
-        points[0, 0] = 2.0
-        vals, _ = field.evaluate_with_grads(points)
-        assert walks == [0, 2, 0]
-        assert vals[0, 0] == math.log(2.0) * -0.25
-
-    def test_order_one_serves_values_and_gradients_but_not_hessians(self, field, walks):
-        vals, grads = field.evaluate_with_grads(self.points)
-        assert field.evaluate(self.points) is vals
-        assert field.evaluate_with_grads(self.points)[1] is grads
-        assert walks == [0, 1, 0]
-        jet = field.evaluate_with_jets(self.points)
-        assert walks == [0, 1, 1]
-        assert field.evaluate(self.points) is jet[0] and field.evaluate_with_grads(self.points) == jet[:2]
-        assert walks == [0, 1, 1]
-
-    def test_values_alone_are_not_remembered(self, field, walks):
-        field.evaluate_with_grads(self.points)
-        field.evaluate(self.points[:2])
-        field.evaluate(self.points[:2])
-        field.evaluate_with_grads(self.points)
-        assert walks == [2, 1, 0]
+        assert walks == [1, 3, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not _bound(field)
 
     def test_returned_arrays_are_read_only(self, field):
-        for array in (field.evaluate(self.points), *field.evaluate_with_jets(self.points)):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        def writable(points):
+            return [array for array in (field.evaluate(points), *field.evaluate_with_jets(points))
+                    if array.flags.writeable]
 
-    def test_a_domain_error_keeps_the_previous_entry(self, field, walks):
-        vals, _ = field.evaluate_with_grads(self.points)
-        # the raising stack stopped at its first component, log(x)*y
-        with pytest.raises(EvaluationDomainError, match="log of non-positive argument -0.5"):
-            field.evaluate_with_grads(-self.points)
-        assert field.evaluate_with_grads(self.points)[0] is vals
-        assert walks[1] == 1 + 1
+        assert writable(self.points) == []
+        inside = [writable(points) for _, points in evaluate_batches(self.samples(), 2, lambda p: p, [(field, 2)])]
+        assert inside == [[]]
+
+    def test_a_layer_reads_the_bound_rows_without_a_run(self, field, walks):
+        """At an equal stack in a new array, and for no higher order than the
+        sweep reads, a layer's call returns the bound arrays; a call for the
+        Hessians, which the sweep does not read, runs the program."""
+        outside = field.evaluate_with_grads(self.points)
+        walks[:] = [0, 0, 0]
+        calls = []
+
+        def layer(points):
+            calls.append((field.evaluate_with_grads(points.copy()), field.evaluate(points)))
+            return field._memo[2]
+
+        ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
+        assert walks == [0, 1, 0]
+        ((vals, grads), values), = calls
+        assert vals is values is bound[0] and grads is bound[1]
+        assert all(np.array_equal(a, b) for a, b in zip(outside, bound))
+        for _, points in evaluate_batches(self.samples(), 2, lambda p: p, [(field, 1)]):
+            field.evaluate_with_jets(points)
+        assert walks == [0, 2, 1]
+
+    def test_a_block_column_view_reads_the_bound_rows(self, field, walks):
+        """A field read at columns of a wider stack is bound at those columns,
+        and a stack of the same shape with other columns runs the program."""
+        wide = np.zeros((3, 4))
+        wide[:, [2, 0]] = self.points
+        wide[:, 1] = 0.5
+
+        def layer(points):
+            bound = field.evaluate_with_grads(points[:, [2, 0]])
+            assert walks == [0, 1, 0]
+            other = field.evaluate_with_grads(points[:, [2, 1]])
+            assert walks == [0, 2, 0]
+            return bound, other
+
+        ((_, ((vals, _), (other, _))),) = evaluate_batches(self.samples(wide), 4, layer, [(field, 1, [2, 0])])
+        np.testing.assert_array_equal(vals, field.evaluate(self.points))
+        assert other[0, 0] == math.log(0.5) * 0.5
+
+    def test_bindings_last_for_one_batch(self, field, walks):
+        """20 samples in batches of 7 (the batch size of 13 dimensions) make
+        one chunk: the field's program runs once, each batch reads its own
+        rows of that run, also in the loop body, and no longer once the
+        sweep has moved on to the next batch or has ended."""
+        rng = np.random.default_rng(3)
+        samples = self.samples(rng.uniform(0.5, 1.5, (20, 2)))
+        assert batch_size(13) == 7
+        seen = []
+        for batch, bound in evaluate_batches(samples, 13, field.evaluate_with_grads, [(field, 1)]):
+            assert field.evaluate(batch.coords) is bound[0]
+            if seen:
+                field.evaluate(seen[-1])  # the previous batch's rows, a run
+            seen.append(batch.coords)
+        assert [len(points) for points in seen] == [7, 7, 6] and walks == [2, 1, 0]
+        assert not _bound(field)
+        field.evaluate(seen[-1])
+        assert walks == [3, 1, 0]
+
+    def test_no_binding_outlives_a_sweep_that_stops(self, field):
+        """Whether the consumer raises, the loop body raises or leaves the
+        loop, the sweep leaves the fields it read unbound."""
+        samples = self.samples(np.tile(self.points, (10, 1)))
+
+        seen = []
+
+        def failing(points):
+            seen.append(len(points))
+            if len(seen) == 2:
+                raise ValueError("second batch")
+            return points
+
+        with pytest.raises(ValueError, match="second batch"):
+            for _ in evaluate_batches(samples, 13, failing, [(field, 1)]):
+                assert _bound(field)
+        assert seen == [7, 7] and not _bound(field)
+        with pytest.raises(KeyError):
+            for _ in evaluate_batches(samples, 13, lambda points: points, [(field, 1)]):
+                raise KeyError("body")
+        assert not _bound(field)
+        for _ in evaluate_batches(samples, 13, lambda points: points, [(field, 1)]):
+            break
+        assert not _bound(field)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -498,11 +560,6 @@ def _captured(monkeypatch, module, name):
     return made
 
 
-def _field_orders(runs, field) -> Counter:
-    """How often the program of ``field`` ran at each order."""
-    return Counter(order for program, _, order in runs if program == id(field._plan.program))
-
-
 def _chunk_stacks(samples, fields, order: int = 1) -> list[bytes]:
     """The stacks, as bytes, of the program chunks of a sweep in batches of
     ``batch_size`` over ``samples`` that reads ``fields`` at ``order`` (below
@@ -521,8 +578,8 @@ def _chunk_stacks(samples, fields, order: int = 1) -> list[bytes]:
 def test_verify_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsys, program_runs):
     """``verify`` runs the program of each field of g, phi, xi and eta exactly
     once per chunk of batches, at order 1 only: the axioms read the values of
-    those jets, and the layers of ``classify`` read the fields' remembered
-    jets in the same sweep.  A program holds one instruction per distinct
+    those jets, and the layers of ``classify`` read the jets that the sweep
+    bound.  A program holds one instruction per distinct
     (subtree, column set) pair of its field's components, a constant subtree
     one across column sets.  On the 7-dim sewn chart 100 points make 3
     batches, and the compact jets of all of them fit one chunk."""
@@ -594,10 +651,11 @@ def test_verify_runs_each_program_once_per_chunk_and_reports_as_batch_by_batch(t
 
 
 def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeypatch, capsys, program_runs):
-    """``nullity`` runs each field's program once per batch at order 1 for the
-    axioms and ``classify``, and the metric's once per batch at order 2 in the
-    sweep of the fits.  On a cell both sweeps take the 25 samples as one
-    batch, so the fits read phi and xi from the remembered jets."""
+    """``nullity`` runs each field's program once per batch at order 1 in the
+    sweep of the axioms and ``classify``, and once per batch in the sweep of
+    the fits, at the order that sweep reads: the metric's at 2, phi's and
+    xi's at 1 and eta's values.  On a cell both sweeps take the 25 samples as
+    one batch, and the fits read nothing that the axioms' sweep bound."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.manifold_io import save_manifold
@@ -610,8 +668,42 @@ def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeyp
     (struct,) = structures
     run = [field for field in (struct.metric, struct.phi, struct.xi, struct.eta) if field._plan.program.roots]
     assert struct.metric in run and struct.phi in run and struct.xi in run
+    expected = {id(struct.metric): {1: 1, 2: 1}, id(struct.eta): {0: 1, 1: 1}}
     for field in run:
-        assert _field_orders(program_runs, field) == ({1: 1, 2: 1} if field is struct.metric else {1: 1})
+        stacks = {stack for program, stack, _ in program_runs if program == id(field._plan.program)}
+        assert len(stacks) == 1
+        runs = Counter()
+        for (program, _, order), count in program_runs.items():
+            if program == id(field._plan.program):
+                runs[order] += count
+        assert runs == expected.get(id(field), {1: 2})
+
+
+def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys):
+    """After ``verify``, ``nullity`` and ``sew --copies 3`` at 100 points (the
+    sewn chart's 100 samples are 3 batches of one chunk), no field of the
+    structure, the sewn manifold, the product or its blocks holds a binding."""
+    from sewcells import cli
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.manifold_io import save_manifold
+
+    path = tmp_path / "halfspace.json"
+    save_manifold(halfspace_kenmotsu_cell(), path)
+    structures = _captured(monkeypatch, cli, "load_manifold")
+    sewn = _captured(monkeypatch, cli, "sew")
+    products = _captured(monkeypatch, cli, "build_product")
+    for argv in (["verify", str(path)], ["nullity", str(path)],
+                 ["sew", str(path), "--copies", "3", "--out", str(tmp_path / "sewn.json"), "--points", "100"]):
+        assert cli.main(argv) == cli.EXIT_PASS
+    assert len(structures) == 3 and len(sewn) == len(products) == 1
+    (product,) = products
+    assert -(-100 // batch_size(7)) == 3 and len(_chunk_stacks(sample_points(sewn[0].chart, 100, 7), [sewn[0].phi])) == 1
+    fields = [field for struct in (*structures, *sewn, *product.cells)
+              for field in (struct.metric, struct.phi, struct.xi, struct.eta)]
+    fields += [product.metric, product.f, *product.framing, *product.coframing]
+    fields += [field for block in product._split[1] for field in block[1:]]
+    assert len(product._split[1]) == 3
+    assert not any(_bound(field) for field in fields)
 
 
 def test_sew_induced_stage_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsys, program_runs):
@@ -655,7 +747,7 @@ def test_a_jet_that_leaves_its_domain_where_its_value_does_not_stops_the_axioms(
     entries = [[to_source(model_cell.metric.component((i, j))) for j in range(3)] for i in range(3)]
     entries[0][0] = "1 + 0*x^-2"
     metric = TensorField.build(model_cell.chart, 0, 2, entries)
-    cell = CellDefinition("jet_overflow", model_cell.chart, metric, model_cell.phi, model_cell.xi, model_cell.eta)
+    cell = ContactStructure("jet_overflow", model_cell.chart, metric, model_cell.phi, model_cell.xi, model_cell.eta)
     x = model_cell.chart.index_of("x")
     coords = [0.3, 0.3, 0.3]
     coords[x] = 1e-154

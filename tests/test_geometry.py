@@ -279,10 +279,10 @@ class TestClassification:
     def test_weight_fit_is_exact_for_transverse_weight(self):
         # g = dt^2 + dx^2 + e^{2tx} dy^2 has the weight x/2, which is not
         # even aligned with eta; the pointwise fit must still be exact
-        from sewcells.charts import CellDefinition
+        from sewcells.charts import ContactStructure
 
         chart = Chart(("t", "x", "y"), adapted_index=0)
-        cell = CellDefinition(
+        cell = ContactStructure(
             name="transverse_weight",
             chart=chart,
             metric=TensorField.build(chart, 0, 2, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "exp(2*t*x)"]]),
@@ -310,9 +310,9 @@ class TestClassification:
             "metric": [["1", "0", "0"], ["0", "exp(2*t + t^2)", "0"], ["0", "0", "exp(2*t + t^2)"]],
             "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
         }
-        from sewcells.charts import CellDefinition
+        from sewcells.charts import ContactStructure
 
-        cell = CellDefinition(
+        cell = ContactStructure(
             name="variable_weight",
             chart=chart,
             metric=TensorField.build(chart, 0, 2, cell_grid["metric"]),

@@ -121,13 +121,13 @@ class TestPointFits:
     def test_residual_detects_non_nullity_structures(self):
         # x-dependent warping keeps the structure axioms but makes
         # R(d/dx, d/dy) xi nonzero, which no (kappa, mu, mu') can explain
-        from sewcells.charts import CellDefinition, Chart, TensorField, validate_structure
+        from sewcells.charts import ContactStructure, Chart, TensorField, validate_structure
 
         chart = Chart(("t", "x", "y"), adapted_index=0)
         gxx = "exp(2*t)"
         gyy = "exp(-2*t)*(1 + x^2/4)"
         ratio = f"sqrt(({gxx})/({gyy}))"
-        cell = CellDefinition(
+        cell = ContactStructure(
             name="x_warped",
             chart=chart,
             metric=TensorField.build(chart, 0, 2, [["1", "0", "0"], ["0", gxx, "0"], ["0", "0", gyy]]),
@@ -181,11 +181,11 @@ class TestGeneralized:
         assert np.all(np.diff(z[report.order]) >= 0.0) and sorted(report.order.tolist()) == list(range(15))
 
     def test_requires_adapted_chart(self):
-        from sewcells.charts import CellDefinition, Chart, TensorField
+        from sewcells.charts import ContactStructure, Chart, TensorField
 
         chart = Chart(("t", "x", "y"), adapted_index=None)
         identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-        cell = CellDefinition(
+        cell = ContactStructure(
             name="unadapted_flat",
             chart=chart,
             metric=TensorField.build(chart, 0, 2, identity),

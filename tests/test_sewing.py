@@ -9,9 +9,10 @@ import pytest
 from geometry_helpers import covariant_derivative_vector, product_median, second_fundamental
 from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell
 from sewcells.charts import (
-    CellDefinition,
     Chart,
+    ContactStructure,
     Residual,
+    Samples,
     TensorField,
     sample_points,
     validate_structure,
@@ -20,7 +21,7 @@ from sewcells.geometry import lie_bracket, riemann
 from sewcells import sewing
 from sewcells.expressions import BinOp, Num, Var
 from sewcells.manifold_io import save_manifold
-from sewcells.nullity import fit_nullity
+from sewcells.nullity import fit_nullity, nullity_fits
 from sewcells.sewing import (
     SewingError,
     SewnManifold,
@@ -73,7 +74,7 @@ class TestBuildProduct:
     def test_requires_adapted_cells(self):
         chart = Chart(("t", "x", "y"), adapted_index=None)
         identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-        cell = CellDefinition(
+        cell = ContactStructure(
             name="unadapted",
             chart=chart,
             metric=TensorField.build(chart, 0, 2, identity),
@@ -86,7 +87,7 @@ class TestBuildProduct:
 
     def test_rejects_eta_not_equal_dt(self, flat_cell):
         chart = flat_cell.chart
-        skewed = CellDefinition(
+        skewed = ContactStructure(
             name="eta_scaled",
             chart=chart,
             metric=flat_cell.metric,
@@ -99,7 +100,7 @@ class TestBuildProduct:
 
     def test_rejects_median_tangency_failure(self, flat_cell):
         chart = flat_cell.chart
-        drifted = CellDefinition(
+        drifted = ContactStructure(
             name="xi_drift",
             chart=chart,
             metric=flat_cell.metric,
@@ -130,7 +131,7 @@ class TestFStructure:
 
     def test_zeroed_affinor_breaks_kernel_rank(self, model_cell):
         chart = model_cell.chart
-        zero_phi_cell = CellDefinition(
+        zero_phi_cell = ContactStructure(
             name="zero_phi",
             chart=chart,
             metric=model_cell.metric,
@@ -480,23 +481,29 @@ def theorems(sewing_inputs, cells, count):
     return verify_sewing_theorems(product, sewn, grouped, 1e-8)
 
 
+def theorems_and_sewn_fits(sewing_inputs, cells, count):
+    """``theorems``, and the sewn fits that the stage takes at its samples."""
+    product, sewn, _, grouped = sewing_inputs(cells, count)
+    return verify_sewing_theorems(product, sewn, grouped, 1e-8), nullity_fits(sewn, grouped)
+
+
 class TestTheorems:
     def test_model_pair_and_triple_nullity_transfer(self, model_cell, sewing_inputs):
-        pair = theorems(sewing_inputs, [model_cell, model_cell], 15)
+        pair, pair_fits = theorems_and_sewn_fits(sewing_inputs, [model_cell, model_cell], 15)
         assert pair.passed
         assert pair.cells_are_copies
-        assert pair.sewn_fits.kappa == pytest.approx(-0.5, abs=1e-8)
-        triple = theorems(sewing_inputs, [model_cell] * 3, 12)
+        assert pair_fits.kappa == pytest.approx(-0.5, abs=1e-8)
+        triple, triple_fits = theorems_and_sewn_fits(sewing_inputs, [model_cell] * 3, 12)
         assert triple.passed
-        assert triple.sewn_fits.kappa == pytest.approx(-1.0 / 3.0, abs=1e-8)
-        assert np.abs(triple.sewn_fits.mu).max() <= 1e-8 and np.abs(triple.sewn_fits.muprime).max() <= 1e-8
+        assert triple_fits.kappa == pytest.approx(-1.0 / 3.0, abs=1e-8)
+        assert np.abs(triple_fits.mu).max() <= 1e-8 and np.abs(triple_fits.muprime).max() <= 1e-8
 
     def test_halfspace_pair_generalized_transfer(self, halfspace_cell, sewing_inputs):
         product, sewn, _, grouped = sewing_inputs([halfspace_cell, halfspace_cell], 15)
         report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
         assert report.passed
         s = grouped.coords[:, 0]
-        assert report.sewn_fits.kappa == pytest.approx(-(1.0 + np.exp(-4.0 * s)) / 2.0, abs=1e-8)
+        assert nullity_fits(sewn, grouped).kappa == pytest.approx(-(1.0 + np.exp(-4.0 * s)) / 2.0, abs=1e-8)
         assert report.generalized is not None
         assert report.generalized.eta_aligned
         assert not report.generalized.constant_kappa
@@ -504,10 +511,10 @@ class TestTheorems:
         assert report.convention_comparison.reproduces_inverse_k.startswith("indeterminate")
 
     def test_kenmotsu_pair_classification_and_convention(self, kenmotsu_cell, sewing_inputs):
-        report = theorems(sewing_inputs, [kenmotsu_cell, kenmotsu_cell], 15)
+        report, sewn_fits = theorems_and_sewn_fits(sewing_inputs, [kenmotsu_cell, kenmotsu_cell], 15)
         assert report.passed
         assert report.sewn_classification.alpha == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-8)
-        assert report.sewn_fits.kappa == pytest.approx(-1.0, abs=1e-8)
+        assert sewn_fits.kappa == pytest.approx(-1.0, abs=1e-8)
         comp = report.convention_comparison
         assert comp is not None
         assert comp.reproduces_inverse_k == "kenmotsu"
@@ -517,7 +524,8 @@ class TestTheorems:
     def test_convention_comparison_scales_the_raw_fits(self, sewing_inputs, monkeypatch):
         """The comparison builds no ``normalized`` copy of a fit: it scales
         the raw mu' by alpha, the product ``normalized`` takes, so it equals
-        bit for bit the comparison built from those copies."""
+        bit for bit the comparison built from those copies of the stage's
+        fits, which ``nullity_fits`` gives again."""
         from sewcells import nullity
 
         cell = kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7)
@@ -527,7 +535,8 @@ class TestTheorems:
 
         for module in (nullity, sewing):
             monkeypatch.setattr(module, "normalized", refuse, raising=False)
-        report = theorems(sewing_inputs, [cell, cell], 15)
+        product, sewn, _, grouped = sewing_inputs([cell, cell], 15)
+        report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
         monkeypatch.undo()
         comp = report.convention_comparison
         assert comp.reproduces_inverse_k == "kenmotsu"
@@ -535,7 +544,9 @@ class TestTheorems:
         def mean_muprime(fits) -> float:
             return float(np.mean(fits.muprime))
 
-        cells, sewns = report.cell_fits, report.sewn_fits
+        projected = grouped.coords @ embedding_matrix(product, sewn).T
+        sewns = nullity_fits(sewn, grouped)
+        cells = nullity_fits(cell, Samples(projected[:, list(product.blocks[0])], grouped.draws))
         assert comp.muprime_ratio_raw == mean_muprime(sewns) / mean_muprime(cells)
         assert comp.muprime_ratio_normalized == (mean_muprime(nullity.normalized(sewns, comp.alpha_sewn))
                                                  / mean_muprime(nullity.normalized(cells, comp.alpha_cell)))
@@ -628,7 +639,7 @@ class TestColumnarTransfer:
         assert {name: report.check(name).residual for name in residuals} == residuals
         comp = report.convention_comparison
         np.testing.assert_array_equal([comp.muprime_ratio_raw, comp.muprime_ratio_normalized], ratios)
-        assert len(report.sewn_fits.kappa) == len(report.cell_fits.kappa) == points
+        assert len(report.generalized.order) == points
 
     def test_generalized_order_is_the_grouping_by_adapted_value(self, halfspace_cell):
         """5 groups of 200 samples over fold batches of 182: the stable sort

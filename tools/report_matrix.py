@@ -14,8 +14,8 @@ the halfspace cell (the theorem stage sweeps its 400 stacked cell samples in
 halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
 groups of 200 sharing an adapted value straddle), ``nullity`` on
 the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
-5 batches, where a field's remembered jet serves the later layers of a
-batch), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
+5 batches, where the jets the sweep binds for a batch serve its later
+layers), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
 exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
 constant subtrees, which no catalog cell has.  ``verify``, ``nullity`` and
