@@ -365,9 +365,9 @@ def _bound(field: TensorField) -> bool:
     return bool(field._memo[2])
 
 
-class TestSweepBindings:
-    """A sweep binds each field it reads to the rows of the batch that its
-    consumer runs on; outside a sweep a field is a pure function."""
+class _FieldInSweeps:
+    """A field ``[log(x)*y, sin(x) + y^2]``, spies that count its program's
+    runs and the stacks its tests sweep."""
 
     @pytest.fixture
     def field(self):
@@ -400,6 +400,49 @@ class TestSweepBindings:
         points = self.points if points is None else points
         return Samples(points.copy(), np.arange(len(points)))
 
+
+class TestRememberedJet(_FieldInSweeps):
+    """A sweep remembers the jet it bound for the rows of one batch: a call
+    of its consumer at those rows and for no higher order returns the bound
+    arrays without a run."""
+
+    def test_an_equal_stack_in_a_new_array_hits(self, field, walks):
+        outside = field.evaluate_with_grads(self.points)
+        walks[:] = [0, 0, 0]
+        calls = []
+
+        def layer(points):
+            calls.append(field.evaluate_with_grads(points.copy()))
+            return field._memo[2]
+
+        ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
+        assert walks == [0, 1, 0]
+        ((vals, grads),) = calls
+        assert vals is bound[0] and grads is bound[1]
+        assert all(np.array_equal(a, b) for a, b in zip(outside, bound))
+
+    def test_order_one_serves_values_and_gradients_but_not_hessians(self, field, walks):
+        """Values and gradients come from the bound order-1 jet; a call for
+        the Hessians, which the sweep does not read, runs the program."""
+        calls = []
+
+        def layer(points):
+            calls.append((field.evaluate(points), field.evaluate_with_grads(points)))
+            return field._memo[2]
+
+        ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
+        assert walks == [0, 1, 0]
+        ((values, (vals, grads)),) = calls
+        assert values is vals is bound[0] and grads is bound[1]
+        for _, points in evaluate_batches(self.samples(), 2, lambda p: p, [(field, 1)]):
+            field.evaluate_with_jets(points)
+        assert walks == [0, 2, 1]
+
+
+class TestSweepBindings(_FieldInSweeps):
+    """A sweep binds each field it reads to the rows of the batch that its
+    consumer runs on; outside a sweep a field is a pure function."""
+
     def test_outside_a_sweep_every_call_runs_the_program(self, field, walks):
         first = field.evaluate_with_grads(self.points)
         again = field.evaluate_with_grads(self.points.copy())
@@ -418,27 +461,6 @@ class TestSweepBindings:
         assert writable(self.points) == []
         inside = [writable(points) for _, points in evaluate_batches(self.samples(), 2, lambda p: p, [(field, 2)])]
         assert inside == [[]]
-
-    def test_a_layer_reads_the_bound_rows_without_a_run(self, field, walks):
-        """At an equal stack in a new array, and for no higher order than the
-        sweep reads, a layer's call returns the bound arrays; a call for the
-        Hessians, which the sweep does not read, runs the program."""
-        outside = field.evaluate_with_grads(self.points)
-        walks[:] = [0, 0, 0]
-        calls = []
-
-        def layer(points):
-            calls.append((field.evaluate_with_grads(points.copy()), field.evaluate(points)))
-            return field._memo[2]
-
-        ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
-        assert walks == [0, 1, 0]
-        ((vals, grads), values), = calls
-        assert vals is values is bound[0] and grads is bound[1]
-        assert all(np.array_equal(a, b) for a, b in zip(outside, bound))
-        for _, points in evaluate_batches(self.samples(), 2, lambda p: p, [(field, 1)]):
-            field.evaluate_with_jets(points)
-        assert walks == [0, 2, 1]
 
     def test_a_block_column_view_reads_the_bound_rows(self, field, walks):
         """A field read at columns of a wider stack is bound at those columns,
