@@ -28,7 +28,10 @@ sparse Hessians only through their contractions with a vector
 entry, and the batches of a sweep that folds a field's Hessians count those
 entries too (they outgrow n^3 where components read most coordinates).
 Every sweep names the fields it reads, each with its jet order (a field read
-at order 2 is one whose Hessians it folds).  A program chunk holds as many
+at order 2 is one whose Hessians it folds) and the columns of the samples it
+is read at, or several sets of columns: the field is then read at all of
+them, stacked sample by sample (``stack_columns``), and a batch counts those
+stacked rows against the budget.  A program chunk holds as many
 whole batches as keep the compact jets of those fields, the values, gradient
 entries and at order 2 Hessian entries of their non-constant components,
 within the budget.  Each field's program runs once per chunk, since a run
@@ -384,21 +387,22 @@ class _FieldPlan(NamedTuple):
     def build(cls, field: TensorField) -> "_FieldPlan":
         chart = field.chart
         n = chart.dim
-        constant = np.zeros(int(np.prod(field.shape, dtype=int)))
+        nodes = _flatten(field.components, field.rank)  # row-major
+        constant = np.zeros(len(nodes))
         positions: list[int] = []
         groups: dict[tuple[int, ...], int] = {}
         roots = []
         grad_slots: list[int] = []
         hess_slots: list[int] = []
-        for pos, idx in enumerate(np.ndindex(*field.shape)):
-            node = field.component(idx)
-            columns = tuple(sorted(chart.coord_index[name] for name in free_variables(node)))
-            if not columns:
-                try:
-                    constant[pos] = node.value if isinstance(node, Num) else evaluate(node, (), {})
-                    continue
-                except EvaluationDomainError:
-                    pass  # kept as a root, so that every evaluation raises as before
+        walked: dict[int, tuple] = {}  # id of a distinct tree -> (its columns, its value when it is constant)
+        for pos, node in enumerate(nodes):
+            seen = walked.get(id(node))
+            if seen is None:
+                seen = walked[id(node)] = _walk(node, chart)
+            columns, value = seen
+            if value is not None:
+                constant[pos] = value
+                continue
             positions.append(pos)
             roots.append((node, groups.setdefault(columns, len(groups))))
             grad_slots.extend(pos * n + c for c in columns)
@@ -415,6 +419,28 @@ class _FieldPlan(NamedTuple):
                    np.array(grad_slots, dtype=np.intp), hess,
                    np.concatenate([hess // cube, hess // n % n]).astype(fold),
                    np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]).astype(fold))
+
+
+def _flatten(grid, rank: int) -> list:
+    """The trees of a component grid in row-major order."""
+    for _ in range(rank - 1):
+        grid = [entry for row in grid for entry in row]
+    return list(grid) if rank else [grid]
+
+
+def _walk(node: ExpressionNode, chart: Chart) -> tuple[tuple[int, ...], float | None]:
+    """The sorted chart columns that ``node`` reads and, when it reads none
+    and evaluates, its value; a constant that leaves its domain is None, so
+    that it stays a root and every evaluation raises as before."""
+    if isinstance(node, Num):
+        return (), node.value
+    columns = tuple(sorted(chart.coord_index[name] for name in free_variables(node)))
+    if columns:
+        return columns, None
+    try:
+        return (), evaluate(node, (), {})
+    except EvaluationDomainError:
+        return (), None
 
 
 def _parse_grid(grid, rank: int, chart: Chart):
@@ -629,46 +655,68 @@ def batch_size(dim: int, folds: Sequence[TensorField] = ()) -> int:
     return max(1, BATCH_BYTES // (8 * width))
 
 
+def _column_sets(columns=None) -> int:
+    """The rows per sample of a read at ``columns``: one for a slice or a
+    list of columns, one per column set for an (s, m) array of them."""
+    return len(columns) if np.ndim(columns) == 2 else 1
+
+
+def stack_columns(points: np.ndarray, columns) -> np.ndarray:
+    """The stack that a read at ``columns`` (see ``evaluate_batches``) takes
+    from ``points`` (P, n): (P, m) for a slice or a list of m columns, and
+    (P s, m) for an (s, m) array of column sets, the s rows of each sample
+    after one another."""
+    local = points[:, columns]
+    return local.reshape(-1, local.shape[-1])
+
+
 def chunk_size(size: int, fields: Sequence[tuple]) -> int:
     """Samples per program chunk of a sweep in batches of ``size`` that reads
     ``fields`` (see ``evaluate_batches``): as many whole batches as keep the
-    compact jets of those fields within ``BATCH_BYTES``, and at least one."""
-    width = sum(field._plan.compact_width(order) for field, order, *_ in fields)
+    compact jets of those fields, at every column set they read, within
+    ``BATCH_BYTES``, and at least one."""
+    width = sum(field._plan.compact_width(order) * _column_sets(*columns) for field, order, *columns in fields)
     return size * max(1, BATCH_BYTES // (8 * size * width)) if width else size
 
 
 def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, fields: Sequence[tuple] = ()):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
-    ``batch`` is the batch's ``Samples``, ``points`` its coordinates (B, dim) and B is
-    ``batch_size(dim, folds)`` for the fields ``folds`` read at order 2.
+    ``batch`` is the batch's ``Samples`` and ``points`` its coordinates.
 
     ``fields`` names what the sweep reads: ``(field, order)`` for a field at
     the points, ``(field, order, columns)`` for one at their columns
     ``columns``, with the jet order read (0 values, 1 gradients, 2 Hessians).
-    Their programs run once per chunk of ``chunk_size`` samples, and from
-    before ``evaluate_stack`` runs on a batch until the sweep moves on, each
-    field is bound to the batch's rows of its run, which the consumer reads
-    back; when the sweep ends, however it ends, no field it read is bound.
-    When a chunk's run leaves the domain of an expression, each of its
-    batches is left to the consumer, and when a batch leaves it, its samples
-    are evaluated again one at a time, and the ``SampleEvaluationError``
-    names the first sample, in draw order, that fails.
+    ``columns`` may also be an (s, m) array of s column sets, and the field is
+    then read at all of them, stacked sample by sample (``stack_columns``).
+    A batch has as many rows of dimension ``dim`` as ``batch_size(dim,
+    folds)`` allows for the fields ``folds`` read at order 2, counting s rows
+    per sample for a read at s column sets.  The programs run once per chunk
+    of ``chunk_size`` samples, and from before ``evaluate_stack`` runs on a
+    batch until the sweep moves on, each field is bound to the batch's rows
+    of its run, which the consumer reads back; when the sweep ends, however
+    it ends, no field it read is bound.  When a chunk's run leaves the
+    domain of an expression, each of its batches is left to the consumer,
+    and when a batch leaves it, its samples are evaluated again one at a
+    time, and the ``SampleEvaluationError`` names the first sample, in draw
+    order, that fails.
     """
     reads = [(field, order, columns[0] if columns else slice(None)) for field, order, *columns in fields]
-    size = batch_size(dim, [field for field, order, _ in reads if order == 2])
+    sets = [_column_sets(columns) for _, _, columns in reads]
+    size = max(1, batch_size(dim, [field for field, order, _ in reads if order == 2]) // max(sets, default=1))
     chunk = chunk_size(size, reads)
     for start in range(0, len(samples), chunk):
         points = samples.coords[start:start + chunk]
         try:
-            jets = [field._run(points[:, columns], order) for field, order, columns in reads]
+            jets = [field._run(stack_columns(points, columns), order) for field, order, columns in reads]
         except EvaluationDomainError:
             jets = []  # each batch is left to the consumer
         for offset in range(0, len(points), size):
             rows = slice(offset, offset + size)
             try:
-                for (field, order, columns), compact in zip(reads, jets):
-                    local = points[rows][:, columns]
-                    bound = field._dense(local.shape[:-1], order, tuple(a[rows] for a in compact))
+                for (field, order, columns), count, compact in zip(reads, sets, jets):
+                    local = stack_columns(points[rows], columns)
+                    bound = field._dense(local.shape[:-1], order,
+                                         tuple(a[offset * count:(offset + size) * count] for a in compact))
                     object.__setattr__(field, "_memo", (local.shape, local.tobytes(), bound))
                 try:
                     result = evaluate_stack(points[rows])

@@ -71,13 +71,24 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _parse_entry(src, coords, where: str):
-    if not isinstance(src, str):
-        raise ManifoldFileError(f"{where}: expected an expression string, got {src!r}")
-    try:
-        return parse_expression(src, coords)
-    except ExpressionError as exc:
-        raise ManifoldFileError(f"{where}: {exc}") from exc
+def _entry_parser(coords: tuple[str, ...]):
+    """``parse(src, where)``: the tree of the expression string ``src`` over
+    ``coords``, parsed once per distinct string (trees are immutable, so
+    components may share one); ``where`` names the entry in an error."""
+    trees: dict[str, object] = {}
+
+    def parse(src, where: str):
+        if not isinstance(src, str):
+            raise ManifoldFileError(f"{where}: expected an expression string, got {src!r}")
+        tree = trees.get(src)
+        if tree is None:
+            try:
+                tree = trees[src] = parse_expression(src, coords)
+            except ExpressionError as exc:
+                raise ManifoldFileError(f"{where}: {exc}") from exc
+        return tree
+
+    return parse
 
 
 def load_manifold(path: str | Path) -> ContactStructure:
@@ -120,10 +131,11 @@ def structure_from_dict(doc: dict) -> ContactStructure:
     except ChartError as exc:
         raise ManifoldFileError(str(exc)) from exc
 
-    metric_grid = _load_metric(doc, coords, n)
-    phi_grid = _load_square(doc, "phi", coords, n)
-    xi_list = _load_vector(doc, "xi", coords, n)
-    eta_list = _load_vector(doc, "eta", coords, n)
+    parse = _entry_parser(coords)  # one per definition: its entries are mostly a few repeated strings
+    metric_grid = _load_metric(doc, parse, n)
+    phi_grid = _load_square(doc, "phi", parse, n)
+    xi_list = _load_vector(doc, "xi", parse, n)
+    eta_list = _load_vector(doc, "eta", parse, n)
 
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
@@ -171,7 +183,7 @@ def _require_grid(doc: dict, key: str, n: int) -> list:
     return grid
 
 
-def _load_metric(doc: dict, coords: tuple[str, ...], n: int):
+def _load_metric(doc: dict, parse, n: int):
     grid = _require_grid(doc, "metric", n)
     parsed = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -180,14 +192,14 @@ def _load_metric(doc: dict, coords: tuple[str, ...], n: int):
                 raise ManifoldFileError(
                     f"metric[{i}][{j}] (lower triangle) is required"
                 )
-            parsed[i][j] = _parse_entry(grid[i][j], coords, f"metric[{i}][{j}]")
+            parsed[i][j] = parse(grid[i][j], f"metric[{i}][{j}]")
     mismatches = []
     for i in range(n):
         for j in range(i + 1, n):
             if grid[i][j] is None:
                 parsed[i][j] = parsed[j][i]
                 continue
-            upper = _parse_entry(grid[i][j], coords, f"metric[{i}][{j}]")
+            upper = parse(grid[i][j], f"metric[{i}][{j}]")
             if upper != parsed[j][i]:
                 mismatches.append(
                     f"metric[{i}][{j}] = {grid[i][j]!r} vs metric[{j}][{i}] = {grid[j][i]!r}"
@@ -198,16 +210,16 @@ def _load_metric(doc: dict, coords: tuple[str, ...], n: int):
     return tuple(tuple(row) for row in parsed)
 
 
-def _load_square(doc: dict, key: str, coords: tuple[str, ...], n: int):
+def _load_square(doc: dict, key: str, parse, n: int):
     grid = _require_grid(doc, key, n)
     return tuple(
-        tuple(_parse_entry(grid[i][j], coords, f"{key}[{i}][{j}]") for j in range(n))
+        tuple(parse(grid[i][j], f"{key}[{i}][{j}]") for j in range(n))
         for i in range(n)
     )
 
 
-def _load_vector(doc: dict, key: str, coords: tuple[str, ...], n: int):
+def _load_vector(doc: dict, key: str, parse, n: int):
     entries = _require(doc, key)
     if not isinstance(entries, list) or len(entries) != n:
         raise ManifoldFileError(f"{key} must be a list of {n} expression strings")
-    return tuple(_parse_entry(entries[i], coords, f"{key}[{i}]") for i in range(n))
+    return tuple(parse(entries[i], f"{key}[{i}]") for i in range(n))

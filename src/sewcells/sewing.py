@@ -47,17 +47,30 @@ and the stages read the frame from the block's own ``xi``.
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
-the nullity fits of the sewn chart.  Each sweep names the fields it reads,
-with their jet orders and, for a block's fields, the block's columns of the
-samples, so that each field's program runs once per chunk of batches and
-the curvature sweeps' batches fit the Hessian fold too.  The
-brackets of all pairs of a block's affinor-image fields come from one
-``lie_bracket`` call on the block of the affinor.  The theorem stage walks
-the samples of the sewn chart once, and those of each distinct cell
-definition once, over the projected samples of all its blocks: one matmul
-with the embedding projects the sewn samples into every block.  It keeps
-the fits as columns (``nullity.NullityFits``) and reduces the transfer
-residuals and the operator laws from them with array expressions.
+the nullity fits of the sewn chart.  The stages group the blocks by
+definition (``_group``): two blocks are one definition when their trees are
+equal once each coordinate of the second is renamed to the first block's
+coordinate at its position (``_same_block``), an exact check on the trees
+like ``block_structure``, and for the lift laws their cells must share a
+definition too.  Each stage sweeps the product samples once and evaluates
+the fields of each group's first block, once per batch, at the projections
+of all its blocks: a sweep read may name several column sets, and the field
+is bound to the rows of all of them, stacked sample by sample.  So ``sew
+--copies k`` builds and runs the plans of one block's fields for any k, and
+a block whose trees differ from the others is a group of its own.  The
+per-block terms of a sample (rank f and |xi_b|^2) are summed in block
+order.  Each sweep names the fields it reads, with their jet orders and
+column sets, so that each field's program runs once per chunk of batches
+and the curvature sweeps' batches fit the Hessian fold too.  The brackets
+of all pairs of a block's affinor-image fields come from one
+``lie_bracket`` call on the block of the affinor.  The extrinsic stage
+takes each product contraction as a product of two arrays, in a fixed
+order, over the 3k rows of the blocks.  The theorem stage walks the samples
+of the sewn chart once, and those of each distinct cell definition once,
+over the projected samples of all its blocks: one matmul with the embedding
+projects the sewn samples into every block.  It keeps the fits as columns
+(``nullity.NullityFits``) and reduces the transfer residuals and the
+operator laws from them with array expressions.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +93,7 @@ from .charts import (
     ValidationReport,
     evaluate_batches,
     sample_points,
+    stack_columns,
 )
 from .expressions import BinOp, ExpressionNode, Num, free_variables, rename_variables
 from .geometry import (
@@ -197,6 +211,13 @@ class ProductDefinition:
             blocks.append(_Block(rows, *map(restricted, (self.metric, self.f, self.framing[i], self.coframing[i]))))
         return structure, blocks
 
+    @cached_property
+    def _groups(self) -> dict[int, list[int]]:
+        """The blocks grouped by definition (``_same_block``), under their
+        first block (``SewingError`` when ``block_structure`` fails)."""
+        blocks = _blocks(self)
+        return _group(range(len(blocks)), lambda a, b: _same_block(blocks[a], blocks[b]))
+
 
 def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
     """Lift the cells onto the product chart with block tensors."""
@@ -311,6 +332,42 @@ class _Block(NamedTuple):
     eta: TensorField
 
 
+def _same_block(a: _Block, b: _Block) -> bool:
+    """Whether block b has block a's definition: its trees are a's once each
+    of its coordinates is renamed to a's coordinate at the same position."""
+    mapping = dict(zip(b.metric.chart.coords, a.metric.chart.coords))
+    return all(theirs.renamed_grid(mapping) == ours.components for ours, theirs in zip(a[1:], b[1:]))
+
+
+def _group(items: Sequence[int], same: Callable[[int, int], bool]) -> dict[int, list[int]]:
+    """``items`` grouped, in order, under the first item of each group: an
+    item joins the first group whose first item it is ``same`` as.  Every
+    stage that sweeps blocks or cells groups them this way, and evaluates
+    the first item's fields for the whole group."""
+    groups: dict[int, list[int]] = {}
+    for b in items:
+        groups.setdefault(next((a for a in groups if same(a, b)), b), []).append(b)
+    return groups
+
+
+def _stacked_rows(members: Sequence[int], coefficients: np.ndarray, samples: int) -> np.ndarray:
+    """``coefficients[:, b]`` of the member block b of each row of a stack
+    at the column sets of ``members`` (``charts.stack_columns``), as the rows
+    of a (samples * len(members), len(coefficients)) array."""
+    return np.tile(coefficients.T[list(members)], (samples, 1))
+
+
+def _by_block(members: Sequence[Sequence[int]], stacks: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """[p, b, ...]: the rows of each group's stack, (samples * m, ...) for the
+    m blocks of its ``members``, placed at their blocks b."""
+    shape = stacks[0].shape[1:]
+    samples = len(stacks[0]) // len(members[0])
+    out = np.empty((samples, k) + shape)
+    for blocks, stacked in zip(members, stacks):
+        out[:, blocks] = stacked.reshape((samples, len(blocks)) + shape)
+    return out
+
+
 def frame_coefficients(k: int) -> np.ndarray:
     """The constant frame of the diagonal over the framing fields (the Helmert
     matrix): ``u_alpha = sum_b c[alpha, b] xi_b`` for ``c = frame_coefficients(k)``.
@@ -346,9 +403,10 @@ def verify_f_structure(product: ProductDefinition, samples: Samples, tol: float)
     The product is the direct sum of its blocks (``SewingError`` when
     ``block_structure`` fails), and framing and coframing fields of different
     blocks pair to zero identically.  So each axiom is checked on each block's
-    trees at the block projections of the samples; per sample, rank f sums the
-    block ranks, and |xi-bar|^2 = sum_b g_b(xi_b, xi_b)/k, since the median
-    is ``xi_b/sqrt(k)`` on block b.
+    trees at the block projections of the samples, the trees of one
+    definition at the projections of all its blocks at once; per sample,
+    rank f sums the block ranks, and |xi-bar|^2 = sum_b g_b(xi_b, xi_b)/k,
+    since the median is ``xi_b/sqrt(k)`` on block b, both in block order.
     """
     k = product.cell_count
     blocks = _blocks(product)
@@ -360,20 +418,22 @@ def verify_f_structure(product: ProductDefinition, samples: Samples, tol: float)
     closed = Residual("coframing_closed", tol)
     unit_median = Residual("median_unit_length", tol)
     ranks: list[int] = []
+    groups = [(members, blocks[first], np.array([blocks[b].rows for b in members]))
+              for first, members in product._groups.items()]
 
     def fields(points):
         parts = []
-        for block in blocks:
-            local = points[:, block.rows]
-            parts.append((block.metric.evaluate(local), block.f.evaluate(local), block.xi.evaluate(local),
+        for members, block, columns in groups:
+            local = stack_columns(points, columns)
+            parts.append((members, block.metric.evaluate(local), block.f.evaluate(local), block.xi.evaluate(local),
                           block.eta.evaluate(local), exterior_derivative(block.eta, local)))
         return parts
 
-    reads = [(field, order, block.rows) for block in blocks
+    reads = [(field, order, columns) for _, block, columns in groups
              for field, order in ((block.metric, 0), (block.f, 0), (block.xi, 0), (block.eta, 1))]
     for _, parts in evaluate_batches(samples, 3, fields, reads):
-        rank = framing_lengths = 0
-        for g, f, xi, eta, d_eta in parts:
+        block_ranks, lengths = [None] * k, [None] * k
+        for members, g, f, xi, eta, d_eta in parts:
             cubed.add(f @ f @ f + f)
             skew.add(np.swapaxes(f, 1, 2) @ g + g @ f)
             kernel_span.add(f @ xi[:, :, None])
@@ -381,10 +441,12 @@ def verify_f_structure(product: ProductDefinition, samples: Samples, tol: float)
             framing.add(length - 1.0)
             dual.add(np.einsum("pi,pi->p", eta, xi) - 1.0)
             closed.add(d_eta)
-            rank = rank + numeric_rank(f)
-            framing_lengths = framing_lengths + length
-        unit_median.add(framing_lengths / k - 1.0)
-        ranks.extend(rank.tolist())
+            # row p m + j of the stack is member j at sample p
+            for b, rank, row in zip(members, numeric_rank(f).reshape(-1, len(members)).T,
+                                    length.reshape(-1, len(members)).T):
+                block_ranks[b], lengths[b] = rank, row
+        unit_median.add(sum(lengths) / k - 1.0)
+        ranks.extend(sum(block_ranks).tolist())
     rank_gaps = np.array(ranks) - 2 * k
     worst_rank = ranks[int(np.argmax(np.abs(rank_gaps)))]
     checks = (
@@ -417,30 +479,43 @@ def verify_lift_laws(
     so only the in-block pairs are taken; their components along the normal
     frame must vanish.  On block b the frame is the constant
     ``frame_coefficients`` column b times the block's ``xi``: the median is
-    ``c[0, b] xi_b`` and ``g(., u_alpha) = c[alpha, b] g_b(., xi_b)``.
+    ``c[0, b] xi_b`` and ``g(., u_alpha) = c[alpha, b] g_b(., xi_b)``.  The
+    blocks of one definition whose cells also share one are evaluated
+    together, at the projections of all of them, with the column of each.
     """
     title = f"lift laws of {len(product.cells)}-cell product"
     structure, blocks = product._split
     if not structure.passed:
         return ValidationReport(title, len(samples), (structure,))
+    cells = product.cells
+    c = frame_coefficients(len(blocks))
+    definition = {b: first for first, members in product._groups.items() for b in members}
+    groups = [(members, blocks[first], cells[first], np.array([blocks[b].rows for b in members]))
+              for first, members in _group(range(len(blocks)), lambda a, b: definition[a] == definition[b]
+                                           and _same_definition(cells[a], cells[b])).items()]
     upper = np.triu_indices(3, 1)  # the column pairs a < b of a block
     lift = Residual("lifted_covariant_derivative", tol)
     invol = Residual("image_median_involutive", tol)
-    for block, cell, column in zip(blocks, product.cells, frame_coefficients(len(blocks)).T):
 
-        def parts(points):
-            """The gap between the block's and the cell's connection, and
-            ``g([X, Y], u)`` for every normal field u over the brackets of
-            the block's affinor-image fields and of those with the median."""
-            local = points[:, block.rows]
+    def parts(points):
+        """Per group, the gap between the blocks' and the cell's connection,
+        and ``g([X, Y], u)`` for every normal field u over the brackets of
+        the blocks' affinor-image fields and of those with the median."""
+        out = []
+        for members, block, cell, columns in groups:
+            local = stack_columns(points, columns)
+            column = _stacked_rows(members, c, len(points))  # [row, alpha]: the frame column of its block
             gap = christoffel(block.metric, local) - christoffel(cell.metric, local)
-            g_normal = (block.metric.evaluate(local) @ block.xi.evaluate(local)[:, :, None]) * column[1:]
+            g_normal = (block.metric.evaluate(local) @ block.xi.evaluate(local)[:, :, None]) * column[:, None, 1:]
             images = lie_bracket(block.f, block.f, local)[:, :, upper[0], upper[1]]
-            with_median = column[0] * lie_bracket(block.f, block.xi, local)
-            return gap, [np.swapaxes(brackets, 1, 2) @ g_normal for brackets in (images, with_median)]
+            with_median = column[:, 0, None, None] * lie_bracket(block.f, block.xi, local)
+            out.append((gap, [np.swapaxes(brackets, 1, 2) @ g_normal for brackets in (images, with_median)]))
+        return out
 
-        reads = [(field, 1, block.rows) for field in (block.metric, cell.metric, block.f, block.xi)]
-        for _, (gap, brackets) in evaluate_batches(samples, 3, parts, reads):
+    reads = [(field, 1, columns) for _, block, cell, columns in groups
+             for field in (block.metric, cell.metric, block.f, block.xi)]
+    for _, out in evaluate_batches(samples, 3, parts, reads):
+        for gap, brackets in out:
             lift.add(gap)
             for part in brackets:
                 invol.add(part)
@@ -552,18 +627,18 @@ def embedding_matrix(product: ProductDefinition, sewn: SewnManifold) -> np.ndarr
 
 class _BlockGeometry(NamedTuple):
     """The product at a stack of embedded samples, block by block: each array
-    leads with the block axis k and holds the block's rows j of a product
-    quantity, over the block's own columns a, m."""
+    leads with the sample axis p and the block axis b, and holds the block's
+    rows j of a product quantity, over the block's own columns a, m."""
 
-    normal: np.ndarray        # [k, p, j, alpha]: the alpha-th normal field u_alpha
-    g_normal: np.ndarray      # [k, p, j, alpha] = g(e_j, u_alpha)
-    normal_grads: np.ndarray  # [k, p, alpha, j, a] = d_a u_alpha^j
-    xi_bar: np.ndarray        # [k, p, j]: the median
-    gamma: np.ndarray         # [k, p, j, a, m] = Gamma^j_am
-    curvature_xi: np.ndarray  # [k, p, l, a, m] = (R-bar(e_a, e_m) xi-bar)^l
+    normal: np.ndarray        # [p, b, j, alpha]: the alpha-th normal field u_alpha
+    g_normal: np.ndarray      # [p, b, j, alpha] = g(e_j, u_alpha)
+    normal_grads: np.ndarray  # [p, b, alpha, j, a] = d_a u_alpha^j
+    xi_bar: np.ndarray        # [p, b, j]: the median
+    gamma: np.ndarray         # [p, b, j, a, m] = Gamma^j_am
+    curvature_xi: np.ndarray  # [p, b, l, a, m] = (R-bar(e_a, e_m) xi-bar)^l
 
     def rows(self, rows: slice) -> "_BlockGeometry":
-        return _BlockGeometry(*(array[:, rows] for array in self))
+        return _BlockGeometry(*(array[rows] for array in self))
 
 
 def extrinsic_report(
@@ -578,23 +653,30 @@ def extrinsic_report(
 
     The product geometry is evaluated block by block, in batches of a
     3-dimensional chart, which needs ``block_structure`` to hold
-    (``SewingError`` otherwise).  The median and the normal frame are the
-    constant ``frame_coefficients`` c over the blocks' Reeb fields, so each
-    block evaluates its ``xi`` with gradients once per batch: on block b,
-    ``xi-bar = c[0, b] xi_b``, ``u_alpha = c[alpha, b] xi_b`` and
+    (``SewingError`` otherwise), and the blocks of one definition together,
+    at the projections of all of them.  The median and the normal frame are
+    the constant ``frame_coefficients`` c over the blocks' Reeb fields, so
+    each block evaluates its ``xi`` with gradients once per batch: on block
+    b, ``xi-bar = c[0, b] xi_b``, ``u_alpha = c[alpha, b] xi_b`` and
     ``d u_alpha = c[alpha, b] d xi_b``.  Inside each batch the sewn
     curvature along the Reeb field runs in batches of the sewn chart, and the
     product contractions compared with it are assembled there: a sum over the
-    product index is a sum over the blocks k of their three rows j.
+    product index is a sum over the blocks b of their three rows j, one
+    matrix axis of 3k rows.  Every contraction is a product of two arrays,
+    taken in a fixed order.
     """
     blocks = _blocks(product)
     k = product.cell_count
     e_mat = embedding_matrix(product, sewn)
-    frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [k, j, a]: the rows of E_a in block k
-    columns = frame_rows.argmax(axis=-1)  # [k, j]: the sewn coordinate that coordinate j of block k equals
+    frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [b, j, a]: the rows of E_a in block b
+    columns = frame_rows.argmax(axis=-1)  # [b, j]: the sewn coordinate that coordinate j of block b equals
+    e = frame_rows.reshape(3 * k, -1)  # [(b, j), a]
+    e_block = frame_rows[:, None]  # broadcast over the rows l of the block
     upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
     identity = np.eye(k - 1)
     c = frame_coefficients(k)
+    groups = [(members, blocks[first]) for first, members in product._groups.items()]
+    group_members = [members for members, _ in groups]
 
     frame = Residual("normal_frame_orthonormal", tol)
     perp = Residual("normal_frame_perpendicular", tol)
@@ -605,28 +687,28 @@ def extrinsic_report(
 
     def block_geometry(points):
         parts = []
-        for block, cols, column in zip(blocks, columns, c.T):
-            local = points[:, cols]
+        for members, block in groups:
+            local = stack_columns(points, columns[members])
+            column = _stacked_rows(members, c, len(points))  # [row, alpha]: the frame column of its block
             xi, xi_grads = block.xi.evaluate_with_grads(local)
-            xi_bar = column[0] * xi
+            xi_bar = column[:, :1] * xi
             gamma, curvature_xi = riemann(block.metric, local, xi_bar)
-            normal = xi[:, :, None] * column[1:]
+            normal = xi[:, :, None] * column[:, None, 1:]
             parts.append(_BlockGeometry(
                 normal=normal,
                 g_normal=block.metric.evaluate(local) @ normal,
-                normal_grads=column[1:, None, None] * xi_grads[:, None],
+                normal_grads=column[:, 1:, None, None] * xi_grads[:, None],
                 xi_bar=xi_bar,
                 gamma=gamma,
                 curvature_xi=curvature_xi,
             ))
-        return _BlockGeometry(*map(np.stack, zip(*parts)))
+        return _BlockGeometry(*(_by_block(group_members, stacks, k) for stacks in zip(*parts)))
 
     def sewn_curvature(points):
         """(R(e_a, e_b) xi)^l of the sewn metric for the pairs a < b."""
         return riemann(sewn.metric, points, sewn.xi.evaluate(points))[1][:, :, upper[0], upper[1]]
 
-    e = frame_rows[:, None, None]  # broadcast over the samples and one more axis
-    block_reads = [(field, order, cols) for block, cols in zip(blocks, columns)
+    block_reads = [(field, order, columns[members]) for members, block in groups
                    for field, order in ((block.xi, 1), (block.metric, 2))]
     sewn_reads = ((sewn.metric, 2), (sewn.xi, 0))
     for batch, geometry in evaluate_batches(samples, 3, block_geometry, block_reads):
@@ -634,30 +716,34 @@ def extrinsic_report(
         for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, sewn_reads):
             geo = geometry.rows(slice(start, start + len(sub)))
             start += len(sub)
+            p = len(sub)
+            normal = geo.normal.reshape(p, 3 * k, k - 1)  # [p, (b, j), alpha]
+            g_normal = geo.g_normal.reshape(p, 3 * k, k - 1)
 
             def normal_components(vectors: np.ndarray) -> np.ndarray:
-                """[p, alpha, c] = g(v_c, u_alpha) of the vectors ``vectors[k, p, j, c]``."""
-                return np.einsum("kpja,kpjc->pac", geo.g_normal, vectors)
+                """[p, alpha, c] = g(v_c, u_alpha) of the vectors ``vectors[p, (b, j), c]``."""
+                return np.swapaxes(g_normal, 1, 2) @ vectors
 
-            # [k, p, alpha, j, b] = (nabla_{E_b} u_alpha)^j
-            along_frame = geo.normal_grads @ e + np.einsum("kpjam,kab,kpmc->kpcjb", geo.gamma, frame_rows, geo.normal)
-            # [k, p, j, alpha] = (nabla_xi-bar u_alpha)^j
-            along_xi = (
-                np.einsum("kpa,kpcja->kpjc", geo.xi_bar, geo.normal_grads)
-                + np.einsum("kpa,kpjam,kpmc->kpjc", geo.xi_bar, geo.gamma, geo.normal)
-            )
-            # [k, p, l, pair] = (R-bar(E_a, E_b) xi-bar)^l for the pairs a < b
-            ambient = (np.swapaxes(e, -1, -2) @ geo.curvature_xi @ e)[..., upper[0], upper[1]]
+            # [p, b, alpha, j, a] = (nabla_{e_a} u_alpha)^j, Gamma^j_am u_alpha^m summed first
+            nabla_normal = geo.normal_grads + np.moveaxis(geo.gamma @ geo.normal[:, :, None], -1, 2)
+            # [p, (b, j), alpha] = (nabla_xi-bar u_alpha)^j
+            along_xi = (nabla_normal @ geo.xi_bar[:, :, None, :, None])[..., 0]
+            along_xi = np.swapaxes(along_xi, 2, 3).reshape(p, 3 * k, k - 1)
+            # [p, (b, j), pair] = (R-bar(E_a, E_b) xi-bar)^l for the pairs a < b
+            ambient = (np.swapaxes(e_block, -1, -2) @ geo.curvature_xi @ e_block)[..., upper[0], upper[1]]
+            ambient = ambient.reshape(p, 3 * k, -1)
 
-            perp.add(np.einsum("kja,kpjc->pac", frame_rows, geo.g_normal))
-            frame.add(normal_components(geo.normal) - identity)
-            # [p, alpha, beta, b] = g(nabla_{E_b} u_alpha, u_beta)
-            dperp.add(np.einsum("kpjd,kpcjb->pcdb", geo.g_normal, along_frame))
+            perp.add(e.T @ g_normal)
+            frame.add(normal_components(normal) - identity)
+            # [p, b, alpha, beta, a] = g(nabla_{e_a} u_alpha, u_beta) on block b, summed over its rows j
+            along = np.swapaxes(geo.g_normal, -1, -2)[:, :, None] @ nabla_normal
+            # [p, alpha, beta, c] = g(nabla_{E_c} u_alpha, u_beta), over the (b, a) of the diagonal's E_c
+            dperp.add(along.transpose(0, 2, 3, 1, 4).reshape(p, k - 1, k - 1, 3 * k) @ e)
             # the tangential part of nabla_xi-bar u_alpha, which the Weingarten operators kill
-            weinxi.add(along_xi - geo.normal @ normal_components(along_xi))
-            normal_part = geo.normal @ normal_components(ambient)
+            weinxi.add(along_xi - normal @ normal_components(along_xi))
+            normal_part = normal @ normal_components(ambient)
             tangency.add(normal_part)
-            match.add(ambient - normal_part - frame_rows[:, None] @ intrinsic)
+            match.add(ambient - normal_part - e @ intrinsic)
 
     checks = tuple(r.result() for r in (frame, perp, dperp, weinxi, tangency, match))
     return ValidationReport(sewn.name, len(samples), checks)
@@ -825,11 +911,8 @@ def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Samp
     blocks whose cells share a definition (``_same_definition``) run one
     ``_classify_sets`` over their samples, stacked in block order, on the
     first of their cells."""
-    groups: dict[int, list[int]] = {}  # first block of a definition -> its blocks
-    for b, cell in enumerate(cells):
-        groups.setdefault(next((a for a in groups if _same_definition(cells[a], cell)), b), []).append(b)
     blocks: list = [None] * len(cells)
-    for first, members in groups.items():
+    for first, members in _group(range(len(cells)), lambda a, b: _same_definition(cells[a], cells[b])).items():
         swept = _classify_sets(cells[first], [cell_samples[b] for b in members], tol, fit)
         for b, result in zip(members, swept):
             blocks[b] = result

@@ -23,6 +23,7 @@ from sewcells.charts import (
     sample_points,
     sample_points_grouped,
     sampling_box,
+    stack_columns,
     validate_structure,
 )
 from sewcells.expressions import EvaluationDomainError, to_source
@@ -480,6 +481,31 @@ class TestSweepBindings(_FieldInSweeps):
         np.testing.assert_array_equal(vals, field.evaluate(self.points))
         assert other[0, 0] == math.log(0.5) * 0.5
 
+    def test_a_read_at_column_sets_binds_their_stacked_rows(self, field, walks):
+        """A read at an (s, m) array of column sets binds the field to the
+        rows of all of them, the s rows of each sample after one another,
+        and the batch size counts those rows: 10 samples of 13 columns read
+        at 2 column sets make batches of 3 samples, 6 rows of the 7 that
+        ``batch_size(13)`` allows, and one program run for the chunk."""
+        rng = np.random.default_rng(5)
+        wide = rng.uniform(0.5, 1.5, (10, 13))
+        sets = np.array([[2, 0], [7, 11]])
+        seen = []
+
+        def layer(points):
+            stacked = stack_columns(points, sets)
+            assert stacked.shape == (2 * len(points), 2)
+            np.testing.assert_array_equal(stacked[1::2], points[:, [7, 11]])
+            values, _ = field.evaluate_with_grads(stacked)
+            seen.append(len(points))
+            return values
+
+        batches = list(evaluate_batches(self.samples(wide), 13, layer, [(field, 1, sets)]))
+        assert batch_size(13) == 7 and seen == [3, 3, 3, 1] and walks == [0, 1, 0]
+        values = np.concatenate([bound for _, bound in batches])
+        np.testing.assert_array_equal(values, field.evaluate(stack_columns(wide, sets)))
+        assert not _bound(field)
+
     def test_bindings_last_for_one_batch(self, field, walks):
         """20 samples in batches of 7 (the batch size of 13 dimensions) make
         one chunk: the field's program runs once, each batch reads its own
@@ -858,3 +884,20 @@ class TestStacks:
         assert err.value.draw == size + 2 and err.value.coords == (float(size + 2),) + (0.0,) * (dim - 1)
         # two whole batches, then the failing batch again row by row up to the bad row
         assert seen == [size, size] + [1] * 3
+
+
+def test_a_plan_walks_each_distinct_tree_once(monkeypatch):
+    """A tree at several positions of a grid is walked for its columns once;
+    each position still becomes a root of the program, or a constant."""
+    chart = Chart(("x", "y"))
+    tree, constant = TensorField.build(chart, 0, 1, ["exp(x)*y", "2^3"]).components
+    field = TensorField(chart, 0, 2, ((tree, constant), (tree, tree)))
+    walked = []
+    original = charts.free_variables
+    monkeypatch.setattr(charts, "free_variables", lambda node: walked.append(node) or original(node))
+    plan = charts._FieldPlan.build(field)
+    assert walked == [tree, constant]
+    np.testing.assert_array_equal(plan.positions, [0, 2, 3])
+    np.testing.assert_array_equal(plan.constant, [0.0, 8.0, 0.0, 0.0])
+    assert plan.program.roots == 3 and len(plan.program) == 4  # x, exp(x), y and the product
+    np.testing.assert_array_equal(field.evaluate(np.array([0.0, 2.0])), [[2.0, 8.0], [2.0, 2.0]])

@@ -146,6 +146,36 @@ class TestLoaderErrors:
         with pytest.raises(ManifoldFileError, match="name must be a string"):
             structure_from_dict(doc)
 
+    def test_a_repeated_bad_string_is_reported_at_its_first_position(self, flat_cell):
+        """Each distinct string parses once per definition; a string that
+        fails names the first entry that holds it, in the order the loader
+        reads: the metric, phi, xi and eta."""
+        doc = self._doc(flat_cell)
+        doc["eta"][1] = doc["xi"][2] = doc["phi"][2][0] = doc["phi"][1][2] = "1 +"
+        with pytest.raises(ManifoldFileError, match=r"^phi\[1\]\[2\]: "):
+            structure_from_dict(doc)
+        doc["phi"][0][0] = doc["metric"][2][1] = "q + 1"
+        with pytest.raises(ManifoldFileError, match=r"^metric\[2\]\[1\]: "):
+            structure_from_dict(doc)
+
+    def test_a_mismatched_mirror_is_rejected_when_both_strings_repeat(self, flat_cell):
+        """metric[0][1] holds the string of metric[0][0], which parsed
+        already; it is still compared with its mirror metric[1][0]."""
+        doc = self._doc(flat_cell)
+        assert doc["metric"][0][0] != doc["metric"][1][0]
+        doc["metric"][0][1] = doc["metric"][0][0]
+        with pytest.raises(ManifoldFileError, match="metric is not symmetric") as err:
+            structure_from_dict(doc)
+        assert f"metric[0][1] = {doc['metric'][0][0]!r} vs metric[1][0]" in str(err.value)
+
+    def test_equal_strings_share_one_tree_per_definition(self, flat_cell):
+        doc = self._doc(flat_cell)
+        first, second = structure_from_dict(doc), structure_from_dict(doc)
+        zeros = [first.metric.components[1][0], first.phi.components[0][0], first.xi.components[1]]
+        assert all(tree is zeros[0] for tree in zeros)
+        assert second.metric.components[1][0] is not zeros[0]  # no memo outlives one definition
+        assert second.metric.components == first.metric.components
+
     def test_malformed_expression_reports_location(self, flat_cell, tmp_path):
         doc = self._doc(flat_cell)
         doc["phi"][1][2] = "1 +"

@@ -17,7 +17,7 @@ from sewcells.charts import (
     sample_points,
     validate_structure,
 )
-from sewcells.geometry import lie_bracket, riemann
+from sewcells.geometry import christoffel, exterior_derivative, lie_bracket, numeric_rank, riemann
 from sewcells import sewing
 from sewcells.expressions import BinOp, Num, Var
 from sewcells.manifold_io import save_manifold
@@ -146,10 +146,10 @@ class TestFStructure:
         assert "rank 2" in rank_check.note  # kernel dimension k + 2 = 4
 
     def test_kernel_rank_reports_the_worst_rank(self, model_cell, monkeypatch):
-        # one stack of block ranks per block; their per-sample sums (4, 3, 2, 3)
-        # are worst in the middle of the sweep, not at its end
+        # one stack of block ranks, the two blocks of each sample after one another;
+        # their per-sample sums (4, 3, 2, 3) are worst in the middle of the sweep, not at its end
         k = 2
-        ranks = iter([2, 2, 1, 2, 2, 1, 1, 1])
+        ranks = iter([2, 2, 2, 1, 1, 1, 2, 1])
         monkeypatch.setattr(sewing, "numeric_rank", lambda stack: np.array([next(ranks) for _ in stack]))
         product = build_product([model_cell] * k)
         rank_check = verify_f_structure(product, sample_points(product.chart, 4, 7), 1e-10).check("kernel_rank")
@@ -250,22 +250,27 @@ class TestBlockStructure:
         np.testing.assert_allclose(c @ c.T, np.eye(k), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k", [4, 8, 16])
-    def test_product_stages_build_linearly_many_plans(self, halfspace_cell, k, monkeypatch):
-        """The three product stages read the median and the normal frame from
-        the blocks' own Reeb fields, so they build field plans for the blocks'
-        four fields, the cell metric and the sewn metric and Reeb field, not
-        one per normal field and block."""
+    def test_product_stages_build_plans_per_distinct_definition(self, k, monkeypatch):
+        """The three product stages evaluate the fields of one block per
+        distinct block definition, at the projections of all its blocks, and
+        read the median and the normal frame from that block's own Reeb
+        field.  So k copies build the same plans as any other number: the
+        first block's four fields, the cell metric and the sewn metric and
+        Reeb field."""
         from sewcells import charts
 
-        product = build_product([halfspace_cell] * k)
-        sewn = sew([halfspace_cell] * k)
+        cell = halfspace_kenmotsu_cell()  # no plan of its metric is built yet
+        product = build_product([cell] * k)
+        sewn = sew([cell] * k)
         original = charts._FieldPlan.build
         built = []
         monkeypatch.setattr(charts._FieldPlan, "build", lambda field: built.append(field) or original(field))
         assert verify_f_structure(product, sample_points(product.chart, 2, 7), 1e-8).passed
         assert verify_lift_laws(product, sample_points(product.chart, 2, 7), 1e-9).passed
         assert extrinsic_report(product, sewn, sample_points(sewn.chart, 2, 7), 1e-8).passed
-        assert len(built) <= 4 * k + 3
+        first = product._split[1][0]
+        assert product._groups == {0: list(range(k))}
+        assert sorted(map(id, built)) == sorted(map(id, (*first[1:], cell.metric, sewn.metric, sewn.xi)))
 
     def test_block_entry_naming_another_block_fails(self, model_cell):
         product = build_product([model_cell, model_cell])
@@ -309,6 +314,132 @@ class TestBlockStructure:
             "riemann": {3, 9}, "christoffel": {3, 9}, "lie_bracket": {3}, "exterior_derivative": {3},
             "numeric_rank": {(3, 3)}, "evaluate": {3, 9}, "evaluate_with_grads": {3, 9}, "evaluate_with_jets": {3, 9},
         }
+
+
+def _reference_f_structure(product, samples, tol, rank_of=numeric_rank):
+    """The f-structure checks block by block, one stack per block, as the
+    stage computed them before it stacked the blocks of one definition, with
+    the ranks of ``rank_of``."""
+    k = product.cell_count
+    residuals = {name: Residual(name, tol) for name in (
+        "f_cubed_plus_f", "f_metric_skew", "f_kills_framing", "framing_orthonormal", "coframing_duality",
+        "coframing_closed", "median_unit_length")}
+    rank = lengths = 0
+    for block in product._split[1]:
+        local = samples.coords[:, block.rows]
+        g, f, xi, eta = (field.evaluate(local) for field in (block.metric, block.f, block.xi, block.eta))
+        residuals["f_cubed_plus_f"].add(f @ f @ f + f)
+        residuals["f_metric_skew"].add(np.swapaxes(f, 1, 2) @ g + g @ f)
+        residuals["f_kills_framing"].add(f @ xi[:, :, None])
+        length = np.einsum("pi,pij,pj->p", xi, g, xi)
+        residuals["framing_orthonormal"].add(length - 1.0)
+        residuals["coframing_duality"].add(np.einsum("pi,pi->p", eta, xi) - 1.0)
+        residuals["coframing_closed"].add(exterior_derivative(block.eta, local))
+        rank = rank + rank_of(f)
+        lengths = lengths + length
+    residuals["median_unit_length"].add(lengths / k - 1.0)
+    return rank, {name: residual.value for name, residual in residuals.items()}
+
+
+def _reference_lift_laws(product, samples, tol):
+    """The lift-law residuals block by block, one stack per block, as the
+    stage computed them before it stacked the blocks of one definition."""
+    upper = np.triu_indices(3, 1)
+    lift = Residual("lifted_covariant_derivative", tol)
+    invol = Residual("image_median_involutive", tol)
+    blocks = product._split[1]
+    for block, cell, column in zip(blocks, product.cells, sewing.frame_coefficients(len(blocks)).T):
+        local = samples.coords[:, block.rows]
+        lift.add(christoffel(block.metric, local) - christoffel(cell.metric, local))
+        g_normal = (block.metric.evaluate(local) @ block.xi.evaluate(local)[:, :, None]) * column[1:]
+        images = lie_bracket(block.f, block.f, local)[:, :, upper[0], upper[1]]
+        with_median = column[0] * lie_bracket(block.f, block.xi, local)
+        for brackets in (images, with_median):
+            invol.add(np.swapaxes(brackets, 1, 2) @ g_normal)
+    return {"lifted_covariant_derivative": lift.value, "image_median_involutive": invol.value}
+
+
+class TestStackedBlocks:
+    """The product stages group the blocks by definition and evaluate one
+    block's fields at the projections of all the blocks of its group,
+    stacked sample by sample.  They give what a loop over the blocks, one
+    stack each, gives, bit for bit."""
+
+    @staticmethod
+    def assert_matches_the_block_loop(product, samples, f_report, lift_report, rank_of=numeric_rank):
+        k = product.cell_count
+        ranks, f_residuals = _reference_f_structure(product, samples, 1e-8, rank_of)
+        for name, value in f_residuals.items():
+            assert f_report.check(name).residual == value, name
+        gaps = ranks - 2 * k
+        kernel = f_report.check("kernel_rank")
+        assert kernel.residual == np.abs(gaps).max()
+        assert kernel.note.startswith(f"rank {ranks[np.argmax(np.abs(gaps))]},")
+        for name, value in _reference_lift_laws(product, samples, 1e-9).items():
+            assert lift_report.check(name).residual == value, name
+
+    @pytest.mark.parametrize("cells, groups", [
+        pytest.param("model-model-model", {0: [0, 1, 2]}, id="copies"),
+        pytest.param("model-halfspace-model", {0: [0, 2], 1: [1]}, id="model-halfspace-model"),
+        pytest.param("halfspace-model-halfspace", {0: [0, 2], 1: [1]}, id="halfspace-model-halfspace"),
+    ])
+    def test_stacked_stages_equal_the_block_loop(self, model_cell, halfspace_cell, cells, groups):
+        """500 samples of three blocks make three batches of at most 202."""
+        named = {"model": model_cell, "halfspace": halfspace_cell}
+        product = build_product([named[name] for name in cells.split("-")])
+        assert product._groups == groups
+        samples = sample_points(product.chart, 500, 7)
+        f_report = verify_f_structure(product, samples, 1e-8)
+        lift_report = verify_lift_laws(product, samples, 1e-9)
+        assert f_report.passed and lift_report.passed
+        self.assert_matches_the_block_loop(product, samples, f_report, lift_report)
+
+    def test_ranks_sum_per_sample(self, model_cell, halfspace_cell, monkeypatch):
+        """With a stand-in rank that differs at every row, the worst per-sample
+        sum is the block loop's only if each row's rank goes to its own
+        sample, also across the two groups of model/halfspace/model."""
+        def rank_of(f):
+            return (np.abs(f).sum(axis=(1, 2)) * 1e6).astype(np.int64)
+
+        monkeypatch.setattr(sewing, "numeric_rank", rank_of)
+        product = build_product([model_cell, halfspace_cell, model_cell])
+        samples = sample_points(product.chart, 500, 7)
+        self.assert_matches_the_block_loop(product, samples, verify_f_structure(product, samples, 1e-8),
+                                           verify_lift_laws(product, samples, 1e-9), rank_of)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["copies", "mixed"])
+    def test_extrinsic_stage_is_the_same_with_every_block_alone(self, model_cell, halfspace_cell, mixed,
+                                                               sewing_inputs, monkeypatch):
+        """The extrinsic stage places each group's stacked rows at their
+        blocks: with every block a group of its own it reports the same
+        residuals, bit for bit.  (The halfspace geometry along the Reeb field
+        varies from sample to sample; the model cell's does not.)"""
+        cells = [halfspace_cell, model_cell, halfspace_cell] if mixed else [halfspace_cell] * 3
+        product, sewn, samples, _ = sewing_inputs(cells, 25)
+        grouped = extrinsic_report(product, sewn, samples, 1e-8)
+        monkeypatch.setattr(sewing, "_same_block", lambda a, b: False)
+        alone = build_product(cells)
+        assert len(alone._groups) == 3 and len(product._groups) == (2 if mixed else 1)
+        assert grouped.passed and grouped.checks == extrinsic_report(alone, sewn, samples, 1e-8).checks
+
+    def test_a_perturbed_block_is_its_own_group_and_fails(self, model_cell):
+        """A metric entry of block 3 of four model copies times 1 + x3^2 still
+        names block 3 only, so ``block_structure`` holds; the block is no
+        longer a copy of the first, and both stages fail with the residuals
+        of the block loop."""
+        product = build_product([model_cell] * 4)
+        x3 = product.chart.index_of("x3")
+        entry = product.metric.components[x3][x3]
+        perturbed = _with_metric_entry(product, x3, x3, BinOp("*", entry, BinOp("+", Num(1.0),
+                                                                             BinOp("^", Var("x3"), Num(2.0)))))
+        assert block_structure(perturbed).passed
+        assert perturbed._groups == {0: [0, 1, 3], 2: [2]}
+        samples = sample_points(product.chart, 25, 7)
+        f_report = verify_f_structure(perturbed, samples, 1e-8)
+        lift_report = verify_lift_laws(perturbed, samples, 1e-9)
+        assert not f_report.check("f_metric_skew").passed
+        assert not lift_report.check("lifted_covariant_derivative").passed
+        self.assert_matches_the_block_loop(perturbed, samples, f_report, lift_report)
 
 
 class TestSew:
