@@ -34,7 +34,7 @@ from .charts import (
 from .expressions import ExpressionError
 from .geometry import classify, classify_layers, reeb_derivatives, reeb_layer
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
-from .nullity import check_generalized, normalized, nullity_fits
+from .nullity import check_generalized, classify_and_fit, normalized
 from .sewing import (
     SewingError,
     build_product,
@@ -141,15 +141,14 @@ def cmd_nullity(args) -> int:
     report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
-    # one sweep for the axioms and classify's layers, as in verify; the fits below take
-    # second derivatives in a sweep of their own, in the batches of the Hessian fold
-    validation, results = _axioms_and_layers(struct, samples, args.tol, classify_layers)
+    validation = validate_structure(struct, samples, args.tol)
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
         return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
 
-    classification = classify(struct, samples, args.tol, results)
+    # classify's layers and the fits, in one sweep in the batches of the Hessian fold
+    ((classification, fits),) = classify_and_fit(struct, samples, args.tol, fit=True)
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:
@@ -162,7 +161,6 @@ def cmd_nullity(args) -> int:
     print(f"{struct.name}: per-sample nullity fits ({label})")
     header = f"  {'t' if t_axis is not None else 'draw':>12}  {'kappa':>14} {'mu':>14} {'muprime':>14} {'residual':>12}"
     print(header)
-    fits = nullity_fits(struct, samples)
     if kenmotsu:
         # before the constancy checks: the spread of mu' scales by |alpha| too
         fits = normalized(fits, alpha)

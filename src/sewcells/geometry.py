@@ -25,17 +25,17 @@ one call gives the brackets of every column pair.  ``classify`` and the
 ``charts.evaluate_batches``).  ``classify_layers`` runs, on one batch, the
 layers that classify a structure: nabla phi, the normality tensor and the
 weight fit, each reduced before the next runs; ``reeb_layer`` is the part of
-them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``,
-``nullity`` and the induced stage of ``sew`` run them inside the axioms'
-sweep (``charts.validate_structure``), which takes the order-1 jets of g,
-phi, xi and eta on each batch; as the sweep binds each field to the batch's
-rows of its run (``charts.evaluate_batches``), each field's program runs
-once per chunk of batches for the axioms and these layers together; the
-theorem stage of ``sew`` runs them in sweeps of its own, next to the nullity
-fits.  The layers reduce their results per sample, so the results of a
-stack slice into those of its rows, and ``classify`` and
-``reeb_derivatives`` reduce them over the batches; given no results,
-``classify`` runs ``classify_layers`` in a sweep of its own.
+them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``
+and the induced stage of ``sew`` run them inside the axioms' sweep
+(``charts.validate_structure``), which takes the order-1 jets of g, phi, xi
+and eta on each batch; as the sweep binds each field to the batch's rows of
+its run (``charts.evaluate_batches``), each field's program runs once per
+chunk of batches for the axioms and these layers together.  ``nullity`` and
+the theorem stage of ``sew`` run them next to the nullity fits, in the
+sweep of ``nullity.classify_and_fit``.  The layers reduce their results per
+sample, so the results of a stack slice into those of its rows, and
+``classify`` and ``reeb_derivatives`` reduce them over the batches; given
+no results, ``classify`` runs ``classify_layers`` in a sweep of its own.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -352,9 +352,10 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     no such weight exists and the result is unclassified, as it is in any
     dimension when the residual is not finite.  ``results`` are those of
     ``classify_layers`` on the batches of ``samples``, as the axiom sweep
-    (``charts.validate_structure``) or the theorem stage of ``sew`` takes
-    them, or those rows of a larger stack's results that are ``samples``;
-    without them ``classify`` runs ``classify_layers`` in a sweep of its own.
+    (``charts.validate_structure``) takes them, or the rows of one column
+    set of ``samples`` in a stacked sweep's results
+    (``nullity.classify_and_fit``); without them ``classify`` runs
+    ``classify_layers`` in a sweep of its own.
     """
     if results is None:
         reads = [(field, 1) for field in (struct.metric, struct.phi, struct.xi, struct.eta)]

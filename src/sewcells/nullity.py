@@ -21,11 +21,16 @@ a stack.  It builds ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi),
 ``h`` and the design matrices of every sample at once, and solves all their
 least-squares problems with one batched SVD; a sample whose design or
 curvature is not finite gets NaN constants instead of failing the stack.
-``nullity_fits`` feeds it a sample set in batches that the fold of the
-metric's Hessians also fits, and runs the programs of g (order 2), phi and
-xi (order 1) and eta (values) once per chunk of batches (see
-``charts.evaluate_batches``), as does the theorem stage of ``sew``
-(``sewing.verify_sewing_theorems``), which classifies on the same batches.
+``classify_and_fit`` is the one sweep that classifies a structure and fits
+it over a sample set: in batches that the fold of the metric's Hessians
+also fits, it runs the programs of g (order 2), phi, xi and eta (order 1)
+once per chunk of batches (see ``charts.evaluate_batches``), and on each
+batch ``geometry.classify_layers`` and ``fit_nullity`` read those jets; the
+Hessians are left out when nothing is fitted.  The ``nullity`` command runs
+it on the samples of its structure.  The theorem stage of ``sew``
+(``sewing.verify_sewing_theorems``) runs it on the sewn samples, and on the
+same samples at the sewn columns of the blocks of each cell definition,
+which lines the cells' fits up row by row with the sewn ones.
 ``check_generalized`` groups the samples by their adapted column with one
 stable sort and reduces the fits' columns group by group.
 """
@@ -37,8 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import ChartError, ContactStructure, Residual, Samples, evaluate_batches
-from .geometry import h_tensor, riemann
+from .charts import ChartError, ContactStructure, Residual, Samples, evaluate_batches, stack_columns
+from .geometry import Classification, classify, classify_layers, h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
 
@@ -80,11 +85,63 @@ def fit_nullity(struct: ContactStructure, point) -> NullityFits:
     return _fit_stack(struct, point)
 
 
-def nullity_fits(struct: ContactStructure, samples: Samples) -> NullityFits:
-    """``fit_nullity`` at every sample, in sample order, over batches."""
-    reads = ((struct.metric, 2), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0))
-    batches = evaluate_batches(samples, struct.dim, lambda points: fit_nullity(struct, points), reads)
-    return NullityFits.concatenate([fits for _, fits in batches])
+def classify_and_fit(struct: ContactStructure, samples: Samples, tol: float, fit: bool,
+                     laws: Sequence[Residual] = (), columns=None) -> list[tuple[Classification, NullityFits | None]]:
+    """The classification and, when ``fit``, the nullity fits of ``struct``
+    at ``samples``, from one sweep (see the module docstring): one
+    (classification, fits), or one per column set of an (s, m) array
+    ``columns``, at which the structure is read, stacked sample by sample
+    (``charts.stack_columns``).  Set j gets the rows j::s of the stack: the
+    layers and the fits are per sample.  Each batch's fits are folded into
+    ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
+    there, which no later batch keeps."""
+    sets = 1 if columns is None else len(columns)
+    columns = slice(None) if columns is None else columns
+
+    def batch(points):
+        local = stack_columns(points, columns)
+        fits = fit_nullity(struct, local) if fit else None
+        layers = classify_layers(struct, local)
+        if laws:
+            g, phi, xi, _ = struct.values_at(local)
+            _add_operator_laws(laws, g, phi, xi, fits)
+        return layers, fits
+
+    reads = [(struct.metric, 2 if fit else 1, columns)] + [(field, 1, columns)
+                                                           for field in (struct.phi, struct.xi, struct.eta)]
+    swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, reads)]
+    layers = [np.concatenate(column) for column in zip(*(batch_layers for batch_layers, _ in swept))]
+    fits = NullityFits.concatenate([batch_fits for _, batch_fits in swept]) if fit else None
+    return [(classify(struct, samples, tol, [tuple(column[j::sets] for column in layers)]),
+             fits[j::sets] if fit else None) for j in range(sets)]
+
+
+OPERATOR_LAWS = (
+    "operators_g_symmetric",
+    "P_commutes_with_phi",
+    "H_anticommutes_with_phi",
+    "P_commutes_with_H",
+    "operators_kill_xi",
+)
+
+
+def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: NullityFits) -> None:
+    """Fold a batch of samples into the residuals named by ``OPERATOR_LAWS``,
+    from the stacked values of g, phi and xi there and the batch's fits.
+
+    The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
+    """
+    symmetric, p_phi, h_phi, p_h, kills_xi = laws
+    p_op = -fits.kappa[:, None, None] * (phi @ phi)
+    h_ops = (fits.mu[:, None, None] * fits.h, fits.muprime[:, None, None] * fits.hprime)
+    for op in (p_op,) + h_ops:
+        g_op = g @ op
+        symmetric.add(g_op - np.swapaxes(g_op, 1, 2))
+        kills_xi.add(op @ xi[:, :, None])
+    p_phi.add(p_op @ phi - phi @ p_op)
+    for h_op in h_ops:
+        h_phi.add(h_op @ phi + phi @ h_op)
+        p_h.add(p_op @ h_op - h_op @ p_op)
 
 
 def normalized(fits: NullityFits, alpha: float) -> NullityFits:

@@ -47,30 +47,32 @@ and the stages read the frame from the block's own ``xi``.
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
-the nullity fits of the sewn chart.  The stages group the blocks by
-definition (``_group``): two blocks are one definition when their trees are
-equal once each coordinate of the second is renamed to the first block's
+the nullity fits of the sewn chart.  The four stages group the blocks by
+definition with one rule (``ProductDefinition._groups``): two blocks are one
+definition when their cells share a definition and their trees are equal
+once each coordinate of the second is renamed to the first block's
 coordinate at its position (``_same_block``), an exact check on the trees
-like ``block_structure``, and for the lift laws their cells must share a
-definition too.  Each stage sweeps the product samples once and evaluates
-the fields of each group's first block, once per batch, at the projections
-of all its blocks: a sweep read may name several column sets, and the field
-is bound to the rows of all of them, stacked sample by sample.  So ``sew
---copies k`` builds and runs the plans of one block's fields for any k, and
-a block whose trees differ from the others is a group of its own.  The
-per-block terms of a sample (rank f and |xi_b|^2) are summed in block
-order.  Each sweep names the fields it reads, with their jet orders and
-column sets, so that each field's program runs once per chunk of batches
-and the curvature sweeps' batches fit the Hessian fold too.  The brackets
-of all pairs of a block's affinor-image fields come from one
+like ``block_structure``.  Each stage sweeps its samples once and evaluates
+the fields of each group's first block, or its cell, once per batch, at the
+projections of all its blocks: a sweep read may name several column sets,
+and the field is bound to the rows of all of them, stacked sample by
+sample.  So ``sew --copies k`` builds and runs the plans of one block's
+fields for any k, and a block whose trees differ from the others is a group
+of its own.  The per-block terms of a sample (rank f and |xi_b|^2) are
+summed in block order.  Each sweep names the fields it reads, with their jet
+orders and column sets, so that each field's program runs once per chunk of
+batches and the curvature sweeps' batches fit the Hessian fold too.  The
+brackets of all pairs of a block's affinor-image fields come from one
 ``lie_bracket`` call on the block of the affinor.  The extrinsic stage
 takes each product contraction as a product of two arrays, in a fixed
-order, over the 3k rows of the blocks.  The theorem stage walks the samples
-of the sewn chart once, and those of each distinct cell definition once,
-over the projected samples of all its blocks: one matmul with the embedding
-projects the sewn samples into every block.  It keeps the fits as columns
-(``nullity.NullityFits``) and reduces the transfer residuals and the
-operator laws from them with array expressions.
+order, over the 3k rows of the blocks.  The extrinsic and the theorem stage
+read the blocks at the sewn samples, whose columns ``sewn_columns`` gives
+for each block.  The theorem stage classifies and fits the sewn chart in
+one sweep, then each group's cell in one sweep over the same samples at the
+sewn columns of all its blocks (``nullity.classify_and_fit``), so that the
+cells' fits line up row by row with the sewn ones.  It keeps the fits as
+columns (``nullity.NullityFits``) and reduces the transfer residuals and
+the operator laws from them with array expressions.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,14 +103,12 @@ from .geometry import (
     ALMOST_COSYMPLECTIC,
     Classification,
     christoffel,
-    classify,
-    classify_layers,
     exterior_derivative,
     lie_bracket,
     numeric_rank,
     riemann,
 )
-from .nullity import GeneralizedNullityReport, NullityFits, check_generalized, fit_nullity
+from .nullity import OPERATOR_LAWS, GeneralizedNullityReport, NullityFits, check_generalized, classify_and_fit
 
 _ADAPTED_PROBE_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
@@ -213,10 +213,20 @@ class ProductDefinition:
 
     @cached_property
     def _groups(self) -> dict[int, list[int]]:
-        """The blocks grouped by definition (``_same_block``), under their
-        first block (``SewingError`` when ``block_structure`` fails)."""
+        """The blocks grouped by definition, in order, under the first block
+        of each group (``SewingError`` when ``block_structure`` fails): a
+        block joins the first group whose first block's cell shares its
+        cell's definition (``_same_definition``) and whose trees agree with
+        its own (``_same_block``).  Every stage of ``sew`` groups the blocks
+        this way and evaluates the first block's fields, or its cell's, for
+        the whole group."""
         blocks = _blocks(self)
-        return _group(range(len(blocks)), lambda a, b: _same_block(blocks[a], blocks[b]))
+        groups: dict[int, list[int]] = {}
+        for b in range(len(blocks)):
+            same = (a for a in groups if _same_definition(self.cells[a], self.cells[b])
+                    and _same_block(blocks[a], blocks[b]))
+            groups.setdefault(next(same, b), []).append(b)
+        return groups
 
 
 def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
@@ -337,17 +347,6 @@ def _same_block(a: _Block, b: _Block) -> bool:
     of its coordinates is renamed to a's coordinate at the same position."""
     mapping = dict(zip(b.metric.chart.coords, a.metric.chart.coords))
     return all(theirs.renamed_grid(mapping) == ours.components for ours, theirs in zip(a[1:], b[1:]))
-
-
-def _group(items: Sequence[int], same: Callable[[int, int], bool]) -> dict[int, list[int]]:
-    """``items`` grouped, in order, under the first item of each group: an
-    item joins the first group whose first item it is ``same`` as.  Every
-    stage that sweeps blocks or cells groups them this way, and evaluates
-    the first item's fields for the whole group."""
-    groups: dict[int, list[int]] = {}
-    for b in items:
-        groups.setdefault(next((a for a in groups if same(a, b)), b), []).append(b)
-    return groups
 
 
 def _stacked_rows(members: Sequence[int], coefficients: np.ndarray, samples: int) -> np.ndarray:
@@ -480,8 +479,9 @@ def verify_lift_laws(
     frame must vanish.  On block b the frame is the constant
     ``frame_coefficients`` column b times the block's ``xi``: the median is
     ``c[0, b] xi_b`` and ``g(., u_alpha) = c[alpha, b] g_b(., xi_b)``.  The
-    blocks of one definition whose cells also share one are evaluated
-    together, at the projections of all of them, with the column of each.
+    blocks of one definition (``ProductDefinition._groups``) are evaluated
+    together, with their cell, at the projections of all of them, with the
+    column of each.
     """
     title = f"lift laws of {len(product.cells)}-cell product"
     structure, blocks = product._split
@@ -489,10 +489,8 @@ def verify_lift_laws(
         return ValidationReport(title, len(samples), (structure,))
     cells = product.cells
     c = frame_coefficients(len(blocks))
-    definition = {b: first for first, members in product._groups.items() for b in members}
     groups = [(members, blocks[first], cells[first], np.array([blocks[b].rows for b in members]))
-              for first, members in _group(range(len(blocks)), lambda a, b: definition[a] == definition[b]
-                                           and _same_definition(cells[a], cells[b])).items()]
+              for first, members in product._groups.items()]
     upper = np.triu_indices(3, 1)  # the column pairs a < b of a block
     lift = Residual("lifted_covariant_derivative", tol)
     invol = Residual("image_median_involutive", tol)
@@ -621,6 +619,14 @@ def embedding_matrix(product: ProductDefinition, sewn: SewnManifold) -> np.ndarr
     return e
 
 
+def sewn_columns(product: ProductDefinition, sewn: SewnManifold) -> np.ndarray:
+    """[b, j]: the sewn coordinate that coordinate j of block b equals on the
+    diagonal, the column of the one 1 in its row of ``embedding_matrix``.
+    A stage reads the fields of block b at the sewn samples' columns
+    ``sewn_columns(product, sewn)[b]``, which is the block's projection."""
+    return embedding_matrix(product, sewn)[np.array(product.blocks)].argmax(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Extrinsic geometry of the sewn submanifold
 # ---------------------------------------------------------------------------
@@ -654,11 +660,11 @@ def extrinsic_report(
     The product geometry is evaluated block by block, in batches of a
     3-dimensional chart, which needs ``block_structure`` to hold
     (``SewingError`` otherwise), and the blocks of one definition together,
-    at the projections of all of them.  The median and the normal frame are
-    the constant ``frame_coefficients`` c over the blocks' Reeb fields, so
-    each block evaluates its ``xi`` with gradients once per batch: on block
-    b, ``xi-bar = c[0, b] xi_b``, ``u_alpha = c[alpha, b] xi_b`` and
-    ``d u_alpha = c[alpha, b] d xi_b``.  Inside each batch the sewn
+    at the sewn columns of all of them (``sewn_columns``).  The median and
+    the normal frame are the constant ``frame_coefficients`` c over the
+    blocks' Reeb fields, so each block evaluates its ``xi`` with gradients
+    once per batch: on block b, ``xi-bar = c[0, b] xi_b``,
+    ``u_alpha = c[alpha, b] xi_b`` and ``d u_alpha = c[alpha, b] d xi_b``.  Inside each batch the sewn
     curvature along the Reeb field runs in batches of the sewn chart, and the
     product contractions compared with it are assembled there: a sum over the
     product index is a sum over the blocks b of their three rows j, one
@@ -667,9 +673,8 @@ def extrinsic_report(
     """
     blocks = _blocks(product)
     k = product.cell_count
-    e_mat = embedding_matrix(product, sewn)
-    frame_rows = np.stack([e_mat[block.rows] for block in blocks])  # [b, j, a]: the rows of E_a in block b
-    columns = frame_rows.argmax(axis=-1)  # [b, j]: the sewn coordinate that coordinate j of block b equals
+    columns = sewn_columns(product, sewn)
+    frame_rows = np.eye(sewn.chart.dim)[columns]  # [b, j, a]: the rows of E_a in block b
     e = frame_rows.reshape(3 * k, -1)  # [(b, j), a]
     e_block = frame_rows[:, None]  # broadcast over the rows l of the block
     upper = np.triu_indices(sewn.chart.dim, 1)  # the pairs a < b
@@ -770,7 +775,6 @@ class TheoremReport(ValidationReport):
     """The stage's checks and classifications; for cell copies also the
     grouping of the sewn fits and the convention comparison."""
 
-    cells_are_copies: bool
     cell_classification: Classification
     sewn_classification: Classification
     generalized: GeneralizedNullityReport | None
@@ -801,28 +805,29 @@ def verify_sewing_theorems(
     the normalized h' convention off those fits: its mu' is alpha times the
     raw one (``nullity.normalized``).
 
-    Each structure's samples are walked once (``_classify_sets``): the sewn
-    chart's in one sweep that classifies, fits and folds the operator laws
-    batch by batch, and each distinct cell definition's in one sweep over
-    the projected samples of all its blocks (``_block_sweeps``).  The sewn
+    Each structure is swept once (``nullity.classify_and_fit``): the sewn
+    chart in one sweep that classifies, fits and folds the operator laws
+    batch by batch, then the cell of each group of blocks
+    (``ProductDefinition._groups``) in one sweep over the same samples, read
+    at the sewn columns of all the group's blocks (``sewn_columns``), which
+    gives each block's fits row by row next to the sewn ones.  The sewn
     sweep runs first, so a domain error that both would meet is reported
-    from the sewn samples.
+    from the sewn structure.
     """
     cells = product.cells
     k = product.cell_count
     copies = all(_same_definition(cell, cells[0]) for cell in cells[1:])
-    laws = tuple(Residual(name, tol) for name in _OPERATOR_LAWS) if copies else ()
+    laws = tuple(Residual(name, tol) for name in OPERATOR_LAWS) if copies else ()
 
-    # first, so that a domain error that both sweeps would meet names a sewn sample
-    ((sewn_class, sewn_fits),) = _classify_sets(sewn, [samples], tol, copies, laws)
-
-    product_points = samples.coords @ embedding_matrix(product, sewn).T
-    cell_samples = [Samples(product_points[:, list(block)], samples.draws) for block in product.blocks]
-    blocks = _block_sweeps(cells, cell_samples, tol, copies)
+    ((sewn_class, sewn_fits),) = classify_and_fit(sewn, samples, tol, copies, laws)
+    columns = sewn_columns(product, sewn)
+    blocks: list = [None] * k
+    for first, members in product._groups.items():
+        for b, swept in zip(members, classify_and_fit(cells[first], samples, tol, copies, columns=columns[members])):
+            blocks[b] = swept
     cell_class = blocks[0][0]
     agree = all(classification.kind == cell_class.kind for classification, _ in blocks[1:])
     cell_fits = [fits for _, fits in blocks]
-    del product_points, cell_samples, blocks  # below, only the fits and cell_class are read
 
     checks: list[CheckResult] = []
     checks.append(CheckResult("cell_classifications_agree", 0.0 if agree else 1.0, 0.0, agree,
@@ -867,84 +872,11 @@ def verify_sewing_theorems(
         subject=sewn.name,
         sample_count=len(samples),
         checks=tuple(checks),
-        cells_are_copies=copies,
         cell_classification=cell_class,
         sewn_classification=sewn_class,
         generalized=generalized,
         convention_comparison=comparison,
     )
-
-
-def _classify_sets(struct: ContactStructure, sample_sets: Sequence[Samples], tol: float,
-                   fit: bool, laws: Sequence[Residual] = ()) -> list[tuple[Classification, NullityFits | None]]:
-    """The classification and, when ``fit``, the nullity fits of each of
-    ``sample_sets``, which hold as many samples each, from one sweep over
-    their concatenation.  The per-sample results of ``classify_layers`` are
-    sliced back into the sets.  With the fits the batches also fit the fold
-    of the metric's Hessians, and the sweep reads the metric at order 2, a
-    jet that also serves the layers' order-1 reads
-    (``charts.evaluate_batches``).  Each batch's fits are folded into
-    ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
-    there, which no later batch keeps."""
-    def batch(points):
-        fits = fit_nullity(struct, points) if fit else None
-        layers = classify_layers(struct, points)
-        if laws:
-            g, phi, xi, _ = struct.values_at(points)
-            _add_operator_laws(laws, g, phi, xi, fits)
-        return layers, fits
-
-    stacked = Samples(np.concatenate([s.coords for s in sample_sets]), np.concatenate([s.draws for s in sample_sets]))
-    reads = [(struct.metric, 2 if fit else 1)] + [(field, 1) for field in (struct.phi, struct.xi, struct.eta)]
-    swept = [out for _, out in evaluate_batches(stacked, struct.dim, batch, reads)]
-    columns = [np.concatenate(column) for column in zip(*(layers for layers, _ in swept))]
-    fits = NullityFits.concatenate([batch_fits for _, batch_fits in swept]) if fit else None
-    size = len(sample_sets[0])
-    return [(classify(struct, sample_set, tol, [tuple(c[start:start + size] for c in columns)]),
-             fits[start:start + size] if fit else None)
-            for start, sample_set in zip(range(0, len(stacked), size), sample_sets)]
-
-
-def _block_sweeps(cells: Sequence[ContactStructure], cell_samples: Sequence[Samples],
-                  tol: float, fit: bool) -> list[tuple[Classification, NullityFits | None]]:
-    """Each block's classification and, when ``fit``, its nullity fits: the
-    blocks whose cells share a definition (``_same_definition``) run one
-    ``_classify_sets`` over their samples, stacked in block order, on the
-    first of their cells."""
-    blocks: list = [None] * len(cells)
-    for first, members in _group(range(len(cells)), lambda a, b: _same_definition(cells[a], cells[b])).items():
-        swept = _classify_sets(cells[first], [cell_samples[b] for b in members], tol, fit)
-        for b, result in zip(members, swept):
-            blocks[b] = result
-    return blocks
-
-
-_OPERATOR_LAWS = (
-    "operators_g_symmetric",
-    "P_commutes_with_phi",
-    "H_anticommutes_with_phi",
-    "P_commutes_with_H",
-    "operators_kill_xi",
-)
-
-
-def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: NullityFits) -> None:
-    """Fold a batch of samples into the residuals named by ``_OPERATOR_LAWS``,
-    from the stacked values of g, phi and xi there and the batch's fits.
-
-    The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
-    """
-    symmetric, p_phi, h_phi, p_h, kills_xi = laws
-    p_op = -fits.kappa[:, None, None] * (phi @ phi)
-    h_ops = (fits.mu[:, None, None] * fits.h, fits.muprime[:, None, None] * fits.hprime)
-    for op in (p_op,) + h_ops:
-        g_op = g @ op
-        symmetric.add(g_op - np.swapaxes(g_op, 1, 2))
-        kills_xi.add(op @ xi[:, :, None])
-    p_phi.add(p_op @ phi - phi @ p_op)
-    for h_op in h_ops:
-        h_phi.add(h_op @ phi + phi @ h_op)
-        p_h.add(p_op @ h_op - h_op @ p_op)
 
 
 def _same_definition(a: ContactStructure, b: ContactStructure) -> bool:

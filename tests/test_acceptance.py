@@ -23,7 +23,7 @@ from sewcells.geometry import (
     h_tensor,
     lie_bracket,
 )
-from sewcells.nullity import check_generalized, fit_nullity, nullity_fits
+from sewcells.nullity import check_generalized, fit_nullity
 from sewcells.sewing import (
     extrinsic_report,
     sew,
@@ -137,7 +137,7 @@ def test_criterion_4_kenmotsu_transfer(kenmotsu_cell, sewing_inputs):
     alpha = report.sewn_classification.alpha
     alpha_ok = alpha is not None and abs(alpha - 1.0 / math.sqrt(2.0)) <= 1e-8
     # the fits the stage takes at its samples
-    kappa_defect = float(np.abs(nullity_fits(sewn, grouped).kappa + 1.0).max())
+    kappa_defect = float(np.abs(fit_nullity(sewn, grouped.coords).kappa + 1.0).max())
     comp = report.convention_comparison
     recorded = comp is not None and comp.reproduces_inverse_k in ("kenmotsu", "raw")
     ok = alpha_ok and kappa_defect <= 1e-8 and recorded and comp.reproduces_inverse_k == "kenmotsu"

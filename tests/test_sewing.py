@@ -17,11 +17,12 @@ from sewcells.charts import (
     sample_points,
     validate_structure,
 )
-from sewcells.geometry import christoffel, exterior_derivative, lie_bracket, numeric_rank, riemann
+from sewcells.geometry import christoffel, classify, exterior_derivative, lie_bracket, numeric_rank, riemann
 from sewcells import sewing
 from sewcells.expressions import BinOp, Num, Var
 from sewcells.manifold_io import save_manifold
-from sewcells.nullity import fit_nullity, nullity_fits
+from sewcells import nullity
+from sewcells.nullity import classify_and_fit, fit_nullity
 from sewcells.sewing import (
     SewingError,
     SewnManifold,
@@ -30,6 +31,7 @@ from sewcells.sewing import (
     embedding_matrix,
     extrinsic_report,
     sew,
+    sewn_columns,
     verify_f_structure,
     verify_lift_laws,
     verify_sewing_theorems,
@@ -201,6 +203,14 @@ def _with_metric_entry(product, a, b, node):
     grid[a][b] = grid[b][a] = node
     metric = TensorField(product.chart, 0, 2, tuple(tuple(row) for row in grid))
     return dataclasses.replace(product, metric=metric)
+
+
+def _with_x3_metric_perturbed(product):
+    """The product with its metric entry (x3, x3) times 1 + x3^2, which still names block 3 only."""
+    x3 = product.chart.index_of("x3")
+    entry = product.metric.components[x3][x3]
+    factor = BinOp("+", Num(1.0), BinOp("^", Var("x3"), Num(2.0)))
+    return _with_metric_entry(product, x3, x3, BinOp("*", entry, factor))
 
 
 class TestBlockStructure:
@@ -382,10 +392,19 @@ class TestStackedBlocks:
         pytest.param("model-model-model", {0: [0, 1, 2]}, id="copies"),
         pytest.param("model-halfspace-model", {0: [0, 2], 1: [1]}, id="model-halfspace-model"),
         pytest.param("halfspace-model-halfspace", {0: [0, 2], 1: [1]}, id="halfspace-model-halfspace"),
+        pytest.param("model-renamed-model", {0: [0, 2], 1: [1]}, id="model-renamed-model"),
     ])
     def test_stacked_stages_equal_the_block_loop(self, model_cell, halfspace_cell, cells, groups):
-        """500 samples of three blocks make three batches of at most 202."""
-        named = {"model": model_cell, "halfspace": halfspace_cell}
+        """500 samples of three blocks make three batches of at most 202.
+        The renamed cell is the model cell in the coordinates (t, u, v): its
+        block's trees agree with the model blocks', but the cells are not
+        one definition, so the block is a group of its own."""
+        mapping = {"t": "t", "x": "u", "y": "v"}
+        chart = Chart(tuple(mapping.values()), adapted_index=model_cell.chart.adapted_index)
+        renamed = ContactStructure("renamed", chart, *(
+            TensorField(chart, field.upper, field.lower, field.renamed_grid(mapping))
+            for field in (model_cell.metric, model_cell.phi, model_cell.xi, model_cell.eta)))
+        named = {"model": model_cell, "halfspace": halfspace_cell, "renamed": renamed}
         product = build_product([named[name] for name in cells.split("-")])
         assert product._groups == groups
         samples = sample_points(product.chart, 500, 7)
@@ -428,10 +447,7 @@ class TestStackedBlocks:
         longer a copy of the first, and both stages fail with the residuals
         of the block loop."""
         product = build_product([model_cell] * 4)
-        x3 = product.chart.index_of("x3")
-        entry = product.metric.components[x3][x3]
-        perturbed = _with_metric_entry(product, x3, x3, BinOp("*", entry, BinOp("+", Num(1.0),
-                                                                             BinOp("^", Var("x3"), Num(2.0)))))
+        perturbed = _with_x3_metric_perturbed(product)
         assert block_structure(perturbed).passed
         assert perturbed._groups == {0: [0, 1, 3], 2: [2]}
         samples = sample_points(product.chart, 25, 7)
@@ -615,14 +631,14 @@ def theorems(sewing_inputs, cells, count):
 def theorems_and_sewn_fits(sewing_inputs, cells, count):
     """``theorems``, and the sewn fits that the stage takes at its samples."""
     product, sewn, _, grouped = sewing_inputs(cells, count)
-    return verify_sewing_theorems(product, sewn, grouped, 1e-8), nullity_fits(sewn, grouped)
+    return verify_sewing_theorems(product, sewn, grouped, 1e-8), fit_nullity(sewn, grouped.coords)
 
 
 class TestTheorems:
     def test_model_pair_and_triple_nullity_transfer(self, model_cell, sewing_inputs):
         pair, pair_fits = theorems_and_sewn_fits(sewing_inputs, [model_cell, model_cell], 15)
         assert pair.passed
-        assert pair.cells_are_copies
+        assert pair.generalized is not None
         assert pair_fits.kappa == pytest.approx(-0.5, abs=1e-8)
         triple, triple_fits = theorems_and_sewn_fits(sewing_inputs, [model_cell] * 3, 12)
         assert triple.passed
@@ -634,7 +650,7 @@ class TestTheorems:
         report = verify_sewing_theorems(product, sewn, grouped, 1e-8)
         assert report.passed
         s = grouped.coords[:, 0]
-        assert nullity_fits(sewn, grouped).kappa == pytest.approx(-(1.0 + np.exp(-4.0 * s)) / 2.0, abs=1e-8)
+        assert fit_nullity(sewn, grouped.coords).kappa == pytest.approx(-(1.0 + np.exp(-4.0 * s)) / 2.0, abs=1e-8)
         assert report.generalized is not None
         assert report.generalized.eta_aligned
         assert not report.generalized.constant_kappa
@@ -656,9 +672,7 @@ class TestTheorems:
         """The comparison builds no ``normalized`` copy of a fit: it scales
         the raw mu' by alpha, the product ``normalized`` takes, so it equals
         bit for bit the comparison built from those copies of the stage's
-        fits, which ``nullity_fits`` gives again."""
-        from sewcells import nullity
-
+        fits, which ``fit_nullity`` gives again."""
         cell = kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7)
 
         def refuse(*args):
@@ -676,8 +690,8 @@ class TestTheorems:
             return float(np.mean(fits.muprime))
 
         projected = grouped.coords @ embedding_matrix(product, sewn).T
-        sewns = nullity_fits(sewn, grouped)
-        cells = nullity_fits(cell, Samples(projected[:, list(product.blocks[0])], grouped.draws))
+        sewns = fit_nullity(sewn, grouped.coords)
+        cells = fit_nullity(cell, projected[:, list(product.blocks[0])])
         assert comp.muprime_ratio_raw == mean_muprime(sewns) / mean_muprime(cells)
         assert comp.muprime_ratio_normalized == (mean_muprime(nullity.normalized(sewns, comp.alpha_sewn))
                                                  / mean_muprime(nullity.normalized(cells, comp.alpha_cell)))
@@ -690,7 +704,7 @@ class TestTheorems:
     def test_mixed_weight_pair_is_unclassified(self, kenmotsu_cell, flat_cell):
         # weights 1 and 0 cannot share a single weight function in dimension 5
         sewn = sew([kenmotsu_cell, flat_cell])
-        from sewcells.geometry import UNCLASSIFIED, classify
+        from sewcells.geometry import UNCLASSIFIED
 
         samples = sample_points(sewn.chart, 10, 7)
 
@@ -705,7 +719,7 @@ class TestTheorems:
         # both cells have weight 0, so any order sews to an almost cosymplectic manifold
         forward = theorems(sewing_inputs, [model_cell, flat_cell], 10)
         backward = theorems(sewing_inputs, [flat_cell, model_cell], 10)
-        assert not forward.cells_are_copies
+        assert forward.generalized is None
         assert forward.sewn_classification.kind == backward.sewn_classification.kind == "almost_cosymplectic"
         k1 = kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0, c=1.0, cprime=1.0)
         k2 = kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0, c=0.5, cprime=2.0)
@@ -759,7 +773,7 @@ class TestColumnarTransfer:
     @pytest.mark.parametrize("cell, copies, points", [
         (kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7), 2, 25),
         (kenmotsu_warped_cell(alpha=1.2, kappa0=-3.0, c=1.5, cprime=0.7), 3, 25),
-        # 400 stacked cell samples in fold batches of 182: the second and the fourth block straddle two
+        # the cell sweep reads 4 column sets in fold batches of 45, 45 and 10 samples (at most 182 rows)
         (halfspace_kenmotsu_cell(), 4, 100),
     ], ids=["warped-k2", "warped-k3", "halfspace-k4-p100"])
     def test_transfer_matches_the_loop_over_single_points(self, cell, copies, points, sewing_inputs):
@@ -777,11 +791,11 @@ class TestColumnarTransfer:
         by the adapted column lists the rows as grouping them by value in a
         dict, with the values sorted, did."""
         from sewcells.charts import batch_size, nullity_samples
-        from sewcells.nullity import _spread, check_generalized, nullity_fits
+        from sewcells.nullity import _spread, check_generalized
 
         samples = nullity_samples(halfspace_cell.chart, 1000, 7)
         assert batch_size(3, (halfspace_cell.metric,)) == 182
-        fits = nullity_fits(halfspace_cell, samples)
+        ((_, fits),) = classify_and_fit(halfspace_cell, samples, 1e-8, True)
         report = check_generalized(halfspace_cell, samples, fits, 1e-8)
         groups = {}
         for row, t in enumerate(samples.coords[:, 2].tolist()):
@@ -796,95 +810,122 @@ class TestColumnarTransfer:
         assert report.group_spread_max == spread.value
 
 def _spy(monkeypatch, module, name, calls, record):
-    """Rebind ``module.name`` so that each call also appends ``record(args, result)`` to ``calls``."""
+    """Rebind ``module.name`` so that each call also appends ``record(args, kwargs, result)`` to ``calls``."""
     original = getattr(module, name)
 
-    def spied(*args):
-        result = original(*args)
-        calls.append(record(args, result))
+    def spied(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(record(args, kwargs, result))
         return result
 
     monkeypatch.setattr(module, name, spied)
 
 
 class TestTheoremSweeps:
-    """The theorem stage walks each structure's samples once: the sewn chart's
-    in the batches of its metric's Hessian fold, and each distinct cell
-    definition's over the projected samples of all its blocks, stacked in
-    block order, whose per-sample results are sliced back into blocks."""
+    """The theorem stage sweeps the sewn chart once, in the batches of its
+    metric's Hessian fold, then the same samples once per group of blocks
+    (``ProductDefinition._groups``), reading the group's cell at the sewn
+    columns of all its blocks, stacked sample by sample; the rows j::s of
+    that stack are block j's (``nullity.classify_and_fit``)."""
 
     @pytest.fixture
     def layer_calls(self, monkeypatch):
         """(layer, dimension, stack shape) of every ``classify_layers`` and
-        ``fit_nullity`` call through the bindings of ``sewing``, which only
-        the theorem stage uses."""
+        ``fit_nullity`` call of ``classify_and_fit``."""
         calls = []
         for name in ("fit_nullity", "classify_layers"):
-            _spy(monkeypatch, sewing, name, calls, lambda args, _, name=name: (name, args[0].dim, args[1].shape))
+            _spy(monkeypatch, nullity, name, calls, lambda args, _, __, name=name: (name, args[0].dim, args[1].shape))
+        return calls
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """(structure, fit, columns, results) of every ``classify_and_fit``
+        call of the theorem stage."""
+        calls = []
+        _spy(monkeypatch, sewing, "classify_and_fit", calls,
+             lambda args, kwargs, result: (args[0], args[3], kwargs.get("columns"), result))
         return calls
 
     @staticmethod
-    def assert_blocks_are_their_own(cells, cell_samples, tol, blocks, fit):
-        """Each block's sliced classification and fits equal those of the
-        block's samples swept alone, field by field and bit for bit."""
-        from sewcells.geometry import classify
-        from sewcells.nullity import nullity_fits
+    def assert_blocks_are_their_own(product, sewn, samples, sweeps):
+        """After the sewn sweep, one sweep per group of blocks, on the
+        group's cell at its blocks' sewn columns; each block's classification
+        and fits equal those of ``classify`` and ``fit_nullity`` at the
+        block's own projected samples, field by field and bit for bit."""
+        projected = samples.coords @ embedding_matrix(product, sewn).T
+        (sewn_struct, fit, columns, _), *cell_sweeps = sweeps
+        assert sewn_struct is sewn and columns is None
+        assert len(cell_sweeps) == len(product._groups)
+        for (first, members), (cell, group_fit, columns, results) in zip(product._groups.items(), cell_sweeps):
+            assert cell is product.cells[first] and group_fit == fit
+            np.testing.assert_array_equal(columns, sewn_columns(product, sewn)[members])
+            assert len(results) == len(members)
+            for b, (classification, fits) in zip(members, results):
+                own = Samples(projected[:, list(product.blocks[b])], samples.draws)
+                assert classification == classify(cell, own, 1e-8)
+                if not fit:
+                    assert fits is None
+                    continue
+                reference = fit_nullity(cell, own.coords)
+                assert len(fits.kappa) == len(samples)
+                for name, got in vars(fits).items():
+                    np.testing.assert_array_equal(got, getattr(reference, name), err_msg=name)
 
-        assert len(blocks) == len(cells)
-        for cell, samples, (classification, fits) in zip(cells, cell_samples, blocks):
-            assert classification == classify(cell, samples, tol)
-            if not fit:
-                assert fits is None
-                continue
-            own = nullity_fits(cell, samples)
-            assert len(fits.kappa) == len(samples)
-            for name, got in vars(fits).items():
-                np.testing.assert_array_equal(got, getattr(own, name), err_msg=name)
-
-    def test_sew_walks_the_sewn_chart_then_the_stacked_cells(self, kenmotsu_cell, layer_calls, tmp_path,
+    def test_sew_walks_the_sewn_chart_then_the_stacked_cells(self, kenmotsu_cell, layer_calls, sweeps, tmp_path,
                                                              monkeypatch, capsys):
         """``sew --copies 4`` at 25 points: the sewn chart (n = 9) in fold
-        batches of 22 and 3 samples, then the four blocks' 100 projected
-        samples as one stack, each batch fitted and classified once."""
+        batches of 22 and 3 samples, then the cell at the four blocks'
+        columns of all 25 samples as one (100, 3) stack, each batch fitted
+        and classified once."""
         from sewcells import cli
-        from sewcells.charts import batch_size
+        from sewcells.charts import batch_size, nullity_samples
 
         monkeypatch.chdir(tmp_path)
         save_manifold(kenmotsu_cell, "warped.json")
-        swept = []
-        _spy(monkeypatch, sewing, "_block_sweeps", swept, lambda args, result: (*args, result))
         assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
-        assert batch_size(9, (sew([kenmotsu_cell] * 4).metric,)) == 22
+        sewn, cell = sweeps[0][0], sweeps[1][0]  # the command's own, loaded from the file
+        assert batch_size(9, (sewn.metric,)) == 22
         assert layer_calls == [
             (name, 9, (rows, 9)) for rows in (22, 3) for name in ("fit_nullity", "classify_layers")
         ] + [("fit_nullity", 3, (100, 3)), ("classify_layers", 3, (100, 3))]
-        ((cells, cell_samples, tol, fit, blocks),) = swept
-        assert fit and [len(samples) for samples in cell_samples] == [25] * 4
-        self.assert_blocks_are_their_own(cells, cell_samples, tol, blocks, fit)
+        self.assert_blocks_are_their_own(build_product([cell] * 4), sewn, nullity_samples(sewn.chart, 25, 7), sweeps)
 
     def test_blocks_straddling_fold_batches(self, halfspace_cell, layer_calls):
-        """16 halfspace blocks of 25 samples: the 400-row stack runs in fold
-        batches of 182, 182 and 36 rows, so blocks 7 and 14 span two."""
+        """16 halfspace blocks at 25 sewn samples: a fold batch of 182 rows
+        holds 11 samples of 16 rows, so the stacks are (176, 3), (176, 3)
+        and (48, 3), and every block has rows in all three batches."""
         from sewcells.charts import batch_size, nullity_samples
 
         cells = [halfspace_cell] * 16
-        cell_samples = [nullity_samples(halfspace_cell.chart, 25, seed) for seed in range(16)]
-        blocks = sewing._block_sweeps(cells, cell_samples, 1e-8, True)
+        product, sewn = build_product(cells), sew(cells)
+        samples = nullity_samples(sewn.chart, 25, 7)
+        columns = sewn_columns(product, sewn)
+        swept = classify_and_fit(halfspace_cell, samples, 1e-8, True, columns=columns)
         assert batch_size(3, (halfspace_cell.metric,)) == 182
-        assert layer_calls == [(name, 3, (rows, 3)) for rows in (182, 182, 36)
+        assert layer_calls == [(name, 3, (rows, 3)) for rows in (176, 176, 48)
                                for name in ("fit_nullity", "classify_layers")]
-        self.assert_blocks_are_their_own(cells, cell_samples, 1e-8, blocks, True)
+        self.assert_blocks_are_their_own(product, sewn, samples, [(sewn, True, None, None),
+                                                                  (halfspace_cell, True, columns, swept)])
 
-    def test_each_distinct_cell_is_swept_once(self, model_cell, flat_cell, layer_calls):
-        """Blocks of distinct cells are not copies, so nothing is fitted, and
-        each cell definition sweeps the stack of its own blocks."""
-        from sewcells.charts import nullity_samples
+    def test_each_distinct_cell_is_swept_once(self, model_cell, flat_cell, sewing_inputs, layer_calls, sweeps):
+        """Model/flat/model: the blocks of distinct cells are not copies, so
+        nothing is fitted, and the cell of each group sweeps the stacked
+        columns of its own blocks, (50, 3) and (25, 3) at 25 samples."""
+        product, sewn, _, grouped = sewing_inputs([model_cell, flat_cell, model_cell], 25)
+        verify_sewing_theorems(product, sewn, grouped, 1e-8)
+        assert product._groups == {0: [0, 2], 1: [1]}
+        assert layer_calls[-2:] == [("classify_layers", 3, (50, 3)), ("classify_layers", 3, (25, 3))]
+        self.assert_blocks_are_their_own(product, sewn, grouped, sweeps)
 
-        cells = [model_cell, flat_cell, model_cell]
-        cell_samples = [nullity_samples(model_cell.chart, 25, seed) for seed in range(3)]
-        blocks = sewing._block_sweeps(cells, cell_samples, 1e-8, False)
-        assert layer_calls == [("classify_layers", 3, (50, 3)), ("classify_layers", 3, (25, 3))]
-        self.assert_blocks_are_their_own(cells, cell_samples, 1e-8, blocks, False)
+    def test_a_perturbed_block_is_swept_as_a_group_of_its_own(self, model_cell, sewing_inputs, sweeps):
+        """Four model copies with block 3's metric perturbed: the cells are
+        copies, so the stage fits, and it sweeps the cell twice, once for
+        the blocks 1, 2 and 4 and once for block 3."""
+        product, sewn, _, grouped = sewing_inputs([model_cell] * 4, 25)
+        perturbed = _with_x3_metric_perturbed(product)
+        verify_sewing_theorems(perturbed, sewn, grouped, 1e-8)
+        assert perturbed._groups == {0: [0, 1, 3], 2: [2]}
+        self.assert_blocks_are_their_own(perturbed, sewn, grouped, sweeps)
 
 
 class TestTransformedFrameTables:

@@ -8,8 +8,9 @@ OLD_SRC and NEW_SRC are directories holding the ``sewcells`` package (the
 every catalog cell, ``nullity --convention kenmotsu`` on the warped and the
 halfspace cell, ``sew --copies 2,3,4,6,16`` on every cell (16 is the largest
 frame the CLI builds, ``cli.MAX_COPIES``), ``sew --copies 4 --points 100`` on
-the halfspace cell (the theorem stage sweeps its 400 stacked cell samples in
-3 batches that blocks straddle, and the sewn samples in 5), ``nullity
+the halfspace cell (the theorem stage sweeps the cell at the 4 blocks'
+column sets of its 100 samples in batches of 45, 45 and 10 samples, and the
+sewn samples in 5), ``nullity
 --points 1000`` and ``nullity --convention kenmotsu --points 1000`` on the
 halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
 groups of 200 sharing an adapted value straddle), ``nullity`` on
