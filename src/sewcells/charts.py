@@ -46,18 +46,20 @@ a domain error names the same sample and expression as batch by batch.
 Nothing with a sample axis grows beyond the budget, whatever the sample
 count.
 
-``validate_structure`` is the one sweep over a sample set that reads first
-derivatives: it takes the order-1 jets of the four structure fields on each
-batch, reduces the axiom residuals from them, and hands the batch to the
-derivative layers of its caller (``geometry.classify_layers`` or
-``geometry.reeb_layer``), which read the same bound jets.
+``validate_structure`` sweeps a sample set for the structure axioms: it
+takes the order-1 jets of the four structure fields on each batch, folds
+the axiom residuals from them (``StructureAxioms``), and hands the batch to
+the derivative layers of its caller (``geometry.verify_layers`` or
+``geometry.reeb_layer``), which read the same bound jets.  The ``nullity``
+sweep (``nullity.classify_and_fit``) folds the same ``StructureAxioms``
+next to its curvature layers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -815,12 +817,74 @@ class ValidationReport:
 
     def check_dicts(self) -> list[dict]:
         """The checks as JSON-ready dictionaries."""
-        return [asdict(c) for c in self.checks]
+        return [{"name": c.name, "residual": c.residual, "tolerance": c.tolerance, "passed": c.passed, "note": c.note}
+                for c in self.checks]
 
 
 # ---------------------------------------------------------------------------
 # Axiom validation
 # ---------------------------------------------------------------------------
+
+class StructureAxioms:
+    """The residuals of the structure axioms over a sweep, folded in batch by
+    batch (``add``) from the order-1 jets of ``reads``; ``report`` gives
+    their checks (see ``validate_structure``)."""
+
+    def __init__(self, struct: ContactStructure, tol: float):
+        self.struct = struct
+        # eta first, then g, phi and xi: the first field to leave its domain raises
+        self.reads = [(field, 1) for field in (struct.eta, struct.metric, struct.phi, struct.xi)]
+        self.residuals = tuple(Residual(name, tol) for name in
+                               ("phi_square_identity", "eta_of_xi", "metric_compatibility", "eta_closed"))
+        t_axis = struct.chart.adapted_index
+        self.adapted = None
+        if t_axis is not None:
+            scale = struct.eta_scale
+            note = f"eta = {scale:g} * d{struct.chart.coords[t_axis]}"
+            self.adapted = Residual("eta_adapted_component", tol, note=note)
+            self.expected = np.zeros(struct.dim)
+            self.expected[t_axis] = scale
+        self.min_eig = math.inf
+        self.spd_ok = True
+
+    def add(self, points: np.ndarray) -> bool:
+        """Fold in the batch at ``points`` (P, n); whether the metric has been
+        positive definite on every batch so far, which a Levi-Civita
+        connection needs.  A batch with a non-finite metric entry fails that
+        before any eigenvalue is taken."""
+        struct = self.struct
+        eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
+        g, p, xi = (field.evaluate_with_grads(points)[0] for field in (struct.metric, struct.phi, struct.xi))
+        phi2, eta_xi, compat, deta = self.residuals
+        # a non-finite entry makes NaN residuals, which fail their checks without a warning
+        with np.errstate(all="ignore"):
+            phi2.add(p @ p + np.eye(struct.dim) - xi[:, :, None] * eta_vals[:, None, :])
+            eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
+            compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
+            deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
+            if self.adapted is not None:
+                self.adapted.add(eta_vals - self.expected)
+            if not np.isfinite(g).all():
+                # no eigenvalue, which LAPACK may fail to find; the NaN sticks in min
+                self.min_eig, self.spd_ok = math.nan, False
+                return False
+            self.min_eig = min(self.min_eig, float(np.linalg.eigvalsh(g)[:, 0].min()))
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                self.spd_ok = False
+            self.spd_ok = self.spd_ok and self.min_eig >= SPD_EIGENVALUE_FLOOR
+        return self.spd_ok
+
+    def report(self, count: int) -> ValidationReport:
+        """The checks over the ``count`` samples folded in."""
+        checks = [CheckResult("metric_positive_definite", float(np.maximum(0.0, SPD_EIGENVALUE_FLOOR - self.min_eig)),
+                              0.0, self.spd_ok, note=f"min eigenvalue {self.min_eig:.3e}")]
+        checks += [r.result() for r in self.residuals]
+        if self.adapted is not None:
+            checks.append(self.adapted.result())
+        return ValidationReport(self.struct.name, count, tuple(checks))
+
 
 def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
                        layers: Callable | None = None) -> ValidationReport:
@@ -832,72 +896,22 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     ``d eta``.  On an adapted chart, eta is additionally required to equal
     ``scale * dt`` componentwise.
 
-    This is the one sweep over the samples that reads first derivatives: on
-    each batch it takes the order-1 jets of g, phi, xi and eta, reduces the
-    residuals and then calls ``layers``, if given, with the batch's stack, so
-    that the derivative layers read the jets the sweep bound and each field's
-    program runs once per chunk (see ``evaluate_batches``).
-    ``layers`` runs only while every batch so far has had a positive definite
-    metric: without one there is no Levi-Civita connection, and a caller
-    drops what ``layers`` gathered when ``metric_positive_definite`` fails.  A batch with a non-finite metric
-    entry fails that check before any eigenvalue is taken.
+    This is a sweep over the samples that reads first derivatives: on each
+    batch it takes the order-1 jets of g, phi, xi and eta, folds them into
+    ``StructureAxioms`` and then calls ``layers``, if given, with the
+    batch's stack, so that the derivative layers read the jets the sweep
+    bound and each field's program runs once per chunk (see
+    ``evaluate_batches``).  ``layers`` runs only while every batch so far
+    has had a positive definite metric: without one there is no
+    Levi-Civita connection, and a caller drops what ``layers`` gathered when
+    ``metric_positive_definite`` fails.  ``nullity.classify_and_fit`` folds
+    the same axioms into its own sweep.
     """
     if not samples:
         raise ValueError("samples must be non-empty")
-    n = struct.dim
-    phi2 = Residual("phi_square_identity", tol)
-    eta_xi = Residual("eta_of_xi", tol)
-    compat = Residual("metric_compatibility", tol)
-    deta = Residual("eta_closed", tol)
-    min_eig = math.inf
-    spd_ok = True
-    scale = struct.eta_scale
-    t_axis = struct.chart.adapted_index
-    if t_axis is not None:
-        adapted = Residual("eta_adapted_component", tol, note=f"eta = {scale:g} * d{struct.chart.coords[t_axis]}")
-        expected = np.zeros(n)
-        expected[t_axis] = scale
-    identity = np.eye(n)
-
-    fields = (struct.eta, struct.metric, struct.phi, struct.xi)
-
-    def jets(points):
-        # eta first, then g, phi and xi: the first field to leave its domain raises
-        eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
-        g, p, xi = (field.evaluate_with_grads(points)[0] for field in fields[1:])
-        return points, g, p, xi, eta_vals, eta_grads
-
-    # a non-finite entry makes NaN residuals, which fail their checks without a warning
+    axioms = StructureAxioms(struct, tol)
     with np.errstate(all="ignore"):
-        for _, (points, g, p, xi, eta_vals, eta_grads) in evaluate_batches(samples, n, jets,
-                                                                           [(field, 1) for field in fields]):
-            phi2.add(p @ p + identity - xi[:, :, None] * eta_vals[:, None, :])
-            eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
-            compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
-            deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
-            if t_axis is not None:
-                adapted.add(eta_vals - expected)
-            if not np.isfinite(g).all():
-                # no eigenvalue, which LAPACK may fail to find; the NaN sticks in min
-                min_eig, spd_ok = math.nan, False
-                continue
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(g)[:, 0].min()))
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                spd_ok = False
-            spd_ok = spd_ok and min_eig >= SPD_EIGENVALUE_FLOOR
-            if spd_ok and layers is not None:
-                layers(points)
-
-    checks = [
-        CheckResult("metric_positive_definite", float(np.maximum(0.0, SPD_EIGENVALUE_FLOOR - min_eig)), 0.0, spd_ok,
-                    note=f"min eigenvalue {min_eig:.3e}"),
-        phi2.result(),
-        eta_xi.result(),
-        compat.result(),
-        deta.result(),
-    ]
-    if t_axis is not None:
-        checks.append(adapted.result())
-    return ValidationReport(struct.name, len(samples), tuple(checks))
+        for batch, metric_ok in evaluate_batches(samples, struct.dim, axioms.add, axioms.reads):
+            if metric_ok and layers is not None:
+                layers(batch.coords)
+    return axioms.report(len(samples))

@@ -26,15 +26,16 @@ from .charts import (
     Residual,
     SampleEvaluationError,
     SamplingError,
+    StructureAxioms,
     ValidationReport,
     nullity_samples,
     sample_points,
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import classify, classify_layers, reeb_derivatives, reeb_layer
+from .geometry import classify, reeb_derivatives, reeb_layer, verify_layers
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
-from .nullity import check_generalized, classify_and_fit, normalized
+from .nullity import NullityFitError, check_generalized, classify_and_fit, normalized
 from .sewing import (
     SewingError,
     build_product,
@@ -95,8 +96,8 @@ def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer) -> 
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    # one sweep: the axioms and classify's layers (nabla phi, the normality tensor and the weight fit)
-    report, results = _axioms_and_layers(struct, samples, args.tol, classify_layers)
+    # one sweep: the axioms, classify's layers (nabla phi and the weight fit) and the normality tensor
+    report, results = _axioms_and_layers(struct, samples, args.tol, verify_layers)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
     # without a positive definite metric there is no Levi-Civita connection: the layers' results go
     if not report.check("metric_positive_definite").passed:
@@ -104,6 +105,9 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
         print("  metric not positive definite; derivative checks skipped")
         return _failed_subject(struct, {"checks": report.check_dicts()})
     classification = classify(struct, samples, args.tol, results)
+    normality = Residual("normality", args.tol)
+    for batch in results:
+        normality.add(batch[-1])  # verify_layers gives the largest |N| per sample last
     report = _with_reeb_checks(report, classification.nabla_xi_phi_max, classification.nabla_xi_xi_max, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
@@ -113,12 +117,12 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
         "dimension": struct.dim,
         "checks": report.check_dicts(),
         "classification": _classification_dict(classification),
-        "normality_max": classification.normality_max,
+        "normality_max": normality.value,
         "passed": report.passed,
     }
     print(report.format_table(header))
     print(f"  classification: {classification.describe()}")
-    print(f"  normality tensor max |N|: {classification.normality_max:.3e}")
+    print(f"  normality tensor max |N|: {normality.value:.3e}")
     return subject
 
 
@@ -141,14 +145,21 @@ def cmd_nullity(args) -> int:
     report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
-    validation = validate_structure(struct, samples, args.tol)
+    # the axioms, classify's layers and the fits, in one sweep in the batches of the Hessian fold
+    axioms = StructureAxioms(struct, args.tol)
+    try:
+        swept = classify_and_fit(struct, samples, args.tol, fit=True, axioms=axioms)
+        validation = axioms.report(len(samples))
+    except NullityFitError:
+        # a failing axiom outranks a fit error, which may have ended the sweep early
+        validation = validate_structure(struct, samples, args.tol)
+        if validation.passed:
+            raise
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
         return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
-
-    # classify's layers and the fits, in one sweep in the batches of the Hessian fold
-    ((classification, fits),) = classify_and_fit(struct, samples, args.tol, fit=True)
+    ((classification, fits),) = swept
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:
@@ -427,7 +438,7 @@ def _run(argv) -> int:
     except (ManifoldFileError, ExpressionError, SewingError, SamplingError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SampleEvaluationError as exc:
+    except (SampleEvaluationError, NullityFitError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     print(f"elapsed {time.perf_counter() - start:.2f}s")

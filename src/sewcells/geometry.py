@@ -22,20 +22,26 @@ points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
 one call gives the brackets of every column pair.  ``classify`` and the
 ``sew`` stages feed these layers batches of samples (see
-``charts.evaluate_batches``).  ``classify_layers`` runs, on one batch, the
-layers that classify a structure: nabla phi, the normality tensor and the
-weight fit, each reduced before the next runs; ``reeb_layer`` is the part of
-them that the Reeb-parallelism checks read, nabla phi alone.  ``verify``
-and the induced stage of ``sew`` run them inside the axioms' sweep
-(``charts.validate_structure``), which takes the order-1 jets of g, phi, xi
-and eta on each batch; as the sweep binds each field to the batch's rows of
-its run (``charts.evaluate_batches``), each field's program runs once per
-chunk of batches for the axioms and these layers together.  ``nullity`` and
-the theorem stage of ``sew`` run them next to the nullity fits, in the
-sweep of ``nullity.classify_and_fit``.  The layers reduce their results per
-sample, so the results of a stack slice into those of its rows, and
-``classify`` and ``reeb_derivatives`` reduce them over the batches; given
-no results, ``classify`` runs ``classify_layers`` in a sweep of its own.
+``charts.evaluate_batches``).  ``connection`` builds g^-1 and Gamma from the
+metric's first-order jet; ``riemann`` and ``covariant_derivative_affinor``
+take it as the keyword ``connection``, so that the layers of one batch
+build it once.  ``classify_layers`` runs, on one batch, the layers that
+classify a structure: nabla phi and the weight fit, each reduced before the
+next runs.  ``verify_layers`` adds the normality tensor, which only
+``verify`` reports.  ``reeb_layer`` gives what the Reeb-parallelism checks
+read, |nabla_xi phi| and |nabla_xi xi|, from ``xi^i Gamma^k_ij`` alone,
+O(n^3) per sample where Gamma and nabla phi are O(n^4).  ``verify`` and the
+induced stage of ``sew`` run ``verify_layers`` and ``reeb_layer`` inside the
+axioms' sweep (``charts.validate_structure``), which takes the order-1 jets
+of g, phi, xi and eta on each batch; as the sweep binds each field to the
+batch's rows of its run (``charts.evaluate_batches``), each field's program
+runs once per chunk of batches for the axioms and these layers together.
+``nullity`` and the theorem stage of ``sew`` run ``classify_layers`` next
+to the nullity fits, on one connection per batch, in the sweep of
+``nullity.classify_and_fit``.  The layers reduce their results per sample,
+so the results of a stack slice into those of its rows, and ``classify``
+and ``reeb_derivatives`` reduce them over the batches; given no results,
+``classify`` runs ``classify_layers`` in a sweep of its own.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -90,16 +96,26 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     return ginv, gamma
 
 
+def connection(metric: TensorField, point) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse metric and ``gamma[..., k, i, j] = Gamma^k_ij`` at a point
+    or a stack, from first-order jets of the metric: built once per batch,
+    it is the ``connection`` that ``riemann``, ``covariant_derivative_affinor``
+    and the layers built on them share."""
+    _require_metric(metric)
+    return _connection(*metric.evaluate_with_grads(point))
+
+
 def christoffel(metric: TensorField, point) -> np.ndarray:
     """``gamma[..., k, i, j] = Gamma^k_ij`` at a point or a stack, from
     first-order jets of the metric."""
-    _require_metric(metric)
-    return _connection(*metric.evaluate_with_grads(point))[1]
+    return connection(metric, point)[1]
 
 
-def riemann(metric: TensorField, point, v):
+def riemann(metric: TensorField, point, v, connection=None):
     """Gamma and the curvature along a vector ``v`` per point:
     ``gamma[..., k, i, j] = Gamma^k_ij`` and ``rv[..., l, i, j] = (R(e_i, e_j) v)^l``.
+    ``connection``, the metric's ``connection`` at ``point`` when given,
+    spares building it again.
 
     Nothing of size n^4 is built.  With ``Gamma^l_jk = 1/2 g^lm T_mjk`` for
     ``T_mjk = d_j g_km + d_k g_jm - d_m g_jk`` and ``(Gamma v)^q_j = Gamma^q_jk v^k``,
@@ -111,7 +127,7 @@ def riemann(metric: TensorField, point, v):
     read: they set the peak memory of a batch."""
     _require_metric(metric)
     vals, grads, hess = metric.evaluate_with_jets(point)
-    ginv, gamma = _connection(vals, grads)
+    ginv, gamma = _connection(vals, grads) if connection is None else connection
     v = np.asarray(v, dtype=float)
     n = vals.shape[-1]
     lead = vals.shape[:-2]
@@ -157,8 +173,10 @@ def _max_abs(a: np.ndarray, trailing: int):
     return float(out) if out.ndim == 0 else out
 
 
-def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDerivative:
-    gamma = christoffel(struct.metric, point)
+def covariant_derivative_affinor(struct: ContactStructure, point, connection=None) -> AffinorDerivative:
+    """nabla phi at a point or a stack, and the norms of nabla_xi phi and
+    nabla_xi xi read off it; ``connection`` as for ``riemann``."""
+    gamma = christoffel(struct.metric, point) if connection is None else connection[1]
     pvals, pgrads = struct.phi.evaluate_with_grads(point)
     xvals, xgrads = struct.xi.evaluate_with_grads(point)
     n = pvals.shape[-1]
@@ -176,18 +194,35 @@ def covariant_derivative_affinor(struct: ContactStructure, point) -> AffinorDeri
 
 
 def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
-    """nabla phi on one batch, reduced per sample before it is freed: its
-    largest magnitude, and those of nabla_xi phi and nabla_xi xi, which the
-    Reeb-parallelism checks read."""
-    derivative = covariant_derivative_affinor(struct, points)
-    return _max_abs(derivative.nablaphi, 3), derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm
+    """The largest magnitudes of nabla_xi phi and nabla_xi xi per sample,
+    which the Reeb-parallelism checks read, from ``xi^i Gamma^k_ij`` alone.
+
+    With ``T_lij = d_i g_jl + d_j g_il - d_l g_ij``, ``xi^i Gamma^k_ij =
+    1/2 g^kl xi^i T_lij`` takes the contractions of the metric gradients
+    with xi along their derivative and along their first index: (n, n) per
+    sample, so neither Gamma nor nabla phi is built.  Then
+    ``nabla_xi phi = xi(phi) + [xi Gamma, phi]`` and
+    ``nabla_xi xi = xi(xi) + (xi Gamma) xi``."""
+    gvals, ggrads = struct.metric.evaluate_with_grads(points)
+    pvals, pgrads = struct.phi.evaluate_with_grads(points)
+    xvals, xgrads = struct.xi.evaluate_with_grads(points)
+    n = xvals.shape[-1]
+    column = xvals[..., None, :, None]
+    # with ggrads[..., a, b, c] = d_c g_ab: along[..., j, l] = xi^c d_c g_jl and
+    # first[..., b, c] = xi^a d_c g_ab, so that xi^i T_lij = along[j, l] + first[l, j] - first[j, l]
+    along = (ggrads @ column)[..., 0]
+    first = (xvals[..., None, :] @ ggrads.reshape(ggrads.shape[:-3] + (n, n * n))).reshape(along.shape)
+    xi_gamma = 0.5 * (_metric_inverse(gvals) @ (np.swapaxes(along, -1, -2) + first - np.swapaxes(first, -1, -2)))
+    nabla_xi_phi = (pgrads @ column)[..., 0] + xi_gamma @ pvals - pvals @ xi_gamma
+    nabla_xi_xi = ((xgrads + xi_gamma) @ xvals[..., None])[..., 0]
+    return _max_abs(nabla_xi_phi, 2), _max_abs(nabla_xi_xi, 1)
 
 
 def reeb_derivatives(results) -> tuple[float, float]:
     """The largest magnitudes of nabla_xi phi and nabla_xi xi over the
     batches whose ``reeb_layer`` (or ``classify_layers``) results are
-    ``results``."""
-    _, xi_phi, xi_xi, *_ = zip(*results)
+    ``results``: the first two of each batch's."""
+    xi_phi, xi_xi, *_ = zip(*results)
     return (Residual("nabla_xi_phi", 0.0).add(np.concatenate(xi_phi)).value,
             Residual("nabla_xi_xi", 0.0).add(np.concatenate(xi_xi)).value)
 
@@ -302,7 +337,6 @@ class Classification:
     # the largest magnitudes over the samples
     nabla_xi_phi_max: float
     nabla_xi_xi_max: float
-    normality_max: float
 
     def describe(self) -> str:
         if self.kind == ALMOST_COSYMPLECTIC:
@@ -332,16 +366,30 @@ def weight_fit(struct: ContactStructure, point):
     return lam, residual
 
 
-def classify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
+def classify_layers(struct: ContactStructure, points: np.ndarray, connection=None) -> tuple:
     """``classify``'s layers on one batch, each reduced per sample before the
-    next runs, which frees its (n, n, n) arrays: ``reeb_layer``, the largest
-    magnitude of the normality tensor, and the weights and fit residuals of
-    ``weight_fit``.  So the results of a stack of samples slice into those of
-    its rows.  Inside a sweep that names the fields at these orders, the
-    layers read the jets it bound for the batch (``charts.evaluate_batches``),
-    so no field's program runs here."""
-    return (*reeb_layer(struct, points), _max_abs(normality_tensor(struct, points), 3),
-            *weight_fit(struct, points))
+    next runs, which frees its (n, n, n) arrays: the largest magnitudes of
+    nabla_xi phi and nabla_xi xi (as ``reeb_layer`` gives them) and of nabla
+    phi, read off the full nabla phi (``covariant_derivative_affinor``,
+    with ``connection`` as for ``riemann``), and the weights and fit
+    residuals of ``weight_fit``.  So the results of a stack of samples slice
+    into those of its rows.  Inside a sweep that names the fields at these
+    orders, the layers read the jets it bound for the batch
+    (``charts.evaluate_batches``), so no field's program runs here."""
+    return (*_nabla_phi_norms(struct, points, connection), *weight_fit(struct, points))
+
+
+def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection) -> tuple:
+    """The largest magnitudes of nabla_xi phi, nabla_xi xi and nabla phi per
+    sample; nabla phi is freed on return, before the next layer runs."""
+    derivative = covariant_derivative_affinor(struct, points, connection=connection)
+    return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm, _max_abs(derivative.nablaphi, 3)
+
+
+def verify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
+    """``classify_layers`` and then, last, the largest magnitude of the
+    normality tensor per sample, which only ``verify`` reports."""
+    return (*classify_layers(struct, points), _max_abs(normality_tensor(struct, points), 3))
 
 
 def classify(struct: ContactStructure, samples, tol: float, results=None) -> Classification:
@@ -351,17 +399,17 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
     dimension when the residual is not finite.  ``results`` are those of
-    ``classify_layers`` on the batches of ``samples``, as the axiom sweep
-    (``charts.validate_structure``) takes them, or the rows of one column
-    set of ``samples`` in a stacked sweep's results
-    (``nullity.classify_and_fit``); without them ``classify`` runs
+    ``classify_layers`` (or ``verify_layers``) on the batches of
+    ``samples``, as the axiom sweep (``charts.validate_structure``) takes
+    them, or the rows of one column set of ``samples`` in a stacked sweep's
+    results (``nullity.classify_and_fit``); without them ``classify`` runs
     ``classify_layers`` in a sweep of its own.
     """
     if results is None:
-        reads = [(field, 1) for field in (struct.metric, struct.phi, struct.xi, struct.eta)]
+        reads = [(struct.metric, 1), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0)]
         results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points),
                                                       reads)]
-    nabla_phi, _, _, torsion, lams, residuals = zip(*results)
+    _, _, nabla_phi, lams, residuals, *_ = zip(*results)
     xi_phi, xi_xi = reeb_derivatives(results)
     fit = Residual("weight_fit", tol).add(np.concatenate(residuals))
     arr = np.concatenate(lams)
@@ -374,8 +422,7 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     else:
         kind, alpha = WEIGHT_FUNCTION, None
     return Classification(kind, alpha, tuple(arr.tolist()), fit.value,
-                          Residual("nabla_phi", tol).add(np.concatenate(nabla_phi)).passed,
-                          xi_phi, xi_xi, Residual("normality", tol).add(np.concatenate(torsion)).value)
+                          Residual("nabla_phi", tol).add(np.concatenate(nabla_phi)).passed, xi_phi, xi_xi)
 
 
 # ---------------------------------------------------------------------------

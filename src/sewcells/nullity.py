@@ -17,17 +17,24 @@ multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 
 ``fit_nullity`` takes one point or a stack of points and gives one
 ``NullityFits``: an array per fitted quantity, with a leading sample axis at
-a stack.  It builds ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi),
-``h`` and the design matrices of every sample at once, and solves all their
-least-squares problems with one batched SVD; a sample whose design or
-curvature is not finite gets NaN constants instead of failing the stack.
+a stack.  It builds ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi, on the
+batch's ``geometry.connection`` when one is given), ``h`` and the design
+matrices of every sample at once, and solves all their least-squares
+problems with one batched SVD; a sample whose design or curvature is not
+finite gets NaN constants instead of failing the stack.  The design has a
+row per pair i < j and component, but the rows of a pair where eta_i and
+eta_j are both the constant zero of eta's field plan vanish, so only the
+rows that eta reaches are solved (on a sewn chart the 2k pairs with s), and
+the other pairs' curvature adds to the residual norm alone.
 ``classify_and_fit`` is the one sweep that classifies a structure and fits
 it over a sample set: in batches that the fold of the metric's Hessians
-also fits, it runs the programs of g (order 2), phi, xi and eta (order 1)
-once per chunk of batches (see ``charts.evaluate_batches``), and on each
-batch ``geometry.classify_layers`` and ``fit_nullity`` read those jets; the
-Hessians are left out when nothing is fitted.  The ``nullity`` command runs
-it on the samples of its structure.  The theorem stage of ``sew``
+also fits, it runs the programs of g (order 2), phi and xi (order 1) and
+eta (order 0, or 1 with the axioms) once per chunk of batches (see
+``charts.evaluate_batches``), and on each batch it builds one connection,
+which ``fit_nullity`` and ``geometry.classify_layers`` read with those
+jets; the Hessians are left out when nothing is fitted.  The ``nullity`` command runs it on the samples
+of its structure, with the structure axioms (``charts.StructureAxioms``)
+folded into the same sweep.  The theorem stage of ``sew``
 (``sewing.verify_sewing_theorems``) runs it on the sewn samples, and on the
 same samples at the sewn columns of the blocks of each cell definition,
 which lines the cells' fits up row by row with the sewn ones.
@@ -42,8 +49,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import ChartError, ContactStructure, Residual, Samples, evaluate_batches, stack_columns
-from .geometry import Classification, classify, classify_layers, h_tensor, riemann
+from .charts import (
+    ChartError,
+    ContactStructure,
+    Residual,
+    Samples,
+    StructureAxioms,
+    evaluate_batches,
+    stack_columns,
+)
+from .geometry import Classification, classify, classify_layers, connection, h_tensor, riemann
 
 H_DEGENERACY_THRESHOLD = 1e-8
 
@@ -76,17 +91,21 @@ class NullityFits:
         return NullityFits(*map(np.concatenate, zip(*(vars(part).values() for part in parts))))
 
 
-def fit_nullity(struct: ContactStructure, point) -> NullityFits:
+def fit_nullity(struct: ContactStructure, point, connection=None) -> NullityFits:
     """Least-squares (kappa, mu, mu') at a point (n,) or at each point of a
-    stack (P, n); see the module docstring."""
+    stack (P, n); see the module docstring.  ``connection``, the metric's
+    ``geometry.connection`` at ``point`` when given, spares building it
+    again."""
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
-        return _fit_stack(struct, point[None])[0]
-    return _fit_stack(struct, point)
+        lifted = None if connection is None else tuple(array[None] for array in connection)
+        return _fit_stack(struct, point[None], lifted)[0]
+    return _fit_stack(struct, point, connection)
 
 
 def classify_and_fit(struct: ContactStructure, samples: Samples, tol: float, fit: bool,
-                     laws: Sequence[Residual] = (), columns=None) -> list[tuple[Classification, NullityFits | None]]:
+                     laws: Sequence[Residual] = (), columns=None,
+                     axioms: StructureAxioms | None = None) -> list[tuple[Classification, NullityFits | None]]:
     """The classification and, when ``fit``, the nullity fits of ``struct``
     at ``samples``, from one sweep (see the module docstring): one
     (classification, fits), or one per column set of an (s, m) array
@@ -94,22 +113,31 @@ def classify_and_fit(struct: ContactStructure, samples: Samples, tol: float, fit
     (``charts.stack_columns``).  Set j gets the rows j::s of the stack: the
     layers and the fits are per sample.  Each batch's fits are folded into
     ``laws`` (``_add_operator_laws``) with the values of g, phi and xi
-    there, which no later batch keeps."""
+    there, which no later batch keeps.  With ``axioms``, the sweep first
+    folds each batch into them, and the layers and the fits run only while
+    the metric has been positive definite on every batch so far; where it
+    has not, there is no connection and the result is empty."""
     sets = 1 if columns is None else len(columns)
     columns = slice(None) if columns is None else columns
 
     def batch(points):
         local = stack_columns(points, columns)
-        fits = fit_nullity(struct, local) if fit else None
-        layers = classify_layers(struct, local)
+        if axioms is not None and not axioms.add(local):
+            return None
+        shared = connection(struct.metric, local)
+        fits = fit_nullity(struct, local, connection=shared) if fit else None
+        layers = classify_layers(struct, local, connection=shared)
         if laws:
             g, phi, xi, _ = struct.values_at(local)
             _add_operator_laws(laws, g, phi, xi, fits)
         return layers, fits
 
-    reads = [(struct.metric, 2 if fit else 1, columns)] + [(field, 1, columns)
-                                                           for field in (struct.phi, struct.xi, struct.eta)]
+    # the layers and the fits read eta's values; the axioms read d eta too
+    reads = [(struct.metric, 2 if fit else 1, columns), (struct.phi, 1, columns), (struct.xi, 1, columns),
+             (struct.eta, 0 if axioms is None else 1, columns)]
     swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, reads)]
+    if any(out is None for out in swept):
+        return []
     layers = [np.concatenate(column) for column in zip(*(batch_layers for batch_layers, _ in swept))]
     fits = NullityFits.concatenate([batch_fits for _, batch_fits in swept]) if fit else None
     return [(classify(struct, samples, tol, [tuple(column[j::sets] for column in layers)]),
@@ -153,13 +181,16 @@ def normalized(fits: NullityFits, alpha: float) -> NullityFits:
     return replace(fits, muprime=alpha * fits.muprime, hprime=fits.hprime / alpha)
 
 
-def _fit_stack(struct: ContactStructure, points: np.ndarray) -> NullityFits:
+def _fit_stack(struct: ContactStructure, points: np.ndarray, connection=None) -> NullityFits:
     n = struct.dim
-    i, j = np.triu_indices(n, 1)
+    (i, j), (zero_i, zero_j) = _eta_pairs(struct.eta)
     # xi's values from the order-1 jet that h_tensor reads below; its gradients are only (n, n) per sample
     xi = struct.xi.evaluate_with_grads(points)[0]
-    # rxi[p, l, pair] = (R(e_i, e_j) xi)^l for the pairs i < j; the (n, n, n) curvature is freed here
-    rxi = riemann(struct.metric, points, xi)[1][:, :, i, j]
+    # rv[p, l, a, b] = (R(e_a, e_b) xi)^l, freed here: rxi holds the pairs that eta reaches, unreached the others
+    rv = riemann(struct.metric, points, xi, connection=connection)[1]
+    rxi = rv[:, :, i, j]
+    unreached = rv[:, :, zero_i, zero_j].reshape(len(points), -1)
+    del rv
     eta = struct.eta.evaluate(points)
     tensors = h_tensor(struct, points)
     h, hp = tensors.h, tensors.hprime
@@ -179,26 +210,48 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray) -> NullityFits:
 
     b = flat(rxi)
     design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
-    kappa, mu, muprime, residual = _solve_stack(design, b, h_norms).T
+    kappa, mu, muprime, residual = _solve_stack(design, b, h_norms, unreached).T
     return NullityFits(kappa, mu, muprime, residual, h_norms, ~(h_norms <= H_DEGENERACY_THRESHOLD), h, hp)
 
 
-def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray) -> np.ndarray:
+def _eta_pairs(eta) -> tuple:
+    """The pairs i < j of coordinates where eta_i or eta_j is not the
+    constant zero of eta's field plan, as two index arrays, and the other
+    pairs: the design rows of those vanish at every sample."""
+    plan = eta._plan
+    nonzero = plan.constant != 0.0
+    nonzero[plan.positions] = True
+    i, j = np.triu_indices(len(nonzero), 1)
+    reached = nonzero[i] | nonzero[j]
+    return (i[reached], j[reached]), (i[~reached], j[~reached])
+
+
+def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray,
+                 unreached: np.ndarray | None = None) -> np.ndarray:
     """``[p] = (kappa, mu, mu', residual)``: the least-squares fit of ``b[p]``
     against the columns of ``design[p]``, all samples in one batched SVD.
 
+    The whole design may have further rows that are zero, with the
+    right-hand sides ``unreached[p]``: they only add to the residual norm.
     The solution is ``V S^+ U^T b`` over the singular values above the
-    default cutoff of ``np.linalg.lstsq``, ``eps max(rows, 3) s_max``, which
-    also gives the rank.  Where ``|h|`` is at most ``H_DEGENERACY_THRESHOLD``
-    only kappa is fitted, from the first column, and mu = mu' = 0; where it
-    is above and the rank is below 3, ``NullityFitError`` names the first
-    such sample.  A sample with a non-finite entry in its design or in its
-    ``b`` is left out of the SVD, which would fail for the whole stack, and
-    gets NaN throughout; its rows of ``design`` and ``b`` are zeroed in place."""
-    rows, cols = design.shape[1:]
-    finite = np.isfinite(design).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    default cutoff of ``np.linalg.lstsq`` on the whole design,
+    ``eps max(rows, 3) s_max`` with ``rows`` counting the zero rows too,
+    which also gives the rank.  Where ``|h|`` is at most
+    ``H_DEGENERACY_THRESHOLD`` only kappa is fitted, from the first column,
+    and mu = mu' = 0; where it is above and the rank is below 3,
+    ``NullityFitError`` names the first such sample.  A sample with a
+    non-finite entry in its design, in its ``b`` or in ``unreached`` is left
+    out of the SVD, which would fail for the whole stack, and gets NaN
+    throughout; its rows of ``design``, ``b`` and ``unreached`` are zeroed
+    in place."""
+    if unreached is None:
+        unreached = np.zeros((len(b), 0))
+    rows = design.shape[1] + unreached.shape[1]
+    cols = design.shape[2]
+    finite = np.isfinite(design).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(unreached).all(axis=1)
     design[~finite] = 0.0
     b[~finite] = 0.0
+    unreached[~finite] = 0.0
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     kept = s > np.finfo(float).eps * max(rows, cols) * s[:, :1]
     rank = kept.sum(axis=1)
@@ -217,7 +270,7 @@ def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray) -> np.n
     np.divide(_dots(a_kappa, b), denom, out=kappa_only[:, 0], where=denom > 0.0)
     solution = np.where(determinate[:, None], solution, kappa_only)
     b -= (design @ solution[:, :, None])[:, :, 0]  # the residual vectors
-    solved = np.concatenate([solution, np.sqrt(_dots(b, b))[:, None]], axis=1)
+    solved = np.concatenate([solution, np.sqrt(_dots(b, b) + _dots(unreached, unreached))[:, None]], axis=1)
     solved[~finite] = np.nan
     return solved
 

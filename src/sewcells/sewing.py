@@ -97,7 +97,7 @@ from .charts import (
     sample_points,
     stack_columns,
 )
-from .expressions import BinOp, ExpressionNode, Num, free_variables, rename_variables
+from .expressions import BinOp, Call, ExpressionNode, Neg, Num, Var, free_variables, rename_variables
 from .geometry import (
     ALMOST_ALPHA_KENMOTSU,
     ALMOST_COSYMPLECTIC,
@@ -143,28 +143,33 @@ def _diagonal_map(cell: ContactStructure, i: int) -> dict[str, str]:
     return mapping
 
 
-def _require_sewable(cells: Sequence[ContactStructure]) -> None:
+def _require_sewable(cells: Sequence[ContactStructure]) -> list[tuple[ContactStructure, np.ndarray]]:
+    """Refuse cells that cannot be sewn, in order: each distinct cell is
+    probed once, and the first failure names its cell.  Returns each
+    distinct cell in order with its probe stack, three seeded samples, for
+    the later probes."""
     if len(cells) < 2:
         raise SewingError(f"need at least 2 cells, got {len(cells)}")
+    probes: dict[int, tuple[ContactStructure, np.ndarray]] = {}
     for cell in cells:
+        if id(cell) in probes:
+            continue
         if cell.dim != 3:
             raise SewingError(f"cell {cell.name!r} has dimension {cell.dim}, expected 3")
         if cell.chart.adapted_index is None:
             raise SewingError(f"cell {cell.name!r} has no adapted coordinate")
-        _probe_adapted_unit(cell)
+        probes[id(cell)] = cell, sample_points(cell.chart, 3, seed=0).coords
+        _probe_adapted_unit(*probes[id(cell)])
+    return list(probes.values())
 
 
-def _probe_points(chart: Chart) -> np.ndarray:
-    """Three seeded samples as one (3, n) stack."""
-    return sample_points(chart, 3, seed=0).coords
-
-
-def _probe_adapted_unit(cell: ContactStructure) -> None:
-    """The structure form must be exactly d(t) for the adapted coordinate."""
+def _probe_adapted_unit(cell: ContactStructure, points: np.ndarray) -> None:
+    """The structure form must be exactly d(t) for the adapted coordinate,
+    at the probe stack ``points``."""
     t_axis = cell.chart.adapted_index
     expected = np.zeros(cell.dim)
     expected[t_axis] = 1.0
-    eta = cell.eta.evaluate(_probe_points(cell.chart))
+    eta = cell.eta.evaluate(points)
     if not Residual("eta", _ADAPTED_PROBE_TOL).add(eta - expected).passed:
         raise SewingError(
             f"cell {cell.name!r} is not adapted: eta != d{cell.chart.coords[t_axis]}"
@@ -344,9 +349,33 @@ class _Block(NamedTuple):
 
 def _same_block(a: _Block, b: _Block) -> bool:
     """Whether block b has block a's definition: its trees are a's once each
-    of its coordinates is renamed to a's coordinate at the same position."""
+    of its coordinates is renamed to a's coordinate at the same position,
+    compared while both are walked, without a renamed copy."""
     mapping = dict(zip(b.metric.chart.coords, a.metric.chart.coords))
-    return all(theirs.renamed_grid(mapping) == ours.components for ours, theirs in zip(a[1:], b[1:]))
+
+    def same(ours, theirs, depth: int) -> bool:
+        if depth:
+            return all(same(x, y, depth - 1) for x, y in zip(ours, theirs))
+        return _same_tree(ours, theirs, mapping)
+
+    return all(same(ours.components, theirs.components, ours.rank) for ours, theirs in zip(a[1:], b[1:]))
+
+
+def _same_tree(ours: ExpressionNode, theirs: ExpressionNode, mapping: dict[str, str]) -> bool:
+    """Whether ``theirs`` is ``ours`` once its variables are renamed by
+    ``mapping`` (names absent from it stay, as in ``rename_variables``)."""
+    if type(ours) is not type(theirs):
+        return False
+    if isinstance(theirs, Var):
+        return mapping.get(theirs.name, theirs.name) == ours.name
+    if isinstance(theirs, Num):
+        return ours == theirs
+    if isinstance(theirs, Neg):
+        return _same_tree(ours.operand, theirs.operand, mapping)
+    if isinstance(theirs, Call):
+        return ours.func == theirs.func and _same_tree(ours.arg, theirs.arg, mapping)
+    return (ours.op == theirs.op and _same_tree(ours.left, theirs.left, mapping)
+            and _same_tree(ours.right, theirs.right, mapping))
 
 
 def _stacked_rows(members: Sequence[int], coefficients: np.ndarray, samples: int) -> np.ndarray:
@@ -538,7 +567,7 @@ class SewnManifold(ContactStructure):
 
 def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     """Construct the sewn manifold of the given cells symbolically."""
-    _require_sewable(cells)
+    probes = _require_sewable(cells)
     k = len(cells)
     # each cell's non-adapted axes, at the positions 2i + 1 and 2i + 2 of the diagonal chart
     axes = [[a for a in range(3) if a != cell.chart.adapted_index] for cell in cells]
@@ -550,7 +579,7 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     chart = Chart(names, constraints, adapted_index=0)
     dim = 2 * k + 1
 
-    _probe_diagonal_consistency(cells)
+    _probe_diagonal_consistency(probes)
 
     metric_grid = [[_ZERO] * dim for _ in range(dim)]
     phi_grid = [[_ZERO] * dim for _ in range(dim)]
@@ -589,15 +618,15 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     )
 
 
-def _probe_diagonal_consistency(cells: Sequence[ContactStructure]) -> None:
+def _probe_diagonal_consistency(probes: Sequence[tuple[ContactStructure, np.ndarray]]) -> None:
     """The median must be tangent to the diagonal and the affinor block-exact.
 
     On an adapted chart this means the distinguished component of the Reeb
-    field is 1 and the distinguished row of the affinor vanishes.
+    field is 1 and the distinguished row of the affinor vanishes.  Each
+    distinct cell is probed in order at its stack (``_require_sewable``).
     """
-    for cell in cells:
+    for cell, points in probes:
         t = cell.chart.adapted_index
-        points = _probe_points(cell.chart)
         xi_t = cell.xi.evaluate(points)[:, t]
         if not Residual("xi", _TANGENCY_TOL).add(xi_t - 1.0).passed:
             raise SewingError(

@@ -7,7 +7,9 @@ product from their closed form, the second fundamental form of the sewn
 diagonal, computed here on the full product chart, and plain ``einsum``
 references at one point for the contractions that the package runs as
 batched matrix products (Gamma, the curvature along a vector, nabla phi,
-d Phi and the normality tensor).
+d Phi and the normality tensor), and the nullity fits over the design of
+every coordinate pair, which the package reduces to the pairs that eta
+reaches.
 """
 
 import math
@@ -16,7 +18,8 @@ import numpy as np
 
 from sewcells.charts import TensorField
 from sewcells.expressions import BinOp, Num
-from sewcells.geometry import christoffel, riemann
+from sewcells.geometry import christoffel, h_tensor, riemann
+from sewcells.nullity import _solve_stack
 from sewcells.sewing import embedding_matrix
 
 
@@ -163,3 +166,27 @@ def normality_reference(struct, point) -> np.ndarray:
         - np.einsum("cij->cji", term_through)
         + 2.0 * np.einsum("ij,c->cij", d_eta, xvals)
     )
+
+
+def full_pair_fits(struct, points) -> np.ndarray:
+    """``[p] = (kappa, mu, mu', residual)`` over the design of every pair
+    i < j and component l, zero rows included: ``(R(e_i, e_j) xi)^l``
+    against ``eta(e_j) op(e_i) - eta(e_i) op(e_j)`` for op = Id, h and h',
+    solved by the package's batched SVD."""
+    n = struct.dim
+    i, j = np.triu_indices(n, 1)
+    rows = len(i) * n
+    xi = struct.xi.evaluate(points)
+    eta = struct.eta.evaluate(points)
+    tensors = h_tensor(struct, points)
+
+    def flat(v):
+        return np.swapaxes(v, 1, 2).reshape(len(points), rows)
+
+    def column(op):
+        return flat(eta[:, None, j] * op[:, :, i] - eta[:, None, i] * op[:, :, j])
+
+    b = flat(riemann(struct.metric, points, xi)[1][:, :, i, j])
+    design = np.stack([column(np.broadcast_to(np.eye(n), tensors.h.shape)), column(tensors.h),
+                       column(tensors.hprime)], axis=-1)
+    return _solve_stack(design, b, np.abs(tensors.h).max(axis=(-2, -1)))

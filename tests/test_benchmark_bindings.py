@@ -59,13 +59,13 @@ def test_traced_commands_run_every_predicted_layer(tmp_path, monkeypatch):
     structures = []  # keeps the ids in ``seen`` from being reused
     repeats = []
 
-    def spy(struct, points):
+    def spy(struct, points, **kwargs):
         structures.append(struct)
         for row in np.atleast_2d(points):
             key = (id(struct), row.tobytes())
             repeats[-1] += key in seen
             seen.add(key)
-        return original(struct, points)
+        return original(struct, points, **kwargs)
 
     monkeypatch.setattr(geometry, "covariant_derivative_affinor", spy)
     tracer = spans.Tracer()
@@ -83,8 +83,9 @@ def test_traced_commands_run_every_predicted_layer(tmp_path, monkeypatch):
         missing = workload.exercised - tracer.called()
         assert not missing, f"{name}: predicted layers never called: {sorted(missing)}"
     # sew draws its plain and its grouped samples from one seed, so the two sets
-    # share their group-leading points; nabla phi repeats at those points only
+    # share their group-leading points; nabla phi runs at the grouped ones only,
+    # since the induced stage reads nabla_xi phi and nabla_xi xi off xi Gamma
     chart = load_manifold("sewn.json").chart
     shared = ({tuple(point) for point in sample_points(chart, 5, 7).coords.tolist()}
               & {tuple(point) for point in nullity_samples(chart, 5, 7).coords.tolist()})
-    assert repeats == [0, 0, len(shared)]
+    assert shared and repeats == [0, 0, 0]

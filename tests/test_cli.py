@@ -109,10 +109,11 @@ class TestNullity:
 
     def test_sewn_nullity_runs_each_program_once_per_sweep(self, tmp_path, monkeypatch, capsys):
         """``nullity`` of the sewn halfspace k = 4 file: on its 9 dimensions the
-        25 samples make 2 batches in the axioms' sweep and 2 in the fits'
-        sweep.  Each sweep runs phi's and xi's programs once, at order 1, on
-        the one chunk of its batches, where a run per batch made 4 runs each
-        (the fits' first batch missed the axioms' last)."""
+        25 samples make 2 batches of the Hessian fold in one chunk, and one
+        sweep takes the axioms, ``classify``'s layers and the fits.  So the
+        metric's program runs once, at order 2, and phi's and xi's once, at
+        order 1, where a sweep for the axioms and another for the fits made
+        two runs each, and a run per batch four."""
         import sewcells.charts as charts
         import sewcells.cli as cli
         from sewcells.catalog import halfspace_kenmotsu_cell
@@ -135,7 +136,7 @@ class TestNullity:
         assert batch_size(9) == batch_size(9, (struct.metric,)) == 22
         orders = {name: Counter(order for program, order in runs if program == id(field._plan.program))
                   for name, field in (("g", struct.metric), ("phi", struct.phi), ("xi", struct.xi))}
-        assert orders == {"g": {1: 1, 2: 1}, "phi": {1: 2}, "xi": {1: 2}}
+        assert orders == {"g": {2: 1}, "phi": {1: 1}, "xi": {1: 1}}
 
     @pytest.mark.parametrize("cell, determinate", [("flat", False), ("halfspace", True)])
     def test_json_table_holds_json_bools(self, cell, determinate, tmp_path, capsys):
@@ -174,6 +175,70 @@ class TestNullity:
         assert main(["nullity", str(path), "--points", "6"]) == EXIT_PASS
         out = capsys.readouterr().out
         assert "constant_kappa" not in out  # no grouping without an adapted chart
+
+
+class TestNullityFitError:
+    """A degenerate fit (``nullity.NullityFitError``) is a verification
+    error: exit 1 with one ``verification error:`` line, no traceback.  A
+    failing axiom outranks it: ``nullity`` fits in the same sweep as the
+    axioms, and still reports the failing axioms alone."""
+
+    MESSAGE = "degenerate nullity fit (rank 2) with |h| = 1.000e+00"
+
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        from sewcells import nullity
+
+        calls = []
+
+        def solve(*args):
+            calls.append(len(args[0]))
+            raise nullity.NullityFitError(self.MESSAGE)
+
+        monkeypatch.setattr(nullity, "_solve_stack", solve)
+        return calls
+
+    @pytest.mark.parametrize("command", [["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
+                             ids=["nullity", "sew"])
+    def test_is_a_verification_error(self, command, raising, tmp_path, monkeypatch, capsys):
+        from sewcells.catalog import halfspace_kenmotsu_cell
+
+        monkeypatch.chdir(tmp_path)
+        save_manifold(halfspace_kenmotsu_cell(), "halfspace.json")
+        assert main([command[0], "halfspace.json", *command[1:], "--json", "report.json"]) == EXIT_FAIL
+        assert raising and capsys.readouterr().err.splitlines() == [f"verification error: {self.MESSAGE}"]
+        assert not Path("report.json").exists()
+
+    def test_failing_axioms_outrank_it(self, tmp_path, monkeypatch, capsys):
+        """phi^y_y = 0.5 on the model cell breaks phi^2 = -Id + xi (x) eta
+        but keeps the metric positive definite, so the sweep fits, and the
+        fit raises; the command still prints the axioms' table and writes
+        the report it writes without the error."""
+        from sewcells import nullity
+
+        monkeypatch.chdir(tmp_path)
+        doc = structure_to_dict(model_cosymplectic_cell(1.0))
+        doc["phi"][2][2] = "0.5"
+        Path("broken.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["nullity", "broken.json", "--json", "report.json"]
+        assert main(argv) == EXIT_FAIL
+        plain, plain_report = capsys.readouterr().out, Path("report.json").read_bytes()
+        calls = []
+
+        def raising(*args):
+            calls.append(len(args[0]))
+            raise nullity.NullityFitError(self.MESSAGE)
+
+        monkeypatch.setattr(nullity, "_solve_stack", raising)
+        assert main(argv) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert calls == [25] and captured.err == ""
+        assert "FAIL  phi_square_identity" in captured.out
+        assert "structure axioms fail; nullity fit skipped" in captured.out
+        assert captured.out.splitlines()[:-1] == plain.splitlines()[:-1]  # all but the elapsed time
+        assert Path("report.json").read_bytes() == plain_report
+        report = json.loads(plain_report)
+        assert report["passed"] is False and "nullity_table" not in report["subjects"][0]
 
 
 class TestSew:
@@ -516,7 +581,8 @@ def test_derivative_layers_stop_at_the_first_batch_without_a_positive_definite_m
     stacks = {name: [] for name in ("covariant_derivative_affinor", "normality_tensor", "weight_fit")}
     for name, seen in stacks.items():
         layer = getattr(geometry, name)
-        monkeypatch.setattr(geometry, name, lambda s, points, layer=layer, seen=seen: seen.append(points) or layer(s, points))
+        monkeypatch.setattr(geometry, name, lambda s, points, layer=layer, seen=seen, **kwargs:
+                            seen.append(points) or layer(s, points, **kwargs))
 
     assert cli.main(["verify", "partly.json", "--points", "3000", "--json", "report.json"]) == EXIT_FAIL
     before = [samples.coords[start:start + size] for start in range(0, first_bad * size, size)]
@@ -528,6 +594,63 @@ def test_derivative_layers_stop_at_the_first_batch_without_a_positive_definite_m
     subject = json.loads(Path("report.json").read_text(encoding="utf-8"))["subjects"][0]
     assert set(subject) == {"name", "dimension", "checks", "passed"} and subject["passed"] is False
     assert [c["name"] for c in subject["checks"] if not c["passed"]] == ["metric_positive_definite"]
+
+
+def test_curvature_sweeps_share_one_connection_per_batch(tmp_path, monkeypatch, capsys):
+    """Each batch of ``classify_and_fit`` builds (g^-1, Gamma) once, and the
+    fits' curvature and nabla phi both read it: as many ``_connection``
+    calls as ``classify_layers`` calls, in ``nullity`` at 1000 points (6
+    batches) and in the theorem stage of ``sew --copies 4`` at 100 points
+    (5 sewn batches and 3 of the stacked cell).  ``nullity`` and ``sew``
+    never take the normality tensor, which only ``verify`` reports, and the
+    induced stage of ``sew`` reads nabla_xi phi and nabla_xi xi without
+    ``christoffel`` or ``covariant_derivative_affinor``."""
+    from sewcells import cli, geometry, nullity, sewing
+    from sewcells.catalog import halfspace_kenmotsu_cell
+
+    monkeypatch.chdir(tmp_path)
+    save_manifold(halfspace_kenmotsu_cell(), "halfspace.json")
+    calls, phase = Counter(), ["outside"]
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            calls[phase[0], name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spied)
+
+    def marked(module, name, label):
+        original = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            outer, phase[0] = phase[0], label
+            try:
+                return original(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        monkeypatch.setattr(module, name, spied)
+
+    for name in ("_connection", "normality_tensor", "christoffel", "covariant_derivative_affinor"):
+        counted(geometry, name)
+    counted(nullity, "classify_layers")
+    counted(cli, "reeb_layer")
+    for module in (cli, sewing):
+        marked(module, "classify_and_fit", "sweep")
+    marked(cli, "validate_structure", "induced")  # in sew, the induced stage's sweep
+    runs = {}
+    for argv in (["nullity", "halfspace.json", "--points", "1000"],
+                 ["sew", "halfspace.json", "--copies", "4", "--points", "100", "--out", "sewn.json"],
+                 ["verify", "halfspace.json"]):
+        calls.clear()
+        assert main(argv) == EXIT_PASS
+        runs[argv[0]] = dict(calls)
+    for command, batches in (("nullity", 6), ("sew", 8)):
+        assert runs[command][("sweep", "_connection")] == runs[command][("sweep", "classify_layers")] == batches
+        assert not any(name == "normality_tensor" for _, name in runs[command])
+    induced = {name: count for (where, name), count in runs["sew"].items() if where == "induced"}
+    assert induced == {"reeb_layer": 5}  # 100 samples make 5 batches of 22 on the 9-dim sewn chart
+    assert sum(count for (_, name), count in runs["verify"].items() if name == "normality_tensor") == 1
 
 
 class TestParserReuse:

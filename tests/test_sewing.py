@@ -299,7 +299,7 @@ class TestBlockStructure:
 
         monkeypatch.chdir(tmp_path)
         save_manifold(kenmotsu_warped_cell(alpha=1.0, kappa0=-2.0), "warped.json")
-        functions = ("riemann", "christoffel", "lie_bracket", "exterior_derivative", "numeric_rank")
+        functions = ("riemann", "connection", "christoffel", "lie_bracket", "exterior_derivative", "numeric_rank")
         methods = ("evaluate", "evaluate_with_grads", "evaluate_with_jets")
         dims = {name: set() for name in functions + methods}
 
@@ -321,7 +321,7 @@ class TestBlockStructure:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
         assert dims == {
-            "riemann": {3, 9}, "christoffel": {3, 9}, "lie_bracket": {3}, "exterior_derivative": {3},
+            "riemann": {3, 9}, "connection": {3, 9}, "christoffel": {3}, "lie_bracket": {3}, "exterior_derivative": {3},
             "numeric_rank": {(3, 3)}, "evaluate": {3, 9}, "evaluate_with_grads": {3, 9}, "evaluate_with_jets": {3, 9},
         }
 
@@ -413,6 +413,22 @@ class TestStackedBlocks:
         assert f_report.passed and lift_report.passed
         self.assert_matches_the_block_loop(product, samples, f_report, lift_report)
 
+    def test_blocks_are_compared_without_renamed_copies(self, model_cell, halfspace_cell, monkeypatch):
+        """``_same_block`` walks both blocks' trees with the name map: no
+        tree is renamed, and the groups are those of the renamed copies."""
+        from sewcells import expressions
+
+        products = [build_product(cells) for cells in ([model_cell] * 3, [model_cell, halfspace_cell, model_cell],
+                                                       [halfspace_cell, model_cell, halfspace_cell])]
+        perturbed = _with_x3_metric_perturbed(build_product([model_cell] * 4))
+        for product in products + [perturbed]:
+            product._split  # the blocks, built by restriction
+        for owner, name in ((TensorField, "renamed_grid"), (expressions, "rename_variables"),
+                            (sewing, "rename_variables")):
+            monkeypatch.setattr(owner, name, lambda *args: pytest.fail("a tree was renamed"))
+        assert [product._groups for product in products] == [{0: [0, 1, 2]}, {0: [0, 2], 1: [1]}, {0: [0, 2], 1: [1]}]
+        assert perturbed._groups == {0: [0, 1, 3], 2: [2]}
+
     def test_ranks_sum_per_sample(self, model_cell, halfspace_cell, monkeypatch):
         """With a stand-in rank that differs at every row, the worst per-sample
         sum is the block loop's only if each row's rank goes to its own
@@ -481,7 +497,9 @@ class TestSew:
 
     def test_probes_evaluate_each_cell_field_on_one_stack(self, halfspace_cell, monkeypatch):
         """The sewability probes take each probed field of a cell on the (3, 3)
-        stack of its three probe points, once per cell."""
+        stack of its three probe points, once for the three copies of the
+        cell: one probe stack serves the adapted-unit and the diagonal
+        checks."""
         original = TensorField.evaluate
         shapes = {}
 
@@ -492,7 +510,7 @@ class TestSew:
         monkeypatch.setattr(TensorField, "evaluate", spy)
         sew([halfspace_cell] * 3)
         for field in (halfspace_cell.eta, halfspace_cell.xi, halfspace_cell.phi):
-            assert shapes[id(field)] == [(3, 3)] * 3
+            assert shapes[id(field)] == [(3, 3)]
 
     def test_two_flat_cells_are_flat_with_zero_nullity(self, flat_cell):
         sewn = sew([flat_cell, flat_cell])

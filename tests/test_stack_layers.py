@@ -18,10 +18,11 @@ import pytest
 
 from sewcells import cli
 from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
-from sewcells.charts import BATCH_BYTES, TensorField, batch_size, sample_points
+from sewcells.charts import BATCH_BYTES, Chart, ContactStructure, TensorField, batch_size, sample_points
 from geometry_helpers import (
     christoffel_reference,
     d_fundamental_form_reference,
+    full_pair_fits,
     nabla_phi_reference,
     normality_reference,
     product_median,
@@ -34,10 +35,11 @@ from sewcells.geometry import (
     h_tensor,
     lie_bracket,
     normality_tensor,
+    reeb_layer,
     riemann,
 )
 from sewcells.manifold_io import load_manifold, save_manifold
-from sewcells.nullity import fit_nullity, normalized
+from sewcells.nullity import _eta_pairs, fit_nullity, normalized
 from sewcells.sewing import build_product, sew
 
 REL = 1e-13
@@ -148,6 +150,67 @@ def test_first_order_layers_match_einsum_references(structures):
             close(derivative.nabla_xi_xi_norm[p], np.abs(nabla_xi_xi).max())
             close(d_phi[p], d_fundamental_form_reference(struct, point))
             close(torsion[p], normality_reference(struct, point))
+
+
+def _generic_structure() -> ContactStructure:
+    """A structure that meets no axiom, with nonzero nabla_xi phi and
+    nabla_xi xi and an eta whose first and last component are the literal
+    0: the pair (t, y) is the one pair that eta does not reach."""
+    chart = Chart(("t", "x", "y"))
+    return ContactStructure(
+        "generic", chart,
+        metric=TensorField.build(chart, 0, 2, [["2 + x^2", "0.3*t*y", "0.1*y"],
+                                               ["0.3*t*y", "1.5 + sin(t)", "0.2*x"],
+                                               ["0.1*y", "0.2*x", "1 + t^2 + y^2"]]),
+        phi=TensorField.build(chart, 1, 1, [["x*y", "1 - t", "0.5*y"], ["-1", "t*x", "cos(y)"],
+                                            ["0.3", "x", "-t*y"]]),
+        xi=TensorField.build(chart, 1, 0, ["1 + 0.2*x", "sin(y)", "t*x"]),
+        eta=TensorField.build(chart, 0, 1, ["0", "1 + x^2", "0"]),
+    )
+
+
+@pytest.fixture(scope="module")
+def reduced_structures():
+    """Every catalog cell, each of them sewn with k = 2, 3 and 6 copies, and
+    the generic structure."""
+    cells = standard_cells()
+    return [*cells, *(sew([cell] * k) for cell in cells for k in (2, 3, 6)), _generic_structure()]
+
+
+def test_eta_row_fits_equal_the_full_design(reduced_structures):
+    """The fits solve the rows that eta reaches and add the other pairs'
+    curvature to the residual only.  They equal the fits over the design of
+    every pair (``geometry_helpers.full_pair_fits``) to 1e-13 of the larger
+    of 1 and the reference's magnitude.  On a sewn chart eta = sqrt(k) ds
+    reaches the 2k pairs with s, 12 of 78 at k = 6."""
+    for struct in reduced_structures:
+        points = _points(struct, count=8, seed=11)
+        fits = fit_nullity(struct, points)
+        reference = full_pair_fits(struct, points)
+        for got, want in zip((fits.kappa, fits.mu, fits.muprime, fits.residual), reference.T):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=REL * max(1.0, np.abs(want).max()))
+    reached, unreached = _eta_pairs(reduced_structures[-1].eta)
+    assert (len(reached[0]), unreached[0].tolist(), unreached[1].tolist()) == (2, [0], [2])
+    assert np.abs(fit_nullity(reduced_structures[-1], _points(reduced_structures[-1])).residual).min() > 1e-3
+    sewn_k6 = reduced_structures[len(standard_cells()) + 2]
+    assert sewn_k6.dim == 13 and len(_eta_pairs(sewn_k6.eta)[0][0]) == 12
+
+
+def test_contracted_reeb_norms_equal_the_full_nabla_phi(reduced_structures):
+    """``reeb_layer`` reads |nabla_xi phi| and |nabla_xi xi| off
+    ``xi^i Gamma^k_ij`` alone; they equal the norms read off the full nabla
+    phi to 1e-13 of the larger of 1 and the reference's magnitude."""
+    for struct in reduced_structures:
+        points = _points(struct, count=8, seed=11)
+        full = covariant_derivative_affinor(struct, points)
+        for got, want in zip(reeb_layer(struct, points), (full.nabla_xi_phi_norm, full.nabla_xi_xi_norm)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=REL * max(1.0, np.abs(want).max()))
+    generic = covariant_derivative_affinor(reduced_structures[-1], _points(reduced_structures[-1]))
+    assert generic.nabla_xi_phi_norm.min() > 0.1 and generic.nabla_xi_xi_norm.min() > 0.1
+    # a point gives what its row gives
+    point = _points(reduced_structures[-1])[0]
+    assert [float(v[0]) for v in reeb_layer(reduced_structures[-1], point[None])] == \
+        list(reeb_layer(reduced_structures[-1], point))
 
 
 def _column(affinor: TensorField, a: int) -> TensorField:

@@ -23,9 +23,14 @@ constant subtrees, which no catalog cell has.  ``verify``, ``nullity`` and
 ``sew --copies 2`` also run at 3000 points on ``PARTLY_PD_CELL``, whose
 metric is positive definite on the first batches of each command's samples
 and not on a later one, so that the derivative layers that ran in the
-axioms' sweep are dropped.  Each tree writes its own
+axioms' sweep are dropped.  ``nullity`` also runs on ``BROKEN_PHI_CELL``
+and ``NAN_PHI_CELL``, the model cell with one phi entry that breaks the
+axioms or is NaN at every point: its one sweep folds the axioms and fits
+the positive definite metric's batches, and then reports the failing
+axioms alone.  Each tree writes its own
 catalog cell files with its own ``catalog`` command, and the same
-``CONSTANTS_CELL`` and ``PARTLY_PD_CELL`` files, and runs every command as a fresh process in its own
+``CONSTANTS_CELL``, ``PARTLY_PD_CELL``, ``BROKEN_PHI_CELL`` and
+``NAN_PHI_CELL`` files, and runs every command as a fresh process in its own
 scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice.
 
@@ -147,6 +152,28 @@ PARTLY_PD_CELL = {
     "xi": ["1", "0", "0"],
     "eta": ["1", "0", "0"],
 }
+# The model cell (lam = 0.8) with phi^y_y = 0 replaced: by 0.5, which breaks phi^2 = -Id + xi (x) eta
+# and the metric compatibility, and by inf * 0, a NaN at every point.  Their metrics are positive
+# definite, so nullity fits them in its one sweep and then reports the failing axioms alone
+_GROW, _DECAY = "exp(1.6*t)", "exp(-1.6*t)"
+
+
+def _model_with_phi_yy(name: str, entry: str) -> dict:
+    return {
+        "format": "manifold-definition/1",
+        "name": name,
+        "coordinates": ["t", "x", "y"],
+        "adapted_coordinate": "t",
+        "domain": [],
+        "metric": [["1", "0", "0"], ["0", _GROW, "0"], ["0", "0", _DECAY]],
+        "phi": [["0", "0", "0"], ["0", "0", f"-{_DECAY}"], ["0", _GROW, entry]],
+        "xi": ["1", "0", "0"],
+        "eta": ["1", "0", "0"],
+    }
+
+
+BROKEN_PHI_CELL = _model_with_phi_yy("model_broken_phi", "0.5")
+NAN_PHI_CELL = _model_with_phi_yy("model_nan_phi", "exp(400)*exp(400)*0")
 LATE_POINTS = "3000"  # the late batches of PARTLY_PD_CELL and LATE_ERROR_CELL
 ERROR_COMMANDS = ("verify-error", "verify-late-error")
 ERROR_PREFIX = "verification error:"
@@ -185,6 +212,8 @@ def matrix() -> list[tuple[str, list[str]]]:
     commands.append(("nullity-partly-pd", ["nullity", "cells/partly.json", *partly]))
     commands.append(("sew-partly-pd-k2", ["sew", "cells/partly.json", "--copies", "2",
                                           "--out", "sewn/partly-k2.json", *partly]))
+    commands.append(("nullity-broken-phi", ["nullity", "cells/broken-phi.json"]))
+    commands.append(("nullity-nan-phi", ["nullity", "cells/nan-phi.json"]))
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
@@ -208,7 +237,7 @@ def run_tree(src: Path, work: Path) -> dict[str, tuple[int, str | None]]:
         if status != 0:
             raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
     for name, cell in (("constants", CONSTANTS_CELL), ("error", ERROR_CELL), ("late-error", LATE_ERROR_CELL),
-                       ("partly", PARTLY_PD_CELL)):
+                       ("partly", PARTLY_PD_CELL), ("broken-phi", BROKEN_PHI_CELL), ("nan-phi", NAN_PHI_CELL)):
         (work / "cells" / f"{name}.json").write_text(json.dumps(cell, indent=2) + "\n", encoding="utf-8")
     return {name: run(argv) for name, argv in matrix()}
 
