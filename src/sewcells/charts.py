@@ -22,7 +22,8 @@ layer batch holds as many samples as keep one (n, n, n) float array with a
 sample axis (a metric gradient, the Christoffel symbols, nabla phi, the
 brackets of an affinor's columns, the curvature along one vector) within the
 budget, on a chart of dimension n, and one sample where even one such array
-exceeds it.  No sweep builds an (n, n, n, n) array: the curvature reads the
+exceeds it; a sweep whose layers work in a star layout (below) counts the
+layout's largest array of a sample instead.  No sweep builds an (n, n, n, n) array: the curvature reads the
 sparse Hessians only through their contractions with a vector
 (``TensorField.fold_hessians``), whose arrays hold two entries per Hessian
 entry, and the batches of a sweep that folds a field's Hessians count those
@@ -36,21 +37,32 @@ whole batches as keep the compact jets of those fields, the values, gradient
 entries and at order 2 Hessian entries of their non-constant components,
 within the budget.  Each field's program runs once per chunk, since a run
 costs about as much on a few rows as on a hundred.  From before the
-consumer runs on a batch until the sweep moves on, each field the sweep
-reads is bound to the batch's rows of that run: a call at an equal stack
-(its shape and bytes) for no higher order reads them without a run, so the
-layers of one batch share one run.  The sweep is the only code that binds
-a field, and no binding outlives the sweep, however it ends.
+consumer runs on a batch until the sweep moves on, each read of the sweep
+binds its field to the batch's rows of that run, as a compact jet: a call
+at an equal stack (its shape and bytes) for no higher order reads it
+without a run, laid out in the full grid or in the layout the call names,
+once per layout, so the layers of one batch share one run and one layout.
+A field read at several column sets has a binding for each.  The sweep is
+the only code that binds a field, and no binding outlives the sweep,
+however it ends.
 Each batch of a chunk whose run leaves a domain is left to the consumer, so
 a domain error names the same sample and expression as batch by batch.
 Nothing with a sample axis grows beyond the budget, whatever the sample
 count.
 
+A structure's ``layout`` (``layouts.star_layout``) gives the coordinate
+sets its first-order geometry runs on, proved from the field plans
+(``TensorField.nonzero_entries``): on the sewn chart of copies of a cell,
+s and one block per copy.  In a star layout a field's values and
+gradients are laid out per set "hub plus one block", (P, K, w, ...), and no
+(n, n, n) array is built; every other chart is one set, the full grid.
+
 ``validate_structure`` sweeps a sample set for the structure axioms: it
 takes the order-1 jets of the four structure fields on each batch, folds
-the axiom residuals from them (``StructureAxioms``), and hands the batch to
-the derivative layers of its caller (``geometry.verify_layers`` or
-``geometry.reeb_layer``), which read the same bound jets.  The ``nullity``
+the axiom residuals from their values (``StructureAxioms``), and hands the
+batch to the derivative layers of its caller (``geometry.verify_layers``,
+in the structure's layout, or ``geometry.reeb_layer``), which read the same
+bound jets.  The ``nullity``
 sweep (``nullity.classify_and_fit``) folds the same ``StructureAxioms``
 next to its curvature layers.
 """
@@ -80,6 +92,7 @@ from .expressions import (
     rename_variables,
     to_source,
 )
+from .layouts import Layout, star_layout
 
 SPD_EIGENVALUE_FLOOR = 1e-10
 
@@ -264,36 +277,82 @@ class TensorField:
     def _plan(self) -> "_FieldPlan":
         return _FieldPlan.build(self)
 
-    def evaluate(self, point) -> np.ndarray:
+    @cached_property
+    def _scatters(self) -> dict:
+        """The ``Layout.scatter`` of each star layout the field was laid out in."""
+        return {}
+
+    @cached_property
+    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries that are not structurally zero, read off the field
+        plan: the multi-indices (E, rank) of the components that are not the
+        literal zero (a constant component that folds to 0.0), and the
+        (G, rank + 1) indices of the gradient entries of the components that
+        are not constant, the coordinate of the derivative last.  Every other
+        value and gradient entry is 0.0 at every point."""
+        plan = self._plan
+        nonzero = plan.constant != 0.0
+        nonzero[plan.positions] = True
+        return (np.array(np.unravel_index(np.flatnonzero(nonzero), self.shape), dtype=np.intp).T,
+                np.array(np.unravel_index(plan.grad_slots, self.shape + (self.chart.dim,)), dtype=np.intp).T)
+
+    def evaluate(self, point, layout: "Layout | None" = None) -> np.ndarray:
         """Component values at a point (n,), or at each point of a stack (P, n)
-        with a leading P axis."""
-        return self._jet(point, 0)[0]
+        with a leading P axis; in the sets of ``layout`` when given (see
+        ``evaluate_with_jets``)."""
+        return self._jet(point, 0, layout)[0]
 
-    def evaluate_with_grads(self, point):
+    def evaluate_with_grads(self, point, layout: "Layout | None" = None):
         """``evaluate_with_jets`` without the Hessians."""
-        return self.evaluate_with_jets(point, hessians=False)
+        return self.evaluate_with_jets(point, False, layout)
 
-    def evaluate_with_jets(self, point, hessians: bool = True):
+    def evaluate_with_jets(self, point, hessians: bool = True, layout: "Layout | None" = None):
         """Values, ``grads[..., l] = d_l`` of each component and, unless
         ``hessians`` is false, the Hessian entries that the components' own
         jets give: ``hess[..., :]`` lays end to end, component after component,
         the (m, m) Hessian over the m coordinates that component reads.  The
         field's plan keeps their slots in the grid ``shape + (n, n)``, which
         is zero at every other slot.  At a stack (P, n) each has a leading P
-        axis."""
-        return self._jet(point, 2 if hessians else 1)
+        axis.
 
-    _memo = ((), b"", ())  # (stack shape, stack bytes, (values[, gradients[, Hessian entries]])) bound by a sweep
+        In a star ``layout`` (``layouts.Layout``, K sets of w coordinates), the
+        values and gradients come in its sets instead of the full grid:
+        ``vals[..., b, a1, .., ar]`` is the component at the coordinates
+        ``layout.sets[b, a1], ..`` and ``grads[..., b, a1, .., ar, c]`` its
+        derivative along ``sets[b, c]``; a padded slot holds 0, or 1 on the
+        diagonal of a (0,2) field, so that a padded metric block is
+        invertible.  A whole-chart layout is the full grid.  The Hessian
+        entries are the same in every layout."""
+        return self._jet(point, 2 if hessians else 1, layout)
 
-    def _jet(self, point, order: int) -> tuple:
+    _memo: tuple = ()  # the bindings of a sweep, one per stack it reads the field at
+
+    def _jet(self, point, order: int, layout: "Layout | None" = None) -> tuple:
         """The values, the gradients from order 1 on and the Hessian entries at
-        order 2, read-only: the rows that a sweep bound for this stack where
-        they serve, else one run of the program (see the module docstring)."""
+        order 2, read-only and in ``layout``: laid out from the compact jet
+        that a sweep bound for this stack where it serves, else from one run
+        of the program (see the module docstring)."""
+        if layout is not None and not layout.hub:
+            layout = None  # a whole-chart layout is the full grid
         point = np.asarray(point, dtype=float)
-        at_shape, at_bytes, bound = self._memo
-        if len(bound) > order and at_shape == point.shape and at_bytes == point.tobytes():
-            return bound[:order + 1]
-        return self._dense(point.shape[:-1], order, self._run(point, order))
+        binding = self._bound(point, order) if self._memo else None
+        if binding is None:
+            return self._lay_out(layout, point.shape[:-1], order, self._run(point, order))
+        jet = binding.jets.get(layout)
+        if jet is None:  # laid out whole, once per layout
+            jet = binding.jets[layout] = self._lay_out(layout, point.shape[:-1], binding.order, binding.compact)
+        return jet if len(jet) == order + 1 else jet[:order + 1]
+
+    def _bound(self, point: np.ndarray, order: int) -> "_Binding | None":
+        """The binding of a sweep for the stack ``point`` up to at least
+        ``order``, if there is one."""
+        data = None
+        for binding in self._memo:
+            if binding.order >= order and binding.shape == point.shape:
+                data = point.tobytes() if data is None else data
+                if binding.data == data:
+                    return binding
+        return None
 
     def _run(self, point, order: int) -> tuple:
         """The compact jet at a point or a stack: the program's values, and
@@ -308,22 +367,30 @@ class TensorField:
         jet = evaluate_jet2(program, point, order=order)
         return (jet.value, jet.grad) + ((jet.hess,) if order == 2 else ())
 
-    def _dense(self, lead: tuple, order: int, compact: tuple) -> tuple:
+    def _lay_out(self, layout: "Layout | None", lead: tuple, order: int, compact: tuple) -> tuple:
         """The read-only values, gradients and Hessian entries up to ``order``
-        at a stack with the leading axes ``lead``, from its compact jet."""
-        plan = self._plan
-        n = self.chart.dim
-        shape = lead + self.shape
-        vals = np.empty(lead + plan.constant.shape)
-        vals[...] = plan.constant
+        at a stack with the leading axes ``lead``, from its compact jet: in
+        the full grid when ``layout`` is None, else in the sets of a star
+        layout; the Hessian entries are the same in every layout."""
+        if layout is None:
+            plan = self._plan
+            constant, shape, width = plan.constant, self.shape, self.chart.dim
+            sources, slots = (None, None), (plan.positions, plan.grad_slots)
+        else:
+            scatter = self._scatters.get(layout)
+            if scatter is None:
+                scatter = self._scatters[layout] = layout.scatter(self)
+            constant, shape, width, sources, slots = scatter
+        vals = np.empty(lead + constant.shape)
+        vals[...] = constant
         if compact:
-            vals[..., plan.positions] = compact[0]
-        result = (vals.reshape(shape),)
+            vals[..., slots[0]] = compact[0] if sources[0] is None else compact[0][..., sources[0]]
+        result = (vals.reshape(lead + shape),)
         if order:
-            grads = np.zeros(lead + (plan.constant.size * n,))
+            grads = np.zeros(lead + (constant.size * width,))
             if compact:
-                grads[..., plan.grad_slots] = compact[1]
-            result += (grads.reshape(shape + (n,)),)
+                grads[..., slots[1]] = compact[1] if sources[1] is None else compact[1][..., sources[1]]
+            result += (grads.reshape(lead + shape + (width,)),)
         if order == 2:
             result += (compact[2] if compact else np.zeros(lead + (0,)),)
         for array in result:
@@ -423,6 +490,18 @@ class _FieldPlan(NamedTuple):
                    np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]).astype(fold))
 
 
+class _Binding:
+    """A field's compact jet at the stack of shape ``shape`` and bytes
+    ``data`` (see ``TensorField._run``), up to ``order``, and ``jets``, the
+    jet laid out in each layout that a call read (see ``TensorField._jet``)."""
+
+    __slots__ = ("shape", "data", "order", "compact", "jets")
+
+    def __init__(self, shape: tuple, data: bytes, order: int, compact: tuple):
+        self.shape, self.data, self.order, self.compact = shape, data, order, compact
+        self.jets: dict = {}
+
+
 def _flatten(grid, rank: int) -> list:
     """The trees of a component grid in row-major order."""
     for _ in range(rank - 1):
@@ -501,6 +580,12 @@ class ContactStructure:
             self.xi.evaluate(point),
             self.eta.evaluate(point),
         )
+
+    @cached_property
+    def layout(self) -> "Layout":
+        """The sets that the first-order geometry of the structure runs on
+        (``layouts.star_layout``)."""
+        return star_layout(self)
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +735,11 @@ def nullity_samples(chart: Chart, count: int, seed: int) -> Samples:
 BATCH_BYTES = 128 * 1024
 
 
-def batch_size(dim: int, folds: Sequence[TensorField] = ()) -> int:
+def batch_size(dim: int, folds: Sequence[TensorField] = (), layout: Layout | None = None) -> int:
     """Samples per batch on a chart of dimension ``dim``, for a sweep that
-    folds the Hessians of the fields ``folds`` (see the module docstring)."""
-    width = max([dim ** 3] + [field._plan.fold_targets.size for field in folds])
+    folds the Hessians of the fields ``folds`` and whose layers work in
+    ``layout`` (the full grid when None; see the module docstring)."""
+    width = max([dim ** 3 if layout is None else layout.width] + [field._plan.fold_targets.size for field in folds])
     return max(1, BATCH_BYTES // (8 * width))
 
 
@@ -681,7 +767,8 @@ def chunk_size(size: int, fields: Sequence[tuple]) -> int:
     return size * max(1, BATCH_BYTES // (8 * size * width)) if width else size
 
 
-def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, fields: Sequence[tuple] = ()):
+def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, fields: Sequence[tuple] = (),
+                     layout: Layout | None = None):
     """Yield ``(batch, evaluate_stack(points))`` over ``samples`` in order, where
     ``batch`` is the batch's ``Samples`` and ``points`` its coordinates.
 
@@ -691,20 +778,22 @@ def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, field
     ``columns`` may also be an (s, m) array of s column sets, and the field is
     then read at all of them, stacked sample by sample (``stack_columns``).
     A batch has as many rows of dimension ``dim`` as ``batch_size(dim,
-    folds)`` allows for the fields ``folds`` read at order 2, counting s rows
-    per sample for a read at s column sets.  The programs run once per chunk
-    of ``chunk_size`` samples, and from before ``evaluate_stack`` runs on a
-    batch until the sweep moves on, each field is bound to the batch's rows
-    of its run, which the consumer reads back; when the sweep ends, however
-    it ends, no field it read is bound.  When a chunk's run leaves the
-    domain of an expression, each of its batches is left to the consumer,
-    and when a batch leaves it, its samples are evaluated again one at a
-    time, and the ``SampleEvaluationError`` names the first sample, in draw
-    order, that fails.
+    folds, layout)`` allows for the fields ``folds`` read at order 2 and the
+    layout the layers work in, counting s rows per sample for a read at s
+    column sets.  The programs run once per chunk of ``chunk_size``
+    samples, and from before ``evaluate_stack`` runs on a batch until the
+    sweep moves on, each read is bound to the batch's rows of its run, as a
+    compact jet that is laid out once per layout the consumer reads it in; a
+    field read at several column sets has a binding for each.  When the
+    sweep ends, however it ends, no field it read is bound.  When a chunk's
+    run leaves the domain of an expression, each of its batches is left to
+    the consumer, and when a batch leaves it, its samples are evaluated
+    again one at a time, and the ``SampleEvaluationError`` names the first
+    sample, in draw order, that fails.
     """
     reads = [(field, order, columns[0] if columns else slice(None)) for field, order, *columns in fields]
     sets = [_column_sets(columns) for _, _, columns in reads]
-    size = max(1, batch_size(dim, [field for field, order, _ in reads if order == 2]) // max(sets, default=1))
+    size = max(1, batch_size(dim, [field for field, order, _ in reads if order == 2], layout) // max(sets, default=1))
     chunk = chunk_size(size, reads)
     for start in range(0, len(samples), chunk):
         points = samples.coords[start:start + chunk]
@@ -714,12 +803,15 @@ def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, field
             jets = []  # each batch is left to the consumer
         for offset in range(0, len(points), size):
             rows = slice(offset, offset + size)
+            bound: dict[int, list] = {}  # id of a field -> [the field, its bindings]
             try:
                 for (field, order, columns), count, compact in zip(reads, sets, jets):
                     local = stack_columns(points[rows], columns)
-                    bound = field._dense(local.shape[:-1], order,
-                                         tuple(a[offset * count:(offset + size) * count] for a in compact))
-                    object.__setattr__(field, "_memo", (local.shape, local.tobytes(), bound))
+                    bound.setdefault(id(field), [field]).append(_Binding(
+                        local.shape, local.tobytes(), order,
+                        tuple(a[offset * count:(offset + size) * count] for a in compact)))
+                for field, *bindings in bound.values():
+                    object.__setattr__(field, "_memo", tuple(bindings))
                 try:
                     result = evaluate_stack(points[rows])
                 except EvaluationDomainError:
@@ -732,7 +824,7 @@ def evaluate_batches(samples: Samples, dim: int, evaluate_stack: Callable, field
                     raise
                 yield samples[start + offset:start + offset + size], result
             finally:
-                for field, _, _ in reads:
+                for field, *_ in bound.values():
                     object.__setattr__(field, "_memo", TensorField._memo)
         del jets  # before the next chunk runs
 
@@ -828,10 +920,16 @@ class ValidationReport:
 class StructureAxioms:
     """The residuals of the structure axioms over a sweep, folded in batch by
     batch (``add``) from the order-1 jets of ``reads``; ``report`` gives
-    their checks (see ``validate_structure``)."""
+    their checks (see ``validate_structure``).  The axioms read the values
+    of g, phi and xi and the jet of eta in the full grid, (n, n) per
+    sample.  Where the layers of the sweep work in a star ``layout``, which
+    reads none of those, the axioms lay them out for themselves, so that
+    they go before the layers run; else the batch keeps them for the
+    layers."""
 
-    def __init__(self, struct: ContactStructure, tol: float):
+    def __init__(self, struct: ContactStructure, tol: float, layout: Layout | None = None):
         self.struct = struct
+        self.keep = layout is None or not layout.hub
         # eta first, then g, phi and xi: the first field to leave its domain raises
         self.reads = [(field, 1) for field in (struct.eta, struct.metric, struct.phi, struct.xi)]
         self.residuals = tuple(Residual(name, tol) for name in
@@ -853,17 +951,29 @@ class StructureAxioms:
         connection needs.  A batch with a non-finite metric entry fails that
         before any eigenvalue is taken."""
         struct = self.struct
-        eta_vals, eta_grads = struct.eta.evaluate_with_grads(points)
-        g, p, xi = (field.evaluate_with_grads(points)[0] for field in (struct.metric, struct.phi, struct.xi))
+        eta_vals, eta_grads, g, p, xi = (
+            part for field, parts in ((struct.eta, 2), (struct.metric, 1), (struct.phi, 1), (struct.xi, 1))
+            for part in self._read(field, points, parts))
         phi2, eta_xi, compat, deta = self.residuals
         # a non-finite entry makes NaN residuals, which fail their checks without a warning
         with np.errstate(all="ignore"):
-            phi2.add(p @ p + np.eye(struct.dim) - xi[:, :, None] * eta_vals[:, None, :])
+            # in place, so that a batch holds few (n, n) arrays at once
+            square = p @ p
+            square += np.eye(struct.dim)
+            square -= xi[:, :, None] * eta_vals[:, None, :]
+            phi2.add(square)
+            del square
             eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
-            compat.add(np.swapaxes(p, 1, 2) @ g @ p - g + eta_vals[:, :, None] * eta_vals[:, None, :])
+            defect = np.swapaxes(p, 1, 2) @ g @ p
+            del p
+            defect -= g
+            defect += eta_vals[:, :, None] * eta_vals[:, None, :]
+            compat.add(defect)
+            del defect
             deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
             if self.adapted is not None:
                 self.adapted.add(eta_vals - self.expected)
+            del eta_vals, eta_grads, xi
             if not np.isfinite(g).all():
                 # no eigenvalue, which LAPACK may fail to find; the NaN sticks in min
                 self.min_eig, self.spd_ok = math.nan, False
@@ -876,6 +986,18 @@ class StructureAxioms:
             self.spd_ok = self.spd_ok and self.min_eig >= SPD_EIGENVALUE_FLOOR
         return self.spd_ok
 
+    def _read(self, field: TensorField, points: np.ndarray, parts: int) -> tuple:
+        """The first ``parts`` parts of the order-1 jet of ``field`` in the
+        full grid: the program runs at order 1 where the field is not bound,
+        so that a derivative that leaves its domain stops the sweep here as
+        in the layers.  Kept, the whole jet is laid out for the layers too;
+        else the gradients of a rank-2 field are not laid out at all."""
+        if self.keep:
+            return field._jet(points, 1)[:parts]
+        binding = field._bound(points, 1) if field._memo else None
+        compact = field._run(points, 1) if binding is None else binding.compact
+        return field._lay_out(None, points.shape[:-1], parts - 1, compact)
+
     def report(self, count: int) -> ValidationReport:
         """The checks over the ``count`` samples folded in."""
         checks = [CheckResult("metric_positive_definite", float(np.maximum(0.0, SPD_EIGENVALUE_FLOOR - self.min_eig)),
@@ -887,7 +1009,7 @@ class StructureAxioms:
 
 
 def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
-                       layers: Callable | None = None) -> ValidationReport:
+                       layers: Callable | None = None, layout: Layout | None = None) -> ValidationReport:
     """Check the structure axioms at every sample.
 
     Residuals reported (max over samples): ``phi^2 + Id - xi (x) eta``,
@@ -901,7 +1023,10 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     ``StructureAxioms`` and then calls ``layers``, if given, with the
     batch's stack, so that the derivative layers read the jets the sweep
     bound and each field's program runs once per chunk (see
-    ``evaluate_batches``).  ``layers`` runs only while every batch so far
+    ``evaluate_batches``); ``layout`` is the one the layers work in, which
+    sizes the batches (the full grid when None).  The axioms read the
+    values of g, phi and xi and the jet of eta in the full grid, (n, n) per
+    sample.  ``layers`` runs only while every batch so far
     has had a positive definite metric: without one there is no
     Levi-Civita connection, and a caller drops what ``layers`` gathered when
     ``metric_positive_definite`` fails.  ``nullity.classify_and_fit`` folds
@@ -909,9 +1034,9 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     """
     if not samples:
         raise ValueError("samples must be non-empty")
-    axioms = StructureAxioms(struct, tol)
+    axioms = StructureAxioms(struct, tol, layout)
     with np.errstate(all="ignore"):
-        for batch, metric_ok in evaluate_batches(samples, struct.dim, axioms.add, axioms.reads):
+        for batch, metric_ok in evaluate_batches(samples, struct.dim, axioms.add, axioms.reads, layout):
             if metric_ok and layers is not None:
                 layers(batch.coords)
     return axioms.report(len(samples))

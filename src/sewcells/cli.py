@@ -54,7 +54,10 @@ DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
 # The sewn curvature holds a few arrays of 8 (2k+1)^3 bytes per sample (0.29 MB
-# each at k = 16), and its time per sample grows about as k^3.
+# each at k = 16), and its time per sample grows about as k^3.  verify's layers
+# work per block of a sewn chart that splits (layouts.star_layout), k arrays of
+# 8 * 27 bytes per sample, in batches that its (2k+1)^2 metric sizes; the nullity
+# fits and sew's curvature stay on the full grid.
 MAX_COPIES = 16
 MAX_POINTS = 10_000
 
@@ -84,20 +87,23 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
     return replace(report, checks=report.checks + tuple(r.result() for r in residuals))
 
 
-def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer) -> tuple[ValidationReport, list]:
+def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer,
+                       layout=None) -> tuple[ValidationReport, list]:
     """The structure axioms and ``layer``'s results batch by batch, from one
-    sweep over ``samples``: ``validate_structure`` runs ``layer`` on each
-    batch, from the jets the axioms took, while the metric is positive
-    definite.  Where it is not, the caller drops the results."""
+    sweep over ``samples`` in batches sized by the ``layout`` that ``layer``
+    works in: ``validate_structure`` runs ``layer`` on each batch, from the
+    jets the axioms took, while the metric is positive definite.  Where it
+    is not, the caller drops the results."""
     results = []
-    report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)))
+    report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)), layout)
     return report, results
 
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
-    # one sweep: the axioms, classify's layers (nabla phi and the weight fit) and the normality tensor
-    report, results = _axioms_and_layers(struct, samples, args.tol, verify_layers)
+    # one sweep: the axioms, classify's layers (nabla phi and the weight fit) and the normality tensor, in the
+    # sets of the structure's layout
+    report, results = _axioms_and_layers(struct, samples, args.tol, verify_layers, struct.layout)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
     # without a positive definite metric there is no Levi-Civita connection: the layers' results go
     if not report.check("metric_positive_definite").passed:

@@ -22,7 +22,15 @@ points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
 one call gives the brackets of every column pair.  ``classify`` and the
 ``sew`` stages feed these layers batches of samples (see
-``charts.evaluate_batches``).  ``connection`` builds g^-1 and Gamma from the
+``charts.evaluate_batches``).  ``christoffel``, ``covariant_derivative_affinor``,
+``weight_fit`` and ``normality_tensor`` (with ``fundamental_form_with_derivative``)
+work in a layout (``layouts.Layout``), the structure's, or the full grid
+when they read the full-grid connection that the curvature built: on the
+full grid of a chart that does not split, and on a star layout per set
+"hub plus one block", (..., K, w, ...) arrays.  There g^-1 is block
+diagonal, and Gamma, nabla phi, d Phi, eta ^ Phi and N vanish off the sets,
+which share only the entry of the hub alone, 0 in d Phi and eta ^ Phi, and
+the hub component of nabla_xi xi sums over the sets.  ``connection`` builds g^-1 and Gamma from the
 metric's first-order jet; ``riemann`` and ``covariant_derivative_affinor``
 take it as the keyword ``connection``, so that the layers of one batch
 build it once.  ``classify_layers`` runs, on one batch, the layers that
@@ -37,8 +45,8 @@ of g, phi, xi and eta on each batch; as the sweep binds each field to the
 batch's rows of its run (``charts.evaluate_batches``), each field's program
 runs once per chunk of batches for the axioms and these layers together.
 ``nullity`` and the theorem stage of ``sew`` run ``classify_layers`` next
-to the nullity fits, on one connection per batch, in the sweep of
-``nullity.classify_and_fit``.  The layers reduce their results per sample,
+to the nullity fits, on one connection per batch and the full grid, in the
+sweep of ``nullity.classify_and_fit``.  The layers reduce their results per sample,
 so the results of a stack slice into those of its rows, and ``classify``
 and ``reeb_derivatives`` reduce them over the batches; given no results,
 ``classify`` runs ``classify_layers`` in a sweep of its own.
@@ -59,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ContactStructure, Residual, TensorField, evaluate_batches
+from .layouts import Layout
 
 _RANK_TOL = 1e-8
 
@@ -90,9 +99,11 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     n = vals.shape[-1]
     lead = vals.shape[:-2]
     # with grads[..., a, b, c] = d_c g_ab: T_lij = grads[j, l, i] + grads[i, l, j] - grads[i, j, l]
-    t = np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads) - np.einsum("...ijl->...lij", grads)
+    t = np.einsum("...jli->...lij", grads) + np.einsum("...ilj->...lij", grads)
+    t -= np.einsum("...ijl->...lij", grads)
     # Gamma^k_ij = 1/2 g^kl T_lij, with (i, j) flattened
-    gamma = 0.5 * (ginv @ t.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+    gamma = (ginv @ t.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+    gamma *= 0.5
     return ginv, gamma
 
 
@@ -105,10 +116,14 @@ def connection(metric: TensorField, point) -> tuple[np.ndarray, np.ndarray]:
     return _connection(*metric.evaluate_with_grads(point))
 
 
-def christoffel(metric: TensorField, point) -> np.ndarray:
+def christoffel(metric: TensorField, point, layout: Layout | None = None) -> np.ndarray:
     """``gamma[..., k, i, j] = Gamma^k_ij`` at a point or a stack, from
-    first-order jets of the metric."""
-    return connection(metric, point)[1]
+    first-order jets of the metric, and ``gamma[..., b, k, i, j]`` on the
+    sets b of a star ``layout`` (``layouts.Layout``), where g is block
+    diagonal, so that the inverse and Gamma of each set's metric are the
+    chart's there."""
+    _require_metric(metric)
+    return _connection(*metric.evaluate_with_grads(point, layout=layout))[1]
 
 
 def riemann(metric: TensorField, point, v, connection=None):
@@ -158,8 +173,9 @@ def riemann(metric: TensorField, point, v, connection=None):
 
 @dataclass
 class AffinorDerivative:
-    """``nablaphi[..., i, j, k] = (nabla_i phi)^j_k`` plus the xi-direction norms
-    (floats at a point, (P,) arrays at a stack)."""
+    """``nablaphi[..., i, j, k] = (nabla_i phi)^j_k``, or ``[..., b, i, j, k]``
+    on the sets b of a star layout, plus the xi-direction norms (floats at a
+    point, (P,) arrays at a stack)."""
 
     nablaphi: np.ndarray
     nabla_xi_phi_norm: float | np.ndarray
@@ -174,23 +190,39 @@ def _max_abs(a: np.ndarray, trailing: int):
 
 
 def covariant_derivative_affinor(struct: ContactStructure, point, connection=None) -> AffinorDerivative:
-    """nabla phi at a point or a stack, and the norms of nabla_xi phi and
-    nabla_xi xi read off it; ``connection`` as for ``riemann``."""
-    gamma = christoffel(struct.metric, point) if connection is None else connection[1]
-    pvals, pgrads = struct.phi.evaluate_with_grads(point)
-    xvals, xgrads = struct.xi.evaluate_with_grads(point)
+    """nabla phi at a point or a stack, in the structure's layout, and the
+    norms of nabla_xi phi and nabla_xi xi read off it; with ``connection``,
+    as for ``riemann``, nabla phi is on the full grid that it is on.
+
+    On a star layout each entry of nabla phi, and of nabla_xi phi, lies in
+    one set, and so does each component of nabla_xi xi but the hub's, which
+    sums ``xi^i (nabla_i xi)^hub`` over every set, the term of the hub alone
+    from the first set only."""
+    if connection is None:
+        layout = struct.layout
+        gamma = christoffel(struct.metric, point, layout=layout)
+    else:
+        layout, gamma = Layout.whole(struct.dim), connection[1]
+    pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
+    xvals, xgrads = struct.xi.evaluate_with_grads(point, layout=layout)
     n = pvals.shape[-1]
     lead = pvals.shape[:-2]
     cube = lead + (n, n, n)
     # (nabla_i phi)^j_k = d_i phi^j_k + Gamma^j_im phi^m_k - Gamma^m_ik phi^j_m, built as
     # jik[..., j, i, k] with (j, i) or (i, k) flattened into one matrix axis
-    jik = np.swapaxes(pgrads, -1, -2) + (gamma.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    jik = (gamma.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    jik += np.swapaxes(pgrads, -1, -2)
     jik -= (pvals @ gamma.reshape(lead + (n, n * n))).reshape(cube)
     nabla_xi_phi = xvals[..., None, None, :] @ jik  # [..., j, 1, k] = xi^i (nabla_i phi)^j_k
     # nabla_xi[..., j, i] = (nabla_i xi)^j = d_i xi^j + Gamma^j_im xi^m
     nabla_xi = xgrads + (gamma @ xvals[..., None, :, None])[..., 0]
     nabla_xi_xi = (nabla_xi @ xvals[..., None])[..., 0]
-    return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1))
+    if layout.hub:
+        terms = nabla_xi[..., 0, :] * xvals
+        terms[..., 1:, 0] = 0.0
+        nabla_xi_xi[..., 0] = terms.sum(axis=(-2, -1))[..., None]
+    return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3 + layout.hub),
+                             _max_abs(nabla_xi_xi, 1 + layout.hub))
 
 
 def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
@@ -272,17 +304,18 @@ def exterior_derivative(form: TensorField, point) -> np.ndarray:
 
 def wedge_eta_two_form(eta_vals: np.ndarray, two_form: np.ndarray) -> np.ndarray:
     """``(eta ^ w)_ijk = eta_i w_jk + eta_j w_ki + eta_k w_ij``."""
-    return (
-        eta_vals[..., :, None, None] * two_form[..., None, :, :]
-        + eta_vals[..., None, :, None] * np.swapaxes(two_form, -1, -2)[..., :, None, :]
-        + eta_vals[..., None, None, :] * two_form[..., :, :, None]
-    )
+    wedge = eta_vals[..., :, None, None] * two_form[..., None, :, :]
+    wedge += eta_vals[..., None, :, None] * np.swapaxes(two_form, -1, -2)[..., :, None, :]
+    wedge += eta_vals[..., None, None, :] * two_form[..., :, :, None]
+    return wedge
 
 
-def fundamental_form_with_derivative(struct: ContactStructure, point):
-    """``Phi_ij = g_ik phi^k_j`` and its exterior derivative, from jets of g, phi."""
-    gvals, ggrads = struct.metric.evaluate_with_grads(point)
-    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+def fundamental_form_with_derivative(struct: ContactStructure, point, layout: Layout | None = None):
+    """``Phi_ij = g_ik phi^k_j`` and its exterior derivative, from jets of g
+    and phi, in ``layout`` (the structure's when None)."""
+    layout = layout or struct.layout
+    gvals, ggrads = struct.metric.evaluate_with_grads(point, layout=layout)
+    pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
     phi_form = gvals @ pvals
     n = pvals.shape[-1]
     lead = pvals.shape[:-2]
@@ -290,7 +323,8 @@ def fundamental_form_with_derivative(struct: ContactStructure, point):
     bca = np.swapaxes(pvals, -1, -2)[..., None, :, :] @ ggrads
     bca += (gvals @ pgrads.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
     # (d Phi)_ijk = d_i Phi_jk - d_j Phi_ik + d_k Phi_ij
-    d_phi = np.moveaxis(bca, -1, -3) - np.swapaxes(bca, -1, -2) + bca
+    d_phi = np.moveaxis(bca, -1, -3) - np.swapaxes(bca, -1, -2)
+    d_phi += bca
     return phi_form, d_phi
 
 
@@ -298,11 +332,14 @@ def normality_tensor(struct: ContactStructure, point) -> np.ndarray:
     """Torsion obstruction ``[phi, phi] + 2 d(eta) (x) xi`` on coordinate fields.
 
     Returns ``N[..., c, i, j]`` = c-th component of the tensor applied to
-    ``(e_i, e_j)``; the structure is normal iff this vanishes.
+    ``(e_i, e_j)``, or ``N[..., b, c, i, j]`` on the sets b of the
+    structure's layout when it is a star layout; the structure is normal iff
+    this vanishes.
     """
-    pvals, pgrads = struct.phi.evaluate_with_grads(point)
-    xi_vals = struct.xi.evaluate(point)
-    eta_vals, eta_grads = struct.eta.evaluate_with_grads(point)
+    layout = struct.layout
+    pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
+    xi_vals = struct.xi.evaluate(point, layout=layout)
+    eta_grads = struct.eta.evaluate_with_grads(point, layout=layout)[1]
     d_eta = np.swapaxes(eta_grads, -1, -2) - eta_grads
     n = pvals.shape[-1]
     lead = pvals.shape[:-2]
@@ -312,7 +349,10 @@ def normality_tensor(struct: ContactStructure, point) -> np.ndarray:
     # N_cij = S_cij - S_cji + 2 xi^c (d eta)_ij for S_cij = T_cij - B_cji
     s = (pvals @ pgrads.reshape(lead + (n, n * n))).reshape(cube)
     s -= (pgrads.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
-    return s - np.swapaxes(s, -1, -2) + 2.0 * xi_vals[..., :, None, None] * d_eta[..., None, :, :]
+    torsion = s - np.swapaxes(s, -1, -2)
+    del s
+    torsion += 2.0 * xi_vals[..., :, None, None] * d_eta[..., None, :, :]
+    return torsion
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +390,37 @@ class Classification:
         return base
 
 
-def weight_fit(struct: ContactStructure, point):
+def weight_fit(struct: ContactStructure, point, layout: Layout | None = None):
     """Least-squares weight lambda minimizing ``|dPhi - 2 lambda eta ^ Phi|``,
     and the residual: floats at a point, (P,) arrays at a stack.  Both are NaN
-    where ``eta ^ Phi`` vanishes, since no weight is defined there."""
-    phi_form, d_phi = fundamental_form_with_derivative(struct, point)
-    eta_vals = struct.eta.evaluate(point)
-    wedge = wedge_eta_two_form(eta_vals, phi_form)
-    axes = (-3, -2, -1)
-    denom = np.sum(wedge * wedge, axis=axes)
-    lam = np.sum(d_phi * wedge, axis=axes) / (2.0 * np.where(denom == 0.0, np.nan, denom))
-    residual = np.abs(d_phi - 2.0 * lam[..., None, None, None] * wedge).max(axis=axes)
+    where ``eta ^ Phi`` vanishes, since no weight is defined there.  The
+    sums run over the sets of ``layout`` (the structure's when None).  The
+    sets of a star layout share one entry, the hub's alone, which every set
+    counts: both its d Phi and its eta ^ Phi are 0 there, as phi's hub row
+    and column are (``layouts.star_layout``)."""
+    layout = layout or struct.layout
+    phi_form, d_phi = fundamental_form_with_derivative(struct, point, layout=layout)
+    wedge = wedge_eta_two_form(struct.eta.evaluate(point, layout=layout), phi_form)
+    axes = tuple(range(-3 - layout.hub, 0))
+    buffer = np.empty_like(wedge)  # one array for every product below
+
+    def total(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.multiply(a, b, out=buffer).sum(axis=axes)
+
+    denom = total(wedge, wedge)
+    lam = total(d_phi, wedge) / (2.0 * np.where(denom == 0.0, np.nan, denom))
+    np.multiply(2.0 * lam[(...,) + (None,) * len(axes)], wedge, out=buffer)
+    np.subtract(d_phi, buffer, out=buffer)
+    residual = np.abs(buffer, out=buffer).max(axis=axes)
     if lam.ndim == 0:
         return float(lam), float(residual)
     return lam, residual
 
 
 def classify_layers(struct: ContactStructure, points: np.ndarray, connection=None) -> tuple:
-    """``classify``'s layers on one batch, each reduced per sample before the
-    next runs, which frees its (n, n, n) arrays: the largest magnitudes of
+    """``classify``'s layers on one batch, in the structure's layout or,
+    with ``connection``, on the full grid, each reduced per sample before
+    the next runs, which frees its arrays: the largest magnitudes of
     nabla_xi phi and nabla_xi xi (as ``reeb_layer`` gives them) and of nabla
     phi, read off the full nabla phi (``covariant_derivative_affinor``,
     with ``connection`` as for ``riemann``), and the weights and fit
@@ -376,20 +428,22 @@ def classify_layers(struct: ContactStructure, points: np.ndarray, connection=Non
     into those of its rows.  Inside a sweep that names the fields at these
     orders, the layers read the jets it bound for the batch
     (``charts.evaluate_batches``), so no field's program runs here."""
-    return (*_nabla_phi_norms(struct, points, connection), *weight_fit(struct, points))
+    layout = struct.layout if connection is None else Layout.whole(struct.dim)
+    return (*_nabla_phi_norms(struct, points, connection, layout), *weight_fit(struct, points, layout=layout))
 
 
-def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection) -> tuple:
+def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection, layout: Layout) -> tuple:
     """The largest magnitudes of nabla_xi phi, nabla_xi xi and nabla phi per
-    sample; nabla phi is freed on return, before the next layer runs."""
+    sample, in ``layout``; nabla phi is freed on return, before the next
+    layer runs."""
     derivative = covariant_derivative_affinor(struct, points, connection=connection)
-    return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm, _max_abs(derivative.nablaphi, 3)
+    return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm, _max_abs(derivative.nablaphi, 3 + layout.hub)
 
 
 def verify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
     """``classify_layers`` and then, last, the largest magnitude of the
     normality tensor per sample, which only ``verify`` reports."""
-    return (*classify_layers(struct, points), _max_abs(normality_tensor(struct, points), 3))
+    return (*classify_layers(struct, points), _max_abs(normality_tensor(struct, points), 3 + struct.layout.hub))
 
 
 def classify(struct: ContactStructure, samples, tol: float, results=None) -> Classification:
@@ -408,7 +462,7 @@ def classify(struct: ContactStructure, samples, tol: float, results=None) -> Cla
     if results is None:
         reads = [(struct.metric, 1), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0)]
         results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points),
-                                                      reads)]
+                                                      reads, struct.layout)]
     _, _, nabla_phi, lams, residuals, *_ = zip(*results)
     xi_phi, xi_xi = reeb_derivatives(results)
     fit = Residual("weight_fit", tol).add(np.concatenate(residuals))

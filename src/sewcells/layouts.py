@@ -1,0 +1,164 @@
+"""The coordinate sets a structure's first-order geometry runs on.
+
+The sewn chart of copies of a cell is the diagonal of a product of cells,
+so on its coordinates (s, x1, y1, ..., xk, yk) every entry of g, phi, xi and
+eta that is not the literal zero, and every gradient entry, lies on s plus
+one cell's pair.  ``star_layout`` proves such a split from the field plans
+(``charts.TensorField.nonzero_entries``): the adapted coordinate, the hub,
+and blocks.  Then g is block diagonal, and Gamma, nabla phi, Phi, d Phi,
+eta ^ Phi and the normality tensor vanish off the sets "hub plus one
+block", so the geometry layers compute them per set on (P, K, w, ...)
+arrays (``charts.TensorField.evaluate_with_jets`` lays a field's jet out in
+them, ``Layout.scatter`` says where its entries go) and never build an
+(n, n, n) array; this is block elimination (Golub & Van Loan, Matrix
+Computations, 4th ed., 2013) where the hub couples to no block.  Every other
+chart is one set, the full grid, and its arrays are those of the chart.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cache, cached_property
+
+import numpy as np
+
+
+class Layout:
+    """K sets of w coordinates of a chart of dimension ``dim``: ``sets[b]``
+    holds the chart indices of set b, and -1 pads a shorter set.  A
+    whole-chart layout is one set, the chart in order, and its arrays are
+    those of the full grid.  A star layout (``hub``) is a hub coordinate
+    and K >= 2 blocks, and set b is the hub, first, and block b (see
+    ``star_layout``); its arrays lead with the set axis, so that a rank-r
+    array is (..., K, w, .., w)."""
+
+    def __init__(self, dim: int, sets: np.ndarray, hub: bool = False):
+        self.dim, self.sets, self.hub = dim, sets, hub
+
+    @staticmethod
+    @cache
+    def whole(dim: int) -> "Layout":
+        """The one-set layout of a chart of dimension ``dim``."""
+        return Layout(dim, np.arange(dim)[None, :])
+
+    def shape(self, rank: int) -> tuple:
+        """The trailing axes of a rank-``rank`` array in the layout."""
+        if not self.hub:
+            return (self.dim,) * rank
+        return (len(self.sets),) + (self.sets.shape[1],) * rank
+
+    @property
+    def width(self) -> int:
+        """Floats per sample of the largest array of a sweep in this layout:
+        a (w, w, w) array per set, or the (n, n) matrices that the structure
+        axioms read in the full grid, whichever is larger."""
+        count, size = self.sets.shape
+        return max(count * size ** 3, self.dim ** 2)
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        """[b, c]: the slot of chart index c in set b, -1 where it is not there."""
+        local = np.full((len(self.sets), self.dim), -1)
+        for block, members in enumerate(self.sets.tolist()):
+            for slot, c in enumerate(members):
+                if c >= 0:
+                    local[block, c] = slot
+        return local
+
+    def slots(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the chart multi-indices ``indices`` (E, r): the pairs (e, slot)
+        of every set that holds all r indices of entry e, with ``slot`` the
+        flat slot of the entry in the (K, w, .., w) layout."""
+        size = self.sets.shape[1]
+        count, rank = indices.shape
+        held = self.local[:, indices]  # (K, E, r), -1 where set b lacks an index of entry e
+        inside = held[..., 0] >= 0
+        for a in range(1, rank):
+            inside &= held[..., a] >= 0
+        pairs = np.flatnonzero(inside)
+        blocks, entries = pairs // count, pairs % count
+        slots = blocks
+        for a in range(rank):
+            slots = slots * size + held[blocks, entries, a]
+        return entries, slots
+
+    def scatter(self, field) -> tuple:
+        """Where the compact jet of ``field`` goes in this star layout:
+        (constant, shape, width, sources, slots).  The values start as
+        ``constant`` (of ``shape``), and ``sources[part]`` of the compact
+        values (``part`` 0) or gradient entries (1) fill the flat
+        ``slots[part]``, with ``width`` slots per gradient.  A component in
+        several sets (one that reads only the hub) fills a slot in each; a
+        padded slot holds 0, or 1 on the diagonal of a (0,2) field, so that a
+        padded metric block is invertible."""
+        plan = field._plan
+        shape, rank = field.shape, field.rank
+        known = np.flatnonzero(plan.constant != 0.0)
+        constants, constant_slots = self.slots(np.column_stack(np.unravel_index(known, shape)))
+        constant = np.zeros(math.prod(self.shape(rank)))
+        constant[constant_slots] = plan.constant[known[constants]]
+        if (field.upper, field.lower) == (0, 2):
+            size = self.sets.shape[1]
+            pads = np.flatnonzero(self.sets < 0)
+            constant.reshape(self.shape(2))[pads // size, pads % size, pads % size] = 1.0
+        roots = np.column_stack(np.unravel_index(plan.positions, shape))
+        entries = np.column_stack(np.unravel_index(plan.grad_slots, shape + (self.dim,)))
+        (value_sources, value_slots), (grad_sources, grad_slots) = self.slots(roots), self.slots(entries)
+        return (constant, self.shape(rank), self.sets.shape[1], (value_sources, grad_sources),
+                (value_slots, grad_slots))
+
+
+def star_layout(struct) -> Layout:
+    """The sets of a structure's first-order geometry, proved from the
+    field plans (``charts.TensorField.nonzero_entries``).
+
+    The chart splits into its adapted coordinate, the hub, and blocks when
+    every structurally non-zero value or gradient entry of g, phi, xi and
+    eta has its indices and its derivative's coordinate in the hub plus one
+    block, g has no hub-block entry and its hub entry reads no block, phi's
+    hub row and hub column are the literal zero, and eta is constant and
+    zero off the hub.  The blocks are the finest such partition: the sets
+    of coordinates that the entries couple.  Then g is block diagonal, and
+    Gamma, nabla phi, Phi, d Phi, eta ^ Phi and the normality tensor vanish
+    outside the sets hub plus one block, so each is computed per set; only
+    the hub component of nabla_xi xi sums over the sets.  A chart with no
+    adapted coordinate, one that fails a condition, or one with fewer than
+    two blocks is one set, the whole chart (a sewn chart whose metric couples
+    s to the blocks, for instance).  So is a chart of fewer than five
+    coordinates, a 3-dimensional cell among them, without a proof: phi
+    squares to -1 on each block of a structure that meets the axioms, so a
+    block has two coordinates at least, and a split of so few coordinates
+    would save less than its proof costs."""
+    n, hub = struct.dim, struct.chart.adapted_index
+    whole = Layout.whole(n)
+    if hub is None or n < 5:
+        return whole
+    (g, dg), (phi, dphi), (xi, dxi), (eta, deta) = (
+        tuple(entries.tolist() for entries in f.nonzero_entries) for f in (struct.metric, struct.phi, struct.xi,
+                                                                          struct.eta))
+    if (deta or any(row != [hub] for row in eta) or any(hub in row for row in phi)
+            or any((a == hub) != (b == hub) for a, b in g) or any(c != hub for a, b, c in dg if a == b == hub)):
+        return whole
+    parent = list(range(n))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for entries in (g, dg, phi, dphi, xi, dxi):
+        for row in entries:
+            members = [c for c in row if c != hub]
+            for c in members[1:]:
+                parent[root(c)] = root(members[0])
+    blocks: dict[int, list[int]] = {}
+    for c in range(n):
+        if c != hub:
+            blocks.setdefault(root(c), []).append(c)
+    if len(blocks) < 2:
+        return whole
+    sets = np.full((len(blocks), 1 + max(map(len, blocks.values()))), -1)
+    sets[:, 0] = hub
+    for b, members in enumerate(blocks.values()):
+        sets[b, 1:1 + len(members)] = members
+    return Layout(n, sets, hub=True)

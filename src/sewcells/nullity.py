@@ -32,7 +32,7 @@ also fits, it runs the programs of g (order 2), phi and xi (order 1) and
 eta (order 0, or 1 with the axioms) once per chunk of batches (see
 ``charts.evaluate_batches``), and on each batch it builds one connection,
 which ``fit_nullity`` and ``geometry.classify_layers`` read with those
-jets; the Hessians are left out when nothing is fitted.  The ``nullity`` command runs it on the samples
+jets, on the full grid; the Hessians are left out when nothing is fitted.  The ``nullity`` command runs it on the samples
 of its structure, with the structure axioms (``charts.StructureAxioms``)
 folded into the same sweep.  The theorem stage of ``sew``
 (``sewing.verify_sewing_theorems``) runs it on the sewn samples, and on the
@@ -216,11 +216,10 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray, connection=None) ->
 
 def _eta_pairs(eta) -> tuple:
     """The pairs i < j of coordinates where eta_i or eta_j is not the
-    constant zero of eta's field plan, as two index arrays, and the other
-    pairs: the design rows of those vanish at every sample."""
-    plan = eta._plan
-    nonzero = plan.constant != 0.0
-    nonzero[plan.positions] = True
+    literal zero (``TensorField.nonzero_entries``), as two index arrays,
+    and the other pairs: the design rows of those vanish at every sample."""
+    nonzero = np.zeros(eta.chart.dim, dtype=bool)
+    nonzero[eta.nonzero_entries[0][:, 0]] = True
     i, j = np.triu_indices(len(nonzero), 1)
     reached = nonzero[i] | nonzero[j]
     return (i[reached], j[reached]), (i[~reached], j[~reached])

@@ -78,6 +78,7 @@ the operator laws from them with array expressions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
@@ -133,14 +134,37 @@ def _sum_nodes(nodes: Sequence[ExpressionNode]) -> ExpressionNode:
     return reduce(lambda a, b: BinOp("+", a, b), nodes)
 
 
-def _suffix_map(cell: ContactStructure, i: int) -> dict[str, str]:
-    return {name: f"{name}{i + 1}" for name in cell.chart.coords}
+def _product_names(cells: Sequence[ContactStructure]) -> list[dict[str, str]]:
+    """Each cell's coordinate names on the product chart, one injective
+    renaming: cell i's coordinate x becomes ``x{i}`` (x1, x2, ...), unless
+    that name is another coordinate's too (x of cell 11 and x1 of cell 1
+    both give x11).  Then each of those becomes ``x_{i}``, with another
+    underscore while the name is taken.  So a name that no other coordinate
+    would get keeps its bytes."""
+    suffixed = [[f"{name}{i + 1}" for name in cell.chart.coords] for i, cell in enumerate(cells)]
+    counts = Counter(name for names in suffixed for name in names)
+    taken = set(counts)
+    maps = []
+    for i, (cell, names) in enumerate(zip(cells, suffixed)):
+        mapping = dict(zip(cell.chart.coords, names))
+        for name, renamed in mapping.items():
+            if counts[renamed] > 1:
+                separator = "_"
+                while f"{name}{separator}{i + 1}" in taken:
+                    separator += "_"
+                mapping[name] = f"{name}{separator}{i + 1}"
+                taken.add(mapping[name])
+        maps.append(mapping)
+    return maps
 
 
-def _diagonal_map(cell: ContactStructure, i: int) -> dict[str, str]:
-    mapping = _suffix_map(cell, i)
-    mapping[cell.chart.coords[cell.chart.adapted_index]] = "s"
-    return mapping
+def _diagonal_names(cells: Sequence[ContactStructure]) -> list[dict[str, str]]:
+    """The product names (``_product_names``) with every adapted coordinate
+    renamed to s, which no product name is: each of those ends in a digit."""
+    maps = _product_names(cells)
+    for cell, mapping in zip(cells, maps):
+        mapping[cell.chart.adapted_name] = "s"
+    return maps
 
 
 def _require_sewable(cells: Sequence[ContactStructure]) -> list[tuple[ContactStructure, np.ndarray]]:
@@ -238,13 +262,9 @@ def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
     """Lift the cells onto the product chart with block tensors."""
     _require_sewable(cells)
     k = len(cells)
-    names: list[str] = []
-    for i, cell in enumerate(cells):
-        names.extend(_suffix_map(cell, i)[name] for name in cell.chart.coords)
-    if len(set(names)) != len(names):
-        raise SewingError(f"coordinate name collision after renaming: {names}")
-    constraints = _collect_constraints(cells, _suffix_map)
-    chart = Chart(tuple(names), constraints, adapted_index=None)
+    maps = _product_names(cells)
+    names = [mapping[name] for cell, mapping in zip(cells, maps) for name in cell.chart.coords]
+    chart = Chart(tuple(names), _collect_constraints(cells, maps), adapted_index=None)
 
     dim = 3 * k
     metric_grid = [[_ZERO] * dim for _ in range(dim)]
@@ -257,7 +277,7 @@ def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
         base = 3 * i
         blocks.append(tuple(range(base, base + 3)))
         adapted_positions.append(base + cell.chart.adapted_index)
-        mapping = _suffix_map(cell, i)
+        mapping = maps[i]
         renamed_metric = cell.metric.renamed_grid(mapping)
         renamed_phi = cell.phi.renamed_grid(mapping)
         for a in range(3):
@@ -286,11 +306,10 @@ def build_product(cells: Sequence[ContactStructure]) -> ProductDefinition:
     )
 
 
-def _collect_constraints(cells, mapper) -> tuple[Constraint, ...]:
+def _collect_constraints(cells, maps) -> tuple[Constraint, ...]:
     collected: list[Constraint] = []
     seen: set[str] = set()
-    for i, cell in enumerate(cells):
-        mapping = mapper(cell, i)
+    for cell, mapping in zip(cells, maps):
         for constraint in cell.chart.constraints:
             renamed = Constraint(rename_variables(constraint.positive, mapping))
             if renamed.source() not in seen:
@@ -572,11 +591,9 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     # each cell's non-adapted axes, at the positions 2i + 1 and 2i + 2 of the diagonal chart
     axes = [[a for a in range(3) if a != cell.chart.adapted_index] for cell in cells]
     positions = [dict(zip(free, (2 * i + 1, 2 * i + 2))) for i, free in enumerate(axes)]
-    names = ("s",) + tuple(_suffix_map(cell, i)[cell.chart.coords[a]] for i, cell in enumerate(cells) for a in axes[i])
-    if len(set(names)) != len(names):
-        raise SewingError(f"coordinate name collision after renaming: {names}")
-    constraints = _collect_constraints(cells, _diagonal_map)
-    chart = Chart(names, constraints, adapted_index=0)
+    maps = _diagonal_names(cells)
+    names = ("s",) + tuple(maps[i][cell.chart.coords[a]] for i, cell in enumerate(cells) for a in axes[i])
+    chart = Chart(names, _collect_constraints(cells, maps), adapted_index=0)
     dim = 2 * k + 1
 
     _probe_diagonal_consistency(probes)
@@ -588,7 +605,7 @@ def sew(cells: Sequence[ContactStructure]) -> SewnManifold:
     ss_terms = []
     for i, cell in enumerate(cells):
         t = cell.chart.adapted_index
-        mapping = _diagonal_map(cell, i)
+        mapping = maps[i]
         g = cell.metric.renamed_grid(mapping)
         p = cell.phi.renamed_grid(mapping)
         xi = cell.xi.renamed_grid(mapping)

@@ -7,9 +7,11 @@ product from their closed form, the second fundamental form of the sewn
 diagonal, computed here on the full product chart, and plain ``einsum``
 references at one point for the contractions that the package runs as
 batched matrix products (Gamma, the curvature along a vector, nabla phi,
-d Phi and the normality tensor), and the nullity fits over the design of
+d Phi and the normality tensor), the nullity fits over the design of
 every coordinate pair, which the package reduces to the pairs that eta
-reaches.
+reaches, and the first-order layers on the full grid of the chart, which
+the package runs in the sets of a structure's layout (``dense_*``, with
+``in_sets`` to read a full-grid array in those sets).
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from sewcells.charts import TensorField
 from sewcells.expressions import BinOp, Num
-from sewcells.geometry import christoffel, h_tensor, riemann
+from sewcells.geometry import _connection, _max_abs, h_tensor, riemann, wedge_eta_two_form
 from sewcells.nullity import _solve_stack
 from sewcells.sewing import embedding_matrix
 
@@ -75,7 +77,7 @@ def curvature_symmetry_residuals(metric: TensorField, point, v) -> dict[str, flo
 
 def covariant_derivative_vector(metric: TensorField, v: TensorField, w: TensorField, point) -> np.ndarray:
     """``(nabla_V W)^j = V^a (d_a W^j + Gamma^j_am W^m)`` at a point."""
-    gamma = christoffel(metric, point)
+    gamma = dense_christoffel(metric, point)
     vvals = v.evaluate(point)
     wvals, wgrads = w.evaluate_with_grads(point)
     return np.einsum("a,ja->j", vvals, wgrads) + np.einsum("a,jam,m->j", vvals, gamma, wvals)
@@ -118,7 +120,7 @@ def second_fundamental(product, sewn, samples) -> np.ndarray:
     points = samples.coords @ e_mat.T
     normal = np.stack([u.evaluate(points) for u in product_normal_frame(product)], axis=-1)
     g_normal = product.metric.evaluate(points) @ normal  # [p, j, alpha] = g(e_j, u_alpha)
-    gamma = christoffel(product.metric, points)
+    gamma = dense_christoffel(product.metric, points)
     return np.einsum("ia,mb,pjim,pjc->pabc", e_mat, e_mat, gamma, g_normal)
 
 
@@ -190,3 +192,93 @@ def full_pair_fits(struct, points) -> np.ndarray:
     design = np.stack([column(np.broadcast_to(np.eye(n), tensors.h.shape)), column(tensors.h),
                        column(tensors.hprime)], axis=-1)
     return _solve_stack(design, b, np.abs(tensors.h).max(axis=(-2, -1)))
+
+
+# ---------------------------------------------------------------------------
+# The first-order layers on the full grid
+# ---------------------------------------------------------------------------
+#
+# The package computes Gamma, nabla phi, d Phi, eta ^ Phi and the normality
+# tensor in the sets of a structure's layout (``layouts.star_layout``).  These
+# are the same batched matrix products on the full (n, n, n) grid, as the
+# package ran them before it had layouts: the references its layers are
+# compared with, sample by sample.
+
+def dense_christoffel(metric: TensorField, point) -> np.ndarray:
+    """``gamma[..., k, i, j] = Gamma^k_ij`` on the full grid."""
+    return _connection(*metric.evaluate_with_grads(point))[1]
+
+
+def dense_nabla_phi(struct, point):
+    """``nablaphi[..., i, j, k] = (nabla_i phi)^j_k`` on the full grid and the
+    largest magnitudes of nabla_xi phi and nabla_xi xi."""
+    gamma = dense_christoffel(struct.metric, point)
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    xvals, xgrads = struct.xi.evaluate_with_grads(point)
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    cube = lead + (n, n, n)
+    jik = np.swapaxes(pgrads, -1, -2) + (gamma.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    jik -= (pvals @ gamma.reshape(lead + (n, n * n))).reshape(cube)
+    nabla_xi_phi = xvals[..., None, None, :] @ jik
+    nabla_xi = xgrads + (gamma @ xvals[..., None, :, None])[..., 0]
+    nabla_xi_xi = (nabla_xi @ xvals[..., None])[..., 0]
+    return np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3), _max_abs(nabla_xi_xi, 1)
+
+
+def dense_fundamental_form(struct, point):
+    """``Phi_ij = g_ik phi^k_j`` and ``d Phi`` on the full grid."""
+    gvals, ggrads = struct.metric.evaluate_with_grads(point)
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    bca = np.swapaxes(pvals, -1, -2)[..., None, :, :] @ ggrads
+    bca += (gvals @ pgrads.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+    return gvals @ pvals, np.moveaxis(bca, -1, -3) - np.swapaxes(bca, -1, -2) + bca
+
+
+def dense_weight_fit(struct, point):
+    """The weight lambda and the fit residual over the full grid."""
+    phi_form, d_phi = dense_fundamental_form(struct, point)
+    wedge = wedge_eta_two_form(struct.eta.evaluate(point), phi_form)
+    axes = (-3, -2, -1)
+    denom = np.sum(wedge * wedge, axis=axes)
+    lam = np.sum(d_phi * wedge, axis=axes) / (2.0 * np.where(denom == 0.0, np.nan, denom))
+    return lam, np.abs(d_phi - 2.0 * lam[..., None, None, None] * wedge).max(axis=axes)
+
+
+def dense_normality(struct, point) -> np.ndarray:
+    """``N[..., c, i, j]`` on the full grid."""
+    pvals, pgrads = struct.phi.evaluate_with_grads(point)
+    xi_vals = struct.xi.evaluate(point)
+    eta_grads = struct.eta.evaluate_with_grads(point)[1]
+    d_eta = np.swapaxes(eta_grads, -1, -2) - eta_grads
+    n = pvals.shape[-1]
+    lead = pvals.shape[:-2]
+    cube = lead + (n, n, n)
+    s = (pvals @ pgrads.reshape(lead + (n, n * n))).reshape(cube)
+    s -= (pgrads.reshape(lead + (n * n, n)) @ pvals).reshape(cube)
+    return s - np.swapaxes(s, -1, -2) + 2.0 * xi_vals[..., :, None, None] * d_eta[..., None, :, :]
+
+
+def dense_verify_layers(struct, points) -> tuple:
+    """What ``geometry.verify_layers`` gives per sample, from the full grid:
+    |nabla_xi phi|, |nabla_xi xi|, |nabla phi|, lambda, the fit residual and |N|."""
+    nablaphi, xi_phi, xi_xi = dense_nabla_phi(struct, points)
+    return (xi_phi, xi_xi, _max_abs(nablaphi, 3), *dense_weight_fit(struct, points),
+            _max_abs(dense_normality(struct, points), 3))
+
+
+def in_sets(layout, array: np.ndarray, rank: int) -> np.ndarray:
+    """A full-grid array (..., n, .., n) with ``rank`` chart axes, read in the
+    sets of a star layout, (..., K, w, .., w) with zeros at padded slots;
+    the array itself in a whole-chart layout."""
+    if not layout.hub:
+        return array
+    count, size = layout.sets.shape
+    lead = array.shape[:array.ndim - rank]
+    out = np.zeros(lead + (count,) + (size,) * rank)
+    for b, members in enumerate(layout.sets):
+        slots = np.flatnonzero(members >= 0)
+        out[(...,) + (b,) + np.ix_(*[slots] * rank)] = array[(...,) + np.ix_(*[members[slots]] * rank)]
+    return out

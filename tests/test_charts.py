@@ -373,7 +373,7 @@ class TestTensorField:
 
 def _bound(field: TensorField) -> bool:
     """Whether a sweep holds ``field`` bound to the jet of a batch."""
-    return bool(field._memo[2])
+    return bool(field._memo)
 
 
 class _FieldInSweeps:
@@ -415,7 +415,8 @@ class _FieldInSweeps:
 class TestRememberedJet(_FieldInSweeps):
     """A sweep remembers the jet it bound for the rows of one batch: a call
     of its consumer at those rows and for no higher order returns the bound
-    arrays without a run."""
+    jet without a run, laid out once: a second call returns the same
+    arrays."""
 
     def test_an_equal_stack_in_a_new_array_hits(self, field, walks):
         outside = field.evaluate_with_grads(self.points)
@@ -424,7 +425,7 @@ class TestRememberedJet(_FieldInSweeps):
 
         def layer(points):
             calls.append(field.evaluate_with_grads(points.copy()))
-            return field._memo[2]
+            return field.evaluate_with_grads(points)
 
         ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
         assert walks == [0, 1, 0]
@@ -439,7 +440,7 @@ class TestRememberedJet(_FieldInSweeps):
 
         def layer(points):
             calls.append((field.evaluate(points), field.evaluate_with_grads(points)))
-            return field._memo[2]
+            return field.evaluate_with_grads(points)
 
         ((_, bound),) = evaluate_batches(self.samples(), 2, layer, [(field, 1)])
         assert walks == [0, 1, 0]
@@ -910,3 +911,62 @@ def test_a_plan_walks_each_distinct_tree_once(monkeypatch):
     np.testing.assert_array_equal(plan.constant, [0.0, 8.0, 0.0, 0.0])
     assert plan.program.roots == 3 and len(plan.program) == 4  # x, exp(x), y and the product
     np.testing.assert_array_equal(field.evaluate(np.array([0.0, 2.0])), [[2.0, 8.0], [2.0, 2.0]])
+
+
+class TestStarLayout:
+    """A structure's layout is proved from the structurally non-zero entries
+    of its field plans (``TensorField.nonzero_entries``); a chart that does
+    not split into its adapted coordinate and two blocks at least is one
+    set, the whole chart."""
+
+    def test_nonzero_entries_are_the_plan_entries_that_are_not_the_literal_zero(self):
+        chart = Chart(("x", "y"))
+        field = TensorField.build(chart, 0, 2, [["0*x", "-0"], ["exp(400)*exp(400)*0", "2 - 2"]])
+        values, grads = field.nonzero_entries
+        # 0*x reads x, so it is not the literal zero; the NaN constant is not zero either
+        assert values.tolist() == [[0, 0], [1, 0]] and grads.tolist() == [[0, 0, 0]]
+        assert TensorField.build(chart, 1, 0, ["0", "0"]).nonzero_entries[0].shape == (0, 1)
+
+    @staticmethod
+    def sewn_doc(k=3):
+        from sewcells.catalog import model_cosymplectic_cell
+        from sewcells.manifold_io import structure_to_dict
+
+        return structure_to_dict(sew([model_cosymplectic_cell(1.0)] * k))
+
+    @staticmethod
+    def layout_of(doc):
+        from sewcells.manifold_io import structure_from_dict
+
+        layout = structure_from_dict(doc).layout
+        return layout.sets.tolist() if layout.hub else None
+
+    def test_the_sewn_model_chart_splits_into_s_and_its_blocks(self):
+        assert self.layout_of(self.sewn_doc()) == [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc["metric"][0].__setitem__(1, "0.1") or doc["metric"][1].__setitem__(0, "0.1"),
+                     id="g couples s to a block"),
+        pytest.param(lambda doc: doc["metric"][0].__setitem__(0, "1 + 0.01*x1^2"), id="g_ss reads a block"),
+        pytest.param(lambda doc: doc["phi"][0].__setitem__(1, "0.1"), id="phi's s row"),
+        pytest.param(lambda doc: doc["phi"][1].__setitem__(0, "0.1*y1"), id="phi's s column"),
+        pytest.param(lambda doc: doc["eta"].__setitem__(0, f"{doc['eta'][0]} + 0*s"), id="eta reads s"),
+        pytest.param(lambda doc: doc["eta"].__setitem__(1, "0.1"), id="eta off s"),
+    ])
+    def test_a_chart_that_fails_a_condition_is_one_set(self, edit):
+        doc = self.sewn_doc()
+        edit(doc)
+        assert self.layout_of(doc) is None
+
+    def test_coupled_blocks_are_one_block(self):
+        doc = self.sewn_doc()
+        doc["phi"][2][4] = "0.01*x1"  # phi^y1_y2 couples blocks 1 and 2
+        assert self.layout_of(doc) == [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]
+        doc = self.sewn_doc(2)
+        doc["xi"][1] = "0.1*x2"  # xi^x1 reads block 2: one block, and so no split
+        assert self.layout_of(doc) is None
+
+    def test_small_charts_are_one_set_without_a_proof(self, catalog_cells, monkeypatch):
+        monkeypatch.setattr(TensorField, "nonzero_entries", property(lambda field: pytest.fail("proved")))
+        for cell in catalog_cells:
+            assert not cell.layout.hub and cell.layout.sets.tolist() == [[0, 1, 2]]

@@ -20,7 +20,7 @@ from sewcells.charts import (
 from sewcells.geometry import christoffel, classify, exterior_derivative, lie_bracket, numeric_rank, riemann
 from sewcells import sewing
 from sewcells.expressions import BinOp, Num, Var
-from sewcells.manifold_io import save_manifold
+from sewcells.manifold_io import load_manifold, save_manifold
 from sewcells import nullity
 from sewcells.nullity import classify_and_fit, fit_nullity
 from sewcells.sewing import (
@@ -457,6 +457,30 @@ class TestStackedBlocks:
         assert len(alone._groups) == 3 and len(product._groups) == (2 if mixed else 1)
         assert grouped.passed and grouped.checks == extrinsic_report(alone, sewn, samples, 1e-8).checks
 
+    def test_a_field_read_at_two_column_sets_runs_once_per_read(self, model_cell, monkeypatch):
+        """Four model copies with block 3's metric perturbed: the lift laws
+        read the cell's metric at the columns of blocks 1, 2 and 4 and at
+        those of block 3, and each read keeps its own binding, so the 25
+        samples, one chunk, run that program twice and every block field's
+        once; a binding per field made the first read run it again."""
+        from collections import Counter
+
+        product = _with_x3_metric_perturbed(build_product([model_cell] * 4))
+        runs = Counter()
+        run = TensorField._run
+
+        def counted(field, point, order):
+            runs[id(field)] += 1
+            return run(field, point, order)
+
+        monkeypatch.setattr(TensorField, "_run", counted)
+        report = verify_lift_laws(product, sample_points(product.chart, 25, 7), 1e-9)
+        blocks = product._split[1]
+        assert product._groups == {0: [0, 1, 3], 2: [2]} and not report.passed
+        expected = {id(model_cell.metric): 2}
+        expected.update((id(field), 1) for b in (0, 2) for field in (blocks[b].metric, blocks[b].f, blocks[b].xi))
+        assert runs == expected
+
     def test_a_perturbed_block_is_its_own_group_and_fails(self, model_cell):
         """A metric entry of block 3 of four model copies times 1 + x3^2 still
         names block 3 only, so ``block_structure`` holds; the block is no
@@ -549,11 +573,13 @@ class TestSew:
         from sewcells.geometry import covariant_derivative_affinor, fundamental_form_with_derivative
 
         def eta_wedge_3form(eta, omega):
+            """Also on each set of a star layout, where eta is zero off the
+            hub and d Phi off the sets, so that the sets hold every entry."""
             return (
-                np.einsum("i,jkl->ijkl", eta, omega)
-                - np.einsum("j,ikl->ijkl", eta, omega)
-                + np.einsum("k,ijl->ijkl", eta, omega)
-                - np.einsum("l,ijk->ijkl", eta, omega)
+                np.einsum("...i,...jkl->...ijkl", eta, omega)
+                - np.einsum("...j,...ikl->...ijkl", eta, omega)
+                + np.einsum("...k,...ijl->...ijkl", eta, omega)
+                - np.einsum("...l,...ijk->...ijkl", eta, omega)
             )
 
         flat, model, kenmotsu, halfspace = catalog_cells
@@ -561,11 +587,38 @@ class TestSew:
             sewn = sew(cells)
             for point in sample_points(sewn.chart, 8, 3).coords:
                 _, d_phi = fundamental_form_with_derivative(sewn, point)
-                eta = sewn.eta.evaluate(point)
+                eta = sewn.eta.evaluate(point, layout=sewn.layout)
                 assert float(np.max(np.abs(eta_wedge_3form(eta, d_phi)))) <= 1e-10
                 deriv = covariant_derivative_affinor(sewn, point)
                 assert deriv.nabla_xi_xi_norm <= 1e-9
                 assert deriv.nabla_xi_phi_norm <= 1e-9
+
+    @pytest.mark.parametrize("copies, renamed", [
+        (11, {("x", 11): "x_11", ("x1", 1): "x1_1"}),
+        (16, {**{("x", i): f"x_{i}" for i in range(11, 17)}, **{("x1", i): f"x1_{i}" for i in range(1, 7)}}),
+    ])
+    def test_coordinate_renaming_is_injective(self, model_cell, copies, renamed, tmp_path, monkeypatch):
+        """The model cell on (t, x, x1) sews at k = 11 and 16: x of copy 11
+        and x1 of copy 1 would both be x11, so those two, and every other
+        pair that would share a name, take an underscore, and every name no
+        other coordinate would get keeps its bytes (x of copy i is xi, x1 of
+        copy i is x1i)."""
+        from sewcells import cli
+
+        chart = Chart(("t", "x", "x1"), adapted_index=0)
+        names = {"t": "t", "x": "x", "y": "x1"}
+        cell = ContactStructure("model_x_x1", chart, *(
+            TensorField(chart, field.upper, field.lower, field.renamed_grid(names))
+            for field in (model_cell.metric, model_cell.phi, model_cell.xi, model_cell.eta)))
+        monkeypatch.chdir(tmp_path)
+        save_manifold(cell, "cell.json")
+        argv = ["sew", "cell.json", "--copies", str(copies), "--out", "sewn.json", "--points", "10"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_PASS
+        expected = [renamed.get((name, i), f"{name}{i}") for i in range(1, copies + 1) for name in ("x", "x1")]
+        assert load_manifold("sewn.json").chart.coords == ("s", *expected)
+        assert build_product([cell] * copies).chart.coords == tuple(
+            renamed.get((name, i), f"{name}{i}") for i in range(1, copies + 1) for name in ("t", "x", "x1"))
 
     def test_domain_constraints_are_inherited_once(self, halfspace_cell):
         sewn = sew([halfspace_cell, halfspace_cell])

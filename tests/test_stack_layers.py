@@ -6,23 +6,29 @@ products may sum in another order than the single-point ones).  The
 curvature along a vector that ``riemann`` builds from the sparse Hessians is
 checked against the dense ``einsum`` reference of ``geometry_helpers``, and
 the column family of ``lie_bracket`` against brackets of (1,0) column fields
-built here.  Finally ``sew`` keeps its memory within the batch budget.
+built here.  The first-order layers, which run in the sets of a structure's
+layout, give per sample what the same layers give on the full grid
+(``geometry_helpers.dense_verify_layers``).  Finally ``sew`` and ``verify``
+keep their memory within the batch budget.
 """
 
 import contextlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sewcells import cli
-from sewcells.catalog import kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
+from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
 from sewcells.charts import BATCH_BYTES, Chart, ContactStructure, TensorField, batch_size, sample_points
 from geometry_helpers import (
     christoffel_reference,
     d_fundamental_form_reference,
+    dense_verify_layers,
     full_pair_fits,
+    in_sets,
     nabla_phi_reference,
     normality_reference,
     product_median,
@@ -37,8 +43,9 @@ from sewcells.geometry import (
     normality_tensor,
     reeb_layer,
     riemann,
+    verify_layers,
 )
-from sewcells.manifold_io import load_manifold, save_manifold
+from sewcells.manifold_io import load_manifold, save_manifold, structure_to_dict
 from sewcells.nullity import _eta_pairs, fit_nullity, normalized
 from sewcells.sewing import build_product, sew
 
@@ -127,29 +134,35 @@ def test_riemann_matches_einsum_reference(structures, model_cell, halfspace_cell
                 np.testing.assert_array_equal(gamma[p], christoffel(metric, point))
 
 
-def test_first_order_layers_match_einsum_references(structures):
+def test_first_order_layers_match_einsum_references(structures, model_cell):
     """Gamma, nabla phi (with its xi-direction norms), d Phi and N, run as
-    batched matrix products over a stack, against the ``einsum`` references
-    at each row.  Both sum the same O(1) terms in another order, so they agree
-    to 1e-13 of the reference's largest magnitude, or of 1 where the terms
-    cancel (nabla phi vanishes on the cosymplectic cells)."""
+    batched matrix products over a stack in the sets of the structure's
+    layout, against the ``einsum`` references on the full grid at each row,
+    read in the same sets (``geometry_helpers.in_sets``).  Both sum the same O(1) terms
+    in another order, so they agree to 1e-13 of the reference's largest
+    magnitude, or of 1 where the terms cancel (nabla phi vanishes on the
+    cosymplectic cells).  Besides the whole-chart layouts of ``structures``,
+    the sewn model cell splits into s and three blocks."""
     def close(got, reference):
         np.testing.assert_allclose(got, reference, rtol=REL, atol=REL * max(1.0, np.abs(reference).max()))
 
-    for struct in structures:
+    split = sew([model_cell] * 3)
+    assert split.layout.hub and split.layout.sets.tolist() == [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+    for struct in (*structures, split):
+        layout = struct.layout
         points = _points(struct, count=8, seed=13)
-        gamma = christoffel(struct.metric, points)
+        gamma = christoffel(struct.metric, points, layout)
         derivative = covariant_derivative_affinor(struct, points)
         d_phi = fundamental_form_with_derivative(struct, points)[1]
         torsion = normality_tensor(struct, points)
         for p, point in enumerate(points):
-            close(gamma[p], christoffel_reference(struct.metric, point))
+            close(gamma[p], in_sets(layout, christoffel_reference(struct.metric, point), 3))
             nablaphi, nabla_xi_phi, nabla_xi_xi = nabla_phi_reference(struct, point)
-            close(derivative.nablaphi[p], nablaphi)
+            close(derivative.nablaphi[p], in_sets(layout, nablaphi, 3))
             close(derivative.nabla_xi_phi_norm[p], np.abs(nabla_xi_phi).max())
             close(derivative.nabla_xi_xi_norm[p], np.abs(nabla_xi_xi).max())
-            close(d_phi[p], d_fundamental_form_reference(struct, point))
-            close(torsion[p], normality_reference(struct, point))
+            close(d_phi[p], in_sets(layout, d_fundamental_form_reference(struct, point), 3))
+            close(torsion[p], in_sets(layout, normality_reference(struct, point), 3))
 
 
 def _generic_structure() -> ContactStructure:
@@ -213,6 +226,125 @@ def test_contracted_reeb_norms_equal_the_full_nabla_phi(reduced_structures):
         list(reeb_layer(reduced_structures[-1], point))
 
 
+def split_structure() -> ContactStructure:
+    """A structure that meets no axiom on (t, a1, a2, b1, b2, b3, b4), which
+    splits into the hub t and the blocks {a1, a2} and {b1, b2, b3, b4}: every
+    entry reads t and one block at most, g_tt reads t alone, phi's t row and
+    column are zero and eta = 2 dt.  Its xi and g_tt read t and a block, so
+    that nabla_xi xi has a hub component that sums over both sets."""
+    names = ("t", "a1", "a2", "b1", "b2", "b3", "b4")
+    chart = Chart(names, adapted_index=0)
+    n = len(names)
+    metric = [["0"] * n for _ in range(n)]
+    phi = [["0"] * n for _ in range(n)]
+    metric[0][0] = "2 + 0.5*sin(t)"
+    for block, diagonal, coupling in (
+            ((1, 2), ("2 + a1^2*t", "1.5 + 0.3*cos(t*a2)"), "0.3*a2"),
+            ((3, 4, 5, 6), ("3 + b1^2", "2.5 + 0.2*t*b2", "2 + 0.1*b3*t", "2.5 + 0.5*b4^2"), "0.2*t + 0.1*b3")):
+        for i, entry in zip(block, diagonal):
+            metric[i][i] = entry
+        for i, j in zip(block, block[1:]):
+            metric[i][j] = metric[j][i] = coupling
+            phi[i][j], phi[j][i] = f"-1 - 0.1*{names[j]}^2", f"1 + 0.2*t*{names[i]}"
+        phi[block[0]][block[0]] = f"0.1*t*{names[block[-1]]}"
+    return ContactStructure(
+        "split", chart,
+        metric=TensorField.build(chart, 0, 2, metric),
+        phi=TensorField.build(chart, 1, 1, phi),
+        xi=TensorField.build(chart, 1, 0, ["0.5 + 0.1*t*a1", "0.2*a2*t", "sin(a1)", "0.1*b2", "t*b3", "0", "0.3*b1"]),
+        eta=TensorField.build(chart, 0, 1, ["2", "0", "0", "0", "0", "0", "0"]),
+    )
+
+
+def _written(struct, path):
+    save_manifold(struct, path)
+    return load_manifold(path)
+
+
+def _coupled(path, k):
+    """The sewn model file of ``k`` copies with g(x1, x2) = 0.1, which couples
+    the first two blocks."""
+    doc = structure_to_dict(sew([model_cosymplectic_cell(1.0)] * k))
+    doc["metric"][1][3] = doc["metric"][3][1] = "0.1"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_manifold(path)
+
+
+@pytest.fixture(scope="module")
+def layout_structures(tmp_path_factory):
+    """Every catalog cell, the files of each sewn with k = 2, 3, 6 and 16
+    copies, the split structure and the sewn model file whose metric couples
+    two blocks, with the sets of their layouts."""
+    root = tmp_path_factory.mktemp("layouts")
+    cells = standard_cells()
+    structures = [(cell, None) for cell in cells]
+    for c, cell in enumerate(cells):
+        for k in (2, 3, 6, 16):
+            sewn = _written(sew([cell] * k), root / f"{c}-{k}.json")
+            # the halfspace metric couples s to every block
+            sets = None if c == 3 else [[0, 2 * b + 1, 2 * b + 2] for b in range(k)]
+            structures.append((sewn, sets))
+    structures.append((split_structure(), [[0, 1, 2, -1, -1], [0, 3, 4, 5, 6]]))
+    structures.append((_coupled(root / "coupled3.json", 3), [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]))
+    structures.append((_coupled(root / "coupled2.json", 2), None))
+    return structures
+
+
+def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
+    """|nabla_xi phi|, |nabla_xi xi|, |nabla phi|, lambda, the weight fit
+    residual and |N| per sample, from the layers in the sets of a star
+    layout or on the whole chart, equal those of the same layers on the
+    full grid within 1e-13 of max(1, |reference|) at each sample.  A chart
+    splits as its layout says: the sewn cells into s and one block per copy
+    but the halfspace's, whose metric couples s to the blocks; the split
+    structure into blocks of 2 and 4 coordinates, padded to one width; the
+    sewn file whose metric couples two blocks into those two as one block,
+    and at k = 2, where they are all, into no blocks at all."""
+    for struct, sets in layout_structures:
+        layout = struct.layout
+        assert (layout.sets.tolist() if layout.hub else None) == sets, struct.name
+        points = _points(struct, count=8, seed=11)
+        for got, want in zip(verify_layers(struct, points), dense_verify_layers(struct, points)):
+            assert got.shape == want.shape == (8,)
+            assert np.all(np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))), struct.name
+    # the split structure's nabla_xi xi has a hub component that both sets add to, and nabla_xi phi is not 0
+    split = layout_structures[-3][0]
+    hub, xi_phi = zip(*((abs(xi_xi[0]), np.abs(phi).max()) for _, phi, xi_xi in
+                        (nabla_phi_reference(split, point) for point in _points(split, count=8, seed=11))))
+    assert max(hub) > 0.05 and min(xi_phi) > 0.05
+
+
+def _model_with_phi_yy(entry: str, path) -> ContactStructure:
+    doc = structure_to_dict(model_cosymplectic_cell(0.8))
+    doc["phi"][2][2] = entry
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_manifold(path)
+
+
+def test_non_finite_samples_are_those_of_the_full_grid(tmp_path):
+    """The model cell with phi^y_y NaN at every point, and with phi^y_y
+    exp(400) exp(400 x), which overflows to inf where x > 0.77, and both
+    sewn with k = 3 (split into s and three blocks): every output of the
+    layers is NaN, infinite or finite at the samples where the full grid's
+    is."""
+    seen = set()
+    for name, entry in (("nan", "exp(400)*exp(400)*0"), ("overflow", "exp(400)*exp(400*x)")):
+        cell = _model_with_phi_yy(entry, tmp_path / f"{name}.json")
+        for struct in (cell, _written(sew([cell] * 3), tmp_path / f"{name}-k3.json")):
+            points = sample_points(struct.chart, 40, 3).coords
+            with np.errstate(all="ignore"):
+                pairs = list(zip(verify_layers(struct, points), dense_verify_layers(struct, points)))
+            for got, want in pairs:
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+                finite = np.isfinite(want)
+                assert np.all(np.abs(got[finite] - want[finite]) <= REL * np.maximum(1.0, np.abs(want[finite])))
+                seen.add((name, struct.layout.hub, bool(finite.all()), bool(finite.any())))
+    # non-finite everywhere, and at some samples only, on either layout
+    assert {("nan", hub, False, False) for hub in (False, True)} <= seen
+    assert {("overflow", hub, False, True) for hub in (False, True)} <= seen
+
+
 def _column(affinor: TensorField, a: int) -> TensorField:
     """The (1,0) field ``affinor(e_a)``."""
     return TensorField(affinor.chart, 1, 0, tuple(row[a] for row in affinor.components))
@@ -250,10 +382,10 @@ class TestSewMemory:
         original = TensorField.evaluate_with_jets
         stacks, runs = [], []
 
-        def spy(field, point, hessians=True):
+        def spy(field, point, hessians=True, layout=None):
             if hessians:
                 stacks.append((np.shape(point), len(field._plan.hess_slots)))
-            return original(field, point, hessians)
+            return original(field, point, hessians, layout)
 
         run = TensorField._run
 
@@ -284,6 +416,34 @@ class TestSewMemory:
         argv = ["sew", f"{cell}.json", "--copies", str(copies), "--out", "out.json"]
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)  # warm: the peak below is the command's own, not the first import's
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == cli.EXIT_PASS
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= limit
+
+
+class TestVerifyMemory:
+    @pytest.mark.parametrize("cell, limit", [("model", 1.40e6), ("halfspace", 2.50e6)])
+    def test_layout_sized_batches_stay_within_the_budget(self, cell, limit, tmp_path, monkeypatch):
+        """``verify --points 100`` on the sewn file of 16 copies: the model
+        chart's batches are sized by its layout, whose largest array of a
+        sample is the (33, 33) metric that the axioms read, larger than the
+        (16, 3, 3, 3) arrays of its sets (15 samples), and the halfspace
+        chart's by its full grid (one sample, a (33, 33, 33) array).  The
+        limits are the tracemalloc peaks measured when the batches were sized
+        so, 1.20e6 and 2.16e6 bytes, plus about 15%; verify on the full grid
+        took 2.09e6 and 2.30e6."""
+        monkeypatch.chdir(tmp_path)
+        build = model_cosymplectic_cell(1.0) if cell == "model" else halfspace_kenmotsu_cell()
+        save_manifold(sew([build] * 16), "sewn.json")
+        argv = ["verify", "sewn.json", "--points", "100"]
+        layout = load_manifold("sewn.json").layout
+        assert batch_size(33, layout=layout) == (15 if cell == "model" else 1)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)  # warm: the peak below is the command's own
             tracemalloc.start()
             try:
                 assert cli.main(argv) == cli.EXIT_PASS

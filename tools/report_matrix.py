@@ -16,7 +16,11 @@ halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
 groups of 200 sharing an adapted value straddle), ``nullity`` on
 the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
 5 batches, where the jets the sweep binds for a batch serve its later
-layers), and ``verify`` and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
+layers; the model, warped and flat charts split into s and their blocks,
+the halfspace chart is one set) and on the sewn model and halfspace k = 16
+outputs (the model chart's layers in batches sized by its sets, the
+halfspace chart's one sample at a time on the full grid), and ``verify``
+and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
 exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
 constant subtrees, which no catalog cell has.  ``verify``, ``nullity`` and
@@ -27,7 +31,9 @@ axioms' sweep are dropped.  ``nullity`` also runs on ``BROKEN_PHI_CELL``
 and ``NAN_PHI_CELL``, the model cell with one phi entry that breaks the
 axioms or is NaN at every point: its one sweep folds the axioms and fits
 the positive definite metric's batches, and then reports the failing
-axioms alone.  Each tree writes its own
+axioms alone.  ``sew --copies 3`` of ``NAN_PHI_CELL`` fails its induced
+axioms, and ``verify --points 100`` of the sewn file it writes takes the
+NaN through the layers in the sets of a split chart.  Each tree writes its own
 catalog cell files with its own ``catalog`` command, and the same
 ``CONSTANTS_CELL``, ``PARTLY_PD_CELL``, ``BROKEN_PHI_CELL`` and
 ``NAN_PHI_CELL`` files, and runs every command as a fresh process in its own
@@ -214,6 +220,11 @@ def matrix() -> list[tuple[str, list[str]]]:
                                           "--out", "sewn/partly-k2.json", *partly]))
     commands.append(("nullity-broken-phi", ["nullity", "cells/broken-phi.json"]))
     commands.append(("nullity-nan-phi", ["nullity", "cells/nan-phi.json"]))
+    # the layers in the sets of a split chart (model), on the full grid (halfspace), and of a NaN phi
+    for cell in ("model", "halfspace"):
+        commands.append((f"verify-sewn-{cell}-k16", ["verify", f"sewn/{cell}-k16.json", "--points", "100"]))
+    commands.append(("sew-nan-phi-k3", ["sew", "cells/nan-phi.json", "--copies", "3", "--out", "sewn/nan-phi-k3.json"]))
+    commands.append(("verify-sewn-nan-phi-k3", ["verify", "sewn/nan-phi-k3.json", "--points", "100"]))
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
