@@ -23,13 +23,14 @@ each instruction once.  A bare tree is a program of one root, just as a point
 is a stack of one.  ``evaluate`` returns the values (order 0);
 ``evaluate_jet2`` propagates forward-mode jets and returns the values together
 with the exact gradients and, at order 2 (the default), the exact Hessians (no
-finite differencing).  An order-1 jet carries no Hessian at all, so a caller
-that reads none pays for none.  All three orders share the value rules, and
-orders 1 and 2 the gradient rules, so they give the same values and gradients
-bit for bit.  A run takes a stack of P points of shape (P, n) and evaluates it
-with numpy in one pass; for a tree, a point of shape (n,) gives a float value,
-an (n,) gradient and an (n, n) Hessian, and a stack gives each of them a
-leading P axis.
+finite differencing).  One jet class serves both orders: an order-1 jet is
+the order-2 jet without its Hessian, so a caller that reads none pays for
+none, and one table gives f' and f'' of each function.  All three orders
+share the value rules, and orders 1 and 2 the gradient rules, so they give
+the same values and gradients bit for bit.  A run takes a stack of P points
+of shape (P, n) and evaluates it with numpy in one pass; for a tree, a point
+of shape (n,) gives a float value, an (n,) gradient and an (n, n) Hessian,
+and a stack gives each of them a leading P axis.
 
 Leaving the real domain raises ``EvaluationDomainError``: log or sqrt of a
 non-positive argument, division by zero, zero to a negative power, a
@@ -365,6 +366,17 @@ def rename_variables(node: ExpressionNode, mapping: Mapping[str, str]) -> Expres
 
 _NUMPY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
           "sinh": np.sinh, "cosh": np.cosh, "sqrt": np.sqrt}
+# (f', f'') at v given v and f = f(v); an f' that is another function goes
+# through ``_call_value``, so that it keeps that function's domain checks
+_DERIVATIVES = {
+    "exp": lambda v, f: (f, f),
+    "log": lambda v, f: (1.0 / v, -1.0 / (v * v)),
+    "sin": lambda v, f: (_call_value("cos", v), -f),
+    "cos": lambda v, f: (-_call_value("sin", v), -f),
+    "sinh": lambda v, f: (_call_value("cosh", v), f),
+    "cosh": lambda v, f: (_call_value("sinh", v), f),
+    "sqrt": lambda v, f: (fp := 0.5 / f, -0.5 * fp / v),
+}
 _OVERFLOWING = ("exp", "sinh", "cosh")
 _POSITIVE_ARGUMENT = ("log", "sqrt")
 
@@ -410,7 +422,7 @@ def _call_value(func: str, v):
 
 
 def _divide(left, right):
-    divisor = right.value if isinstance(right, _Jet1) else right
+    divisor = right.value if isinstance(right, _Jet) else right
     if _anywhere(divisor == 0.0):
         raise EvaluationDomainError("division by zero")
     return left / right
@@ -436,71 +448,90 @@ class Jet2:
     hess: np.ndarray | None
 
 
-class _Jet1:
-    """An order-1 jet under propagation over a stack of P points; constants
-    stay scalars beside it.
+class _Jet:
+    """A jet under propagation over a stack of P points; constants stay
+    scalars beside it.
 
-    The sample axis comes last - the value is (P,) and the gradient (n, P) -
-    so a value broadcasts against its gradient.  ``_Jet2`` adds the Hessian to
-    every rule and leaves the value and gradient rules as they are, so both
-    orders give the same values and gradients bit for bit.
+    The sample axis comes last - the value is (P,), the gradient (n, P) and
+    the Hessian (n, n, P) - so a value broadcasts against its derivatives.
+    An order-1 jet is the order-2 jet without its Hessian (``hess`` is None):
+    each rule computes the value and the gradient alike at both orders, so
+    they agree bit for bit, and the Hessian only where there is one.  Every
+    rule assembles the Hessian from elementwise-symmetric terms, so it is
+    symmetric bit for bit.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad: np.ndarray):
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray | None = None):
         self.value = value
         self.grad = grad
+        self.hess = hess
 
     @classmethod
-    def variable(cls, i: int, columns: np.ndarray) -> "_Jet1":
+    def variable(cls, i: int, columns: np.ndarray, order: int) -> "_Jet":
         """The jet of coordinate ``i`` over the stack's columns (n, P)."""
         grad = np.zeros(columns.shape)
         grad[i] = 1.0
-        return cls(columns[i], grad)
+        return cls(columns[i], grad, np.zeros((len(columns),) + columns.shape) if order == 2 else None)
 
-    def __add__(self, other) -> "_Jet1":
-        if isinstance(other, _Jet1):
-            return _Jet1(self.value + other.value, self.grad + other.grad)
-        return _Jet1(self.value + other, self.grad)
+    def __add__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.value + other.value, self.grad + other.grad,
+                        None if self.hess is None else self.hess + other.hess)
+        return _Jet(self.value + other, self.grad, self.hess)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "_Jet1":
-        if isinstance(other, _Jet1):
-            return _Jet1(self.value - other.value, self.grad - other.grad)
-        return _Jet1(self.value - other, self.grad)
+    def __sub__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.value - other.value, self.grad - other.grad,
+                        None if self.hess is None else self.hess - other.hess)
+        return _Jet(self.value - other, self.grad, self.hess)
 
-    def __rsub__(self, other) -> "_Jet1":
-        return _Jet1(other - self.value, -self.grad)
+    def __rsub__(self, other) -> "_Jet":
+        return _Jet(other - self.value, -self.grad, None if self.hess is None else -self.hess)
 
-    def __neg__(self) -> "_Jet1":
-        return _Jet1(-self.value, -self.grad)
+    def __neg__(self) -> "_Jet":
+        return _Jet(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
-    def __mul__(self, other) -> "_Jet1":
-        if not isinstance(other, _Jet1):
-            return _Jet1(self.value * other, self.grad * other)
-        return _Jet1(self.value * other.value, self.grad * other.value + other.grad * self.value)
+    def __mul__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return _Jet(self.value * other, self.grad * other, None if self.hess is None else self.hess * other)
+        value = self.value * other.value
+        grad = self.grad * other.value + other.grad * self.value
+        if self.hess is None:
+            return _Jet(value, grad)
+        hess = (
+            self.hess * other.value
+            + other.hess * self.value
+            + _outer(self.grad, other.grad)
+            + _outer(other.grad, self.grad)
+        )
+        return _Jet(value, grad, hess)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "_Jet1":
-        if isinstance(other, _Jet1):
+    def __truediv__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
             return self * other._reciprocal()
         return self * (1.0 / other)
 
-    def __rtruediv__(self, other) -> "_Jet1":
+    def __rtruediv__(self, other) -> "_Jet":
         return self._reciprocal() * other
 
-    def _reciprocal(self) -> "_Jet1":
+    def _reciprocal(self) -> "_Jet":
         inv = 1.0 / self.value
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
-    def _chain(self, f, fp, fpp) -> "_Jet1":
+    def _chain(self, f, fp, fpp) -> "_Jet":
         """Compose with a scalar function given f, f', f'' at ``self.value``.
 
         f'' is taken at both orders, so that both raise on the same domain."""
-        return _Jet1(f, fp * self.grad)
+        grad = fp * self.grad
+        if self.hess is None:
+            return _Jet(f, grad)
+        return _Jet(f, grad, fp * self.hess + fpp * _outer(self.grad, self.grad))
 
     def power(self, exponent: float):
         if exponent == 0.0:
@@ -516,113 +547,8 @@ class _Jet1:
         return self._chain(f, fp, fpp)
 
 
-class _Jet2(_Jet1):
-    """An order-2 jet, whose Hessian is (n, n, P).  Every rule assembles the
-    Hessian from elementwise-symmetric terms, so it is symmetric bit for bit."""
-
-    __slots__ = ("hess",)
-
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    @classmethod
-    def variable(cls, i: int, columns: np.ndarray) -> "_Jet2":
-        grad = np.zeros(columns.shape)
-        grad[i] = 1.0
-        return cls(columns[i], grad, np.zeros((len(columns),) + columns.shape))
-
-    def __add__(self, other) -> "_Jet2":
-        if isinstance(other, _Jet2):
-            return _Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return _Jet2(self.value + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Jet2":
-        if isinstance(other, _Jet2):
-            return _Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return _Jet2(self.value - other, self.grad, self.hess)
-
-    def __rsub__(self, other) -> "_Jet2":
-        return _Jet2(other - self.value, -self.grad, -self.hess)
-
-    def __neg__(self) -> "_Jet2":
-        return _Jet2(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other) -> "_Jet2":
-        if not isinstance(other, _Jet2):
-            return _Jet2(self.value * other, self.grad * other, self.hess * other)
-        value = self.value * other.value
-        grad = self.grad * other.value + other.grad * self.value
-        hess = (
-            self.hess * other.value
-            + other.hess * self.value
-            + _outer(self.grad, other.grad)
-            + _outer(other.grad, self.grad)
-        )
-        return _Jet2(value, grad, hess)
-
-    __rmul__ = __mul__
-
-    def _chain(self, f, fp, fpp) -> "_Jet2":
-        grad = fp * self.grad
-        hess = fp * self.hess + fpp * _outer(self.grad, self.grad)
-        return _Jet2(f, grad, hess)
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b[None]
-
-
-def _jet_exp(j: _Jet1) -> _Jet1:
-    e = _call_value("exp", j.value)
-    return j._chain(e, e, e)
-
-
-def _jet_log(j: _Jet1) -> _Jet1:
-    f = _call_value("log", j.value)
-    return j._chain(f, 1.0 / j.value, -1.0 / (j.value * j.value))
-
-
-def _jet_sin(j: _Jet1) -> _Jet1:
-    s = _call_value("sin", j.value)
-    return j._chain(s, _call_value("cos", j.value), -s)
-
-
-def _jet_cos(j: _Jet1) -> _Jet1:
-    c = _call_value("cos", j.value)
-    return j._chain(c, -_call_value("sin", j.value), -c)
-
-
-def _jet_sinh(j: _Jet1) -> _Jet1:
-    s = _call_value("sinh", j.value)
-    return j._chain(s, _call_value("cosh", j.value), s)
-
-
-def _jet_cosh(j: _Jet1) -> _Jet1:
-    c = _call_value("cosh", j.value)
-    return j._chain(c, _call_value("sinh", j.value), c)
-
-
-def _jet_sqrt(j: _Jet1) -> _Jet1:
-    root = _call_value("sqrt", j.value)
-    fp = 0.5 / root
-    return j._chain(root, fp, -0.5 * fp / j.value)
-
-
-_JET_CALLS: dict[str, Callable[[_Jet1], _Jet1]] = {
-    "exp": _jet_exp,
-    "log": _jet_log,
-    "sin": _jet_sin,
-    "cos": _jet_cos,
-    "sinh": _jet_sinh,
-    "cosh": _jet_cosh,
-    "sqrt": _jet_sqrt,
-}
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +557,11 @@ _JET_CALLS: dict[str, Callable[[_Jet1], _Jet1]] = {
 
 # Every rule takes two operands, and a unary one ignores its second.
 
-def _column(i: int, columns: np.ndarray) -> np.ndarray:
-    """A coordinate at order 0: its own column of the stack."""
-    return columns[i]
-
-
 def _coordinate(i: int, group: tuple):
-    """Coordinate ``i`` of a group, bound per run to (variable, columns)."""
-    variable, columns = group
-    return variable(i, columns)
+    """Coordinate ``i`` of a group, bound per run to (order, columns): at
+    order 0 its own column of the stack, else its jet."""
+    order, columns = group
+    return _Jet.variable(i, columns, order) if order else columns[i]
 
 
 def _fail(message: str, _):
@@ -651,17 +573,20 @@ def _negative(operand, _):
 
 
 def _call_rule(func: str) -> Callable:
-    jet_rule = _JET_CALLS[func]
+    derivatives = _DERIVATIVES[func]
 
     def rule(arg, _):
-        return jet_rule(arg) if isinstance(arg, _Jet1) else _call_value(func, arg)
+        if not isinstance(arg, _Jet):
+            return _call_value(func, arg)
+        f = _call_value(func, arg.value)
+        return arg._chain(f, *derivatives(arg.value, f))
 
     return rule
 
 
 def _power(base, exponent):
     exponent = float(exponent)
-    return base.power(exponent) if isinstance(base, _Jet1) else _pow_value(base, exponent)
+    return base.power(exponent) if isinstance(base, _Jet) else _pow_value(base, exponent)
 
 
 _CALL_RULES = {func: _call_rule(func) for func in FUNCTIONS}
@@ -813,16 +738,15 @@ class Program:
         order 2 their row-major (m, m) Hessians (P, sum of m^2), each laid
         end to end in root order."""
         p = len(stack)
-        variable = (_column, _Jet1.variable, _Jet2.variable)[order]
         columns = stack.T
         values = [None] * self.registers + self.immediates
         for group, cols in enumerate(self.columns):
-            values[-1 - group] = (variable, columns[cols])
+            values[-1 - group] = (order, columns[cols])
         out = (np.empty((p, self.roots)),) + tuple(np.zeros((p, size)) for size in self.offsets[-2:][:order])
         offsets = self.offsets
 
         def store(result, root: int) -> None:
-            if not isinstance(result, _Jet1):  # a value, or a constant whose derivatives are zero
+            if not isinstance(result, _Jet):  # a value, or a constant whose derivatives are zero
                 out[0][:, root] = result
                 return
             out[0][:, root] = result.value

@@ -124,14 +124,15 @@ def star_layout(struct) -> Layout:
     the hub component of nabla_xi xi sums over the sets.  A chart with no
     adapted coordinate, one that fails a condition, or one with fewer than
     two blocks is one set, the whole chart (a sewn chart whose metric couples
-    s to the blocks, for instance).  So is a chart of fewer than five
-    coordinates, a 3-dimensional cell among them, without a proof: phi
-    squares to -1 on each block of a structure that meets the axioms, so a
-    block has two coordinates at least, and a split of so few coordinates
-    would save less than its proof costs."""
+    s to the blocks, for instance).  So is a chart of fewer than seven
+    coordinates, a 3-dimensional cell and a sewn chart of two cells among
+    them, without a proof: phi squares to -1 on each block of a structure
+    that meets the axioms, so a block has two coordinates at least, and a
+    split of so few coordinates has two blocks at most, which save less than
+    the proof, the scatter plans and the numpy calls on small arrays cost."""
     n, hub = struct.dim, struct.chart.adapted_index
     whole = Layout.whole(n)
-    if hub is None or n < 5:
+    if hub is None or n < 7:
         return whole
     (g, dg), (phi, dphi), (xi, dxi), (eta, deta) = (
         tuple(entries.tolist() for entries in f.nonzero_entries) for f in (struct.metric, struct.phi, struct.xi,

@@ -928,11 +928,11 @@ class TestStarLayout:
         assert TensorField.build(chart, 1, 0, ["0", "0"]).nonzero_entries[0].shape == (0, 1)
 
     @staticmethod
-    def sewn_doc(k=3):
+    def sewn_doc():
         from sewcells.catalog import model_cosymplectic_cell
         from sewcells.manifold_io import structure_to_dict
 
-        return structure_to_dict(sew([model_cosymplectic_cell(1.0)] * k))
+        return structure_to_dict(sew([model_cosymplectic_cell(1.0)] * 3))
 
     @staticmethod
     def layout_of(doc):
@@ -962,11 +962,18 @@ class TestStarLayout:
         doc = self.sewn_doc()
         doc["phi"][2][4] = "0.01*x1"  # phi^y1_y2 couples blocks 1 and 2
         assert self.layout_of(doc) == [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]
-        doc = self.sewn_doc(2)
-        doc["xi"][1] = "0.1*x2"  # xi^x1 reads block 2: one block, and so no split
+        doc = self.sewn_doc()
+        doc["xi"][1] = "0.1*x2*x3"  # xi^x1 reads blocks 2 and 3: one block, and so no split
         assert self.layout_of(doc) is None
 
     def test_small_charts_are_one_set_without_a_proof(self, catalog_cells, monkeypatch):
+        """The cells and their sewn k = 2 charts (5 coordinates)."""
+        from sewcells.manifold_io import structure_from_dict, structure_to_dict
+
+        docs = [structure_to_dict(sew([cell] * 2)) for cell in catalog_cells]
         monkeypatch.setattr(TensorField, "nonzero_entries", property(lambda field: pytest.fail("proved")))
         for cell in catalog_cells:
             assert not cell.layout.hub and cell.layout.sets.tolist() == [[0, 1, 2]]
+        for doc in docs:
+            layout = structure_from_dict(doc).layout
+            assert not layout.hub and layout.sets.tolist() == [[0, 1, 2, 3, 4]]

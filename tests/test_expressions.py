@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import fuzz_cases, gradient_hessian_fd, random_expression, value_gradient_fd
 from sewcells.expressions import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvaluationDomainError,
@@ -126,6 +127,46 @@ class TestJets:
         jet = evaluate_jet2(parse_expression("x^3", XYZ), np.array([-2.0, 0.0, 0.0]), IDX_XYZ)
         assert jet.value == -8.0
         assert jet.grad[0] == 12.0
+
+
+def _power_forms(e: float):
+    return lambda u: (np.power(u, e), e * np.power(u, e - 1.0),
+                      np.full_like(u, 2.0) if e == 2.0 else e * (e - 1.0) * np.power(u, e - 2.0))
+
+
+class TestDerivativeTable:
+    """The jet of each function and of constant powers of a coordinate u
+    equals the closed forms (f, f', f'') in numpy bit for bit, at order 2,
+    and order 1 gives the same value and gradient.  A finite-difference
+    bound cannot see a reordered expression, which would change the report
+    bytes."""
+
+    U = np.array([0.3, 0.7, 1.6, 2.9])  # no closed form is zero here
+    POWERS = (2.0, 0.5, -1.0, 3.0)
+    CLOSED_FORMS = {
+        "exp(u)": lambda u: (np.exp(u), np.exp(u), np.exp(u)),
+        "log(u)": lambda u: (np.log(u), 1.0 / u, -1.0 / (u * u)),
+        "sin(u)": lambda u: (np.sin(u), np.cos(u), -np.sin(u)),
+        "cos(u)": lambda u: (np.cos(u), -np.sin(u), -np.cos(u)),
+        "sinh(u)": lambda u: (np.sinh(u), np.cosh(u), np.sinh(u)),
+        "cosh(u)": lambda u: (np.cosh(u), np.sinh(u), np.cosh(u)),
+        "sqrt(u)": lambda u: (np.sqrt(u), 0.5 / np.sqrt(u), -0.5 * (0.5 / np.sqrt(u)) / u),
+        **{f"u^{e:g}": _power_forms(e) for e in POWERS},
+    }
+
+    @pytest.mark.parametrize("src", [f"{func}(u)" for func in FUNCTIONS] + [f"u^{e:g}" for e in POWERS])
+    def test_jets_are_the_closed_forms(self, src):
+        def bits(array):
+            return np.ascontiguousarray(array, dtype=float).tobytes()
+
+        expr = parse_expression(src, ("u",))
+        stack = self.U[:, None]
+        second, first = (evaluate_jet2(expr, stack, {"u": 0}, order=order) for order in (2, 1))
+        value, grad, hess = self.CLOSED_FORMS[src](self.U)
+        assert bits(second.value) == bits(value)
+        assert bits(second.grad[:, 0]) == bits(grad)
+        assert bits(second.hess[:, 0, 0]) == bits(hess)
+        assert bits(first.value) == bits(value) and bits(first.grad) == bits(second.grad) and first.hess is None
 
 
 class TestSubstitution:

@@ -583,7 +583,7 @@ class TestSew:
             )
 
         flat, model, kenmotsu, halfspace = catalog_cells
-        for cells in ([kenmotsu, flat], [model, halfspace], [kenmotsu, flat, halfspace]):
+        for cells in ([kenmotsu, flat, flat], [model, halfspace], [kenmotsu, flat, halfspace]):
             sewn = sew(cells)
             for point in sample_points(sewn.chart, 8, 3).coords:
                 _, d_phi = fundamental_form_with_derivative(sewn, point)

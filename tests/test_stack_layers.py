@@ -261,11 +261,12 @@ def _written(struct, path):
     return load_manifold(path)
 
 
-def _coupled(path, k):
-    """The sewn model file of ``k`` copies with g(x1, x2) = 0.1, which couples
-    the first two blocks."""
-    doc = structure_to_dict(sew([model_cosymplectic_cell(1.0)] * k))
-    doc["metric"][1][3] = doc["metric"][3][1] = "0.1"
+def _coupled(path, blocks):
+    """The sewn model file of three copies with g(x_b, x_b+1) = 0.1 for b below
+    ``blocks``, which couples the first ``blocks`` blocks."""
+    doc = structure_to_dict(sew([model_cosymplectic_cell(1.0)] * 3))
+    for b in range(1, blocks):
+        doc["metric"][2 * b - 1][2 * b + 1] = doc["metric"][2 * b + 1][2 * b - 1] = "0.1"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return load_manifold(path)
 
@@ -273,20 +274,20 @@ def _coupled(path, k):
 @pytest.fixture(scope="module")
 def layout_structures(tmp_path_factory):
     """Every catalog cell, the files of each sewn with k = 2, 3, 6 and 16
-    copies, the split structure and the sewn model file whose metric couples
-    two blocks, with the sets of their layouts."""
+    copies, the split structure and the sewn model files of k = 3 whose
+    metric couples two blocks and all three, with the sets of their layouts."""
     root = tmp_path_factory.mktemp("layouts")
     cells = standard_cells()
     structures = [(cell, None) for cell in cells]
     for c, cell in enumerate(cells):
         for k in (2, 3, 6, 16):
             sewn = _written(sew([cell] * k), root / f"{c}-{k}.json")
-            # the halfspace metric couples s to every block
-            sets = None if c == 3 else [[0, 2 * b + 1, 2 * b + 2] for b in range(k)]
+            # the halfspace metric couples s to every block, and 5 coordinates are one set
+            sets = None if c == 3 or k == 2 else [[0, 2 * b + 1, 2 * b + 2] for b in range(k)]
             structures.append((sewn, sets))
     structures.append((split_structure(), [[0, 1, 2, -1, -1], [0, 3, 4, 5, 6]]))
-    structures.append((_coupled(root / "coupled3.json", 3), [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]))
-    structures.append((_coupled(root / "coupled2.json", 2), None))
+    structures.append((_coupled(root / "coupled2.json", 2), [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]))
+    structures.append((_coupled(root / "coupled3.json", 3), None))
     return structures
 
 
@@ -299,7 +300,8 @@ def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
     but the halfspace's, whose metric couples s to the blocks; the split
     structure into blocks of 2 and 4 coordinates, padded to one width; the
     sewn file whose metric couples two blocks into those two as one block,
-    and at k = 2, where they are all, into no blocks at all."""
+    and where it couples all three, into no blocks at all; a sewn chart of
+    two cells has too few coordinates to split."""
     for struct, sets in layout_structures:
         layout = struct.layout
         assert (layout.sets.tolist() if layout.hub else None) == sets, struct.name

@@ -14,7 +14,9 @@ sewn samples in 5), ``nullity
 --points 1000`` and ``nullity --convention kenmotsu --points 1000`` on the
 halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
 groups of 200 sharing an adapted value straddle), ``nullity`` on
-the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 4 outputs (9 dimensions, so
+the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 2 outputs (5
+dimensions, too few to split, so every chart is one set, the full grid), on
+the sewn k = 4 outputs (9 dimensions, so
 5 batches, where the jets the sweep binds for a batch serve its later
 layers; the model, warped and flat charts split into s and their blocks,
 the halfspace chart is one set) and on the sewn model and halfspace k = 16
@@ -58,7 +60,8 @@ at least 1e-10 and the worst absolute difference of the others; the numeric
 fields that moved at all, with checks named by their check name; the text
 fields that differ (the version, notes); how many reports changed bytes; and
 whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
-error lines.  Exit status 0 when nothing structural differs, both numeric
+error lines.  The matrix is 58 commands; the three runs take 34 to 80 s on a
+2-CPU machine, k = 16 included.  Exit status 0 when nothing structural differs, both numeric
 gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
 bad argument.
 """
@@ -206,6 +209,8 @@ def matrix() -> list[tuple[str, list[str]]]:
                                                           "--convention", "kenmotsu"]))
     for cell in CELLS:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
+        # 5 dimensions: one set, the full grid
+        commands.append((f"verify-sewn-{cell}-k2", ["verify", f"sewn/{cell}-k2.json", "--points", "100"]))
         # 9 dimensions: 100 points make 5 batches
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
     commands.append(("verify-error", ["verify", "cells/error.json"]))
