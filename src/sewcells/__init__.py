@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 from .catalog import (
     CATALOG,

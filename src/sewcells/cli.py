@@ -19,6 +19,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .catalog import CATALOG
 from .charts import (
@@ -33,7 +35,7 @@ from .charts import (
     validate_structure,
 )
 from .expressions import ExpressionError
-from .geometry import classify, reeb_derivatives, reeb_layer, verify_layers
+from .geometry import classify, reeb_layer, verify_layers
 from .manifold_io import ManifoldFileError, file_digest, load_manifold, save_manifold
 from .nullity import NullityFitError, check_generalized, classify_and_fit, normalized
 from .sewing import (
@@ -74,13 +76,12 @@ def _classification_dict(classification) -> dict:
     }
 
 
-def _with_reeb_checks(report: ValidationReport, nabla_xi_phi_max: float, nabla_xi_xi_max: float,
-                      tol: float) -> ValidationReport:
+def _with_reeb_checks(report: ValidationReport, columns, tol: float) -> ValidationReport:
     """``report`` with the Reeb-parallelism facts that hold on any cell, from
-    the largest |nabla_xi phi| and |nabla_xi xi| over its samples."""
-    xi_geodesic = Residual("xi_geodesic", tol).add(nabla_xi_xi_max)
-    phi_parallel = Residual("phi_parallel_along_xi", tol).add(nabla_xi_phi_max)
-    return _with_checks(report, xi_geodesic, phi_parallel)
+    a sweep's first two ``columns``: |nabla_xi phi| and |nabla_xi xi| per sample."""
+    nabla_xi_phi, nabla_xi_xi, *_ = columns
+    return _with_checks(report, Residual("xi_geodesic", tol).add(nabla_xi_xi),
+                        Residual("phi_parallel_along_xi", tol).add(nabla_xi_phi))
 
 
 def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationReport:
@@ -89,32 +90,30 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
 
 def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer,
                        layout=None) -> tuple[ValidationReport, list]:
-    """The structure axioms and ``layer``'s results batch by batch, from one
-    sweep over ``samples`` in batches sized by the ``layout`` that ``layer``
-    works in: ``validate_structure`` runs ``layer`` on each batch, from the
-    jets the axioms took, while the metric is positive definite.  Where it
-    is not, the caller drops the results."""
+    """The structure axioms and ``layer``'s results, one (P,) column each,
+    from one sweep over ``samples`` in batches sized by the ``layout`` that
+    ``layer`` works in: ``validate_structure`` runs ``layer`` on each batch,
+    from the jets the axioms took, while the metric is positive definite.
+    Where it is not, the caller drops the columns."""
     results = []
     report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)), layout)
-    return report, results
+    return report, [np.concatenate(column) for column in zip(*results)]
 
 
 def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
     # one sweep: the axioms, classify's layers (nabla phi and the weight fit) and the normality tensor, in the
     # sets of the structure's layout
-    report, results = _axioms_and_layers(struct, samples, args.tol, verify_layers, struct.layout)
+    report, columns = _axioms_and_layers(struct, samples, args.tol, verify_layers, struct.layout)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
     # without a positive definite metric there is no Levi-Civita connection: the layers' results go
     if not report.check("metric_positive_definite").passed:
         print(report.format_table(header))
         print("  metric not positive definite; derivative checks skipped")
         return _failed_subject(struct, {"checks": report.check_dicts()})
-    classification = classify(struct, samples, args.tol, results)
-    normality = Residual("normality", args.tol)
-    for batch in results:
-        normality.add(batch[-1])  # verify_layers gives the largest |N| per sample last
-    report = _with_reeb_checks(report, classification.nabla_xi_phi_max, classification.nabla_xi_xi_max, args.tol)
+    classification = classify(struct, args.tol, columns)
+    normality = Residual("normality", args.tol).add(columns[-1])  # verify_layers gives the largest |N| last
+    report = _with_reeb_checks(report, columns, args.tol)
     if struct.dim == 3:
         weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
         report = _with_checks(report, weight_fit)
@@ -242,9 +241,9 @@ def cmd_sew(args) -> int:
 
     tol = max(args.tol, 1e-9)
     # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone, in the axioms' sweep
-    induced, results = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer)
+    induced, columns = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer)
     if induced.check("metric_positive_definite").passed:
-        induced = _with_reeb_checks(induced, *reeb_derivatives(results), tol)
+        induced = _with_reeb_checks(induced, columns, tol)
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")

@@ -264,11 +264,41 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected {shown}", at, expected="a value")
 
 
+# The deepest tree parse_expression accepts (a sum of n terms is n deep): the
+# walks over a tree recurse once per level, to_source twice, and the sewn
+# definitions of 16 copies reach 23
+MAX_DEPTH = 200
+
+
 def parse_expression(src: str, coords) -> ExpressionNode:
-    """Parse ``src`` over the given coordinate names into an expression tree."""
+    """Parse ``src`` over the given coordinate names into an expression tree.
+
+    A tree deeper than ``MAX_DEPTH`` is refused, and so is a source nested
+    too deeply for the recursive descent of the parser itself."""
     if not src or not src.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(src, tuple(coords)).parse()
+    try:
+        node = _Parser(src, tuple(coords)).parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply to parse", 0) from None
+    _check_depth(node)
+    return node
+
+
+def _check_depth(root: ExpressionNode) -> None:
+    """Raise unless ``root`` is at most ``MAX_DEPTH`` nodes deep, walking
+    the tree with a stack of its own, so that no depth can exhaust Python's."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep", 0)
+        if isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Neg):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
 
 
 # ---------------------------------------------------------------------------

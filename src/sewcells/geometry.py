@@ -20,8 +20,8 @@ The layers a sweep runs (``christoffel``, ``covariant_derivative_affinor``,
 ``exterior_derivative`` and ``lie_bracket``) take one point (n,) or a stack of
 points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
-one call gives the brackets of every column pair.  ``classify`` and the
-``sew`` stages feed these layers batches of samples (see
+one call gives the brackets of every column pair.  The sweeps of the
+commands feed these layers batches of samples (see
 ``charts.evaluate_batches``).  ``christoffel``, ``covariant_derivative_affinor``,
 ``weight_fit`` and ``normality_tensor`` (with ``fundamental_form_with_derivative``)
 work in a layout (``layouts.Layout``), the structure's, or the full grid
@@ -47,9 +47,9 @@ runs once per chunk of batches for the axioms and these layers together.
 ``nullity`` and the theorem stage of ``sew`` run ``classify_layers`` next
 to the nullity fits, on one connection per batch and the full grid, in the
 sweep of ``nullity.classify_and_fit``.  The layers reduce their results per sample,
-so the results of a stack slice into those of its rows, and ``classify``
-and ``reeb_derivatives`` reduce them over the batches; given no results,
-``classify`` runs ``classify_layers`` in a sweep of its own.
+so the results of a stack slice into those of its rows; the commands' sweeps
+concatenate each result over the batches into one (P,) column, and
+``classify`` reduces those columns.  This module runs no sweep.
 Every consumer of the curvature contracts it with one vector field (the
 nullity conditions involve only ``R(X, Y) xi``), so ``riemann`` gives the
 curvature along a vector, ``R(e_i, e_j) v``, and never the whole
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ContactStructure, Residual, TensorField, evaluate_batches
+from .charts import ContactStructure, Residual, TensorField
 from .layouts import Layout
 
 _RANK_TOL = 1e-8
@@ -250,15 +250,6 @@ def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
     return _max_abs(nabla_xi_phi, 2), _max_abs(nabla_xi_xi, 1)
 
 
-def reeb_derivatives(results) -> tuple[float, float]:
-    """The largest magnitudes of nabla_xi phi and nabla_xi xi over the
-    batches whose ``reeb_layer`` (or ``classify_layers``) results are
-    ``results``: the first two of each batch's."""
-    xi_phi, xi_xi, *_ = zip(*results)
-    return (Residual("nabla_xi_phi", 0.0).add(np.concatenate(xi_phi)).value,
-            Residual("nabla_xi_xi", 0.0).add(np.concatenate(xi_xi)).value)
-
-
 @dataclass
 class StructureTensorsAtPoint:
     """The flow-rate affinor ``h = 1/2 L_xi phi`` and its composite ``h' = h phi``."""
@@ -369,14 +360,13 @@ WEIGHT_SPREAD_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Classification:
+    """A structure's weight class over a sample set, as ``classify`` decides it."""
+
     kind: str
     alpha: float | None
     weights: tuple[float, ...]
     fit_residual_max: float
     is_cosymplectic: bool
-    # the largest magnitudes over the samples
-    nabla_xi_phi_max: float
-    nabla_xi_xi_max: float
 
     def describe(self) -> str:
         if self.kind == ALMOST_COSYMPLECTIC:
@@ -446,37 +436,28 @@ def verify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:
     return (*classify_layers(struct, points), _max_abs(normality_tensor(struct, points), 3 + struct.layout.hub))
 
 
-def classify(struct: ContactStructure, samples, tol: float, results=None) -> Classification:
+def classify(struct: ContactStructure, tol: float, columns) -> Classification:
     """Decide almost cosymplectic / almost alpha-Kenmotsu / weight function.
 
     Every 3-dimensional structure with closed eta fits ``dPhi = 2 lambda eta ^ Phi``
     exactly at each point; in higher dimension a residual above ``tol`` means
     no such weight exists and the result is unclassified, as it is in any
-    dimension when the residual is not finite.  ``results`` are those of
-    ``classify_layers`` (or ``verify_layers``) on the batches of
-    ``samples``, as the axiom sweep (``charts.validate_structure``) takes
-    them, or the rows of one column set of ``samples`` in a stacked sweep's
-    results (``nullity.classify_and_fit``); without them ``classify`` runs
-    ``classify_layers`` in a sweep of its own.
-    """
-    if results is None:
-        reads = [(struct.metric, 1), (struct.phi, 1), (struct.xi, 1), (struct.eta, 0)]
-        results = [out for _, out in evaluate_batches(samples, struct.dim, lambda points: classify_layers(struct, points),
-                                                      reads, struct.layout)]
-    _, _, nabla_phi, lams, residuals, *_ = zip(*results)
-    xi_phi, xi_xi = reeb_derivatives(results)
-    fit = Residual("weight_fit", tol).add(np.concatenate(residuals))
-    arr = np.concatenate(lams)
+    dimension when the residual is not finite.  ``columns`` are the results
+    of ``classify_layers`` (or ``verify_layers``), one (P,) column each, as
+    a sweep gathers them (``nullity.classify_and_fit`` or ``verify``'s); the
+    largest |nabla phi|, the weights and the fit residuals are read."""
+    _, _, nabla_phi, weights, residuals, *_ = columns
+    fit = Residual("weight_fit", tol).add(residuals)
     if not fit.passed and (struct.dim > 3 or not np.isfinite(fit.value)):
         kind, alpha = UNCLASSIFIED, None
-    elif Residual("weight", tol).add(arr).passed:
+    elif Residual("weight", tol).add(weights).passed:
         kind, alpha = ALMOST_COSYMPLECTIC, None
-    elif Residual("weight_spread", WEIGHT_SPREAD_TOL).add(np.ptp(arr)).passed:
-        kind, alpha = ALMOST_ALPHA_KENMOTSU, float(arr.mean())
+    elif Residual("weight_spread", WEIGHT_SPREAD_TOL).add(np.ptp(weights)).passed:
+        kind, alpha = ALMOST_ALPHA_KENMOTSU, float(weights.mean())
     else:
         kind, alpha = WEIGHT_FUNCTION, None
-    return Classification(kind, alpha, tuple(arr.tolist()), fit.value,
-                          Residual("nabla_phi", tol).add(np.concatenate(nabla_phi)).passed, xi_phi, xi_xi)
+    return Classification(kind, alpha, tuple(weights.tolist()), fit.value,
+                          Residual("nabla_phi", tol).add(nabla_phi).passed)
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ def classify_and_fit(struct: ContactStructure, samples: Samples, tol: float, fit
         return []
     layers = [np.concatenate(column) for column in zip(*(batch_layers for batch_layers, _ in swept))]
     fits = NullityFits.concatenate([batch_fits for _, batch_fits in swept]) if fit else None
-    return [(classify(struct, samples, tol, [tuple(column[j::sets] for column in layers)]),
-             fits[j::sets] if fit else None) for j in range(sets)]
+    return [(classify(struct, tol, [column[j::sets] for column in layers]), fits[j::sets] if fit else None)
+            for j in range(sets)]
 
 
 OPERATOR_LAWS = (

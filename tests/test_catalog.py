@@ -10,8 +10,7 @@ from sewcells.catalog import (
     standard_cells,
 )
 from sewcells.charts import sample_points, validate_structure
-from sewcells.geometry import classify
-from sewcells.nullity import fit_nullity, normalized
+from sewcells.nullity import classify_and_fit, fit_nullity, normalized
 
 
 class TestConstructors:
@@ -30,7 +29,7 @@ class TestConstructors:
     def test_model_cell_classifies_almost_cosymplectic(self):
         cell = model_cosymplectic_cell(1.0)
         samples = sample_points(cell.chart, 15, 7)
-        cl = classify(cell, samples, 1e-9)
+        cl = classify_and_fit(cell, samples, 1e-9, False)[0][0]
         assert cl.kind == "almost_cosymplectic"
 
     def test_model_cell_rejects_nonpositive_lam(self):
@@ -47,7 +46,7 @@ class TestKenmotsuWarped:
 
     def test_classification_and_normalized_fit(self, kenmotsu_cell):
         samples = sample_points(kenmotsu_cell.chart, 15, 7)
-        cl = classify(kenmotsu_cell, samples, 1e-9)
+        cl = classify_and_fit(kenmotsu_cell, samples, 1e-9, False)[0][0]
         assert cl.kind == "almost_alpha_kenmotsu"
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
         fit = normalized(fit_nullity(kenmotsu_cell, np.array([0.25, 0.5, -0.5])), 1.0)

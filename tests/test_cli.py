@@ -505,6 +505,28 @@ def test_zero_tolerance_is_accepted(model_file, capsys):
     assert "usage:" not in capsys.readouterr().err
 
 
+DEEP_ENTRIES = pytest.mark.parametrize(
+    "key, index, src",
+    [("metric", 1, "(" * 300 + "1" + ")" * 300), ("metric", 1, "+".join(["t"] * 5000)), ("phi", 0, "-" * 3000 + "t")],
+    ids=["parentheses", "sum", "minus"],
+)
+
+
+@COMMANDS
+@DEEP_ENTRIES
+def test_deeply_nested_entries_are_input_errors(command, key, index, src, tmp_path, monkeypatch, capsys):
+    """An entry nested deeper than the parser or the walks over its tree can
+    recurse is refused when the file loads, with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    doc = structure_to_dict(model_cosymplectic_cell(1.0))
+    doc[key][index][index] = src
+    Path("deep.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command[0], "deep.json", *command[1:], "--json", "report.json"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: " in err and "nested" in err and "Traceback" not in err
+    assert not Path("sewn.json").exists() and not Path("report.json").exists()
+
+
 @COMMANDS
 def test_unsampleable_domain_is_an_input_error(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import fuzz_cases, gradient_hessian_fd, random_expression, value_gradient_fd
 from sewcells.expressions import (
     FUNCTIONS,
+    MAX_DEPTH,
     BinOp,
     Call,
     EvaluationDomainError,
@@ -239,6 +240,15 @@ class TestParseTotality:
             parse_expression(raw.decode("latin-1"), TXY)
         except ExpressionError:
             pass
+
+    def test_depth_limit(self):
+        """A sum of n terms is n deep: MAX_DEPTH terms parse, and the walks
+        over the tree take it, and one more term is refused."""
+        tree = parse_expression("+".join(["t"] * MAX_DEPTH), TXY)
+        assert evaluate(tree, np.array([0.5, 0.0, 0.0]), IDX_TXY) == MAX_DEPTH / 2
+        assert to_source(tree) == " + ".join(["t"] * MAX_DEPTH)
+        with pytest.raises(ExpressionSyntaxError, match=f"more than {MAX_DEPTH} levels"):
+            parse_expression("+".join(["t"] * (MAX_DEPTH + 1)), TXY)
 
 
 class TestFiniteDifferenceAgreement:

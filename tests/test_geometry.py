@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals, dense_hessians
 from oracles import h_tensor_fd, koszul_fd, nabla_phi_fd, normality_fd
+from sewcells import cli
 from sewcells.charts import Chart, TensorField, sample_points
 from sewcells.expressions import to_source
 from sewcells.geometry import (
@@ -13,7 +15,6 @@ from sewcells.geometry import (
     ALMOST_COSYMPLECTIC,
     GeometryError,
     christoffel,
-    classify,
     covariant_derivative_affinor,
     exterior_derivative,
     fundamental_form_with_derivative,
@@ -25,7 +26,8 @@ from sewcells.geometry import (
     wedge_eta_two_form,
     weight_fit,
 )
-from sewcells.nullity import fit_nullity, normalized
+from sewcells.manifold_io import load_manifold, save_manifold
+from sewcells.nullity import classify_and_fit, fit_nullity, normalized
 
 
 def euclidean_metric(n=3, names=("t", "x", "y")):
@@ -251,23 +253,23 @@ class TestNormality:
 class TestClassification:
     def test_flat_cell(self, flat_cell):
         samples = sample_points(flat_cell.chart, 20, 33)
-        cl = classify(flat_cell, samples, 1e-9)
+        cl = classify_and_fit(flat_cell, samples, 1e-9, False)[0][0]
         assert cl.kind == ALMOST_COSYMPLECTIC and cl.is_cosymplectic
 
     def test_model_cell(self, model_cell):
         samples = sample_points(model_cell.chart, 20, 33)
-        cl = classify(model_cell, samples, 1e-9)
+        cl = classify_and_fit(model_cell, samples, 1e-9, False)[0][0]
         assert cl.kind == ALMOST_COSYMPLECTIC and not cl.is_cosymplectic
 
     def test_kenmotsu_cell(self, kenmotsu_cell):
         samples = sample_points(kenmotsu_cell.chart, 20, 33)
-        cl = classify(kenmotsu_cell, samples, 1e-9)
+        cl = classify_and_fit(kenmotsu_cell, samples, 1e-9, False)[0][0]
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
     def test_halfspace_cell(self, halfspace_cell):
         samples = sample_points(halfspace_cell.chart, 20, 33)
-        cl = classify(halfspace_cell, samples, 1e-9)
+        cl = classify_and_fit(halfspace_cell, samples, 1e-9, False)[0][0]
         assert cl.kind == ALMOST_ALPHA_KENMOTSU
         assert cl.alpha == pytest.approx(1.0, abs=1e-9)
 
@@ -299,7 +301,7 @@ class TestClassification:
             lam, residual = weight_fit(cell, point)
             assert residual <= 1e-12
             assert lam == pytest.approx(point[1] / 2.0, abs=1e-12)
-        cl = classify(cell, samples, 1e-9)
+        cl = classify_and_fit(cell, samples, 1e-9, False)[0][0]
         assert cl.kind == "weight_function"
 
     def test_nonconstant_weight_reported(self):
@@ -322,17 +324,23 @@ class TestClassification:
             eta=TensorField.build(chart, 0, 1, ["1", "0", "0"]),
         )
         samples = sample_points(chart, 15, 2)
-        cl = classify(cell, samples, 1e-9)
+        cl = classify_and_fit(cell, samples, 1e-9, False)[0][0]
         assert cl.kind == "weight_function"
 
 
-    def test_carries_the_largest_derivative_magnitudes(self, halfspace_cell):
-        samples = sample_points(halfspace_cell.chart, 30, 5)
-        cl = classify(halfspace_cell, samples, 1e-9)
-        derivatives = [covariant_derivative_affinor(halfspace_cell, point) for point in samples.coords]
-        assert cl.nabla_xi_phi_max == max(d.nabla_xi_phi_norm for d in derivatives)
-        assert cl.nabla_xi_xi_max == max(d.nabla_xi_xi_norm for d in derivatives)
-        assert not hasattr(cl, "normality_max")  # only verify reads the normality tensor, off its own layer
+    def test_carries_the_largest_derivative_magnitudes(self, halfspace_cell, tmp_path):
+        # verify's Reeb checks are the largest norms that covariant_derivative_affinor gives at its samples
+        path, report = tmp_path / "halfspace.json", tmp_path / "report.json"
+        save_manifold(halfspace_cell, path)
+        assert cli.main(["verify", str(path), "--points", "30", "--seed", "5", "--json", str(report)]) == 0
+        residuals = {c["name"]: c["residual"] for c in json.loads(report.read_text())["subjects"][0]["checks"]}
+        cell = load_manifold(path)
+        samples = sample_points(cell.chart, 30, 5)
+        derivatives = [covariant_derivative_affinor(cell, point) for point in samples.coords]
+        assert residuals["phi_parallel_along_xi"] == max(d.nabla_xi_phi_norm for d in derivatives)
+        assert residuals["xi_geodesic"] == max(d.nabla_xi_xi_norm for d in derivatives)
+        cl = classify_and_fit(halfspace_cell, samples, 1e-9, False)[0][0]
+        assert not hasattr(cl, "nabla_xi_phi_max") and not hasattr(cl, "normality_max")  # only verify reads them
         torsion = verify_layers(halfspace_cell, samples.coords)[-1]
         assert torsion.max() == max(np.abs(normality_tensor(halfspace_cell, point)).max() for point in samples.coords)
         assert torsion.max() > 0.0

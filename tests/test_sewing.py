@@ -17,7 +17,7 @@ from sewcells.charts import (
     sample_points,
     validate_structure,
 )
-from sewcells.geometry import christoffel, classify, exterior_derivative, lie_bracket, numeric_rank, riemann
+from sewcells.geometry import christoffel, exterior_derivative, lie_bracket, numeric_rank, riemann
 from sewcells import sewing
 from sewcells.expressions import BinOp, Num, Var
 from sewcells.manifold_io import load_manifold, save_manifold
@@ -779,7 +779,7 @@ class TestTheorems:
 
         samples = sample_points(sewn.chart, 10, 7)
 
-        cl = classify(sewn, samples, 1e-8)
+        cl = classify_and_fit(sewn, samples, 1e-8, False)[0][0]
         assert cl.kind == UNCLASSIFIED
         assert cl.fit_residual_max > 1e-8
         # the structure axioms still hold on the sewn manifold
@@ -921,8 +921,9 @@ class TestTheoremSweeps:
     def assert_blocks_are_their_own(product, sewn, samples, sweeps):
         """After the sewn sweep, one sweep per group of blocks, on the
         group's cell at its blocks' sewn columns; each block's classification
-        and fits equal those of ``classify`` and ``fit_nullity`` at the
-        block's own projected samples, field by field and bit for bit."""
+        and fits equal those of the cell's own sweep (``classify_and_fit``)
+        and ``fit_nullity`` at the block's own projected samples, field by
+        field and bit for bit."""
         projected = samples.coords @ embedding_matrix(product, sewn).T
         (sewn_struct, fit, columns, _), *cell_sweeps = sweeps
         assert sewn_struct is sewn and columns is None
@@ -933,7 +934,7 @@ class TestTheoremSweeps:
             assert len(results) == len(members)
             for b, (classification, fits) in zip(members, results):
                 own = Samples(projected[:, list(product.blocks[b])], samples.draws)
-                assert classification == classify(cell, own, 1e-8)
+                assert classification == classify_and_fit(cell, own, 1e-8, False)[0][0]
                 if not fit:
                     assert fits is None
                     continue

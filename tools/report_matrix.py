@@ -21,7 +21,9 @@ the sewn k = 4 outputs (9 dimensions, so
 layers; the model, warped and flat charts split into s and their blocks,
 the halfspace chart is one set) and on the sewn model and halfspace k = 16
 outputs (the model chart's layers in batches sized by its sets, the
-halfspace chart's one sample at a time on the full grid), and ``verify``
+halfspace chart's one sample at a time on the full grid), ``nullity`` on
+the sewn k = 4 outputs (its classify-and-fit sweep on the full grid of the
+charts that split as of the one that does not), and ``verify``
 and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
 exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
@@ -35,7 +37,8 @@ axioms or is NaN at every point: its one sweep folds the axioms and fits
 the positive definite metric's batches, and then reports the failing
 axioms alone.  ``sew --copies 3`` of ``NAN_PHI_CELL`` fails its induced
 axioms, and ``verify --points 100`` of the sewn file it writes takes the
-NaN through the layers in the sets of a split chart.  Each tree writes its own
+NaN through the layers in the sets of a split chart, ``nullity`` of it
+through the classify-and-fit sweep.  Each tree writes its own
 catalog cell files with its own ``catalog`` command, and the same
 ``CONSTANTS_CELL``, ``PARTLY_PD_CELL``, ``BROKEN_PHI_CELL`` and
 ``NAN_PHI_CELL`` files, and runs every command as a fresh process in its own
@@ -60,7 +63,7 @@ at least 1e-10 and the worst absolute difference of the others; the numeric
 fields that moved at all, with checks named by their check name; the text
 fields that differ (the version, notes); how many reports changed bytes; and
 whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
-error lines.  The matrix is 58 commands; the three runs take 34 to 80 s on a
+error lines.  The matrix is 63 commands; the three runs take 40 to 90 s on a
 2-CPU machine, k = 16 included.  Exit status 0 when nothing structural differs, both numeric
 gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
 bad argument.
@@ -213,6 +216,8 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"verify-sewn-{cell}-k2", ["verify", f"sewn/{cell}-k2.json", "--points", "100"]))
         # 9 dimensions: 100 points make 5 batches
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
+        # the one classify-and-fit sweep on the full grid of a chart that splits (all but halfspace)
+        commands.append((f"nullity-sewn-{cell}-k4", ["nullity", f"sewn/{cell}-k4.json"]))
     commands.append(("verify-error", ["verify", "cells/error.json"]))
     commands.append(("verify-late-error", ["verify", "cells/late-error.json", "--points", LATE_POINTS]))
     commands.append(("verify-constants", ["verify", "cells/constants.json"]))
@@ -230,6 +235,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"verify-sewn-{cell}-k16", ["verify", f"sewn/{cell}-k16.json", "--points", "100"]))
     commands.append(("sew-nan-phi-k3", ["sew", "cells/nan-phi.json", "--copies", "3", "--out", "sewn/nan-phi-k3.json"]))
     commands.append(("verify-sewn-nan-phi-k3", ["verify", "sewn/nan-phi-k3.json", "--points", "100"]))
+    commands.append(("nullity-sewn-nan-phi-k3", ["nullity", "sewn/nan-phi-k3.json"]))
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
