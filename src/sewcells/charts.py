@@ -23,8 +23,9 @@ sample axis (a metric gradient, the Christoffel symbols, nabla phi, the
 brackets of an affinor's columns, the curvature along one vector) within the
 budget, on a chart of dimension n, and one sample where even one such array
 exceeds it; a sweep whose layers work in a star layout (below) counts the
-layout's largest array of a sample instead.  No sweep builds an (n, n, n, n) array: the curvature reads the
-sparse Hessians only through their contractions with a vector
+layout's largest array of a sample instead, K (w, w, w) arrays.  No sweep
+builds an (n, n, n, n) array: the curvature reads the sparse Hessians only
+through their contractions with a vector
 (``TensorField.fold_hessians``), whose arrays hold two entries per Hessian
 entry, and the batches of a sweep that folds a field's Hessians count those
 entries too (they outgrow n^3 where components read most coordinates).
@@ -53,16 +54,18 @@ count.
 A structure's ``layout`` (``layouts.star_layout``) gives the coordinate
 sets its first-order geometry runs on, proved from the field plans
 (``TensorField.nonzero_entries``): on the sewn chart of copies of a cell,
-s and one block per copy.  In a star layout a field's values and
-gradients are laid out per set "hub plus one block", (P, K, w, ...), and no
+s and one block per copy, every block of one size.  In a star layout a
+field's values and gradients are laid out per set "hub plus one block",
+(P, K, w, ...), once per batch for the axioms and the layers alike, and no
 (n, n, n) array is built; every other chart is one set, the full grid.
 
 ``validate_structure`` sweeps a sample set for the structure axioms: it
-takes the order-1 jets of the four structure fields on each batch, folds
-the axiom residuals from their values (``StructureAxioms``), and hands the
-batch to the derivative layers of its caller (``geometry.verify_layers``,
-in the structure's layout, or ``geometry.reeb_layer``), which read the same
-bound jets.  The ``nullity``
+takes the order-1 jets of the four structure fields on each batch, in the
+layout of the sweep, folds the axiom residuals from them
+(``StructureAxioms``), and hands the batch to the derivative layers of its
+caller (``geometry.verify_layers``, in the structure's layout, or
+``geometry.reeb_layer``, in the full grid), which read the same laid-out
+jets.  The ``nullity``
 sweep (``nullity.classify_and_fit``) folds the same ``StructureAxioms``
 next to its curvature layers.
 """
@@ -319,10 +322,8 @@ class TensorField:
         values and gradients come in its sets instead of the full grid:
         ``vals[..., b, a1, .., ar]`` is the component at the coordinates
         ``layout.sets[b, a1], ..`` and ``grads[..., b, a1, .., ar, c]`` its
-        derivative along ``sets[b, c]``; a padded slot holds 0, or 1 on the
-        diagonal of a (0,2) field, so that a padded metric block is
-        invertible.  A whole-chart layout is the full grid.  The Hessian
-        entries are the same in every layout."""
+        derivative along ``sets[b, c]``.  A whole-chart layout is the full
+        grid.  The Hessian entries are the same in every layout."""
         return self._jet(point, 2 if hessians else 1, layout)
 
     _memo: tuple = ()  # the bindings of a sweep, one per stack it reads the field at
@@ -737,8 +738,10 @@ BATCH_BYTES = 128 * 1024
 
 def batch_size(dim: int, folds: Sequence[TensorField] = (), layout: Layout | None = None) -> int:
     """Samples per batch on a chart of dimension ``dim``, for a sweep that
-    folds the Hessians of the fields ``folds`` and whose layers work in
-    ``layout`` (the full grid when None; see the module docstring)."""
+    folds the Hessians of the fields ``folds`` and whose axioms and layers
+    work in ``layout``: an (n, n, n) array per sample in the full grid (when
+    None), ``layout.width`` floats in a star layout (see the module
+    docstring)."""
     width = max([dim ** 3 if layout is None else layout.width] + [field._plan.fold_targets.size for field in folds])
     return max(1, BATCH_BYTES // (8 * width))
 
@@ -920,16 +923,14 @@ class ValidationReport:
 class StructureAxioms:
     """The residuals of the structure axioms over a sweep, folded in batch by
     batch (``add``) from the order-1 jets of ``reads``; ``report`` gives
-    their checks (see ``validate_structure``).  The axioms read the values
-    of g, phi and xi and the jet of eta in the full grid, (n, n) per
-    sample.  Where the layers of the sweep work in a star ``layout``, which
-    reads none of those, the axioms lay them out for themselves, so that
-    they go before the layers run; else the batch keeps them for the
-    layers."""
+    their checks (see ``validate_structure``).  The axioms read the jets in
+    the ``layout`` the layers of the sweep work in, as the layers do: (n, n)
+    matrices per sample in the full grid (when None), and (K, w, w) in a
+    star layout, whose entries outside the sets are zero
+    (``layouts.star_layout``), so that a batch lays each field out once."""
 
     def __init__(self, struct: ContactStructure, tol: float, layout: Layout | None = None):
-        self.struct = struct
-        self.keep = layout is None or not layout.hub
+        self.struct, self.layout = struct, layout or Layout.whole(struct.dim)
         # eta first, then g, phi and xi: the first field to leave its domain raises
         self.reads = [(field, 1) for field in (struct.eta, struct.metric, struct.phi, struct.xi)]
         self.residuals = tuple(Residual(name, tol) for name in
@@ -940,8 +941,7 @@ class StructureAxioms:
             scale = struct.eta_scale
             note = f"eta = {scale:g} * d{struct.chart.coords[t_axis]}"
             self.adapted = Residual("eta_adapted_component", tol, note=note)
-            self.expected = np.zeros(struct.dim)
-            self.expected[t_axis] = scale
+            self.expected = np.where(self.layout.sets == t_axis, scale, 0.0)
         self.min_eig = math.inf
         self.spd_ok = True
 
@@ -951,52 +951,37 @@ class StructureAxioms:
         connection needs.  A batch with a non-finite metric entry fails that
         before any eigenvalue is taken."""
         struct = self.struct
-        eta_vals, eta_grads, g, p, xi = (
-            part for field, parts in ((struct.eta, 2), (struct.metric, 1), (struct.phi, 1), (struct.xi, 1))
-            for part in self._read(field, points, parts))
+        eta_vals, eta_grads = struct.eta._jet(points, 1, self.layout)
+        g, p, xi = (field._jet(points, 1, self.layout)[0] for field in (struct.metric, struct.phi, struct.xi))
         phi2, eta_xi, compat, deta = self.residuals
         # a non-finite entry makes NaN residuals, which fail their checks without a warning
         with np.errstate(all="ignore"):
-            # in place, so that a batch holds few (n, n) arrays at once
+            # in place, so that a batch holds few matrices of the layout at once
             square = p @ p
-            square += np.eye(struct.dim)
-            square -= xi[:, :, None] * eta_vals[:, None, :]
+            square += np.eye(p.shape[-1])
+            square -= xi[..., :, None] * eta_vals[..., None, :]
             phi2.add(square)
             del square
-            eta_xi.add(np.einsum("pi,pi->p", eta_vals, xi) - 1.0)
-            defect = np.swapaxes(p, 1, 2) @ g @ p
-            del p
+            eta_xi.add(np.einsum("...i,...i->...", eta_vals, xi) - 1.0)
+            defect = np.swapaxes(p, -1, -2) @ g @ p
             defect -= g
-            defect += eta_vals[:, :, None] * eta_vals[:, None, :]
+            defect += eta_vals[..., :, None] * eta_vals[..., None, :]
             compat.add(defect)
             del defect
-            deta.add(np.swapaxes(eta_grads, 1, 2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
+            deta.add(np.swapaxes(eta_grads, -1, -2) - eta_grads)  # (d eta)_{ij} = d_i eta_j - d_j eta_i
             if self.adapted is not None:
                 self.adapted.add(eta_vals - self.expected)
-            del eta_vals, eta_grads, xi
             if not np.isfinite(g).all():
                 # no eigenvalue, which LAPACK may fail to find; the NaN sticks in min
                 self.min_eig, self.spd_ok = math.nan, False
                 return False
-            self.min_eig = min(self.min_eig, float(np.linalg.eigvalsh(g)[:, 0].min()))
+            self.min_eig = min(self.min_eig, float(np.linalg.eigvalsh(g)[..., 0].min()))
             try:
                 np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
                 self.spd_ok = False
             self.spd_ok = self.spd_ok and self.min_eig >= SPD_EIGENVALUE_FLOOR
         return self.spd_ok
-
-    def _read(self, field: TensorField, points: np.ndarray, parts: int) -> tuple:
-        """The first ``parts`` parts of the order-1 jet of ``field`` in the
-        full grid: the program runs at order 1 where the field is not bound,
-        so that a derivative that leaves its domain stops the sweep here as
-        in the layers.  Kept, the whole jet is laid out for the layers too;
-        else the gradients of a rank-2 field are not laid out at all."""
-        if self.keep:
-            return field._jet(points, 1)[:parts]
-        binding = field._bound(points, 1) if field._memo else None
-        compact = field._run(points, 1) if binding is None else binding.compact
-        return field._lay_out(None, points.shape[:-1], parts - 1, compact)
 
     def report(self, count: int) -> ValidationReport:
         """The checks over the ``count`` samples folded in."""
@@ -1024,9 +1009,8 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     batch's stack, so that the derivative layers read the jets the sweep
     bound and each field's program runs once per chunk (see
     ``evaluate_batches``); ``layout`` is the one the layers work in, which
-    sizes the batches (the full grid when None).  The axioms read the
-    values of g, phi and xi and the jet of eta in the full grid, (n, n) per
-    sample.  ``layers`` runs only while every batch so far
+    sizes the batches (the full grid when None) and in which the axioms
+    read the jets too.  ``layers`` runs only while every batch so far
     has had a positive definite metric: without one there is no
     Levi-Civita connection, and a caller drops what ``layers`` gathered when
     ``metric_positive_definite`` fails.  ``nullity.classify_and_fit`` folds

@@ -56,10 +56,10 @@ DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
 # The sewn curvature holds a few arrays of 8 (2k+1)^3 bytes per sample (0.29 MB
-# each at k = 16), and its time per sample grows about as k^3.  verify's layers
-# work per block of a sewn chart that splits (layouts.star_layout), k arrays of
-# 8 * 27 bytes per sample, in batches that its (2k+1)^2 metric sizes; the nullity
-# fits and sew's curvature stay on the full grid.
+# each at k = 16), and its time per sample grows about as k^3.  verify's axioms
+# and layers work per block of a sewn chart that splits (layouts.star_layout), k
+# arrays of 8 * 27 bytes per sample, which size its batches; the nullity fits and
+# sew's curvature stay on the full grid.
 MAX_COPIES = 16
 MAX_POINTS = 10_000
 

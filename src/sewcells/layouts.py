@@ -5,14 +5,15 @@ so on its coordinates (s, x1, y1, ..., xk, yk) every entry of g, phi, xi and
 eta that is not the literal zero, and every gradient entry, lies on s plus
 one cell's pair.  ``star_layout`` proves such a split from the field plans
 (``charts.TensorField.nonzero_entries``): the adapted coordinate, the hub,
-and blocks.  Then g is block diagonal, and Gamma, nabla phi, Phi, d Phi,
-eta ^ Phi and the normality tensor vanish off the sets "hub plus one
-block", so the geometry layers compute them per set on (P, K, w, ...)
-arrays (``charts.TensorField.evaluate_with_jets`` lays a field's jet out in
-them, ``Layout.scatter`` says where its entries go) and never build an
-(n, n, n) array; this is block elimination (Golub & Van Loan, Matrix
-Computations, 4th ed., 2013) where the hub couples to no block.  Every other
-chart is one set, the full grid, and its arrays are those of the chart.
+and blocks of one size.  Then g is block diagonal, and Gamma, nabla phi,
+Phi, d Phi, eta ^ Phi and the normality tensor vanish off the sets "hub
+plus one block", so the structure axioms and the geometry layers compute
+them per set on (P, K, w, ...) arrays (``charts.TensorField.evaluate_with_jets``
+lays a field's jet out in them, ``Layout.scatter`` says where its entries
+go) and never build an (n, n, n) array; this is block elimination (Golub &
+Van Loan, Matrix Computations, 4th ed., 2013) where the hub couples to no
+block.  Every other chart is one set, the full grid, and its arrays are
+those of the chart.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 
 class Layout:
     """K sets of w coordinates of a chart of dimension ``dim``: ``sets[b]``
-    holds the chart indices of set b, and -1 pads a shorter set.  A
-    whole-chart layout is one set, the chart in order, and its arrays are
-    those of the full grid.  A star layout (``hub``) is a hub coordinate
-    and K >= 2 blocks, and set b is the hub, first, and block b (see
+    holds the chart indices of set b.  A whole-chart layout is one set, the
+    chart in order, and its arrays are those of the full grid.  A star
+    layout (``hub``) is a hub coordinate and K >= 2 blocks of w - 1
+    coordinates, and set b is the hub, first, and block b (see
     ``star_layout``); its arrays lead with the set axis, so that a rank-r
     array is (..., K, w, .., w)."""
 
@@ -49,20 +50,17 @@ class Layout:
 
     @property
     def width(self) -> int:
-        """Floats per sample of the largest array of a sweep in this layout:
-        a (w, w, w) array per set, or the (n, n) matrices that the structure
-        axioms read in the full grid, whichever is larger."""
+        """Floats per sample of the largest array of a sweep in this layout,
+        a (w, w, w) array per set."""
         count, size = self.sets.shape
-        return max(count * size ** 3, self.dim ** 2)
+        return count * size ** 3
 
     @cached_property
     def local(self) -> np.ndarray:
         """[b, c]: the slot of chart index c in set b, -1 where it is not there."""
-        local = np.full((len(self.sets), self.dim), -1)
-        for block, members in enumerate(self.sets.tolist()):
-            for slot, c in enumerate(members):
-                if c >= 0:
-                    local[block, c] = slot
+        count, size = self.sets.shape
+        local = np.full((count, self.dim), -1)
+        local[np.arange(count)[:, None], self.sets] = np.arange(size)
         return local
 
     def slots(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,19 +86,13 @@ class Layout:
         ``constant`` (of ``shape``), and ``sources[part]`` of the compact
         values (``part`` 0) or gradient entries (1) fill the flat
         ``slots[part]``, with ``width`` slots per gradient.  A component in
-        several sets (one that reads only the hub) fills a slot in each; a
-        padded slot holds 0, or 1 on the diagonal of a (0,2) field, so that a
-        padded metric block is invertible."""
+        several sets (one that reads only the hub) fills a slot in each."""
         plan = field._plan
         shape, rank = field.shape, field.rank
         known = np.flatnonzero(plan.constant != 0.0)
         constants, constant_slots = self.slots(np.column_stack(np.unravel_index(known, shape)))
         constant = np.zeros(math.prod(self.shape(rank)))
         constant[constant_slots] = plan.constant[known[constants]]
-        if (field.upper, field.lower) == (0, 2):
-            size = self.sets.shape[1]
-            pads = np.flatnonzero(self.sets < 0)
-            constant.reshape(self.shape(2))[pads // size, pads % size, pads % size] = 1.0
         roots = np.column_stack(np.unravel_index(plan.positions, shape))
         entries = np.column_stack(np.unravel_index(plan.grad_slots, shape + (self.dim,)))
         (value_sources, value_slots), (grad_sources, grad_slots) = self.slots(roots), self.slots(entries)
@@ -121,10 +113,14 @@ def star_layout(struct) -> Layout:
     of coordinates that the entries couple.  Then g is block diagonal, and
     Gamma, nabla phi, Phi, d Phi, eta ^ Phi and the normality tensor vanish
     outside the sets hub plus one block, so each is computed per set; only
-    the hub component of nabla_xi xi sums over the sets.  A chart with no
-    adapted coordinate, one that fails a condition, or one with fewer than
-    two blocks is one set, the whole chart (a sewn chart whose metric couples
-    s to the blocks, for instance).  So is a chart of fewer than seven
+    the hub component of nabla_xi xi sums over the sets.  The structure
+    axioms read the sets too: every entry of their matrices outside the sets
+    is zero (phi's hub row and column are, g is block diagonal and eta is
+    c ds), and the eigenvalues of g are those of its sets.  A chart with no adapted
+    coordinate, one that fails a condition, or one with fewer than two
+    blocks or with blocks of unequal sizes is one set, the whole chart (a
+    sewn chart whose metric couples s to the blocks, for instance; the blocks
+    of a sewn chart are pairs).  So is a chart of fewer than seven
     coordinates, a 3-dimensional cell and a sewn chart of two cells among
     them, without a proof: phi squares to -1 on each block of a structure
     that meets the axioms, so a block has two coordinates at least, and a
@@ -156,10 +152,6 @@ def star_layout(struct) -> Layout:
     for c in range(n):
         if c != hub:
             blocks.setdefault(root(c), []).append(c)
-    if len(blocks) < 2:
+    if len(blocks) < 2 or len({len(members) for members in blocks.values()}) > 1:
         return whole
-    sets = np.full((len(blocks), 1 + max(map(len, blocks.values()))), -1)
-    sets[:, 0] = hub
-    for b, members in enumerate(blocks.values()):
-        sets[b, 1:1 + len(members)] = members
-    return Layout(n, sets, hub=True)
+    return Layout(n, np.array([[hub] + members for members in blocks.values()]), hub=True)

@@ -93,11 +93,14 @@ def _entry_parser(coords: tuple[str, ...]):
 
 def load_manifold(path: str | Path) -> ContactStructure:
     """Load and structurally validate a manifold-definition file."""
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ManifoldFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ManifoldFileError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ManifoldFileError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ManifoldFileError(f"{path}: top level must be an object")
     if doc.get("format", FORMAT_TAG) != FORMAT_TAG:

@@ -271,14 +271,8 @@ def dense_verify_layers(struct, points) -> tuple:
 
 def in_sets(layout, array: np.ndarray, rank: int) -> np.ndarray:
     """A full-grid array (..., n, .., n) with ``rank`` chart axes, read in the
-    sets of a star layout, (..., K, w, .., w) with zeros at padded slots;
-    the array itself in a whole-chart layout."""
+    sets of a star layout, (..., K, w, .., w); the array itself in a
+    whole-chart layout."""
     if not layout.hub:
         return array
-    count, size = layout.sets.shape
-    lead = array.shape[:array.ndim - rank]
-    out = np.zeros(lead + (count,) + (size,) * rank)
-    for b, members in enumerate(layout.sets):
-        slots = np.flatnonzero(members >= 0)
-        out[(...,) + (b,) + np.ix_(*[slots] * rank)] = array[(...,) + np.ix_(*[members[slots]] * rank)]
-    return out
+    return np.stack([array[(...,) + np.ix_(*[members] * rank)] for members in layout.sets], axis=array.ndim - rank)

@@ -916,8 +916,8 @@ def test_a_plan_walks_each_distinct_tree_once(monkeypatch):
 class TestStarLayout:
     """A structure's layout is proved from the structurally non-zero entries
     of its field plans (``TensorField.nonzero_entries``); a chart that does
-    not split into its adapted coordinate and two blocks at least is one
-    set, the whole chart."""
+    not split into its adapted coordinate and two blocks of one size at
+    least is one set, the whole chart."""
 
     def test_nonzero_entries_are_the_plan_entries_that_are_not_the_literal_zero(self):
         chart = Chart(("x", "y"))
@@ -928,11 +928,11 @@ class TestStarLayout:
         assert TensorField.build(chart, 1, 0, ["0", "0"]).nonzero_entries[0].shape == (0, 1)
 
     @staticmethod
-    def sewn_doc():
+    def sewn_doc(copies: int = 3):
         from sewcells.catalog import model_cosymplectic_cell
         from sewcells.manifold_io import structure_to_dict
 
-        return structure_to_dict(sew([model_cosymplectic_cell(1.0)] * 3))
+        return structure_to_dict(sew([model_cosymplectic_cell(1.0)] * copies))
 
     @staticmethod
     def layout_of(doc):
@@ -959,9 +959,13 @@ class TestStarLayout:
         assert self.layout_of(doc) is None
 
     def test_coupled_blocks_are_one_block(self):
-        doc = self.sewn_doc()
+        doc = self.sewn_doc(4)
         doc["phi"][2][4] = "0.01*x1"  # phi^y1_y2 couples blocks 1 and 2
-        assert self.layout_of(doc) == [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]
+        doc["phi"][6][8] = "0.01*x3"  # phi^y3_y4 couples blocks 3 and 4
+        assert self.layout_of(doc) == [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]]
+        doc = self.sewn_doc()
+        doc["phi"][2][4] = "0.01*x1"  # blocks of 4 and 2 coordinates are unequal: no split
+        assert self.layout_of(doc) is None
         doc = self.sewn_doc()
         doc["xi"][1] = "0.1*x2*x3"  # xi^x1 reads blocks 2 and 3: one block, and so no split
         assert self.layout_of(doc) is None

@@ -734,18 +734,18 @@ class TestParserReuse:
 def test_verify_runs_the_layers_of_a_split_chart_in_batches_sized_by_its_sets(tmp_path, monkeypatch, capsys):
     """``verify --points 100``: on the sewn model file of 6 copies, which
     splits into s and 6 blocks of two, a sample's largest array of the
-    sweep is its (13, 13) metric, so the layers run on batches of 96 and 4
-    samples, and nothing lays out a (P, 13, 13, 13) array of the full grid;
-    on the sewn halfspace file of 6 copies, whose metric couples s to every
-    block, they run on the full grid in 15 batches of 7, as before there
-    were layouts."""
+    sweep is a (6, 3, 3, 3) array of its sets, so the axioms and the layers
+    run on one batch of 100 samples, and nothing lays out a field in the
+    full grid; on the sewn halfspace file of 6 copies, whose metric couples
+    s to every block, they run on the full grid in 15 batches of 7, as
+    before there were layouts."""
     from sewcells import charts, cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.charts import TensorField, batch_size
     from sewcells.sewing import sew
 
     monkeypatch.chdir(tmp_path)
-    batches, cubes = [], []
+    batches, grids = [], []
     layers = cli.verify_layers
     monkeypatch.setattr(cli, "verify_layers", lambda struct, points: batches.append(len(points)) or
                         layers(struct, points))
@@ -753,18 +753,20 @@ def test_verify_runs_the_layers_of_a_split_chart_in_batches_sized_by_its_sets(tm
 
     def spied(field, layout, lead, order, compact):
         jet = lay_out(field, layout, lead, order, compact)
-        cubes.extend(array.shape for array in jet[:2] if layout is None and array.ndim - len(lead) == 3)
+        if layout is None:
+            grids.extend(array.shape for array in jet[:2])
         return jet
 
     monkeypatch.setattr(TensorField, "_lay_out", spied)
-    for name, cell, sizes, layer_cubes in (
-            ("model", model_cosymplectic_cell(1.0), [96, 4], set()),
+    for name, cell, sizes, cubes in (
+            ("model", model_cosymplectic_cell(1.0), [100], set()),
             ("halfspace", halfspace_kenmotsu_cell(), [7] * 14 + [2], {(7, 13, 13, 13), (2, 13, 13, 13)})):
         sewn = sew([cell] * 6)
         save_manifold(sewn, f"{name}.json")
-        batches.clear(), cubes.clear()
+        batches.clear(), grids.clear()
         assert main(["verify", f"{name}.json", "--points", "100"]) == EXIT_PASS
-        assert batches == sizes and set(cubes) == layer_cubes
+        assert batches == sizes and {shape for shape in grids if len(shape) == 4} == cubes
+        assert bool(grids) == (name == "halfspace")
     layout = load_manifold("model.json").layout
-    assert layout.hub and layout.sets.shape == (6, 3) and layout.width == 13 ** 2
-    assert batch_size(13, layout=layout) == 96 and batch_size(13) == 7 == charts.BATCH_BYTES // (8 * 13 ** 3)
+    assert layout.hub and layout.sets.shape == (6, 3) and layout.width == 6 * 3 ** 3
+    assert batch_size(13, layout=layout) == 101 and batch_size(13) == 7 == charts.BATCH_BYTES // (8 * 13 ** 3)

@@ -1,11 +1,12 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sewcells.catalog import model_cosymplectic_cell
+from sewcells.catalog import model_cosymplectic_cell, standard_cells
 from sewcells.charts import ContactStructure, sample_points, validate_structure
 from sewcells.manifold_io import (
     ManifoldFileError,
@@ -228,8 +229,11 @@ def _spoiled_documents():
     ]
 
 
-@pytest.mark.parametrize("command", [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
-                         ids=["verify", "nullity", "sew"])
+COMMANDS = pytest.mark.parametrize("command", [["verify"], ["nullity"], ["sew", "--copies", "2", "--out", "sewn.json"]],
+                                   ids=["verify", "nullity", "sew"])
+
+
+@COMMANDS
 def test_malformed_definition_is_an_input_error(command, tmp_path, monkeypatch, capsys):
     from sewcells.cli import EXIT_INPUT, main
 
@@ -262,3 +266,43 @@ def test_any_json_value_under_one_key_loads_or_is_a_file_error(key, value):
         assert isinstance(structure_from_dict(doc), ContactStructure)
     except ManifoldFileError:
         pass
+
+
+@COMMANDS
+@pytest.mark.parametrize("data", [b"\xff\xfe{\x00}\x00", b"[" * 100_000], ids=["not-utf8", "nested-100000"])
+def test_unreadable_file_is_an_input_error(command, data, tmp_path, monkeypatch, capsys):
+    """A file that is not UTF-8 text, or JSON nested deeper than the decoder
+    can recurse, exits 2 with an input error and no traceback."""
+    from sewcells.cli import EXIT_INPUT, main
+
+    monkeypatch.chdir(tmp_path)
+    Path("cell.json").write_bytes(data)
+    assert main([command[0], "cell.json", *command[1:], "--points", "5"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cell.json: ") and "Traceback" not in err
+    assert not Path("sewn.json").exists()
+
+
+_DEFINITIONS = [dumps(cell).encode("utf-8") for cell in standard_cells()]
+
+
+@st.composite
+def _edited_definition(draw) -> bytes:
+    """A catalog definition's bytes, cut at a drawn offset or with one byte replaced."""
+    data = draw(st.sampled_from(_DEFINITIONS))
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data)))]
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=64) | _edited_definition())
+def test_verify_exits_0_1_or_2_on_any_file(data, tmp_path_factory):
+    """``verify`` on any file, arbitrary bytes or an edited catalog
+    definition, returns 0, 1 or 2 and raises nothing."""
+    from sewcells.cli import main
+
+    path = tmp_path_factory.getbasetemp() / "any-file.json"
+    path.write_bytes(data)
+    assert main(["verify", str(path), "--points", "5"]) in (0, 1, 2)

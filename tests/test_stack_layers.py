@@ -22,7 +22,15 @@ import pytest
 
 from sewcells import cli
 from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell, standard_cells
-from sewcells.charts import BATCH_BYTES, Chart, ContactStructure, TensorField, batch_size, sample_points
+from sewcells.charts import (
+    BATCH_BYTES,
+    Chart,
+    ContactStructure,
+    TensorField,
+    batch_size,
+    sample_points,
+    validate_structure,
+)
 from geometry_helpers import (
     christoffel_reference,
     d_fundamental_form_reference,
@@ -227,20 +235,20 @@ def test_contracted_reeb_norms_equal_the_full_nabla_phi(reduced_structures):
 
 
 def split_structure() -> ContactStructure:
-    """A structure that meets no axiom on (t, a1, a2, b1, b2, b3, b4), which
-    splits into the hub t and the blocks {a1, a2} and {b1, b2, b3, b4}: every
-    entry reads t and one block at most, g_tt reads t alone, phi's t row and
-    column are zero and eta = 2 dt.  Its xi and g_tt read t and a block, so
-    that nabla_xi xi has a hub component that sums over both sets."""
-    names = ("t", "a1", "a2", "b1", "b2", "b3", "b4")
+    """A structure that meets no axiom on (t, a1, a2, a3, b1, b2, b3), which
+    splits into the hub t and the blocks {a1, a2, a3} and {b1, b2, b3}:
+    every entry reads t and one block at most, g_tt reads t alone, phi's t
+    row and column are zero and eta = 2 dt.  Its xi and g_tt read t and a
+    block, so that nabla_xi xi has a hub component that sums over both sets."""
+    names = ("t", "a1", "a2", "a3", "b1", "b2", "b3")
     chart = Chart(names, adapted_index=0)
     n = len(names)
     metric = [["0"] * n for _ in range(n)]
     phi = [["0"] * n for _ in range(n)]
     metric[0][0] = "2 + 0.5*sin(t)"
     for block, diagonal, coupling in (
-            ((1, 2), ("2 + a1^2*t", "1.5 + 0.3*cos(t*a2)"), "0.3*a2"),
-            ((3, 4, 5, 6), ("3 + b1^2", "2.5 + 0.2*t*b2", "2 + 0.1*b3*t", "2.5 + 0.5*b4^2"), "0.2*t + 0.1*b3")):
+            ((1, 2, 3), ("2 + a1^2*t", "1.5 + 0.3*cos(t*a2)", "2.5 + 0.5*a3^2"), "0.3*a2"),
+            ((4, 5, 6), ("3 + b1^2", "2.5 + 0.2*t*b2", "2 + 0.1*b3*t"), "0.2*t + 0.1*b3")):
         for i, entry in zip(block, diagonal):
             metric[i][i] = entry
         for i, j in zip(block, block[1:]):
@@ -251,7 +259,7 @@ def split_structure() -> ContactStructure:
         "split", chart,
         metric=TensorField.build(chart, 0, 2, metric),
         phi=TensorField.build(chart, 1, 1, phi),
-        xi=TensorField.build(chart, 1, 0, ["0.5 + 0.1*t*a1", "0.2*a2*t", "sin(a1)", "0.1*b2", "t*b3", "0", "0.3*b1"]),
+        xi=TensorField.build(chart, 1, 0, ["0.5 + 0.1*t*a1", "0.2*a2*t", "sin(a1)", "0", "0.1*b2", "t*b3", "0.3*b1"]),
         eta=TensorField.build(chart, 0, 1, ["2", "0", "0", "0", "0", "0", "0"]),
     )
 
@@ -261,11 +269,11 @@ def _written(struct, path):
     return load_manifold(path)
 
 
-def _coupled(path, blocks):
-    """The sewn model file of three copies with g(x_b, x_b+1) = 0.1 for b below
-    ``blocks``, which couples the first ``blocks`` blocks."""
-    doc = structure_to_dict(sew([model_cosymplectic_cell(1.0)] * 3))
-    for b in range(1, blocks):
+def _coupled(path, copies, pairs):
+    """The sewn model file of ``copies`` copies with g(x_b, x_b+1) = 0.1 for
+    each b of ``pairs``, which couples blocks b and b + 1."""
+    doc = structure_to_dict(sew([model_cosymplectic_cell(1.0)] * copies))
+    for b in pairs:
         doc["metric"][2 * b - 1][2 * b + 1] = doc["metric"][2 * b + 1][2 * b - 1] = "0.1"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return load_manifold(path)
@@ -274,7 +282,8 @@ def _coupled(path, blocks):
 @pytest.fixture(scope="module")
 def layout_structures(tmp_path_factory):
     """Every catalog cell, the files of each sewn with k = 2, 3, 6 and 16
-    copies, the split structure and the sewn model files of k = 3 whose
+    copies, the split structure, the sewn model file of k = 4 whose metric
+    couples blocks 1 and 2 and blocks 3 and 4, and those of k = 3 whose
     metric couples two blocks and all three, with the sets of their layouts."""
     root = tmp_path_factory.mktemp("layouts")
     cells = standard_cells()
@@ -285,9 +294,10 @@ def layout_structures(tmp_path_factory):
             # the halfspace metric couples s to every block, and 5 coordinates are one set
             sets = None if c == 3 or k == 2 else [[0, 2 * b + 1, 2 * b + 2] for b in range(k)]
             structures.append((sewn, sets))
-    structures.append((split_structure(), [[0, 1, 2, -1, -1], [0, 3, 4, 5, 6]]))
-    structures.append((_coupled(root / "coupled2.json", 2), [[0, 1, 2, 3, 4], [0, 5, 6, -1, -1]]))
-    structures.append((_coupled(root / "coupled3.json", 3), None))
+    structures.append((split_structure(), [[0, 1, 2, 3], [0, 4, 5, 6]]))
+    structures.append((_coupled(root / "coupled-pairs.json", 4, (1, 3)), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]]))
+    structures.append((_coupled(root / "coupled2.json", 3, (1,)), None))
+    structures.append((_coupled(root / "coupled3.json", 3, (1, 2)), None))
     return structures
 
 
@@ -298,10 +308,11 @@ def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
     full grid within 1e-13 of max(1, |reference|) at each sample.  A chart
     splits as its layout says: the sewn cells into s and one block per copy
     but the halfspace's, whose metric couples s to the blocks; the split
-    structure into blocks of 2 and 4 coordinates, padded to one width; the
-    sewn file whose metric couples two blocks into those two as one block,
-    and where it couples all three, into no blocks at all; a sewn chart of
-    two cells has too few coordinates to split."""
+    structure into two blocks of 3 coordinates; the sewn file of four copies
+    whose metric couples blocks 1 and 2 and blocks 3 and 4 into two blocks
+    of 4, and the file of three whose metric couples two blocks or all
+    three into no blocks at all, since its blocks would be unequal or one;
+    a sewn chart of two cells has too few coordinates to split."""
     for struct, sets in layout_structures:
         layout = struct.layout
         assert (layout.sets.tolist() if layout.hub else None) == sets, struct.name
@@ -310,7 +321,7 @@ def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
             assert got.shape == want.shape == (8,)
             assert np.all(np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))), struct.name
     # the split structure's nabla_xi xi has a hub component that both sets add to, and nabla_xi phi is not 0
-    split = layout_structures[-3][0]
+    split = layout_structures[-4][0]
     hub, xi_phi = zip(*((abs(xi_xi[0]), np.abs(phi).max()) for _, phi, xi_xi in
                         (nabla_phi_reference(split, point) for point in _points(split, count=8, seed=11))))
     assert max(hub) > 0.05 and min(xi_phi) > 0.05
@@ -345,6 +356,34 @@ def test_non_finite_samples_are_those_of_the_full_grid(tmp_path):
     # non-finite everywhere, and at some samples only, on either layout
     assert {("nan", hub, False, False) for hub in (False, True)} <= seen
     assert {("overflow", hub, False, True) for hub in (False, True)} <= seen
+
+
+def _axiom_checks(struct, samples, layout) -> list:
+    """The axioms' checks of ``validate_structure`` in ``layout``, each residual as its bytes."""
+    report = validate_structure(struct, samples, 1e-8, layout=layout)
+    return [(c.name, np.float64(c.residual).tobytes(), c.passed, c.note) for c in report.checks]
+
+
+def test_axioms_in_the_sets_are_those_of_the_full_grid(layout_structures, tmp_path):
+    """The structure axioms read in the sets of a star layout give the same
+    checks, bit for bit, as on the full grid: on every split sewn catalog
+    file (k = 3, 6 and 16) and on the sewn k = 3 files of the model cell
+    with phi^y_y NaN at every point and infinite where x > 0.77, whose
+    phi residuals are not finite."""
+    structures = [struct for struct, sets in layout_structures
+                  if sets is not None and sets == [[0, 2 * b + 1, 2 * b + 2] for b in range(len(sets))]]
+    assert sorted(struct.dim for struct in structures) == [7] * 3 + [13] * 3 + [33] * 3
+    for name, entry in (("nan", "exp(400)*exp(400)*0"), ("overflow", "exp(400)*exp(400*x)")):
+        cell = _model_with_phi_yy(entry, tmp_path / f"{name}.json")
+        structures.append(_written(sew([cell] * 3), tmp_path / f"{name}-k3.json"))
+    seen = set()
+    for struct in structures:
+        assert struct.layout.hub
+        samples = sample_points(struct.chart, 40, 3)
+        checks = _axiom_checks(struct, samples, struct.layout)
+        assert checks == _axiom_checks(struct, samples, None), struct.name
+        seen.add(all(passed for _, _, passed, _ in checks))
+    assert seen == {True, False}
 
 
 def _column(affinor: TensorField, a: int) -> TensorField:
@@ -432,18 +471,19 @@ class TestVerifyMemory:
     def test_layout_sized_batches_stay_within_the_budget(self, cell, limit, tmp_path, monkeypatch):
         """``verify --points 100`` on the sewn file of 16 copies: the model
         chart's batches are sized by its layout, whose largest array of a
-        sample is the (33, 33) metric that the axioms read, larger than the
-        (16, 3, 3, 3) arrays of its sets (15 samples), and the halfspace
-        chart's by its full grid (one sample, a (33, 33, 33) array).  The
-        limits are the tracemalloc peaks measured when the batches were sized
-        so, 1.20e6 and 2.16e6 bytes, plus about 15%; verify on the full grid
-        took 2.09e6 and 2.30e6."""
+        sample is a (16, 3, 3, 3) array of its sets (37 samples), and the
+        halfspace chart's by its full grid (one sample, a (33, 33, 33)
+        array).  The limits are the tracemalloc peaks measured when the
+        model's batches held 15 samples, sized by the (33, 33) metric that
+        the axioms read in the full grid, and the halfspace's one, 1.20e6
+        and 2.16e6 bytes, plus about 15%; verify on the full grid took 2.09e6
+        and 2.30e6, and the model's batches of 37 peak at about 1.35e6."""
         monkeypatch.chdir(tmp_path)
         build = model_cosymplectic_cell(1.0) if cell == "model" else halfspace_kenmotsu_cell()
         save_manifold(sew([build] * 16), "sewn.json")
         argv = ["verify", "sewn.json", "--points", "100"]
         layout = load_manifold("sewn.json").layout
-        assert batch_size(33, layout=layout) == (15 if cell == "model" else 1)
+        assert batch_size(33, layout=layout) == (37 if cell == "model" else 1)
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)  # warm: the peak below is the command's own
             tracemalloc.start()

@@ -19,7 +19,9 @@ dimensions, too few to split, so every chart is one set, the full grid), on
 the sewn k = 4 outputs (9 dimensions, so
 5 batches, where the jets the sweep binds for a batch serve its later
 layers; the model, warped and flat charts split into s and their blocks,
-the halfspace chart is one set) and on the sewn model and halfspace k = 16
+the halfspace chart is one set), on the sewn k = 6 outputs (13 dimensions:
+the sets of the charts that split hold all 100 samples in one batch, the
+halfspace chart's full grid takes 15 batches) and on the sewn model and halfspace k = 16
 outputs (the model chart's layers in batches sized by its sets, the
 halfspace chart's one sample at a time on the full grid), ``nullity`` on
 the sewn k = 4 outputs (its classify-and-fit sweep on the full grid of the
@@ -63,7 +65,7 @@ at least 1e-10 and the worst absolute difference of the others; the numeric
 fields that moved at all, with checks named by their check name; the text
 fields that differ (the version, notes); how many reports changed bytes; and
 whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
-error lines.  The matrix is 63 commands; the three runs take 40 to 90 s on a
+error lines.  The matrix is 67 commands; the three runs take 45 to 95 s on a
 2-CPU machine, k = 16 included.  Exit status 0 when nothing structural differs, both numeric
 gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
 bad argument.
@@ -216,6 +218,8 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"verify-sewn-{cell}-k2", ["verify", f"sewn/{cell}-k2.json", "--points", "100"]))
         # 9 dimensions: 100 points make 5 batches
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
+        # 13 dimensions: one batch in the sets of a chart that splits, 15 on the full grid of one that does not
+        commands.append((f"verify-sewn-{cell}-k6", ["verify", f"sewn/{cell}-k6.json", "--points", "100"]))
         # the one classify-and-fit sweep on the full grid of a chart that splits (all but halfspace)
         commands.append((f"nullity-sewn-{cell}-k4", ["nullity", f"sewn/{cell}-k4.json"]))
     commands.append(("verify-error", ["verify", "cells/error.json"]))
