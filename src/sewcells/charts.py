@@ -56,16 +56,17 @@ sets its first-order geometry runs on, proved from the field plans
 (``TensorField.nonzero_entries``): on the sewn chart of copies of a cell,
 s and one block per copy, every block of one size.  In a star layout a
 field's values and gradients are laid out per set "hub plus one block",
-(P, K, w, ...), once per batch for the axioms and the layers alike, and no
-(n, n, n) array is built; every other chart is one set, the full grid.
+(P, K, w, ...), once per batch for the axioms, the layers, the curvature
+and the fits alike, a metric's Hessians fold per set
+(``TensorField.fold_hessians``), and no (n, n, n) array is built; every
+other chart is one set, the full grid.
 
 ``validate_structure`` sweeps a sample set for the structure axioms: it
 takes the order-1 jets of the four structure fields on each batch, in the
 layout of the sweep, folds the axiom residuals from them
 (``StructureAxioms``), and hands the batch to the derivative layers of its
-caller (``geometry.verify_layers``, in the structure's layout, or
-``geometry.reeb_layer``, in the full grid), which read the same laid-out
-jets.  The ``nullity``
+caller (``geometry.verify_layers`` or ``geometry.reeb_layer``, both in
+the structure's layout), which read the same laid-out jets.  The ``nullity``
 sweep (``nullity.classify_and_fit``) folds the same ``StructureAxioms``
 next to its curvature layers.
 """
@@ -286,6 +287,11 @@ class TensorField:
         return {}
 
     @cached_property
+    def _folds(self) -> dict:
+        """The ``Layout.fold`` of each star layout the field's Hessians were folded in."""
+        return {}
+
+    @cached_property
     def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The entries that are not structurally zero, read off the field
         plan: the multi-indices (E, rank) of the components that are not the
@@ -398,23 +404,39 @@ class TensorField:
             array.flags.writeable = False
         return result
 
-    def fold_hessians(self, hess: np.ndarray, v):
+    def fold_hessians(self, hess: np.ndarray, v, layout: "Layout | None" = None):
         """The Hessian entries ``hess`` of ``evaluate_with_jets`` contracted with
         a vector ``v`` per point, for a rank-2 field: ``first[..., b, c, d] =
-        v^a d_c d_d F_ab`` and ``along[..., a, b, d] = v^c d_c d_d F_ab``.  One
-        scatter-add over slots fixed by the field sums each entry's terms in
-        the same order at a point and at a stack."""
-        plan = self._plan
-        n = self.chart.dim
-        *lead, entries = hess.shape
+        v^a d_c d_d F_ab`` and ``along[..., a, b, d] = v^c d_c d_d F_ab``; in
+        a star ``layout``, with ``v`` laid out in it (..., K, w), per set:
+        ``first[..., s, b, c, d]`` over the coordinates of set s, and so
+        ``along``.  One scatter-add over slots fixed by the field and the
+        layout sums each entry's terms in the same order at a point and at a
+        stack."""
+        sources, weights, targets, shape = self._fold_plan(layout)
+        lead = hess.shape[:-1]
         rows = math.prod(lead)
-        weighted = np.asarray(v, dtype=float)[..., plan.fold_weights].reshape(rows, 2, entries)
-        weighted *= hess.reshape(rows, 1, entries)
-        slots = (np.arange(rows)[:, None] * (2 * n ** 3) + plan.fold_targets).ravel()
+        size = math.prod(shape)
+        weighted = np.asarray(v, dtype=float).reshape(rows, -1)[:, weights].reshape(rows, 2, -1)
+        weighted *= (hess if sources is None else hess[..., sources]).reshape(rows, 1, -1)
+        slots = (np.arange(rows)[:, None] * (2 * size) + targets).ravel()
         # float also when there is no entry, where bincount gives integer zeros
-        folded = np.bincount(slots, weighted.ravel(), minlength=rows * 2 * n ** 3).astype(float, copy=False)
-        first, along = folded.reshape((rows, 2, n, n, n)).swapaxes(0, 1)
-        return first.reshape(*lead, n, n, n), along.reshape(*lead, n, n, n)
+        folded = np.bincount(slots, weighted.ravel(), minlength=rows * 2 * size).astype(float, copy=False)
+        first, along = folded.reshape((rows, 2) + shape).swapaxes(0, 1)
+        return first.reshape(*lead, *shape), along.reshape(*lead, *shape)
+
+    def _fold_plan(self, layout: "Layout | None") -> tuple:
+        """(sources, weights, targets, shape) of ``fold_hessians`` in
+        ``layout``: the field plan's fold over every entry (``sources`` None)
+        in the full grid, when ``layout`` is None or the whole chart, and
+        ``Layout.fold`` in a star layout, built once per layout."""
+        if layout is None or not layout.hub:
+            plan = self._plan
+            return None, plan.fold_weights, plan.fold_targets, (self.chart.dim,) * 3
+        fold = self._folds.get(layout)
+        if fold is None:
+            fold = self._folds[layout] = (*layout.fold(self), layout.shape(3))
+        return fold
 
     def renamed_grid(self, mapping: dict[str, str]):
         """The component grid with variables renamed (for lifting into blocks)."""
@@ -572,15 +594,6 @@ class ContactStructure:
     def eta_scale(self) -> float:
         """Expected constant in ``eta = scale * dt`` on an adapted chart."""
         return 1.0
-
-    def values_at(self, point):
-        """Evaluate (g, phi, xi, eta) at a point or a stack."""
-        return (
-            self.metric.evaluate(point),
-            self.phi.evaluate(point),
-            self.xi.evaluate(point),
-            self.eta.evaluate(point),
-        )
 
     @cached_property
     def layout(self) -> "Layout":
@@ -740,9 +753,10 @@ def batch_size(dim: int, folds: Sequence[TensorField] = (), layout: Layout | Non
     """Samples per batch on a chart of dimension ``dim``, for a sweep that
     folds the Hessians of the fields ``folds`` and whose axioms and layers
     work in ``layout``: an (n, n, n) array per sample in the full grid (when
-    None), ``layout.width`` floats in a star layout (see the module
-    docstring)."""
-    width = max([dim ** 3 if layout is None else layout.width] + [field._plan.fold_targets.size for field in folds])
+    None), ``layout.width`` floats in a star layout, or the fold of a field's
+    Hessians in that layout where it is larger, two floats per entry and set
+    that holds it (see the module docstring)."""
+    width = max([dim ** 3 if layout is None else layout.width] + [field._fold_plan(layout)[2].size for field in folds])
     return max(1, BATCH_BYTES // (8 * width))
 
 

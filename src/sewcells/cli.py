@@ -55,11 +55,13 @@ EXIT_INPUT = 2
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-8
-# The sewn curvature holds a few arrays of 8 (2k+1)^3 bytes per sample (0.29 MB
-# each at k = 16), and its time per sample grows about as k^3.  verify's axioms
-# and layers work per block of a sewn chart that splits (layouts.star_layout), k
-# arrays of 8 * 27 bytes per sample, which size its batches; the nullity fits and
-# sew's curvature stay on the full grid.
+# On a sewn chart that splits (layouts.star_layout) every sweep, verify's, nullity's
+# and each of sew's stages, works per block: its largest arrays are k (3, 3, 3)
+# arrays, 8 * 27 k bytes per sample, and the curvature's Hessian fold, which size
+# its batches, and its time per sample grows about as k.  The sewn halfspace
+# chart, whose metric couples s to every block, is one set: there the curvature
+# holds a few arrays of 8 (2k+1)^3 bytes per sample (0.29 MB each at k = 16), and
+# its time per sample grows about as k^3.
 MAX_COPIES = 16
 MAX_POINTS = 10_000
 
@@ -151,13 +153,13 @@ def cmd_nullity(args) -> int:
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
     # the axioms, classify's layers and the fits, in one sweep in the batches of the Hessian fold
-    axioms = StructureAxioms(struct, args.tol)
+    axioms = StructureAxioms(struct, args.tol, struct.layout)
     try:
         swept = classify_and_fit(struct, samples, args.tol, fit=True, axioms=axioms)
         validation = axioms.report(len(samples))
     except NullityFitError:
         # a failing axiom outranks a fit error, which may have ended the sweep early
-        validation = validate_structure(struct, samples, args.tol)
+        validation = validate_structure(struct, samples, args.tol, layout=struct.layout)
         if validation.passed:
             raise
     if not validation.passed:
@@ -241,7 +243,7 @@ def cmd_sew(args) -> int:
 
     tol = max(args.tol, 1e-9)
     # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone, in the axioms' sweep
-    induced, columns = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer)
+    induced, columns = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer, sewn.layout)
     if induced.check("metric_positive_definite").passed:
         induced = _with_reeb_checks(induced, columns, tol)
     if not induced.passed:

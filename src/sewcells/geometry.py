@@ -22,31 +22,34 @@ points (P, n), and at a stack every result gains a leading P axis.
 ``lie_bracket`` also reads a (1,1) affinor as the family of its columns, so
 one call gives the brackets of every column pair.  The sweeps of the
 commands feed these layers batches of samples (see
-``charts.evaluate_batches``).  ``christoffel``, ``covariant_derivative_affinor``,
-``weight_fit`` and ``normality_tensor`` (with ``fundamental_form_with_derivative``)
-work in a layout (``layouts.Layout``), the structure's, or the full grid
-when they read the full-grid connection that the curvature built: on the
-full grid of a chart that does not split, and on a star layout per set
-"hub plus one block", (..., K, w, ...) arrays.  There g^-1 is block
-diagonal, and Gamma, nabla phi, d Phi, eta ^ Phi and N vanish off the sets,
-which share only the entry of the hub alone, 0 in d Phi and eta ^ Phi, and
-the hub component of nabla_xi xi sums over the sets.  ``connection`` builds g^-1 and Gamma from the
-metric's first-order jet; ``riemann`` and ``covariant_derivative_affinor``
-take it as the keyword ``connection``, so that the layers of one batch
-build it once.  ``classify_layers`` runs, on one batch, the layers that
-classify a structure: nabla phi and the weight fit, each reduced before the
-next runs.  ``verify_layers`` adds the normality tensor, which only
-``verify`` reports.  ``reeb_layer`` gives what the Reeb-parallelism checks
-read, |nabla_xi phi| and |nabla_xi xi|, from ``xi^i Gamma^k_ij`` alone,
-O(n^3) per sample where Gamma and nabla phi are O(n^4).  ``verify`` and the
-induced stage of ``sew`` run ``verify_layers`` and ``reeb_layer`` inside the
-axioms' sweep (``charts.validate_structure``), which takes the order-1 jets
-of g, phi, xi and eta on each batch; as the sweep binds each field to the
-batch's rows of its run (``charts.evaluate_batches``), each field's program
-runs once per chunk of batches for the axioms and these layers together.
-``nullity`` and the theorem stage of ``sew`` run ``classify_layers`` next
-to the nullity fits, on one connection per batch and the full grid, in the
-sweep of ``nullity.classify_and_fit``.  The layers reduce their results per sample,
+``charts.evaluate_batches``).  ``connection``, ``christoffel``, ``riemann``,
+``h_tensor``, ``covariant_derivative_affinor``, ``reeb_layer``,
+``weight_fit`` and ``normality_tensor`` (with
+``fundamental_form_with_derivative``) work in a layout (``layouts.Layout``),
+the structure's or the one they are given: on the full grid of a chart that
+does not split, and on a star layout per set "hub plus one block",
+(..., K, w, ...) arrays.  There g^-1 is block diagonal, and Gamma, nabla
+phi, d Phi, eta ^ Phi, N, h, h' and the curvature along xi vanish off the
+sets, which share only the entry of the hub alone, 0 in d Phi and eta ^
+Phi, and the same in every set where xi, which lies on the hub alone,
+contracts a quantity (nabla_xi xi, nabla_xi phi).  ``connection`` builds
+g^-1 and Gamma from the metric's first-order jet; ``riemann`` and
+``covariant_derivative_affinor`` take it as the keyword ``connection``, so
+that the layers of one batch build it once, in the one layout they share.
+``classify_layers`` runs, on one batch, the layers that classify a
+structure: nabla phi and the weight fit, each reduced before the next runs.
+``verify_layers`` adds the normality tensor, which only ``verify`` reports.
+``reeb_layer`` gives what the Reeb-parallelism checks read, |nabla_xi phi|
+and |nabla_xi xi|, from ``xi^i Gamma^k_ij`` alone, O(n^3) per sample where
+Gamma and nabla phi are O(n^4).  ``verify`` and the induced stage of ``sew``
+run ``verify_layers`` and ``reeb_layer`` inside the axioms' sweep
+(``charts.validate_structure``), which takes the order-1 jets of g, phi, xi
+and eta on each batch; as the sweep binds each field to the batch's rows of
+its run (``charts.evaluate_batches``), each field's program runs once per
+chunk of batches for the axioms and these layers together.  ``nullity`` and
+the theorem stage of ``sew`` run ``classify_layers`` next to the nullity
+fits, on one connection per batch in the structure's layout, in the sweep
+of ``nullity.classify_and_fit``.  The layers reduce their results per sample,
 so the results of a stack slice into those of its rows; the commands' sweeps
 concatenate each result over the batches into one (P,) column, and
 ``classify`` reduces those columns.  This module runs no sweep.
@@ -107,13 +110,14 @@ def _connection(vals: np.ndarray, grads: np.ndarray):
     return ginv, gamma
 
 
-def connection(metric: TensorField, point) -> tuple[np.ndarray, np.ndarray]:
+def connection(metric: TensorField, point, layout: Layout | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The inverse metric and ``gamma[..., k, i, j] = Gamma^k_ij`` at a point
-    or a stack, from first-order jets of the metric: built once per batch,
-    it is the ``connection`` that ``riemann``, ``covariant_derivative_affinor``
-    and the layers built on them share."""
+    or a stack, from first-order jets of the metric, on the full grid or per
+    set of a star ``layout`` (as ``christoffel``): built once per batch, it
+    is the ``connection`` that ``riemann``, ``covariant_derivative_affinor``
+    and the layers built on them share, in the same layout."""
     _require_metric(metric)
-    return _connection(*metric.evaluate_with_grads(point))
+    return _connection(*metric.evaluate_with_grads(point, layout=layout))
 
 
 def christoffel(metric: TensorField, point, layout: Layout | None = None) -> np.ndarray:
@@ -122,15 +126,21 @@ def christoffel(metric: TensorField, point, layout: Layout | None = None) -> np.
     sets b of a star ``layout`` (``layouts.Layout``), where g is block
     diagonal, so that the inverse and Gamma of each set's metric are the
     chart's there."""
-    _require_metric(metric)
-    return _connection(*metric.evaluate_with_grads(point, layout=layout))[1]
+    return connection(metric, point, layout)[1]
 
 
-def riemann(metric: TensorField, point, v, connection=None):
+def riemann(metric: TensorField, point, v, connection=None, layout: Layout | None = None):
     """Gamma and the curvature along a vector ``v`` per point:
-    ``gamma[..., k, i, j] = Gamma^k_ij`` and ``rv[..., l, i, j] = (R(e_i, e_j) v)^l``.
-    ``connection``, the metric's ``connection`` at ``point`` when given,
+    ``gamma[..., k, i, j] = Gamma^k_ij`` and ``rv[..., l, i, j] = (R(e_i, e_j) v)^l``,
+    on the full grid, or ``[..., b, l, i, j]`` per set b of a star
+    ``layout``, with ``v`` laid out in it (..., K, w).  ``connection``, the
+    metric's ``connection`` at ``point`` in the same layout when given,
     spares building it again.
+
+    In a star layout Gamma^l_jk reads only the coordinates of the set of l,
+    j and k, so R^l_ijk vanishes unless i, j, k and l lie in one set, and
+    each set gives (R(e_i, e_j) v)^l for the i, j and l in it from its own
+    Gamma, Hessians and entries of v (``layouts.star_layout``).
 
     Nothing of size n^4 is built.  With ``Gamma^l_jk = 1/2 g^lm T_mjk`` for
     ``T_mjk = d_j g_km + d_k g_jm - d_m g_jk`` and ``(Gamma v)^q_j = Gamma^q_jk v^k``,
@@ -138,10 +148,10 @@ def riemann(metric: TensorField, point, v, connection=None):
     and ``d_i T_mjk v^k`` reads the metric Hessians only through their two
     contractions with v (``TensorField.fold_hessians``).  Every contraction is
     a batched matrix product per sample, so a stack gives what its rows give,
-    and arrays of size n^3 per sample are updated in place and released once
-    read: they set the peak memory of a batch."""
+    and arrays of size n^3 per sample (K w^3 per set) are updated in place
+    and released once read: they set the peak memory of a batch."""
     _require_metric(metric)
-    vals, grads, hess = metric.evaluate_with_jets(point)
+    vals, grads, hess = metric.evaluate_with_jets(point, layout=layout)
     ginv, gamma = _connection(vals, grads) if connection is None else connection
     v = np.asarray(v, dtype=float)
     n = vals.shape[-1]
@@ -149,7 +159,7 @@ def riemann(metric: TensorField, point, v, connection=None):
     gv = (gamma @ v[..., None, :, None])[..., 0]  # gv[..., q, j] = Gamma^q_jk v^k
     # first[..., m, c, d] = v^a d_c d_d g_am and along[..., a, b, d] = v^c d_c d_d g_ab, so that
     # e[..., i, m, j] = d_i T_mjk v^k = first[m, j, i] - first[j, m, i] + along[j, m, i]
-    first, along = metric.fold_hessians(hess, v)
+    first, along = metric.fold_hessians(hess, v, layout)
     e = np.moveaxis(first, -1, -3) - np.swapaxes(first, -1, -3)
     e += np.swapaxes(along, -1, -3)
     del first, along
@@ -191,18 +201,15 @@ def _max_abs(a: np.ndarray, trailing: int):
 
 def covariant_derivative_affinor(struct: ContactStructure, point, connection=None) -> AffinorDerivative:
     """nabla phi at a point or a stack, in the structure's layout, and the
-    norms of nabla_xi phi and nabla_xi xi read off it; with ``connection``,
-    as for ``riemann``, nabla phi is on the full grid that it is on.
+    norms of nabla_xi phi and nabla_xi xi read off it; ``connection``, the
+    metric's ``connection`` in that layout when given, spares building it
+    again.
 
     On a star layout each entry of nabla phi, and of nabla_xi phi, lies in
-    one set, and so does each component of nabla_xi xi but the hub's, which
-    sums ``xi^i (nabla_i xi)^hub`` over every set, the term of the hub alone
-    from the first set only."""
-    if connection is None:
-        layout = struct.layout
-        gamma = christoffel(struct.metric, point, layout=layout)
-    else:
-        layout, gamma = Layout.whole(struct.dim), connection[1]
+    one set, and so does each component of nabla_xi xi, which sums over the
+    hub alone, since xi lies there (``layouts.star_layout``)."""
+    layout = struct.layout
+    gamma = christoffel(struct.metric, point, layout=layout) if connection is None else connection[1]
     pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
     xvals, xgrads = struct.xi.evaluate_with_grads(point, layout=layout)
     n = pvals.shape[-1]
@@ -217,27 +224,25 @@ def covariant_derivative_affinor(struct: ContactStructure, point, connection=Non
     # nabla_xi[..., j, i] = (nabla_i xi)^j = d_i xi^j + Gamma^j_im xi^m
     nabla_xi = xgrads + (gamma @ xvals[..., None, :, None])[..., 0]
     nabla_xi_xi = (nabla_xi @ xvals[..., None])[..., 0]
-    if layout.hub:
-        terms = nabla_xi[..., 0, :] * xvals
-        terms[..., 1:, 0] = 0.0
-        nabla_xi_xi[..., 0] = terms.sum(axis=(-2, -1))[..., None]
     return AffinorDerivative(np.swapaxes(jik, -3, -2), _max_abs(nabla_xi_phi, 3 + layout.hub),
                              _max_abs(nabla_xi_xi, 1 + layout.hub))
 
 
 def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
     """The largest magnitudes of nabla_xi phi and nabla_xi xi per sample,
-    which the Reeb-parallelism checks read, from ``xi^i Gamma^k_ij`` alone.
+    which the Reeb-parallelism checks read, from ``xi^i Gamma^k_ij`` alone,
+    in the structure's layout.
 
     With ``T_lij = d_i g_jl + d_j g_il - d_l g_ij``, ``xi^i Gamma^k_ij =
     1/2 g^kl xi^i T_lij`` takes the contractions of the metric gradients
     with xi along their derivative and along their first index: (n, n) per
-    sample, so neither Gamma nor nabla phi is built.  Then
-    ``nabla_xi phi = xi(phi) + [xi Gamma, phi]`` and
+    sample, or (K, w, w) per set, so neither Gamma nor nabla phi is built.
+    Then ``nabla_xi phi = xi(phi) + [xi Gamma, phi]`` and
     ``nabla_xi xi = xi(xi) + (xi Gamma) xi``."""
-    gvals, ggrads = struct.metric.evaluate_with_grads(points)
-    pvals, pgrads = struct.phi.evaluate_with_grads(points)
-    xvals, xgrads = struct.xi.evaluate_with_grads(points)
+    layout = struct.layout
+    gvals, ggrads = struct.metric.evaluate_with_grads(points, layout=layout)
+    pvals, pgrads = struct.phi.evaluate_with_grads(points, layout=layout)
+    xvals, xgrads = struct.xi.evaluate_with_grads(points, layout=layout)
     n = xvals.shape[-1]
     column = xvals[..., None, :, None]
     # with ggrads[..., a, b, c] = d_c g_ab: along[..., j, l] = xi^c d_c g_jl and
@@ -247,7 +252,7 @@ def reeb_layer(struct: ContactStructure, points: np.ndarray) -> tuple:
     xi_gamma = 0.5 * (_metric_inverse(gvals) @ (np.swapaxes(along, -1, -2) + first - np.swapaxes(first, -1, -2)))
     nabla_xi_phi = (pgrads @ column)[..., 0] + xi_gamma @ pvals - pvals @ xi_gamma
     nabla_xi_xi = ((xgrads + xi_gamma) @ xvals[..., None])[..., 0]
-    return _max_abs(nabla_xi_phi, 2), _max_abs(nabla_xi_xi, 1)
+    return _max_abs(nabla_xi_phi, 2 + layout.hub), _max_abs(nabla_xi_xi, 1 + layout.hub)
 
 
 @dataclass
@@ -258,11 +263,13 @@ class StructureTensorsAtPoint:
     hprime: np.ndarray
 
 
-def h_tensor(struct: ContactStructure, point) -> StructureTensorsAtPoint:
+def h_tensor(struct: ContactStructure, point, layout: Layout | None = None) -> StructureTensorsAtPoint:
     """Evaluate ``h X = 1/2([xi, phi X] - phi [xi, X])`` on coordinate fields,
-    at a point or a stack."""
-    pvals, pgrads = struct.phi.evaluate_with_grads(point)
-    xvals, xgrads = struct.xi.evaluate_with_grads(point)
+    at a point or a stack, on the full grid or per set of a star ``layout``
+    (``[..., b, j, k]``), where h and h' vanish off the sets
+    (``layouts.star_layout``)."""
+    pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
+    xvals, xgrads = struct.xi.evaluate_with_grads(point, layout=layout)
     # h^j_k = 1/2 (xi^i d_i phi^j_k - phi^m_k d_m xi^j + (d_k xi^m) phi^j_m)
     h = 0.5 * (
         np.einsum("...i,...jki->...jk", xvals, pgrads)
@@ -301,10 +308,10 @@ def wedge_eta_two_form(eta_vals: np.ndarray, two_form: np.ndarray) -> np.ndarray
     return wedge
 
 
-def fundamental_form_with_derivative(struct: ContactStructure, point, layout: Layout | None = None):
+def fundamental_form_with_derivative(struct: ContactStructure, point):
     """``Phi_ij = g_ik phi^k_j`` and its exterior derivative, from jets of g
-    and phi, in ``layout`` (the structure's when None)."""
-    layout = layout or struct.layout
+    and phi, in the structure's layout."""
+    layout = struct.layout
     gvals, ggrads = struct.metric.evaluate_with_grads(point, layout=layout)
     pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
     phi_form = gvals @ pvals
@@ -380,16 +387,16 @@ class Classification:
         return base
 
 
-def weight_fit(struct: ContactStructure, point, layout: Layout | None = None):
+def weight_fit(struct: ContactStructure, point):
     """Least-squares weight lambda minimizing ``|dPhi - 2 lambda eta ^ Phi|``,
     and the residual: floats at a point, (P,) arrays at a stack.  Both are NaN
     where ``eta ^ Phi`` vanishes, since no weight is defined there.  The
-    sums run over the sets of ``layout`` (the structure's when None).  The
-    sets of a star layout share one entry, the hub's alone, which every set
-    counts: both its d Phi and its eta ^ Phi are 0 there, as phi's hub row
-    and column are (``layouts.star_layout``)."""
-    layout = layout or struct.layout
-    phi_form, d_phi = fundamental_form_with_derivative(struct, point, layout=layout)
+    sums run over the sets of the structure's layout.  The sets of a star
+    layout share one entry, the hub's alone, which every set counts: both
+    its d Phi and its eta ^ Phi are 0 there, as phi's hub row and column
+    are (``layouts.star_layout``)."""
+    layout = struct.layout
+    phi_form, d_phi = fundamental_form_with_derivative(struct, point)
     wedge = wedge_eta_two_form(struct.eta.evaluate(point, layout=layout), phi_form)
     axes = tuple(range(-3 - layout.hub, 0))
     buffer = np.empty_like(wedge)  # one array for every product below
@@ -408,9 +415,9 @@ def weight_fit(struct: ContactStructure, point, layout: Layout | None = None):
 
 
 def classify_layers(struct: ContactStructure, points: np.ndarray, connection=None) -> tuple:
-    """``classify``'s layers on one batch, in the structure's layout or,
-    with ``connection``, on the full grid, each reduced per sample before
-    the next runs, which frees its arrays: the largest magnitudes of
+    """``classify``'s layers on one batch, in the structure's layout, each
+    reduced per sample before the next runs, which frees its arrays: the
+    largest magnitudes of
     nabla_xi phi and nabla_xi xi (as ``reeb_layer`` gives them) and of nabla
     phi, read off the full nabla phi (``covariant_derivative_affinor``,
     with ``connection`` as for ``riemann``), and the weights and fit
@@ -418,16 +425,16 @@ def classify_layers(struct: ContactStructure, points: np.ndarray, connection=Non
     into those of its rows.  Inside a sweep that names the fields at these
     orders, the layers read the jets it bound for the batch
     (``charts.evaluate_batches``), so no field's program runs here."""
-    layout = struct.layout if connection is None else Layout.whole(struct.dim)
-    return (*_nabla_phi_norms(struct, points, connection, layout), *weight_fit(struct, points, layout=layout))
+    return (*_nabla_phi_norms(struct, points, connection), *weight_fit(struct, points))
 
 
-def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection, layout: Layout) -> tuple:
+def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection) -> tuple:
     """The largest magnitudes of nabla_xi phi, nabla_xi xi and nabla phi per
-    sample, in ``layout``; nabla phi is freed on return, before the next
-    layer runs."""
+    sample, in the structure's layout; nabla phi is freed on return, before
+    the next layer runs."""
     derivative = covariant_derivative_affinor(struct, points, connection=connection)
-    return derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm, _max_abs(derivative.nablaphi, 3 + layout.hub)
+    return (derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm,
+            _max_abs(derivative.nablaphi, 3 + struct.layout.hub))
 
 
 def verify_layers(struct: ContactStructure, points: np.ndarray) -> tuple:

@@ -1,21 +1,22 @@
-"""The coordinate sets a structure's first-order geometry runs on.
+"""The coordinate sets a structure's geometry runs on.
 
 The sewn chart of copies of a cell is the diagonal of a product of cells,
 so on its coordinates (s, x1, y1, ..., xk, yk) every entry of g, phi, xi and
 eta that is not the literal zero, and every gradient entry, lies on s plus
-one cell's pair.  ``star_layout`` proves such a split from the field plans
-(``charts.TensorField.nonzero_entries``): the adapted coordinate, the hub,
-and blocks of one size.  Then g is block diagonal, and Gamma, nabla phi,
-Phi, d Phi, eta ^ Phi and the normality tensor vanish off the sets "hub
-plus one block", so the structure axioms and the geometry layers compute
-them per set on (P, K, w, ...) arrays (``charts.TensorField.evaluate_with_jets``
-lays a field's jet out in them, ``Layout.scatter`` says where its entries
-go) and never build an (n, n, n) array; this is block elimination (Golub &
-Van Loan, Matrix Computations, 4th ed., 2013) where the hub couples to no
-block.  Every other chart is one set, the full grid, and its arrays are
-those of the chart.
+one cell's pair, and xi lies on s alone.  ``star_layout`` proves such a
+split from the field plans (``charts.TensorField.nonzero_entries``): the
+adapted coordinate, the hub, and blocks of one size.  Then g is block
+diagonal, and Gamma, nabla phi, Phi, d Phi, eta ^ Phi, the normality tensor,
+h, h' and the curvature along xi, R(e_i, e_j) xi, vanish off the sets "hub
+plus one block", so the structure axioms, the geometry layers, the curvature
+and the nullity fits compute them per set on (P, K, w, ...) arrays
+(``charts.TensorField.evaluate_with_jets`` lays a field's jet out in them,
+``Layout.scatter`` says where its entries go and ``Layout.fold`` where its
+Hessian entries fold) and never build an (n, n, n) array; this is block
+elimination (Golub & Van Loan, Matrix Computations, 4th ed., 2013) where
+the hub couples to no block.  Every other chart is one set, the full grid,
+and its arrays are those of the chart.
 """
-
 from __future__ import annotations
 
 import math
@@ -99,21 +100,45 @@ class Layout:
         return (constant, self.shape(rank), self.sets.shape[1], (value_sources, grad_sources),
                 (value_slots, grad_slots))
 
+    def fold(self, field) -> tuple:
+        """Where the Hessian entries of a rank-2 ``field`` go when
+        ``TensorField.fold_hessians`` contracts them with a vector in this
+        star layout: (sources, weights, targets).  For every set that holds
+        all four indices of an entry d_c d_d F_ab, ``sources`` names the
+        entry once; the first half of ``weights`` and ``targets`` adds it,
+        times the laid-out vector's flat slot of v^a, into the flat slot of
+        (b, c, d) of the first (K, w, w, w) contraction, and the second half,
+        times v^c, into (a, b, d) of the second, laid after the first."""
+        size = self.sets.shape[1]
+        cube = size ** 3
+        a, b, c, d = np.unravel_index(field._plan.hess_slots, (self.dim,) * 4)
+        # the flat slot of (set, a, b, c, d) in (K, w, w, w, w) is (set w + a) w^3 + the slot of (b, c, d)
+        sources, first = self.slots(np.column_stack([a, b, c, d]))
+        second = self.slots(np.column_stack([c, a, b, d]))[1]
+        slots = np.concatenate([first, second])
+        halves = np.repeat([0, len(self.sets) * cube], len(sources))
+        return sources, slots // cube, halves + slots // (size * cube) * cube + slots % cube
+
 
 def star_layout(struct) -> Layout:
-    """The sets of a structure's first-order geometry, proved from the
+    """The sets of a structure's geometry, proved from the
     field plans (``charts.TensorField.nonzero_entries``).
 
     The chart splits into its adapted coordinate, the hub, and blocks when
     every structurally non-zero value or gradient entry of g, phi, xi and
     eta has its indices and its derivative's coordinate in the hub plus one
     block, g has no hub-block entry and its hub entry reads no block, phi's
-    hub row and hub column are the literal zero, and eta is constant and
-    zero off the hub.  The blocks are the finest such partition: the sets
-    of coordinates that the entries couple.  Then g is block diagonal, and
-    Gamma, nabla phi, Phi, d Phi, eta ^ Phi and the normality tensor vanish
-    outside the sets hub plus one block, so each is computed per set; only
-    the hub component of nabla_xi xi sums over the sets.  The structure
+    hub row and hub column are the literal zero, xi is zero off the hub,
+    and eta is constant and zero off the hub.  The blocks are the finest
+    such partition: the sets of coordinates that the entries couple.  Then
+    g is block diagonal, and Gamma, nabla phi, Phi, d Phi, eta ^ Phi and the
+    normality tensor vanish outside the sets hub plus one block, so each is
+    computed per set.  So do h and h', and (R(e_i, e_j) xi)^l: Gamma^l_jk
+    reads only the coordinates of the set of l, j and k, and with xi on the
+    hub alone every term of ``R^l_ijk xi^k`` has i, j and l in one set.  A
+    quantity that xi contracts, nabla_xi xi, nabla_xi phi or h xi, then
+    sums over the hub alone, so its entry of the hub alone is the same in
+    every set.  The structure
     axioms read the sets too: every entry of their matrices outside the sets
     is zero (phi's hub row and column are, g is block diagonal and eta is
     c ds), and the eigenvalues of g are those of its sets.  A chart with no adapted
@@ -133,7 +158,7 @@ def star_layout(struct) -> Layout:
     (g, dg), (phi, dphi), (xi, dxi), (eta, deta) = (
         tuple(entries.tolist() for entries in f.nonzero_entries) for f in (struct.metric, struct.phi, struct.xi,
                                                                           struct.eta))
-    if (deta or any(row != [hub] for row in eta) or any(hub in row for row in phi)
+    if (deta or any(row != [hub] for row in eta) or any(row != [hub] for row in xi) or any(hub in row for row in phi)
             or any((a == hub) != (b == hub) for a, b in g) or any(c != hub for a, b, c in dg if a == b == hub)):
         return whole
     parent = list(range(n))

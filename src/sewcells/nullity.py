@@ -19,20 +19,30 @@ multiplied by alpha: ``normalized`` rescales a raw fit instead of refitting.
 ``NullityFits``: an array per fitted quantity, with a leading sample axis at
 a stack.  It builds ``R(e_i, e_j) xi`` (``geometry.riemann`` along xi, on the
 batch's ``geometry.connection`` when one is given), ``h`` and the design
-matrices of every sample at once, and solves all their least-squares
-problems with one batched SVD; a sample whose design or curvature is not
-finite gets NaN constants instead of failing the stack.  The design has a
-row per pair i < j and component, but the rows of a pair where eta_i and
-eta_j are both the constant zero of eta's field plan vanish, so only the
-rows that eta reaches are solved (on a sewn chart the 2k pairs with s), and
-the other pairs' curvature adds to the residual norm alone.
+matrices of every sample at once, in the structure's layout, and solves all
+their least-squares problems with one batched SVD; a sample whose design or
+curvature is not finite gets NaN constants instead of failing the stack.
+The design has a row per pair i < j and component, but the rows of a pair
+where eta_i and eta_j are both the constant zero of eta's field plan
+vanish, so only the rows that eta reaches are solved (on a sewn chart the
+2k pairs with s), and the other pairs' curvature adds to the residual norm
+alone.  In a star layout (``layouts.star_layout``) every term lies in one
+set "hub plus one block": a sample's design gathers, set by set, the rows
+of the pairs (hub, a) of the set's block with the set's components, the
+pairs within a block stay unreached, and a pair of two blocks, or a
+component outside the set of its pair, is a structural zero on both sides.
+The SVD cutoff still counts every row of the full design, so the rank
+decisions are those of the full grid.  ``h`` and ``h'`` are kept per set,
+(P, K, w, w).
 ``classify_and_fit`` is the one sweep that classifies a structure and fits
 it over a sample set: in batches that the fold of the metric's Hessians
 also fits, it runs the programs of g (order 2), phi and xi (order 1) and
 eta (order 0, or 1 with the axioms) once per chunk of batches (see
 ``charts.evaluate_batches``), and on each batch it builds one connection,
 which ``fit_nullity`` and ``geometry.classify_layers`` read with those
-jets, on the full grid; the Hessians are left out when nothing is fitted.  The ``nullity`` command runs it on the samples
+jets, in the structure's layout, whose sets and Hessian fold size the
+batches; the Hessians are left out when nothing is fitted.  The
+``nullity`` command runs it on the samples
 of its structure, with the structure axioms (``charts.StructureAxioms``)
 folded into the same sweep.  The theorem stage of ``sew``
 (``sewing.verify_sewing_theorems``) runs it on the sewn samples, and on the
@@ -70,8 +80,9 @@ class NullityFitError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class NullityFits:
     """The fitted constants at each sample of a stack, with the ``h`` and
-    ``h'`` they multiply: every field leads with the sample axis, or has none
-    at one point.  Indexing by rows gives the fits there."""
+    ``h'`` they multiply, in the structure's layout: every field leads with
+    the sample axis, or has none at one point.  Indexing by rows gives the
+    fits there."""
 
     kappa: np.ndarray
     mu: np.ndarray
@@ -120,22 +131,24 @@ def classify_and_fit(struct: ContactStructure, samples: Samples, tol: float, fit
     sets = 1 if columns is None else len(columns)
     columns = slice(None) if columns is None else columns
 
+    layout = struct.layout
+
     def batch(points):
         local = stack_columns(points, columns)
         if axioms is not None and not axioms.add(local):
             return None
-        shared = connection(struct.metric, local)
+        shared = connection(struct.metric, local, layout)
         fits = fit_nullity(struct, local, connection=shared) if fit else None
         layers = classify_layers(struct, local, connection=shared)
         if laws:
-            g, phi, xi, _ = struct.values_at(local)
+            g, phi, xi = (field.evaluate(local, layout) for field in (struct.metric, struct.phi, struct.xi))
             _add_operator_laws(laws, g, phi, xi, fits)
         return layers, fits
 
     # the layers and the fits read eta's values; the axioms read d eta too
     reads = [(struct.metric, 2 if fit else 1, columns), (struct.phi, 1, columns), (struct.xi, 1, columns),
              (struct.eta, 0 if axioms is None else 1, columns)]
-    swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, reads)]
+    swept = [out for _, out in evaluate_batches(samples, struct.dim, batch, reads, layout)]
     if any(out is None for out in swept):
         return []
     layers = [np.concatenate(column) for column in zip(*(batch_layers for batch_layers, _ in swept))]
@@ -155,17 +168,23 @@ OPERATOR_LAWS = (
 
 def _add_operator_laws(laws, g: np.ndarray, phi: np.ndarray, xi: np.ndarray, fits: NullityFits) -> None:
     """Fold a batch of samples into the residuals named by ``OPERATOR_LAWS``,
-    from the stacked values of g, phi and xi there and the batch's fits.
+    from the stacked values of g, phi and xi there and the batch's fits, in
+    the structure's layout: per set of a star layout, where every operator
+    below vanishes off the sets, and its products with g, phi and xi too.
 
     The operators are ``P = -kappa phi^2``, ``H1 = mu h`` and ``H2 = mu' h'``.
     """
     symmetric, p_phi, h_phi, p_h, kills_xi = laws
-    p_op = -fits.kappa[:, None, None] * (phi @ phi)
-    h_ops = (fits.mu[:, None, None] * fits.h, fits.muprime[:, None, None] * fits.hprime)
+
+    def times(constants: np.ndarray, op: np.ndarray) -> np.ndarray:
+        return constants.reshape((-1,) + (1,) * (op.ndim - 1)) * op
+
+    p_op = times(-fits.kappa, phi @ phi)
+    h_ops = (times(fits.mu, fits.h), times(fits.muprime, fits.hprime))
     for op in (p_op,) + h_ops:
         g_op = g @ op
-        symmetric.add(g_op - np.swapaxes(g_op, 1, 2))
-        kills_xi.add(op @ xi[:, :, None])
+        symmetric.add(g_op - np.swapaxes(g_op, -1, -2))
+        kills_xi.add(op @ xi[..., None])
     p_phi.add(p_op @ phi - phi @ p_op)
     for h_op in h_ops:
         h_phi.add(h_op @ phi + phi @ h_op)
@@ -182,60 +201,69 @@ def normalized(fits: NullityFits, alpha: float) -> NullityFits:
 
 
 def _fit_stack(struct: ContactStructure, points: np.ndarray, connection=None) -> NullityFits:
+    layout = struct.layout
     n = struct.dim
-    (i, j), (zero_i, zero_j) = _eta_pairs(struct.eta)
+    (i, j), (zero_i, zero_j) = _eta_pairs(struct.eta, layout)
     # xi's values from the order-1 jet that h_tensor reads below; its gradients are only (n, n) per sample
-    xi = struct.xi.evaluate_with_grads(points)[0]
-    # rv[p, l, a, b] = (R(e_a, e_b) xi)^l, freed here: rxi holds the pairs that eta reaches, unreached the others
-    rv = riemann(struct.metric, points, xi, connection=connection)[1]
-    rxi = rv[:, :, i, j]
-    unreached = rv[:, :, zero_i, zero_j].reshape(len(points), -1)
+    xi = struct.xi.evaluate_with_grads(points, layout=layout)[0]
+    # rv[p, (b,) l, a, c] = (R(e_a, e_c) xi)^l, freed here: rxi holds the pairs that eta reaches, unreached the
+    # others of the sets; on a star layout a pair of two blocks is a structural zero and is in no set
+    rv = riemann(struct.metric, points, xi, connection=connection, layout=layout)[1]
+    rxi = rv[..., i, j]
+    unreached = rv[..., zero_i, zero_j].reshape(len(points), -1)
     del rv
-    eta = struct.eta.evaluate(points)
-    tensors = h_tensor(struct, points)
+    eta = struct.eta.evaluate(points, layout=layout)
+    tensors = h_tensor(struct, points, layout)
     h, hp = tensors.h, tensors.hprime
-    h_norms = np.abs(h).max(axis=(-2, -1))
+    h_norms = np.abs(h).max(axis=tuple(range(1, h.ndim)))
 
-    # one row per pair i < j and component l, pair-major: the l-th component of
+    # one row per set, pair i < j of it and component l, set- and pair-major: the l-th component of
     # R(e_i, e_j) xi against that of each basis vector
-    rows = len(i) * n
 
     def flat(v: np.ndarray) -> np.ndarray:
-        """``v[p, l, pair]`` as the rows of the design."""
-        return np.swapaxes(v, 1, 2).reshape(len(points), rows)
+        """``v[p, (b,) l, pair]`` as the rows of the design."""
+        return np.swapaxes(v, -1, -2).reshape(len(points), -1)
 
     def column(op: np.ndarray) -> np.ndarray:
         """``eta(e_j) op(e_i) - eta(e_i) op(e_j)`` for every pair."""
-        return flat(eta[:, None, j] * op[:, :, i] - eta[:, None, i] * op[:, :, j])
+        return flat(eta[..., None, j] * op[..., i] - eta[..., None, i] * op[..., j])
 
     b = flat(rxi)
-    design = np.stack([column(np.broadcast_to(np.eye(n), h.shape)), column(h), column(hp)], axis=-1)
-    kappa, mu, muprime, residual = _solve_stack(design, b, h_norms, unreached).T
+    design = np.stack([column(np.broadcast_to(np.eye(h.shape[-1]), h.shape)), column(h), column(hp)], axis=-1)
+    # the cutoff counts the rows of the design of every pair on the full grid, so that no rank moves
+    kappa, mu, muprime, residual = _solve_stack(design, b, h_norms, unreached, n * n * (n - 1) // 2).T
     return NullityFits(kappa, mu, muprime, residual, h_norms, ~(h_norms <= H_DEGENERACY_THRESHOLD), h, hp)
 
 
-def _eta_pairs(eta) -> tuple:
-    """The pairs i < j of coordinates where eta_i or eta_j is not the
-    literal zero (``TensorField.nonzero_entries``), as two index arrays,
-    and the other pairs: the design rows of those vanish at every sample."""
+def _eta_pairs(eta, layout=None) -> tuple:
+    """The pairs i < j of coordinates of a set of ``layout`` (the whole
+    chart when None) where eta_i or eta_j is not the literal zero
+    (``TensorField.nonzero_entries``), as two index arrays into the set,
+    and the other pairs of the set: the design rows of those vanish at
+    every sample.  Every set of a star layout has the same pairs, since eta
+    lies on the hub alone (``layouts.star_layout``)."""
     nonzero = np.zeros(eta.chart.dim, dtype=bool)
     nonzero[eta.nonzero_entries[0][:, 0]] = True
+    if layout is not None:
+        nonzero = nonzero[layout.sets[0]]
     i, j = np.triu_indices(len(nonzero), 1)
     reached = nonzero[i] | nonzero[j]
     return (i[reached], j[reached]), (i[~reached], j[~reached])
 
 
 def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray,
-                 unreached: np.ndarray | None = None) -> np.ndarray:
+                 unreached: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
     """``[p] = (kappa, mu, mu', residual)``: the least-squares fit of ``b[p]``
     against the columns of ``design[p]``, all samples in one batched SVD.
 
     The whole design may have further rows that are zero, with the
-    right-hand sides ``unreached[p]``: they only add to the residual norm.
-    The solution is ``V S^+ U^T b`` over the singular values above the
-    default cutoff of ``np.linalg.lstsq`` on the whole design,
-    ``eps max(rows, 3) s_max`` with ``rows`` counting the zero rows too,
-    which also gives the rank.  Where ``|h|`` is at most
+    right-hand sides ``unreached[p]``: they only add to the residual norm;
+    and rows that are zero on both sides, which change nothing.  The
+    solution is ``V S^+ U^T b`` over the singular values above the default
+    cutoff of ``np.linalg.lstsq`` on the whole design,
+    ``eps max(rows, 3) s_max`` with ``rows`` counting every row of it (by
+    default those of ``design`` and ``unreached``), which also gives the
+    rank.  Where ``|h|`` is at most
     ``H_DEGENERACY_THRESHOLD`` only kappa is fitted, from the first column,
     and mu = mu' = 0; where it is above and the rank is below 3,
     ``NullityFitError`` names the first such sample.  A sample with a
@@ -245,7 +273,8 @@ def _solve_stack(design: np.ndarray, b: np.ndarray, h_norms: np.ndarray,
     in place."""
     if unreached is None:
         unreached = np.zeros((len(b), 0))
-    rows = design.shape[1] + unreached.shape[1]
+    if rows is None:
+        rows = design.shape[1] + unreached.shape[1]
     cols = design.shape[2]
     finite = np.isfinite(design).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(unreached).all(axis=1)
     design[~finite] = 0.0

@@ -47,7 +47,8 @@ and the stages read the frame from the block's own ``xi``.
 Every stage runs over stacks of samples (``charts.evaluate_batches``), in
 batches of its own chart's dimension: the block geometry and the Lie
 brackets of a 3-dimensional block, the curvature along the Reeb field and
-the nullity fits of the sewn chart.  The four stages group the blocks by
+the nullity fits of the sewn chart, per set of its layout where it splits
+(``layouts.star_layout``).  The four stages group the blocks by
 definition with one rule (``ProductDefinition._groups``): two blocks are one
 definition when their cells share a definition and their trees are equal
 once each coordinate of the second is renamed to the first block's
@@ -711,11 +712,14 @@ def extrinsic_report(
     blocks' Reeb fields, so each block evaluates its ``xi`` with gradients
     once per batch: on block b, ``xi-bar = c[0, b] xi_b``,
     ``u_alpha = c[alpha, b] xi_b`` and ``d u_alpha = c[alpha, b] d xi_b``.  Inside each batch the sewn
-    curvature along the Reeb field runs in batches of the sewn chart, and the
-    product contractions compared with it are assembled there: a sum over the
-    product index is a sum over the blocks b of their three rows j, one
-    matrix axis of 3k rows.  Every contraction is a product of two arrays,
-    taken in a fixed order.
+    curvature along the Reeb field runs in batches of the sewn chart's full
+    grid, per set of its layout (``geometry.riemann``), which vanishes off the sets
+    (``layouts.star_layout``), and is scattered to the components of the
+    pairs a < b; the product contractions compared with it are assembled
+    there, an independent computation from the blocks of the product: a
+    sum over the product index is a sum over the blocks b of their three
+    rows j, one matrix axis of 3k rows.  Every contraction is a product of
+    two arrays, taken in a fixed order.
     """
     blocks = _blocks(product)
     k = product.cell_count
@@ -755,15 +759,23 @@ def extrinsic_report(
             ))
         return _BlockGeometry(*(_by_block(group_members, stacks, k) for stacks in zip(*parts)))
 
+    layout = sewn.layout
+    sources, targets = _pair_slots(layout)
+
     def sewn_curvature(points):
-        """(R(e_a, e_b) xi)^l of the sewn metric for the pairs a < b."""
-        return riemann(sewn.metric, points, sewn.xi.evaluate(points))[1][:, :, upper[0], upper[1]]
+        """(R(e_a, e_b) xi)^l of the sewn metric for the pairs a < b, from
+        its sets: 0 where no set holds a, b and l."""
+        curvature = riemann(sewn.metric, points, sewn.xi.evaluate(points, layout), layout=layout)[1]
+        intrinsic = np.zeros((len(points), sewn.chart.dim, len(upper[0])))
+        intrinsic.reshape(len(points), -1)[:, targets] = curvature.reshape(len(points), -1)[:, sources]
+        return intrinsic
 
     block_reads = [(field, order, columns[members]) for members, block in groups
                    for field, order in ((block.xi, 1), (block.metric, 2))]
     sewn_reads = ((sewn.metric, 2), (sewn.xi, 0))
     for batch, geometry in evaluate_batches(samples, 3, block_geometry, block_reads):
         start = 0
+        # batches of the full grid: the product contractions below hold (3k, n, n) floats per sample
         for sub, intrinsic in evaluate_batches(batch, sewn.chart.dim, sewn_curvature, sewn_reads):
             geo = geometry.rows(slice(start, start + len(sub)))
             start += len(sub)
@@ -798,6 +810,21 @@ def extrinsic_report(
 
     checks = tuple(r.result() for r in (frame, perp, dperp, weinxi, tangency, match))
     return ValidationReport(sewn.name, len(samples), checks)
+
+
+def _pair_slots(layout) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets): the flat slots of the curvature along a vector
+    per set of ``layout``, ``[b, l, i, j]``, whose chart indices a, c of i
+    and j have a < c, and the flat slots of (l, pair a < c) in the (n, pairs)
+    array they fill.  No two sets hold one pair a < c, so each target is
+    filled once."""
+    n = layout.dim
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    sets = layout.sets
+    comp, first, second = np.broadcast_arrays(sets[:, :, None, None], sets[:, None, :, None], sets[:, None, None, :])
+    sources = np.flatnonzero(first < second)
+    return sources, (comp * (n * (n - 1) // 2) + pair[first, second]).ravel()[sources]
 
 
 # ---------------------------------------------------------------------------

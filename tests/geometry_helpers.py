@@ -11,9 +11,11 @@ d Phi and the normality tensor), the nullity fits over the design of
 every coordinate pair, which the package reduces to the pairs that eta
 reaches, and the first-order layers on the full grid of the chart, which
 the package runs in the sets of a structure's layout (``dense_*``, with
-``in_sets`` to read a full-grid array in those sets).
+``in_sets`` to read a full-grid array in those sets, and ``on_full_grid``
+for a structure whose sweeps run on the full grid).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from sewcells.charts import TensorField
 from sewcells.expressions import BinOp, Num
 from sewcells.geometry import _connection, _max_abs, h_tensor, riemann, wedge_eta_two_form
+from sewcells.layouts import Layout
 from sewcells.nullity import _solve_stack
 from sewcells.sewing import embedding_matrix
 
@@ -267,6 +270,24 @@ def dense_verify_layers(struct, points) -> tuple:
     nablaphi, xi_phi, xi_xi = dense_nabla_phi(struct, points)
     return (xi_phi, xi_xi, _max_abs(nablaphi, 3), *dense_weight_fit(struct, points),
             _max_abs(dense_normality(struct, points), 3))
+
+
+def on_full_grid(struct):
+    """A copy of ``struct`` whose layout is the whole chart, so that the
+    package's layers, fits and stages run on it on the full grid, as they
+    did before star layouts."""
+    copy = dataclasses.replace(struct)
+    copy.__dict__["layout"] = Layout.whole(struct.dim)  # the cached property, set before its first read
+    return copy
+
+
+def set_mask(layout, rank: int) -> np.ndarray:
+    """The entries (n, .., n) of a rank-``rank`` full-grid array whose
+    indices all lie in one set of ``layout``."""
+    mask = np.zeros((layout.dim,) * rank, dtype=bool)
+    for members in layout.sets:
+        mask[np.ix_(*[members] * rank)] = True
+    return mask
 
 
 def in_sets(layout, array: np.ndarray, rank: int) -> np.ndarray:

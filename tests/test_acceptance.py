@@ -159,7 +159,7 @@ def _structure_suite_residual(struct, samples) -> float:
     for point in samples.coords:
         deriv = covariant_derivative_affinor(struct, point)
         worst = max(worst, deriv.nabla_xi_xi_norm, deriv.nabla_xi_phi_norm)
-        g, phi, xi, _ = struct.values_at(point)
+        g, phi, xi = (struct.metric.evaluate(point), struct.phi.evaluate(point), struct.xi.evaluate(point))
         h = h_tensor(struct, point).h
         gh = g @ h
         worst = max(

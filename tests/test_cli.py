@@ -770,3 +770,36 @@ def test_verify_runs_the_layers_of_a_split_chart_in_batches_sized_by_its_sets(tm
     layout = load_manifold("model.json").layout
     assert layout.hub and layout.sets.shape == (6, 3) and layout.width == 6 * 3 ** 3
     assert batch_size(13, layout=layout) == 101 and batch_size(13) == 7 == charts.BATCH_BYTES // (8 * 13 ** 3)
+
+
+def test_sew_and_nullity_of_a_split_chart_lay_out_no_full_grid(tmp_path, monkeypatch, capsys):
+    """``sew --copies 6 --points 100`` of the model cell and ``nullity
+    --points 100`` of the sewn file it writes: the sewn chart splits into s
+    and 6 blocks of two, and every stage, the curvature and the fits among
+    them, runs in its sets, so nothing lays out a field of the sewn chart in
+    its full grid, where 0.24.0 laid out 75 (P, 13, 13, 13) arrays in the
+    ``sew``.  The halfspace cell's sewn chart, whose metric couples s to
+    every block, is one set, and both commands lay out its full grid."""
+    from sewcells.catalog import halfspace_kenmotsu_cell
+    from sewcells.charts import TensorField
+
+    monkeypatch.chdir(tmp_path)
+    grids = Counter()
+    lay_out = TensorField._lay_out
+
+    def spied(field, layout, lead, order, compact):
+        jet = lay_out(field, layout, lead, order, compact)
+        if layout is None and field.chart.dim == 13:
+            grids.update(array.shape[len(lead):] for array in jet[:2])
+        return jet
+
+    monkeypatch.setattr(TensorField, "_lay_out", spied)
+    for name, cell in (("model", model_cosymplectic_cell(1.0)), ("halfspace", halfspace_kenmotsu_cell())):
+        save_manifold(cell, f"{name}.json")
+        for argv in (["sew", f"{name}.json", "--copies", "6", "--points", "100", "--out", f"{name}-k6.json"],
+                     ["nullity", f"{name}-k6.json", "--points", "100"]):
+            grids.clear()
+            assert main(argv) == EXIT_PASS
+            assert load_manifold(f"{name}-k6.json").layout.hub == (name == "model")
+            assert (grids[(13, 13, 13)] > 0) == (name == "halfspace") == bool(grids), (name, argv[0])
+    capsys.readouterr()

@@ -170,7 +170,7 @@ class TestHTensor:
     def test_h_symmetries_on_catalog(self, catalog_cells):
         for cell in catalog_cells:
             for point in sample_points(cell.chart, 25, 63).coords:
-                g, phi, xi, _ = cell.values_at(point)
+                g, phi, xi = (cell.metric.evaluate(point), cell.phi.evaluate(point), cell.xi.evaluate(point))
                 h = h_tensor(cell, point).h
                 assert float(np.max(np.abs(h @ xi))) <= 1e-9           # h xi = 0
                 gh = g @ h

@@ -265,8 +265,9 @@ class TestBlockStructure:
         distinct block definition, at the projections of all its blocks, and
         read the median and the normal frame from that block's own Reeb
         field.  So k copies build the same plans as any other number: the
-        first block's four fields, the cell metric and the sewn metric and
-        Reeb field."""
+        first block's four fields, the cell metric and the four sewn fields,
+        whose plans the proof of the sewn layout reads
+        (``layouts.star_layout``), since the sewn curvature runs in it."""
         from sewcells import charts
 
         cell = halfspace_kenmotsu_cell()  # no plan of its metric is built yet
@@ -280,7 +281,8 @@ class TestBlockStructure:
         assert extrinsic_report(product, sewn, sample_points(sewn.chart, 2, 7), 1e-8).passed
         first = product._split[1][0]
         assert product._groups == {0: list(range(k))}
-        assert sorted(map(id, built)) == sorted(map(id, (*first[1:], cell.metric, sewn.metric, sewn.xi)))
+        assert sorted(map(id, built)) == sorted(map(id, (*first[1:], cell.metric, sewn.metric, sewn.phi, sewn.xi,
+                                                         sewn.eta)))
 
     def test_block_entry_naming_another_block_fails(self, model_cell):
         product = build_product([model_cell, model_cell])
@@ -945,10 +947,11 @@ class TestTheoremSweeps:
 
     def test_sew_walks_the_sewn_chart_then_the_stacked_cells(self, kenmotsu_cell, layer_calls, sweeps, tmp_path,
                                                              monkeypatch, capsys):
-        """``sew --copies 4`` at 25 points: the sewn chart (n = 9) in fold
-        batches of 22 and 3 samples, then the cell at the four blocks'
-        columns of all 25 samples as one (100, 3) stack, each batch fitted
-        and classified once."""
+        """``sew --copies 4`` at 25 points: the sewn chart (n = 9) in one
+        batch of its layout's four sets, which holds 151 samples (22 on the
+        full grid), then the cell at the four blocks' columns of all 25
+        samples as one (100, 3) stack, each batch fitted and classified
+        once."""
         from sewcells import cli
         from sewcells.charts import batch_size, nullity_samples
 
@@ -956,10 +959,9 @@ class TestTheoremSweeps:
         save_manifold(kenmotsu_cell, "warped.json")
         assert cli.main(["sew", "warped.json", "--copies", "4", "--out", "sewn.json"]) == cli.EXIT_PASS
         sewn, cell = sweeps[0][0], sweeps[1][0]  # the command's own, loaded from the file
-        assert batch_size(9, (sewn.metric,)) == 22
-        assert layer_calls == [
-            (name, 9, (rows, 9)) for rows in (22, 3) for name in ("fit_nullity", "classify_layers")
-        ] + [("fit_nullity", 3, (100, 3)), ("classify_layers", 3, (100, 3))]
+        assert batch_size(9, (sewn.metric,)) == 22 and batch_size(9, (sewn.metric,), sewn.layout) == 151
+        assert layer_calls == [("fit_nullity", 9, (25, 9)), ("classify_layers", 9, (25, 9)),
+                               ("fit_nullity", 3, (100, 3)), ("classify_layers", 3, (100, 3))]
         self.assert_blocks_are_their_own(build_product([cell] * 4), sewn, nullity_samples(sewn.chart, 25, 7), sweeps)
 
     def test_blocks_straddling_fold_batches(self, halfspace_cell, layer_calls):

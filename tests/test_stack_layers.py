@@ -34,13 +34,16 @@ from sewcells.charts import (
 from geometry_helpers import (
     christoffel_reference,
     d_fundamental_form_reference,
+    dense_nabla_phi,
     dense_verify_layers,
     full_pair_fits,
     in_sets,
     nabla_phi_reference,
     normality_reference,
+    on_full_grid,
     product_median,
     riemann_reference,
+    set_mask,
 )
 from sewcells.geometry import (
     christoffel,
@@ -53,9 +56,17 @@ from sewcells.geometry import (
     riemann,
     verify_layers,
 )
+from sewcells.charts import Residual
 from sewcells.manifold_io import load_manifold, save_manifold, structure_to_dict
-from sewcells.nullity import _eta_pairs, fit_nullity, normalized
-from sewcells.sewing import build_product, sew
+from sewcells.nullity import (
+    H_DEGENERACY_THRESHOLD,
+    OPERATOR_LAWS,
+    _eta_pairs,
+    classify_and_fit,
+    fit_nullity,
+    normalized,
+)
+from sewcells.sewing import build_product, extrinsic_report, sew
 
 REL = 1e-13
 ABS = 1e-15
@@ -234,12 +245,13 @@ def test_contracted_reeb_norms_equal_the_full_nabla_phi(reduced_structures):
         list(reeb_layer(reduced_structures[-1], point))
 
 
-def split_structure() -> ContactStructure:
+def split_structure(xi=("0.5 + 0.1*t*a1", "0", "0", "0", "0", "0", "0")) -> ContactStructure:
     """A structure that meets no axiom on (t, a1, a2, a3, b1, b2, b3), which
     splits into the hub t and the blocks {a1, a2, a3} and {b1, b2, b3}:
     every entry reads t and one block at most, g_tt reads t alone, phi's t
-    row and column are zero and eta = 2 dt.  Its xi and g_tt read t and a
-    block, so that nabla_xi xi has a hub component that sums over both sets."""
+    row and column are zero, xi lies on t and eta = 2 dt.  Its xi reads t
+    and a block, so that nabla_xi xi has a nonzero hub component.  With
+    components of ``xi`` off t the chart is one set."""
     names = ("t", "a1", "a2", "a3", "b1", "b2", "b3")
     chart = Chart(names, adapted_index=0)
     n = len(names)
@@ -259,7 +271,7 @@ def split_structure() -> ContactStructure:
         "split", chart,
         metric=TensorField.build(chart, 0, 2, metric),
         phi=TensorField.build(chart, 1, 1, phi),
-        xi=TensorField.build(chart, 1, 0, ["0.5 + 0.1*t*a1", "0.2*a2*t", "sin(a1)", "0", "0.1*b2", "t*b3", "0.3*b1"]),
+        xi=TensorField.build(chart, 1, 0, list(xi)),
         eta=TensorField.build(chart, 0, 1, ["2", "0", "0", "0", "0", "0", "0"]),
     )
 
@@ -282,7 +294,8 @@ def _coupled(path, copies, pairs):
 @pytest.fixture(scope="module")
 def layout_structures(tmp_path_factory):
     """Every catalog cell, the files of each sewn with k = 2, 3, 6 and 16
-    copies, the split structure, the sewn model file of k = 4 whose metric
+    copies, the split structure with xi off t and on t alone, the sewn
+    model file of k = 4 whose metric
     couples blocks 1 and 2 and blocks 3 and 4, and those of k = 3 whose
     metric couples two blocks and all three, with the sets of their layouts."""
     root = tmp_path_factory.mktemp("layouts")
@@ -294,6 +307,8 @@ def layout_structures(tmp_path_factory):
             # the halfspace metric couples s to every block, and 5 coordinates are one set
             sets = None if c == 3 or k == 2 else [[0, 2 * b + 1, 2 * b + 2] for b in range(k)]
             structures.append((sewn, sets))
+    structures.append((split_structure(("0.5 + 0.1*t*a1", "0.2*a2*t", "sin(a1)", "0", "0.1*b2", "t*b3", "0.3*b1")),
+                       None))
     structures.append((split_structure(), [[0, 1, 2, 3], [0, 4, 5, 6]]))
     structures.append((_coupled(root / "coupled-pairs.json", 4, (1, 3)), [[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]]))
     structures.append((_coupled(root / "coupled2.json", 3, (1,)), None))
@@ -308,7 +323,8 @@ def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
     full grid within 1e-13 of max(1, |reference|) at each sample.  A chart
     splits as its layout says: the sewn cells into s and one block per copy
     but the halfspace's, whose metric couples s to the blocks; the split
-    structure into two blocks of 3 coordinates; the sewn file of four copies
+    structure into two blocks of 3 coordinates, but into none when its xi
+    has components off t; the sewn file of four copies
     whose metric couples blocks 1 and 2 and blocks 3 and 4 into two blocks
     of 4, and the file of three whose metric couples two blocks or all
     three into no blocks at all, since its blocks would be unequal or one;
@@ -320,7 +336,7 @@ def test_layers_in_a_layout_give_what_the_full_grid_gives(layout_structures):
         for got, want in zip(verify_layers(struct, points), dense_verify_layers(struct, points)):
             assert got.shape == want.shape == (8,)
             assert np.all(np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))), struct.name
-    # the split structure's nabla_xi xi has a hub component that both sets add to, and nabla_xi phi is not 0
+    # the split structure's nabla_xi xi has a hub component, and nabla_xi phi is not 0
     split = layout_structures[-4][0]
     hub, xi_phi = zip(*((abs(xi_xi[0]), np.abs(phi).max()) for _, phi, xi_xi in
                         (nabla_phi_reference(split, point) for point in _points(split, count=8, seed=11))))
@@ -356,6 +372,77 @@ def test_non_finite_samples_are_those_of_the_full_grid(tmp_path):
     # non-finite everywhere, and at some samples only, on either layout
     assert {("nan", hub, False, False) for hub in (False, True)} <= seen
     assert {("overflow", hub, False, True) for hub in (False, True)} <= seen
+
+
+@pytest.fixture(scope="module")
+def sewn_files(tmp_path_factory):
+    """(product, sewn file read back) of the model, warped and flat cells
+    sewn with k = 2, 3, 6 and 16 copies, of the halfspace cell with 6
+    (whose chart is one set, the control) and of the model cell with
+    phi^y_y NaN at every point with 3."""
+    root = tmp_path_factory.mktemp("per-set")
+    flat, model, warped, halfspace = standard_cells()
+    cases = [(cell, k) for cell in (model, warped, flat) for k in (2, 3, 6, 16)] + [(halfspace, 6)]
+    cases.append((_model_with_phi_yy("exp(400)*exp(400)*0", root / "nan.json"), 3))
+    return [(build_product([cell] * k), _written(sew([cell] * k), root / f"{c}.json"))
+            for c, (cell, k) in enumerate(cases)]
+
+
+def _same(got, want, name: str) -> None:
+    """``got`` equals ``want`` within 1e-13 of max(1, |want|) entry by
+    entry, and is NaN or infinite, of the same sign, where ``want`` is."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, name
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=name)
+    np.testing.assert_array_equal(got[~finite], want[~finite], err_msg=name)
+    assert np.all(np.abs(got[finite] - want[finite]) <= REL * np.maximum(1.0, np.abs(want[finite]))), name
+
+
+def test_curvature_fits_and_stages_per_set_give_what_the_full_grid_gives(sewn_files):
+    """On the sewn files, which split into s and one block per copy but at
+    k = 2 (too few coordinates) and for the halfspace cell (its metric
+    couples s to the blocks), per sample: R(e_i, e_j) xi per set against
+    the dense ``einsum`` reference, which vanishes off the sets; kappa, mu,
+    mu', the fit residual, |h| and ``determinate_mu`` against the fits over
+    the design of every pair on the full grid; the Reeb norms against the
+    full nabla phi; and the operator-law residuals of the theorem sweep and
+    the extrinsic stage's residuals against the same sweep and stage on the
+    full grid (``geometry_helpers.on_full_grid``).  Each within 1e-13 of
+    max(1, |reference|), and NaN or infinite where the reference is: on the
+    NaN-phi file every fit, h, Reeb norm and law is NaN."""
+    splits, nan_seen = set(), set()
+    for product, sewn in sewn_files:
+        layout, dense = sewn.layout, on_full_grid(sewn)
+        samples = sample_points(sewn.chart, 2, 5)
+        points = samples.coords
+        with np.errstate(all="ignore"):
+            curvature = riemann(sewn.metric, points, sewn.xi.evaluate(points, layout), layout=layout)[1]
+            fits, reference = fit_nullity(sewn, points), full_pair_fits(sewn, points)
+            h_norms = np.abs(h_tensor(sewn, points).h).max(axis=(-2, -1))
+            reeb, dense_reeb = reeb_layer(sewn, points), dense_nabla_phi(sewn, points)[1:]
+        xi = sewn.xi.evaluate(points)
+        for p, point in enumerate(points[:1] if sewn.dim > 13 else points):  # the reference is O(n^5)
+            full = np.einsum("lijk,k->lij", riemann_reference(sewn.metric, point), xi[p])
+            _same(curvature[p], in_sets(layout, full, 3), sewn.name)
+            assert np.abs(full[~set_mask(layout, 3)]).max(initial=0.0) <= REL * max(1.0, np.abs(full).max())
+        for got, want in zip((fits.kappa, fits.mu, fits.muprime, fits.residual, fits.h_norm, *reeb),
+                             (*reference.T, h_norms, *dense_reeb)):
+            _same(got, want, sewn.name)
+        assert fits.determinate_mu.tolist() == (~(h_norms <= H_DEGENERACY_THRESHOLD)).tolist()
+        for p in range(len(samples)):
+            one = samples[p:p + 1]
+            laws = [[Residual(name, 1e-8) for name in OPERATOR_LAWS] for _ in range(2)]
+            with np.errstate(all="ignore"):
+                for struct, folded in zip((sewn, dense), laws):
+                    classify_and_fit(struct, one, 1e-8, True, folded)
+                stages = [extrinsic_report(product, struct, one, 1e-8).checks for struct in (sewn, dense)]
+            _same([law.value for law in laws[0]], [law.value for law in laws[1]], sewn.name)
+            _same([c.residual for c in stages[0]], [c.residual for c in stages[1]], sewn.name)
+            nan_seen.add(bool(np.isnan([law.value for law in laws[0]]).all()))
+        splits.add((sewn.dim, layout.hub))
+    assert splits == {(5, False), (7, True), (13, True), (33, True), (13, False)}
+    assert nan_seen == {False, True}
 
 
 def _axiom_checks(struct, samples, layout) -> list:
@@ -417,15 +504,17 @@ class TestSewMemory:
 
     def test_every_curvature_batch_fits_the_budget(self, cell_files, monkeypatch):
         # a sweep has two sizes.  Its layer batches: the curvature reads every Hessian
-        # stack through (n, n, n) contractions per sample, and its fold holds two
-        # entries per Hessian entry.  Its program chunks: a field's program runs on
-        # whole batches whose compact jets fit the budget, or on one batch
+        # stack through contractions per sample, (n, n, n) on the full grid and K
+        # (w, w, w) in a star layout, and its fold holds two entries per Hessian entry
+        # and set.  Its program chunks: a field's program runs on whole batches whose
+        # compact jets fit the budget, or on one batch
         original = TensorField.evaluate_with_jets
         stacks, runs = [], []
 
         def spy(field, point, hessians=True, layout=None):
             if hessians:
-                stacks.append((np.shape(point), len(field._plan.hess_slots)))
+                width = field.chart.dim ** 3 if layout is None else layout.width
+                stacks.append((np.shape(point), max(width, field._fold_plan(layout)[2].size)))
             return original(field, point, hessians, layout)
 
         run = TensorField._run
@@ -442,14 +531,18 @@ class TestSewMemory:
         dims = {shape[-1] for shape, _ in stacks}
         # the cells and the product's blocks, and the sewn manifold; never the 12-dim product chart
         assert dims == {3, 9} and {shape[-1] for shape, _ in runs} == dims
-        for shape, entries in stacks:
+        for shape, width in stacks:
             count = shape[0] if len(shape) == 2 else 1
-            assert count == 1 or count * 8 * max(shape[-1] ** 3, 2 * entries) <= BATCH_BYTES, shape
+            assert count == 1 or count * 8 * width <= BATCH_BYTES, shape
+        layout = load_manifold("out.json").layout
         for shape, nbytes in runs:
             count = shape[0] if len(shape) == 2 else 1
-            assert count <= batch_size(shape[-1]) or nbytes <= BATCH_BYTES, shape
-        # the sewn chart's 25 samples make batches of 22 and 3, and chunks of both
-        assert batch_size(9) == 22 and ((25, 9) in {shape for shape, _ in runs})
+            assert count <= batch_size(shape[-1], layout=layout if shape[-1] == 9 else None) or nbytes <= BATCH_BYTES
+        # the sewn chart splits into s and four blocks: its 25 samples make one batch, of
+        # up to 151 samples in the sets (22 on the full grid), and one chunk
+        assert layout.sets.shape == (4, 3) and layout.width == 4 * 3 ** 3
+        assert batch_size(9) == 22 and batch_size(9, layout=layout) == 151
+        assert (25, 9) in {shape for shape, _ in runs}
 
     @pytest.mark.parametrize("cell, copies, limit", [("warped", 4, 1.38e6), ("model", 6, 5.10e6)])
     def test_peak_stays_below_the_point_by_point_stages(self, cell_files, cell, copies, limit):
@@ -464,6 +557,27 @@ class TestSewMemory:
             finally:
                 tracemalloc.stop()
         assert peak <= limit
+
+
+def test_nullity_keeps_its_fits_per_set(tmp_path, monkeypatch):
+    """``nullity --points 500`` on the sewn model file of 16 copies: the
+    sweep keeps each sample's h and h' as (16, 3, 3) arrays of its sets,
+    not (33, 33), and its curvature runs per set.  The limit is the
+    tracemalloc peak measured with the fits per set, 3.50e6 bytes, plus
+    about 15%; on the full grid the same command peaked at 18.8e6 (and
+    76.1e6 at 2000 points)."""
+    monkeypatch.chdir(tmp_path)
+    save_manifold(sew([model_cosymplectic_cell(1.0)] * 16), "sewn.json")
+    argv = ["nullity", "sewn.json", "--points", "500"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)  # warm: the peak below is the command's own
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == cli.EXIT_PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4.02e6
 
 
 class TestVerifyMemory:

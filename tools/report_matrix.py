@@ -16,16 +16,18 @@ halfspace cell (the fits sweep 6 batches of up to 182 samples, which the 5
 groups of 200 sharing an adapted value straddle), ``nullity`` on
 the sewn k = 2 outputs, ``verify --points 100`` on the sewn k = 2 outputs (5
 dimensions, too few to split, so every chart is one set, the full grid), on
-the sewn k = 4 outputs (9 dimensions, so
-5 batches, where the jets the sweep binds for a batch serve its later
-layers; the model, warped and flat charts split into s and their blocks,
-the halfspace chart is one set), on the sewn k = 6 outputs (13 dimensions:
-the sets of the charts that split hold all 100 samples in one batch, the
-halfspace chart's full grid takes 15 batches) and on the sewn model and halfspace k = 16
-outputs (the model chart's layers in batches sized by its sets, the
-halfspace chart's one sample at a time on the full grid), ``nullity`` on
-the sewn k = 4 outputs (its classify-and-fit sweep on the full grid of the
-charts that split as of the one that does not), and ``verify``
+the sewn k = 4 outputs (9 dimensions: the model, warped and flat charts
+split into s and their blocks and hold the 100 samples in one batch, the
+halfspace chart is one set and takes 5 batches, where the jets the sweep
+binds for a batch serve its later layers), on the sewn k = 6 outputs (13
+dimensions: the sets of the charts that split hold all 100 samples in one
+batch, the halfspace chart's full grid takes 15 batches) and on the sewn
+model and halfspace k = 16 outputs (the model chart's layers in batches
+sized by its sets, the halfspace chart's one sample at a time on the full
+grid), ``nullity`` on the sewn k = 4 outputs and on the sewn model and
+halfspace k = 16 outputs (its classify-and-fit sweep, the curvature and the
+fits among it, in the sets of the charts that split and on the full grid
+of the halfspace chart, which does not), and ``verify``
 and ``sew --copies 2`` on ``CONSTANTS_CELL``.  That
 is the halfspace cell with its constants written as constant subtrees under
 exp, sinh, cosh, log, sqrt and constant powers, so that the matrix evaluates
@@ -65,8 +67,9 @@ at least 1e-10 and the worst absolute difference of the others; the numeric
 fields that moved at all, with checks named by their check name; the text
 fields that differ (the version, notes); how many reports changed bytes; and
 whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
-error lines.  The matrix is 67 commands; the three runs take 45 to 95 s on a
-2-CPU machine, k = 16 included.  Exit status 0 when nothing structural differs, both numeric
+error lines.  The matrix is 69 commands; the three runs take about 60 s on a
+2-CPU machine, up to 95 s on a loaded one, k = 16 included.  Exit status 0
+when nothing structural differs, both numeric
 gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
 bad argument.
 """
@@ -216,11 +219,11 @@ def matrix() -> list[tuple[str, list[str]]]:
         commands.append((f"nullity-sewn-{cell}-k2", ["nullity", f"sewn/{cell}-k2.json"]))
         # 5 dimensions: one set, the full grid
         commands.append((f"verify-sewn-{cell}-k2", ["verify", f"sewn/{cell}-k2.json", "--points", "100"]))
-        # 9 dimensions: 100 points make 5 batches
+        # 9 dimensions: 100 points make one batch in the sets of a chart that splits, 5 on the full grid
         commands.append((f"verify-sewn-{cell}-k4", ["verify", f"sewn/{cell}-k4.json", "--points", "100"]))
         # 13 dimensions: one batch in the sets of a chart that splits, 15 on the full grid of one that does not
         commands.append((f"verify-sewn-{cell}-k6", ["verify", f"sewn/{cell}-k6.json", "--points", "100"]))
-        # the one classify-and-fit sweep on the full grid of a chart that splits (all but halfspace)
+        # the classify-and-fit sweep, with the curvature and the fits, in the sets of a chart that splits
         commands.append((f"nullity-sewn-{cell}-k4", ["nullity", f"sewn/{cell}-k4.json"]))
     commands.append(("verify-error", ["verify", "cells/error.json"]))
     commands.append(("verify-late-error", ["verify", "cells/late-error.json", "--points", LATE_POINTS]))
@@ -234,9 +237,11 @@ def matrix() -> list[tuple[str, list[str]]]:
                                           "--out", "sewn/partly-k2.json", *partly]))
     commands.append(("nullity-broken-phi", ["nullity", "cells/broken-phi.json"]))
     commands.append(("nullity-nan-phi", ["nullity", "cells/nan-phi.json"]))
-    # the layers in the sets of a split chart (model), on the full grid (halfspace), and of a NaN phi
+    # the layers, the curvature and the fits in the sets of a split chart (model), on the full grid
+    # (halfspace), and of a NaN phi
     for cell in ("model", "halfspace"):
         commands.append((f"verify-sewn-{cell}-k16", ["verify", f"sewn/{cell}-k16.json", "--points", "100"]))
+        commands.append((f"nullity-sewn-{cell}-k16", ["nullity", f"sewn/{cell}-k16.json"]))
     commands.append(("sew-nan-phi-k3", ["sew", "cells/nan-phi.json", "--copies", "3", "--out", "sewn/nan-phi-k3.json"]))
     commands.append(("verify-sewn-nan-phi-k3", ["verify", "sewn/nan-phi-k3.json", "--points", "100"]))
     commands.append(("nullity-sewn-nan-phi-k3", ["nullity", "sewn/nan-phi-k3.json"]))
