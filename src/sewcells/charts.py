@@ -288,7 +288,7 @@ class TensorField:
 
     @cached_property
     def _folds(self) -> dict:
-        """The ``Layout.fold`` of each star layout the field's Hessians were folded in."""
+        """The ``Layout.fold`` of each layout the field's Hessians were folded in."""
         return {}
 
     @cached_property
@@ -427,12 +427,9 @@ class TensorField:
 
     def _fold_plan(self, layout: "Layout | None") -> tuple:
         """(sources, weights, targets, shape) of ``fold_hessians`` in
-        ``layout``: the field plan's fold over every entry (``sources`` None)
-        in the full grid, when ``layout`` is None or the whole chart, and
-        ``Layout.fold`` in a star layout, built once per layout."""
-        if layout is None or not layout.hub:
-            plan = self._plan
-            return None, plan.fold_weights, plan.fold_targets, (self.chart.dim,) * 3
+        ``layout`` (the full grid when None): ``Layout.fold``, built once
+        per layout."""
+        layout = layout or Layout.whole(self.chart.dim)
         fold = self._folds.get(layout)
         if fold is None:
             fold = self._folds[layout] = (*layout.fold(self), layout.shape(3))
@@ -457,9 +454,7 @@ class _FieldPlan(NamedTuple):
     The roots are grouped by the set of chart coordinates they read, and a
     root's jet is taken over its group's coordinates only.  ``grad_slots`` and
     ``hess_slots`` are the flat slots of the full gradient and Hessian that
-    the roots' own jets fill, in order.  ``TensorField.fold_hessians`` adds
-    each Hessian entry, weighted by ``v[fold_weights]``, into the slots
-    ``fold_targets`` of its two contractions with a vector, laid end to end.
+    the roots' own jets fill, in order.
     """
 
     constant: np.ndarray
@@ -467,8 +462,6 @@ class _FieldPlan(NamedTuple):
     program: Program
     grad_slots: np.ndarray
     hess_slots: np.ndarray
-    fold_weights: np.ndarray
-    fold_targets: np.ndarray
 
     def compact_width(self, order: int) -> int:
         """Floats per sample of the program's jet up to ``order``: the values,
@@ -501,16 +494,8 @@ class _FieldPlan(NamedTuple):
             hess_slots.extend((pos * n + a) * n + b for a in columns for b in columns)
         program = Program(roots, [(columns, {chart.coords[c]: j for j, c in enumerate(columns)})
                                   for columns in groups])
-        hess = np.array(hess_slots, dtype=np.intp)
-        # for a rank-2 field the slot of d_c d_d F_ab is ((a n + b) n + c) n + d; the
-        # first contraction drops a, the second c.  The fold indices are below 2 n^3,
-        # which 32 bits hold up to n = 1290, and take half the memory there
-        cube = n ** 3
-        fold = np.int32 if 2 * cube < 2 ** 31 else np.intp
         return cls(constant, np.array(positions, dtype=np.intp), program,
-                   np.array(grad_slots, dtype=np.intp), hess,
-                   np.concatenate([hess // cube, hess // n % n]).astype(fold),
-                   np.concatenate([hess % cube, cube + hess // (n * n) * n + hess % n]).astype(fold))
+                   np.array(grad_slots, dtype=np.intp), np.array(hess_slots, dtype=np.intp))
 
 
 class _Binding:
@@ -756,7 +741,8 @@ def batch_size(dim: int, folds: Sequence[TensorField] = (), layout: Layout | Non
     None), ``layout.width`` floats in a star layout, or the fold of a field's
     Hessians in that layout where it is larger, two floats per entry and set
     that holds it (see the module docstring)."""
-    width = max([dim ** 3 if layout is None else layout.width] + [field._fold_plan(layout)[2].size for field in folds])
+    layout = layout or Layout.whole(dim)
+    width = max([layout.width] + [field._fold_plan(layout)[2].size for field in folds])
     return max(1, BATCH_BYTES // (8 * width))
 
 
@@ -938,13 +924,13 @@ class StructureAxioms:
     """The residuals of the structure axioms over a sweep, folded in batch by
     batch (``add``) from the order-1 jets of ``reads``; ``report`` gives
     their checks (see ``validate_structure``).  The axioms read the jets in
-    the ``layout`` the layers of the sweep work in, as the layers do: (n, n)
-    matrices per sample in the full grid (when None), and (K, w, w) in a
-    star layout, whose entries outside the sets are zero
-    (``layouts.star_layout``), so that a batch lays each field out once."""
+    the structure's layout, as the layers do: (n, n) matrices per sample
+    on the full grid, and (K, w, w) in a star layout, whose entries outside
+    the sets are zero (``layouts.star_layout``), so that a batch lays each
+    field out once."""
 
-    def __init__(self, struct: ContactStructure, tol: float, layout: Layout | None = None):
-        self.struct, self.layout = struct, layout or Layout.whole(struct.dim)
+    def __init__(self, struct: ContactStructure, tol: float):
+        self.struct, self.layout = struct, struct.layout
         # eta first, then g, phi and xi: the first field to leave its domain raises
         self.reads = [(field, 1) for field in (struct.eta, struct.metric, struct.phi, struct.xi)]
         self.residuals = tuple(Residual(name, tol) for name in
@@ -1008,7 +994,7 @@ class StructureAxioms:
 
 
 def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
-                       layers: Callable | None = None, layout: Layout | None = None) -> ValidationReport:
+                       layers: Callable | None = None) -> ValidationReport:
     """Check the structure axioms at every sample.
 
     Residuals reported (max over samples): ``phi^2 + Id - xi (x) eta``,
@@ -1022,9 +1008,9 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     ``StructureAxioms`` and then calls ``layers``, if given, with the
     batch's stack, so that the derivative layers read the jets the sweep
     bound and each field's program runs once per chunk (see
-    ``evaluate_batches``); ``layout`` is the one the layers work in, which
-    sizes the batches (the full grid when None) and in which the axioms
-    read the jets too.  ``layers`` runs only while every batch so far
+    ``evaluate_batches``); the structure's layout, which the layers work
+    in, sizes the batches, and the axioms read the jets in it too.
+    ``layers`` runs only while every batch so far
     has had a positive definite metric: without one there is no
     Levi-Civita connection, and a caller drops what ``layers`` gathered when
     ``metric_positive_definite`` fails.  ``nullity.classify_and_fit`` folds
@@ -1032,9 +1018,9 @@ def validate_structure(struct: ContactStructure, samples: Samples, tol: float,
     """
     if not samples:
         raise ValueError("samples must be non-empty")
-    axioms = StructureAxioms(struct, tol, layout)
+    axioms = StructureAxioms(struct, tol)
     with np.errstate(all="ignore"):
-        for batch, metric_ok in evaluate_batches(samples, struct.dim, axioms.add, axioms.reads, layout):
+        for batch, metric_ok in evaluate_batches(samples, struct.dim, axioms.add, axioms.reads, struct.layout):
             if metric_ok and layers is not None:
                 layers(batch.coords)
     return axioms.report(len(samples))

@@ -90,15 +90,14 @@ def _with_checks(report: ValidationReport, *residuals: Residual) -> ValidationRe
     return replace(report, checks=report.checks + tuple(r.result() for r in residuals))
 
 
-def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer,
-                       layout=None) -> tuple[ValidationReport, list]:
+def _axioms_and_layers(struct: ContactStructure, samples, tol: float, layer) -> tuple[ValidationReport, list]:
     """The structure axioms and ``layer``'s results, one (P,) column each,
-    from one sweep over ``samples`` in batches sized by the ``layout`` that
-    ``layer`` works in: ``validate_structure`` runs ``layer`` on each batch,
-    from the jets the axioms took, while the metric is positive definite.
-    Where it is not, the caller drops the columns."""
+    from one sweep over ``samples`` in batches sized by the structure's
+    layout, which ``layer`` works in: ``validate_structure`` runs ``layer``
+    on each batch, from the jets the axioms took, while the metric is
+    positive definite.  Where it is not, the caller drops the columns."""
     results = []
-    report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)), layout)
+    report = validate_structure(struct, samples, tol, lambda points: results.append(layer(struct, points)))
     return report, [np.concatenate(column) for column in zip(*results)]
 
 
@@ -106,7 +105,7 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
     samples = sample_points(struct.chart, args.points, args.seed)
     # one sweep: the axioms, classify's layers (nabla phi and the weight fit) and the normality tensor, in the
     # sets of the structure's layout
-    report, columns = _axioms_and_layers(struct, samples, args.tol, verify_layers, struct.layout)
+    report, columns = _axioms_and_layers(struct, samples, args.tol, verify_layers)
     header = f"{struct.name}  (dimension {struct.dim}, {len(samples)} samples)"
     # without a positive definite metric there is no Levi-Civita connection: the layers' results go
     if not report.check("metric_positive_definite").passed:
@@ -153,13 +152,13 @@ def cmd_nullity(args) -> int:
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
     # the axioms, classify's layers and the fits, in one sweep in the batches of the Hessian fold
-    axioms = StructureAxioms(struct, args.tol, struct.layout)
+    axioms = StructureAxioms(struct, args.tol)
     try:
         swept = classify_and_fit(struct, samples, args.tol, fit=True, axioms=axioms)
         validation = axioms.report(len(samples))
     except NullityFitError:
         # a failing axiom outranks a fit error, which may have ended the sweep early
-        validation = validate_structure(struct, samples, args.tol, layout=struct.layout)
+        validation = validate_structure(struct, samples, args.tol)
         if validation.passed:
             raise
     if not validation.passed:
@@ -243,7 +242,7 @@ def cmd_sew(args) -> int:
 
     tol = max(args.tol, 1e-9)
     # the stage reads nabla_xi xi and nabla_xi phi only, so nabla phi runs alone, in the axioms' sweep
-    induced, columns = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer, sewn.layout)
+    induced, columns = _axioms_and_layers(sewn, sewn_samples, tol, reeb_layer)
     if induced.check("metric_positive_definite").passed:
         induced = _with_reeb_checks(induced, columns, tol)
     if not induced.passed:

@@ -201,9 +201,9 @@ def _max_abs(a: np.ndarray, trailing: int):
 
 def covariant_derivative_affinor(struct: ContactStructure, point, connection=None) -> AffinorDerivative:
     """nabla phi at a point or a stack, in the structure's layout, and the
-    norms of nabla_xi phi and nabla_xi xi read off it; ``connection``, the
-    metric's ``connection`` in that layout when given, spares building it
-    again.
+    norms of nabla_xi phi and nabla_xi xi read off it; ``connection``,
+    when given, must be ``connection(struct.metric, point, struct.layout)``
+    and spares building it again.
 
     On a star layout each entry of nabla phi, and of nabla_xi phi, lies in
     one set, and so does each component of nabla_xi xi, which sums over the
@@ -263,11 +263,12 @@ class StructureTensorsAtPoint:
     hprime: np.ndarray
 
 
-def h_tensor(struct: ContactStructure, point, layout: Layout | None = None) -> StructureTensorsAtPoint:
+def h_tensor(struct: ContactStructure, point) -> StructureTensorsAtPoint:
     """Evaluate ``h X = 1/2([xi, phi X] - phi [xi, X])`` on coordinate fields,
-    at a point or a stack, on the full grid or per set of a star ``layout``
-    (``[..., b, j, k]``), where h and h' vanish off the sets
-    (``layouts.star_layout``)."""
+    at a point or a stack, in the structure's layout: on the full grid, or
+    per set of a star layout (``[..., b, j, k]``), where h and h' vanish off
+    the sets (``layouts.star_layout``)."""
+    layout = struct.layout
     pvals, pgrads = struct.phi.evaluate_with_grads(point, layout=layout)
     xvals, xgrads = struct.xi.evaluate_with_grads(point, layout=layout)
     # h^j_k = 1/2 (xi^i d_i phi^j_k - phi^m_k d_m xi^j + (d_k xi^m) phi^j_m)
@@ -420,7 +421,8 @@ def classify_layers(struct: ContactStructure, points: np.ndarray, connection=Non
     largest magnitudes of
     nabla_xi phi and nabla_xi xi (as ``reeb_layer`` gives them) and of nabla
     phi, read off the full nabla phi (``covariant_derivative_affinor``,
-    with ``connection`` as for ``riemann``), and the weights and fit
+    with ``connection``, when given, ``connection(struct.metric, points,
+    struct.layout)``), and the weights and fit
     residuals of ``weight_fit``.  So the results of a stack of samples slice
     into those of its rows.  Inside a sweep that names the fields at these
     orders, the layers read the jets it bound for the batch

@@ -103,21 +103,29 @@ class Layout:
     def fold(self, field) -> tuple:
         """Where the Hessian entries of a rank-2 ``field`` go when
         ``TensorField.fold_hessians`` contracts them with a vector in this
-        star layout: (sources, weights, targets).  For every set that holds
-        all four indices of an entry d_c d_d F_ab, ``sources`` names the
-        entry once; the first half of ``weights`` and ``targets`` adds it,
+        layout: (sources, weights, targets).  For every set that holds all
+        four indices of an entry d_c d_d F_ab, ``sources`` names the entry
+        once (None when that is every entry in order, as in a whole-chart
+        layout); the first half of ``weights`` and ``targets`` adds it,
         times the laid-out vector's flat slot of v^a, into the flat slot of
         (b, c, d) of the first (K, w, w, w) contraction, and the second half,
         times v^c, into (a, b, d) of the second, laid after the first."""
-        size = self.sets.shape[1]
+        hess = field._plan.hess_slots
+        count, size = self.sets.shape
         cube = size ** 3
-        a, b, c, d = np.unravel_index(field._plan.hess_slots, (self.dim,) * 4)
-        # the flat slot of (set, a, b, c, d) in (K, w, w, w, w) is (set w + a) w^3 + the slot of (b, c, d)
-        sources, first = self.slots(np.column_stack([a, b, c, d]))
-        second = self.slots(np.column_stack([c, a, b, d]))[1]
-        slots = np.concatenate([first, second])
-        halves = np.repeat([0, len(self.sets) * cube], len(sources))
-        return sources, slots // cube, halves + slots // (size * cube) * cube + slots % cube
+        # held[s, :, e]: the slots in set s of the indices a, b, c, d of entry e, d_c d_d F_ab, -1 where s lacks one
+        held = self.local[:, np.unravel_index(hess, (self.dim,) * 4)]
+        blocks, sources = np.nonzero((held >= 0).all(axis=1))
+        a, b, c, d = held[blocks, :, sources].T
+        base = blocks * cube
+        weights = np.concatenate([a, c]) + np.concatenate([blocks, blocks]) * size
+        targets = np.concatenate([base + (b * size + c) * size + d, count * cube + base + (a * size + b) * size + d])
+        # the fold indices are below 2 K w^3, which 32 bits hold up to n = 1290 on the full grid, and take half the
+        # memory there
+        index = np.int32 if 2 * count * cube < 2 ** 31 else np.intp
+        if sources.size == hess.size and (sources == np.arange(hess.size)).all():
+            sources = None
+        return sources, weights.astype(index), targets.astype(index)
 
 
 def star_layout(struct) -> Layout:

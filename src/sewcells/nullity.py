@@ -104,8 +104,9 @@ class NullityFits:
 
 def fit_nullity(struct: ContactStructure, point, connection=None) -> NullityFits:
     """Least-squares (kappa, mu, mu') at a point (n,) or at each point of a
-    stack (P, n); see the module docstring.  ``connection``, the metric's
-    ``geometry.connection`` at ``point`` when given, spares building it
+    stack (P, n); see the module docstring.  ``connection``, when given,
+    must be ``geometry.connection(struct.metric, point, struct.layout)``,
+    the connection in the structure's layout, and spares building it
     again."""
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
@@ -213,7 +214,7 @@ def _fit_stack(struct: ContactStructure, points: np.ndarray, connection=None) ->
     unreached = rv[..., zero_i, zero_j].reshape(len(points), -1)
     del rv
     eta = struct.eta.evaluate(points, layout=layout)
-    tensors = h_tensor(struct, points, layout)
+    tensors = h_tensor(struct, points)
     h, hp = tensors.h, tensors.hprime
     h_norms = np.abs(h).max(axis=tuple(range(1, h.ndim)))
 

@@ -183,7 +183,7 @@ def full_pair_fits(struct, points) -> np.ndarray:
     rows = len(i) * n
     xi = struct.xi.evaluate(points)
     eta = struct.eta.evaluate(points)
-    tensors = h_tensor(struct, points)
+    tensors = h_tensor(on_full_grid(struct), points)
 
     def flat(v):
         return np.swapaxes(v, 1, 2).reshape(len(points), rows)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals
+from geometry_helpers import covariant_derivative_vector, curvature_symmetry_residuals, on_full_grid
 from oracles import fuzz_cases, gradient_hessian_fd, koszul_fd, value_gradient_fd
 from sewcells.catalog import model_cosymplectic_cell, standard_cells
 from sewcells.charts import TensorField, sample_points, sample_points_grouped, validate_structure
@@ -160,7 +160,7 @@ def _structure_suite_residual(struct, samples) -> float:
         deriv = covariant_derivative_affinor(struct, point)
         worst = max(worst, deriv.nabla_xi_xi_norm, deriv.nabla_xi_phi_norm)
         g, phi, xi = (struct.metric.evaluate(point), struct.phi.evaluate(point), struct.xi.evaluate(point))
-        h = h_tensor(struct, point).h
+        h = h_tensor(on_full_grid(struct), point).h
         gh = g @ h
         worst = max(
             worst,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_helpers import on_full_grid
 from sewcells.catalog import halfspace_kenmotsu_cell, kenmotsu_warped_cell, model_cosymplectic_cell
 from sewcells.charts import ChartError, sample_points, sample_points_grouped
 from sewcells.geometry import h_tensor, riemann
@@ -39,7 +40,7 @@ def _normalized_lstsq(struct, point, alpha):
     n = struct.dim
     xi, eta = struct.xi.evaluate(point), struct.eta.evaluate(point)
     rxi = riemann(struct.metric, point, xi)[1]  # rxi[l, i, j] = (R(e_i, e_j) xi)^l
-    tensors = h_tensor(struct, point)
+    tensors = h_tensor(on_full_grid(struct), point)
     i, j = np.triu_indices(n, 1)
 
     def column(op):
