@@ -1,6 +1,6 @@
 """Chart-based tensor calculus for almost contact metric cells and sewn products."""
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .catalog import (
     CATALOG,

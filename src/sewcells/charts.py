@@ -340,7 +340,9 @@ class TensorField:
         that a sweep bound for this stack where it serves, else from one run
         of the program (see the module docstring)."""
         if layout is not None and not layout.hub:
-            layout = None  # a whole-chart layout is the full grid
+            # a whole-chart layout is the full grid, laid out without a ``Layout.scatter`` plan, whose
+            # build costs about 0.4 ms per command on a 3-dim cell (ROADMAP item 6)
+            layout = None
         point = np.asarray(point, dtype=float)
         binding = self._bound(point, order) if self._memo else None
         if binding is None:
@@ -912,8 +914,7 @@ class ValidationReport:
 
     def check_dicts(self) -> list[dict]:
         """The checks as JSON-ready dictionaries."""
-        return [{"name": c.name, "residual": c.residual, "tolerance": c.tolerance, "passed": c.passed, "note": c.note}
-                for c in self.checks]
+        return [dict(vars(c)) for c in self.checks]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +68,6 @@ MAX_POINTS = 10_000
 INDUCED = "induced structure axioms"
 
 
-def _classification_dict(classification) -> dict:
-    return {
-        "kind": classification.kind,
-        "alpha": classification.alpha,
-        "is_cosymplectic": classification.is_cosymplectic,
-        "weight_fit_residual_max": classification.fit_residual_max,
-        "weights": list(classification.weights),
-    }
-
-
 def _with_reeb_checks(report: ValidationReport, columns, tol: float) -> ValidationReport:
     """``report`` with the Reeb-parallelism facts that hold on any cell, from
     a sweep's first two ``columns``: |nabla_xi phi| and |nabla_xi xi| per sample."""
@@ -116,13 +106,13 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
     normality = Residual("normality", args.tol).add(columns[-1])  # verify_layers gives the largest |N| last
     report = _with_reeb_checks(report, columns, args.tol)
     if struct.dim == 3:
-        weight_fit = Residual("weight_fit_residual", args.tol).add(classification.fit_residual_max)
+        weight_fit = Residual("weight_fit_residual", args.tol).add(classification.weight_fit_residual_max)
         report = _with_checks(report, weight_fit)
     subject = {
         "name": struct.name,
         "dimension": struct.dim,
         "checks": report.check_dicts(),
-        "classification": _classification_dict(classification),
+        "classification": dict(vars(classification)),
         "normality_max": normality.value,
         "passed": report.passed,
     }
@@ -134,21 +124,12 @@ def _verify_subject(struct: ContactStructure, args) -> dict:
 
 def cmd_verify(args) -> int:
     report = _base_report("verify", args)
-    subjects = []
-    for path in args.files:
-        struct = load_manifold(path)
-        report["inputs"].append({"path": str(path), "sha256": file_digest(path)})
-        subjects.append(_verify_subject(struct, args))
-    report["subjects"] = subjects
-    report["passed"] = all(s["passed"] for s in subjects)
-    _finish(report, args)
-    return EXIT_PASS if report["passed"] else EXIT_FAIL
+    return _conclude(report, args, [_verify_subject(_load(report, path), args) for path in args.files])
 
 
 def cmd_nullity(args) -> int:
     report = _base_report("nullity", args)
-    struct = load_manifold(args.file)
-    report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
+    struct = _load(report, args.file)
     samples = nullity_samples(struct.chart, args.points, args.seed)
 
     # the axioms, classify's layers and the fits, in one sweep in the batches of the Hessian fold
@@ -164,13 +145,14 @@ def cmd_nullity(args) -> int:
     if not validation.passed:
         print(validation.format_table())
         print("structure axioms fail; nullity fit skipped")
-        return _stop(report, args, struct, {"checks": validation.check_dicts()}, EXIT_FAIL)
+        return _conclude(report, args, [_failed_subject(struct, {"checks": validation.check_dicts()})])
     ((classification, fits),) = swept
     alpha = classification.alpha
     kenmotsu = args.convention == "kenmotsu"
     if kenmotsu and alpha is None:
         print("the normalized h' convention needs an almost alpha-Kenmotsu structure")
-        return _stop(report, args, struct, {"classification": _classification_dict(classification)}, EXIT_INPUT)
+        return _conclude(report, args, [_failed_subject(struct, {"classification": dict(vars(classification))})],
+                         EXIT_INPUT)
     label = f"kenmotsu-h'({alpha!r})" if kenmotsu else "raw-h'"
     report["parameters"]["convention"] = label
 
@@ -185,14 +167,7 @@ def cmd_nullity(args) -> int:
         gen = check_generalized(struct, samples, fits, args.tol)
         samples, fits = samples[gen.order], fits[gen.order]
         labels = samples.coords[:, t_axis]
-        verdicts = {
-            "constant_kappa": gen.constant_kappa,
-            "constant_mu": gen.constant_mu,
-            "constant_muprime": gen.constant_muprime,
-            "eta_aligned": gen.eta_aligned,
-            "kappa_spread": gen.kappa_spread,
-            "group_spread_max": gen.group_spread_max,
-        }
+        verdicts = {key: value for key, value in vars(gen).items() if key != "order"}
     else:
         labels = samples.draws.astype(float)
         verdicts = {}
@@ -210,28 +185,21 @@ def cmd_nullity(args) -> int:
         print(f"  {key}: {value}")
     passed = fit_residual.passed
     print(f"  max fit residual {fit_residual.value:.3e} (tol {args.tol:.1e}): {'PASS' if passed else 'FAIL'}")
-    report["subjects"] = [
-        {
-            "name": struct.name,
-            "dimension": struct.dim,
-            "classification": _classification_dict(classification),
-            "nullity_table": rows,
-            "verdicts": verdicts,
-            "residual_max": fit_residual.value,
-            "passed": passed,
-        }
-    ]
-    report["passed"] = passed
-    _finish(report, args)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return _conclude(report, args, [{
+        "name": struct.name,
+        "dimension": struct.dim,
+        "classification": dict(vars(classification)),
+        "nullity_table": rows,
+        "verdicts": verdicts,
+        "residual_max": fit_residual.value,
+        "passed": passed,
+    }])
 
 
 def cmd_sew(args) -> int:
     report = _base_report("sew", args)
     report["parameters"]["copies"] = args.copies
-    cell = load_manifold(args.file)
-    report["inputs"].append({"path": str(args.file), "sha256": file_digest(args.file)})
-    cells = [cell] * args.copies
+    cells = [_load(report, args.file)] * args.copies
     sewn = sew(cells)
     # the induced and extrinsic stages read the plain samples, the theorem stage the grouped ones
     sewn_samples = sample_points(sewn.chart, args.points, args.seed)
@@ -248,52 +216,39 @@ def cmd_sew(args) -> int:
     if not induced.passed:
         print(induced.format_table(INDUCED))
         print("induced structure axioms fail; sewing verification skipped")
-        return _stop(report, args, sewn, {"sections": {INDUCED: induced.check_dicts()}}, EXIT_FAIL)
+        return _conclude(report, args, [_failed_subject(sewn, {"sections": {INDUCED: induced.check_dicts()}})])
 
     product = build_product(cells)
     product_samples = sample_points(product.chart, args.points, args.seed)
     sections = {
         INDUCED: induced,
         "product f-structure": verify_f_structure(product, product_samples, args.tol),
-        "lift laws": verify_lift_laws(product, product_samples, max(args.tol, 1e-9)),
+        "lift laws": verify_lift_laws(product, product_samples, tol),
         "extrinsic geometry": extrinsic_report(product, sewn, sewn_samples, args.tol),
         "classification and nullity transfer": verify_sewing_theorems(product, sewn, grouped_samples, args.tol),
     }
     theorems = sections["classification and nullity transfer"]
     for title, section in sections.items():
         print(section.format_table(title))
-    all_passed = all(section.passed for section in sections.values())
     subject = {
         "name": sewn.name,
         "dimension": sewn.dim,
         "sections": {title: section.check_dicts() for title, section in sections.items()},
+        "cell_classification": dict(vars(theorems.cell_classification)),
+        "sewn_classification": dict(vars(theorems.sewn_classification)),
+        "passed": all(section.passed for section in sections.values()),
     }
     print(f"cell classification: {theorems.cell_classification.describe()}")
     print(f"sewn classification: {theorems.sewn_classification.describe()}")
-    subject["cell_classification"] = _classification_dict(theorems.cell_classification)
-    subject["sewn_classification"] = _classification_dict(theorems.sewn_classification)
     if theorems.convention_comparison is not None:
         comp = theorems.convention_comparison
-        subject["convention_comparison"] = asdict(comp)
+        subject["convention_comparison"] = dict(vars(comp))
         print(
             f"h' convention reproducing the 1/k transfer of mu': {comp.reproduces_inverse_k}"
             f" (raw ratio {comp.muprime_ratio_raw:.6f},"
             f" normalized ratio {comp.muprime_ratio_normalized:.6f})"
         )
-    subject["passed"] = all_passed
-    report["subjects"] = [subject]
-    report["passed"] = all_passed
-    _finish(report, args)
-    return EXIT_PASS if all_passed else EXIT_FAIL
-
-
-def _stop(report: dict, args, struct: ContactStructure, payload: dict, status: int) -> int:
-    """Write the report of a structure the command stops short on, as failed
-    with ``payload``, and return ``status``."""
-    report["subjects"] = [_failed_subject(struct, payload)]
-    report["passed"] = False
-    _finish(report, args)
-    return status
+    return _conclude(report, args, [subject])
 
 
 def _failed_subject(struct: ContactStructure, payload: dict) -> dict:
@@ -335,12 +290,25 @@ def _base_report(command: str, args) -> dict:
     }
 
 
-def _finish(report: dict, args) -> None:
-    if getattr(args, "json", None):
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+def _load(report: dict, path: Path) -> ContactStructure:
+    """The definition at ``path``, recorded with its digest among the report's inputs."""
+    struct = load_manifold(path)
+    report["inputs"].append({"path": str(path), "sha256": file_digest(path)})
+    return struct
+
+
+def _conclude(report: dict, args, subjects: list[dict], status: int | None = None) -> int:
+    """Set the report's ``subjects`` and ``passed`` (every subject passed),
+    write it to ``--json`` if given, and return ``status``, by default the
+    exit code of ``passed``."""
+    report["subjects"] = subjects
+    report["passed"] = all(subject["passed"] for subject in subjects)
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"machine report written to {args.json}")
+    if status is None:
+        status = EXIT_PASS if report["passed"] else EXIT_FAIL
+    return status
 
 
 def _int_between(low: int, high: int):

@@ -373,7 +373,7 @@ class Classification:
     kind: str
     alpha: float | None
     weights: tuple[float, ...]
-    fit_residual_max: float
+    weight_fit_residual_max: float
     is_cosymplectic: bool
 
     def describe(self) -> str:
@@ -434,6 +434,8 @@ def _nabla_phi_norms(struct: ContactStructure, points: np.ndarray, connection) -
     """The largest magnitudes of nabla_xi phi, nabla_xi xi and nabla phi per
     sample, in the structure's layout; nabla phi is freed on return, before
     the next layer runs."""
+    # the Reeb norms come from the nabla phi built here, not from ``reeb_layer``: taking them from
+    # there moved verify's Reeb residuals by up to 9.2e-15 and made it slower (ROADMAP item 6)
     derivative = covariant_derivative_affinor(struct, points, connection=connection)
     return (derivative.nabla_xi_phi_norm, derivative.nabla_xi_xi_norm,
             _max_abs(derivative.nablaphi, 3 + struct.layout.hub))

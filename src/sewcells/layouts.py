@@ -29,13 +29,13 @@ class Layout:
     """K sets of w coordinates of a chart of dimension ``dim``: ``sets[b]``
     holds the chart indices of set b.  A whole-chart layout is one set, the
     chart in order, and its arrays are those of the full grid.  A star
-    layout (``hub``) is a hub coordinate and K >= 2 blocks of w - 1
+    layout (``hub``, K >= 2 sets) is a hub coordinate and K blocks of w - 1
     coordinates, and set b is the hub, first, and block b (see
     ``star_layout``); its arrays lead with the set axis, so that a rank-r
     array is (..., K, w, .., w)."""
 
-    def __init__(self, dim: int, sets: np.ndarray, hub: bool = False):
-        self.dim, self.sets, self.hub = dim, sets, hub
+    def __init__(self, dim: int, sets: np.ndarray):
+        self.dim, self.sets, self.hub = dim, sets, len(sets) > 1
 
     @staticmethod
     @cache
@@ -64,21 +64,23 @@ class Layout:
         local[np.arange(count)[:, None], self.sets] = np.arange(size)
         return local
 
-    def slots(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the chart multi-indices ``indices`` (E, r): the pairs (e, slot)
-        of every set that holds all r indices of entry e, with ``slot`` the
-        flat slot of the entry in the (K, w, .., w) layout."""
+    def _held(self, indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the chart multi-indices of E entries, given as r index arrays
+        (``np.unravel_index``): (blocks, entries, held) for every set b that
+        holds all r indices of entry e, set by set and in entry order within
+        a set, with ``held`` (r, M) the slots of the r indices in their set."""
+        held = self.local[:, indices]  # (K, r, E), -1 where set b lacks an index of entry e
+        blocks, entries = np.nonzero((held >= 0).all(axis=1))
+        return blocks, entries, held[blocks, :, entries].T
+
+    def slots(self, indices: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """For the chart multi-indices ``indices`` (r index arrays): the pairs
+        (e, slot) of every set that holds all r indices of entry e, with
+        ``slot`` the flat slot of the entry in the (K, w, .., w) layout."""
         size = self.sets.shape[1]
-        count, rank = indices.shape
-        held = self.local[:, indices]  # (K, E, r), -1 where set b lacks an index of entry e
-        inside = held[..., 0] >= 0
-        for a in range(1, rank):
-            inside &= held[..., a] >= 0
-        pairs = np.flatnonzero(inside)
-        blocks, entries = pairs // count, pairs % count
-        slots = blocks
-        for a in range(rank):
-            slots = slots * size + held[blocks, entries, a]
+        slots, entries, held = self._held(indices)  # each slot starts as its set
+        for column in held:
+            slots = slots * size + column
         return entries, slots
 
     def scatter(self, field) -> tuple:
@@ -91,12 +93,12 @@ class Layout:
         plan = field._plan
         shape, rank = field.shape, field.rank
         known = np.flatnonzero(plan.constant != 0.0)
-        constants, constant_slots = self.slots(np.column_stack(np.unravel_index(known, shape)))
+        constants, constant_slots = self.slots(np.unravel_index(known, shape))
         constant = np.zeros(math.prod(self.shape(rank)))
         constant[constant_slots] = plan.constant[known[constants]]
-        roots = np.column_stack(np.unravel_index(plan.positions, shape))
-        entries = np.column_stack(np.unravel_index(plan.grad_slots, shape + (self.dim,)))
-        (value_sources, value_slots), (grad_sources, grad_slots) = self.slots(roots), self.slots(entries)
+        (value_sources, value_slots), (grad_sources, grad_slots) = (
+            self.slots(np.unravel_index(plan.positions, shape)),
+            self.slots(np.unravel_index(plan.grad_slots, shape + (self.dim,))))
         return (constant, self.shape(rank), self.sets.shape[1], (value_sources, grad_sources),
                 (value_slots, grad_slots))
 
@@ -113,10 +115,8 @@ class Layout:
         hess = field._plan.hess_slots
         count, size = self.sets.shape
         cube = size ** 3
-        # held[s, :, e]: the slots in set s of the indices a, b, c, d of entry e, d_c d_d F_ab, -1 where s lacks one
-        held = self.local[:, np.unravel_index(hess, (self.dim,) * 4)]
-        blocks, sources = np.nonzero((held >= 0).all(axis=1))
-        a, b, c, d = held[blocks, :, sources].T
+        # a, b, c, d: the slots in its set of the indices of entry d_c d_d F_ab
+        blocks, sources, (a, b, c, d) = self._held(np.unravel_index(hess, (self.dim,) * 4))
         base = blocks * cube
         weights = np.concatenate([a, c]) + np.concatenate([blocks, blocks]) * size
         targets = np.concatenate([base + (b * size + c) * size + d, count * cube + base + (a * size + b) * size + d])
@@ -187,4 +187,4 @@ def star_layout(struct) -> Layout:
             blocks.setdefault(root(c), []).append(c)
     if len(blocks) < 2 or len({len(members) for members in blocks.values()}) > 1:
         return whole
-    return Layout(n, np.array([[hub] + members for members in blocks.values()]), hub=True)
+    return Layout(n, np.array([[hub] + members for members in blocks.values()]))

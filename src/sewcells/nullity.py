@@ -90,6 +90,8 @@ class NullityFits:
     residual: np.ndarray
     h_norm: np.ndarray
     determinate_mu: np.ndarray
+    # kept, though only the operator laws read them: taking them from ``h_tensor`` again cut the peak
+    # memory but made the sweeps slower through the allocator (ROADMAP item 6)
     h: np.ndarray
     hprime: np.ndarray
 

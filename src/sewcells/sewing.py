@@ -519,10 +519,11 @@ def verify_lift_laws(
     """The connection respects the block splitting, and the affinor image plus
     the median is involutive.
 
-    ``block_structure`` comes first: when it fails, the report holds that
-    check alone.  Otherwise the cross-block connection and curvature vanish
-    identically, and each block's Christoffel symbols, computed from the
-    product's trees, must equal the cell's own.  A bracket of two
+    The product must split into its blocks (``SewingError`` when
+    ``block_structure`` fails), and that check comes first in the report.
+    So the cross-block connection and curvature vanish identically, and
+    each block's Christoffel symbols, computed from the product's trees,
+    must equal the cell's own.  A bracket of two
     affinor-image fields, or of one with the median, is zero across blocks,
     so only the in-block pairs are taken; their components along the normal
     frame must vanish.  On block b the frame is the constant
@@ -532,10 +533,7 @@ def verify_lift_laws(
     together, with their cell, at the projections of all of them, with the
     column of each.
     """
-    title = f"lift laws of {len(product.cells)}-cell product"
-    structure, blocks = product._split
-    if not structure.passed:
-        return ValidationReport(title, len(samples), (structure,))
+    blocks = _blocks(product)
     cells = product.cells
     c = frame_coefficients(len(blocks))
     groups = [(members, blocks[first], cells[first], np.array([blocks[b].rows for b in members]))
@@ -566,7 +564,8 @@ def verify_lift_laws(
             lift.add(gap)
             for part in brackets:
                 invol.add(part)
-    return ValidationReport(title, len(samples), (structure, lift.result(), invol.result()))
+    return ValidationReport(f"lift laws of {len(cells)}-cell product", len(samples),
+                            (product._split[0], lift.result(), invol.result()))
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +917,8 @@ def verify_sewing_theorems(
     else:
         checks.append(Residual("classification_transfer", tol,
                                note=f"weight-function cells; {sewn_class.describe()}")
-                      .add(sewn_class.fit_residual_max).result())
-    checks.append(Residual("sewn_weight_fit_residual", tol).add(sewn_class.fit_residual_max).result())
+                      .add(sewn_class.weight_fit_residual_max).result())
+    checks.append(Residual("sewn_weight_fit_residual", tol).add(sewn_class.weight_fit_residual_max).result())
 
     generalized: GeneralizedNullityReport | None = None
     comparison: ConventionComparison | None = None

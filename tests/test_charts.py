@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,56 @@ class TestValidation:
         dicts = report.check_dicts()
         assert dicts == [dataclasses.asdict(c) for c in report.checks]
         assert [list(d) for d in dicts] == [[f.name for f in dataclasses.fields(c)] for c in report.checks]
+
+    def test_report_records_are_their_fields(self, kenmotsu_cell, tmp_path, monkeypatch):
+        """The JSON report writes each record as its fields, names and values:
+        ``Classification`` in ``verify``, ``nullity`` and ``sew``, the
+        ``GeneralizedNullityReport`` fields but ``order`` as ``nullity``'s
+        verdicts, and ``ConventionComparison`` in ``sew``."""
+        import dataclasses
+        import json
+
+        from sewcells import cli
+        from sewcells.manifold_io import save_manifold
+
+        records = {}
+
+        def spy(name, keep):
+            original = getattr(cli, name)
+
+            def recorded(*args, **kwargs):
+                result = original(*args, **kwargs)
+                records[name] = keep(result)
+                return result
+
+            monkeypatch.setattr(cli, name, recorded)
+
+        spy("classify", lambda classification: classification)
+        spy("classify_and_fit", lambda swept: swept[0][0])
+        spy("check_generalized", lambda gen: gen)
+        spy("verify_sewing_theorems", lambda theorems: theorems)
+
+        def fields(record, leave=()):
+            """The record's fields as its report writes them."""
+            return json.loads(json.dumps({f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+                                          if f.name not in leave}))
+
+        def subject(*argv):
+            assert cli.main([*argv, "--points", "10", "--json", "report.json"]) == cli.EXIT_PASS
+            (only,) = json.loads(Path("report.json").read_text())["subjects"]
+            return only
+
+        monkeypatch.chdir(tmp_path)
+        save_manifold(kenmotsu_cell, "warped.json")
+        assert subject("verify", "warped.json")["classification"] == fields(records["classify"])
+        nullity = subject("nullity", "warped.json")
+        assert nullity["classification"] == fields(records["classify_and_fit"])
+        assert nullity["verdicts"] == fields(records["check_generalized"], leave=("order",))
+        sewn = subject("sew", "warped.json", "--copies", "2", "--out", "sewn.json")
+        theorems = records["verify_sewing_theorems"]
+        assert sewn["cell_classification"] == fields(theorems.cell_classification)
+        assert sewn["sewn_classification"] == fields(theorems.sewn_classification)
+        assert sewn["convention_comparison"] == fields(theorems.convention_comparison)
 
     def test_adapted_eta_components_are_exact(self, catalog_cells):
         for cell in catalog_cells:
