@@ -10,6 +10,7 @@ structurally.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -57,12 +58,16 @@ def dumps(struct: ContactStructure, provenance: dict | None = None) -> str:
     return json.dumps(structure_to_dict(struct, provenance), indent=2, sort_keys=True) + "\n"
 
 
-def save_manifold(struct: ContactStructure, path: str | Path, provenance: dict | None = None) -> None:
-    Path(path).write_text(dumps(struct, provenance), encoding="utf-8")
+def save_manifold(struct: ContactStructure, path: str | Path, provenance: dict | None = None) -> bytes:
+    """Write the definition of ``struct`` to ``path``; return the bytes written."""
+    data = dumps(struct, provenance).encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
 
 
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def digest(data: bytes) -> str:
+    """The SHA-256 of a definition's bytes, as reports record it."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def _require(doc: dict, key: str):
@@ -91,10 +96,14 @@ def _entry_parser(coords: tuple[str, ...]):
     return parse
 
 
-def load_manifold(path: str | Path) -> ContactStructure:
-    """Load and structurally validate a manifold-definition file."""
+def load_manifold(path: str | Path, data: bytes | None = None) -> ContactStructure:
+    """Load and structurally validate a manifold-definition file: the bytes
+    ``data`` when given, read from ``path`` otherwise, which errors name."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if data is None:
+            data = Path(path).read_bytes()
+        # decoded as ``Path.read_text`` decodes, so that errors give the same text and positions
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except UnicodeDecodeError as exc:
         raise ManifoldFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:

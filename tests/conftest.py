@@ -1,5 +1,6 @@
 import pytest
 
+from sewcells import cli
 from sewcells.catalog import (
     flat_cosymplectic_cell,
     halfspace_kenmotsu_cell,
@@ -46,3 +47,13 @@ def sewing_inputs():
         return (build_product(cells), sewn, sample_points(sewn.chart, count, seed),
                 nullity_samples(sewn.chart, count, seed))
     return build
+
+
+@pytest.fixture(autouse=True)
+def forget_kept_definitions():
+    """Each test starts with no definition kept by ``cli._load``, so that what
+    a test observes (what is parsed, which plans are built) does not depend
+    on the tests that ran before it; calling the fixture's value forgets them
+    again within a test."""
+    cli._kept.clear()
+    return cli._kept.clear

@@ -788,10 +788,11 @@ def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeyp
         assert runs == ({2: 1} if field is struct.metric else {1: 1})
 
 
-def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys):
+def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys, forget_kept_definitions):
     """After ``verify``, ``nullity`` and ``sew --copies 3`` at 100 points (the
     sewn chart's 100 samples are 3 batches of one chunk), no field of the
-    structure, the sewn manifold, the product or its blocks holds a binding."""
+    structure, the sewn manifold, the product or its blocks holds a binding.
+    Each command loads its own structure."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.manifold_io import save_manifold
@@ -803,6 +804,7 @@ def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys):
     products = _captured(monkeypatch, cli, "build_product")
     for argv in (["verify", str(path)], ["nullity", str(path)],
                  ["sew", str(path), "--copies", "3", "--out", str(tmp_path / "sewn.json"), "--points", "100"]):
+        forget_kept_definitions()
         assert cli.main(argv) == cli.EXIT_PASS
     assert len(structures) == 3 and len(sewn) == len(products) == 1
     (product,) = products

@@ -123,7 +123,7 @@ class TestNullity:
         path = tmp_path / "sewn.json"
         save_manifold(sew([halfspace_kenmotsu_cell()] * 4), path)
         loaded, load = [], cli.load_manifold
-        monkeypatch.setattr(cli, "load_manifold", lambda p: loaded.append(load(p)) or loaded[-1])
+        monkeypatch.setattr(cli, "load_manifold", lambda *args: loaded.append(load(*args)) or loaded[-1])
         runs, jet = [], charts.evaluate_jet2
 
         def spy(program, point, index=None, order=2):
@@ -803,3 +803,76 @@ def test_sew_and_nullity_of_a_split_chart_lay_out_no_full_grid(tmp_path, monkeyp
             assert load_manifold(f"{name}-k6.json").layout.hub == (name == "model")
             assert (grids[(13, 13, 13)] > 0) == (name == "halfspace") == bool(grids), (name, argv[0])
     capsys.readouterr()
+
+
+class TestKeptDefinitions:
+    """``cli._load`` keeps the structures of the last ``KEPT_DEFINITIONS``
+    definitions under the digest of their bytes: a command on the same bytes
+    reuses the structure and what was built on it, and its report is the one
+    a fresh load gives.  Each runs 3-dimensional cells at the default 25
+    points."""
+
+    def test_a_hit_builds_nothing(self, model_file, tmp_path, monkeypatch, capsys):
+        import sewcells.charts as charts
+
+        reports = [tmp_path / "first.json", tmp_path / "second.json"]
+        assert main(["verify", str(model_file), "--seed", "3", "--json", str(reports[0])]) == EXIT_PASS
+        builds, build = [], charts._FieldPlan.build
+        monkeypatch.setattr(charts._FieldPlan, "build", lambda field: builds.append(field) or build(field))
+        assert main(["verify", str(model_file), "--seed", "3", "--json", str(reports[1])]) == EXIT_PASS
+        assert builds == []
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_new_bytes_are_parsed_again(self, model_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["verify", str(model_file)]) == EXIT_PASS
+        doc = structure_to_dict(model_cosymplectic_cell(1.0))
+        doc["phi"][2][2] = "0.5"  # breaks phi^2 = -Id + eta (x) xi
+        model_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(model_file), "--json", str(report)]) == EXIT_FAIL
+        (subject,) = json.loads(report.read_text(encoding="utf-8"))["subjects"]
+        assert not next(c for c in subject["checks"] if c["name"] == "phi_square_identity")["passed"]
+
+    def test_failures_are_never_kept(self, tmp_path, capsys):
+        path = tmp_path / "cell.json"
+        path.write_text("{not json", encoding="utf-8")
+        for _ in range(2):
+            assert main(["verify", str(path)]) == EXIT_INPUT
+            assert str(path) in capsys.readouterr().err
+        save_manifold(model_cosymplectic_cell(1.0), path)
+        assert main(["verify", str(path)]) == EXIT_PASS
+
+    def test_no_binding_survives_an_error(self, tmp_path, capsys):
+        """A metric entry that leaves its domain wherever x <= 0 stops the
+        sweep with a ``verification error:``; the kept structure holds no
+        binding, and the next run stops with the same line."""
+        import sewcells.cli as cli
+
+        doc = structure_to_dict(model_cosymplectic_cell(1.0))
+        doc["metric"][0][0] = "0*log(x) + 1"
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        errors = []
+        for _ in range(2):
+            assert main(["verify", str(path)]) == EXIT_FAIL
+            errors.append(capsys.readouterr().err)
+            (struct,) = cli._kept.values()
+            assert all(field._memo == () for field in (struct.metric, struct.phi, struct.xi, struct.eta))
+        assert errors[0] == errors[1] and errors[0].startswith("verification error: ")
+
+    def test_the_bound_evicts(self, tmp_path, monkeypatch, capsys):
+        """The first of ``KEPT_DEFINITIONS`` + 1 definitions is parsed again;
+        the last, used since, is not."""
+        import sewcells.cli as cli
+
+        paths = []
+        for i in range(cli.KEPT_DEFINITIONS + 1):
+            doc = structure_to_dict(flat_cosymplectic_cell())
+            doc["name"] = f"flat {i}"
+            paths.append(tmp_path / f"flat{i}.json")
+            paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        loads, load = [], cli.load_manifold
+        monkeypatch.setattr(cli, "load_manifold", lambda path, data: loads.append(path) or load(path, data))
+        assert main(["verify", *map(str, paths)]) == EXIT_PASS
+        assert main(["verify", str(paths[0]), str(paths[-1])]) == EXIT_PASS
+        assert loads == paths + [paths[0]]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,8 +11,8 @@ from sewcells.catalog import model_cosymplectic_cell, standard_cells
 from sewcells.charts import ContactStructure, sample_points, validate_structure
 from sewcells.manifold_io import (
     ManifoldFileError,
+    digest,
     dumps,
-    file_digest,
     load_manifold,
     save_manifold,
     structure_from_dict,
@@ -53,8 +54,11 @@ class TestRoundTrip:
             assert a.residual == b.residual
 
     def test_digest_is_stable(self, flat_cell, tmp_path):
-        path, _ = _roundtrip(flat_cell, tmp_path)
-        assert file_digest(path) == file_digest(path)
+        """The bytes ``save_manifold`` returns are the file's, and their digest is its SHA-256."""
+        path = tmp_path / "cell.json"
+        written = save_manifold(flat_cell, path)
+        assert written == path.read_bytes()
+        assert digest(written) == digest(path.read_bytes()) == hashlib.sha256(written).hexdigest()
 
 
 class TestLoaderErrors:

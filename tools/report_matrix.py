@@ -47,7 +47,11 @@ catalog cell files with its own ``catalog`` command, and the same
 ``CONSTANTS_CELL``, ``PARTLY_PD_CELL``, ``BROKEN_PHI_CELL`` and
 ``NAN_PHI_CELL`` files, and runs every command as a fresh process in its own
 scratch directory, with the same relative paths, so the paths in the reports
-do not depend on where the trees live.  NEW_SRC runs the matrix twice.
+do not depend on where the trees live.  NEW_SRC runs the matrix twice: the
+second time one Python process calls ``sewcells.cli.main`` for every command
+in order, so that what a command writes is checked not to depend on what the
+process ran before (``cli._load`` keeps the structures of the definitions it
+loaded last and serves a repeat of the same bytes from them).
 
 Two more commands stop on an evaluation error: ``verify`` on ``ERROR_CELL``
 and ``verify`` at 3000 points on ``LATE_ERROR_CELL``.  Each must exit 1 with
@@ -67,8 +71,9 @@ at least 1e-10 and the worst absolute difference of the others; the numeric
 fields that moved at all, with checks named by their check name; the text
 fields that differ (the version, notes); how many reports changed bytes; and
 whether the two NEW_SRC runs wrote byte-identical reports, sewn files and
-error lines.  The matrix is 69 commands; the three runs take about 60 s on a
-2-CPU machine, up to 95 s on a loaded one, k = 16 included.  Exit status 0
+error lines and gave the same exit codes.  The matrix is 69 commands; the
+three runs take 40-52 s on a 2-CPU machine, the repeat in one interpreter
+about 2 s of them, k = 16 included.  Exit status 0
 when nothing structural differs, both numeric
 gaps are within 1e-12 and the repeat is byte-identical; 1 otherwise; 2 on a
 bad argument.
@@ -248,29 +253,68 @@ def matrix() -> list[tuple[str, list[str]]]:
     return [(name, argv + ["--json", f"reports/{name}.json"]) for name, argv in commands]
 
 
-def run_tree(src: Path, work: Path) -> dict[str, tuple[int, str | None]]:
-    """Write the cells and run the matrix under ``src`` in ``work``; return the
-    exit code and the ``verification error:`` line (or None) of every command."""
+def run_tree(src: Path, work: Path, one_interpreter: bool = False) -> dict[str, tuple[int, str | None]]:
+    """Write the cells and run the matrix under ``src`` in ``work``, each
+    command in a fresh process, or all of them in order in one interpreter;
+    return the exit code and the ``verification error:`` line (or None) of
+    every command."""
     for sub in ("cells", "sewn", "reports"):
         (work / sub).mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-
-    def run(argv: list[str]) -> tuple[int, str | None]:
-        done = subprocess.run([sys.executable, "-m", "sewcells.cli", *argv], cwd=work, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        if "Traceback" in done.stderr:
-            print(f"  traceback from {' '.join(argv)}:\n{done.stderr}", file=sys.stderr)
-        errors = [line for line in done.stderr.splitlines() if line.startswith(ERROR_PREFIX)]
-        return done.returncode, errors[0] if errors else None
-
-    for cell, args in CELLS.items():
-        status, _ = run(["catalog", *args, "--out", f"cells/{cell}.json"])
-        if status != 0:
-            raise SystemExit(f"catalog {args[0]} exited {status} under {src}")
     for name, cell in (("constants", CONSTANTS_CELL), ("error", ERROR_CELL), ("late-error", LATE_ERROR_CELL),
                        ("partly", PARTLY_PD_CELL), ("broken-phi", BROKEN_PHI_CELL), ("nan-phi", NAN_PHI_CELL)):
         (work / "cells" / f"{name}.json").write_text(json.dumps(cell, indent=2) + "\n", encoding="utf-8")
-    return {name: run(argv) for name, argv in matrix()}
+    setup = [["catalog", *args, "--out", f"cells/{cell}.json"] for cell, args in CELLS.items()]
+    commands = matrix()
+    run = _run_in_one_interpreter if one_interpreter else _run_in_fresh_processes
+    done = run(dict(os.environ, PYTHONPATH=str(src.resolve())), work, setup + [argv for _, argv in commands])
+    for argv, (status, _) in zip(setup, done):
+        if status != 0:
+            raise SystemExit(f"catalog {argv[1]} exited {status} under {src}")
+    results = {}
+    for (name, argv), (status, stderr) in zip(commands, done[len(setup):]):
+        if "Traceback" in stderr:
+            print(f"  traceback from {' '.join(argv)}:\n{stderr}", file=sys.stderr)
+        errors = [line for line in stderr.splitlines() if line.startswith(ERROR_PREFIX)]
+        results[name] = (status, errors[0] if errors else None)
+    return results
+
+
+def _run_in_fresh_processes(env: dict, work: Path, argvs: list[list[str]]) -> list[tuple[int, str]]:
+    """(exit code, stderr) of each argv, each run as ``python -m sewcells.cli`` in ``work``."""
+    done = [subprocess.run([sys.executable, "-m", "sewcells.cli", *argv], cwd=work, env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) for argv in argvs]
+    return [(run.returncode, run.stderr) for run in done]
+
+
+# Reads the argvs as a JSON list on stdin, runs ``sewcells.cli.main`` on each in order, and writes
+# the (exit code, stderr) of each as a JSON list
+_ONE_INTERPRETER = """
+import contextlib, io, json, os, sys, traceback
+from sewcells.cli import main
+
+done = []
+with open(os.devnull, "w") as devnull:
+    for argv in json.load(sys.stdin):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except BaseException:
+                traceback.print_exc()
+                status = -1
+        done.append((status, err.getvalue()))
+json.dump(done, sys.stdout)
+"""
+
+
+def _run_in_one_interpreter(env: dict, work: Path, argvs: list[list[str]]) -> list[tuple[int, str]]:
+    """(exit code, stderr) of each argv, all run in order by ``sewcells.cli.main``
+    in one Python process in ``work``."""
+    run = subprocess.run([sys.executable, "-c", _ONE_INTERPRETER], cwd=work, env=env, input=json.dumps(argvs),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if run.returncode != 0:
+        raise SystemExit(f"the one-interpreter run under {env['PYTHONPATH']} exited {run.returncode}:\n{run.stderr}")
+    return [tuple(result) for result in json.loads(run.stdout)]
 
 
 class Comparison:
@@ -362,7 +406,7 @@ def main(argv: list[str]) -> int:
         statuses = {}
         for label, src in (("old", old_src), ("new", new_src), ("repeat", new_src)):
             print(f"running the matrix under {src} ({label})", file=sys.stderr)
-            statuses[label] = run_tree(src, root / label)
+            statuses[label] = run_tree(src, root / label, one_interpreter=label == "repeat")
 
         comparison = Comparison()
         exit_diffs = changed = 0
@@ -392,8 +436,8 @@ def main(argv: list[str]) -> int:
                                              f"a {ERROR_PREFIX!r} line and no report")
                 print(comparison.structural[-1])
         repeat_changed = _changed_files(root / "new", root / "repeat")
-        repeat_changed += [f"stderr of {name}" for name, _ in matrix()
-                           if statuses["new"][name][1] != statuses["repeat"][name][1]]
+        repeat_changed += [f"exit code or stderr of {name}" for name, _ in matrix()
+                           if statuses["new"][name] != statuses["repeat"][name]]
 
     total = len(matrix())
     print(f"commands: {total}; exit codes differ: {exit_diffs}; "
