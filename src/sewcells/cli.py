@@ -6,8 +6,8 @@ The human-readable table goes to stdout; ``--json`` writes a machine report
 that is byte-stable for fixed inputs, seed and version (wall-clock timing is
 only ever printed, never serialized), and does not depend on what else the
 process ran.  A program that calls ``main`` many times reuses the structure
-of a definition whose bytes one of the last ``KEPT_DEFINITIONS`` loads read:
-it is kept under the digest of those bytes (``_load``) and is not parsed or
+of the last definition it loaded when a command loads the same bytes: it is
+kept under the digest of those bytes (``_load``) and is not parsed or
 compiled again.
 """
 
@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,12 +71,13 @@ MAX_POINTS = 10_000
 
 INDUCED = "induced structure axioms"
 
-# The structures of the last definitions loaded, most recent last, under the digest of their bytes.  A
-# structure holds only what it computes lazily and purely from its definition (field plans, its layout,
-# scatter, fold and constraint programs), and no sweep leaves a field bound (``charts.evaluate_batches``),
-# so a kept structure gives the reports that a fresh load gives.
-KEPT_DEFINITIONS = 4
-_kept: OrderedDict[str, ContactStructure] = OrderedDict()
+# The digest of the last definition loaded and its structure.  One is enough: a command loads its
+# definitions in turn, and the commands that repeat a load (``verify`` then ``nullity`` of a cell) load
+# the bytes that the command before them loaded last.  A structure holds only what it computes lazily
+# and purely from its definition (field plans, its layout, scatter, fold and constraint programs), and
+# no sweep leaves a field bound (``charts.evaluate_batches``), so a kept structure gives the reports
+# that a fresh load gives.
+_kept: tuple[str, ContactStructure] | None = None
 
 
 def _with_reeb_checks(report: ValidationReport, columns, tol: float) -> ValidationReport:
@@ -304,19 +304,16 @@ def _base_report(command: str, args) -> dict:
 
 def _load(report: dict, path: Path) -> ContactStructure:
     """The definition at ``path``, recorded with its digest among the report's
-    inputs: the structure kept under that digest, with what was built on it,
-    when one of the last ``KEPT_DEFINITIONS`` loads read the same bytes, else
-    those bytes parsed, and kept unless they fail to load."""
+    inputs: the kept structure, with what was built on it, when the last load
+    read the same bytes, else those bytes parsed, and kept unless they fail
+    to load."""
+    global _kept
     data = path.read_bytes()
     key = digest(data)
-    struct = _kept.pop(key, None)
-    if struct is None:
-        struct = load_manifold(path, data)
-    _kept[key] = struct
-    if len(_kept) > KEPT_DEFINITIONS:
-        _kept.popitem(last=False)
+    if _kept is None or _kept[0] != key:
+        _kept = key, load_manifold(path, data)
     report["inputs"].append({"path": str(path), "sha256": key})
-    return struct
+    return _kept[1]
 
 
 def _conclude(report: dict, args, subjects: list[dict], status: int | None = None) -> int:

@@ -50,10 +50,12 @@ def sewing_inputs():
 
 
 @pytest.fixture(autouse=True)
-def forget_kept_definitions():
+def forget_kept_definition():
     """Each test starts with no definition kept by ``cli._load``, so that what
     a test observes (what is parsed, which plans are built) does not depend
-    on the tests that ran before it; calling the fixture's value forgets them
+    on the tests that ran before it; calling the fixture's value forgets it
     again within a test."""
-    cli._kept.clear()
-    return cli._kept.clear
+    def forget():
+        cli._kept = None
+    forget()
+    return forget

@@ -788,11 +788,12 @@ def test_nullity_walks_each_component_once_per_batch_and_order(tmp_path, monkeyp
         assert runs == ({2: 1} if field is struct.metric else {1: 1})
 
 
-def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys, forget_kept_definitions):
-    """After ``verify``, ``nullity`` and ``sew --copies 3`` at 100 points (the
-    sewn chart's 100 samples are 3 batches of one chunk), no field of the
-    structure, the sewn manifold, the product or its blocks holds a binding.
-    Each command loads its own structure."""
+def _assert_no_field_stays_bound_after_commands(tmp_path, monkeypatch, forget=None):
+    """Run ``verify``, ``nullity`` and ``sew --copies 3`` at 100 points (the
+    sewn chart's 100 samples are 3 batches of one chunk) on one file, calling
+    ``forget`` before each command if given, and check that no field of the
+    loaded structures, the sewn manifold, the product or its blocks holds a
+    binding.  Returns the structures that ``load_manifold`` made."""
     from sewcells import cli
     from sewcells.catalog import halfspace_kenmotsu_cell
     from sewcells.manifold_io import save_manifold
@@ -804,9 +805,10 @@ def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys, for
     products = _captured(monkeypatch, cli, "build_product")
     for argv in (["verify", str(path)], ["nullity", str(path)],
                  ["sew", str(path), "--copies", "3", "--out", str(tmp_path / "sewn.json"), "--points", "100"]):
-        forget_kept_definitions()
+        if forget is not None:
+            forget()
         assert cli.main(argv) == cli.EXIT_PASS
-    assert len(structures) == 3 and len(sewn) == len(products) == 1
+    assert len(sewn) == len(products) == 1
     (product,) = products
     assert -(-100 // batch_size(7)) == 3 and len(_chunk_stacks(sample_points(sewn[0].chart, 100, 7), [sewn[0].phi])) == 1
     fields = [field for struct in (*structures, *sewn, *product.cells)
@@ -815,6 +817,23 @@ def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys, for
     fields += [field for block in product._split[1] for field in block[1:]]
     assert len(product._split[1]) == 3
     assert not any(_bound(field) for field in fields)
+    return structures
+
+
+def test_no_field_stays_bound_after_a_command(tmp_path, monkeypatch, capsys, forget_kept_definition):
+    """No binding is left after each of three commands that load their own
+    structure."""
+    assert len(_assert_no_field_stays_bound_after_commands(tmp_path, monkeypatch, forget_kept_definition)) == 3
+
+
+def test_no_field_of_the_kept_structure_stays_bound_after_commands(tmp_path, monkeypatch, capsys):
+    """The three commands share the one structure that ``cli._load`` keeps,
+    and none of its fields holds a binding after ``sew``."""
+    from sewcells import cli
+
+    (struct,) = _assert_no_field_stays_bound_after_commands(tmp_path, monkeypatch)
+    assert cli._kept[1] is struct
+    assert all(field._memo == () for field in (struct.metric, struct.phi, struct.xi, struct.eta))
 
 
 def test_sew_induced_stage_walks_each_component_once_per_chunk(tmp_path, monkeypatch, capsys, program_runs):

@@ -806,11 +806,10 @@ def test_sew_and_nullity_of_a_split_chart_lay_out_no_full_grid(tmp_path, monkeyp
 
 
 class TestKeptDefinitions:
-    """``cli._load`` keeps the structures of the last ``KEPT_DEFINITIONS``
-    definitions under the digest of their bytes: a command on the same bytes
-    reuses the structure and what was built on it, and its report is the one
-    a fresh load gives.  Each runs 3-dimensional cells at the default 25
-    points."""
+    """``cli._load`` keeps the structure of the last definition it loaded
+    under the digest of its bytes: a command on the same bytes reuses the
+    structure and what was built on it, and its report is the one a fresh
+    load gives.  Each runs 3-dimensional cells at the default 25 points."""
 
     def test_a_hit_builds_nothing(self, model_file, tmp_path, monkeypatch, capsys):
         import sewcells.charts as charts
@@ -856,23 +855,26 @@ class TestKeptDefinitions:
         for _ in range(2):
             assert main(["verify", str(path)]) == EXIT_FAIL
             errors.append(capsys.readouterr().err)
-            (struct,) = cli._kept.values()
+            struct = cli._kept[1]
             assert all(field._memo == () for field in (struct.metric, struct.phi, struct.xi, struct.eta))
         assert errors[0] == errors[1] and errors[0].startswith("verification error: ")
 
-    def test_the_bound_evicts(self, tmp_path, monkeypatch, capsys):
-        """The first of ``KEPT_DEFINITIONS`` + 1 definitions is parsed again;
-        the last, used since, is not."""
+    def test_another_definition_in_between_is_parsed_again(self, tmp_path, monkeypatch, capsys):
+        """Only the last definition loaded is kept: a command on the bytes
+        loaded last is served from it, and a different definition loaded in
+        between makes the first be parsed again."""
         import sewcells.cli as cli
 
         paths = []
-        for i in range(cli.KEPT_DEFINITIONS + 1):
+        for i in range(2):
             doc = structure_to_dict(flat_cosymplectic_cell())
             doc["name"] = f"flat {i}"
             paths.append(tmp_path / f"flat{i}.json")
             paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+        first, second = paths
         loads, load = [], cli.load_manifold
         monkeypatch.setattr(cli, "load_manifold", lambda path, data: loads.append(path) or load(path, data))
-        assert main(["verify", *map(str, paths)]) == EXIT_PASS
-        assert main(["verify", str(paths[0]), str(paths[-1])]) == EXIT_PASS
-        assert loads == paths + [paths[0]]
+        for argv in (["verify", str(first)], ["nullity", str(first)], ["verify", str(second), str(first)],
+                     ["verify", str(first), str(first)]):
+            assert main(argv) == EXIT_PASS
+        assert loads == [first, second, first]

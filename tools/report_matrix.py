@@ -50,8 +50,8 @@ scratch directory, with the same relative paths, so the paths in the reports
 do not depend on where the trees live.  NEW_SRC runs the matrix twice: the
 second time one Python process calls ``sewcells.cli.main`` for every command
 in order, so that what a command writes is checked not to depend on what the
-process ran before (``cli._load`` keeps the structures of the definitions it
-loaded last and serves a repeat of the same bytes from them).
+process ran before (``cli._load`` keeps the structure of the definition it
+loaded last and serves a load of the same bytes from it).
 
 Two more commands stop on an evaluation error: ``verify`` on ``ERROR_CELL``
 and ``verify`` at 3000 points on ``LATE_ERROR_CELL``.  Each must exit 1 with
